@@ -68,12 +68,9 @@ from .dn_solver import (
     boundary_mass_matrix,
     dn_apply,
     dn_map_partial,
-    dn_map_schrodinger,
     dn_mode_eigenvalues,
     dn_mode_matrix,
-    export_dn,
     fourier_modes,
-    load_dn,
     mode_gap,
     operator_gap,
     smallest_dirichlet_eigenvalue,

@@ -32,7 +32,13 @@ from .calculus import (
     integrate_volume,
     laplace_beltrami_pointwise,
 )
-from .dn_solver import BoundaryTrace, StiffnessSystem, assemble_stiffness, solve_dirichlet
+from .dn_solver import (
+    BoundaryTrace,
+    InteriorSolver,
+    StiffnessSystem,
+    assemble_stiffness,
+    solve_dirichlet,
+)
 from .errors import (
     DimensionTooSmall,
     FactorTooLarge,
@@ -303,10 +309,7 @@ def harmonic_with_natural_bc(
     free = np.setdiff1d(np.arange(grid.node_count), D, assume_unique=False)
     u = np.zeros(grid.node_count)
     u[D] = vals.ravel()
-    from .dn_solver import _factorize
-
-    lu = _factorize(K[free][:, free], "free block")
-    u[free] = lu.solve(-K[free][:, D] @ u[D])
+    u[free] = InteriorSolver(K, free).solve(-K[free][:, D] @ u[D])
     return ScalarField(grid, u.reshape(grid.shape))
 
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -48,6 +46,7 @@ from .grid_geometry import (
     assemble_counterexample_metric_3d,
     assemble_counterexample_metric_nd,
 )
+from .report import atomic_write_text
 
 __all__ = [
     "save_dataset",
@@ -104,19 +103,6 @@ def _decode_array(entry, name: str) -> np.ndarray:
     raise MalformedContainer(f"array {name}: unknown encoding {enc!r}")
 
 
-def _atomic_write_text(path, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_dataset(data: MillerDataset, path, encoding: str | None = None) -> None:
     """Write the dataset as a single JSON container.
 
@@ -144,7 +130,7 @@ def save_dataset(data: MillerDataset, path, encoding: str | None = None) -> None
         },
         "arrays": {nm: _encode_array(getattr(data, nm), nested) for nm in _ARRAY_NAMES},
     }
-    _atomic_write_text(path, json.dumps(doc))
+    atomic_write_text(path, json.dumps(doc))
 
 
 def load_dataset(path, validate: bool = True) -> MillerDataset:

@@ -15,13 +15,15 @@ Rayleigh quotients against the boundary mass matrix.
 Assembly is deterministic: element matrices are filled symmetrically and
 scattered cell-major, and duplicates are summed with a stable sort, so the
 stiffness matrix is bitwise symmetric and independent of chunking.
+
+Every interior solve in the package goes through :class:`InteriorSolver`,
+the only place a block is factorised; each of its solves is checked at
+1e-10 relative residual.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +46,9 @@ from .grid_geometry import (
 
 _PIVOT_RATIO_FLOOR = 1e-9
 _SOLVE_RTOL = 1e-10
+_DENSE_CHUNK = 256  # trace columns per interior solve in dn_map_partial
+_EIG_RTOL = 1e-13
+_EIG_MAXIT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +270,42 @@ class BoundaryTrace:
         return cls(grid, np.full(ang, float(a)), np.full(ang, float(a)))
 
 
-def _factorize(A: sp.spmatrix, what: str) -> spla.SuperLU:
-    # MMD on A^T + A keeps fill-in low for these structurally symmetric
-    # blocks (about 3x less than the COLAMD default on 3-D grids).
-    try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SingularInteriorBlock(f"{what}: {exc}") from exc
-    d = np.abs(lu.U.diagonal())
-    dmax = float(d.max()) if d.size else 0.0
-    if dmax == 0.0 or float(d.min()) < _PIVOT_RATIO_FLOOR * dmax:
-        ratio = float(d.min()) / dmax if dmax else 0.0
-        raise SingularInteriorBlock(f"{what}: pivot ratio {ratio:.3e}")
-    return lu
+class InteriorSolver:
+    """Sparse LU of the block ``K[free][:, free]``, where ``free`` are the
+    nodes not fixed by Dirichlet data.
+
+    The block is sliced once and factorised with MMD on A^T + A, which keeps
+    fill-in low for these structurally symmetric blocks (about 3x less than
+    the COLAMD default on 3-D grids). A pivot ratio below 1e-9 raises
+    SingularInteriorBlock. Each solver serves one public call and is never
+    cached, so its factor is freed when that call returns.
+    """
+
+    def __init__(self, K: sp.spmatrix, free: np.ndarray):
+        self.block = K[free][:, free].tocsc()
+        try:
+            self._lu = spla.splu(self.block, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularInteriorBlock(str(exc)) from exc
+        d = np.abs(self._lu.U.diagonal())
+        dmax = float(d.max()) if d.size else 0.0
+        if dmax == 0.0 or float(d.min()) < _PIVOT_RATIO_FLOOR * dmax:
+            ratio = float(d.min()) / dmax if dmax else 0.0
+            raise SingularInteriorBlock(f"pivot ratio {ratio:.3e}")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``block @ X = rhs``; raises NoConvergence unless
+        ``||block @ X - rhs|| <= 1e-10 ||rhs||``."""
+        X = self._lu.solve(rhs)
+        res = np.linalg.norm(self.block @ X - rhs)
+        scale = max(np.linalg.norm(rhs), 1e-300)
+        if res > _SOLVE_RTOL * scale:
+            raise NoConvergence(res / scale, _SOLVE_RTOL)
+        return X
 
 
 def solve_dirichlet(sys: StiffnessSystem, bc: BoundaryTrace) -> ScalarField:
-    """Solve the weak problem with Dirichlet data on all of the boundary.
-
-    Interior degrees of freedom are eliminated against one sparse LU
-    factorisation; the solve residual is checked at 1e-10 relative.
-    """
+    """Solve the weak problem with Dirichlet data on all of the boundary."""
     grid = sys.grid
     if bc.grid.shape != grid.shape:
         raise GridMismatch("trace grid does not match system grid")
@@ -295,14 +315,7 @@ def solve_dirichlet(sys: StiffnessSystem, bc: BoundaryTrace) -> ScalarField:
     u = np.zeros(grid.node_count)
     u[grid.boundary_ids(GAMMA0)] = bc.layer(GAMMA0).ravel()
     u[grid.boundary_ids(GAMMA1)] = bc.layer(GAMMA1).ravel()
-    rhs = -K[I][:, B] @ u[B]
-    lu = _factorize(K[I][:, I], "interior block")
-    uI = lu.solve(rhs)
-    res = np.linalg.norm(K[I][:, I] @ uI - rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if res > _SOLVE_RTOL * scale:
-        raise NoConvergence(res / scale, _SOLVE_RTOL)
-    u[I] = uI
+    u[I] = InteriorSolver(K, I).solve(-K[I][:, B] @ u[B])
     return ScalarField(grid, u.reshape(grid.shape))
 
 
@@ -336,19 +349,18 @@ def _schur_blocks(sys: StiffnessSystem, gamma: str):
     K_GG = K[G][:, G]
     K_GI = K[G][:, I]
     K_IG = K[I][:, G]
-    lu = _factorize(K[I][:, I], "interior block")
-    return K_GG, K_GI, K_IG, lu
+    return K_GG, K_GI, K_IG, InteriorSolver(K, I)
 
 
-def dn_map_partial(sys: StiffnessSystem, gamma: str, chunk: int = 256) -> DNMatrix:
+def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
     """Dense Schur-complement DN map on ``gamma``; Dirichlet-zero is
     imposed on the rest of the boundary."""
-    K_GG, K_GI, K_IG, lu = _schur_blocks(sys, gamma)
+    K_GG, K_GI, K_IG, solver = _schur_blocks(sys, gamma)
     ng = K_GG.shape[0]
     lam = K_GG.toarray()
-    for lo in range(0, ng, chunk):
-        hi = min(lo + chunk, ng)
-        X = lu.solve(K_IG[:, lo:hi].toarray())
+    for lo in range(0, ng, _DENSE_CHUNK):
+        hi = min(lo + _DENSE_CHUNK, ng)
+        X = solver.solve(K_IG[:, lo:hi].toarray())
         lam[:, lo:hi] -= K_GI @ X
     return DNMatrix(lam, gamma, sys.grid, sys.metric_id, sys.potential_id)
 
@@ -358,27 +370,14 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
 
     ``traces`` has shape (n_gamma, k); returns the same shape.
     """
-    K_GG, K_GI, K_IG, lu = _schur_blocks(sys, gamma)
+    K_GG, K_GI, K_IG, solver = _schur_blocks(sys, gamma)
     V = np.asarray(traces, dtype=float)
     squeeze = V.ndim == 1
     if squeeze:
         V = V[:, None]
-    X = lu.solve(K_IG @ V if sp.issparse(K_IG) else K_IG @ V)
+    X = solver.solve(K_IG @ V)
     out = K_GG @ V - K_GI @ X
     return out[:, 0] if squeeze else out
-
-
-def dn_map_schrodinger(
-    metric: MetricField,
-    potential: ScalarField | np.ndarray,
-    gamma: str,
-    potential_id: str | None = None,
-    chunk: int = 256,
-) -> DNMatrix:
-    """DN map of the Schroedinger operator -Lap_g + V (weak form adds the
-    V-weighted mass matrix)."""
-    sys = assemble_stiffness(metric, potential, potential_id=potential_id)
-    return dn_map_partial(sys, gamma, chunk=chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +439,17 @@ def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
     return np.stack(cols, axis=1), labels
 
 
+def _mode_basis(grid: CylinderGrid, gamma: str, cut: float) -> tuple[np.ndarray, list]:
+    """Mode vectors on ``gamma``; on the full boundary, the block-diagonal
+    gamma0/gamma1 basis with labels prefixed by their component."""
+    Vl, labels = fourier_modes(grid, cut)
+    if gamma != FULL_BOUNDARY:
+        return Vl, labels
+    z = np.zeros_like(Vl)
+    V = np.block([[Vl, z], [z, Vl]])
+    return V, [(GAMMA0, *l) for l in labels] + [(GAMMA1, *l) for l in labels]
+
+
 def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[np.ndarray, list]:
     """Low-mode pairing matrix B[m, m'] = <Lam v_m, v_m'> computed with one
     interior solve per mode vector.
@@ -448,14 +458,7 @@ def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[
     approximates the continuum pairing and is comparable across grid
     refinements of the same cylinder.
     """
-    grid = sys.grid
-    if gamma == FULL_BOUNDARY:
-        Vl, labels = fourier_modes(grid, cut)
-        z = np.zeros_like(Vl)
-        V = np.block([[Vl, z], [z, Vl]])
-        labels = [(GAMMA0, *l) for l in labels] + [(GAMMA1, *l) for l in labels]
-    else:
-        V, labels = fourier_modes(grid, cut)
+    V, labels = _mode_basis(sys.grid, gamma, cut)
     lamV = dn_apply(sys, gamma, V)
     return V.T @ lamV, labels
 
@@ -492,12 +495,7 @@ def operator_gap(dn1: DNMatrix, dn2: DNMatrix, mode_cut: float = 2.0) -> GapResu
         frob = float("nan")
 
     def project(dn: DNMatrix) -> np.ndarray:
-        if dn.gamma == FULL_BOUNDARY:
-            Vl, _ = fourier_modes(dn.grid, mode_cut)
-            z = np.zeros_like(Vl)
-            V = np.block([[Vl, z], [z, Vl]])
-        else:
-            V, _ = fourier_modes(dn.grid, mode_cut)
+        V, _ = _mode_basis(dn.grid, dn.gamma, mode_cut)
         return V.T @ dn.matrix @ V
 
     low = mode_gap(project(dn1), project(dn2))
@@ -570,63 +568,24 @@ def dn_mode_eigenvalues(
     return num / den
 
 
-def smallest_dirichlet_eigenvalue(
-    metric: MetricField, tol: float = 1e-13, maxit: int = 1000, seed: int = 0
-) -> float:
+def smallest_dirichlet_eigenvalue(metric: MetricField) -> float:
     """First Dirichlet eigenvalue of the metric Laplacian by inverse power
     iteration on the interior blocks of (stiffness, mass)."""
     ones = np.ones(metric.grid.shape)
     sys = assemble_stiffness(metric, potential=ones, potential_id="unit")
     I = metric.grid.interior_ids()
-    K = sys.laplace[I][:, I]
+    solver = InteriorSolver(sys.laplace, I)
+    K = solver.block
     M = sys.mass[I][:, I]
-    lu = _factorize(K, "interior block")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(K.shape[0])
+    v = np.random.default_rng(0).standard_normal(K.shape[0])
     v /= np.linalg.norm(v)
     lam_old = np.inf
-    for _ in range(maxit):
-        w = lu.solve(M @ v)
+    for _ in range(_EIG_MAXIT):
+        w = solver.solve(M @ v)
         w /= np.linalg.norm(w)
         lam = float((w @ (K @ w)) / (w @ (M @ w)))
         v = w
-        if abs(lam - lam_old) <= tol * abs(lam):
+        if abs(lam - lam_old) <= _EIG_RTOL * abs(lam):
             return lam
         lam_old = lam
-    raise NoConvergence(abs(lam - lam_old) / abs(lam), tol)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def export_dn(dn: DNMatrix, path: str | Path) -> tuple[Path, Path]:
-    """Write the dense DN matrix as row-major CSV (17 significant digits)
-    with a JSON metadata sidecar ``<path>.meta.json``."""
-    path = Path(path)
-    np.savetxt(path, dn.matrix, fmt="%.17g", delimiter=",")
-    meta = {
-        "gamma": dn.gamma,
-        "grid": {
-            "n": dn.grid.n,
-            "num_t": dn.grid.num_t,
-            "num_ang": list(dn.grid.num_ang),
-        },
-        "metric_id": dn.metric_id,
-        "potential_id": dn.potential_id,
-    }
-    meta_path = path.with_name(path.name + ".meta.json")
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return path, meta_path
-
-
-def load_dn(path: str | Path) -> DNMatrix:
-    path = Path(path)
-    matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
-    grid = CylinderGrid(
-        meta["grid"]["n"], meta["grid"]["num_t"], tuple(meta["grid"]["num_ang"])
-    )
-    return DNMatrix(
-        matrix, meta["gamma"], grid, meta["metric_id"], meta.get("potential_id")
-    )
+    raise NoConvergence(abs(lam - lam_old) / abs(lam), _EIG_RTOL)

@@ -296,10 +296,8 @@ def gershgorin_bounds(mat: np.ndarray) -> tuple[float, float]:
     return float((diag - radius).min()), float((diag + radius).max())
 
 
-def sample_metric(
-    source: MetricSource, grid: CylinderGrid, validate: bool = True
-) -> MetricField:
-    """Evaluate a metric source at the grid nodes and validate it.
+def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> np.ndarray:
+    """Exactly symmetrised copy of a node table of metric matrices.
 
     Raises
     ------
@@ -308,6 +306,25 @@ def sample_metric(
     NonPositiveDefinite
         If any node matrix has an eigenvalue <= 0.
     """
+    defect = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-1, -2))
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-1, -2)))
+    if (defect > 1e-12 * scale).any():
+        node = np.unravel_index(int(np.argmax(defect / scale)), grid.shape)
+        raise Asymmetric(node, float(defect[node]))
+    # exact symmetry for downstream bitwise-symmetric algebra
+    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    if grid.n > 4 and gershgorin_bounds(mat)[0] > 0.0:
+        return mat
+    lam_min = np.linalg.eigvalsh(mat)[..., 0]
+    if (lam_min <= 0.0).any():
+        node = np.unravel_index(int(np.argmin(lam_min)), grid.shape)
+        raise NonPositiveDefinite(node, float(lam_min[node]))
+    return mat
+
+
+def sample_metric(source: MetricSource, grid: CylinderGrid) -> MetricField:
+    """Evaluate a metric source at the grid nodes and validate it with
+    :func:`_checked_spd`."""
     if source.n != grid.n:
         raise GridMismatch(f"metric dimension {source.n} != grid dimension {grid.n}")
     mat = source(grid.points)
@@ -315,48 +332,20 @@ def sample_metric(
         raise GridMismatch(
             f"source returned shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
         )
-    if validate:
-        defect = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-1, -2))
-        scale = np.maximum(1.0, np.abs(mat).max(axis=(-1, -2)))
-        bad = defect > 1e-12 * scale
-        if bad.any():
-            node = np.unravel_index(int(np.argmax(defect / scale)), grid.shape)
-            raise Asymmetric(node, float(defect[node]))
-        # exact symmetry for downstream bitwise-symmetric algebra
-        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-        if grid.n > 4:
-            lo, _ = gershgorin_bounds(mat)
-            if lo > 0.0:
-                return MetricField(grid, mat, source=source, name=source.name)
-        eigs = np.linalg.eigvalsh(mat)
-        lam_min = eigs[..., 0]
-        if (lam_min <= 0.0).any():
-            node = np.unravel_index(int(np.argmin(lam_min)), grid.shape)
-            raise NonPositiveDefinite(node, float(lam_min[node]))
-    return MetricField(grid, mat, source=source, name=source.name)
+    return MetricField(grid, _checked_spd(mat, grid), source=source, name=source.name)
 
 
 def metric_from_matrices(
-    grid: CylinderGrid, mat: np.ndarray, name: str = "custom", validate: bool = True
+    grid: CylinderGrid, mat: np.ndarray, name: str = "custom"
 ) -> MetricField:
-    """Wrap an explicit node table of matrices as a MetricField."""
+    """Wrap an explicit node table of matrices as a MetricField, validated
+    like :func:`sample_metric`."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != grid.shape + (grid.n, grid.n):
         raise GridMismatch(
             f"matrix table shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
         )
-    if validate:
-        defect = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-1, -2))
-        scale = np.maximum(1.0, np.abs(mat).max(axis=(-1, -2)))
-        if (defect > 1e-12 * scale).any():
-            node = np.unravel_index(int(np.argmax(defect / scale)), grid.shape)
-            raise Asymmetric(node, float(defect[node]))
-        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-        lam_min = np.linalg.eigvalsh(mat)[..., 0]
-        if (lam_min <= 0.0).any():
-            node = np.unravel_index(int(np.argmin(lam_min)), grid.shape)
-            raise NonPositiveDefinite(node, float(lam_min[node]))
-    return MetricField(grid, mat, name=name)
+    return MetricField(grid, _checked_spd(mat, grid), name=name)
 
 
 def ellipticity_constants(metric: MetricField) -> tuple[float, float]:

@@ -7,7 +7,7 @@ Verifies:
   - Dirichlet solves reproduce fields the element space contains exactly
   - DN symmetry, metric homogeneity, zero-potential equivalence
   - mode eigenvalues approach the separated-variables values
-  - singular interior blocks are detected, exports round-trip
+  - singular interior blocks are detected by every solve entry point
 """
 
 import numpy as np
@@ -22,12 +22,9 @@ from calderon_lab.dn_solver import (
     boundary_mass_matrix,
     dn_apply,
     dn_map_partial,
-    dn_map_schrodinger,
     dn_mode_eigenvalues,
     dn_mode_matrix,
-    export_dn,
     fourier_modes,
-    load_dn,
     mode_gap,
     operator_gap,
     smallest_dirichlet_eigenvalue,
@@ -125,9 +122,12 @@ class TestAssembly:
         diff = abs(sys.mass - M_ref).max()
         assert diff < 1e-12, f"mass matrix off by {diff:.2e}"
 
-    def test_symmetry_and_kernel(self, bumpy9):
+    def test_symmetry_and_kernel(self, grid9, bumpy9):
         K = assemble_stiffness(bumpy9).matrix
-        assert abs(K - K.T).max() < 1e-13
+        assert (K - K.T).nnz == 0
+        q = np.random.default_rng(5).uniform(-1.0, 1.0, grid9.shape)
+        Kq = assemble_stiffness(bumpy9, potential=q, potential_id="random").matrix
+        assert (Kq - Kq.T).nnz == 0
         # constants are in the kernel of the Laplace part
         r = np.abs(K @ np.ones(K.shape[0])).max()
         assert r < 1e-12, f"constant not in kernel: {r:.2e}"
@@ -137,7 +137,7 @@ class TestAssembly:
         g = sample_metric(random_trig_metric(2, seed=1), grid)
         K = assemble_stiffness(g).matrix
         assert K.shape == (grid.node_count,) * 2
-        assert abs(K - K.T).max() < 1e-13
+        assert (K - K.T).nnz == 0
 
     def test_potential_shape_guard(self, flat9):
         with pytest.raises(GridMismatch):
@@ -207,8 +207,8 @@ class TestDNMap:
 
     def test_zero_potential_equals_plain(self, grid9, bumpy9):
         lam0 = dn_map_partial(assemble_stiffness(bumpy9), GAMMA1).matrix
-        lamV = dn_map_schrodinger(
-            bumpy9, np.zeros(grid9.shape), GAMMA1, potential_id="zero"
+        lamV = dn_map_partial(
+            assemble_stiffness(bumpy9, np.zeros(grid9.shape), potential_id="zero"), GAMMA1
         ).matrix
         assert np.abs(lam0 - lamV).max() == 0.0
 
@@ -276,13 +276,24 @@ class TestSpectrum:
         lam = smallest_dirichlet_eigenvalue(flat9)
         assert abs(lam - np.pi**2) < 0.2, f"lambda_1 = {lam}"
 
-    def test_shifted_potential_singular(self, flat9):
+    # all four entry points eliminate the same interior block
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda sys: dn_map_partial(sys, GAMMA1),
+            lambda sys: dn_apply(sys, GAMMA1, np.ones(sys.grid.num_ang).ravel()),
+            lambda sys: dn_mode_matrix(sys, GAMMA1),
+            lambda sys: solve_dirichlet(sys, BoundaryTrace.constant(sys.grid, 1.0)),
+        ],
+        ids=["dn_map_partial", "dn_apply", "dn_mode_matrix", "solve_dirichlet"],
+    )
+    def test_shifted_potential_singular(self, flat9, solve):
         lam = smallest_dirichlet_eigenvalue(flat9)
         sys = assemble_stiffness(
             flat9, potential=-lam * np.ones(flat9.grid.shape), potential_id="shift"
         )
         with pytest.raises(SingularInteriorBlock):
-            dn_map_partial(sys, GAMMA1)
+            solve(sys)
 
 
 class TestBoundaryMass:
@@ -290,15 +301,3 @@ class TestBoundaryMass:
         M = boundary_mass_matrix(grid9, GAMMA1, None)
         sums = np.asarray(M.sum(axis=1)).ravel()
         assert np.abs(sums - grid9.layer_weights.ravel()).max() < 1e-12
-
-
-class TestExport:
-    def test_round_trip(self, tmp_path, bumpy9):
-        dn = dn_map_partial(assemble_stiffness(bumpy9), GAMMA1)
-        path = tmp_path / "dn.csv"
-        export_dn(dn, path)
-        back = load_dn(path)
-        assert np.array_equal(back.matrix, dn.matrix)
-        assert back.gamma == dn.gamma
-        assert back.grid.shape == dn.grid.shape
-        assert back.metric_id == dn.metric_id

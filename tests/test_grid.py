@@ -25,6 +25,7 @@ from calderon_lab.grid_geometry import (
     GAMMA1,
     CylinderGrid,
     MetricField,
+    MetricSource,
     MillerDataset,
     assemble_counterexample_metric_3d,
     assemble_counterexample_metric_nd,
@@ -93,6 +94,15 @@ class TestCylinderGrid:
             CylinderGrid(1, 5, ())
 
 
+# Both metric entry points validate through one check; the sample_metric
+# route gets its bad table from a source that ignores the points.
+BUILDERS = [
+    metric_from_matrices,
+    lambda grid, mats: sample_metric(MetricSource(grid.n, lambda pts: mats), grid),
+]
+BUILDER_IDS = ["metric_from_matrices", "sample_metric"]
+
+
 class TestMetricField:
     def test_flat_identity(self, grid9):
         g = sample_metric(flat_metric(3), grid9)
@@ -106,16 +116,18 @@ class TestMetricField:
         expect = bumpy9.sqrt_det[..., None, None] * bumpy9.inv
         assert np.abs(w - expect).max() < 1e-14
 
-    def test_symmetry_guard(self, grid9):
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_symmetry_guard(self, grid9, build):
         mats = np.tile(np.eye(3), grid9.shape + (1, 1))
         mats[..., 0, 1] = 0.1  # not mirrored in [1, 0]
         with pytest.raises(Asymmetric):
-            metric_from_matrices(grid9, mats)
+            build(grid9, mats)
 
-    def test_positivity_guard(self, grid9):
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_positivity_guard(self, grid9, build):
         mats = np.tile(np.diag([1.0, 1.0, -1.0]), grid9.shape + (1, 1))
         with pytest.raises(NonPositiveDefinite):
-            metric_from_matrices(grid9, mats)
+            build(grid9, mats)
 
     def test_constant_metric_sampling(self, grid9):
         m = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
