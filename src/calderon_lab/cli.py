@@ -40,7 +40,7 @@ from .counterexample import (
     validate_miller_properties,
 )
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
-from .errors import CalderonLabError, ConfigInvalid, TrivialU
+from .errors import CalderonLabError, ConfigInvalid, DimensionTooSmall, TrivialU
 from .gauge import bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pullback_metric
 from .grid_geometry import (
     BOUNDARY_NAMES,
@@ -78,6 +78,31 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
+def _cast(key: str, convert, value):
+    """``convert(value)``; a value it rejects is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigInvalid(f"config key {key!r} has invalid value {value!r}") from e
+
+
+def _num(cfg: dict, key: str, default, kind=int):
+    return _cast(key, kind, cfg.get(key, default))
+
+
+def _nums(cfg: dict, key: str, default, kind=int) -> list:
+    return _cast(key, lambda v: [kind(x) for x in v], cfg.get(key, default))
+
+
+def _grid(build, *args) -> CylinderGrid:
+    """``build(*args)`` for a grid builder; an invalid size or dimension in
+    the config is a config error."""
+    try:
+        return build(*args)
+    except (ValueError, DimensionTooSmall) as e:
+        raise ConfigInvalid(f"invalid grid: {e}") from e
+
+
 def _gamma(cfg: dict, key: str = "gamma", default: str = "gamma1") -> str:
     g = cfg.get(key, default)
     if g not in BOUNDARY_NAMES:
@@ -91,9 +116,9 @@ def _metric_source(spec, n: int):
     if isinstance(spec, dict) and spec.get("kind") == "random-trig":
         return random_trig_metric(
             n,
-            seed=int(spec.get("seed", 0)),
-            amplitude=float(spec.get("amplitude", 0.4 / n)),
-            max_mode=int(spec.get("max_mode", 1)),
+            seed=_num(spec, "seed", 0),
+            amplitude=_num(spec, "amplitude", 0.4 / n, float),
+            max_mode=_num(spec, "max_mode", 1),
         )
     raise ConfigInvalid(f"unknown metric spec {spec!r}")
 
@@ -102,14 +127,14 @@ def _random_factor_source(spec, n: int):
     if spec is None or spec == "one":
         return an.constant(1.0, n)
     if isinstance(spec, dict):
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
+        rng = np.random.default_rng(_num(spec, "seed", 0))
         return an.trig_sum(
             n,
             rng,
-            terms=int(spec.get("terms", 2)),
-            amplitude=float(spec.get("amplitude", 0.25)),
-            offset=float(spec.get("offset", 1.3)),
-            max_mode=int(spec.get("max_mode", 1)),
+            terms=_num(spec, "terms", 2),
+            amplitude=_num(spec, "amplitude", 0.25, float),
+            offset=_num(spec, "offset", 1.3, float),
+            max_mode=_num(spec, "max_mode", 1),
         )
     raise ConfigInvalid(f"unknown conformal factor spec {spec!r}")
 
@@ -119,9 +144,9 @@ def _diffeo(spec, n: int):
         return identity_diffeo(n)
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"unknown diffeo spec {spec!r}")
-    delta = float(spec.get("delta", 0.1))
+    delta = _num(spec, "delta", 0.1, float)
     family = spec.get("family", "bump")
-    amp = float(spec.get("amplitude", 0.08))
+    amp = _num(spec, "amplitude", 0.08, float)
     if family == "bump":
         phi = bump_reparam(n, amp, delta)
     elif family == "cubic":
@@ -130,10 +155,10 @@ def _diffeo(spec, n: int):
         phi = identity_diffeo(n, delta)
     else:
         raise ConfigInvalid(f"unknown diffeo family {family!r}")
-    shear = spec.get("shear")
-    if shear:
+    if spec.get("shear"):
+        shear = _require(spec, "shear", dict)
         phi = phi.compose(
-            bump_shear(n, int(shear.get("axis", 1)), float(shear.get("amplitude", 0.1)), delta)
+            bump_shear(n, _num(shear, "axis", 1), _num(shear, "amplitude", 0.1, float), delta)
         )
     return phi
 
@@ -153,16 +178,16 @@ def _order_fit(sizes, gaps):
 
 
 def _run_verify_identities(cfg: dict, threads: int) -> ExperimentReport:
-    n = int(cfg.get("n", 3))
-    size = int(cfg.get("size", 9))
-    tuples = int(cfg.get("tuples", 20))
-    seed = int(cfg.get("seed", 0))
-    tol_id = float(cfg.get("identity_tol", 1e-12))
-    tol_triv = float(cfg.get("trivial_tol", 1e-10))
+    n = _num(cfg, "n", 3)
+    size = _num(cfg, "size", 9)
+    tuples = _num(cfg, "tuples", 20)
+    seed = _num(cfg, "seed", 0)
+    tol_id = _num(cfg, "identity_tol", 1e-12, float)
+    tol_triv = _num(cfg, "trivial_tol", 1e-10, float)
     rep = ExperimentReport("verify-identities", cfg)
     t0 = time.perf_counter()
 
-    grid = cyl_grid(n, size)
+    grid = _grid(cyl_grid, n, size)
     rows = []
     worst = 0.0
     for k in range(tuples):
@@ -200,22 +225,22 @@ def _run_dn_compare(cfg: dict, threads: int) -> ExperimentReport:
         raise ConfigInvalid(
             f"the two DN maps must be restricted to the same boundary part, got {gl!r} vs {gr!r}"
         )
-    n = int(cfg.get("n", 3))
-    sizes = [int(s) for s in cfg.get("sizes", (9, 17, 33))]
-    cut = float(cfg.get("cut", 2.0))
-    order_min = float(cfg.get("order_min", 1.5))
-    ident_tol = float(cfg.get("identity_tol", 1e-10))
+    n = _num(cfg, "n", 3)
+    sizes = _nums(cfg, "sizes", (9, 17, 33))
+    cut = _num(cfg, "cut", 2.0, float)
+    order_min = _num(cfg, "order_min", 1.5, float)
+    ident_tol = _num(cfg, "identity_tol", 1e-10, float)
     transform = cfg.get("transform")
     if not isinstance(transform, dict) or "kind" not in transform:
         raise ConfigInvalid("dn-compare needs a transform spec with a 'kind'")
     kind = transform["kind"]
+    grids = [_grid(cyl_grid, n, size) for size in sizes]
     src = _metric_source(cfg.get("metric"), n)
 
     rep = ExperimentReport("dn-compare", cfg)
     t0 = time.perf_counter()
     gaps = []
-    for size in sizes:
-        grid = cyl_grid(n, size)
+    for grid in grids:
         g = sample_metric(src, grid)
         sys_g = assemble_stiffness(g)
         if kind == "conformal-2d":
@@ -259,13 +284,35 @@ def _collar_flat_factor(grid: CylinderGrid, transform: dict, n: int) -> Conforma
     """c = 1 + amplitude * bump(t) * trig(angles): equals 1 with zero normal
     derivative on collars at both ends, so the potential-link comparison
     sees matching Dirichlet and Neumann traces."""
-    amp = float(transform.get("amplitude", 0.3))
-    lo = float(transform.get("collar", 0.15))
+    amp = _num(transform, "amplitude", 0.3, float)
+    lo = _num(transform, "collar", 0.15, float)
     prof = an.bump(lo, 1.0 - lo, n, 0)
-    rng = np.random.default_rng(int(transform.get("seed", 0)))
+    rng = np.random.default_rng(_num(transform, "seed", 0))
     ang = an.trig_sum(n, rng, terms=2, amplitude=0.5, max_mode=1, offset=1.0)
     src = an.constant(1.0, n) + prof * ang * an.constant(amp, n)
     return ConformalFactor.from_source(grid, src, n)
+
+
+def _synth(spec: dict):
+    """Run :func:`synth_approx_miller` on a synth block; returns
+    (dataset, build report)."""
+    gspec = _require(spec, "grid", dict)
+    for key in ("num_t", "num_ang"):
+        _require(gspec, key)
+    grid = _grid(CylinderGrid, 3, _num(gspec, "num_t", None), _nums(gspec, "num_ang", None))
+    return synth_approx_miller(
+        grid,
+        T=_num(spec, "T", 1.0, float),
+        modes=_cast(
+            "modes",
+            lambda v: tuple(tuple(int(x) for x in m) for m in v),
+            spec.get("modes", ((1, 0), (0, 1))),
+        ),
+        amplitude=_num(spec, "amplitude", 0.1, float),
+        ridge=_num(spec, "ridge", 1e-6, float),
+        alpha=_num(spec, "alpha", 0.5, float),
+        rho=_num(spec, "rho", 1.0 / 6.0, float),
+    )
 
 
 def _dataset_from_config(cfg: dict):
@@ -279,32 +326,19 @@ def _dataset_from_config(cfg: dict):
             warnings.simplefilter("ignore")
             return load_dataset(path), {"dataset": path}
     if "synth" in cfg:
-        s = cfg["synth"]
-        gspec = _require(s, "grid", dict)
-        grid = CylinderGrid(
-            3, int(_require(gspec, "num_t")), tuple(int(m) for m in _require(gspec, "num_ang"))
-        )
-        data, synth_rep = synth_approx_miller(
-            grid,
-            T=float(s.get("T", 1.0)),
-            modes=tuple(tuple(int(x) for x in m) for m in s.get("modes", ((1, 0), (0, 1)))),
-            amplitude=float(s.get("amplitude", 0.1)),
-            ridge=float(s.get("ridge", 1e-6)),
-            alpha=float(s.get("alpha", 0.5)),
-            rho=float(s.get("rho", 1.0 / 6.0)),
-        )
+        data, synth_rep = _synth(_require(cfg, "synth", dict))
         return data, {"synth": synth_rep}
     raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
 
 def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
     data, origin = _dataset_from_config(cfg)
-    eps = [float(e) for e in cfg.get("eps", (0.0, 0.025, 0.05, 0.1))]
-    strides = tuple(int(s) for s in cfg.get("strides", (4, 2, 1)))
+    eps = _nums(cfg, "eps", (0.0, 0.025, 0.05, 0.1), float)
+    strides = tuple(_nums(cfg, "strides", (4, 2, 1)))
     gamma = _gamma(cfg)
-    cut = float(cfg.get("cut", 2.0))
-    zero_tol = float(cfg.get("zero_tol", 1e-10))
-    r2_min = float(cfg.get("r2_min", 0.9))
+    cut = _num(cfg, "cut", 2.0, float)
+    zero_tol = _num(cfg, "zero_tol", 1e-10, float)
+    r2_min = _num(cfg, "r2_min", 0.9, float)
     rep = ExperimentReport("counterexample-study", cfg)
     rep.scalars.update(origin)
     t0 = time.perf_counter()
@@ -324,10 +358,10 @@ def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
         rep.add_verdict("fit_beta_eps2", res.fit["beta_eps2"], 0.0, ">=")
         rep.add_verdict("fit_r2", res.fit["r2"], r2_min, ">=")
         try:
-            iso = nonisometry_check(data, float(cfg.get("nonisometry_eps", 0.05)))
+            iso = nonisometry_check(data, _num(cfg, "nonisometry_eps", 0.05, float))
             rep.scalars["nonisometry"] = iso
             rep.add_verdict(
-                "nonisometry_p2_match", iso["rel_diff"], float(cfg.get("nonisometry_tol", 1e-10))
+                "nonisometry_p2_match", iso["rel_diff"], _num(cfg, "nonisometry_tol", 1e-10, float)
             )
             rep.add_verdict("nonisometry_p2_positive", iso["p2"], 0.0, ">=")
         except TrivialU:
@@ -360,21 +394,9 @@ def _run_validate_dataset(cfg: dict, threads: int) -> ExperimentReport:
 
 
 def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    gspec = _require(cfg, "grid", dict)
-    grid = CylinderGrid(
-        3, int(_require(gspec, "num_t")), tuple(int(m) for m in _require(gspec, "num_ang"))
-    )
     rep = ExperimentReport("synth-dataset", cfg)
     t0 = time.perf_counter()
-    data, synth_rep = synth_approx_miller(
-        grid,
-        T=float(cfg.get("T", 1.0)),
-        modes=tuple(tuple(int(x) for x in m) for m in cfg.get("modes", ((1, 0), (0, 1)))),
-        amplitude=float(cfg.get("amplitude", 0.1)),
-        ridge=float(cfg.get("ridge", 1e-6)),
-        alpha=float(cfg.get("alpha", 0.5)),
-        rho=float(cfg.get("rho", 1.0 / 6.0)),
-    )
+    data, synth_rep = _synth(cfg)
     out_path = os.path.join(out_dir, cfg.get("output", "dataset.json"))
     save_dataset(data, out_path)
     rep.scalars["synth"] = synth_rep
@@ -386,13 +408,13 @@ def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 
 def _run_rigidity_check(cfg: dict, threads: int) -> ExperimentReport:
-    n = int(cfg.get("n", 3))
-    size = int(cfg.get("size", 9))
-    seeds = [int(s) for s in cfg.get("seeds", range(5))]
-    tol = float(cfg.get("tolerance", 1e-10))
+    n = _num(cfg, "n", 3)
+    size = _num(cfg, "size", 9)
+    seeds = _nums(cfg, "seeds", range(5))
+    tol = _num(cfg, "tolerance", 1e-10, float)
     rep = ExperimentReport("rigidity-check", cfg)
     t0 = time.perf_counter()
-    grid = cyl_grid(n, size)
+    grid = _grid(cyl_grid, n, size)
     rows = []
     worst = 0.0
     for s in seeds:

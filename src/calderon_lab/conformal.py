@@ -309,7 +309,7 @@ def harmonic_with_natural_bc(
     free = np.setdiff1d(np.arange(grid.node_count), D, assume_unique=False)
     u = np.zeros(grid.node_count)
     u[D] = vals.ravel()
-    u[free] = InteriorSolver(K, free).solve(-K[free][:, D] @ u[D])
+    u[free] = InteriorSolver(K, grid, free).solve(-K[free][:, D] @ u[D])
     return ScalarField(grid, u.reshape(grid.shape))
 
 

@@ -12,6 +12,18 @@ import pytest
 from calderon_lab.cli import main, run
 from calderon_lab.counterexample import save_dataset
 from calderon_lab.grid_geometry import MillerDataset, cyl_grid
+from calderon_lab.report import emit_report
+
+_STUDY_CFG = {
+    "synth": {
+        "grid": {"num_t": 13, "num_ang": [12, 12]},
+        "modes": [[1, 0], [0, 1]],
+        "amplitude": 0.1,
+    },
+    "eps": [0.0, 0.05, 0.1],
+    "strides": [2, 1],
+    "gamma": "gamma1",
+}
 
 
 def _write(tmp_path, name, cfg):
@@ -64,6 +76,25 @@ class TestConfigErrors:
             },
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,cfg",
+        [
+            ("verify-identities", {"n": "abc"}),
+            ("verify-identities", {"size": 2}),
+            ("verify-identities", {"n": None}),
+            ("verify-identities", {"n": 1}),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9], "transform": {"kind": "diffeo", "diffeo": {"shear": 5}}},
+            ),
+        ],
+        ids=["non-numeric-n", "size-too-small", "null-n", "dimension-too-small", "shear-not-object"],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
+        code, _ = _cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestVerifyIdentities:
@@ -180,25 +211,20 @@ class TestDatasetCommands:
 
 class TestStudyAndRigidity:
     def test_small_study(self, tmp_path):
-        code, out = _cli(
-            tmp_path,
-            "counterexample-study",
-            {
-                "synth": {
-                    "grid": {"num_t": 13, "num_ang": [12, 12]},
-                    "modes": [[1, 0], [0, 1]],
-                    "amplitude": 0.1,
-                },
-                "eps": [0.0, 0.05, 0.1],
-                "strides": [2, 1],
-                "gamma": "gamma1",
-            },
-        )
+        code, out = _cli(tmp_path, "counterexample-study", _STUDY_CFG)
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert "gap_study" in doc["tables"]
         names = [v["name"] for v in doc["verdicts"]]
         assert "zero_eps_gap" in names and "fit_r2" in names
+
+    def test_study_report_byte_identical_across_threads(self, tmp_path):
+        blobs = []
+        for k, threads in enumerate((1, 1, 2, 2)):
+            out = tmp_path / f"run{k}"
+            emit_report(run("counterexample-study", _STUDY_CFG, out, threads=threads), out)
+            blobs.append((out / "report.json").read_bytes())
+        assert all(b == blobs[0] for b in blobs)
 
     def test_rigidity(self, tmp_path):
         code, out = _cli(

@@ -1,0 +1,190 @@
+"""Preconditioned CG in InteriorSolver against a sparse-LU reference.
+
+Verifies:
+  - mode matrices and natural-end harmonic fields agree with a sparse LU
+    of the same block (built here with splu) to 1e-10 relative
+  - on potential-free blocks the CG iteration count stays within the
+    a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
+    quadrature points, and is exactly 1 on the flat metric, whose block
+    the preconditioner inverts exactly
+  - an indefinite but nonsingular block falls back to LU and still solves
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from calderon_lab import analytic as an
+from calderon_lab.conformal import (
+    ConformalFactor,
+    conformal_potential,
+    harmonic_with_natural_bc,
+)
+from calderon_lab.counterexample import synth_approx_miller
+from calderon_lab.dn_solver import (
+    BoundaryTrace,
+    InteriorSolver,
+    assemble_stiffness,
+    dn_mode_matrix,
+    fourier_modes,
+    smallest_dirichlet_eigenvalue,
+    solve_dirichlet,
+)
+from calderon_lab.grid_geometry import (
+    FULL_BOUNDARY,
+    GAMMA0,
+    GAMMA1,
+    CylinderGrid,
+    assemble_counterexample_metric_3d,
+    cyl_grid,
+    flat_metric,
+    random_trig_metric,
+    sample_metric,
+)
+
+SIZES = (9, 13, 17)
+
+
+def _iteration_bound(metric) -> int:
+    """ceil(sqrt(kappa)/2 * ln(2 sqrt(kappa) / 1e-12)), with kappa the
+    eigenvalue ratio of W over all 2-point Gauss points of all cells.
+
+    The metric is interpolated multilinearly one axis at a time (t clipped,
+    angles periodic), independently of the assembler's shape functions.
+    """
+    g = metric.mat
+    xs = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    lo, hi = np.inf, 0.0
+    for point in itertools.product(xs, repeat=metric.grid.n):
+        gq = g
+        for axis, x in enumerate(point):
+            if axis == 0:
+                gq = (1.0 - x) * gq[:-1] + x * gq[1:]
+            else:
+                gq = (1.0 - x) * gq + x * np.roll(gq, -1, axis)
+        W = np.sqrt(np.linalg.det(gq))[..., None, None] * np.linalg.inv(gq)
+        ev = np.linalg.eigvalsh(W)
+        lo, hi = min(lo, ev[..., 0].min()), max(hi, ev[..., -1].max())
+    kappa = hi / lo
+    return int(np.ceil(np.sqrt(kappa) / 2.0 * np.log(2.0 * np.sqrt(kappa) / 1e-12)))
+
+
+def _lu_reference(sys):
+    """GAMMA1 mode matrix (cut 2) through splu of the solver's block, and
+    the CG iteration count of the same interior solve."""
+    grid = sys.grid
+    K = sys.matrix
+    I = grid.interior_ids()
+    G = grid.boundary_ids(GAMMA1)
+    V, _ = fourier_modes(grid, 2.0)
+    rhs = K[I][:, G] @ V
+    solver = InteriorSolver(K, grid, I)
+    solver.solve(rhs)
+    X = spla.splu(solver.block.tocsc()).solve(rhs)
+    return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _link_system(metric):
+    """Criterion-3 link system -Lap_g + q, q from a collar-flat factor."""
+    grid = metric.grid
+    ang = an.trig_sum(3, np.random.default_rng(10), terms=2, amplitude=0.5, max_mode=1, offset=1.0)
+    src = an.constant(1.0, 3) + an.bump(0.15, 0.85, 3, 0) * ang * an.constant(0.3, 3)
+    c = ConformalFactor.from_source(grid, src, 3)
+    q = conformal_potential(metric, c, one_sided=True)
+    return assemble_stiffness(metric, potential=q, potential_id="link")
+
+
+@pytest.fixture(scope="module")
+def counterexample_metric():
+    data, _ = synth_approx_miller(
+        CylinderGrid(3, 13, (12, 12)), modes=((1, 0), (0, 1)), amplitude=0.1
+    )
+    return assemble_counterexample_metric_3d(data)
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("size", SIZES)
+    def test_flat_one_iteration(self, size):
+        g = sample_metric(flat_metric(3), cyl_grid(3, size))
+        sys = assemble_stiffness(g)
+        B_ref, its = _lu_reference(sys)
+        assert its == 1
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n,size", [(3, s) for s in SIZES] + [(4, 9)]
+    )
+    def test_random_trig_within_bound(self, n, size):
+        g = sample_metric(random_trig_metric(n, seed=size), cyl_grid(n, size))
+        sys = assemble_stiffness(g)
+        B_ref, its = _lu_reference(sys)
+        assert its is not None and its <= _iteration_bound(g), its
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_link_system_with_potential(self, size):
+        g = sample_metric(random_trig_metric(3, seed=0, max_mode=1), cyl_grid(3, size))
+        sys = _link_system(g)
+        B_ref, its = _lu_reference(sys)
+        assert its is not None
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    def test_counterexample_metric(self, counterexample_metric):
+        sys = assemble_stiffness(counterexample_metric)
+        B_ref, its = _lu_reference(sys)
+        assert its is not None and its <= _iteration_bound(counterexample_metric), its
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("gamma_dirichlet", [GAMMA0, GAMMA1])
+    def test_natural_end_harmonic(self, size, gamma_dirichlet):
+        grid = cyl_grid(3, size)
+        g = sample_metric(random_trig_metric(3, seed=size + 1), grid)
+        sys = assemble_stiffness(g)
+        layer = np.cos(grid.axes()[1])[:, None] + np.sin(grid.axes()[2])[None, :]
+        u = harmonic_with_natural_bc(sys, layer, gamma_dirichlet).values.ravel()
+
+        K = sys.matrix
+        D = grid.boundary_ids(gamma_dirichlet)
+        free = np.setdiff1d(np.arange(grid.node_count), D)
+        rhs = -K[free][:, D] @ layer.ravel()
+        solver = InteriorSolver(K, grid, free)
+        solver.solve(rhs)
+        assert solver.iterations is not None and solver.iterations <= _iteration_bound(g)
+        u_ref = spla.splu(solver.block.tocsc()).solve(rhs)
+        assert _rel(u[free], u_ref) <= 1e-10
+
+
+def test_free_set_must_be_whole_layers(bumpy9):
+    grid = bumpy9.grid
+    with pytest.raises(ValueError):
+        InteriorSolver(assemble_stiffness(bumpy9).matrix, grid, grid.interior_ids()[1:])
+
+
+def test_indefinite_block_falls_back_to_lu(flat9):
+    # On the flat cylinder the second Dirichlet eigenvalue is lam1 plus the
+    # first angular one (about 1), so lam1 + 0.5 leaves the shifted block
+    # with exactly one negative eigenvalue: indefinite but nonsingular.
+    grid = flat9.grid
+    lam1 = smallest_dirichlet_eigenvalue(flat9)
+    sys = assemble_stiffness(
+        flat9, potential=-(lam1 + 0.5) * np.ones(grid.shape), potential_id="shift"
+    )
+    bc = BoundaryTrace.constant(grid, 1.0)
+    u = solve_dirichlet(sys, bc).values.ravel()
+
+    K = sys.matrix
+    I = grid.interior_ids()
+    B = grid.boundary_ids(FULL_BOUNDARY)
+    rhs = -K[I][:, B] @ np.ones(B.size)
+    solver = InteriorSolver(K, grid, I)
+    solver.solve(rhs)
+    assert solver.iterations is None  # CG broke down, LU answered
+    u_ref = spla.splu(solver.block.tocsc()).solve(rhs)
+    assert _rel(u[I], u_ref) <= 1e-10
