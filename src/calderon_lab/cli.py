@@ -320,11 +320,7 @@ def _dataset_from_config(cfg: dict):
         path = cfg["dataset"]
         if not isinstance(path, str) or not os.path.exists(path):
             raise ConfigInvalid(f"dataset file {path!r} does not exist")
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return load_dataset(path), {"dataset": path}
+        return load_dataset(path, validate=False), {"dataset": path}
     if "synth" in cfg:
         data, synth_rep = _synth(_require(cfg, "synth", dict))
         return data, {"synth": synth_rep}
@@ -374,13 +370,9 @@ def _run_validate_dataset(cfg: dict, threads: int) -> ExperimentReport:
     path = _require(cfg, "dataset", str)
     if not os.path.exists(path):
         raise ConfigInvalid(f"dataset file {path!r} does not exist")
-    import warnings
-
     rep = ExperimentReport("validate-dataset", cfg)
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        data = load_dataset(path)
+    data = load_dataset(path, validate=False)
     result = validate_miller_properties(data)
     rep.scalars["validation"] = result.as_dict()
     rep.add_table(

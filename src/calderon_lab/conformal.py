@@ -47,7 +47,7 @@ from .errors import (
     MissingAnalyticGradient,
     NonPositiveFactor,
 )
-from .grid_geometry import GAMMA0, GAMMA1, CylinderGrid, MetricField
+from .grid_geometry import FULL_BOUNDARY, GAMMA0, GAMMA1, CylinderGrid, MetricField
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,12 +280,8 @@ def weak_condition_residual(
     norm = max(norm, 1e-300)
     i_res = float(r[grid.interior_ids()].max()) / norm
     g_res = float(r[grid.boundary_ids(gamma)].max()) / norm
-    defect = float(np.abs(c.values.reshape(grid.shape)[0 if gamma == GAMMA0 else -1] - 1.0).max())
-    if gamma == "full":
-        defect = float(
-            max(np.abs(c.values[0] - 1.0).max(), np.abs(c.values[-1] - 1.0).max())
-        )
-        g_res = float(r[grid.boundary_ids("full")].max()) / norm
+    layers = {GAMMA0: [0], GAMMA1: [-1], FULL_BOUNDARY: [0, -1]}[gamma]
+    defect = float(np.abs(c.values[layers] - 1.0).max())
     return WeakConditionResidual(max(i_res, g_res), i_res, g_res, defect)
 
 

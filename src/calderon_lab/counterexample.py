@@ -417,53 +417,22 @@ def _probe_slot(u_vals: np.ndarray, grid: CylinderGrid, slot: tuple, axis: int, 
     shape = grid.shape
     L = shape[axis]
     s = _stripe_stride(L)
-    ang_idx = np.arange(L)
+    stripe_of = np.arange(L).reshape([-1 if d == axis else 1 for d in range(3)]) % s
+    node_id = np.arange(int(np.prod(shape))).reshape(shape)
     rows_all, cols_all, vals_all = [], [], []
-    n_rows_t = shape[0] - 2
-    flat_node = np.arange(int(np.prod(shape))).reshape(shape)
     for c in range(s):
-        E = np.zeros(shape)
-        stripe = (ang_idx % s) == c
-        sel = [slice(None)] * 3
-        sel[axis] = stripe
-        E[tuple(sel)] = 1.0
-        E[~unknown] = 0.0
+        probed = (stripe_of == c) & unknown
         W = np.zeros(shape + (3, 3))
-        W[..., slot[0], slot[1]] = E
-        r = divergence_form_apply(W, u_vals, grid)[1:-1]
-        # unique active neighbour offset along the probed axis, per index
-        off = np.full(L, 99, dtype=int)
-        for d in (-1, 0, 1):
-            hit = ((ang_idx + d) % L) % s == c
-            off[hit] = d
-        valid = off != 99
-        if not valid.any():
-            continue
-        q_idx = (ang_idx + off) % L
-        # broadcast node indices for rows (interior t-layers) and columns
-        it = np.arange(1, shape[0] - 1)
-        grids = np.meshgrid(it, np.arange(shape[1]), np.arange(shape[2]), indexing="ij")
-        p_t, p_x, p_y = grids
-        q_t, q_x, q_y = p_t.copy(), p_x.copy(), p_y.copy()
-        if axis == 1:
-            keep = valid[p_x]
-            q_x = q_idx[p_x]
-        else:
-            keep = valid[p_y]
-            q_y = q_idx[p_y]
-        keep = keep & unknown[q_t, q_x, q_y]
-        rows = np.ravel_multi_index(
-            (p_t[keep] - 1, p_x[keep], p_y[keep]), (n_rows_t, shape[1], shape[2])
-        )
-        cols = flat_node[q_t[keep], q_x[keep], q_y[keep]]
-        vals = r[p_t[keep] - 1, p_x[keep], p_y[keep]]
-        nz = vals != 0.0
-        rows_all.append(rows[nz])
-        cols_all.append(cols[nz])
-        vals_all.append(vals[nz])
-    if rows_all:
-        return np.concatenate(rows_all), np.concatenate(cols_all), np.concatenate(vals_all)
-    return np.array([], int), np.array([], int), np.array([], float)
+        W[..., slot[0], slot[1]] = probed
+        r = divergence_form_apply(W, u_vals, grid)[1:-1].ravel()
+        # the one probed node within reach of each residual node, else -1
+        owner = np.where(probed, node_id, -1)
+        col = np.maximum.reduce([np.roll(owner, d, axis=axis) for d in (-1, 0, 1)])[1:-1].ravel()
+        rows = np.flatnonzero((col >= 0) & (r != 0.0))
+        rows_all.append(rows)
+        cols_all.append(col[rows])
+        vals_all.append(r[rows])
+    return np.concatenate(rows_all), np.concatenate(cols_all), np.concatenate(vals_all)
 
 
 def _coefficient_jacobian(u_vals: np.ndarray, grid: CylinderGrid, unknown: np.ndarray):

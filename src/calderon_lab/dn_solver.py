@@ -12,7 +12,7 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 (quadrature-weighted) Neumann data, so mode eigenvalues are generalized
 Rayleigh quotients against the boundary mass matrix.
 
-Assembly is deterministic: element matrices are filled symmetrically and
+Assembly is deterministic: element matrices are symmetrised and
 scattered cell-major, and duplicates are summed with a stable sort, so the
 stiffness matrix is bitwise symmetric and independent of chunking.
 
@@ -26,6 +26,7 @@ only place a block is factorised, and each of its solves is checked at
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -71,53 +72,34 @@ def _cell_nodes(grid: CylinderGrid) -> np.ndarray:
     Corner L of a cell offsets the cell's base node by the bits of L
     (axis 0 = most significant bit), modulo the period on angular axes.
     """
-    n = grid.n
-    shape = grid.shape
-    cell_shape = (grid.num_t - 1, *grid.num_ang)
-    base = np.stack(
-        np.meshgrid(*(np.arange(m) for m in cell_shape), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    n_loc = 1 << n
-    corners = np.zeros((base.shape[0], n_loc), dtype=np.int64)
-    strides = np.array([int(np.prod(shape[d + 1 :])) for d in range(n)], dtype=np.int64)
-    for L in range(n_loc):
-        idx = base.copy()
-        for d in range(n):
-            if (L >> (n - 1 - d)) & 1:
-                idx[:, d] += 1
-        for d in range(1, n):
-            idx[:, d] %= shape[d]
-        corners[:, L] = idx @ strides
-    return corners
+    # int32 halves the index arrays that the duplicate summation sorts
+    ids = np.arange(grid.node_count, dtype=np.int32).reshape(grid.shape)
+    axes = tuple(range(grid.n))
+    return np.stack(
+        [
+            np.roll(ids, [-b for b in bits], axis=axes)[:-1].ravel()
+            for bits in itertools.product((0, 1), repeat=grid.n)
+        ],
+        axis=1,
+    )
 
 
-def _gauss_points(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor two-point Gauss rule on the reference cell [0,1]^n."""
-    g = 0.5 / np.sqrt(3.0)
-    pts1 = np.array([0.5 - g, 0.5 + g])
-    grids = np.meshgrid(*([pts1] * n), indexing="ij")
-    pts = np.stack([a.ravel() for a in grids], axis=-1)
-    wts = np.full(pts.shape[0], 0.5**n)
-    return pts, wts
+def _q1_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q1 shape values N (2^n points, 2^n corners) and reference gradients
+    G (2^n, 2^n, n) at the tensor two-point Gauss points of [0,1]^n.
 
-
-def _shape_functions(n: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q1 shape values and reference gradients at one quadrature point.
-
-    Returns (N (2^n,), G (2^n, n)); G is with respect to the reference
-    coordinates in [0,1].
+    Points and corners are indexed by their bits (axis 0 = most significant
+    bit), so each table is a Kronecker product of 1-D hat tables.
     """
-    n_loc = 1 << n
-    N = np.ones(n_loc)
-    G = np.ones((n_loc, n))
-    for L in range(n_loc):
-        for d in range(n):
-            bit = (L >> (n - 1 - d)) & 1
-            f = xi[d] if bit else 1.0 - xi[d]
-            df = 1.0 if bit else -1.0
-            N[L] *= f
-            for dd in range(n):
-                G[L, dd] *= df if dd == d else f
+    g = 0.5 / np.sqrt(3.0)
+    x = np.array([0.5 - g, 0.5 + g])
+    hat = np.stack([1.0 - x, x], axis=1)  # [point bit, corner bit]
+    dhat = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    N = reduce(np.kron, [hat] * n)
+    G = np.stack(
+        [reduce(np.kron, [dhat if d == k else hat for d in range(n)]) for k in range(n)],
+        axis=-1,
+    )
     return N, G
 
 
@@ -191,33 +173,22 @@ def assemble_stiffness(
         require_full_layers(v_values, "potential")
         v_cells = v_values.reshape(size)[nodes]  # (n_cells, n_loc)
 
-    qpts, qwts = _gauss_points(n)
+    N, G = _q1_tables(n)
+    G = G / h  # physical gradients, constant per uniform cell
+    w = 0.5**n * cell_vol
     elem_k = np.zeros((n_cells, n_loc, n_loc))
     elem_m = np.zeros((n_cells, n_loc, n_loc)) if v_cells is not None else None
-
-    for q in range(qpts.shape[0]):
-        N, Gref = _shape_functions(n, qpts[q])
-        G = Gref / h  # physical gradients, constant per uniform cell
-        g_q = np.einsum("l,clij->cij", N, g_cells)
-        ginv = np.linalg.inv(g_q)
-        sdet = np.sqrt(np.linalg.det(g_q))
-        w = qwts[q] * cell_vol
-        common = w * sdet
-        for a in range(n_loc):
-            ga = G[a]
-            for b in range(a, n_loc):
-                val = common * np.einsum("cij,i,j->c", ginv, ga, G[b])
-                elem_k[:, a, b] += val
-                if a != b:
-                    elem_k[:, b, a] = elem_k[:, a, b]
+    for N_q, G_q in zip(N, G):
+        g_q = np.einsum("l,clij->cij", N_q, g_cells)
+        common = w * np.sqrt(np.linalg.det(g_q))
+        W_q = common[:, None, None] * np.linalg.inv(g_q)
+        elem_k += G_q @ W_q @ G_q.T
         if elem_m is not None:
-            v_q = v_cells @ N
-            for a in range(n_loc):
-                for b in range(a, n_loc):
-                    val = common * v_q * (N[a] * N[b])
-                    elem_m[:, a, b] += val
-                    if a != b:
-                        elem_m[:, b, a] = elem_m[:, a, b]
+            elem_m += (common * (v_cells @ N_q))[:, None, None] * np.outer(N_q, N_q)
+    # a + b == b + a in floating point, so this is bitwise symmetric; the
+    # mass outer products already are
+    elem_k = 0.5 * (elem_k + elem_k.transpose(0, 2, 1))
+    del g_cells, v_cells  # the scatter below sets the peak memory
 
     rows = np.repeat(nodes, n_loc, axis=1).ravel()
     cols = np.tile(nodes, (1, n_loc)).ravel()
@@ -406,11 +377,11 @@ class InteriorSolver:
         scale = max(np.linalg.norm(B), 1e-300)
         X = None if self._lu is not None else self._pcg(B)
         res = None if X is None else np.linalg.norm(self.block @ X - B)
-        if res is None or res > _SOLVE_RTOL * scale:
+        if res is None or not (res <= _SOLVE_RTOL * scale):
             self.iterations = None
             X = self._factor().solve(B)
             res = np.linalg.norm(self.block @ X - B)
-        if res > _SOLVE_RTOL * scale:
+        if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return X.reshape(rhs.shape)
 
@@ -502,8 +473,6 @@ def _canonical_modes(n_ang: int, cut: float) -> list[tuple[int, ...]]:
     out = [tuple([0] * n_ang)]
     seen = set(out)
     cands = []
-    import itertools
-
     for m in itertools.product(rng, repeat=n_ang):
         norm2 = sum(k * k for k in m)
         if norm2 == 0 or norm2 > cut * cut + 1e-9:

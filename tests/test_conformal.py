@@ -40,6 +40,7 @@ from calderon_lab.errors import (
     MissingAnalyticGradient,
 )
 from calderon_lab.grid_geometry import (
+    FULL_BOUNDARY,
     GAMMA0,
     GAMMA1,
     cyl_grid,
@@ -230,6 +231,15 @@ class TestWeakCondition:
         assert r.interior_residual < 1e-11
         assert r.gamma_residual < 1e-11
         assert r.boundary_defect > 1e-3
+
+    @pytest.mark.parametrize(
+        "gamma, defect", [(GAMMA0, 0.0), (GAMMA1, 0.1), (FULL_BOUNDARY, 0.1)]
+    )
+    def test_boundary_defect_per_component(self, grid9, bumpy9, gamma, defect):
+        t = grid9.points[..., 0]
+        c = ConformalFactor(ScalarField(grid9, 1.0 + 0.1 * t), 3)
+        r = weak_condition_residual(assemble_stiffness(bumpy9), c, gamma)
+        assert r.boundary_defect == pytest.approx(defect, abs=1e-15)
 
 
 class TestGlobalRigidity:

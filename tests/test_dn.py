@@ -4,6 +4,8 @@ Verifies:
   - assembled flat-metric stiffness equals the tensor-product (Kronecker)
     formula built from hand-coded 1-D element matrices
   - potential term equals the Kronecker mass matrix for V = 1
+  - a constant anisotropic metric's stiffness, cross terms included, equals
+    its Kronecker formula
   - Dirichlet solves reproduce fields the element space contains exactly
   - DN symmetry, metric homogeneity, zero-potential equivalence
   - mode eigenvalues approach the separated-variables values
@@ -32,6 +34,7 @@ from calderon_lab.dn_solver import (
 )
 from calderon_lab.errors import (
     GridMismatch,
+    NoConvergence,
     ShapeMismatch,
     SingularInteriorBlock,
 )
@@ -93,6 +96,21 @@ def kron3(A, B, C):
     return sp.kron(sp.kron(A, B), C).tocsr()
 
 
+# C[a, b] = int phi_a' phi_b: each element contributes -1/2 (left node
+# row) and +1/2 (right node row) to both of its columns, whatever h is.
+def grad_mass1d_interval(num, h):
+    main = np.zeros(num)
+    main[0], main[-1] = -0.5, 0.5
+    return sp.diags([np.full(num - 1, 0.5), main, np.full(num - 1, -0.5)], [-1, 0, 1])
+
+
+def grad_mass1d_periodic(num, h):
+    A = sp.diags([np.full(num - 1, 0.5), np.full(num - 1, -0.5)], [-1, 1]).tolil()
+    A[0, -1] += 0.5
+    A[-1, 0] += -0.5
+    return A.tocsr()
+
+
 class TestAssembly:
     def test_flat_matches_kronecker(self):
         grid = CylinderGrid(3, 5, (6, 4))
@@ -121,6 +139,43 @@ class TestAssembly:
         )
         diff = abs(sys.mass - M_ref).max()
         assert diff < 1e-12, f"mass matrix off by {diff:.2e}"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [CylinderGrid(2, 5, (6,)), CylinderGrid(3, 5, (6, 4)), CylinderGrid(4, 4, (5, 4, 6))],
+        ids=["n2", "n3", "n4"],
+    )
+    def test_constant_anisotropic_matches_kronecker(self, grid):
+        # with W = sqrt(det A) A^{-1}, K = sum_ij W_ij (x)_d F_d where F_d is
+        # S on d = i = j, C on d = i, C^T on d = j and M on every other axis
+        n = grid.n
+        B = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        A = np.eye(n) + 0.3 * B @ B.T
+        K = assemble_stiffness(sample_metric(constant_metric(A), grid)).matrix
+        W = np.sqrt(np.linalg.det(A)) * np.linalg.inv(A)
+        pieces = [
+            (lap1d_interval, grad_mass1d_interval, mass1d_interval, grid.num_t, grid.h_t)
+        ] + [
+            (lap1d_periodic, grad_mass1d_periodic, mass1d_periodic, m, h)
+            for m, h in zip(grid.num_ang, grid.h_ang)
+        ]
+        K_ref = sp.csr_matrix(K.shape)
+        for i in range(n):
+            for j in range(n):
+                term = sp.identity(1, format="csr")
+                for d, (S, C, M, m, h) in enumerate(pieces):
+                    if d == i == j:
+                        F = S(m, h)
+                    elif d == i:
+                        F = C(m, h)
+                    elif d == j:
+                        F = C(m, h).T
+                    else:
+                        F = M(m, h)
+                    term = sp.kron(term, F, format="csr")
+                K_ref = K_ref + W[i, j] * term
+        diff = abs(K - K_ref).max()
+        assert diff < 1e-12, f"anisotropic stiffness off by {diff:.2e}"
 
     def test_symmetry_and_kernel(self, grid9, bumpy9):
         K = assemble_stiffness(bumpy9).matrix
@@ -162,6 +217,12 @@ class TestDirichletSolve:
     def test_trace_shape_guard(self, grid9):
         with pytest.raises(GridMismatch):
             BoundaryTrace(grid9, np.zeros((3, 3)), None)
+
+    def test_nan_data_fails_residual_gate(self, grid9, bumpy9):
+        g1 = np.ones(grid9.num_ang)
+        g1[2, 3] = np.nan
+        with pytest.raises(NoConvergence):
+            solve_dirichlet(assemble_stiffness(bumpy9), BoundaryTrace(grid9, None, g1))
 
 
 # Separated variables on the flat cylinder: u = v(t) cos(m.x) with

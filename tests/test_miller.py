@@ -237,13 +237,15 @@ class TestCauchyData:
 
 
 class TestCoefficientJacobian:
-    def test_matches_direct_stencil(self):
+    @pytest.mark.parametrize("T", [1.0, 0.6], ids=["all-interior", "t-below-T"])
+    def test_matches_direct_stencil(self, T):
         # axis lengths 9 and 6 force stride-3 stripes; 8 forces stride 4
         grid = CylinderGrid(3, 5, (9, 6))
         t, x, y = np.meshgrid(*grid.axes(), indexing="ij")
         u_vals = np.sin(x + y) * (1 - t) * t
         unknown = np.zeros(grid.shape, dtype=bool)
         unknown[1:-1] = True
+        unknown &= t < T
         G, unk_flat = _coefficient_jacobian(u_vals, grid, unknown)
 
         rng = np.random.default_rng(3)
