@@ -441,18 +441,6 @@ def run(command: str, cfg: dict, out_dir, threads: int = 1) -> ExperimentReport:
     return handler(cfg, threads)
 
 
-def _resolve_threads(arg) -> int:
-    if arg is not None:
-        return max(1, int(arg))
-    env = os.environ.get("CALDERON_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise ConfigInvalid(f"CALDERON_LAB_THREADS is not an integer: {env!r}") from e
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="calderon-lab",
@@ -464,12 +452,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
         cfg = _load_config(args.config)
-        threads = _resolve_threads(args.threads)
+        threads = max(1, args.threads)
         out_dir = args.out or cfg.get("out") or os.path.join("reports", args.command)
         report = run(args.command, cfg, out_dir, threads)
         emit_report(report, out_dir)

@@ -47,7 +47,7 @@ from .errors import (
     MissingAnalyticGradient,
     NonPositiveFactor,
 )
-from .grid_geometry import FULL_BOUNDARY, GAMMA0, GAMMA1, CylinderGrid, MetricField
+from .grid_geometry import GAMMA0, GAMMA1, CylinderGrid, MetricField
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +280,7 @@ def weak_condition_residual(
     norm = max(norm, 1e-300)
     i_res = float(r[grid.interior_ids()].max()) / norm
     g_res = float(r[grid.boundary_ids(gamma)].max()) / norm
-    layers = {GAMMA0: [0], GAMMA1: [-1], FULL_BOUNDARY: [0, -1]}[gamma]
-    defect = float(np.abs(c.values[layers] - 1.0).max())
+    defect = float(np.abs(c.values.ravel()[grid.boundary_ids(gamma)] - 1.0).max())
     return WeakConditionResidual(max(i_res, g_res), i_res, g_res, defect)
 
 
@@ -300,12 +299,9 @@ def harmonic_with_natural_bc(
     vals = np.asarray(dirichlet_layer, dtype=float)
     if vals.shape != tuple(grid.num_ang):
         raise GridMismatch(f"layer shape {vals.shape}, expected {tuple(grid.num_ang)}")
-    K = sys.matrix
-    D = grid.boundary_ids(gamma_dirichlet)
-    free = np.setdiff1d(np.arange(grid.node_count), D, assume_unique=False)
     u = np.zeros(grid.node_count)
-    u[D] = vals.ravel()
-    u[free] = InteriorSolver(K, grid, free).solve(-K[free][:, D] @ u[D])
+    u[grid.boundary_ids(gamma_dirichlet)] = vals.ravel()
+    InteriorSolver(sys.matrix, grid, gamma_dirichlet).extend(u)
     return ScalarField(grid, u.reshape(grid.shape))
 
 

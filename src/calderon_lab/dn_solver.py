@@ -16,12 +16,18 @@ Assembly is deterministic: element matrices are symmetrised and
 scattered cell-major, and duplicates are summed with a stable sort, so the
 stiffness matrix is bitwise symmetric and independent of chunking.
 
-Every interior solve in the package goes through :class:`InteriorSolver`:
-batched conjugate gradients preconditioned by the exact inverse of the
-flat-metric block (fast diagonalisation of 1-D Q1 pencils), with a sparse
-LU of the block as the fallback when CG breaks down or stalls. It is the
-only place a block is factorised, and each of its solves is checked at
-1e-10 relative residual.
+Every interior solve in the package goes through :class:`InteriorSolver`,
+named by the boundary component whose values are fixed (``GAMMA0``,
+``GAMMA1`` or ``FULL_BOUNDARY``); the free nodes are the remaining t-layers,
+one contiguous id range. Its ``extend`` replaces the free entries of a nodal
+array by the discrete harmonic extension of the fixed ones. Dirichlet
+solves, DN maps (``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and
+zero elsewhere) and the natural-end harmonic fields of ``conformal`` are
+all this one operation. Solves run batched conjugate gradients
+preconditioned by the exact inverse of the flat-metric block (fast
+diagonalisation of 1-D Q1 pencils), with a sparse LU of the block as the
+fallback when CG breaks down or stalls. It is the only place a block is
+factorised, and each of its solves is checked at 1e-10 relative residual.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ _PIVOT_RATIO_FLOOR = 1e-9
 _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _CG_MAXIT = 200
-_DENSE_CHUNK = 256  # trace columns per interior solve in dn_map_partial
+_DENSE_CHUNK = 256  # trace columns per interior solve in dn_apply
 _EIG_RTOL = 1e-13
 _EIG_MAXIT = 1000
 
@@ -227,16 +233,6 @@ class BoundaryTrace:
                 raise GridMismatch(f"{nm} shape {arr.shape}, expected {ang}")
             object.__setattr__(self, nm, arr)
 
-    @property
-    def support(self) -> str:
-        if self.g0 is not None and self.g1 is not None:
-            return FULL_BOUNDARY
-        if self.g1 is not None:
-            return GAMMA1
-        if self.g0 is not None:
-            return GAMMA0
-        return "empty"
-
     def layer(self, gamma: str) -> np.ndarray:
         arr = {GAMMA0: self.g0, GAMMA1: self.g1}[gamma]
         if arr is None:
@@ -270,9 +266,11 @@ def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
 
 
 class InteriorSolver:
-    """Solver for the block ``K[free][:, free]``, where ``free`` are the
-    nodes not fixed by Dirichlet data; they must be whole t-layers of
-    ``grid``.
+    """Harmonic extension from the boundary component ``fixed`` (``GAMMA0``,
+    ``GAMMA1`` or ``FULL_BOUNDARY``) into the remaining t-layers of ``grid``,
+    the slice ``free`` of node ids. ``extend(u)`` overwrites ``u[free]`` by
+    the solution of ``K[free, free] x = -K[free, fixed] u[fixed]``; ``solve``
+    solves with the block ``K[free, free]`` directly.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
     once (Concus & Golub 1973). The preconditioner is the exact inverse of
@@ -297,21 +295,33 @@ class InteriorSolver:
     never cached.
     """
 
-    def __init__(self, K: sp.spmatrix, grid: CylinderGrid, free: np.ndarray):
+    def __init__(self, K: sp.spmatrix, grid: CylinderGrid, fixed: str):
+        self._fixed = grid.boundary_ids(fixed)  # ValueError on unknown names
+        first = 0 if fixed == GAMMA1 else 1
+        last = grid.num_t if fixed == GAMMA0 else grid.num_t - 1
         P = grid.layer_count
-        layers = np.asarray(free)[::P] // P
-        if not np.array_equal(free, (layers[:, None] * P + np.arange(P)).ravel()):
-            raise ValueError("free nodes must be whole t-layers in ascending order")
-        self.block = K[free][:, free].tocsr()
+        self.free = slice(first * P, last * P)
+        K = K[self.free]
+        self.block = K[:, self.free].tocsr()
+        self._coupling = K[:, self._fixed]
         self.iterations: int | None = None
         self._lu = None
         K_t, M_t = _q1_pencil(grid.num_t, grid.h_t, periodic=False)
-        pencils = [(K_t[np.ix_(layers, layers)], M_t[np.ix_(layers, layers)])]
+        pencils = [(K_t[first:last, first:last], M_t[first:last, first:last])]
         pencils += [_q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
         eigs = [scipy.linalg.eigh(Kd, Md) for Kd, Md in pencils]
-        self._shape = (layers.size, *grid.num_ang)
+        self._shape = (last - first, *grid.num_ang)
         self._vecs = [V for _, V in eigs]
         self._diag = reduce(np.add.outer, [lam for lam, _ in eigs])
+
+    def extend(self, u: np.ndarray) -> np.ndarray:
+        """Overwrite the free entries of ``u`` (nodes first, any number of
+        columns) by the harmonic extension of its fixed entries; returns
+        ``u``. The right-hand side is built in ``u[free]`` itself, so no
+        node-sized copy of ``u`` is made."""
+        u[self.free] = self._coupling @ -u[self._fixed]
+        u[self.free] = self.solve(u[self.free])
+        return u
 
     def _flat_inverse(self, R: np.ndarray) -> np.ndarray:
         """``V D^{-1} V^T R`` for the columns of ``R``."""
@@ -391,13 +401,10 @@ def solve_dirichlet(sys: StiffnessSystem, bc: BoundaryTrace) -> ScalarField:
     grid = sys.grid
     if bc.grid.shape != grid.shape:
         raise GridMismatch("trace grid does not match system grid")
-    K = sys.matrix
-    I = grid.interior_ids()
-    B = grid.boundary_ids(FULL_BOUNDARY)
     u = np.zeros(grid.node_count)
     u[grid.boundary_ids(GAMMA0)] = bc.layer(GAMMA0).ravel()
     u[grid.boundary_ids(GAMMA1)] = bc.layer(GAMMA1).ravel()
-    u[I] = InteriorSolver(K, grid, I).solve(-K[I][:, B] @ u[B])
+    InteriorSolver(sys.matrix, grid, FULL_BOUNDARY).extend(u)
     return ScalarField(grid, u.reshape(grid.shape))
 
 
@@ -421,44 +428,38 @@ class DNMatrix:
     potential_id: str | None = None
 
 
-def _schur_blocks(sys: StiffnessSystem, gamma: str):
-    grid = sys.grid
-    if gamma not in (GAMMA0, GAMMA1, FULL_BOUNDARY):
-        raise ValueError(f"unknown boundary component {gamma!r}")
-    K = sys.matrix
-    G = grid.boundary_ids(gamma)
-    I = grid.interior_ids()
-    K_GG = K[G][:, G]
-    K_GI = K[G][:, I]
-    K_IG = K[I][:, G]
-    return K_GG, K_GI, K_IG, InteriorSolver(K, grid, I)
-
-
 def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
-    """Dense Schur-complement DN map on ``gamma``; Dirichlet-zero is
-    imposed on the rest of the boundary."""
-    K_GG, K_GI, K_IG, solver = _schur_blocks(sys, gamma)
-    ng = K_GG.shape[0]
-    lam = K_GG.toarray()
-    for lo in range(0, ng, _DENSE_CHUNK):
-        hi = min(lo + _DENSE_CHUNK, ng)
-        X = solver.solve(K_IG[:, lo:hi].toarray())
-        lam[:, lo:hi] -= K_GI @ X
+    """Dense DN map on ``gamma``; Dirichlet-zero is imposed on the rest of
+    the boundary."""
+    lam = dn_apply(sys, gamma, np.eye(sys.grid.boundary_ids(gamma).size))
     return DNMatrix(lam, gamma, sys.grid, sys.metric_id, sys.potential_id)
 
 
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
     """Apply the DN map to trace columns without forming it densely.
 
-    ``traces`` has shape (n_gamma, k); returns the same shape.
+    ``traces`` has shape (n_gamma, k); returns the same shape. Columns go
+    through one interior solver ``_DENSE_CHUNK`` at a time.
     """
-    K_GG, K_GI, K_IG, solver = _schur_blocks(sys, gamma)
+    grid = sys.grid
+    G = grid.boundary_ids(gamma)
     V = np.asarray(traces, dtype=float)
     squeeze = V.ndim == 1
     if squeeze:
         V = V[:, None]
-    X = solver.solve(K_IG @ V)
-    out = K_GG @ V - K_GI @ X
+    K_G = sys.matrix[G]
+    solver = InteriorSolver(sys.matrix, grid, FULL_BOUNDARY)
+    out = np.empty((G.size, V.shape[1]))
+    # One node array for all chunks: extend writes only its free rows, so
+    # the rows off G stay zero. With a fresh array per chunk the heap
+    # fragmented: a 576-column map run after a gap study peaked at 417 MB
+    # process RSS instead of 309 MB.
+    U = np.zeros((grid.node_count, min(V.shape[1], _DENSE_CHUNK)))
+    for lo in range(0, V.shape[1], _DENSE_CHUNK):
+        cols = V[:, lo : lo + _DENSE_CHUNK]
+        U_chunk = U[:, : cols.shape[1]]
+        U_chunk[G] = cols
+        out[:, lo : lo + _DENSE_CHUNK] = K_G @ solver.extend(U_chunk)
     return out[:, 0] if squeeze else out
 
 
@@ -489,6 +490,12 @@ def _canonical_modes(n_ang: int, cut: float) -> list[tuple[int, ...]]:
     return out
 
 
+def _layer_phases(grid: CylinderGrid, modes) -> np.ndarray:
+    """Sampled phases ``m . x`` on one boundary layer, one column per mode."""
+    mesh = np.meshgrid(*grid.axes()[1:], indexing="ij")
+    return np.stack([sum(k * ax for k, ax in zip(m, mesh)).ravel() for m in modes], axis=1)
+
+
 def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
     """Sampled cos/sin mode vectors on one boundary layer.
 
@@ -504,17 +511,13 @@ def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
                 raise ShapeMismatch(
                     f"mode {m} aliases on angular axis with {N} nodes"
                 )
-    axes = grid.axes()[1:]
-    mesh = np.meshgrid(*axes, indexing="ij")
     cols = []
     labels = []
-    for m in modes:
-        phase = sum(k * ax for k, ax in zip(m, mesh))
-        phase = np.asarray(phase, dtype=float)
-        cols.append(np.cos(phase).ravel())
+    for m, phase in zip(modes, _layer_phases(grid, modes).T):
+        cols.append(np.cos(phase))
         labels.append(("cos", m))
         if any(m):
-            cols.append(np.sin(phase).ravel())
+            cols.append(np.sin(phase))
             labels.append(("sin", m))
     return np.stack(cols, axis=1), labels
 
@@ -586,34 +589,19 @@ def operator_gap(dn1: DNMatrix, dn2: DNMatrix, mode_cut: float = 2.0) -> GapResu
 # boundary mass and mode eigenvalues
 
 
-def boundary_mass_matrix(
-    grid: CylinderGrid, gamma: str, metric: MetricField | None = None
-) -> sp.spmatrix:
-    """Mass matrix of one boundary layer.
-
-    Flat case: the consistent Q1 mass (tensor product of periodic 1-D
-    masses). With a metric: diagonal (lumped) mass from layer quadrature
-    weights and the induced angular block's volume element; sufficient for
-    diagnostics.
-    """
+def boundary_mass_matrix(grid: CylinderGrid, gamma: str) -> sp.spmatrix:
+    """Consistent Q1 mass matrix of one boundary layer (flat measure): the
+    tensor product of periodic 1-D masses."""
     if gamma not in (GAMMA0, GAMMA1):
         raise ValueError("boundary mass is defined per layer")
-    if metric is None:
-        M = sp.identity(1, format="csr")
-        for num, h in zip(grid.num_ang, grid.h_ang):
-            M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h, periodic=True)[1]), format="csr")
-        return M
-    layer = 0 if gamma == GAMMA0 else -1
-    block = metric.mat[layer][..., 1:, 1:]
-    sdet = np.sqrt(np.linalg.det(block)).ravel()
-    return sp.diags(grid.layer_weights.ravel() * sdet)
+    M = sp.identity(1, format="csr")
+    for num, h in zip(grid.num_ang, grid.h_ang):
+        M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h, periodic=True)[1]), format="csr")
+    return M
 
 
 def dn_mode_eigenvalues(
-    sys: StiffnessSystem,
-    gamma: str,
-    modes: list[tuple[int, ...]],
-    metric: MetricField | None = None,
+    sys: StiffnessSystem, gamma: str, modes: list[tuple[int, ...]]
 ) -> np.ndarray:
     """Generalized Rayleigh quotients of the DN map on cosine mode vectors,
 
@@ -621,18 +609,9 @@ def dn_mode_eigenvalues(
 
     with M the boundary mass matrix. For the flat cylinder these converge
     to the separated-variables eigenvalues."""
-    grid = sys.grid
-    axes = grid.axes()[1:]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    V = np.stack(
-        [
-            np.cos(sum(k * ax for k, ax in zip(m, mesh))).ravel()
-            for m in modes
-        ],
-        axis=1,
-    )
+    V = np.cos(_layer_phases(sys.grid, modes))
     lamV = dn_apply(sys, gamma, V)
-    M = boundary_mass_matrix(grid, gamma, metric)
+    M = boundary_mass_matrix(sys.grid, gamma)
     num = np.einsum("ik,ik->k", V, lamV)
     den = np.einsum("ik,ik->k", V, M @ V)
     return num / den
@@ -643,10 +622,9 @@ def smallest_dirichlet_eigenvalue(metric: MetricField) -> float:
     iteration on the interior blocks of (stiffness, mass)."""
     ones = np.ones(metric.grid.shape)
     sys = assemble_stiffness(metric, potential=ones, potential_id="unit")
-    I = metric.grid.interior_ids()
-    solver = InteriorSolver(sys.laplace, metric.grid, I)
+    solver = InteriorSolver(sys.laplace, metric.grid, FULL_BOUNDARY)
     K = solver.block
-    M = sys.mass[I][:, I]
+    M = sys.mass[solver.free, solver.free]
     v = np.random.default_rng(0).standard_normal(K.shape[0])
     v /= np.linalg.norm(v)
     lam_old = np.inf

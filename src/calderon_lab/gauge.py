@@ -317,17 +317,13 @@ def diffeo_invariance_gap(
     gamma: str,
     sizes,
     cut: float = 2.0,
-    method: str = "modes",
 ):
-    """Relative DN gap between g and phi^* g per refinement level.
-
-    ``method="modes"`` compares low-mode pairing matrices (one interior
-    solve per mode vector, the cheap route); ``method="full"`` compares
-    dense DN matrices in Frobenius norm. Since phi fixes both boundary
-    layers the continuum gap is zero and the sequence measures pure
-    discretisation error.
+    """Relative gap between the low-mode DN pairing matrices of g and
+    phi^* g per refinement level. Since phi fixes both boundary layers the
+    continuum gap is zero and the sequence measures pure discretisation
+    error.
     """
-    from .dn_solver import assemble_stiffness, dn_map_partial, dn_mode_matrix, mode_gap, operator_gap
+    from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 
     gp = pullback_metric(g, phi)
     gaps = []
@@ -335,11 +331,7 @@ def diffeo_invariance_gap(
         grid = cyl_grid(g.n, size)
         s1 = assemble_stiffness(sample_metric(g, grid))
         s2 = assemble_stiffness(sample_metric(gp, grid))
-        if method == "modes":
-            B1, _ = dn_mode_matrix(s1, gamma, cut)
-            B2, _ = dn_mode_matrix(s2, gamma, cut)
-            gaps.append(mode_gap(B1, B2))
-        else:
-            gap = operator_gap(dn_map_partial(s1, gamma), dn_map_partial(s2, gamma), cut)
-            gaps.append(gap.frobenius)
+        B1, _ = dn_mode_matrix(s1, gamma, cut)
+        B2, _ = dn_mode_matrix(s2, gamma, cut)
+        gaps.append(mode_gap(B1, B2))
     return gaps

@@ -183,9 +183,6 @@ class MetricSource:
         Dimension.
     func : callable
         Maps points ``(..., n)`` to matrices ``(..., n, n)``.
-    dfunc : callable, optional
-        Coordinate derivatives, points to ``(..., n, n, n)`` with the
-        leading matrix axes first and the derivative direction last.
     alpha_min : float, optional
         Declared uniform ellipticity floor, if known.
     name : str
@@ -194,7 +191,6 @@ class MetricSource:
 
     n: int
     func: Callable[[np.ndarray], np.ndarray]
-    dfunc: Callable[[np.ndarray], np.ndarray] | None = None
     alpha_min: float | None = None
     name: str = "custom"
 
@@ -451,7 +447,7 @@ class MillerDataset:
         )
 
 
-def assemble_counterexample_metric_3d(data: MillerDataset, grid: CylinderGrid | None = None) -> MetricField:
+def assemble_counterexample_metric_3d(data: MillerDataset) -> MetricField:
     """Metric on [0,1] x T^2 whose weight matrix equals the dataset's
     coefficient matrix:
 
@@ -461,10 +457,7 @@ def assemble_counterexample_metric_3d(data: MillerDataset, grid: CylinderGrid | 
     the *a3* coefficient and the dy^2 slot the *a1* one; that is what makes
     sqrt(det g) * g^{-1} reproduce the coefficient matrix.
     """
-    if grid is None:
-        grid = data.grid
-    if grid is not data.grid and grid.shape != data.grid.shape:
-        raise GridMismatch("dataset grid does not match requested grid")
+    grid = data.grid
     D = data.block_determinant()
     if (D <= 0.0).any():
         node = np.unravel_index(int(np.argmin(D)), grid.shape)

@@ -8,6 +8,8 @@ Verifies:
     its Kronecker formula
   - Dirichlet solves reproduce fields the element space contains exactly
   - DN symmetry, metric homogeneity, zero-potential equivalence
+  - the dense DN map is the same whether its columns go through the
+    interior solver in one chunk or in many
   - mode eigenvalues approach the separated-variables values
   - singular interior blocks are detected by every solve entry point
 """
@@ -17,6 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 from calderon_lab import analytic as an
+from calderon_lab import dn_solver
 from calderon_lab.calculus import ScalarField
 from calderon_lab.dn_solver import (
     BoundaryTrace,
@@ -279,6 +282,14 @@ class TestDNMap:
         V, _ = fourier_modes(bumpy9.grid, 1.0)
         assert np.abs(dn_apply(sys, GAMMA1, V) - lam @ V).max() < 1e-9
 
+    def test_multi_chunk_matches_single_chunk(self, bumpy9, monkeypatch):
+        # 64 boundary columns: one chunk by default, ten chunks of at most 7
+        sys = assemble_stiffness(bumpy9)
+        lam = dn_map_partial(sys, GAMMA1).matrix
+        monkeypatch.setattr(dn_solver, "_DENSE_CHUNK", 7)
+        lam7 = dn_map_partial(sys, GAMMA1).matrix
+        assert np.abs(lam7 - lam).max() <= 1e-12 * np.abs(lam).max()
+
     def test_mode_matrix_matches_projection(self, bumpy9):
         sys = assemble_stiffness(bumpy9)
         B, labels = dn_mode_matrix(sys, GAMMA1, 1.5)
@@ -359,6 +370,6 @@ class TestSpectrum:
 
 class TestBoundaryMass:
     def test_row_sums_are_layer_weights(self, grid9):
-        M = boundary_mass_matrix(grid9, GAMMA1, None)
+        M = boundary_mass_matrix(grid9, GAMMA1)
         sums = np.asarray(M.sum(axis=1)).ravel()
         assert np.abs(sums - grid9.layer_weights.ravel()).max() < 1e-12

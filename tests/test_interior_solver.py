@@ -2,12 +2,15 @@
 
 Verifies:
   - mode matrices and natural-end harmonic fields agree with a sparse LU
-    of the same block (built here with splu) to 1e-10 relative
+    of the same block (sliced and factorised here with splu, the mode
+    matrices through the Schur complement K_GG - K_GI K_II^{-1} K_IG on
+    GAMMA0, GAMMA1 and the full boundary) to 1e-10 relative
   - on potential-free blocks the CG iteration count stays within the
     a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
     quadrature points, and is exactly 1 on the flat metric, whose block
     the preconditioner inverts exactly
   - an indefinite but nonsingular block falls back to LU and still solves
+  - a boundary component name the grid does not know is rejected
 """
 
 import itertools
@@ -71,18 +74,22 @@ def _iteration_bound(metric) -> int:
     return int(np.ceil(np.sqrt(kappa) / 2.0 * np.log(2.0 * np.sqrt(kappa) / 1e-12)))
 
 
-def _lu_reference(sys):
-    """GAMMA1 mode matrix (cut 2) through splu of the solver's block, and
-    the CG iteration count of the same interior solve."""
+def _lu_reference(sys, gamma=GAMMA1):
+    """Mode matrix (cut 2) on ``gamma`` as the Schur complement
+    K_GG - K_GI K_II^{-1} K_IG, sliced here and solved with splu of the
+    interior block, and the CG iteration count of the same interior solve."""
     grid = sys.grid
     K = sys.matrix
     I = grid.interior_ids()
-    G = grid.boundary_ids(GAMMA1)
+    G = grid.boundary_ids(gamma)
     V, _ = fourier_modes(grid, 2.0)
+    if gamma == FULL_BOUNDARY:
+        z = np.zeros_like(V)
+        V = np.block([[V, z], [z, V]])
     rhs = K[I][:, G] @ V
-    solver = InteriorSolver(K, grid, I)
+    solver = InteriorSolver(K, grid, FULL_BOUNDARY)
     solver.solve(rhs)
-    X = spla.splu(solver.block.tocsc()).solve(rhs)
+    X = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
 
 
@@ -110,12 +117,13 @@ def counterexample_metric():
 
 class TestCrossCheck:
     @pytest.mark.parametrize("size", SIZES)
-    def test_flat_one_iteration(self, size):
+    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1, FULL_BOUNDARY])
+    def test_flat_one_iteration(self, size, gamma):
         g = sample_metric(flat_metric(3), cyl_grid(3, size))
         sys = assemble_stiffness(g)
-        B_ref, its = _lu_reference(sys)
+        B_ref, its = _lu_reference(sys, gamma)
         assert its == 1
-        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+        assert _rel(dn_mode_matrix(sys, gamma)[0], B_ref) <= 1e-10
 
     @pytest.mark.parametrize(
         "n,size", [(3, s) for s in SIZES] + [(4, 9)]
@@ -154,17 +162,16 @@ class TestCrossCheck:
         D = grid.boundary_ids(gamma_dirichlet)
         free = np.setdiff1d(np.arange(grid.node_count), D)
         rhs = -K[free][:, D] @ layer.ravel()
-        solver = InteriorSolver(K, grid, free)
+        solver = InteriorSolver(K, grid, gamma_dirichlet)
         solver.solve(rhs)
         assert solver.iterations is not None and solver.iterations <= _iteration_bound(g)
-        u_ref = spla.splu(solver.block.tocsc()).solve(rhs)
+        u_ref = spla.splu(K[free][:, free].tocsc()).solve(rhs)
         assert _rel(u[free], u_ref) <= 1e-10
 
 
-def test_free_set_must_be_whole_layers(bumpy9):
-    grid = bumpy9.grid
+def test_unknown_component_rejected(bumpy9):
     with pytest.raises(ValueError):
-        InteriorSolver(assemble_stiffness(bumpy9).matrix, grid, grid.interior_ids()[1:])
+        InteriorSolver(assemble_stiffness(bumpy9).matrix, bumpy9.grid, "gamma2")
 
 
 def test_indefinite_block_falls_back_to_lu(flat9):
@@ -183,8 +190,8 @@ def test_indefinite_block_falls_back_to_lu(flat9):
     I = grid.interior_ids()
     B = grid.boundary_ids(FULL_BOUNDARY)
     rhs = -K[I][:, B] @ np.ones(B.size)
-    solver = InteriorSolver(K, grid, I)
+    solver = InteriorSolver(K, grid, FULL_BOUNDARY)
     solver.solve(rhs)
     assert solver.iterations is None  # CG broke down, LU answered
-    u_ref = spla.splu(solver.block.tocsc()).solve(rhs)
+    u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     assert _rel(u[I], u_ref) <= 1e-10
