@@ -57,7 +57,6 @@ from .calculus import (
     integrate_volume,
     interior,
     laplace_beltrami_pointwise,
-    oneform_inner,
 )
 from .dn_solver import (
     BoundaryTrace,
@@ -97,7 +96,6 @@ from .gauge import (
     cubic_reparam,
     diffeo_invariance_gap,
     identity_diffeo,
-    pullback_field,
     pullback_metric,
 )
 from .counterexample import (

@@ -4,7 +4,7 @@ Exact-identity checks need derivative-consistent data: a field, its
 gradient, and every product/power built from them must come from the same
 closed form. This module provides a tiny composable expression type that
 carries a value callable and a gradient callable, plus the handful of
-atoms the package actually uses (coordinates, trigonometric waves, smooth
+atoms the package actually uses (constants, trigonometric waves, smooth
 cut-offs that vanish to all orders).
 
 Points are passed as arrays of shape ``(..., dim)``; values come back with
@@ -66,15 +66,6 @@ class AnalyticScalar:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "AnalyticScalar":
-        return AnalyticScalar(self.dim, lambda p: -self.val(p), lambda p: -self.grad(p))
-
-    def __sub__(self, other) -> "AnalyticScalar":
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "AnalyticScalar":
-        return (-self) + self._lift(other)
-
     def __mul__(self, other) -> "AnalyticScalar":
         o = self._lift(other)
 
@@ -112,20 +103,8 @@ def constant(a: float, dim: int) -> AnalyticScalar:
     return AnalyticScalar(dim, val, grad)
 
 
-def coordinate(axis: int, dim: int) -> AnalyticScalar:
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dim {dim}")
-
-    def grad(p):
-        g = np.zeros(p.shape[:-1] + (dim,))
-        g[..., axis] = 1.0
-        return g
-
-    return AnalyticScalar(dim, lambda p: p[..., axis], grad)
-
-
-def wave(weights, phase: float = 0.0, kind: str = "sin") -> AnalyticScalar:
-    """``sin(w . x + phase)`` or ``cos(w . x + phase)``.
+def wave(weights, phase: float = 0.0) -> AnalyticScalar:
+    """``sin(w . x + phase)``.
 
     Angular components of ``weights`` should be integers so the expression
     is 2*pi-periodic in those directions.
@@ -133,20 +112,12 @@ def wave(weights, phase: float = 0.0, kind: str = "sin") -> AnalyticScalar:
     w = np.asarray(weights, dtype=float)
     dim = w.size
     phase = float(phase)
-    if kind == "sin":
-        f, df = np.sin, np.cos
-        sign = 1.0
-    elif kind == "cos":
-        f, df = np.cos, np.sin
-        sign = -1.0
-    else:
-        raise ValueError(f"unknown wave kind {kind!r}")
 
     def val(p):
-        return f(p @ w + phase)
+        return np.sin(p @ w + phase)
 
     def grad(p):
-        return sign * df(p @ w + phase)[..., None] * w
+        return np.cos(p @ w + phase)[..., None] * w
 
     return AnalyticScalar(dim, val, grad)
 
@@ -182,7 +153,7 @@ def bump_profile(lo: float, hi: float):
 
 
 def bump(lo: float, hi: float, dim: int, axis: int = 0) -> AnalyticScalar:
-    """Smooth bump in one coordinate: positive on (lo, hi), identically zero
+    """Smooth bump along one axis: positive on (lo, hi), identically zero
     outside, all derivatives vanish at the endpoints. Normalised to peak 1."""
     _eval = bump_profile(lo, hi)
 
@@ -244,5 +215,5 @@ def trig_sum(
         w[1:] = rng.integers(-max_mode, max_mode + 1, size=dim - 1)
         amp = amplitude * rng.uniform(0.3, 1.0) / terms
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        expr = expr + amp * wave(w, phase, kind="sin")
+        expr = expr + amp * wave(w, phase)
     return expr

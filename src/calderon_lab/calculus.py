@@ -95,26 +95,6 @@ def gradient(f: ScalarField) -> CovectorField:
     return CovectorField(grid, comps)
 
 
-def oneform_inner(a: CovectorField, b: CovectorField, g: MetricField) -> ScalarField:
-    """Pointwise inner product <a, b>_g = g^{ij} a_i b_j.
-
-    Summed over the upper triangle with the symmetric pairing
-    ``g^{ij} (a_i b_j + a_j b_i)`` so the result is bitwise symmetric in
-    (a, b).
-    """
-    if a.grid is not g.grid and a.grid.shape != g.grid.shape:
-        raise GridMismatch("one-form and metric grids differ")
-    n = g.grid.n
-    ginv = g.inv
-    av, bv = a.comps, b.comps
-    out = np.zeros(g.grid.shape)
-    for i in range(n):
-        out += ginv[..., i, i] * (av[..., i] * bv[..., i])
-        for j in range(i + 1, n):
-            out += ginv[..., i, j] * (av[..., i] * bv[..., j] + av[..., j] * bv[..., i])
-    return ScalarField(g.grid, out)
-
-
 def integrate_volume(f: ScalarField | np.ndarray, g: MetricField) -> float:
     """Quadrature of f against the metric volume element sqrt(det g)."""
     values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticScalar, constant as analytic_constant
-from .calculus import (
-    CovectorField,
-    ScalarField,
-    divergence_form_apply,
-    gradient,
-    integrate_volume,
-    laplace_beltrami_pointwise,
-)
+from .calculus import CovectorField, ScalarField, gradient, laplace_beltrami_pointwise
 from .dn_solver import (
     BoundaryTrace,
     InteriorSolver,
@@ -296,6 +289,8 @@ def harmonic_with_natural_bc(
     generically differs from 1 on the natural side.
     """
     grid = sys.grid
+    if gamma_dirichlet not in (GAMMA0, GAMMA1):
+        raise GridMismatch(f"Dirichlet data goes on one layer, not on {gamma_dirichlet!r}")
     vals = np.asarray(dirichlet_layer, dtype=float)
     if vals.shape != tuple(grid.num_ang):
         raise GridMismatch(f"layer shape {vals.shape}, expected {tuple(grid.num_ang)}")

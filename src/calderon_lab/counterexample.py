@@ -103,18 +103,14 @@ def _decode_array(entry, name: str) -> np.ndarray:
     raise MalformedContainer(f"array {name}: unknown encoding {enc!r}")
 
 
-def save_dataset(data: MillerDataset, path, encoding: str | None = None) -> None:
+def save_dataset(data: MillerDataset, path) -> None:
     """Write the dataset as a single JSON container.
 
-    encoding None picks nested numeric arrays below 64^3 nodes and base64
-    raw little-endian float64 above; both round-trip bit-exactly (JSON
-    floats use shortest round-trip representation).
+    Arrays are nested numeric lists below 64^3 nodes and base64 raw
+    little-endian float64 above; both round-trip bit-exactly (JSON floats
+    use shortest round-trip representation).
     """
-    if encoding is None:
-        encoding = "nested" if data.grid.node_count < _NESTED_LIMIT else "base64"
-    if encoding not in ("nested", "base64"):
-        raise MalformedContainer(f"unknown encoding {encoding!r}")
-    nested = encoding == "nested"
+    nested = data.grid.node_count < _NESTED_LIMIT
     doc = {
         "format": _FORMAT,
         "version": 1,
@@ -497,7 +493,7 @@ def synth_approx_miller(
 
     src = an.constant(0.0, 3)
     for m in modes:
-        src = src + an.wave(np.array([0.0, float(m[0]), float(m[1])]), 0.0, "sin")
+        src = src + an.wave(np.array([0.0, float(m[0]), float(m[1])]))
     u_src = an.exp_flat(T, 3, 0) * src * an.constant(float(amplitude), 3)
     u = ScalarField.from_source(grid, u_src)
 
@@ -564,24 +560,11 @@ class StudyCell:
     harmonic_residual: float
     weak_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "stride": self.stride,
-            "grid_shape": list(self.grid_shape),
-            "gap": self.gap,
-            "harmonic_residual": self.harmonic_residual,
-            "weak_residual": self.weak_residual,
-        }
-
 
 @dataclass(frozen=True)
 class StudyResult:
     cells: tuple
     fit: dict
-
-    def as_dict(self) -> dict:
-        return {"cells": [c.as_dict() for c in self.cells], "fit": self.fit}
 
 
 def _gap_fit(cells) -> dict:

@@ -438,8 +438,9 @@ def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
     """Apply the DN map to trace columns without forming it densely.
 
-    ``traces`` has shape (n_gamma, k); returns the same shape. Columns go
-    through one interior solver ``_DENSE_CHUNK`` at a time.
+    ``traces`` has shape (n_gamma, k) or (n_gamma,); returns the same
+    shape. Columns go through one interior solver ``_DENSE_CHUNK`` at a
+    time.
     """
     grid = sys.grid
     G = grid.boundary_ids(gamma)
@@ -447,6 +448,8 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     squeeze = V.ndim == 1
     if squeeze:
         V = V[:, None]
+    if V.ndim != 2 or V.shape[0] != G.size:
+        raise ShapeMismatch(f"traces of shape {V.shape}, expected {G.size} rows on {gamma}")
     K_G = sys.matrix[G]
     solver = InteriorSolver(sys.matrix, grid, FULL_BOUNDARY)
     out = np.empty((G.size, V.shape[1]))

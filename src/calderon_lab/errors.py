@@ -91,7 +91,8 @@ class NoConvergence(CalderonLabError):
 
 class ShapeMismatch(CalderonLabError):
     """Two operators are not comparable (different boundary component or
-    incompatible cylinder)."""
+    incompatible cylinder), or an array does not fit the operator applied
+    to it."""
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ literally unchanged and any DN difference is pure discretisation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .analytic import bump_profile
 from .errors import GridMismatch, NonOrientationPreserving
-from .grid_geometry import CylinderGrid, MetricField, MetricSource, cyl_grid, sample_metric
+from .grid_geometry import MetricSource, cyl_grid, sample_metric
 
 __all__ = [
     "CylinderDiffeo",
@@ -31,7 +31,6 @@ __all__ = [
     "cubic_reparam",
     "bump_shear",
     "pullback_metric",
-    "pullback_field",
     "diffeo_invariance_gap",
 ]
 
@@ -39,11 +38,6 @@ DEFAULT_COLLAR = 0.1
 
 # dense 1-D sample used to certify s' > 0 and collar identity at build time
 _CHECK_SAMPLES = 4097
-
-
-def _zero_profile(t):
-    t = np.asarray(t, dtype=float)
-    return np.zeros_like(t), np.zeros_like(t)
 
 
 def _cubic_profile(lo: float, hi: float):
@@ -74,7 +68,7 @@ class CylinderDiffeo:
 
     ``reparam`` maps a t array to ``(s(t), s'(t))``; each entry of
     ``shears`` maps t to ``(theta_k(t), theta_k'(t))`` for the angular
-    coordinate x_k (k = 1 .. n-1, entries may be None for no shear).
+    axis x_k (k = 1 .. n-1, entries may be None for no shear).
     """
 
     n: int
@@ -82,7 +76,6 @@ class CylinderDiffeo:
     shears: tuple = ()
     delta: float = DEFAULT_COLLAR
     name: str = "diffeo"
-    _deriv_floor: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.n < 2:
@@ -108,7 +101,6 @@ class CylinderDiffeo:
             v, _ = th(t)
             if np.abs(v[collar]).max() > 1e-14:
                 raise NonOrientationPreserving("a shear does not vanish on the collars")
-        object.__setattr__(self, "_deriv_floor", float(ds.min()))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.array(points, dtype=float, copy=True)
@@ -256,59 +248,7 @@ def pullback_metric(g: MetricSource, phi: CylinderDiffeo) -> MetricSource:
         J = phi.jacobian(p[..., 0])
         return np.einsum("...ai,...ab,...bj->...ij", J, G, J)
 
-    alpha = None
-    if g.alpha_min is not None:
-        # smallest singular value squared of J bounds the ellipticity drop
-        t = np.linspace(0.0, 1.0, _CHECK_SAMPLES)
-        sig = np.linalg.svd(phi.jacobian(t), compute_uv=False)
-        alpha = float(g.alpha_min * (sig[..., -1].min() ** 2))
-    return MetricSource(g.n, func, alpha_min=alpha, name=f"{g.name}:{phi.name}")
-
-
-def pullback_field(f: MetricField, phi: CylinderDiffeo) -> MetricField:
-    """Pull back a grid-sampled metric by multilinear interpolation.
-
-    Lower accuracy than pullback_metric: the interpolation adds an O(h^2)
-    error on top of whatever error the samples carry, so identities that
-    hold to roundoff for the analytic route only hold to O(h^2) here.
-    """
-    grid = f.grid
-    if grid.n != phi.n:
-        raise GridMismatch("metric and diffeo dimensions differ")
-    mapped = phi.apply(grid.points)
-    vals = _interp_matrix(grid, f.mat, mapped)
-    J = phi.jacobian(grid.points[..., 0])
-    mat = np.einsum("...ai,...ab,...bj->...ij", J, vals, J)
-    src = MetricSource(grid.n, lambda p: None, name=f"{f.name}:{phi.name}:interp")
-    return MetricField(grid, mat, src, src.name)
-
-
-def _interp_matrix(grid: CylinderGrid, mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of nodal matrices at arbitrary points;
-    t clamped to [0, 1], angular axes periodic."""
-    n = grid.n
-    shape = grid.shape
-    out = np.zeros(pts.shape[:-1] + (n, n))
-    t = np.clip(pts[..., 0], 0.0, 1.0) * (shape[0] - 1)
-    i0 = np.minimum(t.astype(int), shape[0] - 2)
-    w0 = t - i0
-    idx = [(i0, i0 + 1)]
-    wts = [w0]
-    for k in range(1, n):
-        period = shape[k]
-        x = pts[..., k] / (2.0 * np.pi) * period
-        j0 = np.floor(x).astype(int)
-        wts.append(x - j0)
-        idx.append((j0 % period, (j0 + 1) % period))
-    for corner in range(1 << n):
-        w = np.ones(pts.shape[:-1])
-        sel = []
-        for k in range(n):
-            hi = (corner >> (n - 1 - k)) & 1
-            sel.append(idx[k][hi])
-            w = w * (wts[k] if hi else 1.0 - wts[k])
-        out += w[..., None, None] * mat[tuple(sel)]
-    return out
+    return MetricSource(g.n, func, name=f"{g.name}:{phi.name}")
 
 
 def diffeo_invariance_gap(

@@ -15,9 +15,9 @@ matrix exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -183,15 +183,12 @@ class MetricSource:
         Dimension.
     func : callable
         Maps points ``(..., n)`` to matrices ``(..., n, n)``.
-    alpha_min : float, optional
-        Declared uniform ellipticity floor, if known.
     name : str
         Identifier used in exported metadata.
     """
 
     n: int
     func: Callable[[np.ndarray], np.ndarray]
-    alpha_min: float | None = None
     name: str = "custom"
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -206,7 +203,7 @@ def flat_metric(n: int, name: str = "flat") -> MetricSource:
         out[..., idx, idx] = 1.0
         return out
 
-    return MetricSource(n, func, alpha_min=1.0, name=name)
+    return MetricSource(n, func, name=name)
 
 
 def constant_metric(mat, name: str = "constant") -> MetricSource:
@@ -216,7 +213,7 @@ def constant_metric(mat, name: str = "constant") -> MetricSource:
     def func(p):
         return np.broadcast_to(m, p.shape[:-1] + (n, n)).copy()
 
-    return MetricSource(n, func, alpha_min=float(np.linalg.eigvalsh(m).min()), name=name)
+    return MetricSource(n, func, name=name)
 
 
 def random_trig_metric(
@@ -249,9 +246,7 @@ def random_trig_metric(
         out[..., idx, idx] += 1.0
         return out
 
-    return MetricSource(
-        n, func, alpha_min=1.0 - n * amplitude, name=f"random-trig-{seed}"
-    )
+    return MetricSource(n, func, name=f"random-trig-{seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,13 +280,6 @@ class MetricField:
         return self.sqrt_det[..., None, None] * self.inv
 
 
-def gershgorin_bounds(mat: np.ndarray) -> tuple[float, float]:
-    """Cheap global eigenvalue bracket for a field of symmetric matrices."""
-    diag = np.diagonal(mat, axis1=-2, axis2=-1)
-    radius = np.abs(mat).sum(axis=-1) - np.abs(diag)
-    return float((diag - radius).min()), float((diag + radius).max())
-
-
 def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> np.ndarray:
     """Exactly symmetrised copy of a node table of metric matrices.
 
@@ -309,8 +297,6 @@ def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> np.ndarray:
         raise Asymmetric(node, float(defect[node]))
     # exact symmetry for downstream bitwise-symmetric algebra
     mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    if grid.n > 4 and gershgorin_bounds(mat)[0] > 0.0:
-        return mat
     lam_min = np.linalg.eigvalsh(mat)[..., 0]
     if (lam_min <= 0.0).any():
         node = np.unravel_index(int(np.argmin(lam_min)), grid.shape)

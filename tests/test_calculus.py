@@ -21,7 +21,6 @@ from calderon_lab.calculus import (
     integrate_volume,
     interior,
     laplace_beltrami_pointwise,
-    oneform_inner,
     require_full_layers,
 )
 from calderon_lab.errors import BoundaryLayerRequested, GridMismatch
@@ -70,13 +69,6 @@ class TestGradient:
             errs.append(np.abs(approx - exact).max())
         order = np.log(errs[0] / errs[2]) / np.log(4.0)
         assert 1.8 < order < 2.2, f"gradient FD order {order}"
-
-    def test_oneform_inner_flat(self, grid9, flat9):
-        f = ScalarField.from_source(grid9, an.wave([0.0, 1.0, 0.0]))
-        df = gradient(f)
-        inner = oneform_inner(df, df, flat9)
-        t, x, y = np.meshgrid(*grid9.axes(), indexing="ij")
-        assert np.abs(inner.values - np.cos(x) ** 2).max() < 1e-14
 
 
 class TestIntegrateVolume:

@@ -9,8 +9,10 @@ import json
 import numpy as np
 import pytest
 
+from calderon_lab import cli
 from calderon_lab.cli import main, run
 from calderon_lab.counterexample import save_dataset
+from calderon_lab.errors import ConfigInvalid
 from calderon_lab.grid_geometry import MillerDataset, cyl_grid
 from calderon_lab.report import emit_report
 
@@ -95,6 +97,37 @@ class TestConfigErrors:
         code, _ = _cli(tmp_path, command, cfg)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computation started before the config was checked")
+
+
+class TestConfigCheckedFirst:
+    @pytest.mark.parametrize("key", ["nonisometry_eps", "nonisometry_tol"])
+    def test_study_keys(self, tmp_path, monkeypatch, key):
+        monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
+        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
+        with pytest.raises(ConfigInvalid):
+            run("counterexample-study", {**_STUDY_CFG, key: "abc"}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "n,transform",
+        [
+            (3, {"kind": "conformal-2d"}),
+            (2, {"kind": "conformal-link"}),
+            (3, {"kind": "twist"}),
+            (2, {"kind": "conformal-2d", "factor": "seven"}),
+            (3, {"kind": "conformal-link", "amplitude": "big"}),
+            (3, {"kind": "diffeo", "diffeo": {"family": "wobble"}}),
+        ],
+        ids=["2d-at-n3", "link-at-n2", "unknown-kind", "bad-factor", "bad-amplitude", "bad-family"],
+    )
+    def test_dn_compare_transform(self, tmp_path, monkeypatch, n, transform):
+        monkeypatch.setattr(cli, "assemble_stiffness", _must_not_run)
+        cfg = {"n": n, "sizes": [5, 9], "transform": transform}
+        with pytest.raises(ConfigInvalid):
+            run("dn-compare", cfg, tmp_path)
 
 
 class TestVerifyIdentities:

@@ -232,6 +232,11 @@ class TestWeakCondition:
         assert r.gamma_residual < 1e-11
         assert r.boundary_defect > 1e-3
 
+    def test_natural_end_needs_one_layer(self, grid5):
+        sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))
+        with pytest.raises(GridMismatch):
+            harmonic_with_natural_bc(sys, np.ones(grid5.num_ang), FULL_BOUNDARY)
+
     @pytest.mark.parametrize(
         "gamma, defect", [(GAMMA0, 0.0), (GAMMA1, 0.1), (FULL_BOUNDARY, 0.1)]
     )

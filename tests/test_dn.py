@@ -290,6 +290,11 @@ class TestDNMap:
         lam7 = dn_map_partial(sys, GAMMA1).matrix
         assert np.abs(lam7 - lam).max() <= 1e-12 * np.abs(lam).max()
 
+    def test_wrong_trace_rows_rejected(self, grid5):
+        sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))
+        with pytest.raises(ShapeMismatch):
+            dn_apply(sys, GAMMA1, np.ones((grid5.layer_count + 1, 2)))
+
     def test_mode_matrix_matches_projection(self, bumpy9):
         sys = assemble_stiffness(bumpy9)
         B, labels = dn_mode_matrix(sys, GAMMA1, 1.5)

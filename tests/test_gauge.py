@@ -4,9 +4,6 @@ Verifies:
   - construction guards: endpoints, orientation, collar identity
   - hand-checked Jacobian and pullback of the flat metric under a shear
   - composition: applied maps chain exactly, pullback is functorial
-  - the ellipticity floor of a pullback source brackets the sampled
-    eigenvalues
-  - the interpolation route converges at second order to the analytic one
   - the DN map is blind to collar-fixing diffeos up to discretisation
 """
 
@@ -21,7 +18,6 @@ from calderon_lab.gauge import (
     cubic_reparam,
     diffeo_invariance_gap,
     identity_diffeo,
-    pullback_field,
     pullback_metric,
 )
 from calderon_lab.grid_geometry import (
@@ -126,15 +122,6 @@ class TestJacobianAndPullback:
         direct = np.einsum("...ai,...ab,...bj->...ij", J, g(phi.apply(pts)), J)
         assert np.abs(gp(pts) - direct).max() < 1e-14
 
-    def test_ellipticity_floor(self):
-        g = random_trig_metric(3, seed=2)
-        phi = bump_reparam(3, 0.12).compose(bump_shear(3, 2, 0.2))
-        gp = pullback_metric(g, phi)
-        assert gp.alpha_min is not None and gp.alpha_min > 0.0
-        grid = cyl_grid(3, 17)
-        evs = np.linalg.eigvalsh(sample_metric(gp, grid).mat)
-        assert evs.min() >= gp.alpha_min - 1e-12
-
 
 class TestComposition:
     def test_apply_chains_exactly(self):
@@ -162,25 +149,6 @@ class TestComposition:
         twice = sample_metric(pullback_metric(pullback_metric(g, psi), phi), grid)
         once = sample_metric(pullback_metric(g, psi.compose(phi)), grid)
         assert np.abs(twice.mat - once.mat).max() < 1e-12
-
-
-class TestInterpolationRoute:
-    def test_matches_analytic_at_second_order(self):
-        g = random_trig_metric(3, seed=6, max_mode=1)
-        phi = bump_reparam(3, 0.1)
-        errs = []
-        for size in (9, 17, 33):
-            grid = cyl_grid(3, size)
-            f = sample_metric(g, grid)
-            interp = pullback_field(f, phi)
-            exact = sample_metric(pullback_metric(g, phi), grid)
-            errs.append(np.abs(interp.mat - exact.mat).max())
-        order = np.log(errs[0] / errs[2]) / np.log(4.0)
-        assert 1.7 < order < 2.3, f"interp order {order}, errors {errs}"
-
-    def test_identity_is_exact(self, grid9, bumpy9):
-        out = pullback_field(bumpy9, identity_diffeo(3))
-        assert np.abs(out.mat - bumpy9.mat).max() < 1e-13
 
 
 class TestInvarianceGap:

@@ -33,7 +33,6 @@ from calderon_lab.grid_geometry import (
     cyl_grid,
     ellipticity_constants,
     flat_metric,
-    gershgorin_bounds,
     metric_from_matrices,
     random_trig_metric,
     sample_metric,
@@ -145,13 +144,6 @@ class TestMetricField:
     def test_ellipticity_constants_bracket(self, bumpy9):
         lo, hi = ellipticity_constants(bumpy9)
         evs = np.linalg.eigvalsh(bumpy9.mat)
-        assert lo <= evs.min() + 1e-12 and evs.max() <= hi + 1e-12
-
-    def test_gershgorin_contains_spectrum(self, rng):
-        a = rng.normal(size=(4, 3, 3))
-        m = a @ a.swapaxes(-1, -2) + 3 * np.eye(3)
-        lo, hi = gershgorin_bounds(m)
-        evs = np.linalg.eigvalsh(m)
         assert lo <= evs.min() + 1e-12 and evs.max() <= hi + 1e-12
 
 
