@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticScalar
+from .analytic import AnalyticScalar, constant as analytic_constant
 from .errors import BoundaryLayerRequested, GridMismatch
 from .grid_geometry import CylinderGrid, MetricField
 
@@ -46,9 +46,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid: CylinderGrid, a: float) -> "ScalarField":
-        from .analytic import constant
-
-        return cls(grid, np.full(grid.shape, float(a)), source=constant(a, grid.n))
+        return cls(grid, np.full(grid.shape, float(a)), source=analytic_constant(a, grid.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,13 @@ from .counterexample import (
     validate_miller_properties,
 )
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
-from .errors import CalderonLabError, ConfigInvalid, DimensionTooSmall, TrivialU
+from .errors import (
+    CalderonLabError,
+    ConfigInvalid,
+    DimensionTooSmall,
+    NonOrientationPreserving,
+    TrivialU,
+)
 from .gauge import bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pullback_metric
 from .grid_geometry import (
     BOUNDARY_NAMES,
@@ -54,12 +60,20 @@ from .report import ExperimentReport, emit_report
 __all__ = ["main", "run"]
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are config errors."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise ConfigInvalid(f"config holds the non-finite number {text}")
+    return x
+
+
 def _load_config(path) -> dict:
     if not os.path.exists(path):
         raise ConfigInvalid(f"config file {path!r} does not exist")
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ConfigInvalid(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
@@ -89,7 +103,11 @@ def _num(cfg: dict, key: str, default, kind=int):
 
 
 def _nums(cfg: dict, key: str, default, kind=int) -> list:
-    return _cast(key, lambda v: [kind(x) for x in v], cfg.get(key, default))
+    """A non-empty list of numbers: an empty one would yield no evidence."""
+    vals = _cast(key, lambda v: [kind(x) for x in v], cfg.get(key, default))
+    if not vals:
+        raise ConfigInvalid(f"config key {key!r} is empty")
+    return vals
 
 
 def _grid(build, *args) -> CylinderGrid:
@@ -145,19 +163,23 @@ def _diffeo(spec, n: int):
     delta = _num(spec, "delta", 0.1, float)
     family = spec.get("family", "bump")
     amp = _num(spec, "amplitude", 0.08, float)
-    if family == "bump":
-        phi = bump_reparam(n, amp, delta)
-    elif family == "cubic":
-        phi = cubic_reparam(n, amp, delta)
-    elif family == "identity":
-        phi = identity_diffeo(n, delta)
-    else:
-        raise ConfigInvalid(f"unknown diffeo family {family!r}")
-    if spec.get("shear"):
-        shear = _require(spec, "shear", dict)
-        phi = phi.compose(
-            bump_shear(n, _num(shear, "axis", 1), _num(shear, "amplitude", 0.1, float), delta)
-        )
+    # folding maps, shear axes outside 1..n-1 and empty collars are config errors
+    try:
+        if family == "bump":
+            phi = bump_reparam(n, amp, delta)
+        elif family == "cubic":
+            phi = cubic_reparam(n, amp, delta)
+        elif family == "identity":
+            phi = identity_diffeo(n, delta)
+        else:
+            raise ConfigInvalid(f"unknown diffeo family {family!r}")
+        if spec.get("shear"):
+            shear = _require(spec, "shear", dict)
+            phi = phi.compose(
+                bump_shear(n, _num(shear, "axis", 1), _num(shear, "amplitude", 0.1, float), delta)
+            )
+    except (ValueError, NonOrientationPreserving) as e:
+        raise ConfigInvalid(f"invalid diffeo: {e}") from e
     return phi
 
 
@@ -179,6 +201,8 @@ def _run_verify_identities(cfg: dict, threads: int) -> ExperimentReport:
     n = _num(cfg, "n", 3)
     size = _num(cfg, "size", 9)
     tuples = _num(cfg, "tuples", 20)
+    if tuples < 1:
+        raise ConfigInvalid(f"tuples must be at least 1, got {tuples}")
     seed = _num(cfg, "seed", 0)
     tol_id = _num(cfg, "identity_tol", 1e-12, float)
     tol_triv = _num(cfg, "trivial_tol", 1e-10, float)
@@ -233,18 +257,24 @@ def _run_dn_compare(cfg: dict, threads: int) -> ExperimentReport:
     src = _metric_source(cfg.get("metric"), n)
     # every grid-independent part of the transform is built here, so a bad
     # spec fails before the first grid is sampled
+    identity_like = False
     if kind == "conformal-2d":
         if n != 2:
             raise ConfigInvalid("conformal-2d requires n = 2")
         c_src = _random_factor_source(transform.get("factor"), n)
+        identity_like = transform.get("factor") in (None, "one")
     elif kind == "conformal-link":
         if n < 3:
             raise ConfigInvalid("conformal-link requires n >= 3")
         c_src = _collar_flat_source(transform, n)
     elif kind == "diffeo":
-        src_t = pullback_metric(src, _diffeo(transform.get("diffeo", transform), n))
+        spec = transform.get("diffeo", transform)
+        src_t = pullback_metric(src, _diffeo(spec, n))
+        identity_like = spec == "identity" or (isinstance(spec, dict) and spec.get("family") == "identity")
     else:
         raise ConfigInvalid(f"unknown transform kind {kind!r}")
+    if not identity_like and len(set(sizes)) < 2:
+        raise ConfigInvalid(f"fitting gap_order needs two distinct sizes, got {sizes}")
 
     rep = ExperimentReport("dn-compare", cfg)
     gaps = []
@@ -259,20 +289,13 @@ def _run_dn_compare(cfg: dict, threads: int) -> ExperimentReport:
             # the factor is constant near both ends, so the one-sided fill
             # of the potential there is exact
             q = conformal_potential(g, c, one_sided=True)
-            sys_t = assemble_stiffness(g, potential=q, potential_id="conformal")
+            sys_t = assemble_stiffness(g, potential=q)
             sys_g = assemble_stiffness(scale_metric(g, c))
         else:
             sys_t = assemble_stiffness(sample_metric(src_t, grid))
         gaps.append(_gap_pair(sys_g, sys_t, gl, cut))
     rep.add_table("gaps", ("size", "gap"), list(zip(sizes, gaps)))
     rep.scalars["gaps"] = gaps
-    if kind == "conformal-2d":
-        identity_like = transform.get("factor") in (None, "one")
-    else:
-        diffeo_spec = transform.get("diffeo", transform)
-        identity_like = kind == "diffeo" and (
-            diffeo_spec == "identity" or (isinstance(diffeo_spec, dict) and diffeo_spec.get("family") == "identity")
-        )
     if identity_like:
         rep.add_verdict("gap_at_floor", max(gaps), ident_tol)
     else:
@@ -329,6 +352,8 @@ def _dataset_from_config(cfg: dict):
 def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
     eps = _nums(cfg, "eps", (0.0, 0.025, 0.05, 0.1), float)
     strides = tuple(_nums(cfg, "strides", (4, 2, 1)))
+    if min(strides) < 1:
+        raise ConfigInvalid(f"strides must be at least 1, got {list(strides)}")
     gamma = _gamma(cfg)
     cut = _num(cfg, "cut", 2.0, float)
     zero_tol = _num(cfg, "zero_tol", 1e-10, float)

@@ -129,7 +129,7 @@ def scale_metric(g: MetricField, c: ConformalFactor) -> MetricField:
     if c.grid.shape != g.grid.shape:
         raise GridMismatch("factor and metric grids differ")
     c4 = (c.values**4)[..., None, None]
-    out = MetricField(g.grid, c4 * g.mat, name=f"{g.name}*conf")
+    out = MetricField(g.grid, c4 * g.mat)
     expected = (c.values ** (2 * n)) * g.sqrt_det
     defect = np.abs(out.sqrt_det - expected)
     scale = np.maximum(np.abs(expected), 1e-300)
@@ -144,7 +144,7 @@ def scale_metric_2d(g: MetricField, c: ConformalFactor) -> MetricField:
         raise GridMismatch("first-power scaling is the n = 2 convention")
     if c.grid.shape != g.grid.shape:
         raise GridMismatch("factor and metric grids differ")
-    return MetricField(g.grid, c.values[..., None, None] * g.mat, name=f"{g.name}*conf2d")
+    return MetricField(g.grid, c.values[..., None, None] * g.mat)
 
 
 def _extrapolate_t_ends(values: np.ndarray) -> np.ndarray:

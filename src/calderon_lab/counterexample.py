@@ -22,6 +22,7 @@ import base64
 import json
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -614,8 +615,6 @@ def dn_gap_study(
     extra angular axes of six nodes (six keeps |k| = 2 modes below the
     Nyquist limit of those axes).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     cells = []
     for stride in strides:
         ds = data.coarsen(stride) if stride != 1 else data

@@ -131,12 +131,12 @@ def _dedup_coo(
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
     """Assembled weak-form operator: Laplace part plus optional potential
-    mass part, with the grid and id metadata needed downstream."""
+    mass part, on its grid. ``potential_id`` is a caller's label for the
+    potential; nothing in the package reads it."""
 
     grid: CylinderGrid
     laplace: sp.csr_matrix
     mass: sp.csr_matrix | None = None
-    metric_id: str = "custom"
     potential_id: str | None = None
 
     @cached_property
@@ -201,11 +201,7 @@ def assemble_stiffness(
     K = _dedup_coo(rows, cols, elem_k.ravel(), size)
     M = _dedup_coo(rows, cols, elem_m.ravel(), size) if elem_m is not None else None
     return StiffnessSystem(
-        grid,
-        K,
-        mass=M,
-        metric_id=metric.name,
-        potential_id=potential_id if potential is not None else None,
+        grid, K, mass=M, potential_id=potential_id if potential is not None else None
     )
 
 
@@ -424,15 +420,13 @@ class DNMatrix:
     matrix: np.ndarray
     gamma: str
     grid: CylinderGrid
-    metric_id: str = "custom"
-    potential_id: str | None = None
 
 
 def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
     """Dense DN map on ``gamma``; Dirichlet-zero is imposed on the rest of
     the boundary."""
     lam = dn_apply(sys, gamma, np.eye(sys.grid.boundary_ids(gamma).size))
-    return DNMatrix(lam, gamma, sys.grid, sys.metric_id, sys.potential_id)
+    return DNMatrix(lam, gamma, sys.grid)
 
 
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
@@ -624,7 +618,7 @@ def smallest_dirichlet_eigenvalue(metric: MetricField) -> float:
     """First Dirichlet eigenvalue of the metric Laplacian by inverse power
     iteration on the interior blocks of (stiffness, mass)."""
     ones = np.ones(metric.grid.shape)
-    sys = assemble_stiffness(metric, potential=ones, potential_id="unit")
+    sys = assemble_stiffness(metric, potential=ones)
     solver = InteriorSolver(sys.laplace, metric.grid, FULL_BOUNDARY)
     K = solver.block
     M = sys.mass[solver.free, solver.free]

@@ -2,7 +2,7 @@
 under metric pullback.
 
 The diffeos handled here are products of a t-reparametrization and
-t-dependent angular shears,
+a t-dependent shear of each angular axis,
 
     phi(t, x) = (s(t), x + theta(t)),
 
@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import bump_profile
+from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 from .errors import GridMismatch, NonOrientationPreserving
 from .grid_geometry import MetricSource, cyl_grid, sample_metric
 
@@ -66,26 +67,24 @@ def _cubic_profile(lo: float, hi: float):
 class CylinderDiffeo:
     """phi(t, x) = (s(t), x + theta(t)) with collar-fixing components.
 
-    ``reparam`` maps a t array to ``(s(t), s'(t))``; each entry of
-    ``shears`` maps t to ``(theta_k(t), theta_k'(t))`` for the angular
-    axis x_k (k = 1 .. n-1, entries may be None for no shear).
+    ``parts`` maps a t array to ``(s, s', theta, theta')``: s and s' have
+    the shape of t, theta and theta' the shape ``t.shape + (n-1,)`` with
+    column k - 1 shearing the angular axis x_k.
     """
 
     n: int
-    reparam: Callable[[np.ndarray], tuple]
-    shears: tuple = ()
+    parts: Callable[[np.ndarray], tuple]
     delta: float = DEFAULT_COLLAR
-    name: str = "diffeo"
 
     def __post_init__(self):
         if self.n < 2:
             raise NonOrientationPreserving("cylinder dimension is at least 2")
-        if len(self.shears) not in (0, self.n - 1):
-            raise NonOrientationPreserving(
-                f"expected {self.n - 1} shear slots, got {len(self.shears)}"
-            )
         t = np.linspace(0.0, 1.0, _CHECK_SAMPLES)
-        s, ds = self.reparam(t)
+        s, ds, theta, _ = self.parts(t)
+        if np.shape(theta) != t.shape + (self.n - 1,):
+            raise NonOrientationPreserving(
+                f"expected theta of shape {t.shape + (self.n - 1,)}, got {np.shape(theta)}"
+            )
         if abs(s[0]) > 1e-14 or abs(s[-1] - 1.0) > 1e-14:
             raise NonOrientationPreserving("s must fix the endpoints 0 and 1")
         if ds.min() <= 0.0:
@@ -95,119 +94,68 @@ class CylinderDiffeo:
         collar = (t <= self.delta) | (t >= 1.0 - self.delta)
         if np.abs(s[collar] - t[collar]).max() > 1e-14:
             raise NonOrientationPreserving("s is not the identity on the collars")
-        for th in self.shears:
-            if th is None:
-                continue
-            v, _ = th(t)
-            if np.abs(v[collar]).max() > 1e-14:
-                raise NonOrientationPreserving("a shear does not vanish on the collars")
+        if np.abs(theta[collar]).max() > 1e-14:
+            raise NonOrientationPreserving("a shear does not vanish on the collars")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.array(points, dtype=float, copy=True)
-        # the slice below is overwritten in place, so detach t first
-        t = pts[..., 0].copy()
-        s, _ = self.reparam(t)
+        s, _, theta, _ = self.parts(pts[..., 0])
         pts[..., 0] = s
-        for k, th in enumerate(self.shears):
-            if th is not None:
-                pts[..., 1 + k] += th(t)[0]
+        pts[..., 1:] += theta
         return pts
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        J = np.zeros(t.shape + (self.n, self.n))
-        for i in range(1, self.n):
-            J[..., i, i] = 1.0
-        J[..., 0, 0] = self.reparam(t)[1]
-        for k, th in enumerate(self.shears):
-            if th is not None:
-                J[..., 1 + k, 0] = th(t)[1]
+        _, ds, _, dtheta = self.parts(np.asarray(t, dtype=float))
+        J = np.broadcast_to(np.eye(self.n), ds.shape + (self.n, self.n)).copy()
+        J[..., 0, 0] = ds
+        J[..., 1:, 0] = dtheta
         return J
 
     def compose(self, other: "CylinderDiffeo") -> "CylinderDiffeo":
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if self.n != other.n:
             raise GridMismatch("composed diffeos live on different cylinders")
-        outer, inner = self, other
 
-        def reparam(t):
-            si, dsi = inner.reparam(t)
-            so, dso = outer.reparam(si)
-            return so, dso * dsi
+        def parts(t):
+            si, dsi, thi, dthi = other.parts(t)
+            so, dso, tho, dtho = self.parts(si)
+            return so, dso * dsi, thi + tho, dthi + dtho * dsi[..., None]
 
-        def make_shear(k):
-            th_o = outer.shears[k] if outer.shears else None
-            th_i = inner.shears[k] if inner.shears else None
-            if th_o is None and th_i is None:
-                return None
+        return CylinderDiffeo(self.n, parts, delta=min(self.delta, other.delta))
 
-            def shear(t):
-                si, dsi = inner.reparam(t)
-                v = np.zeros_like(np.asarray(t, dtype=float))
-                dv = np.zeros_like(v)
-                if th_i is not None:
-                    vi, dvi = th_i(t)
-                    v, dv = v + vi, dv + dvi
-                if th_o is not None:
-                    vo, dvo = th_o(si)
-                    v, dv = v + vo, dv + dvo * dsi
-                return v, dv
 
-            return shear
+def _displacement(n: int, delta: float, axis: int = 0, amplitude: float = 0.0, profile=None):
+    """phi(t, x) = (t, x) + amplitude * profile(t) e_axis: axis 0 moves t,
+    axis k >= 1 shifts x_k; no profile gives the identity."""
+    a = float(amplitude)
 
-        shears = ()
-        if outer.shears or inner.shears:
-            shears = tuple(make_shear(k) for k in range(self.n - 1))
-        return CylinderDiffeo(
-            self.n,
-            reparam,
-            shears,
-            delta=min(outer.delta, inner.delta),
-            name=f"{outer.name}*{inner.name}",
-        )
+    def parts(t):
+        t = np.asarray(t, dtype=float)
+        d = np.zeros(t.shape + (n,))
+        dd = np.zeros(t.shape + (n,))
+        if profile is not None:
+            v, dv = profile(t)
+            d[..., axis], dd[..., axis] = a * v, a * dv
+        return t + d[..., 0], 1.0 + dd[..., 0], d[..., 1:], dd[..., 1:]
+
+    return CylinderDiffeo(n, parts, delta=delta)
 
 
 def identity_diffeo(n: int, delta: float = DEFAULT_COLLAR) -> CylinderDiffeo:
-    def reparam(t):
-        t = np.asarray(t, dtype=float)
-        return t.copy(), np.ones_like(t)
-
-    return CylinderDiffeo(n, reparam, delta=delta, name="identity")
-
-
-def _reparam_from_profile(profile, amplitude: float):
-    a = float(amplitude)
-
-    def reparam(t):
-        v, dv = profile(t)
-        return np.asarray(t, dtype=float) + a * v, 1.0 + a * dv
-
-    return reparam
+    return _displacement(n, delta)
 
 
 def bump_reparam(n: int, amplitude: float, delta: float = DEFAULT_COLLAR) -> CylinderDiffeo:
     """s(t) = t + a * bump(t) with the smooth bump supported on
     (delta, 1-delta). Orientation requires |a| below 1/max|bump'|,
     enforced at construction."""
-    profile = bump_profile(delta, 1.0 - delta)
-    return CylinderDiffeo(
-        n,
-        _reparam_from_profile(profile, amplitude),
-        delta=delta,
-        name=f"bump-reparam({amplitude})",
-    )
+    return _displacement(n, delta, 0, amplitude, bump_profile(delta, 1.0 - delta))
 
 
 def cubic_reparam(n: int, amplitude: float, delta: float = DEFAULT_COLLAR) -> CylinderDiffeo:
     """Like bump_reparam but with the piecewise-cubic hump: only C^1 at the
     collar joints, so pulled-back metrics have kinked derivatives there."""
-    profile = _cubic_profile(delta, 1.0 - delta)
-    return CylinderDiffeo(
-        n,
-        _reparam_from_profile(profile, amplitude),
-        delta=delta,
-        name=f"cubic-reparam({amplitude})",
-    )
+    return _displacement(n, delta, 0, amplitude, _cubic_profile(delta, 1.0 - delta))
 
 
 def bump_shear(
@@ -217,19 +165,7 @@ def bump_shear(
     counts angular coordinates starting at 1."""
     if not 1 <= axis <= n - 1:
         raise NonOrientationPreserving(f"shear axis {axis} outside 1..{n - 1}")
-    profile = bump_profile(delta, 1.0 - delta)
-    a = float(amplitude)
-
-    def shear(t):
-        v, dv = profile(t)
-        return a * v, a * dv
-
-    def reparam(t):
-        t = np.asarray(t, dtype=float)
-        return t.copy(), np.ones_like(t)
-
-    shears = tuple(shear if k == axis - 1 else None for k in range(n - 1))
-    return CylinderDiffeo(n, reparam, shears, delta=delta, name=f"shear{axis}({amplitude})")
+    return _displacement(n, delta, axis, amplitude, bump_profile(delta, 1.0 - delta))
 
 
 def pullback_metric(g: MetricSource, phi: CylinderDiffeo) -> MetricSource:
@@ -248,7 +184,7 @@ def pullback_metric(g: MetricSource, phi: CylinderDiffeo) -> MetricSource:
         J = phi.jacobian(p[..., 0])
         return np.einsum("...ai,...ab,...bj->...ij", J, G, J)
 
-    return MetricSource(g.n, func, name=f"{g.name}:{phi.name}")
+    return MetricSource(g.n, func)
 
 
 def diffeo_invariance_gap(
@@ -263,8 +199,6 @@ def diffeo_invariance_gap(
     continuum gap is zero and the sequence measures pure discretisation
     error.
     """
-    from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
-
     gp = pullback_metric(g, phi)
     gaps = []
     for size in sizes:

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .analytic import trig_sum
 from .errors import (
     Asymmetric,
     DegenerateDeterminant,
@@ -183,37 +184,34 @@ class MetricSource:
         Dimension.
     func : callable
         Maps points ``(..., n)`` to matrices ``(..., n, n)``.
-    name : str
-        Identifier used in exported metadata.
     """
 
     n: int
     func: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return np.asarray(self.func(pts), dtype=float)
 
 
-def flat_metric(n: int, name: str = "flat") -> MetricSource:
+def flat_metric(n: int) -> MetricSource:
     def func(p):
         out = np.zeros(p.shape[:-1] + (n, n))
         idx = np.arange(n)
         out[..., idx, idx] = 1.0
         return out
 
-    return MetricSource(n, func, name=name)
+    return MetricSource(n, func)
 
 
-def constant_metric(mat, name: str = "constant") -> MetricSource:
+def constant_metric(mat) -> MetricSource:
     m = np.asarray(mat, dtype=float)
     n = m.shape[0]
 
     def func(p):
         return np.broadcast_to(m, p.shape[:-1] + (n, n)).copy()
 
-    return MetricSource(n, func, name=name)
+    return MetricSource(n, func)
 
 
 def random_trig_metric(
@@ -225,8 +223,6 @@ def random_trig_metric(
     so eigenvalues stay within ``1 +- n * amplitude``. The default keeps the
     spectrum inside [0.6, 1.4].
     """
-    from .analytic import trig_sum
-
     if amplitude is None:
         amplitude = 0.4 / n
     rng = np.random.default_rng(seed)
@@ -246,21 +242,20 @@ def random_trig_metric(
         out[..., idx, idx] += 1.0
         return out
 
-    return MetricSource(n, func, name=f"random-trig-{seed}")
+    return MetricSource(n, func)
 
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
     """Metric sampled on a grid, with cached determinant and inverse.
 
-    Invariants (enforced by :func:`sample_metric`): matrices symmetric,
+    Invariants (enforced by :func:`sample_metric` and
+    :func:`metric_from_matrices`): matrices symmetric,
     positive definite, ``inv @ mat = I`` to 1e-12, ``det > 0``.
     """
 
     grid: CylinderGrid
     mat: np.ndarray
-    source: MetricSource | None = None
-    name: str = "custom"
 
     @cached_property
     def det(self) -> np.ndarray:
@@ -288,8 +283,13 @@ def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> np.ndarray:
     Asymmetric
         If any node matrix deviates from symmetry beyond 1e-12 (relative).
     NonPositiveDefinite
-        If any node matrix has an eigenvalue <= 0.
+        At the first node with a non-finite entry, else at the node of the
+        smallest eigenvalue if that is <= 0.
     """
+    finite = np.isfinite(mat).all(axis=(-1, -2))
+    if not finite.all():
+        node = np.unravel_index(int(np.argmin(finite)), grid.shape)
+        raise NonPositiveDefinite(node, float("nan"))
     defect = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-1, -2))
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-1, -2)))
     if (defect > 1e-12 * scale).any():
@@ -314,12 +314,10 @@ def sample_metric(source: MetricSource, grid: CylinderGrid) -> MetricField:
         raise GridMismatch(
             f"source returned shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
         )
-    return MetricField(grid, _checked_spd(mat, grid), source=source, name=source.name)
+    return MetricField(grid, _checked_spd(mat, grid))
 
 
-def metric_from_matrices(
-    grid: CylinderGrid, mat: np.ndarray, name: str = "custom"
-) -> MetricField:
+def metric_from_matrices(grid: CylinderGrid, mat: np.ndarray) -> MetricField:
     """Wrap an explicit node table of matrices as a MetricField, validated
     like :func:`sample_metric`."""
     mat = np.asarray(mat, dtype=float)
@@ -327,7 +325,7 @@ def metric_from_matrices(
         raise GridMismatch(
             f"matrix table shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
         )
-    return MetricField(grid, _checked_spd(mat, grid), name=name)
+    return MetricField(grid, _checked_spd(mat, grid))
 
 
 def ellipticity_constants(metric: MetricField) -> tuple[float, float]:
@@ -454,7 +452,7 @@ def assemble_counterexample_metric_3d(data: MillerDataset) -> MetricField:
     g[..., 1, 2] = -data.a2
     g[..., 2, 1] = -data.a2
     g[..., 2, 2] = 1.0 + data.a1 + data.rough1()
-    return MetricField(grid, g, name="counterexample-3d")
+    return metric_from_matrices(grid, g)
 
 
 def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -> MetricField:
@@ -495,8 +493,7 @@ def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -
     g[..., 2, 2] = factor * b22 / D
     for k in range(3, n):
         g[..., k, k] = factor
-    g = np.broadcast_to(g, grid.shape + (n, n)).copy()
-    return MetricField(grid, g, name=f"counterexample-{n}d")
+    return metric_from_matrices(grid, np.broadcast_to(g, grid.shape + (n, n)))
 
 
 def weight_identity_check(data: MillerDataset) -> float:

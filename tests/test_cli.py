@@ -29,8 +29,9 @@ _STUDY_CFG = {
 
 
 def _write(tmp_path, name, cfg):
+    """Write a config given as a dict, or as raw JSON text."""
     p = tmp_path / name
-    p.write_text(json.dumps(cfg))
+    p.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return str(p)
 
 
@@ -90,8 +91,45 @@ class TestConfigErrors:
                 "dn-compare",
                 {"n": 2, "sizes": [9], "transform": {"kind": "diffeo", "diffeo": {"shear": 5}}},
             ),
+            (
+                "dn-compare",
+                {"n": 3, "sizes": [5, 9], "transform": {"kind": "diffeo", "diffeo": {"amplitude": 5.0}}},
+            ),
+            (
+                "dn-compare",
+                {"n": 3, "sizes": [5, 9], "transform": {"kind": "diffeo", "diffeo": {"shear": {"axis": 3}}}},
+            ),
+            # non-finite numbers; json.dumps writes NaN and Infinity
+            (
+                "dn-compare",
+                {
+                    "n": 2,
+                    "sizes": [9, 17],
+                    "metric": {"kind": "random-trig", "amplitude": float("nan")},
+                    "transform": {"kind": "conformal-2d"},
+                },
+            ),
+            ("verify-identities", {"identity_tol": float("inf")}),
+            ("verify-identities", '{"n": 1e999}'),
+            # configs that would yield no evidence
+            ("verify-identities", {"tuples": 0}),
+            ("rigidity-check", {"seeds": []}),
+            ("counterexample-study", {**_STUDY_CFG, "eps": []}),
+            ("counterexample-study", {**_STUDY_CFG, "strides": []}),
+            ("counterexample-study", {**_STUDY_CFG, "strides": [2, 0]}),
+            ("dn-compare", {"n": 2, "sizes": [], "transform": {"kind": "conformal-2d"}}),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 9], "transform": {"kind": "conformal-2d", "factor": {"seed": 1}}},
+            ),
         ],
-        ids=["non-numeric-n", "size-too-small", "null-n", "dimension-too-small", "shear-not-object"],
+        ids=[
+            "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
+            "shear-not-object", "folding-diffeo", "shear-axis-out-of-range",
+            "nan", "infinity", "overflow",
+            "no-tuples", "no-seeds", "no-eps", "no-strides", "zero-stride", "no-sizes",
+            "one-size-order-fit",
+        ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
         code, _ = _cli(tmp_path, command, cfg)
@@ -258,6 +296,17 @@ class TestStudyAndRigidity:
             emit_report(run("counterexample-study", _STUDY_CFG, out, threads=threads), out)
             blobs.append((out / "report.json").read_bytes())
         assert all(b == blobs[0] for b in blobs)
+
+    def test_indefinite_dataset_exits_1(self, tmp_path):
+        # a1 = a3 = -3 keeps the block determinant at 4 but gives the
+        # metric eigenvalue -2
+        grid = cyl_grid(3, 13)
+        z = MillerDataset.zero(grid)
+        bad = MillerDataset(grid, z.a1 - 3.0, z.a2, z.a3 - 3.0, z.A1, z.A3, z.u)
+        path = tmp_path / "indefinite.json"
+        save_dataset(bad, path)
+        code, _ = _cli(tmp_path, "counterexample-study", {"dataset": str(path), "strides": [1]})
+        assert code == 1
 
     def test_rigidity(self, tmp_path):
         code, out = _cli(

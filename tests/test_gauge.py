@@ -1,7 +1,8 @@
 """Collar-fixing diffeomorphisms and metric pullbacks.
 
 Verifies:
-  - construction guards: endpoints, orientation, collar identity
+  - construction guards: endpoints, orientation, collar identity, the
+    shape of the shear columns
   - hand-checked Jacobian and pullback of the flat metric under a shear
   - composition: applied maps chain exactly, pullback is functorial
   - the DN map is blind to collar-fixing diffeos up to discretisation
@@ -28,6 +29,12 @@ from calderon_lab.grid_geometry import (
 )
 
 
+def _no_shear(t, n=3):
+    """theta and theta' of a map without shear."""
+    z = np.zeros(np.shape(t) + (n - 1,))
+    return z, z.copy()
+
+
 class TestConstruction:
     def test_identity(self):
         phi = identity_diffeo(3)
@@ -39,7 +46,7 @@ class TestConstruction:
     def test_bump_reparam_fixes_collars(self):
         phi = bump_reparam(3, 0.1, delta=0.1)
         t = np.linspace(0, 1, 101)
-        s, ds = phi.reparam(t)
+        s, ds, _, _ = phi.parts(t)
         collar = (t <= 0.1) | (t >= 0.9)
         assert np.abs(s[collar] - t[collar]).max() < 1e-14
         assert ds.min() > 0.0
@@ -49,7 +56,7 @@ class TestConstruction:
     def test_cubic_reparam_moves_interior(self):
         phi = cubic_reparam(3, 0.1)
         t = np.linspace(0, 1, 101)
-        s, _ = phi.reparam(t)
+        s = phi.parts(t)[0]
         assert abs(s[0]) == 0.0 and abs(s[-1] - 1.0) < 1e-15
         assert np.abs(s - t).max() > 1e-3
 
@@ -61,30 +68,28 @@ class TestConstruction:
     def test_shear_must_vanish_on_collar(self):
         def bad_shear(t):
             t = np.asarray(t, dtype=float)
-            return np.ones_like(t), np.zeros_like(t)
-
-        def ident(t):
-            t = np.asarray(t, dtype=float)
-            return t.copy(), np.ones_like(t)
+            theta, dtheta = _no_shear(t)
+            theta[..., 0] = 1.0
+            return t.copy(), np.ones_like(t), theta, dtheta
 
         with pytest.raises(NonOrientationPreserving):
-            CylinderDiffeo(3, ident, (bad_shear, None))
+            CylinderDiffeo(3, bad_shear)
 
     def test_endpoint_guard(self):
         def shifted(t):
             t = np.asarray(t, dtype=float)
-            return t + 0.01, np.ones_like(t)
+            return (t + 0.01, np.ones_like(t), *_no_shear(t))
 
         with pytest.raises(NonOrientationPreserving):
             CylinderDiffeo(3, shifted)
 
     def test_shear_slot_count(self):
-        def ident(t):
+        def one_slot(t):
             t = np.asarray(t, dtype=float)
-            return t.copy(), np.ones_like(t)
+            return (t.copy(), np.ones_like(t), *_no_shear(t, n=2))
 
         with pytest.raises(NonOrientationPreserving):
-            CylinderDiffeo(3, ident, (None,))
+            CylinderDiffeo(3, one_slot)
 
 
 class TestJacobianAndPullback:
@@ -92,7 +97,7 @@ class TestJacobianAndPullback:
         phi = bump_reparam(3, 0.1).compose(bump_shear(3, 1, 0.2))
         t = np.linspace(0.2, 0.8, 7)
         J = phi.jacobian(t)
-        s, ds = phi.reparam(t)
+        _, ds, _, _ = phi.parts(t)
         assert np.abs(J[:, 0, 0] - ds).max() < 1e-14
         assert np.abs(J[:, 1, 1] - 1.0).max() == 0.0
         assert np.abs(J[:, 2, 2] - 1.0).max() == 0.0
@@ -107,8 +112,8 @@ class TestJacobianAndPullback:
         grid = cyl_grid(2, 17)
         mats = sample_metric(gp, grid).mat
         t = grid.points[..., 0]
-        _, ds = phi.reparam(t)
-        th, dth = phi.shears[0](t)
+        _, ds, _, dtheta = phi.parts(t)
+        dth = dtheta[..., 0]
         assert np.abs(mats[..., 0, 0] - (ds**2 + dth**2)).max() < 1e-13
         assert np.abs(mats[..., 0, 1] - dth).max() < 1e-13
         assert np.abs(mats[..., 1, 1] - 1.0).max() < 1e-13
@@ -136,7 +141,7 @@ class TestComposition:
         psi = bump_reparam(3, 0.08).compose(bump_shear(3, 1, 0.15))
         chained = psi.compose(phi)
         t = np.linspace(0.0, 1.0, 33)
-        s, _ = phi.reparam(t)
+        s = phi.parts(t)[0]
         J_expect = np.einsum("...ij,...jk->...ik", psi.jacobian(s), phi.jacobian(t))
         assert np.abs(chained.jacobian(t) - J_expect).max() < 1e-14
 

@@ -3,8 +3,10 @@
 Verifies:
   - node layout, spacings, and quadrature weights of the cylinder grid
   - boundary/interior id sets partition the grid
-  - metric sampling: symmetry/positivity guards, cached determinants
-  - the coefficient-dataset metric reproduces its weight matrix exactly
+  - metric sampling: symmetry/positivity/finiteness guards, cached
+    determinants
+  - the coefficient-dataset metric reproduces its weight matrix exactly,
+    and an indefinite dataset metric is refused by both assemblers
   - 3-D and n-D counterexample assemblers agree node for node at n = 3
 """
 
@@ -128,6 +130,14 @@ class TestMetricField:
         with pytest.raises(NonPositiveDefinite):
             build(grid9, mats)
 
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_non_finite_guard(self, grid9, build):
+        mats = np.tile(np.eye(3), grid9.shape + (1, 1))
+        mats[2, 3, 4, 1, 1] = np.inf
+        with pytest.raises(NonPositiveDefinite) as err:
+            build(grid9, mats)
+        assert err.value.node == (2, 3, 4)
+
     def test_constant_metric_sampling(self, grid9):
         m = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
         g = sample_metric(constant_metric(m), grid9)
@@ -202,6 +212,19 @@ class TestMillerDataset:
         )
         with pytest.raises(DegenerateDeterminant):
             assemble_counterexample_metric_3d(bad)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_indefinite_metric_rejected(self, grid5, n):
+        # the block determinant (1 - 3)^2 = 4 passes the determinant guard,
+        # but the metric has eigenvalue -2 in both angular directions
+        z = MillerDataset.zero(grid5)
+        bad = MillerDataset(grid5, z.a1 - 3.0, z.a2, z.a3 - 3.0, z.A1, z.A3, z.u)
+        with pytest.raises(NonPositiveDefinite):
+            if n == 3:
+                assemble_counterexample_metric_3d(bad)
+            else:
+                big = CylinderGrid(n, grid5.num_t, grid5.num_ang + (4,))
+                assemble_counterexample_metric_nd(bad, big)
 
     def test_nd_matches_3d(self, grid5):
         data = _toy_dataset(grid5)

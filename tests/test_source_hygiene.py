@@ -3,6 +3,7 @@
 Verifies, for every module of ``calderon_lab`` except the re-exports in
 ``__init__.py``:
   - every imported name is used in its module;
+  - every import sits at module level;
   - every module-level ``_private`` name is referenced somewhere in the
     package.
 """
@@ -86,6 +87,18 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = [f"{nm} (line {line})" for nm, line in _imported_names(tree) if nm not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_at_module_level(path):
+    tree = _tree(path)
+    top = {id(node) for node in tree.body}
+    nested = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert not nested, f"{path.name} imports below module level: {nested}"
 
 
 def test_no_unreferenced_private_names():
