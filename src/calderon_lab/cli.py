@@ -43,6 +43,7 @@ from .errors import (
     CalderonLabError,
     ConfigInvalid,
     DimensionTooSmall,
+    GridMismatch,
     NonOrientationPreserving,
     TrivialU,
 )
@@ -111,11 +112,11 @@ def _nums(cfg: dict, key: str, default, kind=int) -> list:
 
 
 def _grid(build, *args) -> CylinderGrid:
-    """``build(*args)`` for a grid builder; an invalid size or dimension in
-    the config is a config error."""
+    """``build(*args)`` for a grid builder or a coarsening; an invalid size,
+    dimension or stride in the config is a config error."""
     try:
         return build(*args)
-    except (ValueError, DimensionTooSmall) as e:
+    except (ValueError, DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
 
 
@@ -144,12 +145,13 @@ def _random_factor_source(spec, n: int):
         return an.constant(1.0, n)
     if isinstance(spec, dict):
         rng = np.random.default_rng(_num(spec, "seed", 0))
+        amplitude = _num(spec, "amplitude", 0.25, float)
+        offset = _num(spec, "offset", 1.3, float)
+        # the waves sum to at most |amplitude|, so this keeps the factor positive
+        if offset <= abs(amplitude):
+            raise ConfigInvalid(f"factor offset {offset} must exceed |amplitude| {abs(amplitude)}")
         return an.trig_sum(
-            n,
-            rng,
-            terms=_num(spec, "terms", 2),
-            amplitude=_num(spec, "amplitude", 0.25, float),
-            offset=_num(spec, "offset", 1.3, float),
+            n, rng, terms=_num(spec, "terms", 2), amplitude=amplitude, offset=offset,
             max_mode=_num(spec, "max_mode", 1),
         )
     raise ConfigInvalid(f"unknown conformal factor spec {spec!r}")
@@ -361,6 +363,8 @@ def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
     iso_eps = _num(cfg, "nonisometry_eps", 0.05, float)
     iso_tol = _num(cfg, "nonisometry_tol", 1e-10, float)
     data, origin = _dataset_from_config(cfg)
+    for s in strides:
+        _grid(data.grid.coarsen, s)  # a stride must divide the dataset grid
     rep = ExperimentReport("counterexample-study", cfg)
     rep.scalars.update(origin)
 

@@ -16,7 +16,7 @@ Assembly is deterministic: element matrices are symmetrised and
 scattered cell-major, and duplicates are summed with a stable sort, so the
 stiffness matrix is bitwise symmetric and independent of chunking.
 
-Every interior solve in the package goes through :class:`InteriorSolver`,
+Every interior solve but one goes through :class:`InteriorSolver`,
 named by the boundary component whose values are fixed (``GAMMA0``,
 ``GAMMA1`` or ``FULL_BOUNDARY``); the free nodes are the remaining t-layers,
 one contiguous id range. Its ``extend`` replaces the free entries of a nodal
@@ -26,8 +26,12 @@ zero elsewhere) and the natural-end harmonic fields of ``conformal`` are
 all this one operation. Solves run batched conjugate gradients
 preconditioned by the exact inverse of the flat-metric block (fast
 diagonalisation of 1-D Q1 pencils), with a sparse LU of the block as the
-fallback when CG breaks down or stalls. It is the only place a block is
-factorised, and each of its solves is checked at 1e-10 relative residual.
+fallback when CG breaks down or stalls. Each of its solves is checked at
+1e-10 relative residual.
+
+The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
+t-layers with one dense Cholesky per layer (:func:`_layer_stripped`) and
+goes through ``InteriorSolver`` only when a pivot fails or is below 1e-9.
 """
 
 from __future__ import annotations
@@ -422,10 +426,46 @@ class DNMatrix:
     grid: CylinderGrid
 
 
+def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
+    """Dense DN map on ``GAMMA0`` or ``GAMMA1`` by the discrete Riccati
+    recursion over t-layers (invariant embedding, Henry & Ramos 2016). K is
+    block tridiagonal in layers; walking away from the Dirichlet-zero end,
+    ``S_k = K_kk - Y^T Y`` with ``Y = L^{-1} K_pk`` and ``L L^T`` the
+    previous layer's ``S_p``. The factors L make up the block Cholesky of
+    the interior block; None when it fails, its pivot ratio
+    ``min/max diag(L)^2`` is below ``_PIVOT_RATIO_FLOOR`` or S is not finite.
+    """
+    P = sys.grid.layer_count
+    T = sys.grid.num_t
+    ids = list(range(1, T)) if gamma == GAMMA1 else list(range(T - 2, -1, -1))
+
+    def block(i: int, j: int) -> np.ndarray:
+        return sys.matrix[i * P : (i + 1) * P, j * P : (j + 1) * P].toarray()
+
+    S = block(ids[0], ids[0])
+    pivots = []
+    for p, k in zip(ids, ids[1:]):
+        try:
+            L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        pivots.append(np.diag(L) ** 2)
+        Y = scipy.linalg.solve_triangular(L, block(p, k), lower=True, check_finite=False)
+        S = block(k, k) - Y.T @ Y
+        S = 0.5 * (S + S.T)
+    d = np.concatenate(pivots)
+    if d.min() >= _PIVOT_RATIO_FLOOR * d.max() and np.isfinite(S).all():
+        return S
+    return None
+
+
 def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
     """Dense DN map on ``gamma``; Dirichlet-zero is imposed on the rest of
-    the boundary."""
-    lam = dn_apply(sys, gamma, np.eye(sys.grid.boundary_ids(gamma).size))
+    the boundary. ``dn_apply`` on the identity serves the full boundary and
+    the interior blocks that :func:`_layer_stripped` rejects."""
+    lam = _layer_stripped(sys, gamma) if gamma in (GAMMA0, GAMMA1) else None
+    if lam is None:
+        lam = dn_apply(sys, gamma, np.eye(sys.grid.boundary_ids(gamma).size))
     return DNMatrix(lam, gamma, sys.grid)
 
 
@@ -448,9 +488,9 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     solver = InteriorSolver(sys.matrix, grid, FULL_BOUNDARY)
     out = np.empty((G.size, V.shape[1]))
     # One node array for all chunks: extend writes only its free rows, so
-    # the rows off G stay zero. With a fresh array per chunk the heap
-    # fragmented: a 576-column map run after a gap study peaked at 417 MB
-    # process RSS instead of 309 MB.
+    # the rows off G stay zero. A fresh array per chunk fragments the heap:
+    # a 576-column map (the fallback of dn_map_partial) run after a gap
+    # study peaked at 417 MB process RSS instead of 309 MB.
     U = np.zeros((grid.node_count, min(V.shape[1], _DENSE_CHUNK)))
     for lo in range(0, V.shape[1], _DENSE_CHUNK):
         cols = V[:, lo : lo + _DENSE_CHUNK]

@@ -117,18 +117,35 @@ class TestConfigErrors:
             ("counterexample-study", {**_STUDY_CFG, "eps": []}),
             ("counterexample-study", {**_STUDY_CFG, "strides": []}),
             ("counterexample-study", {**_STUDY_CFG, "strides": [2, 0]}),
+            (
+                "counterexample-study",
+                {**_STUDY_CFG, "synth": {"grid": {"num_t": 9, "num_ang": [8, 8]}}, "strides": [3]},
+            ),
+            ("counterexample-study", {**_STUDY_CFG, "strides": [12]}),
             ("dn-compare", {"n": 2, "sizes": [], "transform": {"kind": "conformal-2d"}}),
             (
                 "dn-compare",
                 {"n": 2, "sizes": [9, 9], "transform": {"kind": "conformal-2d", "factor": {"seed": 1}}},
+            ),
+            (
+                "dn-compare",
+                {
+                    "n": 2,
+                    "sizes": [9, 17],
+                    "transform": {
+                        "kind": "conformal-2d",
+                        "factor": {"seed": 1, "offset": 0.0, "amplitude": 1.0},
+                    },
+                },
             ),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
             "shear-not-object", "folding-diffeo", "shear-axis-out-of-range",
             "nan", "infinity", "overflow",
-            "no-tuples", "no-seeds", "no-eps", "no-strides", "zero-stride", "no-sizes",
-            "one-size-order-fit",
+            "no-tuples", "no-seeds", "no-eps", "no-strides", "zero-stride",
+            "stride-not-dividing-grid", "stride-too-coarse", "no-sizes",
+            "one-size-order-fit", "factor-not-positive",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):

@@ -8,8 +8,8 @@ Verifies:
     its Kronecker formula
   - Dirichlet solves reproduce fields the element space contains exactly
   - DN symmetry, metric homogeneity, zero-potential equivalence
-  - the dense DN map is the same whether its columns go through the
-    interior solver in one chunk or in many
+  - dn_apply on the identity gives the same map whether its columns go
+    through the interior solver in one chunk or in many
   - mode eigenvalues approach the separated-variables values
   - singular interior blocks are detected by every solve entry point
 """
@@ -285,9 +285,9 @@ class TestDNMap:
     def test_multi_chunk_matches_single_chunk(self, bumpy9, monkeypatch):
         # 64 boundary columns: one chunk by default, ten chunks of at most 7
         sys = assemble_stiffness(bumpy9)
-        lam = dn_map_partial(sys, GAMMA1).matrix
+        lam = dn_apply(sys, GAMMA1, np.eye(64))
         monkeypatch.setattr(dn_solver, "_DENSE_CHUNK", 7)
-        lam7 = dn_map_partial(sys, GAMMA1).matrix
+        lam7 = dn_apply(sys, GAMMA1, np.eye(64))
         assert np.abs(lam7 - lam).max() <= 1e-12 * np.abs(lam).max()
 
     def test_wrong_trace_rows_rejected(self, grid5):

@@ -10,6 +10,10 @@ Verifies:
     quadrature points, and is exactly 1 on the flat metric, whose block
     the preconditioner inverts exactly
   - an indefinite but nonsingular block falls back to LU and still solves
+  - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match the
+    dense sparse-LU Schur complement to 3e-14 and the CG map of dn_apply to
+    1e-10; an indefinite interior block and the full boundary still take
+    the CG/LU route
   - a boundary component name the grid does not know is rejected
 """
 
@@ -20,6 +24,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from calderon_lab import analytic as an
+from calderon_lab import dn_solver
 from calderon_lab.conformal import (
     ConformalFactor,
     conformal_potential,
@@ -30,6 +35,8 @@ from calderon_lab.dn_solver import (
     BoundaryTrace,
     InteriorSolver,
     assemble_stiffness,
+    dn_apply,
+    dn_map_partial,
     dn_mode_matrix,
     fourier_modes,
     smallest_dirichlet_eigenvalue,
@@ -93,8 +100,29 @@ def _lu_reference(sys, gamma=GAMMA1):
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
 
 
+def _dense_lu_reference(sys, gamma):
+    """Dense Schur complement K_GG - K_GI K_II^{-1} K_IG on ``gamma``, sliced
+    here and solved with splu of the interior block."""
+    grid = sys.grid
+    K = sys.matrix
+    I = grid.interior_ids()
+    G = grid.boundary_ids(gamma)
+    lu = spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return K[G][:, G].toarray() - K[G][:, I] @ lu.solve(K[I][:, G].toarray())
+
+
 def _rel(a, b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _shifted_system(metric):
+    """-Lap_g - (lam1 + 0.5) on the flat cylinder: the second Dirichlet
+    eigenvalue is lam1 plus the first angular one (about 1), so the shifted
+    interior block has exactly one negative eigenvalue, indefinite but
+    nonsingular."""
+    lam1 = smallest_dirichlet_eigenvalue(metric)
+    shift = -(lam1 + 0.5) * np.ones(metric.grid.shape)
+    return assemble_stiffness(metric, potential=shift, potential_id="shift")
 
 
 def _link_system(metric):
@@ -175,14 +203,8 @@ def test_unknown_component_rejected(bumpy9):
 
 
 def test_indefinite_block_falls_back_to_lu(flat9):
-    # On the flat cylinder the second Dirichlet eigenvalue is lam1 plus the
-    # first angular one (about 1), so lam1 + 0.5 leaves the shifted block
-    # with exactly one negative eigenvalue: indefinite but nonsingular.
     grid = flat9.grid
-    lam1 = smallest_dirichlet_eigenvalue(flat9)
-    sys = assemble_stiffness(
-        flat9, potential=-(lam1 + 0.5) * np.ones(grid.shape), potential_id="shift"
-    )
+    sys = _shifted_system(flat9)
     bc = BoundaryTrace.constant(grid, 1.0)
     u = solve_dirichlet(sys, bc).values.ravel()
 
@@ -195,3 +217,44 @@ def test_indefinite_block_falls_back_to_lu(flat9):
     assert solver.iterations is None  # CG broke down, LU answered
     u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     assert _rel(u[I], u_ref) <= 1e-10
+
+
+class TestLayerStripping:
+    """The dense map on one end against the splu Schur complement at 3e-14,
+    a bound the CG route (1e-13 to 6e-13 here) does not meet, and against
+    that route at 1e-10."""
+
+    @staticmethod
+    def _check(sys, gamma):
+        lam = dn_map_partial(sys, gamma).matrix
+        assert _rel(lam, _dense_lu_reference(sys, gamma)) <= 3e-14
+        assert _rel(lam, dn_apply(sys, gamma, np.eye(lam.shape[0]))) <= 1e-10
+
+    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    @pytest.mark.parametrize(
+        "n,size", [(3, s) for s in SIZES] + [(4, 9)]
+    )
+    def test_random_trig(self, n, size, gamma):
+        g = sample_metric(random_trig_metric(n, seed=size), cyl_grid(n, size))
+        self._check(assemble_stiffness(g), gamma)
+
+    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_link_system_with_potential(self, size, gamma):
+        g = sample_metric(random_trig_metric(3, seed=0, max_mode=1), cyl_grid(3, size))
+        self._check(_link_system(g), gamma)
+
+    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    def test_counterexample_metric(self, counterexample_metric, gamma):
+        self._check(assemble_stiffness(counterexample_metric), gamma)
+
+    def test_indefinite_block_falls_back(self, flat9):
+        sys = _shifted_system(flat9)
+        assert dn_solver._layer_stripped(sys, GAMMA1) is None
+        lam = dn_map_partial(sys, GAMMA1).matrix
+        assert _rel(lam, _dense_lu_reference(sys, GAMMA1)) <= 1e-10
+
+    def test_full_boundary_stays_on_cg(self, bumpy9):
+        sys = assemble_stiffness(bumpy9)
+        lam = dn_map_partial(sys, FULL_BOUNDARY).matrix
+        assert _rel(lam, _dense_lu_reference(sys, FULL_BOUNDARY)) <= 1e-10
