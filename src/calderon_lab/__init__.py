@@ -53,6 +53,7 @@ from .calculus import (
     CovectorField,
     ScalarField,
     divergence_form_apply,
+    divergence_form_jacobian,
     gradient,
     integrate_volume,
     interior,

@@ -16,8 +16,10 @@ the returned table are NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 from .analytic import AnalyticScalar, constant as analytic_constant
 from .errors import BoundaryLayerRequested, GridMismatch
@@ -93,11 +95,17 @@ def gradient(f: ScalarField) -> CovectorField:
     return CovectorField(grid, comps)
 
 
+def _field_values(f: ScalarField | np.ndarray, grid: CylinderGrid) -> np.ndarray:
+    """The node table of a field or array, checked against ``grid``."""
+    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
+    if values.shape != grid.shape:
+        raise GridMismatch(f"field shape {values.shape}, expected {grid.shape}")
+    return values
+
+
 def integrate_volume(f: ScalarField | np.ndarray, g: MetricField) -> float:
     """Quadrature of f against the metric volume element sqrt(det g)."""
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
-    if values.shape != g.grid.shape:
-        raise GridMismatch(f"field shape {values.shape}, expected {g.grid.shape}")
+    values = _field_values(f, g.grid)
     return float(np.sum(values * g.sqrt_det * g.grid.quad_weights))
 
 
@@ -116,6 +124,17 @@ def _half_shift(values: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     return 0.5 * (values[tuple(lo)] + values[tuple(hi)])
 
 
+def _flux_factors(values: np.ndarray, grid: CylinderGrid, i: int) -> list:
+    """The n factors that multiply the half-shifted weights W^{i0..i(n-1)}
+    in the flux along direction i, on the half-nodes of direction i: the
+    two-point difference along i for j == i, else the half-shifted centered
+    derivative along j."""
+    periodic = i > 0
+    h = grid.spacings[i]
+    diff = (np.roll(values, -1, i) - values) / h if periodic else (values[1:] - values[:-1]) / h
+    return [diff if j == i else _half_shift(_centered_diff(values, grid, j), i, periodic) for j in range(grid.n)]
+
+
 def divergence_form_apply(
     weight: np.ndarray, f: ScalarField | np.ndarray, grid: CylinderGrid
 ) -> np.ndarray:
@@ -127,36 +146,21 @@ def divergence_form_apply(
     derivative along the flux direction is the natural two-point
     difference. Returns a full node table whose t-boundary layers are NaN.
     """
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
+    values = _field_values(f, grid)
     n = grid.n
-    if values.shape != grid.shape:
-        raise GridMismatch(f"field shape {values.shape}, expected {grid.shape}")
     if weight.shape != grid.shape + (n, n):
         raise GridMismatch(f"weight shape {weight.shape}, expected {grid.shape + (n, n)}")
     h = grid.spacings
 
-    # centered first derivatives at nodes, used for the cross terms
-    centered = [_centered_diff(values, grid, ax) for ax in range(n)]
-
     out = np.zeros(grid.shape)
     for i in range(n):
         periodic = i > 0
+        factors = _flux_factors(values, grid, i)
         # flux_i on half-nodes of direction i
-        if periodic:
-            din = (np.roll(values, -1, i) - values) / h[i]
-        else:
-            lo = [slice(None)] * n
-            hi = [slice(None)] * n
-            lo[i] = slice(None, -1)
-            hi[i] = slice(1, None)
-            din = (values[tuple(hi)] - values[tuple(lo)]) / h[i]
-        flux = _half_shift(weight[..., i, i], i, periodic) * din
+        flux = _half_shift(weight[..., i, i], i, periodic) * factors[i]
         for j in range(n):
-            if j == i:
-                continue
-            flux = flux + _half_shift(weight[..., i, j], i, periodic) * _half_shift(
-                centered[j], i, periodic
-            )
+            if j != i:
+                flux = flux + _half_shift(weight[..., i, j], i, periodic) * factors[j]
         if periodic:
             out += (flux - np.roll(flux, 1, i)) / h[i]
         else:
@@ -164,6 +168,33 @@ def divergence_form_apply(
     out[0] = np.nan
     out[-1] = np.nan
     return out
+
+
+def divergence_form_jacobian(
+    f: ScalarField | np.ndarray, grid: CylinderGrid, i: int, j: int
+) -> sp.csr_matrix:
+    """Derivative of the interior rows of :func:`divergence_form_apply`
+    with respect to the weight slot W^{ij} (the table ``weight[..., i, j]``
+    flattened), for an angular direction i.
+
+    The stencil is linear in the weight, so this is the exact sparse
+    product ``Div_i diag(factor_ij) Half_i``: half-shift onto the
+    half-nodes of direction i, the flux factor of slot (i, j), periodic
+    difference back to the nodes. Shape (interior nodes, nodes).
+    """
+    values = _field_values(f, grid)
+    if not 0 < i < grid.n or not 0 <= j < grid.n:
+        raise ValueError(f"slot ({i}, {j}) is not an angular flux slot of an n = {grid.n} grid")
+    L = grid.shape[i]
+    nxt = sp.csr_matrix((np.ones(L), (np.arange(L), (np.arange(L) + 1) % L)), shape=(L, L))
+    # nodes are numbered row-major, so an operator along axis i is a
+    # Kronecker product with identities on the other axes
+    eyes = [sp.identity(N, format="csr") for N in grid.shape]
+    half = reduce(sp.kron, eyes[:i] + [0.5 * (eyes[i] + nxt)] + eyes[i + 1 :])
+    div = reduce(sp.kron, eyes[:i] + [(eyes[i] - nxt.T) / grid.spacings[i]] + eyes[i + 1 :])
+    J = (div @ sp.diags(_flux_factors(values, grid, i)[j].ravel()) @ half).tocsr()
+    layer = grid.node_count // grid.num_t
+    return J[layer:-layer]
 
 
 def laplace_beltrami_pointwise(g: MetricField, f: ScalarField | np.ndarray) -> np.ndarray:

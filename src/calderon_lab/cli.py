@@ -38,13 +38,14 @@ from .counterexample import (
     synth_approx_miller,
     validate_miller_properties,
 )
-from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
+from .dn_solver import assemble_stiffness, dn_mode_matrix, fourier_modes, mode_gap
 from .errors import (
     CalderonLabError,
     ConfigInvalid,
     DimensionTooSmall,
     GridMismatch,
     NonOrientationPreserving,
+    ShapeMismatch,
     TrivialU,
 )
 from .gauge import bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pullback_metric
@@ -70,11 +71,11 @@ def _finite(text: str) -> float:
 
 
 def _load_config(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigInvalid(f"config file {path!r} does not exist")
     try:
         with open(path) as f:
             cfg = json.load(f, parse_float=_finite, parse_constant=_finite)
+    except OSError as e:
+        raise ConfigInvalid(f"cannot read config file {path!r}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise ConfigInvalid(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
@@ -111,6 +112,14 @@ def _nums(cfg: dict, key: str, default, kind=int) -> list:
     return vals
 
 
+def _seed(cfg: dict) -> int:
+    """The ``seed`` key; numpy rejects negative seeds."""
+    seed = _num(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _grid(build, *args) -> CylinderGrid:
     """``build(*args)`` for a grid builder or a coarsening; an invalid size,
     dimension or stride in the config is a config error."""
@@ -118,6 +127,14 @@ def _grid(build, *args) -> CylinderGrid:
         return build(*args)
     except (ValueError, DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
+
+
+def _modes_fit(grid: CylinderGrid, cut: float) -> None:
+    """A mode cut that aliases on ``grid`` is a config error."""
+    try:
+        fourier_modes(grid, cut)
+    except ShapeMismatch as e:
+        raise ConfigInvalid(f"cut {cut} is too high for grid {grid.shape}: {e}") from e
 
 
 def _gamma(cfg: dict, key: str = "gamma", default: str = "gamma1") -> str:
@@ -133,7 +150,7 @@ def _metric_source(spec, n: int):
     if isinstance(spec, dict) and spec.get("kind") == "random-trig":
         return random_trig_metric(
             n,
-            seed=_num(spec, "seed", 0),
+            seed=_seed(spec),
             amplitude=_num(spec, "amplitude", 0.4 / n, float),
             max_mode=_num(spec, "max_mode", 1),
         )
@@ -144,7 +161,7 @@ def _random_factor_source(spec, n: int):
     if spec is None or spec == "one":
         return an.constant(1.0, n)
     if isinstance(spec, dict):
-        rng = np.random.default_rng(_num(spec, "seed", 0))
+        rng = np.random.default_rng(_seed(spec))
         amplitude = _num(spec, "amplitude", 0.25, float)
         offset = _num(spec, "offset", 1.3, float)
         # the waves sum to at most |amplitude|, so this keeps the factor positive
@@ -205,7 +222,7 @@ def _run_verify_identities(cfg: dict, threads: int) -> ExperimentReport:
     tuples = _num(cfg, "tuples", 20)
     if tuples < 1:
         raise ConfigInvalid(f"tuples must be at least 1, got {tuples}")
-    seed = _num(cfg, "seed", 0)
+    seed = _seed(cfg)
     tol_id = _num(cfg, "identity_tol", 1e-12, float)
     tol_triv = _num(cfg, "trivial_tol", 1e-10, float)
     rep = ExperimentReport("verify-identities", cfg)
@@ -277,6 +294,8 @@ def _run_dn_compare(cfg: dict, threads: int) -> ExperimentReport:
         raise ConfigInvalid(f"unknown transform kind {kind!r}")
     if not identity_like and len(set(sizes)) < 2:
         raise ConfigInvalid(f"fitting gap_order needs two distinct sizes, got {sizes}")
+    for grid in grids:
+        _modes_fit(grid, cut)
 
     rep = ExperimentReport("dn-compare", cfg)
     gaps = []
@@ -312,18 +331,20 @@ def _collar_flat_source(transform: dict, n: int) -> an.AnalyticScalar:
     amp = _num(transform, "amplitude", 0.3, float)
     lo = _num(transform, "collar", 0.15, float)
     prof = an.bump(lo, 1.0 - lo, n, 0)
-    rng = np.random.default_rng(_num(transform, "seed", 0))
+    rng = np.random.default_rng(_seed(transform))
     ang = an.trig_sum(n, rng, terms=2, amplitude=0.5, max_mode=1, offset=1.0)
     return an.constant(1.0, n) + prof * ang * an.constant(amp, n)
 
 
-def _synth(spec: dict):
+def _synth(spec: dict, check=None):
     """Run :func:`synth_approx_miller` on a synth block; returns
-    (dataset, build report)."""
+    (dataset, build report). ``check(grid)`` vets the grid beforehand."""
     gspec = _require(spec, "grid", dict)
     for key in ("num_t", "num_ang"):
         _require(gspec, key)
     grid = _grid(CylinderGrid, 3, _num(gspec, "num_t", None), _nums(gspec, "num_ang", None))
+    if check is not None:
+        check(grid)
     return synth_approx_miller(
         grid,
         T=_num(spec, "T", 1.0, float),
@@ -339,14 +360,18 @@ def _synth(spec: dict):
     )
 
 
-def _dataset_from_config(cfg: dict):
+def _dataset_from_config(cfg: dict, check):
+    """The dataset a config names or synthesises, with its origin;
+    ``check(grid)`` vets the dataset grid before any synthesis."""
     if "dataset" in cfg:
         path = cfg["dataset"]
         if not isinstance(path, str) or not os.path.exists(path):
             raise ConfigInvalid(f"dataset file {path!r} does not exist")
-        return load_dataset(path, validate=False), {"dataset": path}
+        data = load_dataset(path, validate=False)
+        check(data.grid)
+        return data, {"dataset": path}
     if "synth" in cfg:
-        data, synth_rep = _synth(_require(cfg, "synth", dict))
+        data, synth_rep = _synth(_require(cfg, "synth", dict), check)
         return data, {"synth": synth_rep}
     raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
@@ -362,9 +387,13 @@ def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
     r2_min = _num(cfg, "r2_min", 0.9, float)
     iso_eps = _num(cfg, "nonisometry_eps", 0.05, float)
     iso_tol = _num(cfg, "nonisometry_tol", 1e-10, float)
-    data, origin = _dataset_from_config(cfg)
-    for s in strides:
-        _grid(data.grid.coarsen, s)  # a stride must divide the dataset grid
+
+    def check(grid: CylinderGrid) -> None:
+        # a stride must divide the dataset grid, and the modes fit the coarsest
+        for s in strides:
+            _modes_fit(_grid(grid.coarsen, s), cut)
+
+    data, origin = _dataset_from_config(cfg, check)
     rep = ExperimentReport("counterexample-study", cfg)
     rep.scalars.update(origin)
 
@@ -410,12 +439,14 @@ def _run_validate_dataset(cfg: dict, threads: int) -> ExperimentReport:
 
 
 def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+    output = cfg.get("output", "dataset.json")
+    if not isinstance(output, str) or os.path.basename(output) != output or output in ("", ".", ".."):
+        raise ConfigInvalid(f"output must be a bare file name, got {output!r}")
     rep = ExperimentReport("synth-dataset", cfg)
     data, synth_rep = _synth(cfg)
-    out_path = os.path.join(out_dir, cfg.get("output", "dataset.json"))
-    save_dataset(data, out_path)
+    save_dataset(data, os.path.join(out_dir, output))
     rep.scalars["synth"] = synth_rep
-    rep.scalars["output"] = os.path.basename(out_path)
+    rep.scalars["output"] = output
     rep.add_verdict("residual_not_worse_than_baseline",
                     synth_rep["achieved_l2"] - synth_rep["baseline_l2"], 0.0)
     return rep
@@ -425,6 +456,8 @@ def _run_rigidity_check(cfg: dict, threads: int) -> ExperimentReport:
     n = _num(cfg, "n", 3)
     size = _num(cfg, "size", 9)
     seeds = _nums(cfg, "seeds", range(5))
+    if min(seeds) < 0:
+        raise ConfigInvalid(f"seeds must be non-negative, got {seeds}")
     tol = _num(cfg, "tolerance", 1e-10, float)
     rep = ExperimentReport("rigidity-check", cfg)
     grid = _grid(cyl_grid, n, size)
@@ -484,6 +517,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         threads = max(1, args.threads)
         out_dir = args.out or cfg.get("out") or os.path.join("reports", args.command)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except (TypeError, OSError) as e:
+            raise ConfigInvalid(f"cannot create output directory {out_dir!r}: {e}") from e
         report = run(args.command, cfg, out_dir, threads)
         emit_report(report, out_dir)
     except ConfigInvalid as e:

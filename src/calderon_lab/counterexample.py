@@ -30,7 +30,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import analytic as an
-from .calculus import ScalarField, divergence_form_apply, integrate_volume, interior, laplace_beltrami_pointwise
+from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume, interior
+from .calculus import laplace_beltrami_pointwise
 from .conformal import conformal_family, scale_metric, volume_expansion, weak_condition_residual
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 from .errors import (
@@ -393,72 +394,14 @@ def cauchy_data_check(u: ScalarField, k_max: int) -> np.ndarray:
 # -- approximate dataset synthesis -------------------------------------------
 
 
-def _stripe_stride(length: int) -> int:
-    """Smallest divisor >= 3 of the axis length (falls back to the length
-    itself for short prime axes); guarantees probe stripes never collide
-    within the width-3 dependence window of the flux stencil."""
-    for s in range(3, length + 1):
-        if length % s == 0:
-            return s
-    return length
-
-
-def _probe_slot(u_vals: np.ndarray, grid: CylinderGrid, slot: tuple, axis: int, unknown: np.ndarray):
-    """COO triplets of the interior-residual Jacobian w.r.t. one weight slot.
-
-    The flux stencil is linear in the weight, and a unit weight at node q
-    only reaches residuals at q and its two axis-neighbours; probing with
-    stride-separated index stripes therefore recovers every column of the
-    Jacobian exactly, without duplicating the stencil formulas here.
-    """
-    shape = grid.shape
-    L = shape[axis]
-    s = _stripe_stride(L)
-    stripe_of = np.arange(L).reshape([-1 if d == axis else 1 for d in range(3)]) % s
-    node_id = np.arange(int(np.prod(shape))).reshape(shape)
-    rows_all, cols_all, vals_all = [], [], []
-    for c in range(s):
-        probed = (stripe_of == c) & unknown
-        W = np.zeros(shape + (3, 3))
-        W[..., slot[0], slot[1]] = probed
-        r = divergence_form_apply(W, u_vals, grid)[1:-1].ravel()
-        # the one probed node within reach of each residual node, else -1
-        owner = np.where(probed, node_id, -1)
-        col = np.maximum.reduce([np.roll(owner, d, axis=axis) for d in (-1, 0, 1)])[1:-1].ravel()
-        rows = np.flatnonzero((col >= 0) & (r != 0.0))
-        rows_all.append(rows)
-        cols_all.append(col[rows])
-        vals_all.append(r[rows])
-    return np.concatenate(rows_all), np.concatenate(cols_all), np.concatenate(vals_all)
-
-
 def _coefficient_jacobian(u_vals: np.ndarray, grid: CylinderGrid, unknown: np.ndarray):
     """Sparse Jacobian of the interior divergence-form residual w.r.t. the
     stacked unknown fields (a1, a2, a3) at unknown nodes."""
-    shape = grid.shape
-    n_nodes = int(np.prod(shape))
-    n_rows = (shape[0] - 2) * shape[1] * shape[2]
-    col_of_node = np.full(n_nodes, -1, dtype=int)
     unk_flat = np.flatnonzero(unknown.ravel())
-    col_of_node[unk_flat] = np.arange(unk_flat.size)
-    n_unk = unk_flat.size
-
-    blocks = []
-    # field a1 sits in slot (1,1) with x-window; a3 in (2,2) with y-window;
-    # a2 reaches residuals through both off-diagonal slots, one axis each
-    plan = [(0, (1, 1), 1), (1, (1, 2), 1), (1, (2, 1), 2), (2, (2, 2), 2)]
-    rows_all, cols_all, vals_all = [], [], []
-    for field, slot, axis in plan:
-        rows, cols, vals = _probe_slot(u_vals, grid, slot, axis, unknown)
-        rows_all.append(rows)
-        cols_all.append(field * n_unk + col_of_node[cols])
-        vals_all.append(vals)
-    G = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n_rows, 3 * n_unk),
-    )
-    G.sum_duplicates()
-    return G.tocsr(), unk_flat
+    # a1 sits in slot (1,1), a3 in (2,2); a2 fills both off-diagonal slots
+    J = {slot: divergence_form_jacobian(u_vals, grid, *slot) for slot in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    blocks = (J[1, 1], J[1, 2] + J[2, 1], J[2, 2])
+    return sp.hstack([B[:, unk_flat] for B in blocks], format="csr"), unk_flat
 
 
 def synth_approx_miller(
@@ -502,8 +445,7 @@ def synth_approx_miller(
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown[1:-1] = (t[1:-1] < T - 1e-12)[:, None, None]
 
-    eye = np.zeros(grid.shape + (3, 3))
-    eye[...] = np.eye(3)
+    eye = np.broadcast_to(np.eye(3), grid.shape + (3, 3))
     b = -interior(divergence_form_apply(eye, u.values, grid)).ravel()
     G, unk_flat = _coefficient_jacobian(u.values, grid, unknown)
 
@@ -524,12 +466,9 @@ def synth_approx_miller(
         tau, achieved = taus[k], residuals[k]
         a_vec = tau * a_vec
 
-    n_unk = unk_flat.size
-    fields = []
-    for k in range(3):
-        f = np.zeros(grid.node_count)
-        f[unk_flat] = a_vec[k * n_unk : (k + 1) * n_unk]
-        fields.append(f.reshape(grid.shape))
+    fields = np.zeros((3, grid.node_count))
+    fields[:, unk_flat] = a_vec.reshape(3, -1)
+    fields = fields.reshape((3, *grid.shape))
     zt = np.zeros(grid.num_t)
     data = MillerDataset(
         grid, fields[0], fields[1], fields[2], zt, zt.copy(), u.values,
@@ -543,7 +482,7 @@ def synth_approx_miller(
         "box": box,
         "damp": damp,
         "lsqr_iterations": itn,
-        "unknowns": 3 * n_unk,
+        "unknowns": a_vec.size,
         "rows": G.shape[0],
     }
     return data, report
@@ -618,19 +557,11 @@ def dn_gap_study(
     cells = []
     for stride in strides:
         ds = data.coarsen(stride) if stride != 1 else data
-        if n == 3:
-            g = assemble_counterexample_metric_3d(ds)
-        else:
-            big = CylinderGrid(n, ds.grid.num_t, ds.grid.num_ang + (6,) * (n - 3))
-            g = assemble_counterexample_metric_nd(ds, big)
+        big = CylinderGrid(n, ds.grid.num_t, ds.grid.num_ang + (6,) * (n - 3))
+        g = assemble_counterexample_metric_nd(ds, big)
         sys_g = assemble_stiffness(g)
         B_g, _ = dn_mode_matrix(sys_g, gamma, cut)
-        if n == 3:
-            u = ScalarField(ds.grid, ds.u)
-        else:
-            u = ScalarField(g.grid, np.broadcast_to(
-                ds.u.reshape(ds.grid.shape + (1,) * (n - 3)), g.grid.shape
-            ).copy())
+        u = ScalarField(big, np.broadcast_to(ds.u.reshape(ds.grid.shape + (1,) * (n - 3)), big.shape).copy())
         lap = interior(laplace_beltrami_pointwise(g, u.values))
         wq = interior(g.grid.quad_weights * g.sqrt_det)
         r = float(np.sqrt(np.sum(wq * lap * lap)))

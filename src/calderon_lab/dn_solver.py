@@ -13,8 +13,9 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 Rayleigh quotients against the boundary mass matrix.
 
 Assembly is deterministic: element matrices are symmetrised and
-scattered cell-major, and duplicates are summed with a stable sort, so the
-stiffness matrix is bitwise symmetric and independent of chunking.
+scattered cell-major into one sparsity pattern that the stiffness and mass
+matrices share, and duplicates are summed in that input order, so the
+stiffness matrix is bitwise symmetric.
 
 Every interior solve but one goes through :class:`InteriorSolver`,
 named by the boundary component whose values are fixed (``GAMMA0``,
@@ -82,7 +83,7 @@ def _cell_nodes(grid: CylinderGrid) -> np.ndarray:
     Corner L of a cell offsets the cell's base node by the bits of L
     (axis 0 = most significant bit), modulo the period on angular axes.
     """
-    # int32 halves the index arrays that the duplicate summation sorts
+    # int32 halves the cell-node table; the scatter widens its keys to int64
     ids = np.arange(grid.node_count, dtype=np.int32).reshape(grid.shape)
     axes = tuple(range(grid.n))
     return np.stack(
@@ -113,23 +114,31 @@ def _q1_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return N, G
 
 
-def _dedup_coo(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int
-) -> sp.csr_matrix:
-    """Sum duplicate entries with a stable sort so the summation order is a
-    deterministic function of the input layout."""
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    if r.size == 0:
-        return sp.csr_matrix((size, size))
-    new = np.empty(r.size, dtype=bool)
-    new[0] = True
-    new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new)
-    summed = np.add.reduceat(v, starts)
-    return sp.csr_matrix(
-        (summed, (r[starts], c[starts])), shape=(size, size)
-    )
+def _scatter_pattern(nodes: np.ndarray, size: int):
+    """CSR pattern of the cell-major element scatter: the CSR slot of every
+    element-matrix entry, plus the column indices and row pointers."""
+    key = (nodes[:, :, None].astype(np.int64) * size + nodes[:, None, :]).ravel()
+    # np.unique(key, return_inverse=True), without its extra key-sized
+    # temporaries: the scatter sets the assembly's peak memory
+    order = np.argsort(key)
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1]))
+    rank = np.cumsum(first)
+    rank -= 1
+    slot = np.empty_like(rank)
+    slot[order] = rank
+    key = key[first]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // size, minlength=size), out=indptr[1:])
+    return slot, key % size, indptr
+
+
+def _scatter(pattern, elem: np.ndarray, size: int) -> sp.csr_matrix:
+    """Sum the element matrices into the pattern; duplicates add up in
+    input order, so the result is a deterministic function of the layout."""
+    slot, indices, indptr = pattern
+    data = np.bincount(slot, weights=elem.ravel(), minlength=indices.size)
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +209,9 @@ def assemble_stiffness(
     elem_k = 0.5 * (elem_k + elem_k.transpose(0, 2, 1))
     del g_cells, v_cells  # the scatter below sets the peak memory
 
-    rows = np.repeat(nodes, n_loc, axis=1).ravel()
-    cols = np.tile(nodes, (1, n_loc)).ravel()
-    K = _dedup_coo(rows, cols, elem_k.ravel(), size)
-    M = _dedup_coo(rows, cols, elem_m.ravel(), size) if elem_m is not None else None
+    pattern = _scatter_pattern(nodes, size)
+    K = _scatter(pattern, elem_k, size)
+    M = _scatter(pattern, elem_m, size) if elem_m is not None else None
     return StiffnessSystem(
         grid, K, mass=M, potential_id=potential_id if potential is not None else None
     )

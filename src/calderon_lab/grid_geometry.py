@@ -433,39 +433,24 @@ class MillerDataset:
 
 def assemble_counterexample_metric_3d(data: MillerDataset) -> MetricField:
     """Metric on [0,1] x T^2 whose weight matrix equals the dataset's
-    coefficient matrix:
-
-        g = D dt^2 + (1+a3+A3) dx^2 - 2 a2 dx dy + (1+a1+A1) dy^2,
-
-    with D the coefficient determinant. Note the swap: the dx^2 slot takes
-    the *a3* coefficient and the dy^2 slot the *a1* one; that is what makes
-    sqrt(det g) * g^{-1} reproduce the coefficient matrix.
-    """
-    grid = data.grid
-    D = data.block_determinant()
-    if (D <= 0.0).any():
-        node = np.unravel_index(int(np.argmin(D)), grid.shape)
-        raise DegenerateDeterminant(node, float(D[node]))
-    g = np.zeros(grid.shape + (3, 3))
-    g[..., 0, 0] = D
-    g[..., 1, 1] = 1.0 + data.a3 + data.rough3()
-    g[..., 1, 2] = -data.a2
-    g[..., 2, 1] = -data.a2
-    g[..., 2, 2] = 1.0 + data.a1 + data.rough1()
-    return metric_from_matrices(grid, g)
+    coefficient matrix: :func:`assemble_counterexample_metric_nd` on the
+    dataset's own grid."""
+    return assemble_counterexample_metric_nd(data, data.grid)
 
 
 def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -> MetricField:
-    """The n-dimensional version: a conformal power of the determinant times
-    a block metric,
+    """A conformal power of the coefficient determinant D times a block
+    metric,
 
         g = D^{1/(n-2)} ( dt^2
                           + D^{-1} [ (1+a3+A3) dx1^2 - 2 a2 dx1 dx2 + (1+a1+A1) dx2^2 ]
                           + sum_{k>=3} dxk^2 ).
 
-    The first two angular axes of ``grid`` must match the dataset's; fields
-    are constant along any extra angular axes. For n = 3 this reproduces the
-    3-D assembler node for node.
+    Note the swap: the dx1^2 slot takes the *a3* coefficient and the dx2^2
+    slot the *a1* one; at n = 3 that is what makes sqrt(det g) * g^{-1}
+    reproduce the coefficient matrix. The first two angular axes of
+    ``grid`` must match the dataset's; fields are constant along any extra
+    angular axes.
     """
     n = grid.n
     if n < 3:
@@ -485,12 +470,14 @@ def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -
     b12 = (-data.a2).reshape(D.shape)
 
     factor = D ** (1.0 / (n - 2))
+    # at n = 3, factor / D is exactly 1.0, so the block is the dataset's
+    scale = factor / D
     g = np.zeros(data.grid.shape + extra + (n, n))
     g[..., 0, 0] = factor
-    g[..., 1, 1] = factor * b11 / D
-    g[..., 1, 2] = factor * b12 / D
-    g[..., 2, 1] = factor * b12 / D
-    g[..., 2, 2] = factor * b22 / D
+    g[..., 1, 1] = scale * b11
+    g[..., 1, 2] = scale * b12
+    g[..., 2, 1] = scale * b12
+    g[..., 2, 2] = scale * b22
     for k in range(3, n):
         g[..., k, k] = factor
     return metric_from_matrices(grid, np.broadcast_to(g, grid.shape + (n, n)))

@@ -7,6 +7,9 @@ Verifies:
   - the conservative stencil applied to the flat metric reproduces the
     Laplacian of trigonometric fields at second order
   - boundary t-layers of divergence output are NaN and guarded
+  - the sparse Jacobian of the stencil with respect to one angular weight
+    slot reproduces the stencil with only that slot set, on prime axis
+    lengths and at n = 3 and 4
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from calderon_lab.calculus import (
     CovectorField,
     ScalarField,
     divergence_form_apply,
+    divergence_form_jacobian,
     gradient,
     integrate_volume,
     interior,
@@ -24,7 +28,7 @@ from calderon_lab.calculus import (
     require_full_layers,
 )
 from calderon_lab.errors import BoundaryLayerRequested, GridMismatch
-from calderon_lab.grid_geometry import cyl_grid, flat_metric, sample_metric
+from calderon_lab.grid_geometry import CylinderGrid, cyl_grid, flat_metric, sample_metric
 
 # Hand quadrature for the frozen integral below: the flat volume of
 # [0,1] x T^2 is (2 pi)^2, and int_0^{2pi} sin^2 = pi, so
@@ -146,3 +150,28 @@ class TestDivergenceForm:
         out = divergence_form_apply(flat9.weight, np.ones(grid9.shape), grid9)
         with pytest.raises(BoundaryLayerRequested):
             require_full_layers(out)
+
+
+class TestDivergenceFormJacobian:
+    @pytest.mark.parametrize(
+        "n,num_t,num_ang",
+        [(3, 6, (7, 5)), (3, 5, (9, 8)), (4, 5, (7, 5, 4))],
+        ids=["n3-prime", "n3-composite", "n4-prime"],
+    )
+    def test_matches_stencil_per_slot(self, n, num_t, num_ang):
+        grid = CylinderGrid(n, num_t, num_ang)
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=grid.shape)
+        for i in range(1, n):
+            for j in range(n):
+                w = rng.normal(size=grid.shape)
+                W = np.zeros(grid.shape + (n, n))
+                W[..., i, j] = w
+                direct = interior(divergence_form_apply(W, f, grid)).ravel()
+                J = divergence_form_jacobian(f, grid, i, j)
+                err = np.abs(J @ w.ravel() - direct).max()
+                assert err < 1e-13, f"slot ({i}, {j}): {err:.2e}"
+
+    def test_t_direction_rejected(self, grid9):
+        with pytest.raises(ValueError):
+            divergence_form_jacobian(np.ones(grid9.shape), grid9, 0, 1)

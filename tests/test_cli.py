@@ -138,6 +138,26 @@ class TestConfigErrors:
                     },
                 },
             ),
+            # numpy rejects negative seeds
+            ("verify-identities", {"seed": -1}),
+            ("rigidity-check", {"seeds": [0, -1]}),
+            (
+                "dn-compare",
+                {
+                    "n": 2,
+                    "sizes": [9, 17],
+                    "metric": {"kind": "random-trig", "seed": -1},
+                    "transform": {"kind": "conformal-2d"},
+                },
+            ),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d", "factor": {"seed": -1}}},
+            ),
+            ("dn-compare", {"n": 3, "sizes": [9, 17], "transform": {"kind": "conformal-link", "seed": -1}}),
+            # mode cuts that alias on the coarsest grid
+            ("dn-compare", {"n": 3, "sizes": [5, 9], "transform": {"kind": "diffeo"}}),
+            ("counterexample-study", {**_STUDY_CFG, "cut": 50}),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -146,10 +166,36 @@ class TestConfigErrors:
             "no-tuples", "no-seeds", "no-eps", "no-strides", "zero-stride",
             "stride-not-dividing-grid", "stride-too-coarse", "no-sizes",
             "one-size-order-fit", "factor-not-positive",
+            "negative-seed", "negative-seeds", "negative-metric-seed",
+            "negative-factor-seed", "negative-link-seed",
+            "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
         code, _ = _cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_config_is_directory(self, tmp_path, capsys):
+        assert main(["verify-identities", "--config", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_out_not_a_path(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "vi.json", {"tuples": 1, "size": 5, "out": 5})
+        assert main(["verify-identities", "--config", cfg_path]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below-file"])
+    def test_out_is_not_a_directory(self, tmp_path, capsys, out):
+        cfg_path = _write(tmp_path, "vi.json", {"tuples": 1, "size": 5})
+        (tmp_path / "taken").write_text("")
+        assert main(["verify-identities", "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", [3, "sub/dir/x.json"], ids=["not-a-string", "not-a-bare-name"])
+    def test_output_not_a_file_name(self, tmp_path, capsys, output):
+        cfg = {"grid": {"num_t": 5, "num_ang": [4, 4]}, "output": output}
+        code, _ = _cli(tmp_path, "synth-dataset", cfg)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
@@ -165,6 +211,16 @@ class TestConfigCheckedFirst:
         monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
         with pytest.raises(ConfigInvalid):
             run("counterexample-study", {**_STUDY_CFG, key: "abc"}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{**_STUDY_CFG, "cut": 50}, {**_STUDY_CFG, "strides": [12]}],
+        ids=["cut-aliases", "stride-too-coarse"],
+    )
+    def test_study_grid_vetted_before_synthesis(self, tmp_path, monkeypatch, cfg):
+        monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
+        with pytest.raises(ConfigInvalid):
+            run("counterexample-study", cfg, tmp_path)
 
     @pytest.mark.parametrize(
         "n,transform",

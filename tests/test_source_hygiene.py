@@ -5,7 +5,11 @@ Verifies, for every module of ``calderon_lab`` except the re-exports in
   - every imported name is used in its module;
   - every import sits at module level;
   - every module-level ``_private`` name is referenced somewhere in the
-    package.
+    package;
+and, for every module including ``__init__.py``:
+  - no module reaches another package module's ``_private`` names, neither
+    by ``from .mod import _name`` nor as ``mod._name`` after
+    ``from . import mod``.
 """
 
 import ast
@@ -64,6 +68,10 @@ def _imported_names(tree: ast.Module) -> list:
     return out
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_definitions(tree: ast.Module) -> list:
     """(name, line) of module-level ``_private`` functions, classes and
     assignments."""
@@ -77,7 +85,7 @@ def _private_definitions(tree: ast.Module) -> list:
             names = [node.target.id]
         else:
             continue
-        out += [(nm, node.lineno) for nm in names if nm.startswith("_") and not nm.startswith("__")]
+        out += [(nm, node.lineno) for nm in names if _is_private(nm)]
     return out
 
 
@@ -114,3 +122,24 @@ def test_no_unreferenced_private_names():
         if nm not in referenced
     ]
     assert not dead, f"module-level private names nothing references: {dead}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_names_from_other_modules(path):
+    tree = _tree(path)
+    relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level > 0]
+    modules = {a.asname or a.name for n in relative if n.module is None for a in n.names}
+    reached = [
+        f"{a.name} from .{n.module} (line {n.lineno})"
+        for n in relative
+        for a in n.names
+        if _is_private(a.name)
+    ] + [
+        f"{n.value.id}.{n.attr} (line {n.lineno})"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id in modules
+        and _is_private(n.attr)
+    ]
+    assert not reached, f"{path.name} reaches private names of other modules: {reached}"
