@@ -52,6 +52,7 @@ from .gauge import bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pul
 from .grid_geometry import (
     BOUNDARY_NAMES,
     CylinderGrid,
+    MillerDataset,
     cyl_grid,
     flat_metric,
     random_trig_metric,
@@ -360,14 +361,20 @@ def _synth(spec: dict, check=None):
     )
 
 
+def _dataset_file(cfg: dict) -> tuple[str, MillerDataset]:
+    """The config's ``dataset`` path and the container it names, which must
+    be a regular file; a malformed container is a computation failure."""
+    path = _require(cfg, "dataset", str)
+    if not os.path.isfile(path):
+        raise ConfigInvalid(f"dataset {path!r} is not a file")
+    return path, load_dataset(path, validate=False)
+
+
 def _dataset_from_config(cfg: dict, check):
     """The dataset a config names or synthesises, with its origin;
     ``check(grid)`` vets the dataset grid before any synthesis."""
     if "dataset" in cfg:
-        path = cfg["dataset"]
-        if not isinstance(path, str) or not os.path.exists(path):
-            raise ConfigInvalid(f"dataset file {path!r} does not exist")
-        data = load_dataset(path, validate=False)
+        path, data = _dataset_file(cfg)
         check(data.grid)
         return data, {"dataset": path}
     if "synth" in cfg:
@@ -422,11 +429,8 @@ def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
 
 
 def _run_validate_dataset(cfg: dict, threads: int) -> ExperimentReport:
-    path = _require(cfg, "dataset", str)
-    if not os.path.exists(path):
-        raise ConfigInvalid(f"dataset file {path!r} does not exist")
+    _, data = _dataset_file(cfg)
     rep = ExperimentReport("validate-dataset", cfg)
-    data = load_dataset(path, validate=False)
     result = validate_miller_properties(data)
     rep.scalars["validation"] = result.as_dict()
     rep.add_table(

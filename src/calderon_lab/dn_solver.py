@@ -12,10 +12,15 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 (quadrature-weighted) Neumann data, so mode eigenvalues are generalized
 Rayleigh quotients against the boundary mass matrix.
 
-Assembly is deterministic: element matrices are symmetrised and
-scattered cell-major into one sparsity pattern that the stiffness and mass
-matrices share, and duplicates are summed in that input order, so the
-stiffness matrix is bitwise symmetric.
+Assembly is a few whole-array steps with no loop over quadrature points:
+one matmul interpolates the metric to every Gauss point, an unrolled
+Cholesky over the component arrays gives the weight ``sqrt(det g) g^{-1}``,
+and one GEMM against a table of gradient pairs gives every element matrix.
+It is deterministic: element matrices are symmetrised and scattered
+cell-major into one sparsity pattern that the stiffness and mass matrices
+share, and duplicates are summed in that input order, so the stiffness
+matrix is bitwise symmetric and its bytes do not depend on the BLAS thread
+count. The cell-node table and the pattern are cached per grid.
 
 Every interior solve but one goes through :class:`InteriorSolver`,
 named by the boundary component whose values are fixed (``GAMMA0``,
@@ -40,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -76,7 +81,7 @@ _EIG_MAXIT = 1000
 
 
 def _cell_nodes(grid: CylinderGrid) -> np.ndarray:
-    """Global node ids of each cell's 2^n corners, shape (n_cells, 2^n).
+    """Global node ids of each cell's 2^n corners, shape (2^n, n_cells).
 
     Cells are indexed lexicographically like nodes; the t-axis has
     num_t - 1 cells, each angular axis wraps and has as many cells as nodes.
@@ -90,8 +95,7 @@ def _cell_nodes(grid: CylinderGrid) -> np.ndarray:
         [
             np.roll(ids, [-b for b in bits], axis=axes)[:-1].ravel()
             for bits in itertools.product((0, 1), repeat=grid.n)
-        ],
-        axis=1,
+        ]
     )
 
 
@@ -117,6 +121,7 @@ def _q1_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _scatter_pattern(nodes: np.ndarray, size: int):
     """CSR pattern of the cell-major element scatter: the CSR slot of every
     element-matrix entry, plus the column indices and row pointers."""
+    nodes = nodes.T
     key = (nodes[:, :, None].astype(np.int64) * size + nodes[:, None, :]).ravel()
     # np.unique(key, return_inverse=True), without its extra key-sized
     # temporaries: the scatter sets the assembly's peak memory
@@ -130,15 +135,56 @@ def _scatter_pattern(nodes: np.ndarray, size: int):
     key = key[first]
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // size, minlength=size), out=indptr[1:])
-    return slot, key % size, indptr
+    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    return slot.astype(index), (key % size).astype(index), indptr.astype(index)
+
+
+@lru_cache(maxsize=4)
+def _grid_layout(grid: CylinderGrid):
+    """Cell-node table and scatter pattern of a grid, computed once per
+    equal grid and shared read-only by every assembly on it."""
+    nodes = _cell_nodes(grid)
+    pattern = _scatter_pattern(nodes, grid.node_count)
+    for arr in (nodes, *pattern):
+        arr.flags.writeable = False
+    return nodes, pattern
 
 
 def _scatter(pattern, elem: np.ndarray, size: int) -> sp.csr_matrix:
     """Sum the element matrices into the pattern; duplicates add up in
-    input order, so the result is a deterministic function of the layout."""
+    input order, so the result is a deterministic function of the layout.
+    The matrix gets its own copies of the cached index arrays."""
     slot, indices, indptr = pattern
     data = np.bincount(slot, weights=elem.ravel(), minlength=indices.size)
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
+
+
+def _spd_weight(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sqrt(det a) a^{-1}`` and ``sqrt(det a)`` for a batch of symmetric
+    positive definite n x n matrices given by component: ``a[i, j]`` is an
+    array over the batch, and only ``i >= j`` is read.
+
+    Unrolled Cholesky ``a = L L^T`` over the component arrays:
+    ``sqrt(det a)`` is the product of the diagonal of L, and
+    ``a^{-1} = R^T R`` with ``R = L^{-1}`` by forward substitution. The
+    weight has the shape of ``a`` and is exactly symmetric.
+    """
+    L = {}
+    for j in range(n):
+        L[j, j] = np.sqrt(a[j, j] - sum(L[j, k] ** 2 for k in range(j)))
+        for i in range(j + 1, n):
+            L[i, j] = (a[i, j] - sum(L[i, k] * L[j, k] for k in range(j))) / L[j, j]
+    root_det = math.prod(L[k, k] for k in range(n))
+    R = {}
+    for j in range(n):
+        R[j, j] = 1.0 / L[j, j]
+        for i in range(j + 1, n):
+            R[i, j] = -sum(L[i, k] * R[k, j] for k in range(j, i)) / L[i, i]
+    W = np.empty_like(a)
+    for i in range(n):
+        for j in range(i + 1):
+            W[i, j] = W[j, i] = root_det * sum(R[k, i] * R[k, j] for k in range(i, n))
+    return W, root_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,47 +217,52 @@ def assemble_stiffness(
 
         a(u, v) = int g^{ij} d_i u d_j v sqrt(det g)
                   + int V u v sqrt(det g).
+
+    With the metric interpolated to the Gauss points (one matmul with the
+    shape table N) and ``W = sqrt(det g) g^{-1}`` there (:func:`_spd_weight`),
+    the element matrices of all cells are one GEMM,
+    ``E[c, a, b] = sum_{i,j,q} W[i, j, q, c] T[i, j, q, a, b]`` with
+    ``T[i, j, q, a, b] = G[q, a, i] G[q, b, j]`` the products of physical
+    shape gradients times the quadrature weight; the mass matrix is a second
+    GEMM against ``N[q, a] N[q, b]``. The cell-node table and the scatter
+    pattern come from a per-grid cache (equal grids share one entry) and are
+    never handed out: each matrix owns its index arrays.
     """
     grid = metric.grid
     n = grid.n
     n_loc = 1 << n
-    h = grid.spacings
-    cell_vol = float(np.prod(h))
-    nodes = _cell_nodes(grid)
-    n_cells = nodes.shape[0]
     size = grid.node_count
+    nodes, pattern = _grid_layout(grid)
+    n_cells = nodes.shape[1]
 
-    g_flat = metric.mat.reshape(size, n, n)
-    g_cells = g_flat[nodes]  # (n_cells, n_loc, n, n)
-
-    v_cells = None
+    v_nodes = None
     if potential is not None:
         v_values = potential.values if isinstance(potential, ScalarField) else np.asarray(potential, dtype=float)
         if v_values.shape != grid.shape:
             raise GridMismatch(f"potential shape {v_values.shape}, expected {grid.shape}")
         require_full_layers(v_values, "potential")
-        v_cells = v_values.reshape(size)[nodes]  # (n_cells, n_loc)
+        v_nodes = v_values.reshape(size)
 
     N, G = _q1_tables(n)
-    G = G / h  # physical gradients, constant per uniform cell
-    w = 0.5**n * cell_vol
-    elem_k = np.zeros((n_cells, n_loc, n_loc))
-    elem_m = np.zeros((n_cells, n_loc, n_loc)) if v_cells is not None else None
-    for N_q, G_q in zip(N, G):
-        g_q = np.einsum("l,clij->cij", N_q, g_cells)
-        common = w * np.sqrt(np.linalg.det(g_q))
-        W_q = common[:, None, None] * np.linalg.inv(g_q)
-        elem_k += G_q @ W_q @ G_q.T
-        if elem_m is not None:
-            elem_m += (common * (v_cells @ N_q))[:, None, None] * np.outer(N_q, N_q)
-    # a + b == b + a in floating point, so this is bitwise symmetric; the
-    # mass outer products already are
-    elem_k = 0.5 * (elem_k + elem_k.transpose(0, 2, 1))
-    del g_cells, v_cells  # the scatter below sets the peak memory
-
-    pattern = _scatter_pattern(nodes, size)
-    K = _scatter(pattern, elem_k, size)
-    M = _scatter(pattern, elem_m, size) if elem_m is not None else None
+    w = 0.5**n * float(np.prod(grid.spacings))  # quadrature weight
+    G = G / grid.spacings  # physical gradients, constant per uniform cell
+    # the metric at every Gauss point of every cell by component, g[i, j, q, c]
+    g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n).T)
+    g = np.matmul(N, g_nodes[:, nodes]).reshape(n, n, n_loc, n_cells)
+    W, root_det = _spd_weight(g, n)
+    del g, g_nodes  # these whole-array temporaries set the peak memory
+    T = w * np.einsum("qai,qbj->ijqab", G, G).reshape(n * n * n_loc, n_loc * n_loc)
+    elem_k = (W.reshape(-1, n_cells).T @ T).reshape(n_cells, n_loc, n_loc)
+    del W
+    # a + b == b + a in floating point, so the element matrices are bitwise
+    # symmetric whatever order the GEMM summed in
+    K = _scatter(pattern, 0.5 * (elem_k + elem_k.transpose(0, 2, 1)), size)
+    M = None
+    if v_nodes is not None:
+        weight = root_det * (N @ v_nodes[nodes])  # [q, c]
+        table = w * np.einsum("qa,qb->qab", N, N).reshape(n_loc, n_loc * n_loc)
+        elem_m = (weight.T @ table).reshape(n_cells, n_loc, n_loc)
+        M = _scatter(pattern, 0.5 * (elem_m + elem_m.transpose(0, 2, 1)), size)
     return StiffnessSystem(
         grid, K, mass=M, potential_id=potential_id if potential is not None else None
     )

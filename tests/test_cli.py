@@ -180,6 +180,13 @@ class TestConfigErrors:
         assert main(["verify-identities", "--config", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-dataset", "counterexample-study"])
+    def test_dataset_is_directory(self, tmp_path, capsys, command):
+        (tmp_path / "ds").mkdir()
+        code, _ = _cli(tmp_path, command, {"dataset": str(tmp_path / "ds")})
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_out_not_a_path(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "vi.json", {"tuples": 1, "size": 5, "out": 5})
         assert main(["verify-identities", "--config", cfg_path]) == 2

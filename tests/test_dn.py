@@ -6,6 +6,13 @@ Verifies:
   - potential term equals the Kronecker mass matrix for V = 1
   - a constant anisotropic metric's stiffness, cross terms included, equals
     its Kronecker formula
+  - the batched kernel matches a per-Gauss-point reference loop built on
+    np.linalg.det and np.linalg.inv, for random metrics in n = 2, 3, 4 and a
+    synthesised counterexample metric; its SPD weight matches det/inv on
+    batches with condition numbers up to 1e8
+  - the per-grid layout cache builds one scatter pattern for equal grids,
+    is not reachable through a returned matrix, and the assembled bytes do
+    not depend on the BLAS thread count
   - Dirichlet solves reproduce fields the element space contains exactly
   - DN symmetry, metric homogeneity, zero-potential equivalence
   - dn_apply on the identity gives the same map whether its columns go
@@ -14,6 +21,13 @@ Verifies:
   - singular interior blocks are detected by every solve entry point
 """
 
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +35,7 @@ import scipy.sparse as sp
 from calderon_lab import analytic as an
 from calderon_lab import dn_solver
 from calderon_lab.calculus import ScalarField
+from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
     BoundaryTrace,
     assemble_stiffness,
@@ -46,6 +61,7 @@ from calderon_lab.grid_geometry import (
     GAMMA1,
     FULL_BOUNDARY,
     CylinderGrid,
+    assemble_counterexample_metric_3d,
     constant_metric,
     cyl_grid,
     flat_metric,
@@ -112,6 +128,62 @@ def grad_mass1d_periodic(num, h):
     A[0, -1] += 0.5
     A[-1, 0] += -0.5
     return A.tocsr()
+
+
+def reference_assembly(metric, potential=None):
+    """Q1 stiffness (and mass) by a loop over the Gauss points with
+    np.linalg.det and np.linalg.inv per cell, element matrices from explicit
+    hat products, duplicates summed by COO; no code shared with the kernel."""
+    grid = metric.grid
+    n = grid.n
+    h = grid.spacings
+    corners = list(itertools.product((0, 1), repeat=n))
+    ids = np.arange(grid.node_count).reshape(grid.shape)
+    nodes = np.stack(
+        [np.roll(ids, [-b for b in c], axis=tuple(range(n)))[:-1].ravel() for c in corners], axis=1
+    )
+    g_cells = metric.mat.reshape(-1, n, n)[nodes]
+    gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    elem_k = np.zeros((nodes.shape[0], len(corners), len(corners)))
+    elem_m = np.zeros_like(elem_k)
+    for x in itertools.product(gauss, repeat=n):
+        hat = [[1.0 - xd, xd] for xd in x]
+        val = np.array([np.prod([hat[d][b] for d, b in enumerate(c)]) for c in corners])
+        grad = np.array(
+            [
+                [
+                    np.prod([(2 * b - 1) / h[d] if d == k else hat[d][b] for d, b in enumerate(c)])
+                    for k in range(n)
+                ]
+                for c in corners
+            ]
+        )
+        g_q = np.einsum("l,clij->cij", val, g_cells)
+        dv = np.prod(h) / 2**n * np.sqrt(np.linalg.det(g_q))
+        elem_k += np.einsum("c,ai,cij,bj->cab", dv, grad, np.linalg.inv(g_q), grad)
+        if potential is not None:
+            v_q = potential.reshape(-1)[nodes] @ val
+            elem_m += (dv * v_q)[:, None, None] * np.outer(val, val)
+    m = len(corners)
+    rows = np.repeat(nodes, m, axis=1).ravel()
+    cols = np.tile(nodes, (1, m)).ravel()
+
+    def scatter(elem):
+        return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(grid.node_count,) * 2).tocsr()
+
+    return scatter(elem_k), scatter(elem_m) if potential is not None else None
+
+
+def _rel_max(A, B):
+    return abs(A - B).max() / abs(B).max()
+
+
+def _assembly_case(name):
+    if name == "counterexample":
+        data, _ = synth_approx_miller(cyl_grid(3, 9), amplitude=0.1)
+        return assemble_counterexample_metric_3d(data)
+    n, size = {"n2": (2, 9), "n3": (3, 7), "n4": (4, 5)}[name]
+    return sample_metric(random_trig_metric(n, seed=11 * n), cyl_grid(n, size))
 
 
 class TestAssembly:
@@ -200,6 +272,108 @@ class TestAssembly:
     def test_potential_shape_guard(self, flat9):
         with pytest.raises(GridMismatch):
             assemble_stiffness(flat9, potential=np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("with_potential", [False, True], ids=["plain", "potential"])
+    @pytest.mark.parametrize("case", ["n2", "n3", "n4", "counterexample"])
+    def test_matches_per_gauss_point_reference(self, case, with_potential):
+        metric = _assembly_case(case)
+        q = None
+        if with_potential:
+            q = np.random.default_rng(3).uniform(-1.0, 2.0, metric.grid.shape)
+        sys_ = assemble_stiffness(metric, potential=q)
+        K_ref, M_ref = reference_assembly(metric, q)
+        err = _rel_max(sys_.laplace, K_ref)
+        assert err <= 1e-14, f"stiffness off the reference by {err:.2e}"
+        if with_potential:
+            err = _rel_max(sys_.mass, M_ref)
+            assert err <= 1e-14, f"mass off the reference by {err:.2e}"
+        S = sys_.matrix
+        assert (S - S.T).nnz == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_spd_weight_matches_det_inv(self, n):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(n)
+        batch = 400
+        Q, _ = np.linalg.qr(rng.standard_normal((batch, n, n)))
+        kappa = 10.0 ** rng.uniform(0.0, 8.0, batch)
+        kappa[:4] = (1.0, 1e4, 1e6, 1e8)
+        lam = np.exp(rng.uniform(0.0, 1.0, (batch, n)) * np.log(kappa)[:, None])
+        lam[:, 0], lam[:, -1] = 1.0, kappa
+        lam *= 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1))
+        A = np.einsum("bij,bj,bkj->bik", Q, lam, Q)
+        A = 0.5 * (A + A.transpose(0, 2, 1))
+        W, root_det = dn_solver._spd_weight(A.transpose(1, 2, 0), n)
+        W = W.transpose(2, 0, 1)
+        assert (W == W.transpose(0, 2, 1)).all()
+        root_ref = np.sqrt(np.linalg.det(A))
+        W_ref = root_ref[:, None, None] * np.linalg.inv(A)
+        bound = 10 * n * eps * np.linalg.cond(A)
+        err_w = np.linalg.norm(W - W_ref, axis=(1, 2)) / np.linalg.norm(W_ref, axis=(1, 2))
+        err_s = np.abs(root_det - root_ref) / root_ref
+        assert (err_w <= bound).all(), f"weight off by {np.max(err_w / bound):.2f} of its bound"
+        assert (err_s <= bound).all(), f"sqrt(det) off by {np.max(err_s / bound):.2f} of its bound"
+
+
+class TestGridLayoutCache:
+    def test_one_pattern_per_equal_grid(self, monkeypatch):
+        calls = []
+        build = dn_solver._scatter_pattern
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dn_solver, "_scatter_pattern", counted)
+        dn_solver._grid_layout.cache_clear()
+        systems = [
+            assemble_stiffness(sample_metric(random_trig_metric(3, seed=s), CylinderGrid(3, 7, (6, 5))))
+            for s in range(3)
+        ]
+        assert len(calls) == 1
+        assert len({id(s.grid) for s in systems}) == 3
+
+    def test_returned_matrix_does_not_share_the_layout(self, bumpy9):
+        q = np.random.default_rng(8).uniform(0.5, 1.5, bumpy9.grid.shape)
+        first = assemble_stiffness(bumpy9, potential=q)
+        saved = [(M.data.copy(), M.indices.copy(), M.indptr.copy()) for M in (first.laplace, first.mass)]
+        for M in (first.laplace, first.mass):
+            M.data *= -3.0
+            M.indices[:] = M.indices[::-1]
+            M.indptr[1:-1] = 0
+        again = assemble_stiffness(bumpy9, potential=q)
+        for M, (data, indices, indptr) in zip((again.laplace, again.mass), saved):
+            assert np.array_equal(M.data, data)
+            assert np.array_equal(M.indices, indices)
+            assert np.array_equal(M.indptr, indptr)
+
+    def test_bytes_independent_of_blas_threads(self):
+        # the element matrices come from BLAS GEMMs, and report.json byte
+        # identity across thread counts rests on their being reproducible
+        src = Path(dn_solver.__file__).resolve().parents[1]
+        script = (
+            "import hashlib, numpy as np\n"
+            "from calderon_lab.dn_solver import assemble_stiffness\n"
+            "from calderon_lab.grid_geometry import cyl_grid, random_trig_metric, sample_metric\n"
+            "grid = cyl_grid(3, 17)\n"
+            "q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)\n"
+            "s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)\n"
+            "print(hashlib.sha256(s.laplace.data.tobytes()).hexdigest(),"
+            " hashlib.sha256(s.mass.data.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.split())
+        assert digests[0] == digests[1]
+        grid = cyl_grid(3, 17)
+        q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)
+        s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)
+        here = [hashlib.sha256(M.data.tobytes()).hexdigest() for M in (s.laplace, s.mass)]
+        assert digests[0] == here
 
 
 class TestDirichletSolve:
