@@ -44,6 +44,7 @@ from .errors import (
     ConfigInvalid,
     DimensionTooSmall,
     GridMismatch,
+    InfeasibleBounds,
     NonOrientationPreserving,
     ShapeMismatch,
     TrivialU,
@@ -338,27 +339,23 @@ def _collar_flat_source(transform: dict, n: int) -> an.AnalyticScalar:
 
 
 def _synth(spec: dict, check=None):
-    """Run :func:`synth_approx_miller` on a synth block; returns
-    (dataset, build report). ``check(grid)`` vets the grid beforehand."""
+    """Run :func:`synth_approx_miller` with only the keys a synth block sets,
+    so the library defaults hold; returns (dataset, build report).
+    ``check(grid)`` vets the grid first; a box or ridge the synthesis
+    rejects is a config error."""
     gspec = _require(spec, "grid", dict)
     for key in ("num_t", "num_ang"):
         _require(gspec, key)
     grid = _grid(CylinderGrid, 3, _num(gspec, "num_t", None), _nums(gspec, "num_ang", None))
     if check is not None:
         check(grid)
-    return synth_approx_miller(
-        grid,
-        T=_num(spec, "T", 1.0, float),
-        modes=_cast(
-            "modes",
-            lambda v: tuple(tuple(int(x) for x in m) for m in v),
-            spec.get("modes", ((1, 0), (0, 1))),
-        ),
-        amplitude=_num(spec, "amplitude", 0.1, float),
-        ridge=_num(spec, "ridge", 1e-6, float),
-        alpha=_num(spec, "alpha", 0.5, float),
-        rho=_num(spec, "rho", 1.0 / 6.0, float),
-    )
+    casts = {"T": float, "amplitude": float, "ridge": float, "alpha": float, "rho": float,
+             "modes": lambda v: tuple((int(x), int(y)) for x, y in v)}
+    kwargs = {key: _cast(key, kind, spec[key]) for key, kind in casts.items() if key in spec}
+    try:
+        return synth_approx_miller(grid, **kwargs)
+    except InfeasibleBounds as e:
+        raise ConfigInvalid(f"invalid synth block: {e}") from e
 
 
 def _dataset_file(cfg: dict) -> tuple[str, MillerDataset]:

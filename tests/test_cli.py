@@ -158,6 +158,10 @@ class TestConfigErrors:
             # mode cuts that alias on the coarsest grid
             ("dn-compare", {"n": 3, "sizes": [5, 9], "transform": {"kind": "diffeo"}}),
             ("counterexample-study", {**_STUDY_CFG, "cut": 50}),
+            # synthesis parameters: sqrt of a negative ridge gives a NaN damping
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": -1.0}),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "alpha": 1.0}),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1]]}),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -169,6 +173,7 @@ class TestConfigErrors:
             "negative-seed", "negative-seeds", "negative-metric-seed",
             "negative-factor-seed", "negative-link-seed",
             "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
+            "negative-ridge", "alpha-leaves-no-box", "one-index-mode",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
@@ -326,6 +331,18 @@ class TestDnCompare:
 
 
 class TestDatasetCommands:
+    def test_synth_passes_only_set_keys(self, monkeypatch):
+        seen = {}
+
+        def record(grid, **kwargs):
+            seen.update(kwargs)
+            return MillerDataset.zero(grid), {}
+
+        monkeypatch.setattr(cli, "synth_approx_miller", record)
+        cli._synth({"grid": {"num_t": 5, "num_ang": [4, 4]}, "amplitude": 1, "modes": [[1, 1]]})
+        assert seen == {"amplitude": 1.0, "modes": ((1, 1),)}
+        assert isinstance(seen["amplitude"], float)
+
     def test_synth_then_validate(self, tmp_path):
         code, out = _cli(
             tmp_path,

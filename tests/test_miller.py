@@ -10,7 +10,9 @@ Verifies:
   - one-sided Cauchy derivative estimates at the measured end
   - the fitted coefficient Jacobian reproduces the divergence stencil
     exactly
-  - the synthesizer respects its box and never loses to the baseline
+  - the synthesizer respects its box and never loses to the baseline;
+    at the default ridge its LSQR converges and the fields are stable
+    under rounding of the input
   - DN gap study: exact zeros for the zero dataset, cell bookkeeping
   - the volume obstruction and its trivial-field guard
 """
@@ -291,6 +293,7 @@ class TestSynthesis:
         grid = cyl_grid(3, 9)
         data, report = synth_approx_miller(grid, amplitude=0.0)
         assert report["baseline_l2"] == 0.0
+        assert report["lsqr_iterations"] == 0 and report["damp"] == 0.0
         assert np.all(data.u == 0.0)
         assert np.all(data.a1 == 0.0)
 
@@ -298,6 +301,35 @@ class TestSynthesis:
         grid = cyl_grid(3, 9)
         with pytest.raises(InfeasibleBounds):
             synth_approx_miller(grid, alpha=1.0)
+
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_infeasible_ridge(self, ridge):
+        with pytest.raises(InfeasibleBounds):
+            synth_approx_miller(cyl_grid(3, 9), ridge=ridge)
+
+
+@pytest.fixture(scope="module", params=[((1, 0), (0, 1)), ((1, 1), (1, 0))], ids=["modes-10-01", "modes-11-10"])
+def synth_pair(request):
+    """Syntheses at the default ridge, with amplitude 0.1 and 0.1 * (1 + 1e-15)."""
+    grid = CylinderGrid(3, 25, (24, 24))
+    return [synth_approx_miller(grid, modes=request.param, amplitude=a) for a in (0.1, 0.1 * (1 + 1e-15))]
+
+
+class TestSynthesisConverges:
+    """At the default ridge LSQR stops on its tolerances, so the fitted fields
+    depend on the data, not on where the iteration was cut off."""
+
+    def test_lsqr_stops_on_tolerance(self, synth_pair):
+        for _, report in synth_pair:
+            assert report["lsqr_stop"] in (1, 2), report
+            assert report["lsqr_iterations"] < 2000
+
+    def test_fields_stable_under_amplitude_rounding(self, synth_pair):
+        # the fit is linear in u, so in exact arithmetic scaling the
+        # amplitude leaves the fields unchanged
+        (data, report), (data_eps, _) = synth_pair
+        moved = max(np.abs(getattr(data, nm) - getattr(data_eps, nm)).max() for nm in ("a1", "a2", "a3"))
+        assert moved <= 1e-8 * report["box"], moved
 
 
 class TestGapStudy:
