@@ -42,7 +42,6 @@ from .grid_geometry import (
     assemble_counterexample_metric_nd,
     constant_metric,
     cyl_grid,
-    ellipticity_constants,
     flat_metric,
     metric_from_matrices,
     random_trig_metric,

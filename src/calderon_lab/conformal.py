@@ -40,12 +40,12 @@ from .errors import (
     MissingAnalyticGradient,
     NonPositiveFactor,
 )
-from .grid_geometry import GAMMA0, GAMMA1, CylinderGrid, MetricField
+from .grid_geometry import GAMMA0, GAMMA1, CylinderGrid, MetricField, spd_weight
 
 
 @dataclass(frozen=True, eq=False)
 class ConformalFactor:
-    """Strictly positive scalar factor c on a grid, with the power
+    """Finite, strictly positive scalar factor c on a grid, with the power
     c^{n-2} cached since every identity is algebraic in that power."""
 
     field: ScalarField
@@ -54,10 +54,8 @@ class ConformalFactor:
     def __post_init__(self):
         if self.n < 2:
             raise DimensionTooSmall("conformal factors need n >= 2")
-        if float(self.field.values.min()) <= 0.0:
-            raise NonPositiveFactor(
-                f"min factor value {float(self.field.values.min()):.3e} <= 0"
-            )
+        if not (np.isfinite(self.values) & (self.values > 0.0)).all():
+            raise NonPositiveFactor(f"factor not finite and > 0, min {float(self.values.min()):.3e}")
 
     @property
     def values(self) -> np.ndarray:
@@ -300,15 +298,6 @@ def harmonic_with_natural_bc(
     return ScalarField(grid, u.reshape(grid.shape))
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Cofactor determinant of a (..., 3, 3) array, any float dtype."""
-    return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-
-
 def _solve_pivoted(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in the dtype of A.
 
@@ -342,11 +331,12 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
 
     on the 3-D cylinder, fitted by an exact Vandermonde interpolation on
     the first seven distinct eps samples (scaled variable). Volumes are
-    measured, not expanded symbolically: the scaled metric determinant is
-    evaluated per node and differenced against the base volume element
-    before summation. The whole pipeline runs in extended precision; in
-    double the Vandermonde conditioning leaves the recovered coefficients
-    dependent on the sample set at the 1e-8 level.
+    measured, not expanded symbolically: sqrt(det(c^4 g)) is evaluated per
+    node by :func:`~calderon_lab.grid_geometry.spd_weight` and differenced
+    against the base volume element before summation. The whole pipeline
+    runs in extended precision; in double the Vandermonde conditioning
+    leaves the recovered coefficients dependent on the sample set at the
+    1e-8 level.
     """
     if g.grid.n != 3:
         raise DimensionTooSmall("the volume expansion argument is n = 3")
@@ -362,14 +352,14 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
         raise InsufficientSamples(f"need 7 distinct eps samples, got {len(eps)}")
     eps = np.array(eps, dtype=np.longdouble)
     w = g.grid.quad_weights.astype(np.longdouble)
-    mat = g.mat.astype(np.longdouble)
-    base = np.sqrt(_det3(mat))
+    mat = np.moveaxis(g.mat, (-2, -1), (0, 1)).astype(np.longdouble)
+    base = spd_weight(mat)[1]
     uu = u.values.astype(np.longdouble)
     V = np.empty(7, dtype=np.longdouble)
     for k, e in enumerate(eps):
         conformal_family(u, float(e), 3)  # range validation only
         c4 = (1 + e * uu) ** 4
-        diff = np.sqrt(_det3(c4[..., None, None] * mat)) - base
+        diff = spd_weight(c4 * mat)[1] - base
         V[k] = np.sum(diff * w)
     s = np.abs(eps).max()
     if s == 0:

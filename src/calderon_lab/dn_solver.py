@@ -13,10 +13,10 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 Rayleigh quotients against the boundary mass matrix.
 
 Assembly is a few whole-array steps with no loop over quadrature points:
-one matmul interpolates the metric to every Gauss point, an unrolled
-Cholesky over the component arrays gives the weight ``sqrt(det g) g^{-1}``,
-and one GEMM against a table of gradient pairs gives every element matrix.
-It is deterministic: element matrices are symmetrised and scattered
+one matmul interpolates the metric to every Gauss point, the package's SPD
+kernel ``grid_geometry.spd_weight`` gives the weight ``sqrt(det g) g^{-1}``
+there, and one GEMM against a table of gradient pairs gives every element
+matrix. It is deterministic: element matrices are symmetrised and scattered
 cell-major into one sparsity pattern that the stiffness and mass matrices
 share, and duplicates are summed in that input order, so the stiffness
 matrix is bitwise symmetric and its bytes do not depend on the BLAS thread
@@ -65,6 +65,7 @@ from .grid_geometry import (
     GAMMA1,
     CylinderGrid,
     MetricField,
+    spd_weight,
 )
 
 _PIVOT_RATIO_FLOOR = 1e-9
@@ -159,34 +160,6 @@ def _scatter(pattern, elem: np.ndarray, size: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
 
 
-def _spd_weight(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sqrt(det a) a^{-1}`` and ``sqrt(det a)`` for a batch of symmetric
-    positive definite n x n matrices given by component: ``a[i, j]`` is an
-    array over the batch, and only ``i >= j`` is read.
-
-    Unrolled Cholesky ``a = L L^T`` over the component arrays:
-    ``sqrt(det a)`` is the product of the diagonal of L, and
-    ``a^{-1} = R^T R`` with ``R = L^{-1}`` by forward substitution. The
-    weight has the shape of ``a`` and is exactly symmetric.
-    """
-    L = {}
-    for j in range(n):
-        L[j, j] = np.sqrt(a[j, j] - sum(L[j, k] ** 2 for k in range(j)))
-        for i in range(j + 1, n):
-            L[i, j] = (a[i, j] - sum(L[i, k] * L[j, k] for k in range(j))) / L[j, j]
-    root_det = math.prod(L[k, k] for k in range(n))
-    R = {}
-    for j in range(n):
-        R[j, j] = 1.0 / L[j, j]
-        for i in range(j + 1, n):
-            R[i, j] = -sum(L[i, k] * R[k, j] for k in range(j, i)) / L[i, i]
-    W = np.empty_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            W[i, j] = W[j, i] = root_det * sum(R[k, i] * R[k, j] for k in range(i, n))
-    return W, root_det
-
-
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
     """Assembled weak-form operator: Laplace part plus optional potential
@@ -219,8 +192,9 @@ def assemble_stiffness(
                   + int V u v sqrt(det g).
 
     With the metric interpolated to the Gauss points (one matmul with the
-    shape table N) and ``W = sqrt(det g) g^{-1}`` there (:func:`_spd_weight`),
-    the element matrices of all cells are one GEMM,
+    shape table N) and ``W = sqrt(det g) g^{-1}`` there from the SPD kernel
+    :func:`~calderon_lab.grid_geometry.spd_weight`, the element matrices of
+    all cells are one GEMM,
     ``E[c, a, b] = sum_{i,j,q} W[i, j, q, c] T[i, j, q, a, b]`` with
     ``T[i, j, q, a, b] = G[q, a, i] G[q, b, j]`` the products of physical
     shape gradients times the quadrature weight; the mass matrix is a second
@@ -249,7 +223,7 @@ def assemble_stiffness(
     # the metric at every Gauss point of every cell by component, g[i, j, q, c]
     g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n).T)
     g = np.matmul(N, g_nodes[:, nodes]).reshape(n, n, n_loc, n_cells)
-    W, root_det = _spd_weight(g, n)
+    W, root_det = spd_weight(g)
     del g, g_nodes  # these whole-array temporaries set the peak memory
     T = w * np.einsum("qai,qbj->ijqab", G, G).reshape(n * n * n_loc, n_loc * n_loc)
     elem_k = (W.reshape(-1, n_cells).T @ T).reshape(n_cells, n_loc, n_loc)

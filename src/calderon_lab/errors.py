@@ -100,7 +100,7 @@ class ShapeMismatch(CalderonLabError):
 
 
 class NonPositiveFactor(CalderonLabError):
-    """A conformal factor is not strictly positive on the grid."""
+    """A conformal factor is not finite and strictly positive on the grid."""
 
 
 class FactorTooLarge(CalderonLabError):

@@ -6,7 +6,9 @@ node. Nodes are ordered lexicographically (t-major, C order), so the two
 boundary layers are the first and last contiguous blocks of node ids.
 
 Metrics live either as closed-form sources (evaluate anywhere) or as node
-tables with cached determinants and inverses. The divergence-form
+tables whose sqrt(det g) and weight sqrt(det g) g^{-1} are cached from
+:func:`spd_weight`, the package's one factorisation of SPD tables, which
+also validates them. The divergence-form
 coefficient family with a one-dimensional Hoelder-rough part is assembled
 into 3-D and n-D metrics here; the defining algebraic property is that the
 metric's weight matrix sqrt(det g) * g^{-1} reproduces the coefficient
@@ -15,6 +17,7 @@ matrix exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -245,46 +248,81 @@ def random_trig_metric(
     return MetricSource(n, func)
 
 
+def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sqrt(det a) a^{-1}`` and ``sqrt(det a)`` for a batch of symmetric
+    positive definite n x n matrices given by component: ``a[i, j]`` is an
+    array over the batch, and only ``i >= j`` is read.
+
+    Unrolled Cholesky ``a = L L^T`` over the component arrays:
+    ``sqrt(det a)`` is the product of the diagonal of L, and
+    ``a^{-1} = R^T R`` with ``R = L^{-1}`` by forward substitution. The
+    weight has the shape and dtype (``longdouble`` too) of ``a`` and is
+    exactly symmetric. A pivot <= 0 makes ``sqrt(det a)`` NaN or 0 there.
+    """
+    n = len(a)
+    L = {}
+    for j in range(n):
+        L[j, j] = np.sqrt(a[j, j] - sum(L[j, k] ** 2 for k in range(j)))
+        for i in range(j + 1, n):
+            L[i, j] = (a[i, j] - sum(L[i, k] * L[j, k] for k in range(j))) / L[j, j]
+    root_det = math.prod(L[k, k] for k in range(n))
+    R = {}
+    for j in range(n):
+        R[j, j] = 1.0 / L[j, j]
+        for i in range(j + 1, n):
+            R[i, j] = -sum(L[i, k] * R[k, j] for k in range(j, i)) / L[i, i]
+    W = np.empty_like(a)
+    for i in range(n):
+        for j in range(i + 1):
+            W[i, j] = W[j, i] = root_det * sum(R[k, i] * R[k, j] for k in range(i, n))
+    return W, root_det
+
+
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Metric sampled on a grid, with cached determinant and inverse.
+    """Metric sampled on a grid. Its volume element ``sqrt_det`` and weight
+    ``sqrt(det g) g^{-1}`` come from one cached :func:`spd_weight` call on
+    the node table, and ``inv`` is ``weight / sqrt_det``.
 
     Invariants (enforced by :func:`sample_metric` and
-    :func:`metric_from_matrices`): matrices symmetric,
-    positive definite, ``inv @ mat = I`` to 1e-12, ``det > 0``.
+    :func:`metric_from_matrices`): ``mat``, ``weight`` and ``inv`` exactly
+    symmetric, every Cholesky pivot positive, ``sqrt_det`` finite and > 0.
     """
 
     grid: CylinderGrid
     mat: np.ndarray
 
     @cached_property
-    def det(self) -> np.ndarray:
-        return np.linalg.det(self.mat)
+    def _cholesky(self) -> tuple[np.ndarray, np.ndarray]:
+        W, root_det = spd_weight(np.moveaxis(self.mat, (-2, -1), (0, 1)))
+        return np.moveaxis(W, (0, 1), (-2, -1)), root_det
 
-    @cached_property
+    @property
     def sqrt_det(self) -> np.ndarray:
-        return np.sqrt(self.det)
+        return self._cholesky[1]
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.mat)
+        return self.weight / self.sqrt_det[..., None, None]
 
-    @cached_property
+    @property
     def weight(self) -> np.ndarray:
         """The divergence-form weight sqrt(det g) * g^{-1}."""
-        return self.sqrt_det[..., None, None] * self.inv
+        return self._cholesky[0]
 
 
-def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> np.ndarray:
-    """Exactly symmetrised copy of a node table of metric matrices.
+def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> MetricField:
+    """A node table of metric matrices as a MetricField, exactly symmetrised,
+    accepted when its ``sqrt_det`` is finite and > 0 at every node (every
+    Cholesky pivot positive); eigenvalues only name the node of a reject.
 
     Raises
     ------
     Asymmetric
         If any node matrix deviates from symmetry beyond 1e-12 (relative).
     NonPositiveDefinite
-        At the first node with a non-finite entry, else at the node of the
-        smallest eigenvalue if that is <= 0.
+        At the first node with a non-finite entry, else, when a pivot is
+        <= 0, at the node of the smallest eigenvalue.
     """
     finite = np.isfinite(mat).all(axis=(-1, -2))
     if not finite.all():
@@ -296,12 +334,14 @@ def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> np.ndarray:
         node = np.unravel_index(int(np.argmax(defect / scale)), grid.shape)
         raise Asymmetric(node, float(defect[node]))
     # exact symmetry for downstream bitwise-symmetric algebra
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    lam_min = np.linalg.eigvalsh(mat)[..., 0]
-    if (lam_min <= 0.0).any():
+    field = MetricField(grid, 0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    with np.errstate(all="ignore"):  # a failed pivot gives NaN or 0, not a warning
+        root_det = field.sqrt_det
+    if not (np.isfinite(root_det) & (root_det > 0.0)).all():
+        lam_min = np.linalg.eigvalsh(field.mat)[..., 0]
         node = np.unravel_index(int(np.argmin(lam_min)), grid.shape)
         raise NonPositiveDefinite(node, float(lam_min[node]))
-    return mat
+    return field
 
 
 def sample_metric(source: MetricSource, grid: CylinderGrid) -> MetricField:
@@ -314,7 +354,7 @@ def sample_metric(source: MetricSource, grid: CylinderGrid) -> MetricField:
         raise GridMismatch(
             f"source returned shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
         )
-    return MetricField(grid, _checked_spd(mat, grid))
+    return _checked_spd(mat, grid)
 
 
 def metric_from_matrices(grid: CylinderGrid, mat: np.ndarray) -> MetricField:
@@ -325,13 +365,7 @@ def metric_from_matrices(grid: CylinderGrid, mat: np.ndarray) -> MetricField:
         raise GridMismatch(
             f"matrix table shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
         )
-    return MetricField(grid, _checked_spd(mat, grid))
-
-
-def ellipticity_constants(metric: MetricField) -> tuple[float, float]:
-    """Global (min, max) eigenvalues over all nodes."""
-    eigs = np.linalg.eigvalsh(metric.mat)
-    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
+    return _checked_spd(mat, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +519,7 @@ def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -
 
 def weight_identity_check(data: MillerDataset) -> float:
     """Max abs deviation of sqrt(det g) * g^{-1} from the coefficient matrix
-    for the 3-D metric, with determinant and inverse computed numerically."""
+    for the 3-D metric, with the weight ``MetricField.weight`` computed
+    numerically from the node table by :func:`spd_weight`."""
     g = assemble_counterexample_metric_3d(data)
     return float(np.abs(g.weight - data.coefficient_matrix()).max())

@@ -3,7 +3,8 @@
 Verifies:
   - the pointwise energy identity holds to rounding on random tuples
   - the one-parameter factor family and its positivity floors
-  - fourth-power (n >= 3) and first-power (n = 2) metric scalings
+  - fourth-power (n >= 3) and first-power (n = 2) metric scalings; a
+    factor with a NaN, inf or non-positive value is refused
   - the scaling-law potential: exact-zero shortcut and boundary fill
   - the scaling-law residual vanishes for c = 1 and shrinks under
     refinement otherwise
@@ -38,6 +39,7 @@ from calderon_lab.errors import (
     GridMismatch,
     InsufficientSamples,
     MissingAnalyticGradient,
+    NonPositiveFactor,
 )
 from calderon_lab.grid_geometry import (
     FULL_BOUNDARY,
@@ -112,6 +114,13 @@ class TestScaleMetric:
         out = scale_metric(bumpy9, c)
         expect = (c.values**4)[..., None, None] * bumpy9.mat
         assert np.abs(out.mat - expect).max() == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_factor_must_be_finite_and_positive(self, grid9, bad):
+        vals = np.ones(grid9.shape)
+        vals[4, 2, 1] = bad
+        with pytest.raises(NonPositiveFactor):
+            ConformalFactor(ScalarField(grid9, vals), 3)
 
     def test_rejects_2d(self):
         grid = cyl_grid(2, 9)

@@ -8,8 +8,9 @@ Verifies:
     its Kronecker formula
   - the batched kernel matches a per-Gauss-point reference loop built on
     np.linalg.det and np.linalg.inv, for random metrics in n = 2, 3, 4 and a
-    synthesised counterexample metric; its SPD weight matches det/inv on
-    batches with condition numbers up to 1e8
+    synthesised counterexample metric; the SPD kernel
+    grid_geometry.spd_weight matches det/inv on batches with condition
+    numbers up to 1e8, and in longdouble matches an exact cofactor reference
   - the per-grid layout cache builds one scatter pattern for equal grids,
     is not reachable through a returned matrix, and the assembled bytes do
     not depend on the BLAS thread count
@@ -21,11 +22,13 @@ Verifies:
   - singular interior blocks are detected by every solve entry point
 """
 
+import decimal
 import hashlib
 import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +70,35 @@ from calderon_lab.grid_geometry import (
     flat_metric,
     random_trig_metric,
     sample_metric,
+    spd_weight,
 )
+
+
+def _exact_cofactor_weight(A):
+    """``sqrt(det A) A^{-1}`` and ``sqrt(det A)`` in longdouble for a batch
+    of 3 x 3 double matrices, from the cofactor determinant and adjugate
+    taken in exact rational arithmetic and rounded once. Cofactor expansion
+    in floating point would cancel: its error grows like eps * cond^2."""
+
+    def rounded(q):
+        with decimal.localcontext(prec=40):
+            return np.longdouble(str(decimal.Decimal(q.numerator) / q.denominator))
+
+    W = np.empty(A.shape, dtype=np.longdouble)
+    root = np.empty(len(A), dtype=np.longdouble)
+    for b, mat in enumerate(A):
+        m = [[Fraction(float(x)) for x in row] for row in mat]
+        # cyclic indices carry the cofactor signs
+        cof = [
+            [m[i - 2][j - 2] * m[i - 1][j - 1] - m[i - 2][j - 1] * m[i - 1][j - 2] for j in range(3)]
+            for i in range(3)
+        ]
+        root[b] = np.sqrt(rounded(sum(m[0][j] * cof[0][j] for j in range(3))))
+        for i in range(3):
+            for j in range(3):
+                W[b, i, j] = rounded(cof[j][i]) / root[b]
+    return W, root
+
 
 # -- independent 1-D element matrices ---------------------------------------
 # For the flat metric the trilinear stiffness factorizes over axes:
@@ -290,9 +321,17 @@ class TestAssembly:
         S = sys_.matrix
         assert (S - S.T).nnz == 0
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_spd_weight_matches_det_inv(self, n):
-        eps = np.finfo(float).eps
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [
+            pytest.param(2, np.float64, id="2"),
+            pytest.param(3, np.float64, id="3"),
+            pytest.param(4, np.float64, id="4"),
+            pytest.param(3, np.longdouble, id="3-longdouble"),
+        ],
+    )
+    def test_spd_weight_matches_det_inv(self, n, dtype):
+        eps = np.finfo(dtype).eps
         rng = np.random.default_rng(n)
         batch = 400
         Q, _ = np.linalg.qr(rng.standard_normal((batch, n, n)))
@@ -303,11 +342,15 @@ class TestAssembly:
         lam *= 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1))
         A = np.einsum("bij,bj,bkj->bik", Q, lam, Q)
         A = 0.5 * (A + A.transpose(0, 2, 1))
-        W, root_det = dn_solver._spd_weight(A.transpose(1, 2, 0), n)
+        W, root_det = spd_weight(A.astype(dtype).transpose(1, 2, 0))
         W = W.transpose(2, 0, 1)
+        assert W.dtype == dtype and root_det.dtype == dtype
         assert (W == W.transpose(0, 2, 1)).all()
-        root_ref = np.sqrt(np.linalg.det(A))
-        W_ref = root_ref[:, None, None] * np.linalg.inv(A)
+        if dtype == np.float64:
+            root_ref = np.sqrt(np.linalg.det(A))
+            W_ref = root_ref[:, None, None] * np.linalg.inv(A)
+        else:
+            W_ref, root_ref = _exact_cofactor_weight(A)
         bound = 10 * n * eps * np.linalg.cond(A)
         err_w = np.linalg.norm(W - W_ref, axis=(1, 2)) / np.linalg.norm(W_ref, axis=(1, 2))
         err_s = np.abs(root_det - root_ref) / root_ref

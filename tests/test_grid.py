@@ -3,8 +3,10 @@
 Verifies:
   - node layout, spacings, and quadrature weights of the cylinder grid
   - boundary/interior id sets partition the grid
-  - metric sampling: symmetry/positivity/finiteness guards, cached
-    determinants
+  - metric sampling: symmetry/positivity/finiteness guards, with the
+    NonPositiveDefinite payload naming eigvalsh's node and eigenvalue for an
+    indefinite node with a positive diagonal and for a singular node, and
+    no floating-point warning on the way; the cached sqrt(det g)
   - the coefficient-dataset metric reproduces its weight matrix exactly,
     and an indefinite dataset metric is refused by both assemblers
   - 3-D and n-D counterexample assemblers agree node for node at n = 3
@@ -33,7 +35,6 @@ from calderon_lab.grid_geometry import (
     assemble_counterexample_metric_nd,
     constant_metric,
     cyl_grid,
-    ellipticity_constants,
     flat_metric,
     metric_from_matrices,
     random_trig_metric,
@@ -108,7 +109,6 @@ class TestMetricField:
     def test_flat_identity(self, grid9):
         g = sample_metric(flat_metric(3), grid9)
         assert np.all(g.mat == np.eye(3))
-        assert np.all(g.det == 1.0)
         assert np.all(g.sqrt_det == 1.0)
         assert np.all(g.inv == np.eye(3))
 
@@ -130,6 +130,26 @@ class TestMetricField:
         with pytest.raises(NonPositiveDefinite):
             build(grid9, mats)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # eigenvalues -1, 1, 3
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # zero pivot
+        ],
+        ids=["indefinite_positive_diagonal", "singular"],
+    )
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_positivity_payload(self, grid9, build, bad):
+        mats = np.tile(np.eye(3), grid9.shape + (1, 1))
+        mats[2, 3, 4] = bad
+        with pytest.raises(NonPositiveDefinite) as err:
+            build(grid9, mats)
+        lam_min = np.linalg.eigvalsh(mats)[..., 0]
+        node = np.unravel_index(int(np.argmin(lam_min)), grid9.shape)
+        assert err.value.node == node == (2, 3, 4)
+        assert err.value.eigenvalue == lam_min[node]
+
     @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
     def test_non_finite_guard(self, grid9, build):
         mats = np.tile(np.eye(3), grid9.shape + (1, 1))
@@ -142,7 +162,7 @@ class TestMetricField:
         m = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
         g = sample_metric(constant_metric(m), grid9)
         assert np.abs(g.mat - m).max() == 0.0
-        assert abs(g.det[0, 0, 0] - np.linalg.det(m)) < 1e-14
+        assert abs(g.sqrt_det[0, 0, 0] - np.sqrt(np.linalg.det(m))) < 1e-14
 
     def test_random_trig_metric_spd(self, grid9):
         for seed in range(5):
@@ -151,10 +171,6 @@ class TestMetricField:
             assert evs.min() > 0, f"seed {seed}: min eigenvalue {evs.min()}"
             assert np.abs(g.mat - g.mat.swapaxes(-1, -2)).max() == 0.0
 
-    def test_ellipticity_constants_bracket(self, bumpy9):
-        lo, hi = ellipticity_constants(bumpy9)
-        evs = np.linalg.eigvalsh(bumpy9.mat)
-        assert lo <= evs.min() + 1e-12 and evs.max() <= hi + 1e-12
 
 
 def _toy_dataset(grid, scale=0.1):

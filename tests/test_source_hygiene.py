@@ -9,7 +9,10 @@ Verifies, for every module of ``calderon_lab`` except the re-exports in
 and, for every module including ``__init__.py``:
   - no module reaches another package module's ``_private`` names, neither
     by ``from .mod import _name`` nor as ``mod._name`` after
-    ``from . import mod``.
+    ``from . import mod``;
+  - no module reads ``det`` or ``inv`` of ``numpy.linalg`` or
+    ``scipy.linalg``, under any import alias: SPD metric tables have one
+    factorisation, ``grid_geometry.spd_weight``.
 """
 
 import ast
@@ -143,3 +146,35 @@ def test_no_private_names_from_other_modules(path):
         and _is_private(n.attr)
     ]
     assert not reached, f"{path.name} reaches private names of other modules: {reached}"
+
+
+SECOND_SPD_ROUTES = {"numpy.linalg.det", "numpy.linalg.inv", "scipy.linalg.det", "scipy.linalg.inv"}
+
+
+def _qualified_reads(tree: ast.Module) -> list:
+    """(dotted name, line) of every name and attribute chain a module reads,
+    with absolute-import aliases resolved (``np.linalg.inv`` after
+    ``import numpy as np`` is ``numpy.linalg.inv``)."""
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top = a.name.split(".")[0]
+                alias[a.asname or top] = a.name if a.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            alias.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    out = []
+    for node in ast.walk(tree):
+        parts, base = [], node
+        while isinstance(base, ast.Attribute):
+            parts.append(base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in alias:
+            out.append((".".join([alias[base.id], *reversed(parts)]), node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_second_spd_route(path):
+    found = [f"{nm} (line {line})" for nm, line in _qualified_reads(_tree(path)) if nm in SECOND_SPD_ROUTES]
+    assert not found, f"{path.name} factors matrices outside grid_geometry.spd_weight: {found}"
