@@ -152,20 +152,24 @@ def bump_profile(lo: float, hi: float):
     return _eval
 
 
-def bump(lo: float, hi: float, dim: int, axis: int = 0) -> AnalyticScalar:
-    """Smooth bump along one axis: positive on (lo, hi), identically zero
-    outside, all derivatives vanish at the endpoints. Normalised to peak 1."""
-    _eval = bump_profile(lo, hi)
+def _along(profile, dim: int, axis: int) -> AnalyticScalar:
+    """The expression ``f(p[axis])`` from a ``t -> (f(t), f'(t))`` profile."""
 
     def val(p):
-        return _eval(np.asarray(p[..., axis], dtype=float))[0]
+        return profile(np.asarray(p[..., axis], dtype=float))[0]
 
     def grad(p):
         g = np.zeros(p.shape[:-1] + (dim,))
-        g[..., axis] = _eval(np.asarray(p[..., axis], dtype=float))[1]
+        g[..., axis] = profile(np.asarray(p[..., axis], dtype=float))[1]
         return g
 
     return AnalyticScalar(dim, val, grad)
+
+
+def bump(lo: float, hi: float, dim: int, axis: int = 0) -> AnalyticScalar:
+    """Smooth bump along one axis: positive on (lo, hi), identically zero
+    outside, all derivatives vanish at the endpoints. Normalised to peak 1."""
+    return _along(bump_profile(lo, hi), dim, axis)
 
 
 def exp_flat(cutoff: float, dim: int, axis: int = 0) -> AnalyticScalar:
@@ -174,6 +178,7 @@ def exp_flat(cutoff: float, dim: int, axis: int = 0) -> AnalyticScalar:
     T = float(cutoff)
 
     def _eval(t):
+        t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         dout = np.zeros_like(t)
         inside = t < T
@@ -181,18 +186,11 @@ def exp_flat(cutoff: float, dim: int, axis: int = 0) -> AnalyticScalar:
         with np.errstate(under="ignore"):
             e = np.exp(-1.0 / dt)
         out[inside] = e
+        # d/dt exp(-1/(T-t)) = -exp(-1/(T-t)) / (T-t)^2
         dout[inside] = -e / (dt * dt)
         return out, dout
 
-    def val(p):
-        return _eval(np.asarray(p[..., axis], dtype=float))[0]
-
-    def grad(p):
-        g = np.zeros(p.shape[:-1] + (dim,))
-        g[..., axis] = _eval(np.asarray(p[..., axis], dtype=float))[1]
-        return g
-
-    return AnalyticScalar(dim, val, grad)
+    return _along(_eval, dim, axis)
 
 
 def trig_sum(

@@ -6,7 +6,10 @@ Subcommands: verify-identities, dn-compare, counterexample-study,
 validate-dataset, synth-dataset, rigidity-check. Each reads a JSON config,
 runs the corresponding library routines, writes a deterministic report
 (JSON + CSV + markdown) and exits 0 when every configured verdict passes,
-1 on computational failure, 2 on config errors.
+1 on computational failure, 2 on config errors. Every config object (the
+root and each nested spec) goes through one reader, :func:`_read`, so an
+unknown key, a missing required key or a value out of range is a config
+error raised before any computation.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,7 +57,6 @@ from .gauge import bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pul
 from .grid_geometry import (
     BOUNDARY_NAMES,
     CylinderGrid,
-    MillerDataset,
     cyl_grid,
     flat_metric,
     random_trig_metric,
@@ -85,41 +88,91 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigInvalid(f"config lacks required key {key!r}")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigInvalid(f"config key {key!r} has wrong type {type(val).__name__}")
-    return val
+# -- the config reader and its converters ------------------------------------
+
+_REQUIRED = object()
 
 
-def _cast(key: str, convert, value):
-    """``convert(value)``; a value it rejects is a config error."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigInvalid(f"config key {key!r} has invalid value {value!r}") from e
+def _read(obj, where: str, **schema) -> SimpleNamespace:
+    """The keys of the config object ``obj``, which messages call ``where``.
+    ``schema`` maps every allowed key to ``(convert, default)``: a present
+    value becomes ``convert(value)``, an absent one its default, unless that
+    is ``_REQUIRED``. A non-object, an unknown or missing key and a value the
+    converter rejects (TypeError, ValueError) are config errors."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigInvalid(f"{where} has unknown key(s) {unknown}; it takes {sorted(schema)}")
+    vals = {}
+    for key, (convert, default) in schema.items():
+        if key not in obj:
+            if default is _REQUIRED:
+                raise ConfigInvalid(f"{where} lacks required key {key!r}")
+            vals[key] = default
+            continue
+        try:
+            vals[key] = convert(obj[key])
+        except (TypeError, ValueError) as e:
+            raise ConfigInvalid(f"{where} key {key!r} has invalid value {obj[key]!r}: {e}") from e
+    return SimpleNamespace(**vals)
 
 
-def _num(cfg: dict, key: str, default, kind=int):
-    return _cast(key, kind, cfg.get(key, default))
+def _ranged(kind, lo, hi=np.inf):
+    """Converter: ``kind(v)``, which must lie in ``[lo, hi)``."""
+    def convert(v):
+        x = kind(v)
+        if not lo <= x < hi:
+            raise ValueError(f"must be at least {lo}" if hi == np.inf else f"must lie in [{lo}, {hi})")
+        return x
+    return convert
 
 
-def _nums(cfg: dict, key: str, default, kind=int) -> list:
-    """A non-empty list of numbers: an empty one would yield no evidence."""
-    vals = _cast(key, lambda v: [kind(x) for x in v], cfg.get(key, default))
-    if not vals:
-        raise ConfigInvalid(f"config key {key!r} is empty")
-    return vals
+def _list(item):
+    """Converter: a non-empty list of ``item(x)``; an empty one would
+    yield no evidence."""
+    def convert(v):
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ValueError("must be a non-empty list")
+        return tuple(item(x) for x in v)
+    return convert
 
 
-def _seed(cfg: dict) -> int:
-    """The ``seed`` key; numpy rejects negative seeds."""
-    seed = _num(cfg, "seed", 0)
-    if seed < 0:
-        raise ConfigInvalid(f"seed must be non-negative, got {seed}")
-    return seed
+def _choice(*options):
+    def convert(v):
+        if v not in options:
+            raise ValueError(f"must be one of {options}")
+        return v
+    return convert
+
+
+def _as_is(v):
+    """Converter for a nested spec that its own reader checks later."""
+    return v
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"must be a string, not {type(v).__name__}")
+    return v
+
+
+def _file(v) -> str:
+    if not os.path.isfile(_text(v)):
+        raise ValueError("is not a file")
+    return v
+
+
+def _file_name(v) -> str:
+    if os.path.basename(_text(v)) != v or v in ("", ".", ".."):
+        raise ValueError("must be a bare file name")
+    return v
+
+
+_OUT = (_text, None)  # the output directory key every root config may hold
+_GAMMA = (_choice(*BOUNDARY_NAMES), "gamma1")
+_KIND = (_text, _REQUIRED)
+_SEED = (_ranged(int, 0), 0)  # numpy rejects negative seeds
 
 
 def _grid(build, *args) -> CylinderGrid:
@@ -139,69 +192,44 @@ def _modes_fit(grid: CylinderGrid, cut: float) -> None:
         raise ConfigInvalid(f"cut {cut} is too high for grid {grid.shape}: {e}") from e
 
 
-def _gamma(cfg: dict, key: str = "gamma", default: str = "gamma1") -> str:
-    g = cfg.get(key, default)
-    if g not in BOUNDARY_NAMES:
-        raise ConfigInvalid(f"{key} must be one of {BOUNDARY_NAMES}, got {g!r}")
-    return g
+def _metric(spec):
+    """A metric spec: ``None`` for the flat metric, else the random-trig keys."""
+    if spec in ("flat", {"kind": "flat"}):
+        return None
+    return _read(spec, "metric", kind=(_choice("random-trig"), _REQUIRED), seed=_SEED,
+                 amplitude=(float, None), max_mode=(_ranged(int, 0), 1))
 
 
-def _metric_source(spec, n: int):
-    if spec is None or spec == "flat" or (isinstance(spec, dict) and spec.get("kind") == "flat"):
-        return flat_metric(n)
-    if isinstance(spec, dict) and spec.get("kind") == "random-trig":
-        return random_trig_metric(
-            n,
-            seed=_seed(spec),
-            amplitude=_num(spec, "amplitude", 0.4 / n, float),
-            max_mode=_num(spec, "max_mode", 1),
-        )
-    raise ConfigInvalid(f"unknown metric spec {spec!r}")
-
-
-def _random_factor_source(spec, n: int):
-    if spec is None or spec == "one":
-        return an.constant(1.0, n)
-    if isinstance(spec, dict):
-        rng = np.random.default_rng(_seed(spec))
-        amplitude = _num(spec, "amplitude", 0.25, float)
-        offset = _num(spec, "offset", 1.3, float)
-        # the waves sum to at most |amplitude|, so this keeps the factor positive
-        if offset <= abs(amplitude):
-            raise ConfigInvalid(f"factor offset {offset} must exceed |amplitude| {abs(amplitude)}")
-        return an.trig_sum(
-            n, rng, terms=_num(spec, "terms", 2), amplitude=amplitude, offset=offset,
-            max_mode=_num(spec, "max_mode", 1),
-        )
-    raise ConfigInvalid(f"unknown conformal factor spec {spec!r}")
+def _factor(spec):
+    """A conformal factor spec: ``None`` for c = 1, else the random factor keys."""
+    if spec == "one":
+        return None
+    f = _read(spec, "factor", seed=_SEED, amplitude=(float, 0.25), offset=(float, 1.3),
+              terms=(_ranged(int, 0), 2), max_mode=(_ranged(int, 0), 1))
+    # the waves sum to at most |amplitude|, so this keeps the factor positive
+    if f.offset <= abs(f.amplitude):
+        raise ConfigInvalid(f"factor offset {f.offset} must exceed |amplitude| {abs(f.amplitude)}")
+    return f
 
 
 def _diffeo(spec, n: int):
-    if spec is None or spec == "identity":
-        return identity_diffeo(n)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(f"unknown diffeo spec {spec!r}")
-    delta = _num(spec, "delta", 0.1, float)
-    family = spec.get("family", "bump")
-    amp = _num(spec, "amplitude", 0.08, float)
+    """The diffeomorphism a diffeo spec names, and whether it is the identity."""
+    if spec == "identity":
+        return identity_diffeo(n), True
+    d = _read(spec, "diffeo", family=(_choice("bump", "cubic", "identity"), "bump"),
+              amplitude=(float, 0.08), delta=(float, 0.1),
+              shear=(lambda v: _read(v, "shear", axis=(int, 1), amplitude=(float, 0.1)), None))
     # folding maps, shear axes outside 1..n-1 and empty collars are config errors
     try:
-        if family == "bump":
-            phi = bump_reparam(n, amp, delta)
-        elif family == "cubic":
-            phi = cubic_reparam(n, amp, delta)
-        elif family == "identity":
-            phi = identity_diffeo(n, delta)
+        if d.family == "identity":
+            phi = identity_diffeo(n, d.delta)
         else:
-            raise ConfigInvalid(f"unknown diffeo family {family!r}")
-        if spec.get("shear"):
-            shear = _require(spec, "shear", dict)
-            phi = phi.compose(
-                bump_shear(n, _num(shear, "axis", 1), _num(shear, "amplitude", 0.1, float), delta)
-            )
+            phi = (bump_reparam if d.family == "bump" else cubic_reparam)(n, d.amplitude, d.delta)
+        if d.shear is not None:
+            phi = phi.compose(bump_shear(n, d.shear.axis, d.shear.amplitude, d.delta))
     except (ValueError, NonOrientationPreserving) as e:
         raise ConfigInvalid(f"invalid diffeo: {e}") from e
-    return phi
+    return phi, d.family == "identity" and d.shear is None
 
 
 def _order_fit(sizes, gaps):
@@ -218,20 +246,17 @@ def _order_fit(sizes, gaps):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _run_verify_identities(cfg: dict, threads: int) -> ExperimentReport:
-    n = _num(cfg, "n", 3)
-    size = _num(cfg, "size", 9)
-    tuples = _num(cfg, "tuples", 20)
-    if tuples < 1:
-        raise ConfigInvalid(f"tuples must be at least 1, got {tuples}")
-    seed = _seed(cfg)
-    tol_id = _num(cfg, "identity_tol", 1e-12, float)
-    tol_triv = _num(cfg, "trivial_tol", 1e-10, float)
+def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+    # the fourth-power identity needs n >= 3
+    s = _read(cfg, "verify-identities config", out=_OUT, n=(_ranged(int, 3), 3), size=(int, 9),
+              tuples=(_ranged(int, 1), 20), seed=_SEED, identity_tol=(float, 1e-12),
+              trivial_tol=(float, 1e-10))
+    n, seed = s.n, s.seed
     rep = ExperimentReport("verify-identities", cfg)
-    grid = _grid(cyl_grid, n, size)
+    grid = _grid(cyl_grid, n, s.size)
     rows = []
     worst = 0.0
-    for k in range(tuples):
+    for k in range(s.tuples):
         rng = np.random.default_rng(seed + k)
         g = sample_metric(random_trig_metric(n, seed=seed + k), grid)
         c = ConformalFactor.from_source(
@@ -243,165 +268,144 @@ def _run_verify_identities(cfg: dict, threads: int) -> ExperimentReport:
         rows.append((k, err))
         worst = max(worst, err)
     rep.add_table("identity_errors", ("tuple", "max_error"), rows)
-    rep.add_verdict("algebraic_identity_max", worst, tol_id)
+    rep.add_verdict("algebraic_identity_max", worst, s.identity_tol)
 
     g = sample_metric(random_trig_metric(n, seed=seed), grid)
     c1 = ConformalFactor.one(grid, n)
     f = ScalarField.from_source(grid, an.trig_sum(n, np.random.default_rng(seed), terms=2, amplitude=1.0))
-    rep.add_verdict("scaling_law_trivial_factor", scaling_law_residual(g, c1, f), tol_triv)
+    rep.add_verdict("scaling_law_trivial_factor", scaling_law_residual(g, c1, f), s.trivial_tol)
     return rep
 
 
-def _gap_pair(sys_a, sys_b, gamma: str, cut: float) -> float:
-    B_a, _ = dn_mode_matrix(sys_a, gamma, cut)
-    B_b, _ = dn_mode_matrix(sys_b, gamma, cut)
-    return mode_gap(B_a, B_b)
-
-
-def _run_dn_compare(cfg: dict, threads: int) -> ExperimentReport:
-    gl = _gamma(cfg, "gamma_left")
-    gr = _gamma(cfg, "gamma_right")
-    if gl != gr:
-        raise ConfigInvalid(
-            f"the two DN maps must be restricted to the same boundary part, got {gl!r} vs {gr!r}"
-        )
-    n = _num(cfg, "n", 3)
-    sizes = _nums(cfg, "sizes", (9, 17, 33))
-    cut = _num(cfg, "cut", 2.0, float)
-    order_min = _num(cfg, "order_min", 1.5, float)
-    ident_tol = _num(cfg, "identity_tol", 1e-10, float)
-    transform = cfg.get("transform")
-    if not isinstance(transform, dict) or "kind" not in transform:
-        raise ConfigInvalid("dn-compare needs a transform spec with a 'kind'")
-    kind = transform["kind"]
-    grids = [_grid(cyl_grid, n, size) for size in sizes]
-    src = _metric_source(cfg.get("metric"), n)
-    # every grid-independent part of the transform is built here, so a bad
-    # spec fails before the first grid is sampled
-    identity_like = False
+def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+    s = _read(cfg, "dn-compare config", out=_OUT, n=(_ranged(int, 2), 3),
+              sizes=(_list(int), (9, 17, 33)), gamma_left=_GAMMA, gamma_right=_GAMMA,
+              cut=(float, 2.0), order_min=(float, 1.5), identity_tol=(float, 1e-10),
+              metric=(_metric, None), transform=(_as_is, _REQUIRED))
+    if s.gamma_left != s.gamma_right:
+        raise ConfigInvalid("the two DN maps must be restricted to the same boundary part, "
+                            f"got {s.gamma_left!r} vs {s.gamma_right!r}")
+    n, m = s.n, s.metric
+    grids = [_grid(cyl_grid, n, size) for size in s.sizes]
+    src = flat_metric(n) if m is None else random_trig_metric(
+        n, seed=m.seed, amplitude=m.amplitude, max_mode=m.max_mode)
+    # the transform is read and its grid-independent part built here, so a
+    # bad spec fails before the first grid is sampled; pair(g) assembles
+    # the two systems whose DN maps are compared
+    t = s.transform
+    kind = t.get("kind") if isinstance(t, dict) else None
     if kind == "conformal-2d":
         if n != 2:
             raise ConfigInvalid("conformal-2d requires n = 2")
-        c_src = _random_factor_source(transform.get("factor"), n)
-        identity_like = transform.get("factor") in (None, "one")
+        f = _read(t, "transform", kind=_KIND, factor=(_factor, None)).factor
+        identity = f is None
+        c_src = an.constant(1.0, n) if identity else an.trig_sum(
+            n, np.random.default_rng(f.seed), terms=f.terms, amplitude=f.amplitude,
+            offset=f.offset, max_mode=f.max_mode)
+
+        def pair(g):
+            c = ConformalFactor.from_source(g.grid, c_src, n)
+            return assemble_stiffness(g), assemble_stiffness(scale_metric_2d(g, c))
     elif kind == "conformal-link":
         if n < 3:
             raise ConfigInvalid("conformal-link requires n >= 3")
-        c_src = _collar_flat_source(transform, n)
+        link = _read(t, "transform", kind=_KIND, amplitude=(float, 0.3),
+                     collar=(_ranged(float, 0.0, 0.5), 0.15), seed=_SEED)
+        identity = False
+        # c = 1 + amplitude * bump(t) * trig(angles) equals 1 with zero
+        # normal derivative on collars at both ends, so the potential-link
+        # comparison sees matching Dirichlet and Neumann traces
+        prof = an.bump(link.collar, 1.0 - link.collar, n, 0)
+        ang = an.trig_sum(n, np.random.default_rng(link.seed), terms=2, amplitude=0.5,
+                          max_mode=1, offset=1.0)
+        c_src = an.constant(1.0, n) + prof * ang * an.constant(link.amplitude, n)
+
+        def pair(g):
+            c = ConformalFactor.from_source(g.grid, c_src, n)
+            # the factor is constant near both ends, so the one-sided fill
+            # of the potential there is exact
+            q = conformal_potential(g, c, one_sided=True)
+            return assemble_stiffness(scale_metric(g, c)), assemble_stiffness(g, potential=q)
     elif kind == "diffeo":
-        spec = transform.get("diffeo", transform)
-        src_t = pullback_metric(src, _diffeo(spec, n))
-        identity_like = spec == "identity" or (isinstance(spec, dict) and spec.get("family") == "identity")
+        spec = _read(t, "transform", kind=_KIND, diffeo=(_as_is, {})).diffeo
+        phi, identity = _diffeo(spec, n)
+        src_t = pullback_metric(src, phi)
+
+        def pair(g):
+            return assemble_stiffness(g), assemble_stiffness(sample_metric(src_t, g.grid))
     else:
-        raise ConfigInvalid(f"unknown transform kind {kind!r}")
-    if not identity_like and len(set(sizes)) < 2:
-        raise ConfigInvalid(f"fitting gap_order needs two distinct sizes, got {sizes}")
+        raise ConfigInvalid(f"transform needs a kind among conformal-2d, conformal-link, "
+                            f"diffeo, got {kind!r}")
+    if not identity and len(set(s.sizes)) < 2:
+        raise ConfigInvalid(f"fitting gap_order needs two distinct sizes, got {list(s.sizes)}")
     for grid in grids:
-        _modes_fit(grid, cut)
+        _modes_fit(grid, s.cut)
 
     rep = ExperimentReport("dn-compare", cfg)
     gaps = []
     for grid in grids:
-        g = sample_metric(src, grid)
-        sys_g = assemble_stiffness(g)
-        if kind == "conformal-2d":
-            c = ConformalFactor.from_source(grid, c_src, n)
-            sys_t = assemble_stiffness(scale_metric_2d(g, c))
-        elif kind == "conformal-link":
-            c = ConformalFactor.from_source(grid, c_src, n)
-            # the factor is constant near both ends, so the one-sided fill
-            # of the potential there is exact
-            q = conformal_potential(g, c, one_sided=True)
-            sys_t = assemble_stiffness(g, potential=q)
-            sys_g = assemble_stiffness(scale_metric(g, c))
-        else:
-            sys_t = assemble_stiffness(sample_metric(src_t, grid))
-        gaps.append(_gap_pair(sys_g, sys_t, gl, cut))
-    rep.add_table("gaps", ("size", "gap"), list(zip(sizes, gaps)))
+        sys_a, sys_b = pair(sample_metric(src, grid))
+        B_a, _ = dn_mode_matrix(sys_a, s.gamma_left, s.cut)
+        B_b, _ = dn_mode_matrix(sys_b, s.gamma_left, s.cut)
+        gaps.append(mode_gap(B_a, B_b))
+    rep.add_table("gaps", ("size", "gap"), list(zip(s.sizes, gaps)))
     rep.scalars["gaps"] = gaps
-    if identity_like:
-        rep.add_verdict("gap_at_floor", max(gaps), ident_tol)
+    if identity:
+        rep.add_verdict("gap_at_floor", max(gaps), s.identity_tol)
     else:
-        rep.add_verdict("gap_order", _order_fit(sizes, gaps), order_min, ">=")
+        rep.add_verdict("gap_order", _order_fit(s.sizes, gaps), s.order_min, ">=")
     return rep
 
 
-def _collar_flat_source(transform: dict, n: int) -> an.AnalyticScalar:
-    """c = 1 + amplitude * bump(t) * trig(angles): equals 1 with zero normal
-    derivative on collars at both ends, so the potential-link comparison
-    sees matching Dirichlet and Neumann traces."""
-    amp = _num(transform, "amplitude", 0.3, float)
-    lo = _num(transform, "collar", 0.15, float)
-    prof = an.bump(lo, 1.0 - lo, n, 0)
-    rng = np.random.default_rng(_seed(transform))
-    ang = an.trig_sum(n, rng, terms=2, amplitude=0.5, max_mode=1, offset=1.0)
-    return an.constant(1.0, n) + prof * ang * an.constant(amp, n)
+_SYNTH = dict(
+    grid=(lambda v: _read(v, "synth grid", num_t=(int, _REQUIRED), num_ang=(_list(int), _REQUIRED)),
+          _REQUIRED),
+    T=(float, None), amplitude=(float, None), ridge=(float, None), alpha=(float, None),
+    rho=(float, None), modes=(lambda v: tuple((int(x), int(y)) for x, y in v), None),
+)
 
 
-def _synth(spec: dict, check=None):
-    """Run :func:`synth_approx_miller` with only the keys a synth block sets,
-    so the library defaults hold; returns (dataset, build report).
-    ``check(grid)`` vets the grid first; a box or ridge the synthesis
-    rejects is a config error."""
-    gspec = _require(spec, "grid", dict)
-    for key in ("num_t", "num_ang"):
-        _require(gspec, key)
-    grid = _grid(CylinderGrid, 3, _num(gspec, "num_t", None), _nums(gspec, "num_ang", None))
+def _synth(spec, check=None, where: str = "synth", **extra):
+    """Read a synth block and run :func:`synth_approx_miller` with only the
+    keys it sets, so the library defaults hold. ``extra`` is the schema of
+    the keys the block's object holds besides the synth keys;
+    ``check(grid)`` vets the grid first, and a box or ridge the synthesis
+    rejects is a config error. Returns (dataset, build report, read keys)."""
+    s = _read(spec, where, **_SYNTH, **extra)
+    grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
     if check is not None:
         check(grid)
-    casts = {"T": float, "amplitude": float, "ridge": float, "alpha": float, "rho": float,
-             "modes": lambda v: tuple((int(x), int(y)) for x, y in v)}
-    kwargs = {key: _cast(key, kind, spec[key]) for key, kind in casts.items() if key in spec}
+    kwargs = {key: getattr(s, key) for key in _SYNTH if key != "grid" and getattr(s, key) is not None}
     try:
-        return synth_approx_miller(grid, **kwargs)
+        return (*synth_approx_miller(grid, **kwargs), s)
     except InfeasibleBounds as e:
         raise ConfigInvalid(f"invalid synth block: {e}") from e
 
 
-def _dataset_file(cfg: dict) -> tuple[str, MillerDataset]:
-    """The config's ``dataset`` path and the container it names, which must
-    be a regular file; a malformed container is a computation failure."""
-    path = _require(cfg, "dataset", str)
-    if not os.path.isfile(path):
-        raise ConfigInvalid(f"dataset {path!r} is not a file")
-    return path, load_dataset(path, validate=False)
-
-
-def _dataset_from_config(cfg: dict, check):
-    """The dataset a config names or synthesises, with its origin;
-    ``check(grid)`` vets the dataset grid before any synthesis."""
-    if "dataset" in cfg:
-        path, data = _dataset_file(cfg)
-        check(data.grid)
-        return data, {"dataset": path}
-    if "synth" in cfg:
-        data, synth_rep = _synth(_require(cfg, "synth", dict), check)
-        return data, {"synth": synth_rep}
-    raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
-
-
-def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
-    eps = _nums(cfg, "eps", (0.0, 0.025, 0.05, 0.1), float)
-    strides = tuple(_nums(cfg, "strides", (4, 2, 1)))
-    if min(strides) < 1:
-        raise ConfigInvalid(f"strides must be at least 1, got {list(strides)}")
-    gamma = _gamma(cfg)
-    cut = _num(cfg, "cut", 2.0, float)
-    zero_tol = _num(cfg, "zero_tol", 1e-10, float)
-    r2_min = _num(cfg, "r2_min", 0.9, float)
-    iso_eps = _num(cfg, "nonisometry_eps", 0.05, float)
-    iso_tol = _num(cfg, "nonisometry_tol", 1e-10, float)
+def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+    s = _read(cfg, "counterexample-study config", out=_OUT, dataset=(_file, None),
+              synth=(_as_is, None), eps=(_list(float), (0.0, 0.025, 0.05, 0.1)),
+              strides=(_list(_ranged(int, 1)), (4, 2, 1)), gamma=_GAMMA, cut=(float, 2.0),
+              zero_tol=(float, 1e-10), r2_min=(float, 0.9), nonisometry_eps=(float, 0.05),
+              nonisometry_tol=(float, 1e-10))
+    if (s.dataset is None) == (s.synth is None):
+        raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
     def check(grid: CylinderGrid) -> None:
         # a stride must divide the dataset grid, and the modes fit the coarsest
-        for s in strides:
-            _modes_fit(_grid(grid.coarsen, s), cut)
+        for stride in s.strides:
+            _modes_fit(_grid(grid.coarsen, stride), s.cut)
 
-    data, origin = _dataset_from_config(cfg, check)
     rep = ExperimentReport("counterexample-study", cfg)
-    rep.scalars.update(origin)
+    if s.synth is None:
+        data = load_dataset(s.dataset, validate=False)
+        check(data.grid)
+        rep.scalars["dataset"] = s.dataset
+    else:
+        data, synth_rep, _ = _synth(s.synth, check)
+        rep.scalars["synth"] = synth_rep
 
-    res = dn_gap_study(data, eps, strides=strides, gamma=gamma, cut=cut, threads=threads)
+    res = dn_gap_study(data, s.eps, strides=s.strides, gamma=s.gamma, cut=s.cut, threads=threads)
     rep.add_table(
         "gap_study",
         ("eps", "stride", "gap", "harmonic_residual", "weak_residual"),
@@ -410,23 +414,25 @@ def _run_counterexample_study(cfg: dict, threads: int) -> ExperimentReport:
     rep.scalars["fit"] = res.fit
     zero_gaps = [c.gap for c in res.cells if c.eps == 0.0]
     if zero_gaps:
-        rep.add_verdict("zero_eps_gap", max(zero_gaps), zero_tol)
+        rep.add_verdict("zero_eps_gap", max(zero_gaps), s.zero_tol)
     if not res.fit.get("trivial"):
         rep.add_verdict("fit_beta_eps_r", res.fit["beta_eps_r"], 0.0, ">=")
         rep.add_verdict("fit_beta_eps2", res.fit["beta_eps2"], 0.0, ">=")
-        rep.add_verdict("fit_r2", res.fit["r2"], r2_min, ">=")
+        rep.add_verdict("fit_r2", res.fit["r2"], s.r2_min, ">=")
         try:
-            iso = nonisometry_check(data, iso_eps)
+            iso = nonisometry_check(data, s.nonisometry_eps)
             rep.scalars["nonisometry"] = iso
-            rep.add_verdict("nonisometry_p2_match", iso["rel_diff"], iso_tol)
+            rep.add_verdict("nonisometry_p2_match", iso["rel_diff"], s.nonisometry_tol)
             rep.add_verdict("nonisometry_p2_positive", iso["p2"], 0.0, ">=")
         except TrivialU:
             rep.scalars["nonisometry"] = "trivial u, no obstruction derivable"
     return rep
 
 
-def _run_validate_dataset(cfg: dict, threads: int) -> ExperimentReport:
-    _, data = _dataset_file(cfg)
+def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+    s = _read(cfg, "validate-dataset config", out=_OUT, dataset=(_file, _REQUIRED))
+    # a malformed container is a computation failure
+    data = load_dataset(s.dataset, validate=False)
     rep = ExperimentReport("validate-dataset", cfg)
     result = validate_miller_properties(data)
     rep.scalars["validation"] = result.as_dict()
@@ -440,37 +446,32 @@ def _run_validate_dataset(cfg: dict, threads: int) -> ExperimentReport:
 
 
 def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    output = cfg.get("output", "dataset.json")
-    if not isinstance(output, str) or os.path.basename(output) != output or output in ("", ".", ".."):
-        raise ConfigInvalid(f"output must be a bare file name, got {output!r}")
     rep = ExperimentReport("synth-dataset", cfg)
-    data, synth_rep = _synth(cfg)
-    save_dataset(data, os.path.join(out_dir, output))
+    data, synth_rep, s = _synth(cfg, where="synth-dataset config", out=_OUT,
+                                output=(_file_name, "dataset.json"))
+    os.makedirs(out_dir, exist_ok=True)
+    save_dataset(data, os.path.join(out_dir, s.output))
     rep.scalars["synth"] = synth_rep
-    rep.scalars["output"] = output
+    rep.scalars["output"] = s.output
     rep.add_verdict("residual_not_worse_than_baseline",
                     synth_rep["achieved_l2"] - synth_rep["baseline_l2"], 0.0)
     return rep
 
 
-def _run_rigidity_check(cfg: dict, threads: int) -> ExperimentReport:
-    n = _num(cfg, "n", 3)
-    size = _num(cfg, "size", 9)
-    seeds = _nums(cfg, "seeds", range(5))
-    if min(seeds) < 0:
-        raise ConfigInvalid(f"seeds must be non-negative, got {seeds}")
-    tol = _num(cfg, "tolerance", 1e-10, float)
+def _run_rigidity_check(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+    s = _read(cfg, "rigidity-check config", out=_OUT, n=(_ranged(int, 2), 3), size=(int, 9),
+              seeds=(_list(_ranged(int, 0)), tuple(range(5))), tolerance=(float, 1e-10))
     rep = ExperimentReport("rigidity-check", cfg)
-    grid = _grid(cyl_grid, n, size)
+    grid = _grid(cyl_grid, s.n, s.size)
     rows = []
     worst = 0.0
-    for s in seeds:
-        g = sample_metric(random_trig_metric(n, seed=s), grid)
+    for seed in s.seeds:
+        g = sample_metric(random_trig_metric(s.n, seed=seed), grid)
         dev = global_rigidity_check(g)
-        rows.append((s, dev))
+        rows.append((seed, dev))
         worst = max(worst, dev)
     rep.add_table("deviation_from_one", ("seed", "max_deviation"), rows)
-    rep.add_verdict("rigidity_max_deviation", worst, tol)
+    rep.add_verdict("rigidity_max_deviation", worst, s.tolerance)
     return rep
 
 
@@ -489,13 +490,8 @@ def run(command: str, cfg: dict, out_dir, threads: int = 1) -> ExperimentReport:
     goes to ``timings["total"]``."""
     if command not in _HANDLERS:
         raise ConfigInvalid(f"unknown command {command!r}")
-    handler = _HANDLERS[command]
     t0 = time.perf_counter()
-    if command == "synth-dataset":
-        os.makedirs(out_dir, exist_ok=True)
-        rep = handler(cfg, threads, out_dir)
-    else:
-        rep = handler(cfg, threads)
+    rep = _HANDLERS[command](cfg, threads, out_dir)
     rep.timings["total"] = time.perf_counter() - t0
     return rep
 

@@ -151,9 +151,15 @@ def load_dataset(path, validate: bool = True) -> MillerDataset:
         raise MalformedContainer(
             f"unsupported layout/dtype {meta['layout']!r}/{meta['dtype']!r}"
         )
-    if meta["n"] != 3 or len(meta["N_ang"]) != 2:
+    if meta["n"] != 3 or not isinstance(meta["N_ang"], list) or len(meta["N_ang"]) != 2:
         raise MalformedContainer("coefficient datasets are 3-D with two angular axes")
-    grid = CylinderGrid(3, int(meta["N_t"]), tuple(int(m) for m in meta["N_ang"]))
+    try:
+        grid = CylinderGrid(3, int(meta["N_t"]), tuple(int(m) for m in meta["N_ang"]))
+        scalars = {key: float(meta[key]) for key in ("T", "rho", "alpha")}
+        if not np.isfinite(list(scalars.values())).all():
+            raise ValueError(f"non-finite scalar in {scalars}")
+    except (TypeError, ValueError) as e:
+        raise MalformedContainer(f"invalid metadata: {e}") from e
     arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
         raise MalformedContainer("missing arrays section")
@@ -170,9 +176,7 @@ def load_dataset(path, validate: bool = True) -> MillerDataset:
         decoded["A1"],
         decoded["A3"],
         decoded["u"],
-        T=float(meta["T"]),
-        rho=float(meta["rho"]),
-        alpha=float(meta["alpha"]),
+        **scalars,
     )
     if validate:
         report = validate_miller_properties(data)
@@ -557,31 +561,28 @@ def dn_gap_study(
     Nyquist limit of those axes).
     """
     cells = []
-    for stride in strides:
-        ds = data.coarsen(stride) if stride != 1 else data
-        big = CylinderGrid(n, ds.grid.num_t, ds.grid.num_ang + (6,) * (n - 3))
-        g = assemble_counterexample_metric_nd(ds, big)
-        sys_g = assemble_stiffness(g)
-        B_g, _ = dn_mode_matrix(sys_g, gamma, cut)
-        u = ScalarField(big, np.broadcast_to(ds.u.reshape(ds.grid.shape + (1,) * (n - 3)), big.shape).copy())
-        lap = interior(laplace_beltrami_pointwise(g, u.values))
-        wq = interior(g.grid.quad_weights * g.sqrt_det)
-        r = float(np.sqrt(np.sum(wq * lap * lap)))
+    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
+        for stride in strides:
+            ds = data.coarsen(stride) if stride != 1 else data
+            big = CylinderGrid(n, ds.grid.num_t, ds.grid.num_ang + (6,) * (n - 3))
+            g = assemble_counterexample_metric_nd(ds, big)
+            sys_g = assemble_stiffness(g)
+            B_g, _ = dn_mode_matrix(sys_g, gamma, cut)
+            u = ScalarField(big, np.broadcast_to(ds.u.reshape(ds.grid.shape + (1,) * (n - 3)), big.shape).copy())
+            lap = interior(laplace_beltrami_pointwise(g, u.values))
+            wq = interior(g.grid.quad_weights * g.sqrt_det)
+            r = float(np.sqrt(np.sum(wq * lap * lap)))
 
-        def cell(eps: float) -> StudyCell:
-            c = conformal_family(u, eps, n)
-            weak = weak_condition_residual(sys_g, c, gamma).residual
-            sys_s = assemble_stiffness(scale_metric(g, c))
-            B_s, _ = dn_mode_matrix(sys_s, gamma, cut)
-            return StudyCell(
-                float(eps), int(stride), g.grid.shape, mode_gap(B_g, B_s), r, weak
-            )
+            def cell(eps: float) -> StudyCell:
+                c = conformal_family(u, eps, n)
+                weak = weak_condition_residual(sys_g, c, gamma).residual
+                sys_s = assemble_stiffness(scale_metric(g, c))
+                B_s, _ = dn_mode_matrix(sys_s, gamma, cut)
+                return StudyCell(
+                    float(eps), int(stride), g.grid.shape, mode_gap(B_g, B_s), r, weak
+                )
 
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cells.extend(pool.map(cell, eps_list))
-        else:
-            cells.extend(cell(e) for e in eps_list)
+            cells.extend(pool.map(cell, eps_list))
     return StudyResult(tuple(cells), _gap_fit(cells))
 
 

@@ -5,6 +5,10 @@ computational failure, 2 on config errors. Reports land in --out.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +166,48 @@ class TestConfigErrors:
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": -1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "alpha": 1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1]]}),
+            # the fourth-power identity needs n >= 3
+            ("verify-identities", {"n": 2}),
+            # a misspelled key at any level is refused, not ignored
+            ("verify-identities", {"tuple": 1}),
+            (
+                "dn-compare",
+                {"n": 2, "size": [9, 17], "transform": {"kind": "conformal-2d", "factor": {"seed": 1}}},
+            ),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d", "factr": {"seed": 1}}},
+            ),
+            (
+                "dn-compare",
+                {
+                    "n": 2,
+                    "sizes": [9, 17],
+                    "metric": {"kind": "random-trig", "sed": 3},
+                    "transform": {"kind": "conformal-2d"},
+                },
+            ),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d", "factor": {"sead": 1}}},
+            ),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 17], "transform": {"kind": "diffeo", "diffeo": {"familly": "cubic"}}},
+            ),
+            (
+                "dn-compare",
+                {
+                    "n": 3,
+                    "sizes": [9, 17],
+                    "transform": {"kind": "diffeo", "diffeo": {"shear": {"axis": 1, "amplitud": 0.1}}},
+                },
+            ),
+            (
+                "counterexample-study",
+                {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "amplitud": 0.1}},
+            ),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8], "numt": 9}}),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -174,6 +220,10 @@ class TestConfigErrors:
             "negative-factor-seed", "negative-link-seed",
             "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
             "negative-ridge", "alpha-leaves-no-box", "one-index-mode",
+            "identity-at-n2", "misspelled-tuples",
+            "misspelled-sizes", "misspelled-factor", "misspelled-metric-seed",
+            "misspelled-factor-seed", "misspelled-diffeo-family", "misspelled-shear-amplitude",
+            "misspelled-synth-amplitude", "misspelled-synth-grid-num_t",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
@@ -251,6 +301,82 @@ class TestConfigCheckedFirst:
         cfg = {"n": n, "sizes": [5, 9], "transform": transform}
         with pytest.raises(ConfigInvalid):
             run("dn-compare", cfg, tmp_path)
+
+    def test_identities_need_n3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cyl_grid", _must_not_run)
+        monkeypatch.setattr(cli, "sample_metric", _must_not_run)
+        with pytest.raises(ConfigInvalid, match="'n'"):
+            run("verify-identities", {"n": 2}, tmp_path)
+
+
+def _stub_computation(monkeypatch, stub):
+    """Replace every entry point where a subcommand starts computing."""
+    for name in ("sample_metric", "assemble_stiffness", "synth_approx_miller", "load_dataset",
+                 "dn_gap_study"):
+        monkeypatch.setattr(cli, name, stub)
+
+
+def _valid_configs(tmp_path):
+    """One config per subcommand that the reader accepts."""
+    ds = tmp_path / "ds.json"
+    ds.write_text("")
+    return {
+        "verify-identities": {"tuples": 1},
+        "dn-compare": {"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d"}},
+        "counterexample-study": _STUDY_CFG,
+        "validate-dataset": {"dataset": str(ds)},
+        "synth-dataset": {"grid": {"num_t": 9, "num_ang": [8, 8]}},
+        "rigidity-check": {"seeds": [0]},
+    }
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_unknown_root_key(self, tmp_path, monkeypatch, command):
+        _stub_computation(monkeypatch, _must_not_run)
+        cfg = _valid_configs(tmp_path)[command]
+        # the config alone reaches the computation; the extra key stops it
+        with pytest.raises(AssertionError, match="computation started"):
+            run(command, cfg, tmp_path)
+        with pytest.raises(ConfigInvalid, match="bogus"):
+            run(command, {**cfg, "bogus": 1}, tmp_path)
+
+
+def _readme_configs():
+    """(subcommand, config) for every JSON block of the README, each under
+    the nearest heading that names a subcommand in backticks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found, command, block = [], None, None
+    for line in text.splitlines():
+        if block is not None:
+            if line.startswith("```"):
+                found.append((command, json.loads("\n".join(block))))
+                block = None
+            else:
+                block.append(line)
+        elif line.startswith("#"):
+            name = line.lstrip("#").strip().strip("`")
+            command = name if name in cli._HANDLERS else None
+        elif line.startswith("```json"):
+            block = []
+    return found
+
+
+class TestReadmeConfigs:
+    def test_every_subcommand_has_an_example(self):
+        assert {command for command, _ in _readme_configs()} == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command,cfg", _readme_configs())
+    def test_readme_config_is_accepted(self, tmp_path, monkeypatch, command, cfg):
+        assert command is not None, f"JSON block {cfg} sits under no subcommand heading"
+        if "dataset" in cfg:
+            # the example dataset path names a file relative to the run
+            monkeypatch.chdir(tmp_path)
+            Path(cfg["dataset"]).parent.mkdir(parents=True, exist_ok=True)
+            Path(cfg["dataset"]).write_text("")
+        _stub_computation(monkeypatch, _must_not_run)
+        with pytest.raises(AssertionError, match="computation started"):
+            run(command, cfg, tmp_path)
 
 
 class TestVerifyIdentities:
@@ -371,6 +497,23 @@ class TestDatasetCommands:
         save_dataset(bad, path)
         code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(path)})
         assert code == 1
+
+    def test_bad_container_metadata_exits_1(self, tmp_path):
+        path = tmp_path / "ds.json"
+        save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
+        doc = json.loads(path.read_text())
+        doc["meta"]["N_t"] = "x"
+        path.write_text(json.dumps(doc))
+        cfg_path = _write(tmp_path, "validate.json", {"dataset": str(path)})
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "calderon_lab.cli", "validate-dataset", "--config", cfg_path,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "computation failed: MalformedContainer" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(tmp_path / "no.json")})

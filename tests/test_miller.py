@@ -2,7 +2,8 @@
 
 Verifies:
   - JSON containers round-trip bit-exactly in both encodings
-  - malformed containers are rejected with the container error
+  - malformed containers, bad metadata included, are rejected with the
+    container error
   - the Hoelder quotient matches a brute-force double loop and separates
     a genuine order-1/2 profile from an over-declared order
   - property validation: vanishing, eigenvalue bounds, triviality,
@@ -101,6 +102,20 @@ class TestContainer:
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedContainer):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("N_t", 2), ("N_t", "x"), ("N_ang", 4), ("T", "late"), ("alpha", float("nan"))],
+        ids=["too-few-t-nodes", "non-numeric-N_t", "N_ang-not-a-list", "non-numeric-T", "nan-alpha"],
+    )
+    def test_bad_metadata_rejected(self, tmp_path, key, value):
+        path = tmp_path / "ds.json"
+        save_dataset(_toy_dataset(cyl_grid(3, 5)), path)
+        doc = json.loads(path.read_text())
+        doc["meta"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedContainer):
+            load_dataset(path, validate=False)
 
     def test_load_warns_on_property_violation(self, tmp_path):
         grid = cyl_grid(3, 5)
