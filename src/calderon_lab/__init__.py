@@ -59,9 +59,7 @@ from .calculus import (
     laplace_beltrami_pointwise,
 )
 from .dn_solver import (
-    BoundaryTrace,
     DNMatrix,
-    GapResult,
     StiffnessSystem,
     assemble_stiffness,
     boundary_mass_matrix,
@@ -71,9 +69,6 @@ from .dn_solver import (
     dn_mode_matrix,
     fourier_modes,
     mode_gap,
-    operator_gap,
-    smallest_dirichlet_eigenvalue,
-    solve_dirichlet,
 )
 from .conformal import (
     ConformalFactor,

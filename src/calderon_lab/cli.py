@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -98,7 +99,8 @@ def _read(obj, where: str, **schema) -> SimpleNamespace:
     ``schema`` maps every allowed key to ``(convert, default)``: a present
     value becomes ``convert(value)``, an absent one its default, unless that
     is ``_REQUIRED``. A non-object, an unknown or missing key and a value the
-    converter rejects (TypeError, ValueError) are config errors."""
+    converter rejects (TypeError, ValueError, OverflowError) are config
+    errors."""
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"{where} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - set(schema))
@@ -113,9 +115,28 @@ def _read(obj, where: str, **schema) -> SimpleNamespace:
             continue
         try:
             vals[key] = convert(obj[key])
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ConfigInvalid(f"{where} key {key!r} has invalid value {obj[key]!r}: {e}") from e
     return SimpleNamespace(**vals)
+
+
+def _number(v):
+    """A JSON number as given; strings and booleans are refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"must be a number, not {type(v).__name__}")
+    return v
+
+
+def _float(v) -> float:
+    return float(_number(v))
+
+
+def _int(v) -> int:
+    """Converter for every integer key: a number with a fractional part is
+    refused, never truncated."""
+    if _number(v) != int(v):
+        raise ValueError("must be an integer")
+    return int(v)
 
 
 def _ranged(kind, lo, hi=np.inf):
@@ -172,7 +193,7 @@ def _file_name(v) -> str:
 _OUT = (_text, None)  # the output directory key every root config may hold
 _GAMMA = (_choice(*BOUNDARY_NAMES), "gamma1")
 _KIND = (_text, _REQUIRED)
-_SEED = (_ranged(int, 0), 0)  # numpy rejects negative seeds
+_SEED = (_ranged(_int, 0), 0)  # numpy rejects negative seeds
 
 
 def _grid(build, *args) -> CylinderGrid:
@@ -197,15 +218,15 @@ def _metric(spec):
     if spec in ("flat", {"kind": "flat"}):
         return None
     return _read(spec, "metric", kind=(_choice("random-trig"), _REQUIRED), seed=_SEED,
-                 amplitude=(float, None), max_mode=(_ranged(int, 0), 1))
+                 amplitude=(_float, None), max_mode=(_ranged(_int, 0), 1))
 
 
 def _factor(spec):
     """A conformal factor spec: ``None`` for c = 1, else the random factor keys."""
     if spec == "one":
         return None
-    f = _read(spec, "factor", seed=_SEED, amplitude=(float, 0.25), offset=(float, 1.3),
-              terms=(_ranged(int, 0), 2), max_mode=(_ranged(int, 0), 1))
+    f = _read(spec, "factor", seed=_SEED, amplitude=(_float, 0.25), offset=(_float, 1.3),
+              terms=(_ranged(_int, 0), 2), max_mode=(_ranged(_int, 0), 1))
     # the waves sum to at most |amplitude|, so this keeps the factor positive
     if f.offset <= abs(f.amplitude):
         raise ConfigInvalid(f"factor offset {f.offset} must exceed |amplitude| {abs(f.amplitude)}")
@@ -217,8 +238,8 @@ def _diffeo(spec, n: int):
     if spec == "identity":
         return identity_diffeo(n), True
     d = _read(spec, "diffeo", family=(_choice("bump", "cubic", "identity"), "bump"),
-              amplitude=(float, 0.08), delta=(float, 0.1),
-              shear=(lambda v: _read(v, "shear", axis=(int, 1), amplitude=(float, 0.1)), None))
+              amplitude=(_float, 0.08), delta=(_float, 0.1),
+              shear=(lambda v: _read(v, "shear", axis=(_int, 1), amplitude=(_float, 0.1)), None))
     # folding maps, shear axes outside 1..n-1 and empty collars are config errors
     try:
         if d.family == "identity":
@@ -248,9 +269,9 @@ def _order_fit(sizes, gaps):
 
 def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     # the fourth-power identity needs n >= 3
-    s = _read(cfg, "verify-identities config", out=_OUT, n=(_ranged(int, 3), 3), size=(int, 9),
-              tuples=(_ranged(int, 1), 20), seed=_SEED, identity_tol=(float, 1e-12),
-              trivial_tol=(float, 1e-10))
+    s = _read(cfg, "verify-identities config", out=_OUT, n=(_ranged(_int, 3), 3), size=(_int, 9),
+              tuples=(_ranged(_int, 1), 20), seed=_SEED, identity_tol=(_float, 1e-12),
+              trivial_tol=(_float, 1e-10))
     n, seed = s.n, s.seed
     rep = ExperimentReport("verify-identities", cfg)
     grid = _grid(cyl_grid, n, s.size)
@@ -278,9 +299,9 @@ def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport
 
 
 def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "dn-compare config", out=_OUT, n=(_ranged(int, 2), 3),
-              sizes=(_list(int), (9, 17, 33)), gamma_left=_GAMMA, gamma_right=_GAMMA,
-              cut=(float, 2.0), order_min=(float, 1.5), identity_tol=(float, 1e-10),
+    s = _read(cfg, "dn-compare config", out=_OUT, n=(_ranged(_int, 2), 3),
+              sizes=(_list(_int), (9, 17, 33)), gamma_left=_GAMMA, gamma_right=_GAMMA,
+              cut=(_float, 2.0), order_min=(_float, 1.5), identity_tol=(_float, 1e-10),
               metric=(_metric, None), transform=(_as_is, _REQUIRED))
     if s.gamma_left != s.gamma_right:
         raise ConfigInvalid("the two DN maps must be restricted to the same boundary part, "
@@ -309,8 +330,8 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     elif kind == "conformal-link":
         if n < 3:
             raise ConfigInvalid("conformal-link requires n >= 3")
-        link = _read(t, "transform", kind=_KIND, amplitude=(float, 0.3),
-                     collar=(_ranged(float, 0.0, 0.5), 0.15), seed=_SEED)
+        link = _read(t, "transform", kind=_KIND, amplitude=(_float, 0.3),
+                     collar=(_ranged(_float, 0.0, 0.5), 0.15), seed=_SEED)
         identity = False
         # c = 1 + amplitude * bump(t) * trig(angles) equals 1 with zero
         # normal derivative on collars at both ends, so the potential-link
@@ -358,10 +379,10 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 
 _SYNTH = dict(
-    grid=(lambda v: _read(v, "synth grid", num_t=(int, _REQUIRED), num_ang=(_list(int), _REQUIRED)),
+    grid=(lambda v: _read(v, "synth grid", num_t=(_int, _REQUIRED), num_ang=(_list(_int), _REQUIRED)),
           _REQUIRED),
-    T=(float, None), amplitude=(float, None), ridge=(float, None), alpha=(float, None),
-    rho=(float, None), modes=(lambda v: tuple((int(x), int(y)) for x, y in v), None),
+    T=(_float, None), amplitude=(_float, None), ridge=(_float, None), alpha=(_float, None),
+    rho=(_float, None), modes=(lambda v: tuple((_int(x), _int(y)) for x, y in v), None),
 )
 
 
@@ -384,10 +405,10 @@ def _synth(spec, check=None, where: str = "synth", **extra):
 
 def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     s = _read(cfg, "counterexample-study config", out=_OUT, dataset=(_file, None),
-              synth=(_as_is, None), eps=(_list(float), (0.0, 0.025, 0.05, 0.1)),
-              strides=(_list(_ranged(int, 1)), (4, 2, 1)), gamma=_GAMMA, cut=(float, 2.0),
-              zero_tol=(float, 1e-10), r2_min=(float, 0.9), nonisometry_eps=(float, 0.05),
-              nonisometry_tol=(float, 1e-10))
+              synth=(_as_is, None), eps=(_list(_float), (0.0, 0.025, 0.05, 0.1)),
+              strides=(_list(_ranged(_int, 1)), (4, 2, 1)), gamma=_GAMMA, cut=(_float, 2.0),
+              zero_tol=(_float, 1e-10), r2_min=(_float, 0.9), nonisometry_eps=(_float, 0.05),
+              nonisometry_tol=(_float, 1e-10))
     if (s.dataset is None) == (s.synth is None):
         raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
@@ -459,8 +480,8 @@ def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 
 def _run_rigidity_check(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "rigidity-check config", out=_OUT, n=(_ranged(int, 2), 3), size=(int, 9),
-              seeds=(_list(_ranged(int, 0)), tuple(range(5))), tolerance=(float, 1e-10))
+    s = _read(cfg, "rigidity-check config", out=_OUT, n=(_ranged(_int, 2), 3), size=(_int, 9),
+              seeds=(_list(_ranged(_int, 0)), tuple(range(5))), tolerance=(_float, 1e-10))
     rep = ExperimentReport("rigidity-check", cfg)
     grid = _grid(cyl_grid, s.n, s.size)
     rows = []
@@ -510,17 +531,30 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
+    made = []  # directories created here, deepest first
     try:
         cfg = _load_config(args.config)
         threads = max(1, args.threads)
         out_dir = args.out or cfg.get("out") or os.path.join("reports", args.command)
+        # made before the run, so an unusable path is refused before any
+        # computation
         try:
+            path = os.path.abspath(out_dir)
+            while not os.path.lexists(path):
+                made.append(path)
+                path = os.path.dirname(path)
             os.makedirs(out_dir, exist_ok=True)
         except (TypeError, OSError) as e:
             raise ConfigInvalid(f"cannot create output directory {out_dir!r}: {e}") from e
         report = run(args.command, cfg, out_dir, threads)
         emit_report(report, out_dir)
     except ConfigInvalid as e:
+        # a refused run leaves no directory behind; rmdir spares a non-empty one
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except CalderonLabError as e:

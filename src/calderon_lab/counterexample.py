@@ -258,24 +258,26 @@ def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float, strides=None) -> 
     return out
 
 
+def _growth(q: dict) -> float:
+    """Finest-stride quotient over the coarsest: 1 when the finest is 0,
+    inf when only the coarsest is."""
+    finest, coarsest = q[1], q[max(q)]
+    if finest == 0.0:
+        return 1.0
+    return np.inf if coarsest == 0.0 else finest / coarsest
+
+
 def _holder_item(name: str, t: np.ndarray, A: np.ndarray, rho: float) -> dict:
     q = holder_quotients(t, A, rho)
     q_prime = holder_quotients(t, A, (1.0 + rho) / 2.0)
-    coarsest = max(q)
-    growth = 1.0 if q[1] == 0.0 else (np.inf if q[coarsest] == 0.0 else q[1] / q[coarsest])
-    growth_prime = (
-        1.0
-        if q_prime[1] == 0.0
-        else (np.inf if q_prime[coarsest] == 0.0 else q_prime[1] / q_prime[coarsest])
-    )
     return {
         "series": name,
         "rho": rho,
         "quotients": {str(k): v for k, v in q.items()},
-        "growth": float(growth),
+        "growth": _growth(q),
         "rho_prime": (1.0 + rho) / 2.0,
         "quotients_prime": {str(k): v for k, v in q_prime.items()},
-        "growth_prime": float(growth_prime),
+        "growth_prime": _growth(q_prime),
     }
 
 
@@ -293,13 +295,11 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
     items = []
 
     late = t >= data.T - 1e-12
-    maxima = {}
-    for nm in ("a1", "a2", "a3", "u"):
-        arr = getattr(data, nm)
-        maxima[nm] = float(np.abs(arr[late]).max()) if late.any() else 0.0
-    for nm in ("A1", "A3"):
-        arr = getattr(data, nm)
-        maxima[nm] = float(np.abs(arr[late]).max()) if late.any() else 0.0
+    # the t-mask indexes the first axis of the fields and the t-only series
+    maxima = {
+        nm: float(np.abs(getattr(data, nm)[late]).max()) if late.any() else 0.0
+        for nm in _ARRAY_NAMES
+    }
     worst = max(maxima.values())
     items.append(
         ValidationItem(

@@ -1,4 +1,5 @@
-"""Weak-form Dirichlet problems and partial Dirichlet-to-Neumann maps.
+"""Q1 stiffness assembly, harmonic extension and partial Dirichlet-to-Neumann
+maps.
 
 Discretisation: Q1 multilinear elements on the tensor cells of a cylinder
 grid, tensor two-point Gauss quadrature, metric interpolated multilinearly
@@ -26,10 +27,11 @@ Every interior solve but one goes through :class:`InteriorSolver`,
 named by the boundary component whose values are fixed (``GAMMA0``,
 ``GAMMA1`` or ``FULL_BOUNDARY``); the free nodes are the remaining t-layers,
 one contiguous id range. Its ``extend`` replaces the free entries of a nodal
-array by the discrete harmonic extension of the fixed ones. Dirichlet
-solves, DN maps (``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and
-zero elsewhere) and the natural-end harmonic fields of ``conformal`` are
-all this one operation. Solves run batched conjugate gradients
+array by the discrete harmonic extension of the fixed ones, and it is the
+only way Dirichlet data reaches a solve: DN maps (``K[G] @ extend(U)`` with
+``U`` the traces on ``G`` and zero elsewhere), the natural-end harmonic
+fields of ``conformal`` and its full-boundary rigidity check are all this
+one operation. Solves run batched conjugate gradients
 preconditioned by the exact inverse of the flat-metric block (fast
 diagonalisation of 1-D Q1 pencils), with a sparse LU of the block as the
 fallback when CG breaks down or stalls. Each of its solves is checked at
@@ -73,8 +75,6 @@ _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _CG_MAXIT = 200
 _DENSE_CHUNK = 256  # trace columns per interior solve in dn_apply
-_EIG_RTOL = 1e-13
-_EIG_MAXIT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -243,39 +243,7 @@ def assemble_stiffness(
 
 
 # ---------------------------------------------------------------------------
-# boundary data and Dirichlet solves
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryTrace:
-    """Dirichlet data on the two boundary layers; ``None`` means zero,
-    which encodes data supported in the other component."""
-
-    grid: CylinderGrid
-    g0: np.ndarray | None = None
-    g1: np.ndarray | None = None
-
-    def __post_init__(self):
-        ang = tuple(self.grid.num_ang)
-        for nm in ("g0", "g1"):
-            arr = getattr(self, nm)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != ang:
-                raise GridMismatch(f"{nm} shape {arr.shape}, expected {ang}")
-            object.__setattr__(self, nm, arr)
-
-    def layer(self, gamma: str) -> np.ndarray:
-        arr = {GAMMA0: self.g0, GAMMA1: self.g1}[gamma]
-        if arr is None:
-            return np.zeros(self.grid.num_ang)
-        return arr
-
-    @classmethod
-    def constant(cls, grid: CylinderGrid, a: float) -> "BoundaryTrace":
-        ang = tuple(grid.num_ang)
-        return cls(grid, np.full(ang, float(a)), np.full(ang, float(a)))
+# interior solves
 
 
 def _q1_pencil(num: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +270,10 @@ class InteriorSolver:
     """Harmonic extension from the boundary component ``fixed`` (``GAMMA0``,
     ``GAMMA1`` or ``FULL_BOUNDARY``) into the remaining t-layers of ``grid``,
     the slice ``free`` of node ids. ``extend(u)`` overwrites ``u[free]`` by
-    the solution of ``K[free, free] x = -K[free, fixed] u[fixed]``; ``solve``
-    solves with the block ``K[free, free]`` directly.
+    the solution of ``K[free, free] x = -K[free, fixed] u[fixed]``: the
+    Dirichlet data are the fixed entries of a nodal array, with no trace
+    container in between. ``solve`` solves with the block
+    ``K[free, free]`` directly.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
     once (Concus & Golub 1973). The preconditioner is the exact inverse of
@@ -429,18 +399,6 @@ class InteriorSolver:
         return X.reshape(rhs.shape)
 
 
-def solve_dirichlet(sys: StiffnessSystem, bc: BoundaryTrace) -> ScalarField:
-    """Solve the weak problem with Dirichlet data on all of the boundary."""
-    grid = sys.grid
-    if bc.grid.shape != grid.shape:
-        raise GridMismatch("trace grid does not match system grid")
-    u = np.zeros(grid.node_count)
-    u[grid.boundary_ids(GAMMA0)] = bc.layer(GAMMA0).ravel()
-    u[grid.boundary_ids(GAMMA1)] = bc.layer(GAMMA1).ravel()
-    InteriorSolver(sys.matrix, grid, FULL_BOUNDARY).extend(u)
-    return ScalarField(grid, u.reshape(grid.shape))
-
-
 # ---------------------------------------------------------------------------
 # DN maps
 
@@ -455,8 +413,6 @@ class DNMatrix:
     """
 
     matrix: np.ndarray
-    gamma: str
-    grid: CylinderGrid
 
 
 def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
@@ -499,7 +455,7 @@ def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
     lam = _layer_stripped(sys, gamma) if gamma in (GAMMA0, GAMMA1) else None
     if lam is None:
         lam = dn_apply(sys, gamma, np.eye(sys.grid.boundary_ids(gamma).size))
-    return DNMatrix(lam, gamma, sys.grid)
+    return DNMatrix(lam)
 
 
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
@@ -623,38 +579,6 @@ def mode_gap(B1: np.ndarray, B2: np.ndarray) -> float:
     return float(np.linalg.norm(B1 - B2) / denom)
 
 
-@dataclass(frozen=True)
-class GapResult:
-    frobenius: float
-    low_mode: float
-
-
-def operator_gap(dn1: DNMatrix, dn2: DNMatrix, mode_cut: float = 2.0) -> GapResult:
-    """Relative Frobenius gap plus the gap of the low-mode pairing blocks.
-
-    The Frobenius part requires identical grids (NaN otherwise); the
-    low-mode part accepts two refinements of the same cylinder and is the
-    number to use in convergence studies, since the highest modes carry the
-    largest discretisation error.
-    """
-    if dn1.gamma != dn2.gamma:
-        raise ShapeMismatch(f"boundary components differ: {dn1.gamma} vs {dn2.gamma}")
-    if not dn1.grid.compatible_cylinder(dn2.grid):
-        raise ShapeMismatch("operators live on different cylinders")
-    if dn1.matrix.shape == dn2.matrix.shape:
-        denom = max(np.linalg.norm(dn1.matrix), np.linalg.norm(dn2.matrix))
-        frob = 0.0 if denom == 0.0 else float(np.linalg.norm(dn1.matrix - dn2.matrix) / denom)
-    else:
-        frob = float("nan")
-
-    def project(dn: DNMatrix) -> np.ndarray:
-        V, _ = _mode_basis(dn.grid, dn.gamma, mode_cut)
-        return V.T @ dn.matrix @ V
-
-    low = mode_gap(project(dn1), project(dn2))
-    return GapResult(frob, low)
-
-
 # ---------------------------------------------------------------------------
 # boundary mass and mode eigenvalues
 
@@ -686,24 +610,3 @@ def dn_mode_eigenvalues(
     den = np.einsum("ik,ik->k", V, M @ V)
     return num / den
 
-
-def smallest_dirichlet_eigenvalue(metric: MetricField) -> float:
-    """First Dirichlet eigenvalue of the metric Laplacian by inverse power
-    iteration on the interior blocks of (stiffness, mass)."""
-    ones = np.ones(metric.grid.shape)
-    sys = assemble_stiffness(metric, potential=ones)
-    solver = InteriorSolver(sys.laplace, metric.grid, FULL_BOUNDARY)
-    K = solver.block
-    M = sys.mass[solver.free, solver.free]
-    v = np.random.default_rng(0).standard_normal(K.shape[0])
-    v /= np.linalg.norm(v)
-    lam_old = np.inf
-    for _ in range(_EIG_MAXIT):
-        w = solver.solve(M @ v)
-        w /= np.linalg.norm(w)
-        lam = float((w @ (K @ w)) / (w @ (M @ w)))
-        v = w
-        if abs(lam - lam_old) <= _EIG_RTOL * abs(lam):
-            return lam
-        lam_old = lam
-    raise NoConvergence(abs(lam - lam_old) / abs(lam), _EIG_RTOL)

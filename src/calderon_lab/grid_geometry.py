@@ -158,10 +158,6 @@ class CylinderGrid:
             raise GridMismatch(f"stride {s} does not divide grid {self.shape}")
         return CylinderGrid(self.n, (self.num_t - 1) // s + 1, tuple(m // s for m in self.num_ang))
 
-    def compatible_cylinder(self, other: "CylinderGrid") -> bool:
-        """Same manifold (dimension), possibly different refinement."""
-        return self.n == other.n
-
 
 def cyl_grid(n: int, size: int) -> CylinderGrid:
     """Convenience builder: ``size`` t-nodes, ``size - 1`` nodes per angle.

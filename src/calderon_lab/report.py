@@ -16,7 +16,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "Verdict",
@@ -50,15 +50,6 @@ class Verdict:
     threshold: float
     comparison: str  # "<=" or ">="
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-        }
-
 
 def check(name: str, value: float, threshold: float, comparison: str = "<=") -> Verdict:
     value = float(value)
@@ -75,9 +66,6 @@ def check(name: str, value: float, threshold: float, comparison: str = "<=") -> 
 class Table:
     columns: tuple
     rows: tuple
-
-    def as_dict(self) -> dict:
-        return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}
 
 
 @dataclass
@@ -106,15 +94,9 @@ class ExperimentReport:
         return hashlib.sha256(blob).hexdigest()
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "config_digest": self.config_digest(),
-            "scalars": self.scalars,
-            "tables": {k: t.as_dict() for k, t in sorted(self.tables.items())},
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "passed": self.passed,
-        }
+        d = asdict(self)
+        del d["timings"]  # volatile: it goes to the sidecar
+        return {**d, "config_digest": self.config_digest(), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"

@@ -4,7 +4,9 @@ runs in seconds."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from calderon_lab.dn_solver import assemble_stiffness
 from calderon_lab.grid_geometry import (
     CylinderGrid,
     cyl_grid,
@@ -27,6 +29,18 @@ def grid5():
 @pytest.fixture
 def flat9(grid9):
     return sample_metric(flat_metric(3), grid9)
+
+
+@pytest.fixture
+def flat9_lambda1(flat9):
+    """First Dirichlet eigenvalue of the flat size-9 cylinder: the smallest
+    eigenvalue of the interior blocks of (stiffness, mass), 448 dofs, by a
+    dense generalized symmetric eigensolve."""
+    sys = assemble_stiffness(flat9, potential=np.ones(flat9.grid.shape))
+    I = flat9.grid.interior_ids()
+    K = sys.laplace[I][:, I].toarray()
+    M = sys.mass[I][:, I].toarray()
+    return float(scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 @pytest.fixture

@@ -208,6 +208,17 @@ class TestConfigErrors:
                 {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "amplitud": 0.1}},
             ),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8], "numt": 9}}),
+            # an integer key neither truncates a fraction nor takes a string
+            # or a boolean, and no number key takes a string
+            ("rigidity-check", {"size": 9.7}),
+            ("verify-identities", {"n": "3"}),
+            ("rigidity-check", {"seeds": [True]}),
+            (
+                "dn-compare",
+                {"n": 3, "sizes": [9, 17], "transform": {"kind": "conformal-link", "amplitude": "0.3"}},
+            ),
+            # a JSON integer too large for a float key
+            ("verify-identities", '{"identity_tol": 1' + "0" * 400 + "}"),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -224,12 +235,23 @@ class TestConfigErrors:
             "misspelled-sizes", "misspelled-factor", "misspelled-metric-seed",
             "misspelled-factor-seed", "misspelled-diffeo-family", "misspelled-shear-amplitude",
             "misspelled-synth-amplitude", "misspelled-synth-grid-num_t",
+            "size-not-integral", "n-as-string", "seed-as-bool", "amplitude-as-string",
+            "integer-overflows-float",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
         code, _ = _cli(tmp_path, command, cfg)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "rc.json", {"bogus": 1})
+        (tmp_path / "there").mkdir()
+        out = tmp_path / "there" / "never" / "made"
+        assert main(["rigidity-check", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert (tmp_path / "there").is_dir()
+        assert not (tmp_path / "there" / "never").exists()
 
     def test_config_is_directory(self, tmp_path, capsys):
         assert main(["verify-identities", "--config", str(tmp_path)]) == 2

@@ -14,12 +14,16 @@ Verifies:
   - the per-grid layout cache builds one scatter pattern for equal grids,
     is not reachable through a returned matrix, and the assembled bytes do
     not depend on the BLAS thread count
-  - Dirichlet solves reproduce fields the element space contains exactly
+  - InteriorSolver.extend of full-boundary Dirichlet data reproduces
+    fields the element space contains exactly and fails its residual gate
+    on NaN data
   - DN symmetry, metric homogeneity, zero-potential equivalence
   - dn_apply on the identity gives the same map whether its columns go
     through the interior solver in one chunk or in many
   - mode eigenvalues approach the separated-variables values
-  - singular interior blocks are detected by every solve entry point
+  - singular interior blocks (the flat block shifted by its first Dirichlet
+    eigenvalue, from a dense eigensolve) are detected by every solve entry
+    point
 """
 
 import decimal
@@ -40,7 +44,7 @@ from calderon_lab import dn_solver
 from calderon_lab.calculus import ScalarField
 from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
-    BoundaryTrace,
+    InteriorSolver,
     assemble_stiffness,
     boundary_mass_matrix,
     dn_apply,
@@ -49,9 +53,6 @@ from calderon_lab.dn_solver import (
     dn_mode_matrix,
     fourier_modes,
     mode_gap,
-    operator_gap,
-    smallest_dirichlet_eigenvalue,
-    solve_dirichlet,
 )
 from calderon_lab.errors import (
     GridMismatch,
@@ -419,30 +420,34 @@ class TestGridLayoutCache:
         assert digests[0] == here
 
 
+def _extend_boundary(metric, gamma0: float, gamma1):
+    """Harmonic extension into the interior of ``gamma0`` on the t = 0
+    layer and ``gamma1`` (a number or a layer array) on the t = 1 layer."""
+    grid = metric.grid
+    u = np.zeros(grid.shape)
+    u[0] = gamma0
+    u[-1] = gamma1
+    solver = InteriorSolver(assemble_stiffness(metric).matrix, grid, FULL_BOUNDARY)
+    return solver.extend(u.reshape(grid.node_count)).reshape(grid.shape)
+
+
 class TestDirichletSolve:
     def test_linear_in_t_exact(self, grid9, flat9):
         # nodal t is in the trilinear space and harmonic, so the discrete
         # solution with traces 0 and 1 is nodal t itself
-        sys = assemble_stiffness(flat9)
-        bc = BoundaryTrace(grid9, np.zeros(grid9.num_ang), np.ones(grid9.num_ang))
-        u = solve_dirichlet(sys, bc)
+        u = _extend_boundary(flat9, 0.0, 1.0)
         t = grid9.points[..., 0]
-        assert np.abs(u.values - t).max() < 1e-10
+        assert np.abs(u - t).max() < 1e-10
 
-    def test_constant_data(self, grid9, bumpy9):
-        sys = assemble_stiffness(bumpy9)
-        u = solve_dirichlet(sys, BoundaryTrace.constant(grid9, 2.0))
-        assert np.abs(u.values - 2.0).max() < 1e-10
-
-    def test_trace_shape_guard(self, grid9):
-        with pytest.raises(GridMismatch):
-            BoundaryTrace(grid9, np.zeros((3, 3)), None)
+    def test_constant_data(self, bumpy9):
+        u = _extend_boundary(bumpy9, 2.0, 2.0)
+        assert np.abs(u - 2.0).max() < 1e-10
 
     def test_nan_data_fails_residual_gate(self, grid9, bumpy9):
         g1 = np.ones(grid9.num_ang)
         g1[2, 3] = np.nan
         with pytest.raises(NoConvergence):
-            solve_dirichlet(assemble_stiffness(bumpy9), BoundaryTrace(grid9, None, g1))
+            _extend_boundary(bumpy9, 0.0, g1)
 
 
 # Separated variables on the flat cylinder: u = v(t) cos(m.x) with
@@ -526,38 +531,6 @@ class TestDNMap:
         assert {l[0] for l in labels} == {GAMMA0, GAMMA1}
         assert B.shape[0] == len(labels)
 
-    def test_operator_gap_zero_on_identical(self, bumpy9):
-        dn = dn_map_partial(assemble_stiffness(bumpy9), GAMMA1)
-        gap = operator_gap(dn, dn)
-        assert gap.frobenius == 0.0 and gap.low_mode == 0.0
-
-    def test_operator_gap_positive_on_different(self, grid9):
-        g1 = sample_metric(random_trig_metric(3, seed=1), grid9)
-        g2 = sample_metric(random_trig_metric(3, seed=2), grid9)
-        dn1 = dn_map_partial(assemble_stiffness(g1), GAMMA1)
-        dn2 = dn_map_partial(assemble_stiffness(g2), GAMMA1)
-        gap = operator_gap(dn1, dn2)
-        assert gap.frobenius > 1e-4 and gap.low_mode > 1e-4
-
-    def test_operator_gap_cross_refinement(self):
-        g_src = random_trig_metric(3, seed=3)
-        dns = []
-        for size in (9, 17):
-            g = sample_metric(g_src, cyl_grid(3, size))
-            dns.append(dn_map_partial(assemble_stiffness(g), GAMMA1))
-        gap = operator_gap(dns[0], dns[1])
-        assert np.isnan(gap.frobenius)
-        # the low-mode gap across refinements is the coarse grid's own
-        # discretisation error, small but nowhere near rounding
-        assert 0.0 < gap.low_mode < 0.5
-
-    def test_gamma_mismatch_guard(self, bumpy9):
-        sys = assemble_stiffness(bumpy9)
-        dn0 = dn_map_partial(sys, GAMMA0)
-        dn1 = dn_map_partial(sys, GAMMA1)
-        with pytest.raises(ShapeMismatch):
-            operator_gap(dn0, dn1)
-
     def test_mode_aliasing_guard(self):
         grid = cyl_grid(3, 5)  # 4 angular nodes, Nyquist at |k| = 2
         with pytest.raises(ShapeMismatch):
@@ -565,11 +538,6 @@ class TestDNMap:
 
 
 class TestSpectrum:
-    def test_flat_dirichlet_eigenvalue(self, flat9):
-        # continuum value pi^2 (mode sin(pi t), constant in angle)
-        lam = smallest_dirichlet_eigenvalue(flat9)
-        assert abs(lam - np.pi**2) < 0.2, f"lambda_1 = {lam}"
-
     # all four entry points eliminate the same interior block
     @pytest.mark.parametrize(
         "solve",
@@ -577,14 +545,15 @@ class TestSpectrum:
             lambda sys: dn_map_partial(sys, GAMMA1),
             lambda sys: dn_apply(sys, GAMMA1, np.ones(sys.grid.num_ang).ravel()),
             lambda sys: dn_mode_matrix(sys, GAMMA1),
-            lambda sys: solve_dirichlet(sys, BoundaryTrace.constant(sys.grid, 1.0)),
+            lambda sys: InteriorSolver(sys.matrix, sys.grid, FULL_BOUNDARY).extend(
+                np.ones(sys.grid.node_count)
+            ),
         ],
-        ids=["dn_map_partial", "dn_apply", "dn_mode_matrix", "solve_dirichlet"],
+        ids=["dn_map_partial", "dn_apply", "dn_mode_matrix", "extend"],
     )
-    def test_shifted_potential_singular(self, flat9, solve):
-        lam = smallest_dirichlet_eigenvalue(flat9)
+    def test_shifted_potential_singular(self, flat9, flat9_lambda1, solve):
         sys = assemble_stiffness(
-            flat9, potential=-lam * np.ones(flat9.grid.shape), potential_id="shift"
+            flat9, potential=-flat9_lambda1 * np.ones(flat9.grid.shape), potential_id="shift"
         )
         with pytest.raises(SingularInteriorBlock):
             solve(sys)

@@ -9,7 +9,9 @@ Verifies:
     a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
     quadrature points, and is exactly 1 on the flat metric, whose block
     the preconditioner inverts exactly
-  - an indefinite but nonsingular block falls back to LU and still solves
+  - an indefinite but nonsingular block (the flat block shifted past its
+    first Dirichlet eigenvalue, from a dense eigensolve) falls back to LU
+    in InteriorSolver.extend and still solves
   - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match the
     dense sparse-LU Schur complement to 3e-14 and the CG map of dn_apply to
     1e-10; an indefinite interior block and the full boundary still take
@@ -32,15 +34,12 @@ from calderon_lab.conformal import (
 )
 from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
-    BoundaryTrace,
     InteriorSolver,
     assemble_stiffness,
     dn_apply,
     dn_map_partial,
     dn_mode_matrix,
     fourier_modes,
-    smallest_dirichlet_eigenvalue,
-    solve_dirichlet,
 )
 from calderon_lab.grid_geometry import (
     FULL_BOUNDARY,
@@ -115,12 +114,11 @@ def _rel(a, b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _shifted_system(metric):
-    """-Lap_g - (lam1 + 0.5) on the flat cylinder: the second Dirichlet
-    eigenvalue is lam1 plus the first angular one (about 1), so the shifted
-    interior block has exactly one negative eigenvalue, indefinite but
-    nonsingular."""
-    lam1 = smallest_dirichlet_eigenvalue(metric)
+def _shifted_system(metric, lam1):
+    """-Lap_g - (lam1 + 0.5) on the flat cylinder, with lam1 its first
+    Dirichlet eigenvalue: the second is lam1 plus the first angular one
+    (about 1), so the shifted interior block has exactly one negative
+    eigenvalue, indefinite but nonsingular."""
     shift = -(lam1 + 0.5) * np.ones(metric.grid.shape)
     return assemble_stiffness(metric, potential=shift, potential_id="shift")
 
@@ -202,11 +200,10 @@ def test_unknown_component_rejected(bumpy9):
         InteriorSolver(assemble_stiffness(bumpy9).matrix, bumpy9.grid, "gamma2")
 
 
-def test_indefinite_block_falls_back_to_lu(flat9):
+def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1):
     grid = flat9.grid
-    sys = _shifted_system(flat9)
-    bc = BoundaryTrace.constant(grid, 1.0)
-    u = solve_dirichlet(sys, bc).values.ravel()
+    sys = _shifted_system(flat9, flat9_lambda1)
+    u = InteriorSolver(sys.matrix, grid, FULL_BOUNDARY).extend(np.ones(grid.node_count))
 
     K = sys.matrix
     I = grid.interior_ids()
@@ -248,8 +245,8 @@ class TestLayerStripping:
     def test_counterexample_metric(self, counterexample_metric, gamma):
         self._check(assemble_stiffness(counterexample_metric), gamma)
 
-    def test_indefinite_block_falls_back(self, flat9):
-        sys = _shifted_system(flat9)
+    def test_indefinite_block_falls_back(self, flat9, flat9_lambda1):
+        sys = _shifted_system(flat9, flat9_lambda1)
         assert dn_solver._layer_stripped(sys, GAMMA1) is None
         lam = dn_map_partial(sys, GAMMA1).matrix
         assert _rel(lam, _dense_lu_reference(sys, GAMMA1)) <= 1e-10
