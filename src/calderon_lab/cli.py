@@ -29,6 +29,7 @@ from .calculus import ScalarField
 from .conformal import (
     ConformalFactor,
     algebraic_identity_check,
+    conformal_family,
     conformal_potential,
     global_rigidity_check,
     scale_metric,
@@ -48,6 +49,7 @@ from .errors import (
     CalderonLabError,
     ConfigInvalid,
     DimensionTooSmall,
+    FactorTooLarge,
     GridMismatch,
     InfeasibleBounds,
     NonOrientationPreserving,
@@ -190,7 +192,6 @@ def _file_name(v) -> str:
     return v
 
 
-_OUT = (_text, None)  # the output directory key every root config may hold
 _GAMMA = (_choice(*BOUNDARY_NAMES), "gamma1")
 _KIND = (_text, _REQUIRED)
 _SEED = (_ranged(_int, 0), 0)  # numpy rejects negative seeds
@@ -269,9 +270,8 @@ def _order_fit(sizes, gaps):
 
 def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     # the fourth-power identity needs n >= 3
-    s = _read(cfg, "verify-identities config", out=_OUT, n=(_ranged(_int, 3), 3), size=(_int, 9),
-              tuples=(_ranged(_int, 1), 20), seed=_SEED, identity_tol=(_float, 1e-12),
-              trivial_tol=(_float, 1e-10))
+    s = _read(cfg, "verify-identities config", n=(_ranged(_int, 3), 3), size=(_int, 9),
+              tuples=(_ranged(_int, 1), 20), seed=_SEED)
     n, seed = s.n, s.seed
     rep = ExperimentReport("verify-identities", cfg)
     grid = _grid(cyl_grid, n, s.size)
@@ -289,23 +289,18 @@ def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport
         rows.append((k, err))
         worst = max(worst, err)
     rep.add_table("identity_errors", ("tuple", "max_error"), rows)
-    rep.add_verdict("algebraic_identity_max", worst, s.identity_tol)
+    rep.add_verdict("algebraic_identity_max", worst, 1e-12)
 
     g = sample_metric(random_trig_metric(n, seed=seed), grid)
     c1 = ConformalFactor.one(grid, n)
     f = ScalarField.from_source(grid, an.trig_sum(n, np.random.default_rng(seed), terms=2, amplitude=1.0))
-    rep.add_verdict("scaling_law_trivial_factor", scaling_law_residual(g, c1, f), s.trivial_tol)
+    rep.add_verdict("scaling_law_trivial_factor", scaling_law_residual(g, c1, f), 1e-10)
     return rep
 
 
 def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "dn-compare config", out=_OUT, n=(_ranged(_int, 2), 3),
-              sizes=(_list(_int), (9, 17, 33)), gamma_left=_GAMMA, gamma_right=_GAMMA,
-              cut=(_float, 2.0), order_min=(_float, 1.5), identity_tol=(_float, 1e-10),
-              metric=(_metric, None), transform=(_as_is, _REQUIRED))
-    if s.gamma_left != s.gamma_right:
-        raise ConfigInvalid("the two DN maps must be restricted to the same boundary part, "
-                            f"got {s.gamma_left!r} vs {s.gamma_right!r}")
+    s = _read(cfg, "dn-compare config", n=(_ranged(_int, 2), 3), sizes=(_list(_int), (9, 17, 33)),
+              gamma=_GAMMA, cut=(_float, 2.0), metric=(_metric, None), transform=(_as_is, _REQUIRED))
     n, m = s.n, s.metric
     grids = [_grid(cyl_grid, n, size) for size in s.sizes]
     src = flat_metric(n) if m is None else random_trig_metric(
@@ -366,15 +361,15 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     gaps = []
     for grid in grids:
         sys_a, sys_b = pair(sample_metric(src, grid))
-        B_a, _ = dn_mode_matrix(sys_a, s.gamma_left, s.cut)
-        B_b, _ = dn_mode_matrix(sys_b, s.gamma_left, s.cut)
+        B_a, _ = dn_mode_matrix(sys_a, s.gamma, s.cut)
+        B_b, _ = dn_mode_matrix(sys_b, s.gamma, s.cut)
         gaps.append(mode_gap(B_a, B_b))
     rep.add_table("gaps", ("size", "gap"), list(zip(s.sizes, gaps)))
     rep.scalars["gaps"] = gaps
     if identity:
-        rep.add_verdict("gap_at_floor", max(gaps), s.identity_tol)
+        rep.add_verdict("gap_at_floor", max(gaps), 1e-10)
     else:
-        rep.add_verdict("gap_order", _order_fit(s.sizes, gaps), s.order_min, ">=")
+        rep.add_verdict("gap_order", _order_fit(s.sizes, gaps), 1.5, ">=")
     return rep
 
 
@@ -404,11 +399,10 @@ def _synth(spec, check=None, where: str = "synth", **extra):
 
 
 def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "counterexample-study config", out=_OUT, dataset=(_file, None),
-              synth=(_as_is, None), eps=(_list(_float), (0.0, 0.025, 0.05, 0.1)),
+    s = _read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
+              eps=(_list(_float), (0.0, 0.025, 0.05, 0.1)),
               strides=(_list(_ranged(_int, 1)), (4, 2, 1)), gamma=_GAMMA, cut=(_float, 2.0),
-              zero_tol=(_float, 1e-10), r2_min=(_float, 0.9), nonisometry_eps=(_float, 0.05),
-              nonisometry_tol=(_float, 1e-10))
+              nonisometry_eps=(_float, 0.05))
     if (s.dataset is None) == (s.synth is None):
         raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
@@ -425,6 +419,14 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
     else:
         data, synth_rep, _ = _synth(s.synth, check)
         rep.scalars["synth"] = synth_rep
+    # each study eps and +-nonisometry_eps (the widest volume samples) must
+    # keep 1 + eps*u above the family's floor; vetted here, not after the study
+    u = ScalarField(data.grid, data.u)
+    for eps in (*s.eps, s.nonisometry_eps, -s.nonisometry_eps):
+        try:
+            conformal_family(u, eps, 3)
+        except FactorTooLarge as e:
+            raise ConfigInvalid(f"eps out of range for the dataset: {e}") from e
 
     res = dn_gap_study(data, s.eps, strides=s.strides, gamma=s.gamma, cut=s.cut, threads=threads)
     rep.add_table(
@@ -435,15 +437,15 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
     rep.scalars["fit"] = res.fit
     zero_gaps = [c.gap for c in res.cells if c.eps == 0.0]
     if zero_gaps:
-        rep.add_verdict("zero_eps_gap", max(zero_gaps), s.zero_tol)
+        rep.add_verdict("zero_eps_gap", max(zero_gaps), 1e-10)
     if not res.fit.get("trivial"):
         rep.add_verdict("fit_beta_eps_r", res.fit["beta_eps_r"], 0.0, ">=")
         rep.add_verdict("fit_beta_eps2", res.fit["beta_eps2"], 0.0, ">=")
-        rep.add_verdict("fit_r2", res.fit["r2"], s.r2_min, ">=")
+        rep.add_verdict("fit_r2", res.fit["r2"], 0.9, ">=")
         try:
             iso = nonisometry_check(data, s.nonisometry_eps)
             rep.scalars["nonisometry"] = iso
-            rep.add_verdict("nonisometry_p2_match", iso["rel_diff"], s.nonisometry_tol)
+            rep.add_verdict("nonisometry_p2_match", iso["rel_diff"], 1e-10)
             rep.add_verdict("nonisometry_p2_positive", iso["p2"], 0.0, ">=")
         except TrivialU:
             rep.scalars["nonisometry"] = "trivial u, no obstruction derivable"
@@ -451,7 +453,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
 
 
 def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "validate-dataset config", out=_OUT, dataset=(_file, _REQUIRED))
+    s = _read(cfg, "validate-dataset config", dataset=(_file, _REQUIRED))
     # a malformed container is a computation failure
     data = load_dataset(s.dataset, validate=False)
     rep = ExperimentReport("validate-dataset", cfg)
@@ -468,7 +470,7 @@ def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     rep = ExperimentReport("synth-dataset", cfg)
-    data, synth_rep, s = _synth(cfg, where="synth-dataset config", out=_OUT,
+    data, synth_rep, s = _synth(cfg, where="synth-dataset config",
                                 output=(_file_name, "dataset.json"))
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(data, os.path.join(out_dir, s.output))
@@ -480,8 +482,8 @@ def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 
 def _run_rigidity_check(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "rigidity-check config", out=_OUT, n=(_ranged(_int, 2), 3), size=(_int, 9),
-              seeds=(_list(_ranged(_int, 0)), tuple(range(5))), tolerance=(_float, 1e-10))
+    s = _read(cfg, "rigidity-check config", n=(_ranged(_int, 2), 3), size=(_int, 9),
+              seeds=(_list(_ranged(_int, 0)), tuple(range(5))))
     rep = ExperimentReport("rigidity-check", cfg)
     grid = _grid(cyl_grid, s.n, s.size)
     rows = []
@@ -492,7 +494,7 @@ def _run_rigidity_check(cfg: dict, threads: int, out_dir) -> ExperimentReport:
         rows.append((seed, dev))
         worst = max(worst, dev)
     rep.add_table("deviation_from_one", ("seed", "max_deviation"), rows)
-    rep.add_verdict("rigidity_max_deviation", worst, s.tolerance)
+    rep.add_verdict("rigidity_max_deviation", worst, 1e-10)
     return rep
 
 
@@ -535,7 +537,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         threads = max(1, args.threads)
-        out_dir = args.out or cfg.get("out") or os.path.join("reports", args.command)
+        out_dir = args.out or os.path.join("reports", args.command)
         # made before the run, so an unusable path is refused before any
         # computation
         try:
@@ -544,7 +546,7 @@ def main(argv=None) -> int:
                 made.append(path)
                 path = os.path.dirname(path)
             os.makedirs(out_dir, exist_ok=True)
-        except (TypeError, OSError) as e:
+        except OSError as e:
             raise ConfigInvalid(f"cannot create output directory {out_dir!r}: {e}") from e
         report = run(args.command, cfg, out_dir, threads)
         emit_report(report, out_dir)

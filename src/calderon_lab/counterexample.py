@@ -23,7 +23,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,7 +67,6 @@ __all__ = [
 
 _FORMAT = "miller-dataset"
 _ARRAY_NAMES = ("a1", "a2", "a3", "A1", "A3", "u")
-_NESTED_LIMIT = 64**3
 VANISH_TOL = 1e-12
 TRIVIAL_TOL = 1e-14
 
@@ -75,9 +74,7 @@ TRIVIAL_TOL = 1e-14
 # -- container serialization -------------------------------------------------
 
 
-def _encode_array(arr: np.ndarray, nested: bool) -> dict:
-    if nested:
-        return {"encoding": "nested", "data": arr.tolist()}
+def _encode_array(arr: np.ndarray) -> dict:
     raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     return {
         "encoding": "base64",
@@ -108,11 +105,10 @@ def _decode_array(entry, name: str) -> np.ndarray:
 def save_dataset(data: MillerDataset, path) -> None:
     """Write the dataset as a single JSON container.
 
-    Arrays are nested numeric lists below 64^3 nodes and base64 raw
-    little-endian float64 above; both round-trip bit-exactly (JSON floats
-    use shortest round-trip representation).
+    Arrays are base64 raw little-endian float64, which round-trips
+    bit-exactly; :func:`load_dataset` also reads the nested-list encoding
+    of older containers.
     """
-    nested = data.grid.node_count < _NESTED_LIMIT
     doc = {
         "format": _FORMAT,
         "version": 1,
@@ -126,7 +122,7 @@ def save_dataset(data: MillerDataset, path) -> None:
             "layout": "row-major",
             "dtype": "float64-le",
         },
-        "arrays": {nm: _encode_array(getattr(data, nm), nested) for nm in _ARRAY_NAMES},
+        "arrays": {nm: _encode_array(getattr(data, nm)) for nm in _ARRAY_NAMES},
     }
     atomic_write_text(path, json.dumps(doc))
 
@@ -200,14 +196,6 @@ class ValidationItem:
     code: str | None
     details: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "code": self.code,
-            "details": self.details,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -224,7 +212,7 @@ class ValidationReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "items": [i.as_dict() for i in self.items]}
+        return {"ok": self.ok, **asdict(self)}
 
 
 def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float, strides=None) -> dict:

@@ -497,23 +497,13 @@ def _canonical_modes(n_ang: int, cut: float) -> list[tuple[int, ...]]:
     """Integer angular modes with 0 < |m| <= cut, one representative per
     {m, -m} pair (first nonzero component positive), plus the zero mode."""
     rng = range(-int(np.floor(cut)), int(np.floor(cut)) + 1)
-    out = [tuple([0] * n_ang)]
-    seen = set(out)
-    cands = []
-    for m in itertools.product(rng, repeat=n_ang):
-        norm2 = sum(k * k for k in m)
-        if norm2 == 0 or norm2 > cut * cut + 1e-9:
-            continue
-        first = next(k for k in m if k != 0)
-        if first < 0:
-            continue
-        cands.append((norm2, m))
-    cands.sort()
-    for _, m in cands:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
+    zero = (0,) * n_ang
+    # m > zero as tuples: the first nonzero component is positive
+    return [zero] + sorted(
+        (m for m in itertools.product(rng, repeat=n_ang)
+         if m > zero and sum(k * k for k in m) <= cut * cut + 1e-9),
+        key=lambda m: (sum(k * k for k in m), m),
+    )
 
 
 def _layer_phases(grid: CylinderGrid, modes) -> np.ndarray:

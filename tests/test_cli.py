@@ -4,8 +4,11 @@ Exit convention: 0 when every configured verdict passes, 1 on verdict or
 computational failure, 2 on config errors. Reports land in --out.
 """
 
+import ast
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,31 +59,11 @@ class TestConfigErrors:
         p.write_text("{")
         assert main(["verify-identities", "--config", str(p)]) == 2
 
-    def test_mismatched_gammas(self, tmp_path):
-        code, _ = _cli(
-            tmp_path,
-            "dn-compare",
-            {
-                "n": 2,
-                "sizes": [9],
-                "gamma_left": "gamma0",
-                "gamma_right": "gamma1",
-                "transform": {"kind": "conformal-2d"},
-            },
-        )
-        assert code == 2
-
     def test_unknown_gamma_name(self, tmp_path):
         code, _ = _cli(
             tmp_path,
             "dn-compare",
-            {
-                "n": 2,
-                "sizes": [9],
-                "gamma_left": "edge",
-                "gamma_right": "edge",
-                "transform": {"kind": "conformal-2d"},
-            },
+            {"n": 2, "sizes": [9], "gamma": "edge", "transform": {"kind": "conformal-2d"}},
         )
         assert code == 2
 
@@ -113,7 +96,10 @@ class TestConfigErrors:
                     "transform": {"kind": "conformal-2d"},
                 },
             ),
-            ("verify-identities", {"identity_tol": float("inf")}),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 17], "cut": float("inf"), "transform": {"kind": "conformal-2d"}},
+            ),
             ("verify-identities", '{"n": 1e999}'),
             # configs that would yield no evidence
             ("verify-identities", {"tuples": 0}),
@@ -218,7 +204,11 @@ class TestConfigErrors:
                 {"n": 3, "sizes": [9, 17], "transform": {"kind": "conformal-link", "amplitude": "0.3"}},
             ),
             # a JSON integer too large for a float key
-            ("verify-identities", '{"identity_tol": 1' + "0" * 400 + "}"),
+            (
+                "dn-compare",
+                '{"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d"}, "cut": 1'
+                + "0" * 400 + "}",
+            ),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -264,11 +254,6 @@ class TestConfigErrors:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
-    def test_out_not_a_path(self, tmp_path, capsys):
-        cfg_path = _write(tmp_path, "vi.json", {"tuples": 1, "size": 5, "out": 5})
-        assert main(["verify-identities", "--config", cfg_path]) == 2
-        assert "config error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below-file"])
     def test_out_is_not_a_directory(self, tmp_path, capsys, out):
         cfg_path = _write(tmp_path, "vi.json", {"tuples": 1, "size": 5})
@@ -289,12 +274,21 @@ def _must_not_run(*args, **kwargs):
 
 
 class TestConfigCheckedFirst:
-    @pytest.mark.parametrize("key", ["nonisometry_eps", "nonisometry_tol"])
+    @pytest.mark.parametrize("key", ["nonisometry_eps"])
     def test_study_keys(self, tmp_path, monkeypatch, key):
         monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
         monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
         with pytest.raises(ConfigInvalid):
             run("counterexample-study", {**_STUDY_CFG, key: "abc"}, tmp_path)
+
+    @pytest.mark.parametrize(
+        "key,value", [("eps", [0.0, 1000.0]), ("nonisometry_eps", 1000.0)], ids=["eps", "nonisometry_eps"]
+    )
+    def test_study_eps_vetted_before_study(self, tmp_path, monkeypatch, key, value):
+        # 1 + eps*u drops below the family's floor of 1/2 on the synthesised u
+        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
+        with pytest.raises(ConfigInvalid, match="out of range"):
+            run("counterexample-study", {**_STUDY_CFG, key: value}, tmp_path)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -363,11 +357,37 @@ class TestUnknownKeys:
         with pytest.raises(ConfigInvalid, match="bogus"):
             run(command, {**cfg, "bogus": 1}, tmp_path)
 
+    # verdict thresholds are fixed by the acceptance criteria, dn-compare
+    # reads one gamma, and the output directory comes only from --out
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("verify-identities", "identity_tol", 1e-12),
+            ("verify-identities", "trivial_tol", 1e-10),
+            ("dn-compare", "order_min", 1.5),
+            ("dn-compare", "identity_tol", 1e-10),
+            ("dn-compare", "gamma_left", "gamma1"),
+            ("dn-compare", "gamma_right", "gamma1"),
+            ("counterexample-study", "zero_tol", 1e-10),
+            ("counterexample-study", "r2_min", 0.9),
+            ("counterexample-study", "nonisometry_tol", 1e-10),
+            ("rigidity-check", "tolerance", 1e-10),
+        ]
+        + [(command, "out", "results") for command in sorted(cli._HANDLERS)],
+    )
+    def test_removed_key(self, tmp_path, capsys, command, key, value):
+        code, _ = _cli(tmp_path, command, {**_valid_configs(tmp_path)[command], key: value})
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def _readme_configs():
     """(subcommand, config) for every JSON block of the README, each under
     the nearest heading that names a subcommand in backticks."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = _README.read_text()
     found, command, block = [], None, None
     for line in text.splitlines():
         if block is not None:
@@ -384,9 +404,27 @@ def _readme_configs():
     return found
 
 
+def _readme_key_table(command):
+    """The backticked names in the first column of the first table under
+    the README heading that names ``command``."""
+    lines = _README.read_text().splitlines()
+    start = lines.index(f"### `{command}`")
+    rows = itertools.dropwhile(lambda line: not line.startswith("|"), lines[start + 1:])
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), rows))[2:]
+    return sorted(key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1]))
+
+
 class TestReadmeConfigs:
     def test_every_subcommand_has_an_example(self):
         assert {command for command, _ in _readme_configs()} == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_key_table_matches_reader(self, tmp_path, monkeypatch, command):
+        _stub_computation(monkeypatch, _must_not_run)
+        with pytest.raises(ConfigInvalid) as err:
+            run(command, {**_valid_configs(tmp_path)[command], "bogus": 1}, tmp_path)
+        taken = ast.literal_eval(str(err.value).split("it takes ", 1)[1])
+        assert _readme_key_table(command) == taken
 
     @pytest.mark.parametrize("command,cfg", _readme_configs())
     def test_readme_config_is_accepted(self, tmp_path, monkeypatch, command, cfg):
@@ -430,8 +468,6 @@ class TestDnCompare:
             {
                 "n": 2,
                 "sizes": [9],
-                "gamma_left": "gamma1",
-                "gamma_right": "gamma1",
                 "metric": {"kind": "random-trig", "seed": 3},
                 "transform": {"kind": "conformal-2d", "factor": "one"},
             },
@@ -448,8 +484,6 @@ class TestDnCompare:
             {
                 "n": 2,
                 "sizes": [9, 17, 33],
-                "gamma_left": "gamma1",
-                "gamma_right": "gamma1",
                 "metric": {"kind": "random-trig", "seed": 3},
                 "transform": {
                     "kind": "conformal-2d",
@@ -469,8 +503,6 @@ class TestDnCompare:
             {
                 "n": 2,
                 "sizes": [9],
-                "gamma_left": "gamma1",
-                "gamma_right": "gamma1",
                 "metric": {"kind": "random-trig", "seed": 2},
                 "transform": {"kind": "diffeo", "diffeo": "identity"},
             },
@@ -572,7 +604,7 @@ class TestStudyAndRigidity:
 
     def test_rigidity(self, tmp_path):
         code, out = _cli(
-            tmp_path, "rigidity-check", {"n": 3, "size": 9, "seeds": [0, 1], "tolerance": 1e-10}
+            tmp_path, "rigidity-check", {"n": 3, "size": 9, "seeds": [0, 1]}
         )
         assert code == 0
 
