@@ -67,8 +67,6 @@ from .grid_geometry import (
 )
 from .report import ExperimentReport, emit_report
 
-__all__ = ["main", "run"]
-
 
 def _finite(text: str) -> float:
     """JSON number hook: NaN, Infinity and overflowing literals are config errors."""
@@ -300,7 +298,8 @@ def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport
 
 def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     s = _read(cfg, "dn-compare config", n=(_ranged(_int, 2), 3), sizes=(_list(_int), (9, 17, 33)),
-              gamma=_GAMMA, cut=(_float, 2.0), metric=(_metric, None), transform=(_as_is, _REQUIRED))
+              gamma=_GAMMA, cut=(_ranged(_float, 0.0), 2.0), metric=(_metric, None),
+              transform=(_as_is, _REQUIRED))
     n, m = s.n, s.metric
     grids = [_grid(cyl_grid, n, size) for size in s.sizes]
     src = flat_metric(n) if m is None else random_trig_metric(
@@ -401,8 +400,8 @@ def _synth(spec, check=None, where: str = "synth", **extra):
 def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     s = _read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
               eps=(_list(_float), (0.0, 0.025, 0.05, 0.1)),
-              strides=(_list(_ranged(_int, 1)), (4, 2, 1)), gamma=_GAMMA, cut=(_float, 2.0),
-              nonisometry_eps=(_float, 0.05))
+              strides=(_list(_ranged(_int, 1)), (4, 2, 1)), gamma=_GAMMA,
+              cut=(_ranged(_float, 0.0), 2.0), nonisometry_eps=(_float, 0.05))
     if (s.dataset is None) == (s.synth is None):
         raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 

@@ -34,7 +34,7 @@ from .errors import (
     MissingAnalyticGradient,
     NonPositiveFactor,
 )
-from .grid_geometry import FULL_BOUNDARY, GAMMA0, GAMMA1, CylinderGrid, MetricField, spd_weight
+from .grid_geometry import GAMMA1, CylinderGrid, MetricField, spd_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,29 +269,6 @@ def weak_condition_residual(
     return WeakConditionResidual(max(i_res, g_res), i_res, g_res, defect)
 
 
-def harmonic_with_natural_bc(
-    sys: StiffnessSystem, dirichlet_layer: np.ndarray, gamma_dirichlet: str = GAMMA0
-) -> ScalarField:
-    """Discrete harmonic field with Dirichlet data on one layer and the
-    natural (do-nothing) condition on the other.
-
-    This is how one manufactures a factor satisfying the weak gauge
-    condition everywhere except the boundary normalisation: the result is
-    K-harmonic on interior and natural-side rows by construction, but
-    generically differs from 1 on the natural side.
-    """
-    grid = sys.grid
-    if gamma_dirichlet not in (GAMMA0, GAMMA1):
-        raise GridMismatch(f"Dirichlet data goes on one layer, not on {gamma_dirichlet!r}")
-    vals = np.asarray(dirichlet_layer, dtype=float)
-    if vals.shape != tuple(grid.num_ang):
-        raise GridMismatch(f"layer shape {vals.shape}, expected {tuple(grid.num_ang)}")
-    u = np.zeros(grid.node_count)
-    u[grid.boundary_ids(gamma_dirichlet)] = vals.ravel()
-    InteriorSolver(sys.matrix, grid, gamma_dirichlet).extend(u)
-    return ScalarField(grid, u.reshape(grid.shape))
-
-
 def _solve_pivoted(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in the dtype of A.
 
@@ -372,5 +349,5 @@ def global_rigidity_check(g: MetricField) -> float:
     1 up to solver precision, which is this number.
     """
     u = np.ones(g.grid.node_count)
-    InteriorSolver(assemble_stiffness(g).matrix, g.grid, FULL_BOUNDARY).extend(u)
+    InteriorSolver(assemble_stiffness(g).matrix, g.grid).extend(u)
     return float(np.abs(u - 1.0).max())

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -50,21 +49,6 @@ from .grid_geometry import (
 )
 from .report import atomic_write_text
 
-__all__ = [
-    "save_dataset",
-    "load_dataset",
-    "ValidationItem",
-    "ValidationReport",
-    "validate_miller_properties",
-    "holder_quotients",
-    "cauchy_data_check",
-    "synth_approx_miller",
-    "StudyCell",
-    "StudyResult",
-    "dn_gap_study",
-    "nonisometry_check",
-]
-
 _FORMAT = "miller-dataset"
 _ARRAY_NAMES = ("a1", "a2", "a3", "A1", "A3", "u")
 VANISH_TOL = 1e-12
@@ -87,19 +71,20 @@ def _decode_array(entry, name: str) -> np.ndarray:
     if not isinstance(entry, dict) or "encoding" not in entry:
         raise MalformedContainer(f"array {name} is not an encoded entry")
     enc = entry["encoding"]
-    if enc == "nested":
-        try:
-            return np.asarray(entry["data"], dtype=float)
-        except (KeyError, ValueError) as e:
-            raise MalformedContainer(f"array {name}: {e}") from e
-    if enc == "base64":
-        try:
+    if enc not in ("nested", "base64"):
+        raise MalformedContainer(f"array {name}: unknown encoding {enc!r}")
+    try:
+        if enc == "nested":
+            arr = np.asarray(entry["data"], dtype=float)
+        else:
             raw = base64.b64decode(entry["data"], validate=True)
-            arr = np.frombuffer(raw, dtype="<f8").astype(float)
-            return arr.reshape(entry["shape"])
-        except (KeyError, ValueError, TypeError) as e:
-            raise MalformedContainer(f"array {name}: {e}") from e
-    raise MalformedContainer(f"array {name}: unknown encoding {enc!r}")
+            arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(entry["shape"])
+    except (KeyError, ValueError, TypeError) as e:
+        raise MalformedContainer(f"array {name}: {e}") from e
+    # a NaN passes or breaks validation depending on where it sits
+    if not np.isfinite(arr).all():
+        raise MalformedContainer(f"array {name} holds a non-finite value")
+    return arr
 
 
 def save_dataset(data: MillerDataset, path) -> None:
@@ -351,36 +336,6 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
         )
     )
     return ValidationReport(tuple(items))
-
-
-# -- Cauchy data at the measured end -----------------------------------------
-
-
-def cauchy_data_check(u: ScalarField, k_max: int) -> np.ndarray:
-    """Max abs one-sided t-derivative of order k at the t = 1 layer, for
-    k = 0..k_max.
-
-    Each order-k estimate uses the k+2 last t-layers with coefficients
-    from the moment (Vandermonde) system, so the estimator itself is
-    second-order accurate and the defects of genuinely flat data shrink
-    like h^2 under refinement.
-    """
-    grid = u.grid
-    N = grid.num_t
-    if k_max + 2 > N:
-        raise InsufficientSamples(f"order {k_max} needs {k_max + 2} t-layers, grid has {N}")
-    h = grid.spacings[0]
-    defects = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        m = k + 2
-        xi = -np.arange(m, dtype=float)
-        V = np.vander(xi, m, increasing=True).T
-        rhs = np.zeros(m)
-        rhs[k] = math.factorial(k)
-        coeff = np.linalg.solve(V, rhs) / h**k
-        layers = u.values[N - 1 - np.arange(m)]
-        defects[k] = float(np.abs(np.tensordot(coeff, layers, axes=(0, 0))).max())
-    return defects
 
 
 # -- approximate dataset synthesis -------------------------------------------

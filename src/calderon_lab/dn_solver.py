@@ -23,15 +23,14 @@ share, and duplicates are summed in that input order, so the stiffness
 matrix is bitwise symmetric and its bytes do not depend on the BLAS thread
 count. The cell-node table and the pattern are cached per grid.
 
-Every interior solve but one goes through :class:`InteriorSolver`,
-named by the boundary component whose values are fixed (``GAMMA0``,
-``GAMMA1`` or ``FULL_BOUNDARY``); the free nodes are the remaining t-layers,
-one contiguous id range. Its ``extend`` replaces the free entries of a nodal
-array by the discrete harmonic extension of the fixed ones, and it is the
-only way Dirichlet data reaches a solve: DN maps (``K[G] @ extend(U)`` with
-``U`` the traces on ``G`` and zero elsewhere), the natural-end harmonic
-fields of ``conformal`` and its full-boundary rigidity check are all this
-one operation. Solves run batched conjugate gradients
+Every interior solve but one goes through :class:`InteriorSolver`, whose
+seam fixes the whole boundary: the free nodes are the interior t-layers,
+one contiguous id range. Its ``extend`` replaces the interior entries of a
+nodal array by the discrete harmonic extension of its boundary entries,
+and it is the only way Dirichlet data reaches a solve: DN maps
+(``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and zero elsewhere)
+and the rigidity check of ``conformal`` are both this one operation.
+Solves run batched conjugate gradients
 preconditioned by the exact inverse of the flat-metric block (fast
 diagonalisation of 1-D Q1 pencils), with a sparse LU of the block as the
 fallback when CG breaks down or stalls. Each of its solves is checked at
@@ -267,20 +266,20 @@ def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
 
 
 class InteriorSolver:
-    """Harmonic extension from the boundary component ``fixed`` (``GAMMA0``,
-    ``GAMMA1`` or ``FULL_BOUNDARY``) into the remaining t-layers of ``grid``,
-    the slice ``free`` of node ids. ``extend(u)`` overwrites ``u[free]`` by
-    the solution of ``K[free, free] x = -K[free, fixed] u[fixed]``: the
-    Dirichlet data are the fixed entries of a nodal array, with no trace
-    container in between. ``solve`` solves with the block
-    ``K[free, free]`` directly.
+    """Harmonic extension from the whole boundary of ``grid`` into its
+    interior t-layers, the slice ``free`` of node ids. ``extend(u)``
+    overwrites ``u[free]`` by the solution of
+    ``K[free, free] x = -K[free, fixed] u[fixed]`` with ``fixed`` the
+    ``FULL_BOUNDARY`` ids: the Dirichlet data are the boundary entries of
+    a nodal array, with no trace container in between. ``solve`` solves
+    with the block ``K[free, free]`` directly.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
     once (Concus & Golub 1973). The preconditioner is the exact inverse of
     the flat-metric Q1 block on the same free layers, applied by fast
     diagonalisation (Lynch, Rice & Thomas 1964): the 1-D Q1 pencils
-    ``K_d V_d = M_d V_d Lam_d`` (on t restricted to the free layers, on the
-    angles periodic) give ``K_flat^{-1} = V D^{-1} V^T`` with
+    ``K_d V_d = M_d V_d Lam_d`` (on t restricted to the interior layers,
+    on the angles periodic) give ``K_flat^{-1} = V D^{-1} V^T`` with
     ``V = V_t (x) V_1 (x) ...`` and ``D = sum_d Lam_d``. A column stops
     when its preconditioned residual ``sqrt(r^T z)`` is at most 1e-12 of
     its start. With ``W = sqrt(det g) g^{-1}`` at the quadrature points,
@@ -298,30 +297,28 @@ class InteriorSolver:
     never cached.
     """
 
-    def __init__(self, K: sp.spmatrix, grid: CylinderGrid, fixed: str):
-        self._fixed = grid.boundary_ids(fixed)  # ValueError on unknown names
-        first = 0 if fixed == GAMMA1 else 1
-        last = grid.num_t if fixed == GAMMA0 else grid.num_t - 1
+    def __init__(self, K: sp.spmatrix, grid: CylinderGrid):
+        self._fixed = grid.boundary_ids(FULL_BOUNDARY)
         P = grid.layer_count
-        self.free = slice(first * P, last * P)
+        self.free = slice(P, (grid.num_t - 1) * P)
         K = K[self.free]
         self.block = K[:, self.free].tocsr()
         self._coupling = K[:, self._fixed]
         self.iterations: int | None = None
         self._lu = None
         K_t, M_t = _q1_pencil(grid.num_t, grid.h_t, periodic=False)
-        pencils = [(K_t[first:last, first:last], M_t[first:last, first:last])]
+        pencils = [(K_t[1:-1, 1:-1], M_t[1:-1, 1:-1])]
         pencils += [_q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
         eigs = [scipy.linalg.eigh(Kd, Md) for Kd, Md in pencils]
-        self._shape = (last - first, *grid.num_ang)
+        self._shape = (grid.num_t - 2, *grid.num_ang)
         self._vecs = [V for _, V in eigs]
         self._diag = reduce(np.add.outer, [lam for lam, _ in eigs])
 
     def extend(self, u: np.ndarray) -> np.ndarray:
-        """Overwrite the free entries of ``u`` (nodes first, any number of
-        columns) by the harmonic extension of its fixed entries; returns
-        ``u``. The right-hand side is built in ``u[free]`` itself, so no
-        node-sized copy of ``u`` is made."""
+        """Overwrite the interior entries of ``u`` (nodes first, any number
+        of columns) by the harmonic extension of its boundary entries;
+        returns ``u``. The right-hand side is built in ``u[free]`` itself,
+        so no node-sized copy of ``u`` is made."""
         u[self.free] = self._coupling @ -u[self._fixed]
         u[self.free] = self.solve(u[self.free])
         return u
@@ -474,7 +471,7 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     if V.ndim != 2 or V.shape[0] != G.size:
         raise ShapeMismatch(f"traces of shape {V.shape}, expected {G.size} rows on {gamma}")
     K_G = sys.matrix[G]
-    solver = InteriorSolver(sys.matrix, grid, FULL_BOUNDARY)
+    solver = InteriorSolver(sys.matrix, grid)
     out = np.empty((G.size, V.shape[1]))
     # One node array for all chunks: extend writes only its free rows, so
     # the rows off G stay zero. A fresh array per chunk fragments the heap:

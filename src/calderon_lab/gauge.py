@@ -25,16 +25,6 @@ from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 from .errors import GridMismatch, NonOrientationPreserving
 from .grid_geometry import MetricSource, cyl_grid, sample_metric
 
-__all__ = [
-    "CylinderDiffeo",
-    "identity_diffeo",
-    "bump_reparam",
-    "cubic_reparam",
-    "bump_shear",
-    "pullback_metric",
-    "diffeo_invariance_gap",
-]
-
 DEFAULT_COLLAR = 0.1
 
 # dense 1-D sample used to certify s' > 0 and collar identity at build time

@@ -121,14 +121,6 @@ class CylinderGrid:
             w = np.multiply.outer(w, np.full(m, TWO_PI / m))
         return w
 
-    @cached_property
-    def layer_weights(self) -> np.ndarray:
-        """Quadrature weights of one boundary layer (flat measure)."""
-        w = np.ones(())
-        for m in self.num_ang:
-            w = np.multiply.outer(w, np.full(m, TWO_PI / m))
-        return w
-
     # -- node id sets -----------------------------------------------------
 
     def boundary_ids(self, gamma: str) -> np.ndarray:
@@ -146,11 +138,7 @@ class CylinderGrid:
         P = self.layer_count
         return np.arange(P, (self.num_t - 1) * P)
 
-    # -- refinement ------------------------------------------------------
-
-    def refine(self, factor: int) -> "CylinderGrid":
-        f = int(factor)
-        return CylinderGrid(self.n, (self.num_t - 1) * f + 1, tuple(m * f for m in self.num_ang))
+    # -- coarsening ------------------------------------------------------
 
     def coarsen(self, stride: int) -> "CylinderGrid":
         s = int(stride)
@@ -199,16 +187,6 @@ def flat_metric(n: int) -> MetricSource:
         idx = np.arange(n)
         out[..., idx, idx] = 1.0
         return out
-
-    return MetricSource(n, func)
-
-
-def constant_metric(mat) -> MetricSource:
-    m = np.asarray(mat, dtype=float)
-    n = m.shape[0]
-
-    def func(p):
-        return np.broadcast_to(m, p.shape[:-1] + (n, n)).copy()
 
     return MetricSource(n, func)
 

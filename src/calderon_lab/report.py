@@ -18,15 +18,6 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 
-__all__ = [
-    "Verdict",
-    "Table",
-    "ExperimentReport",
-    "atomic_write_text",
-    "emit_report",
-]
-
-
 def atomic_write_text(path, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")

@@ -2,18 +2,39 @@
 below 17 nodes per axis so the full suite (minus the acceptance module)
 runs in seconds."""
 
+import base64
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from calderon_lab.dn_solver import assemble_stiffness
 from calderon_lab.grid_geometry import (
-    CylinderGrid,
+    MetricSource,
     cyl_grid,
     flat_metric,
     random_trig_metric,
     sample_metric,
 )
+
+
+def constant_metric(mat) -> MetricSource:
+    """The metric equal to the matrix ``mat`` at every point."""
+    m = np.asarray(mat, dtype=float)
+    n = m.shape[0]
+
+    def func(p):
+        return np.broadcast_to(m, p.shape[:-1] + (n, n)).copy()
+
+    return MetricSource(n, func)
+
+
+def base64_with_nan(entry: dict, node: int) -> dict:
+    """A dataset container's base64 array entry with a NaN at flat index
+    ``node``."""
+    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    arr[node] = np.nan
+    return {**entry, "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
 @pytest.fixture

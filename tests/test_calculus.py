@@ -29,6 +29,7 @@ from calderon_lab.calculus import (
 )
 from calderon_lab.errors import BoundaryLayerRequested, GridMismatch
 from calderon_lab.grid_geometry import CylinderGrid, cyl_grid, flat_metric, sample_metric
+from conftest import constant_metric
 
 # Hand quadrature for the frozen integral below: the flat volume of
 # [0,1] x T^2 is (2 pi)^2, and int_0^{2pi} sin^2 = pi, so
@@ -88,8 +89,6 @@ class TestIntegrateVolume:
     def test_metric_weighting(self, grid9):
         # doubling the metric scales dVol by 2^{3/2}
         g1 = sample_metric(flat_metric(3), grid9)
-        from calderon_lab.grid_geometry import constant_metric
-
         g2 = sample_metric(constant_metric(2.0 * np.eye(3)), grid9)
         f = ScalarField.constant(grid9, 1.0)
         assert abs(

@@ -22,6 +22,7 @@ from calderon_lab.counterexample import save_dataset
 from calderon_lab.errors import ConfigInvalid
 from calderon_lab.grid_geometry import MillerDataset, cyl_grid
 from calderon_lab.report import emit_report
+from conftest import base64_with_nan
 
 _STUDY_CFG = {
     "synth": {
@@ -148,6 +149,9 @@ class TestConfigErrors:
             # mode cuts that alias on the coarsest grid
             ("dn-compare", {"n": 3, "sizes": [5, 9], "transform": {"kind": "diffeo"}}),
             ("counterexample-study", {**_STUDY_CFG, "cut": 50}),
+            # a negative mode cut would compare the constant mode alone
+            ("dn-compare", {"n": 3, "sizes": [9, 13], "cut": -2, "transform": {"kind": "conformal-link"}}),
+            ("counterexample-study", {**_STUDY_CFG, "cut": -2}),
             # synthesis parameters: sqrt of a negative ridge gives a NaN damping
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": -1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "alpha": 1.0}),
@@ -220,6 +224,7 @@ class TestConfigErrors:
             "negative-seed", "negative-seeds", "negative-metric-seed",
             "negative-factor-seed", "negative-link-seed",
             "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
+            "negative-cut-dn-compare", "negative-cut-study",
             "negative-ridge", "alpha-leaves-no-box", "one-index-mode",
             "identity-at-n2", "misspelled-tuples",
             "misspelled-sizes", "misspelled-factor", "misspelled-metric-seed",
@@ -553,21 +558,29 @@ class TestDatasetCommands:
         assert code == 1
 
     def test_bad_container_metadata_exits_1(self, tmp_path):
+        # bad metadata, and a NaN in a1 (it broke the eigenvalue check with
+        # a traceback) or inside u (it passed validation)
         path = tmp_path / "ds.json"
         save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
-        doc = json.loads(path.read_text())
-        doc["meta"]["N_t"] = "x"
-        path.write_text(json.dumps(doc))
+        good = json.loads(path.read_text())
         cfg_path = _write(tmp_path, "validate.json", {"dataset": str(path)})
         src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "calderon_lab.cli", "validate-dataset", "--config", cfg_path,
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-        )
-        assert done.returncode == 1
-        assert "computation failed: MalformedContainer" in done.stderr
-        assert "Traceback" not in done.stderr
+        for section, key, value in [
+            ("meta", "N_t", "x"),
+            ("arrays", "a1", base64_with_nan(good["arrays"]["a1"], 0)),
+            ("arrays", "u", base64_with_nan(good["arrays"]["u"], 40)),
+        ]:
+            doc = json.loads(json.dumps(good))
+            doc[section][key] = value
+            path.write_text(json.dumps(doc))
+            done = subprocess.run(
+                [sys.executable, "-m", "calderon_lab.cli", "validate-dataset", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+            )
+            assert done.returncode == 1, key
+            assert "computation failed: MalformedContainer" in done.stderr, key
+            assert "Traceback" not in done.stderr, key
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(tmp_path / "no.json")})

@@ -15,6 +15,7 @@ Verifies:
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from math import comb
 
 from calderon_lab import analytic as an
@@ -25,7 +26,6 @@ from calderon_lab.conformal import (
     conformal_family,
     conformal_potential,
     global_rigidity_check,
-    harmonic_with_natural_bc,
     scale_metric,
     scale_metric_2d,
     scaling_law_residual,
@@ -231,20 +231,20 @@ class TestWeakCondition:
         # a field solved with natural rows at gamma1 satisfies exactly the
         # rows the residual tests; only the boundary normalisation fails
         sys = assemble_stiffness(bumpy9)
+        K = sys.matrix
         x = grid9.axes()[1]
         layer = 1.0 + 0.3 * np.sin(x)[:, None] * np.ones(grid9.num_ang)
-        w = harmonic_with_natural_bc(sys, layer, GAMMA0)
-        assert w.values.min() > 0.5
-        c = ConformalFactor(w, 3)
+        D = grid9.boundary_ids(GAMMA0)
+        free = np.setdiff1d(np.arange(grid9.node_count), D)
+        w = np.empty(grid9.node_count)
+        w[D] = layer.ravel()
+        w[free] = spla.splu(K[free][:, free].tocsc()).solve(-K[free][:, D] @ w[D])
+        assert w.min() > 0.5
+        c = ConformalFactor(ScalarField(grid9, w.reshape(grid9.shape)), 3)
         r = weak_condition_residual(sys, c, GAMMA1)
         assert r.interior_residual < 1e-11
         assert r.gamma_residual < 1e-11
         assert r.boundary_defect > 1e-3
-
-    def test_natural_end_needs_one_layer(self, grid5):
-        sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))
-        with pytest.raises(GridMismatch):
-            harmonic_with_natural_bc(sys, np.ones(grid5.num_ang), FULL_BOUNDARY)
 
     @pytest.mark.parametrize(
         "gamma, defect", [(GAMMA0, 0.0), (GAMMA1, 0.1), (FULL_BOUNDARY, 0.1)]

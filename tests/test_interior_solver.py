@@ -1,10 +1,13 @@
 """Preconditioned CG in InteriorSolver against a sparse-LU reference.
 
+InteriorSolver fixes the whole boundary and frees the interior t-layers;
+every DN map and the rigidity check go through that one seam.
+
 Verifies:
-  - mode matrices and natural-end harmonic fields agree with a sparse LU
-    of the same block (sliced and factorised here with splu, the mode
-    matrices through the Schur complement K_GG - K_GI K_II^{-1} K_IG on
-    GAMMA0, GAMMA1 and the full boundary) to 1e-10 relative
+  - mode matrices agree with a sparse LU of the same interior block
+    (sliced and factorised here with splu, through the Schur complement
+    K_GG - K_GI K_II^{-1} K_IG on GAMMA0, GAMMA1 and the full boundary)
+    to 1e-10 relative
   - on potential-free blocks the CG iteration count stays within the
     a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
     quadrature points, and is exactly 1 on the flat metric, whose block
@@ -16,7 +19,6 @@ Verifies:
     dense sparse-LU Schur complement to 3e-14 and the CG map of dn_apply to
     1e-10; an indefinite interior block and the full boundary still take
     the CG/LU route
-  - a boundary component name the grid does not know is rejected
 """
 
 import itertools
@@ -27,11 +29,7 @@ import scipy.sparse.linalg as spla
 
 from calderon_lab import analytic as an
 from calderon_lab import dn_solver
-from calderon_lab.conformal import (
-    ConformalFactor,
-    conformal_potential,
-    harmonic_with_natural_bc,
-)
+from calderon_lab.conformal import ConformalFactor, conformal_potential
 from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
     InteriorSolver,
@@ -93,7 +91,7 @@ def _lu_reference(sys, gamma=GAMMA1):
         z = np.zeros_like(V)
         V = np.block([[V, z], [z, V]])
     rhs = K[I][:, G] @ V
-    solver = InteriorSolver(K, grid, FULL_BOUNDARY)
+    solver = InteriorSolver(K, grid)
     solver.solve(rhs)
     X = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
@@ -175,41 +173,17 @@ class TestCrossCheck:
         assert its is not None and its <= _iteration_bound(counterexample_metric), its
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
 
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("gamma_dirichlet", [GAMMA0, GAMMA1])
-    def test_natural_end_harmonic(self, size, gamma_dirichlet):
-        grid = cyl_grid(3, size)
-        g = sample_metric(random_trig_metric(3, seed=size + 1), grid)
-        sys = assemble_stiffness(g)
-        layer = np.cos(grid.axes()[1])[:, None] + np.sin(grid.axes()[2])[None, :]
-        u = harmonic_with_natural_bc(sys, layer, gamma_dirichlet).values.ravel()
-
-        K = sys.matrix
-        D = grid.boundary_ids(gamma_dirichlet)
-        free = np.setdiff1d(np.arange(grid.node_count), D)
-        rhs = -K[free][:, D] @ layer.ravel()
-        solver = InteriorSolver(K, grid, gamma_dirichlet)
-        solver.solve(rhs)
-        assert solver.iterations is not None and solver.iterations <= _iteration_bound(g)
-        u_ref = spla.splu(K[free][:, free].tocsc()).solve(rhs)
-        assert _rel(u[free], u_ref) <= 1e-10
-
-
-def test_unknown_component_rejected(bumpy9):
-    with pytest.raises(ValueError):
-        InteriorSolver(assemble_stiffness(bumpy9).matrix, bumpy9.grid, "gamma2")
-
 
 def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1):
     grid = flat9.grid
     sys = _shifted_system(flat9, flat9_lambda1)
-    u = InteriorSolver(sys.matrix, grid, FULL_BOUNDARY).extend(np.ones(grid.node_count))
+    u = InteriorSolver(sys.matrix, grid).extend(np.ones(grid.node_count))
 
     K = sys.matrix
     I = grid.interior_ids()
     B = grid.boundary_ids(FULL_BOUNDARY)
     rhs = -K[I][:, B] @ np.ones(B.size)
-    solver = InteriorSolver(K, grid, FULL_BOUNDARY)
+    solver = InteriorSolver(K, grid)
     solver.solve(rhs)
     assert solver.iterations is None  # CG broke down, LU answered
     u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)

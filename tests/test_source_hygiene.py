@@ -1,12 +1,14 @@
 """Source hygiene of the package, checked on its syntax trees.
 
-Verifies, for every module of ``calderon_lab`` except the re-exports in
-``__init__.py``:
+Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
   - every imported name is used in its module;
   - every import sits at module level;
   - every module-level ``_private`` name is referenced somewhere in the
     package;
-and, for every module including ``__init__.py``:
+  - every module-level public name is reached by the package itself, by
+    the benchmark (``perfbench/*.py``) or by ``tests/test_acceptance.py``:
+    a name that only unit tests reach is surface no subcommand, criterion
+    or benchmark job needs;
   - no module reaches another package module's ``_private`` names, neither
     by ``from .mod import _name`` nor as ``mod._name`` after
     ``from . import mod``;
@@ -20,8 +22,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "calderon_lab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "calderon_lab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+# what reaches the library besides the library itself
+REACHERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -39,8 +44,8 @@ def _annotation_names(node) -> set:
 
 
 def _used_names(tree: ast.Module) -> set:
-    """Names a module reads: loaded identifiers, attribute names, names in
-    quoted annotations and the strings listed in ``__all__``."""
+    """Names a module reads: loaded identifiers, attribute names and names
+    in quoted annotations."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -53,10 +58,6 @@ def _used_names(tree: ast.Module) -> set:
             used |= _annotation_names(node.returns)
         elif isinstance(node, ast.AnnAssign):
             used |= _annotation_names(node.annotation)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {e.value for e in node.value.elts}
     return used
 
 
@@ -75,9 +76,8 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _private_definitions(tree: ast.Module) -> list:
-    """(name, line) of module-level ``_private`` functions, classes and
-    assignments."""
+def _definitions(tree: ast.Module) -> list:
+    """(name, line) of module-level functions, classes and assignments."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -88,7 +88,16 @@ def _private_definitions(tree: ast.Module) -> list:
             names = [node.target.id]
         else:
             continue
-        out += [(nm, node.lineno) for nm in names if _is_private(nm)]
+        out += [(nm, node.lineno) for nm in names]
+    return out
+
+
+def _referenced(paths) -> set:
+    """Every name the files at ``paths`` read or import."""
+    out = set()
+    for p in paths:
+        tree = _tree(p)
+        out |= _used_names(tree) | {nm for nm, _ in _imported_names(tree)}
     return out
 
 
@@ -113,21 +122,28 @@ def test_imports_at_module_level(path):
 
 
 def test_no_unreferenced_private_names():
-    trees = {p.name: _tree(p) for p in sorted(PACKAGE.glob("*.py"))}
-    referenced = set()
-    for tree in trees.values():
-        referenced |= _used_names(tree)
-        referenced |= {nm for nm, _ in _imported_names(tree)}
+    referenced = _referenced(MODULES)
     dead = [
-        f"{name}.{nm} (line {line})"
-        for name, tree in trees.items()
-        for nm, line in _private_definitions(tree)
-        if nm not in referenced
+        f"{p.name}.{nm} (line {line})"
+        for p in MODULES
+        for nm, line in _definitions(_tree(p))
+        if _is_private(nm) and nm not in referenced
     ]
     assert not dead, f"module-level private names nothing references: {dead}"
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_public_names_only_unit_tests_reach():
+    referenced = _referenced(MODULES + REACHERS)
+    unreached = [
+        f"{p.name}.{nm} (line {line})"
+        for p in MODULES
+        for nm, line in _definitions(_tree(p))
+        if not nm.startswith("_") and nm not in referenced
+    ]
+    assert not unreached, f"public names only unit tests reach: {unreached}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_private_names_from_other_modules(path):
     tree = _tree(path)
     relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level > 0]
@@ -174,7 +190,7 @@ def _qualified_reads(tree: ast.Module) -> list:
     return out
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_second_spd_route(path):
     found = [f"{nm} (line {line})" for nm, line in _qualified_reads(_tree(path)) if nm in SECOND_SPD_ROUTES]
     assert not found, f"{path.name} factors matrices outside grid_geometry.spd_weight: {found}"
