@@ -112,6 +112,16 @@ def save_dataset(data: MillerDataset, path) -> None:
     atomic_write_text(path, json.dumps(doc))
 
 
+def _check_holder_range(T: float, rho: float) -> None:
+    """The paper's range of the metadata: the fields vanish beyond a T in
+    (0, 1], inside the cylinder, and the rough parts are Hoelder of an order
+    rho in (0, 1)."""
+    if not 0.0 < T <= 1.0:
+        raise InfeasibleBounds(f"T = {T} must lie in (0, 1]")
+    if not 0.0 < rho < 1.0:
+        raise InfeasibleBounds(f"rho = {rho} must lie in (0, 1)")
+
+
 def load_dataset(path, validate: bool = True) -> MillerDataset:
     """Read a dataset container; malformed files raise, property violations
     only warn (use validate_miller_properties for the full report)."""
@@ -139,7 +149,8 @@ def load_dataset(path, validate: bool = True) -> MillerDataset:
         scalars = {key: float(meta[key]) for key in ("T", "rho", "alpha")}
         if not np.isfinite(list(scalars.values())).all():
             raise ValueError(f"non-finite scalar in {scalars}")
-    except (TypeError, ValueError) as e:
+        _check_holder_range(scalars["T"], scalars["rho"])
+    except (TypeError, ValueError, InfeasibleBounds) as e:
         raise MalformedContainer(f"invalid metadata: {e}") from e
     arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
@@ -386,6 +397,7 @@ def synth_approx_miller(
         raise InfeasibleBounds(f"alpha = {alpha} leaves no admissible coefficient box")
     if not 0.0 <= ridge < np.inf:
         raise InfeasibleBounds(f"ridge = {ridge} must be finite and non-negative")
+    _check_holder_range(T, rho)
     box = (1.0 - alpha) / 2.0
 
     src = an.constant(0.0, 3)

@@ -21,7 +21,9 @@ matrix. It is deterministic: element matrices are symmetrised and scattered
 cell-major into one sparsity pattern that the stiffness and mass matrices
 share, and duplicates are summed in that input order, so the stiffness
 matrix is bitwise symmetric and its bytes do not depend on the BLAS thread
-count. The cell-node table and the pattern are cached per grid.
+count. The cell-node table and the pattern are cached per grid; the
+pattern is built without a sort, from the tensor-product structure of the
+Q1 stencil.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -32,7 +34,8 @@ and it is the only way Dirichlet data reaches a solve: DN maps
 and the rigidity check of ``conformal`` are both this one operation.
 Solves run batched conjugate gradients
 preconditioned by the exact inverse of the flat-metric block (fast
-diagonalisation of 1-D Q1 pencils), with a sparse LU of the block as the
+diagonalisation of 1-D Q1 pencils, whose eigenpairs are cached per grid),
+with a sparse LU of the block as the
 fallback when CG breaks down or stalls. Each of its solves is checked at
 1e-10 relative residual.
 
@@ -88,7 +91,7 @@ def _cell_nodes(grid: CylinderGrid) -> np.ndarray:
     Corner L of a cell offsets the cell's base node by the bits of L
     (axis 0 = most significant bit), modulo the period on angular axes.
     """
-    # int32 halves the cell-node table; the scatter widens its keys to int64
+    # int32 halves the cell-node table
     ids = np.arange(grid.node_count, dtype=np.int32).reshape(grid.shape)
     axes = tuple(range(grid.n))
     return np.stack(
@@ -118,33 +121,71 @@ def _q1_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return N, G
 
 
-def _scatter_pattern(nodes: np.ndarray, size: int):
+def _axis_neighbours(num: int, periodic: bool) -> np.ndarray:
+    """The 1-D three-point pattern: the neighbours i-1, i, i+1 of each node
+    i in ascending order, shape (num, 3). A periodic axis wraps them (it has
+    at least 4 nodes, so they stay distinct); on an open axis -1 stands in
+    for the missing neighbour of an end node."""
+    nb = np.arange(num)[:, None] + np.arange(-1, 2)
+    if periodic:
+        return np.sort(nb % num, axis=1)
+    return np.where((nb >= 0) & (nb < num), nb, -1)
+
+
+def _spread(a: np.ndarray, d: int, n: int) -> np.ndarray:
+    """View ``a`` with its axis j on axis j*n + d of an (a.ndim * n)-axis
+    array, so that tables of the n grid axes broadcast into their tensor
+    product."""
+    shape = [1] * (a.ndim * n)
+    for j, m in enumerate(a.shape):
+        shape[j * n + d] = m
+    return a.reshape(shape)
+
+
+def _scatter_pattern(grid: CylinderGrid):
     """CSR pattern of the cell-major element scatter: the CSR slot of every
-    element-matrix entry, plus the column indices and row pointers."""
-    nodes = nodes.T
-    key = (nodes[:, :, None].astype(np.int64) * size + nodes[:, None, :]).ravel()
-    # np.unique(key, return_inverse=True), without its extra key-sized
-    # temporaries: the scatter sets the assembly's peak memory
-    order = np.argsort(key)
-    key = key[order]
-    first = np.concatenate(([True], key[1:] != key[:-1]))
-    rank = np.cumsum(first)
-    rank -= 1
-    slot = np.empty_like(rank)
-    slot[order] = rank
-    key = key[first]
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // size, minlength=size), out=indptr[1:])
+    element-matrix entry, plus the column indices and row pointers.
+
+    The Q1 pattern is the tensor product of 1-D three-point patterns, open
+    in t and periodic in the angles, so it needs no sort: a row's length is
+    the product of its per-axis lengths, its columns are the mixed-radix
+    sums of its per-axis neighbours in ascending order, and an element
+    entry's slot is its row's pointer plus the mixed-radix sum of the
+    column's per-axis ranks among those neighbours.
+    """
+    n, shape = grid.n, grid.shape
+    strides = [math.prod(shape[d + 1 :]) for d in range(n)]
+    nbs = [_axis_neighbours(num, periodic=d > 0) for d, num in enumerate(shape)]
+    lengths = [(nb >= 0).sum(axis=1) for nb in nbs]
+    indptr = np.zeros(grid.node_count + 1, dtype=np.int64)
+    np.cumsum(reduce(np.multiply, [_spread(m, d, n) for d, m in enumerate(lengths)]), out=indptr[1:])
     index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    return slot.astype(index), (key % size).astype(index), indptr.astype(index)
+    indptr = indptr.astype(index)
+    # axes (row by axis, neighbour by axis): rows in node order, each row's
+    # valid neighbour choices in ascending column order
+    cols = reduce(np.add, [_spread((nb * strides[d]).astype(index), d, n) for d, nb in enumerate(nbs)])
+    indices = cols[reduce(np.logical_and, [_spread(nb >= 0, d, n) for d, nb in enumerate(nbs)])]
+    del cols
+    # axes (cell by axis, row corner by axis, column corner by axis), which
+    # ravel in the cell-major order of the element matrices
+    row, slot = 0, 0
+    for d, (num, nb, m) in enumerate(zip(shape, nbs, lengths)):
+        # the corners of cell c along axis d are the nodes c and c + 1
+        node = (np.arange(num - 1 if d == 0 else num)[:, None] + np.arange(2)) % num
+        near = nb[node][:, :, None, :]
+        rank = ((near >= 0) & (near < node[:, None, :, None])).sum(axis=-1)
+        row = row + _spread(node[:, :, None] * strides[d], d, n)
+        slot = slot * _spread(m[node][:, :, None].astype(index), d, n) + _spread(rank.astype(index), d, n)
+    slot += indptr[row]
+    return slot.reshape(-1), indices, indptr
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _grid_layout(grid: CylinderGrid):
     """Cell-node table and scatter pattern of a grid, computed once per
     equal grid and shared read-only by every assembly on it."""
     nodes = _cell_nodes(grid)
-    pattern = _scatter_pattern(nodes, grid.node_count)
+    pattern = _scatter_pattern(grid)
     for arr in (nodes, *pattern):
         arr.flags.writeable = False
     return nodes, pattern
@@ -258,6 +299,24 @@ def _q1_pencil(num: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarr
     return K, M
 
 
+@lru_cache(maxsize=8)
+def _flat_eigs(grid: CylinderGrid):
+    """Fast-diagonalisation factors of the flat-metric interior block of a
+    grid: the eigenvectors ``V_d`` of each 1-D Q1 pencil (t restricted to
+    the interior layers, the angles periodic) and the sum ``D`` of their
+    eigenvalues on the interior node grid. Computed once per equal grid and
+    shared read-only by every solver on it."""
+    K_t, M_t = _q1_pencil(grid.num_t, grid.h_t, periodic=False)
+    pencils = [(K_t[1:-1, 1:-1], M_t[1:-1, 1:-1])]
+    pencils += [_q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
+    eigs = [scipy.linalg.eigh(Kd, Md) for Kd, Md in pencils]
+    vecs = tuple(V for _, V in eigs)
+    diag = reduce(np.add.outer, [lam for lam, _ in eigs])
+    for arr in (*vecs, diag):
+        arr.flags.writeable = False
+    return vecs, diag
+
+
 def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
     """Apply the matrix ``A`` along one axis of ``Y`` with one matmul on a
     (lead, N, rest) reshape."""
@@ -306,13 +365,8 @@ class InteriorSolver:
         self._coupling = K[:, self._fixed]
         self.iterations: int | None = None
         self._lu = None
-        K_t, M_t = _q1_pencil(grid.num_t, grid.h_t, periodic=False)
-        pencils = [(K_t[1:-1, 1:-1], M_t[1:-1, 1:-1])]
-        pencils += [_q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
-        eigs = [scipy.linalg.eigh(Kd, Md) for Kd, Md in pencils]
         self._shape = (grid.num_t - 2, *grid.num_ang)
-        self._vecs = [V for _, V in eigs]
-        self._diag = reduce(np.add.outer, [lam for lam, _ in eigs])
+        self._vecs, self._diag = _flat_eigs(grid)
 
     def extend(self, u: np.ndarray) -> np.ndarray:
         """Overwrite the interior entries of ``u`` (nodes first, any number
@@ -328,14 +382,17 @@ class InteriorSolver:
         Y = R.reshape(*self._shape, R.shape[1])
         for d, V in enumerate(self._vecs):
             Y = _along_axis(V.T, Y, d)
-        Y = Y / self._diag[..., None]
+        Y /= self._diag[..., None]
         for d, V in enumerate(self._vecs):
             Y = _along_axis(V, Y, d)
         return Y.reshape(R.shape)
 
     def _pcg(self, B: np.ndarray) -> np.ndarray | None:
         """Batched preconditioned CG; None on breakdown or after _CG_MAXIT
-        iterations. Converged columns leave the batch."""
+        iterations. The iterates ``X`` of the running columns stay compact
+        beside ``R`` and ``P``; a column is written to the result when it
+        converges and leaves the batch."""
+        out = np.empty_like(B)
         X = np.zeros_like(B)
         R = B.copy()
         P = self._flat_inverse(R)
@@ -346,10 +403,12 @@ class InteriorSolver:
         while True:
             keep = ~(rz <= stop)  # a NaN column stays and ends CG as a breakdown
             if not keep.all():
-                active, R, P, rz, stop = active[keep], R[:, keep], P[:, keep], rz[keep], stop[keep]
+                out[:, active[~keep]] = X[:, ~keep]
+                active, X, R, P = active[keep], X[:, keep], R[:, keep], P[:, keep]
+                rz, stop = rz[keep], stop[keep]
             if active.size == 0:
                 self.iterations = it
-                return X
+                return out
             if it == _CG_MAXIT:
                 return None
             it += 1
@@ -358,11 +417,13 @@ class InteriorSolver:
             if not (pq > 0.0).all():
                 return None
             alpha = rz / pq
-            X[:, active] += alpha * P
-            R -= alpha * Q
+            X += alpha * P
+            Q *= alpha
+            R -= Q
             Z = self._flat_inverse(R)
             rz_new = np.einsum("ij,ij->j", R, Z)
-            P = Z + (rz_new / rz) * P
+            P *= rz_new / rz
+            P += Z
             rz = rz_new
 
     def _factor(self):

@@ -156,6 +156,12 @@ class TestConfigErrors:
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": -1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "alpha": 1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1]]}),
+            # the paper's range: T in (0, 1], rho in (0, 1)
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "T": 5}),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "T": 0}),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "rho": 0}),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "rho": 1}),
+            ("counterexample-study", {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "T": -0.5}}),
             # the fourth-power identity needs n >= 3
             ("verify-identities", {"n": 2}),
             # a misspelled key at any level is refused, not ignored
@@ -226,6 +232,8 @@ class TestConfigErrors:
             "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
             "negative-cut-dn-compare", "negative-cut-study",
             "negative-ridge", "alpha-leaves-no-box", "one-index-mode",
+            "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one",
+            "study-T-negative",
             "identity-at-n2", "misspelled-tuples",
             "misspelled-sizes", "misspelled-factor", "misspelled-metric-seed",
             "misspelled-factor-seed", "misspelled-diffeo-family", "misspelled-shear-amplitude",
@@ -558,7 +566,8 @@ class TestDatasetCommands:
         assert code == 1
 
     def test_bad_container_metadata_exits_1(self, tmp_path):
-        # bad metadata, and a NaN in a1 (it broke the eigenvalue check with
+        # bad metadata (a T beyond the cylinder passed validation with no
+        # vanishing layer), and a NaN in a1 (it broke the eigenvalue check with
         # a traceback) or inside u (it passed validation)
         path = tmp_path / "ds.json"
         save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
@@ -567,6 +576,7 @@ class TestDatasetCommands:
         src = Path(__file__).resolve().parents[1] / "src"
         for section, key, value in [
             ("meta", "N_t", "x"),
+            ("meta", "T", 5),
             ("arrays", "a1", base64_with_nan(good["arrays"]["a1"], 0)),
             ("arrays", "u", base64_with_nan(good["arrays"]["u"], 40)),
         ]:

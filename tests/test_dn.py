@@ -11,9 +11,14 @@ Verifies:
     synthesised counterexample metric; the SPD kernel
     grid_geometry.spd_weight matches det/inv on batches with condition
     numbers up to 1e8, and in longdouble matches an exact cofactor reference
+  - the sort-free tensor-product scatter pattern equals, in slots, column
+    indices, row pointers and their dtypes, the pattern found by sorting
+    the element entries' keys, for n = 2, 3, 4 on minimal, mixed-size and
+    33^3 grids
   - the per-grid layout cache builds one scatter pattern for equal grids,
-    is not reachable through a returned matrix, and the assembled bytes do
-    not depend on the BLAS thread count
+    and one per grid (with one set of flat pencil eigenpairs) over a cycle
+    of six grids, is not reachable through a returned matrix, and the
+    assembled bytes do not depend on the BLAS thread count
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and fails its residual gate
     on NaN data
@@ -359,6 +364,45 @@ class TestAssembly:
         assert (err_s <= bound).all(), f"sqrt(det) off by {np.max(err_s / bound):.2f} of its bound"
 
 
+def _argsort_pattern(nodes, size):
+    """The scatter pattern by sorting: every element entry's key
+    ``row * size + col``, its CSR slot the rank of that key among the
+    distinct keys, which also give the column indices and row counts."""
+    nodes = nodes.T
+    key = (nodes[:, :, None].astype(np.int64) * size + nodes[:, None, :]).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1]))
+    slot = np.empty_like(key)
+    slot[order] = np.cumsum(first) - 1
+    key = key[first]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // size, minlength=size), out=indptr[1:])
+    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    return slot.astype(index), (key % size).astype(index), indptr.astype(index)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        CylinderGrid(2, 3, (4,)),
+        CylinderGrid(3, 3, (4, 4)),
+        CylinderGrid(4, 3, (4, 4, 4)),
+        CylinderGrid(2, 6, (7,)),
+        CylinderGrid(3, 5, (4, 6)),
+        CylinderGrid(4, 4, (5, 4, 6)),
+        cyl_grid(3, 33),
+    ],
+    ids=lambda g: "x".join(map(str, g.shape)),
+)
+def test_tensor_pattern_matches_argsort(grid):
+    pattern = dn_solver._scatter_pattern(grid)
+    oracle = _argsort_pattern(dn_solver._cell_nodes(grid), grid.node_count)
+    for name, got, want in zip(("slot", "indices", "indptr"), pattern, oracle):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 class TestGridLayoutCache:
     def test_one_pattern_per_equal_grid(self, monkeypatch):
         calls = []
@@ -376,6 +420,27 @@ class TestGridLayoutCache:
         ]
         assert len(calls) == 1
         assert len({id(s.grid) for s in systems}) == 3
+
+    def test_six_grid_cycle_builds_each_once(self, monkeypatch):
+        # the grids one pass of the sweep-small benchmark cycles through
+        grids = [cyl_grid(2, 9), cyl_grid(2, 17), cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(3, 13),
+                 cyl_grid(4, 7)]
+        calls = []
+        build = dn_solver._scatter_pattern
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dn_solver, "_scatter_pattern", counted)
+        dn_solver._grid_layout.cache_clear()
+        dn_solver._flat_eigs.cache_clear()
+        for _ in range(3):
+            for grid in grids:
+                sys = assemble_stiffness(sample_metric(flat_metric(grid.n), grid))
+                InteriorSolver(sys.matrix, grid)
+        assert len(calls) == len(grids)
+        assert dn_solver._flat_eigs.cache_info().misses == len(grids)
 
     def test_returned_matrix_does_not_share_the_layout(self, bumpy9):
         q = np.random.default_rng(8).uniform(0.5, 1.5, bumpy9.grid.shape)

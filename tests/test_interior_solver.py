@@ -12,6 +12,10 @@ Verifies:
     a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
     quadrature points, and is exactly 1 on the flat metric, whose block
     the preconditioner inverts exactly
+  - a batch whose columns converge at 0, 1, 2, 3 and the full count of
+    iterations matches column-by-column solves to 1e-12 relative and
+    reports the slowest column's count; a NaN column in it still ends in
+    the LU fallback and NoConvergence
   - an indefinite but nonsingular block (the flat block shifted past its
     first Dirichlet eigenvalue, from a dense eigensolve) falls back to LU
     in InteriorSolver.extend and still solves
@@ -25,6 +29,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from calderon_lab import analytic as an
@@ -39,6 +44,7 @@ from calderon_lab.dn_solver import (
     dn_mode_matrix,
     fourier_modes,
 )
+from calderon_lab.errors import NoConvergence
 from calderon_lab.grid_geometry import (
     FULL_BOUNDARY,
     GAMMA0,
@@ -172,6 +178,56 @@ class TestCrossCheck:
         B_ref, its = _lu_reference(sys)
         assert its is not None and its <= _iteration_bound(counterexample_metric), its
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+
+class TestStaggeredBatch:
+    """Columns leave the CG batch at different iterations. The block is
+    A = K_g on the interior of bumpy9 and K_flat the preconditioned flat
+    block; A v for a generalized eigenvector v of (A, K_flat) converges in
+    one iteration, a sum of k of them in k, Fourier trace data and noise
+    take the full count, and a zero column leaves at once."""
+
+    @staticmethod
+    def _batch(metric):
+        grid = metric.grid
+        K = assemble_stiffness(metric).matrix
+        flat = assemble_stiffness(sample_metric(flat_metric(3), grid)).matrix
+        I = grid.interior_ids()
+        A = K[I][:, I].toarray()
+        _, vecs = scipy.linalg.eigh(A, flat[I][:, I].toarray())
+        V, _ = fourier_modes(grid, 1.0)
+        B = np.hstack([
+            A @ vecs[:, [0]],  # the smoothest generalized mode
+            A @ vecs[:, [-1]],  # the most oscillatory one
+            A @ (vecs[:, [0]] + vecs[:, [-1]]),
+            A @ vecs[:, :3].sum(axis=1, keepdims=True),
+            K[I][:, grid.boundary_ids(GAMMA1)] @ V,
+            np.random.default_rng(5).standard_normal((I.size, 1)),
+            np.zeros((I.size, 1)),
+        ])
+        return K, B
+
+    def test_matches_column_by_column(self, bumpy9):
+        grid = bumpy9.grid
+        K, B = self._batch(bumpy9)
+        solver = InteriorSolver(K, grid)
+        X = solver.solve(B)
+        counts = []
+        for j in range(B.shape[1]):
+            single = InteriorSolver(K, grid)
+            x = single.solve(B[:, j])
+            counts.append(single.iterations)
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x), j
+        assert counts[:4] == [1, 1, 2, 3] and counts[-1] == 0, counts
+        assert solver.iterations == max(counts)
+
+    def test_nan_column_ends_in_lu_and_no_convergence(self, bumpy9):
+        K, B = self._batch(bumpy9)
+        B[3, 2] = np.nan
+        solver = InteriorSolver(K, bumpy9.grid)
+        with pytest.raises(NoConvergence):
+            solver.solve(B)
+        assert solver.iterations is None  # CG gave up and LU answered
 
 
 def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1):

@@ -108,8 +108,10 @@ class TestContainer:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("N_t", 2), ("N_t", "x"), ("N_ang", 4), ("T", "late"), ("alpha", float("nan"))],
-        ids=["too-few-t-nodes", "non-numeric-N_t", "N_ang-not-a-list", "non-numeric-T", "nan-alpha"],
+        [("N_t", 2), ("N_t", "x"), ("N_ang", 4), ("T", "late"), ("alpha", float("nan")),
+         ("T", 5), ("T", 0.0), ("rho", 0.0), ("rho", 1.0)],
+        ids=["too-few-t-nodes", "non-numeric-N_t", "N_ang-not-a-list", "non-numeric-T", "nan-alpha",
+             "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one"],
     )
     def test_bad_metadata_rejected(self, tmp_path, key, value):
         path = tmp_path / "ds.json"
