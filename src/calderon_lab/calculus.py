@@ -1,8 +1,7 @@
 """Discrete calculus on cylinder grids.
 
-Gradients use closed-form derivatives when the field carries them and
-second-order finite differences otherwise (centered in periodic
-directions, one-sided at the t-endpoints). The divergence-form operator
+Gradients are closed-form only: a field without a closed form has none.
+The divergence-form operator
 
     f  |->  sum_i d_i ( A^{ij} d_j f )
 
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analytic import AnalyticScalar, constant as analytic_constant
-from .errors import BoundaryLayerRequested, GridMismatch
+from .errors import BoundaryLayerRequested, GridMismatch, MissingAnalyticGradient
 from .grid_geometry import CylinderGrid, MetricField
 
 
@@ -51,22 +50,6 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(a)), source=analytic_constant(a, grid.n))
 
 
-@dataclass(frozen=True, eq=False)
-class CovectorField:
-    """Node table of one-forms, components shape ``(*grid.shape, n)``."""
-
-    grid: CylinderGrid
-    comps: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=float)
-        if c.shape != self.grid.shape + (self.grid.n,):
-            raise GridMismatch(
-                f"components shape {c.shape}, expected {self.grid.shape + (self.grid.n,)}"
-            )
-        object.__setattr__(self, "comps", c)
-
-
 def _centered_diff(values: np.ndarray, grid: CylinderGrid, axis: int) -> np.ndarray:
     """Second-order first derivative along one axis.
 
@@ -84,29 +67,27 @@ def _centered_diff(values: np.ndarray, grid: CylinderGrid, axis: int) -> np.ndar
     return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
 
 
-def gradient(f: ScalarField) -> CovectorField:
-    """Exact gradient if the field has a closed form, else finite differences."""
-    grid = f.grid
-    if f.source is not None:
-        return CovectorField(grid, f.source.gradient(grid.points))
-    comps = np.stack(
-        [_centered_diff(f.values, grid, ax) for ax in range(grid.n)], axis=-1
-    )
-    return CovectorField(grid, comps)
+def gradient(f: ScalarField) -> np.ndarray:
+    """The exact gradient components of a field with a closed form, shape
+    ``(*grid.shape, n)``."""
+    if f.source is None:
+        raise MissingAnalyticGradient("the field needs a closed-form gradient")
+    return f.source.gradient(f.grid.points)
 
 
-def _field_values(f: ScalarField | np.ndarray, grid: CylinderGrid) -> np.ndarray:
-    """The node table of a field or array, checked against ``grid``."""
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
+def _field_values(f: np.ndarray, grid: CylinderGrid) -> np.ndarray:
+    """The node table ``f`` as floats, checked against ``grid``."""
+    values = np.asarray(f, dtype=float)
     if values.shape != grid.shape:
         raise GridMismatch(f"field shape {values.shape}, expected {grid.shape}")
     return values
 
 
-def integrate_volume(f: ScalarField | np.ndarray, g: MetricField) -> float:
+def integrate_volume(f: ScalarField, g: MetricField) -> float:
     """Quadrature of f against the metric volume element sqrt(det g)."""
-    values = _field_values(f, g.grid)
-    return float(np.sum(values * g.sqrt_det * g.grid.quad_weights))
+    if f.grid.shape != g.grid.shape:
+        raise GridMismatch(f"field shape {f.grid.shape}, expected {g.grid.shape}")
+    return float(np.sum(f.values * g.sqrt_det * g.grid.quad_weights))
 
 
 def _half_shift(values: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
@@ -136,7 +117,7 @@ def _flux_factors(values: np.ndarray, grid: CylinderGrid, i: int) -> list:
 
 
 def divergence_form_apply(
-    weight: np.ndarray, f: ScalarField | np.ndarray, grid: CylinderGrid
+    weight: np.ndarray, f: np.ndarray, grid: CylinderGrid
 ) -> np.ndarray:
     """Conservative flux stencil for sum_i d_i ( W^{ij} d_j f ).
 
@@ -171,7 +152,7 @@ def divergence_form_apply(
 
 
 def divergence_form_jacobian(
-    f: ScalarField | np.ndarray, grid: CylinderGrid, i: int, j: int
+    f: np.ndarray, grid: CylinderGrid, i: int, j: int
 ) -> sp.csr_matrix:
     """Derivative of the interior rows of :func:`divergence_form_apply`
     with respect to the weight slot W^{ij} (the table ``weight[..., i, j]``
@@ -197,7 +178,7 @@ def divergence_form_jacobian(
     return J[layer:-layer]
 
 
-def laplace_beltrami_pointwise(g: MetricField, f: ScalarField | np.ndarray) -> np.ndarray:
+def laplace_beltrami_pointwise(g: MetricField, f: np.ndarray) -> np.ndarray:
     """Metric Laplacian via the divergence form with weight
     sqrt(det g) * g^{-1}, divided node-wise by sqrt(det g).
 

@@ -40,6 +40,7 @@ from .counterexample import (
     dn_gap_study,
     load_dataset,
     nonisometry_check,
+    nonisometry_samples,
     save_dataset,
     synth_approx_miller,
     validate_miller_properties,
@@ -52,6 +53,7 @@ from .errors import (
     FactorTooLarge,
     GridMismatch,
     InfeasibleBounds,
+    InsufficientSamples,
     NonOrientationPreserving,
     ShapeMismatch,
     TrivialU,
@@ -188,6 +190,17 @@ def _file_name(v) -> str:
     if os.path.basename(_text(v)) != v or v in ("", ".", ".."):
         raise ValueError("must be a bare file name")
     return v
+
+
+def _volume_scale(v) -> float:
+    """Converter for ``nonisometry_eps``: the volume fit needs its seven
+    samples distinct, which 0 and scales near it do not give."""
+    x = _float(v)
+    try:
+        nonisometry_samples(x)
+    except InsufficientSamples as e:
+        raise ValueError(str(e)) from e
+    return x
 
 
 _GAMMA = (_choice(*BOUNDARY_NAMES), "gamma1")
@@ -401,7 +414,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
     s = _read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
               eps=(_list(_float), (0.0, 0.025, 0.05, 0.1)),
               strides=(_list(_ranged(_int, 1)), (4, 2, 1)), gamma=_GAMMA,
-              cut=(_ranged(_float, 0.0), 2.0), nonisometry_eps=(_float, 0.05))
+              cut=(_ranged(_float, 0.0), 2.0), nonisometry_eps=(_volume_scale, 0.05))
     if (s.dataset is None) == (s.synth is None):
         raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
@@ -412,7 +425,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
 
     rep = ExperimentReport("counterexample-study", cfg)
     if s.synth is None:
-        data = load_dataset(s.dataset, validate=False)
+        data = load_dataset(s.dataset)
         check(data.grid)
         rep.scalars["dataset"] = s.dataset
     else:
@@ -454,7 +467,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
 def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     s = _read(cfg, "validate-dataset config", dataset=(_file, _REQUIRED))
     # a malformed container is a computation failure
-    data = load_dataset(s.dataset, validate=False)
+    data = load_dataset(s.dataset)
     rep = ExperimentReport("validate-dataset", cfg)
     result = validate_miller_properties(data)
     rep.scalars["validation"] = result.as_dict()

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticScalar, constant as analytic_constant
-from .calculus import CovectorField, ScalarField, gradient, laplace_beltrami_pointwise
+from .calculus import ScalarField, gradient, laplace_beltrami_pointwise
 from .dn_solver import InteriorSolver, StiffnessSystem, assemble_stiffness
 from .errors import (
     DimensionTooSmall,
     FactorTooLarge,
     GridMismatch,
     InsufficientSamples,
-    MissingAnalyticGradient,
     NonPositiveFactor,
 )
 from .grid_geometry import GAMMA1, CylinderGrid, MetricField, spd_weight
@@ -191,12 +190,6 @@ def scaling_law_residual(g: MetricField, c: ConformalFactor, f: ScalarField) -> 
     return float(np.abs(lhs[1:-1] - rhs[1:-1]).max())
 
 
-def _require_gradient(f: ScalarField, name: str) -> CovectorField:
-    if f.source is None:
-        raise MissingAnalyticGradient(f"{name} needs a closed-form gradient")
-    return gradient(f)
-
-
 def algebraic_identity_check(
     g: MetricField, c: ConformalFactor, u: ScalarField, w: ScalarField
 ) -> float:
@@ -209,27 +202,24 @@ def algebraic_identity_check(
     only error is floating point. Both sides equal c^{2n-4} <du,dw>_g
     sqrt(det g) pointwise.
     """
-    grid = g.grid
-    du = _require_gradient(u, "u")
-    dw = _require_gradient(w, "w")
-    if c.source is None:
-        raise MissingAnalyticGradient("c needs a closed-form gradient")
+    du = gradient(u)
+    dw = gradient(w)
     P = c.power_nm2()
     dP = gradient(P)
 
     g_scaled = scale_metric(g, c)
-    inner_scaled = _inner(g_scaled, du.comps, dw.comps)
+    inner_scaled = _inner(g_scaled, du, dw)
     lhs = inner_scaled * g_scaled.sqrt_det
 
     uv, wv, Pv = u.values, w.values, P.values
-    d_Pu = Pv[..., None] * du.comps + uv[..., None] * dP.comps
-    d_Pw = Pv[..., None] * dw.comps + wv[..., None] * dP.comps
+    d_Pu = Pv[..., None] * du + uv[..., None] * dP
+    d_Pw = Pv[..., None] * dw + wv[..., None] * dP
     d_Puw = (
-        (uv * wv)[..., None] * dP.comps
-        + (Pv * wv)[..., None] * du.comps
-        + (Pv * uv)[..., None] * dw.comps
+        (uv * wv)[..., None] * dP
+        + (Pv * wv)[..., None] * du
+        + (Pv * uv)[..., None] * dw
     )
-    rhs = (_inner(g, d_Pu, d_Pw) - _inner(g, dP.comps, d_Puw)) * g.sqrt_det
+    rhs = (_inner(g, d_Pu, d_Pw) - _inner(g, dP, d_Puw)) * g.sqrt_det
     return float(np.abs(lhs - rhs).max())
 
 
@@ -237,24 +227,13 @@ def _inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...i,...j->...", g.inv, a, b)
 
 
-@dataclass(frozen=True)
-class WeakConditionResidual:
-    """How far c^{n-2} is from the weak gauge condition relative to a
-    stiffness matrix: residuals of the harmonicity test rows (split into
-    interior rows and measurement-component rows) and the boundary defect
-    max |c - 1| there."""
-
-    residual: float
-    interior_residual: float
-    gamma_residual: float
-    boundary_defect: float
-
-
 def weak_condition_residual(
     sys: StiffnessSystem, c: ConformalFactor, gamma: str = GAMMA1
-) -> WeakConditionResidual:
-    """Test rows of K c^{n-2} at interior and gamma nodes, normalised by
-    the operator's infinity norm times max |c^{n-2}|."""
+) -> float:
+    """How far c^{n-2} is from the weak gauge condition relative to a
+    stiffness matrix: the largest test row of K c^{n-2} at the interior and
+    gamma nodes, normalised by the operator's infinity norm times
+    max |c^{n-2}|."""
     grid = sys.grid
     if c.grid.shape != grid.shape:
         raise GridMismatch("factor and system grids differ")
@@ -265,8 +244,7 @@ def weak_condition_residual(
     norm = max(norm, 1e-300)
     i_res = float(r[grid.interior_ids()].max()) / norm
     g_res = float(r[grid.boundary_ids(gamma)].max()) / norm
-    defect = float(np.abs(c.values.ravel()[grid.boundary_ids(gamma)] - 1.0).max())
-    return WeakConditionResidual(max(i_res, g_res), i_res, g_res, defect)
+    return max(i_res, g_res)
 
 
 def _solve_pivoted(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,6 +273,19 @@ def _solve_pivoted(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def distinct_samples(eps_list) -> list:
+    """The first seven distinct values of ``eps_list``, the samples
+    :func:`volume_expansion` fits on; two values closer than 1e-15 count
+    as one."""
+    eps = []
+    for e in np.asarray(eps_list, dtype=float).ravel():
+        if not any(abs(e - x) < 1e-15 for x in eps):
+            eps.append(float(e))
+        if len(eps) == 7:
+            return eps
+    raise InsufficientSamples(f"need 7 distinct eps samples, got {len(eps)}")
+
+
 def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
     """Coefficients p_0..p_6 of the exact degree-6 polynomial
 
@@ -313,15 +304,7 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
         raise DimensionTooSmall("the volume expansion argument is n = 3")
     if u.grid.shape != g.grid.shape:
         raise GridMismatch("field and metric grids differ")
-    eps = []
-    for e in np.asarray(eps_list, dtype=float).ravel():
-        if not any(abs(e - x) < 1e-15 for x in eps):
-            eps.append(float(e))
-        if len(eps) == 7:
-            break
-    if len(eps) < 7:
-        raise InsufficientSamples(f"need 7 distinct eps samples, got {len(eps)}")
-    eps = np.array(eps, dtype=np.longdouble)
+    eps = np.array(distinct_samples(eps_list), dtype=np.longdouble)
     w = g.grid.quad_weights.astype(np.longdouble)
     mat = np.moveaxis(g.mat, (-2, -1), (0, 1)).astype(np.longdouble)
     base = spd_weight(mat)[1]

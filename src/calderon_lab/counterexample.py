@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import base64
 import json
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -31,7 +30,7 @@ import scipy.sparse.linalg as spla
 from . import analytic as an
 from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume, interior
 from .calculus import laplace_beltrami_pointwise
-from .conformal import conformal_family, scale_metric, volume_expansion, weak_condition_residual
+from .conformal import conformal_family, distinct_samples, scale_metric, volume_expansion, weak_condition_residual
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 from .errors import (
     GridMismatch,
@@ -45,7 +44,6 @@ from .grid_geometry import (
     CylinderGrid,
     MillerDataset,
     assemble_counterexample_metric_3d,
-    assemble_counterexample_metric_nd,
 )
 from .report import atomic_write_text
 
@@ -112,19 +110,37 @@ def save_dataset(data: MillerDataset, path) -> None:
     atomic_write_text(path, json.dumps(doc))
 
 
-def _check_holder_range(T: float, rho: float) -> None:
+def _check_ranges(T: float, rho: float, alpha: float) -> None:
     """The paper's range of the metadata: the fields vanish beyond a T in
-    (0, 1], inside the cylinder, and the rough parts are Hoelder of an order
-    rho in (0, 1)."""
+    (0, 1], inside the cylinder, the rough parts are Hoelder of an order
+    rho in (0, 1), and the eigenvalue box [alpha, 1/alpha] has room around
+    the identity."""
     if not 0.0 < T <= 1.0:
         raise InfeasibleBounds(f"T = {T} must lie in (0, 1]")
     if not 0.0 < rho < 1.0:
         raise InfeasibleBounds(f"rho = {rho} must lie in (0, 1)")
+    if not 0.0 < alpha < 1.0:
+        raise InfeasibleBounds(f"alpha = {alpha} leaves no admissible coefficient box")
 
 
-def load_dataset(path, validate: bool = True) -> MillerDataset:
-    """Read a dataset container; malformed files raise, property violations
-    only warn (use validate_miller_properties for the full report)."""
+def _meta_number(v):
+    """A metadata number: a string or a boolean is refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return v
+
+
+def _meta_int(v) -> int:
+    """An integer metadata value: a fraction is refused, never truncated."""
+    if _meta_number(v) != int(v):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
+def load_dataset(path) -> MillerDataset:
+    """Parse a dataset container; a malformed file raises
+    MalformedContainer. Loading does not validate the dataset's properties:
+    that is :func:`validate_miller_properties`."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -145,12 +161,12 @@ def load_dataset(path, validate: bool = True) -> MillerDataset:
     if meta["n"] != 3 or not isinstance(meta["N_ang"], list) or len(meta["N_ang"]) != 2:
         raise MalformedContainer("coefficient datasets are 3-D with two angular axes")
     try:
-        grid = CylinderGrid(3, int(meta["N_t"]), tuple(int(m) for m in meta["N_ang"]))
-        scalars = {key: float(meta[key]) for key in ("T", "rho", "alpha")}
+        grid = CylinderGrid(3, _meta_int(meta["N_t"]), tuple(_meta_int(m) for m in meta["N_ang"]))
+        scalars = {key: float(_meta_number(meta[key])) for key in ("T", "rho", "alpha")}
         if not np.isfinite(list(scalars.values())).all():
             raise ValueError(f"non-finite scalar in {scalars}")
-        _check_holder_range(scalars["T"], scalars["rho"])
-    except (TypeError, ValueError, InfeasibleBounds) as e:
+        _check_ranges(**scalars)
+    except (TypeError, ValueError, OverflowError, InfeasibleBounds) as e:
         raise MalformedContainer(f"invalid metadata: {e}") from e
     arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
@@ -160,26 +176,19 @@ def load_dataset(path, validate: bool = True) -> MillerDataset:
         if nm not in arrays:
             raise MalformedContainer(f"missing array {nm!r}")
         decoded[nm] = _decode_array(arrays[nm], nm)
-    data = MillerDataset(
-        grid,
-        decoded["a1"],
-        decoded["a2"],
-        decoded["a3"],
-        decoded["A1"],
-        decoded["A3"],
-        decoded["u"],
-        **scalars,
-    )
-    if validate:
-        report = validate_miller_properties(data)
-        for item in report.items:
-            if item.status != "pass":
-                warnings.warn(
-                    f"dataset {path}: {item.name} {item.status}"
-                    + (f" ({item.code})" if item.code else ""),
-                    stacklevel=2,
-                )
-    return data
+    try:
+        return MillerDataset(
+            grid,
+            decoded["a1"],
+            decoded["a2"],
+            decoded["a3"],
+            decoded["A1"],
+            decoded["A3"],
+            decoded["u"],
+            **scalars,
+        )
+    except GridMismatch as e:
+        raise MalformedContainer(f"arrays disagree with the metadata grid: {e}") from e
 
 
 # -- property validation -----------------------------------------------------
@@ -201,17 +210,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(i.status != "fail" for i in self.items)
 
-    def item(self, name: str) -> ValidationItem:
-        for i in self.items:
-            if i.name == name:
-                return i
-        raise KeyError(name)
-
     def as_dict(self) -> dict:
         return {"ok": self.ok, **asdict(self)}
 
 
-def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float, strides=None) -> dict:
+def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float) -> dict:
     """Empirical quotient max |A(t_i) - A(t_j)| / |t_i - t_j|^rho over
     end-anchored dyadic subsamples, keyed by stride.
 
@@ -223,14 +226,13 @@ def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float, strides=None) -> 
     A = np.asarray(A, dtype=float).ravel()
     if t.shape != A.shape or t.size < 2:
         raise InsufficientSamples("need matching t and A samples, at least two")
-    if strides is None:
-        strides = []
-        s = 1
-        while (t.size - 1) // s + 1 >= 5:
-            strides.append(s)
-            s *= 2
-        if not strides:
-            strides = [1]
+    strides = []
+    s = 1
+    while (t.size - 1) // s + 1 >= 5:
+        strides.append(s)
+        s *= 2
+    if not strides:
+        strides = [1]
     out = {}
     for s in strides:
         idx = np.arange(t.size - 1, -1, -s)[::-1]
@@ -393,11 +395,9 @@ def synth_approx_miller(
     """
     if grid.n != 3:
         raise GridMismatch("synthesis targets the 3-D cylinder")
-    if not 0.0 < alpha < 1.0:
-        raise InfeasibleBounds(f"alpha = {alpha} leaves no admissible coefficient box")
     if not 0.0 <= ridge < np.inf:
         raise InfeasibleBounds(f"ridge = {ridge} must be finite and non-negative")
-    _check_holder_range(T, rho)
+    _check_ranges(T, rho, alpha)
     box = (1.0 - alpha) / 2.0
 
     src = an.constant(0.0, 3)
@@ -456,7 +456,6 @@ def synth_approx_miller(
 class StudyCell:
     eps: float
     stride: int
-    grid_shape: tuple
     gap: float
     harmonic_residual: float
     weak_residual: float
@@ -496,7 +495,6 @@ def dn_gap_study(
     strides=(4, 2, 1),
     gamma: str = GAMMA1,
     cut: float = 2.0,
-    n: int = 3,
     threads: int | None = None,
 ) -> StudyResult:
     """DN gap between the dataset metric and its conformal rescalings over
@@ -510,35 +508,37 @@ def dn_gap_study(
     gap ~ b1*(eps*r) + b2*eps^2 across all cells: when u is close to
     harmonic with flat traces, eps*r controls the first-order gap and the
     quadratic term absorbs the family's own nonlinearity.
-
-    For n > 3 the dataset is embedded in the n-D assembler on a grid with
-    extra angular axes of six nodes (six keeps |k| = 2 modes below the
-    Nyquist limit of those axes).
     """
     cells = []
     with ThreadPoolExecutor(max_workers=threads or 1) as pool:
         for stride in strides:
             ds = data.coarsen(stride) if stride != 1 else data
-            big = CylinderGrid(n, ds.grid.num_t, ds.grid.num_ang + (6,) * (n - 3))
-            g = assemble_counterexample_metric_nd(ds, big)
+            g = assemble_counterexample_metric_3d(ds)
             sys_g = assemble_stiffness(g)
             B_g, _ = dn_mode_matrix(sys_g, gamma, cut)
-            u = ScalarField(big, np.broadcast_to(ds.u.reshape(ds.grid.shape + (1,) * (n - 3)), big.shape).copy())
+            u = ScalarField(ds.grid, ds.u)
             lap = interior(laplace_beltrami_pointwise(g, u.values))
             wq = interior(g.grid.quad_weights * g.sqrt_det)
             r = float(np.sqrt(np.sum(wq * lap * lap)))
 
             def cell(eps: float) -> StudyCell:
-                c = conformal_family(u, eps, n)
-                weak = weak_condition_residual(sys_g, c, gamma).residual
+                c = conformal_family(u, eps, 3)
+                weak = weak_condition_residual(sys_g, c, gamma)
                 sys_s = assemble_stiffness(scale_metric(g, c))
                 B_s, _ = dn_mode_matrix(sys_s, gamma, cut)
                 return StudyCell(
-                    float(eps), int(stride), g.grid.shape, mode_gap(B_g, B_s), r, weak
+                    float(eps), int(stride), mode_gap(B_g, B_s), r, weak
                 )
 
             cells.extend(pool.map(cell, eps_list))
     return StudyResult(tuple(cells), _gap_fit(cells))
+
+
+def nonisometry_samples(eps: float) -> list:
+    """The seven volume samples of :func:`nonisometry_check`, scaled by
+    ``eps``; a scale at which they are not seven distinct samples (0
+    among them) raises InsufficientSamples."""
+    return distinct_samples(float(eps) * np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25]))
 
 
 def nonisometry_check(data: MillerDataset, eps: float = 0.05) -> dict:
@@ -554,7 +554,7 @@ def nonisometry_check(data: MillerDataset, eps: float = 0.05) -> dict:
         raise TrivialU("u vanishes at every grid node; no obstruction derivable")
     g = assemble_counterexample_metric_3d(data)
     u = ScalarField(data.grid, data.u)
-    samples = float(eps) * np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25])
+    samples = nonisometry_samples(eps)
     p = volume_expansion(g, u, samples)
     direct = 15.0 * integrate_volume(ScalarField(data.grid, data.u**2), g)
     rel = abs(p[2] - direct) / abs(direct)

@@ -56,7 +56,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import ScalarField, require_full_layers
+from .calculus import require_full_layers
 from .errors import (
     GridMismatch,
     NoConvergence,
@@ -220,7 +220,7 @@ class StiffnessSystem:
 
 def assemble_stiffness(
     metric: MetricField,
-    potential: ScalarField | np.ndarray | None = None,
+    potential: np.ndarray | None = None,
     potential_id: str | None = None,
 ) -> StiffnessSystem:
     """Assemble the Q1 stiffness matrix for the metric Laplacian, plus the
@@ -251,7 +251,7 @@ def assemble_stiffness(
 
     v_nodes = None
     if potential is not None:
-        v_values = potential.values if isinstance(potential, ScalarField) else np.asarray(potential, dtype=float)
+        v_values = np.asarray(potential, dtype=float)
         if v_values.shape != grid.shape:
             raise GridMismatch(f"potential shape {v_values.shape}, expected {grid.shape}")
         require_full_layers(v_values, "potential")

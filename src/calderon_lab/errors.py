@@ -108,8 +108,7 @@ class FactorTooLarge(CalderonLabError):
 
 
 class MissingAnalyticGradient(CalderonLabError):
-    """An exact-identity check needs closed-form gradients that the field
-    does not carry."""
+    """A gradient was asked of a field that carries no closed form."""
 
 
 class InsufficientSamples(CalderonLabError):

@@ -182,12 +182,11 @@ def diffeo_invariance_gap(
     phi: CylinderDiffeo,
     gamma: str,
     sizes,
-    cut: float = 2.0,
 ):
     """Relative gap between the low-mode DN pairing matrices of g and
-    phi^* g per refinement level. Since phi fixes both boundary layers the
-    continuum gap is zero and the sequence measures pure discretisation
-    error.
+    phi^* g per refinement level, on the modes of cut 2. Since phi fixes
+    both boundary layers the continuum gap is zero and the sequence
+    measures pure discretisation error.
     """
     gp = pullback_metric(g, phi)
     gaps = []
@@ -195,7 +194,7 @@ def diffeo_invariance_gap(
         grid = cyl_grid(g.n, size)
         s1 = assemble_stiffness(sample_metric(g, grid))
         s2 = assemble_stiffness(sample_metric(gp, grid))
-        B1, _ = dn_mode_matrix(s1, gamma, cut)
-        B2, _ = dn_mode_matrix(s2, gamma, cut)
+        B1, _ = dn_mode_matrix(s1, gamma, 2.0)
+        B2, _ = dn_mode_matrix(s2, gamma, 2.0)
         gaps.append(mode_gap(B1, B2))
     return gaps

@@ -287,12 +287,19 @@ def _must_not_run(*args, **kwargs):
 
 
 class TestConfigCheckedFirst:
-    @pytest.mark.parametrize("key", ["nonisometry_eps"])
-    def test_study_keys(self, tmp_path, monkeypatch, key):
+    # at 0 and 1e-16 the seven volume samples are not distinct: the study
+    # used to run in full and then exit 1 with InsufficientSamples
+    @pytest.mark.parametrize(
+        "key,value",
+        [("nonisometry_eps", "abc"), ("nonisometry_eps", 0), ("nonisometry_eps", 1e-16)],
+        ids=["nonisometry_eps", "nonisometry_eps-zero", "nonisometry_eps-1e-16"],
+    )
+    def test_study_keys(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
         monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
-        with pytest.raises(ConfigInvalid):
-            run("counterexample-study", {**_STUDY_CFG, key: "abc"}, tmp_path)
+        code, _ = _cli(tmp_path, "counterexample-study", {**_STUDY_CFG, key: value})
+        assert code == 2
+        assert f"key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key,value", [("eps", [0.0, 1000.0]), ("nonisometry_eps", 1000.0)], ids=["eps", "nonisometry_eps"]
@@ -567,7 +574,8 @@ class TestDatasetCommands:
 
     def test_bad_container_metadata_exits_1(self, tmp_path):
         # bad metadata (a T beyond the cylinder passed validation with no
-        # vanishing layer), and a NaN in a1 (it broke the eigenvalue check with
+        # vanishing layer; alpha 0 broke the eigenvalue check with a
+        # traceback), and a NaN in a1 (it broke the eigenvalue check with
         # a traceback) or inside u (it passed validation)
         path = tmp_path / "ds.json"
         save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
@@ -577,6 +585,7 @@ class TestDatasetCommands:
         for section, key, value in [
             ("meta", "N_t", "x"),
             ("meta", "T", 5),
+            ("meta", "alpha", 0),
             ("arrays", "a1", base64_with_nan(good["arrays"]["a1"], 0)),
             ("arrays", "u", base64_with_nan(good["arrays"]["u"], 40)),
         ]:

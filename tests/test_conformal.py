@@ -42,7 +42,6 @@ from calderon_lab.errors import (
     NonPositiveFactor,
 )
 from calderon_lab.grid_geometry import (
-    FULL_BOUNDARY,
     GAMMA0,
     GAMMA1,
     cyl_grid,
@@ -225,11 +224,11 @@ class TestWeakCondition:
     def test_identity_factor(self, grid9, bumpy9):
         sys = assemble_stiffness(bumpy9)
         r = weak_condition_residual(sys, ConformalFactor.one(grid9, 3))
-        assert r.residual < 1e-13 and r.boundary_defect == 0.0
+        assert r < 1e-13
 
     def test_manufactured_factor(self, grid9, bumpy9):
         # a field solved with natural rows at gamma1 satisfies exactly the
-        # rows the residual tests; only the boundary normalisation fails
+        # rows the residual tests, though it is not 1 on gamma1
         sys = assemble_stiffness(bumpy9)
         K = sys.matrix
         x = grid9.axes()[1]
@@ -241,19 +240,8 @@ class TestWeakCondition:
         w[free] = spla.splu(K[free][:, free].tocsc()).solve(-K[free][:, D] @ w[D])
         assert w.min() > 0.5
         c = ConformalFactor(ScalarField(grid9, w.reshape(grid9.shape)), 3)
-        r = weak_condition_residual(sys, c, GAMMA1)
-        assert r.interior_residual < 1e-11
-        assert r.gamma_residual < 1e-11
-        assert r.boundary_defect > 1e-3
-
-    @pytest.mark.parametrize(
-        "gamma, defect", [(GAMMA0, 0.0), (GAMMA1, 0.1), (FULL_BOUNDARY, 0.1)]
-    )
-    def test_boundary_defect_per_component(self, grid9, bumpy9, gamma, defect):
-        t = grid9.points[..., 0]
-        c = ConformalFactor(ScalarField(grid9, 1.0 + 0.1 * t), 3)
-        r = weak_condition_residual(assemble_stiffness(bumpy9), c, gamma)
-        assert r.boundary_defect == pytest.approx(defect, abs=1e-15)
+        assert weak_condition_residual(sys, c, GAMMA1) < 1e-11
+        assert np.abs(c.values[-1] - 1.0).max() > 1e-3
 
 
 class TestGlobalRigidity:

@@ -3,8 +3,9 @@
 Verifies:
   - JSON containers round-trip bit-exactly in both readable encodings:
     base64, which the writer uses, and the nested lists of older files
-  - malformed containers, bad metadata included, are rejected with the
-    container error
+  - malformed containers, bad metadata included (a fractional or boolean
+    grid size, a mistyped or out-of-range number, a grid the arrays
+    disagree with), are rejected with the container error
   - the Hoelder quotient matches a brute-force double loop and separates
     a genuine order-1/2 profile from an over-declared order
   - property validation: vanishing, eigenvalue bounds, triviality,
@@ -19,7 +20,6 @@ Verifies:
 """
 
 import json
-import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -73,7 +73,7 @@ class TestContainer:
                 for nm in ("a1", "a2", "a3", "A1", "A3", "u")
             }
             path.write_text(json.dumps(doc))
-        back = load_dataset(path, validate=False)
+        back = load_dataset(path)
         for nm in ("a1", "a2", "a3", "A1", "A3", "u"):
             assert np.array_equal(getattr(back, nm), getattr(data, nm)), nm
         assert back.T == data.T and back.rho == data.rho and back.alpha == data.alpha
@@ -106,12 +106,20 @@ class TestContainer:
         with pytest.raises(MalformedContainer):
             load_dataset(path)
 
+    # the toy container's grid is 5 x 4 x 4. A fraction or a boolean used
+    # to be truncated by int(), a number key took a boolean or a numeric
+    # string, alpha 0 loaded (and divided by zero in validation), and a
+    # grid its arrays disagree with raised GridMismatch
     @pytest.mark.parametrize(
         "key,value",
         [("N_t", 2), ("N_t", "x"), ("N_ang", 4), ("T", "late"), ("alpha", float("nan")),
-         ("T", 5), ("T", 0.0), ("rho", 0.0), ("rho", 1.0)],
+         ("T", 5), ("T", 0.0), ("rho", 0.0), ("rho", 1.0),
+         ("N_t", 5.5), ("N_ang", [4.9, 4]), ("N_t", True), ("T", True), ("rho", "0.25"),
+         ("alpha", 0.0), ("alpha", 1.0), ("N_t", 6), ("N_ang", [4, 6])],
         ids=["too-few-t-nodes", "non-numeric-N_t", "N_ang-not-a-list", "non-numeric-T", "nan-alpha",
-             "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one"],
+             "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one",
+             "fractional-N_t", "fractional-N_ang", "boolean-N_t", "boolean-T", "numeric-string-rho",
+             "alpha-not-positive", "alpha-at-one", "N_t-off-the-arrays", "N_ang-off-the-arrays"],
     )
     def test_bad_metadata_rejected(self, tmp_path, key, value):
         path = tmp_path / "ds.json"
@@ -120,7 +128,7 @@ class TestContainer:
         doc["meta"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedContainer):
-            load_dataset(path, validate=False)
+            load_dataset(path)
 
     # a NaN in a1 broke the eigenvalue check with a LinAlgError; one in
     # the interior of u passed validation
@@ -140,19 +148,7 @@ class TestContainer:
             doc["arrays"][name] = base64_with_nan(doc["arrays"][name], node)
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedContainer, match="non-finite"):
-            load_dataset(path, validate=False)
-
-    def test_load_warns_on_property_violation(self, tmp_path):
-        grid = cyl_grid(3, 5)
-        data = _toy_dataset(grid)
-        bad = MillerDataset(
-            grid, data.a1, data.a2, data.a3, data.A1, data.A3,
-            data.u + 1.0,  # breaks vanishing at t = T
-        )
-        path = tmp_path / "warn.json"
-        save_dataset(bad, path)
-        with pytest.warns(UserWarning, match="vanishing"):
-            load_dataset(path, validate=True)
+            load_dataset(path)
 
 
 class TestHolderQuotients:
@@ -161,7 +157,7 @@ class TestHolderQuotients:
         t = np.linspace(0.0, 1.0, 33)
         A = rng.normal(size=33)
         rho = 0.4
-        q = holder_quotients(t, A, rho, strides=[1, 2])
+        q = holder_quotients(t, A, rho)
         for s, val in q.items():
             idx = np.arange(32, -1, -s)[::-1]
             best = 0.0
@@ -194,14 +190,18 @@ class TestHolderQuotients:
             holder_quotients(np.array([0.0]), np.array([1.0]), 0.5)
 
 
+def _items(report) -> dict:
+    return {i.name: i for i in report.items}
+
+
 class TestValidation:
     def test_good_dataset_passes(self):
         report = validate_miller_properties(_toy_dataset(cyl_grid(3, 9)))
         assert report.ok
-        assert report.item("vanishing").status == "pass"
-        assert report.item("eigenvalue_bounds").status == "pass"
-        assert report.item("nontriviality").status == "pass"
-        assert "l2" in report.item("harmonic_residual").details
+        assert _items(report)["vanishing"].status == "pass"
+        assert _items(report)["eigenvalue_bounds"].status == "pass"
+        assert _items(report)["nontriviality"].status == "pass"
+        assert "l2" in _items(report)["harmonic_residual"].details
 
     def test_vanishing_violation(self):
         grid = cyl_grid(3, 9)
@@ -210,7 +210,7 @@ class TestValidation:
             grid, data.a1, data.a2, data.a3, data.A1, data.A3, data.u + 0.5
         )
         report = validate_miller_properties(bad)
-        item = report.item("vanishing")
+        item = _items(report)["vanishing"]
         assert not report.ok and item.code == "VanishingViolated"
 
     def test_eigenvalue_violation(self):
@@ -222,7 +222,7 @@ class TestValidation:
             data.A1, data.A3, data.u, alpha=0.5,
         )
         report = validate_miller_properties(bad)
-        assert report.item("eigenvalue_bounds").code == "EigenvalueBoundsViolated"
+        assert _items(report)["eigenvalue_bounds"].code == "EigenvalueBoundsViolated"
 
     def test_holder_unstable(self):
         # white noise has no modulus of continuity: on a long t-axis the
@@ -238,12 +238,12 @@ class TestValidation:
             rho=0.9,
         )
         report = validate_miller_properties(bad)
-        item = report.item("holder_quotient")
+        item = _items(report)["holder_quotient"]
         assert item.status == "fail" and item.code == "HolderUnstable"
 
     def test_trivial_u_warns(self):
         report = validate_miller_properties(MillerDataset.zero(cyl_grid(3, 5)))
-        item = report.item("nontriviality")
+        item = _items(report)["nontriviality"]
         assert item.status == "warn" and item.code == "TrivialU"
         assert report.ok  # warn does not fail the report
 
@@ -360,12 +360,6 @@ class TestGapStudy:
         assert by_eps[0.0].gap == 0.0
         assert by_eps[0.05].gap > 0.0
         assert by_eps[0.05].harmonic_residual > 0.0
-
-    def test_embedding_dimension(self):
-        # dataset axes must clear the mode cut too, hence size 7
-        data = _toy_dataset(cyl_grid(3, 7), scale=0.05)
-        result = dn_gap_study(data, eps_list=(0.05,), strides=(1,), n=4)
-        assert len(result.cells[0].grid_shape) == 4
 
 
 class TestNonIsometry:

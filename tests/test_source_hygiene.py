@@ -14,7 +14,11 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
     ``from . import mod``;
   - no module reads ``det`` or ``inv`` of ``numpy.linalg`` or
     ``scipy.linalg``, under any import alias: SPD metric tables have one
-    factorisation, ``grid_geometry.spd_weight``.
+    factorisation, ``grid_geometry.spd_weight``;
+  - every parameter with a default, on a module-level function or a class
+    method, is passed by some call in the package, the benchmark or
+    ``tests/test_acceptance.py``: a default that only unit tests override
+    is surface too.
 """
 
 import ast
@@ -194,3 +198,105 @@ def _qualified_reads(tree: ast.Module) -> list:
 def test_no_second_spd_route(path):
     found = [f"{nm} (line {line})" for nm, line in _qualified_reads(_tree(path)) if nm in SECOND_SPD_ROUTES]
     assert not found, f"{path.name} factors matrices outside grid_geometry.spd_weight: {found}"
+
+
+# parameter -> why its default may stay unset by every caller
+UNPASSED_EXEMPT = {
+    "cli.main(argv)": "the console entry point; the installed script calls main() with none",
+}
+
+
+def _callees(func) -> set:
+    """Names a call may reach: the called name or attribute, both branches
+    of a conditional callee."""
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        return {func.attr}
+    if isinstance(func, ast.IfExp):
+        return _callees(func.body) | _callees(func.orelse)
+    return set()
+
+
+def _calls(trees) -> dict:
+    """Callee name -> [(positional count, *-splat, keyword names, **-splat)]
+    of every call in ``trees``; ``partial(f, ...)`` counts as a call of f."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            names, args = _callees(node.func), node.args
+            if "partial" in names and args:
+                names, args = _callees(args[0]), args[1:]
+            star = any(isinstance(a, ast.Starred) for a in args)
+            keywords = {k.arg for k in node.keywords}
+            for nm in names:
+                out.setdefault(nm, []).append((len(args), star, keywords, None in keywords))
+    return out
+
+
+def _defaulted_parameters(module: str, tree: ast.Module) -> list:
+    """(callee name, positional index or None, parameter, label) of every
+    parameter with a default on a module-level function or class method;
+    ``__init__`` is called by its class name, and a method's index skips
+    its ``self`` or ``cls``."""
+    found = [(None, node) for node in tree.body]
+    found += [(node, item) for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+    out = []
+    for cls, fn in found:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        if cls is not None:
+            positional = positional[1:]
+        name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+        label = f"{module}.{fn.name}" if cls is None else f"{module}.{cls.name}.{fn.name}"
+        params = list(enumerate(positional))[len(positional) - len(a.defaults):]
+        params += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out += [(name, i, p.arg, f"{label}({p.arg})") for i, p in params]
+    return out
+
+
+def _unpassed_defaults(defining: dict, calling) -> list:
+    """Labels of the parameters with a default, on the functions of the
+    ``defining`` trees (by module name), that no call in the ``calling``
+    trees passes by position, by keyword or through a splat."""
+    calls = _calls(calling)
+
+    def passed(name, index, param) -> bool:
+        return any(
+            splat_kw or param in keywords or (index is not None and (index < npos or star))
+            for npos, star, keywords, splat_kw in calls.get(name, ())
+        )
+
+    return [
+        label
+        for module, tree in defining.items()
+        for name, index, param, label in _defaulted_parameters(module, tree)
+        if not passed(name, index, param)
+    ]
+
+
+def test_no_parameters_only_unit_tests_set():
+    unpassed = _unpassed_defaults(
+        {p.stem: _tree(p) for p in MODULES}, [_tree(p) for p in MODULES + REACHERS]
+    )
+    flagged = [label for label in unpassed if label not in UNPASSED_EXEMPT]
+    assert not flagged, f"parameters with a default that only unit tests set: {flagged}"
+    assert set(UNPASSED_EXEMPT) <= set(unpassed), "an exempt parameter is now passed; drop its exemption"
+
+
+def test_parameter_check_call_forms():
+    tree = ast.parse(
+        "def never(x, flag=False): pass\n"
+        "def by_keyword(x, flag=False): pass\n"
+        "def by_position(x, flag=False): pass\n"
+        "def by_branch(x, flag=False): pass\n"
+        "never(1)\n"
+        "by_keyword(1, flag=True)\n"
+        "by_position(1, True)\n"
+        "(by_branch if x else len)(1, True)\n"
+    )
+    assert _unpassed_defaults({"m": tree}, [tree]) == ["m.never(flag)"]
