@@ -208,13 +208,24 @@ _KIND = (_text, _REQUIRED)
 _SEED = (_ranged(_int, 0), 0)  # numpy rejects negative seeds
 
 
+# the 65 x 64 x 64 rung of the 3-D ladder, the largest grid a run is sized for
+_MAX_NODES = 65 * 64 * 64
+
+
 def _grid(build, *args) -> CylinderGrid:
     """``build(*args)`` for a grid builder or a coarsening; an invalid size,
-    dimension or stride in the config is a config error."""
+    dimension or stride in the config is a config error, and so is a grid
+    of more than ``_MAX_NODES`` nodes. A grid allocates nothing until it is
+    sampled, so the cap is checked before any array exists."""
     try:
-        return build(*args)
+        grid = build(*args)
     except (ValueError, DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
+    if grid.node_count > _MAX_NODES:
+        raise ConfigInvalid(
+            f"grid {grid.shape} has {grid.node_count} nodes, over the cap of {_MAX_NODES}"
+        )
+    return grid
 
 
 def _modes_fit(grid: CylinderGrid, cut: float) -> None:

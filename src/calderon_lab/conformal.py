@@ -33,7 +33,7 @@ from .errors import (
     InsufficientSamples,
     NonPositiveFactor,
 )
-from .grid_geometry import GAMMA1, CylinderGrid, MetricField, spd_weight
+from .grid_geometry import GAMMA1, CylinderGrid, MetricField, spd_root_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +294,7 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
     on the 3-D cylinder, fitted by an exact Vandermonde interpolation on
     the first seven distinct eps samples (scaled variable). Volumes are
     measured, not expanded symbolically: sqrt(det(c^4 g)) is evaluated per
-    node by :func:`~calderon_lab.grid_geometry.spd_weight` and differenced
+    node by :func:`~calderon_lab.grid_geometry.spd_root_det` and differenced
     against the base volume element before summation. The whole pipeline
     runs in extended precision; in double the Vandermonde conditioning
     leaves the recovered coefficients dependent on the sample set at the
@@ -306,14 +306,17 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
         raise GridMismatch("field and metric grids differ")
     eps = np.array(distinct_samples(eps_list), dtype=np.longdouble)
     w = g.grid.quad_weights.astype(np.longdouble)
-    mat = np.moveaxis(g.mat, (-2, -1), (0, 1)).astype(np.longdouble)
-    base = spd_weight(mat)[1]
+    # the packed components in float64: products with the longdouble factor
+    # promote exactly, so no longdouble copy of the table is kept
+    iu, ju = np.triu_indices(3)
+    mat = np.moveaxis(g.mat[..., iu, ju], -1, 0)
+    base = spd_root_det(mat.astype(np.longdouble))
     uu = u.values.astype(np.longdouble)
     V = np.empty(7, dtype=np.longdouble)
     for k, e in enumerate(eps):
         conformal_family(u, float(e), 3)  # range validation only
         c4 = (1 + e * uu) ** 4
-        diff = spd_weight(c4 * mat)[1] - base
+        diff = spd_root_det(c4 * mat) - base
         V[k] = np.sum(diff * w)
     s = np.abs(eps).max()
     if s == 0:

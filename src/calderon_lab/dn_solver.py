@@ -13,17 +13,15 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 (quadrature-weighted) Neumann data, so mode eigenvalues are generalized
 Rayleigh quotients against the boundary mass matrix.
 
-Assembly is a few whole-array steps with no loop over quadrature points:
-one matmul interpolates the metric to every Gauss point, the package's SPD
-kernel ``grid_geometry.spd_weight`` gives the weight ``sqrt(det g) g^{-1}``
-there, and one GEMM against a table of gradient pairs gives every element
-matrix. It is deterministic: element matrices are symmetrised and scattered
-cell-major into one sparsity pattern that the stiffness and mass matrices
-share, and duplicates are summed in that input order, so the stiffness
-matrix is bitwise symmetric and its bytes do not depend on the BLAS thread
-count. The cell-node table and the pattern are cached per grid; the
-pattern is built without a sort, from the tensor-product structure of the
-Q1 stencil.
+Assembly (:func:`assemble_stiffness`) is one loop over blocks of cells,
+so its temporaries are block-sized, and one GEMM per block over the unique
+metric components and the unique element entries ``a <= b``. It is
+deterministic: the element matrices are mirrored from their unique
+entries and scattered once, cell-major, so the assembled matrices are
+bitwise symmetric and their bytes depend neither on the block size nor on
+the BLAS thread count. The cell-node table, the element tables and the
+CSR pattern are cached per grid; the pattern is built without a sort,
+from the tensor-product structure of the Q1 stencil.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -77,6 +75,7 @@ _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _CG_MAXIT = 200
 _DENSE_CHUNK = 256  # trace columns per interior solve in dn_apply
+_BLOCK_CELLS = 4096  # cells per assembly block (2048 timed the same, 1024 and 8192 slower)
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +179,73 @@ def _scatter_pattern(grid: CylinderGrid):
     return slot.reshape(-1), indices, indptr
 
 
+def _element_tables(grid: CylinderGrid):
+    """The shape table N and the per-grid tables of the element GEMMs,
+    over the unique element entries ``p = (a, b)``, ``a <= b``, in the
+    order of ``np.triu_indices(2^n)``:
+
+    - ``stiff[(k, q), p]``, for the unique metric components ``k = (i, j)``
+      with ``i <= j`` in the order of ``np.triu_indices(n)``, is
+      ``T[i, i, q]`` on the diagonal and ``T[i, j, q] + T[j, i, q]`` off
+      it, with ``T[i, j, q, a, b] = w G[q, a, i] G[q, b, j]`` the products
+      of physical shape gradients times the quadrature weight ``w``;
+    - ``mass[q, p] = w N[q, a] N[q, b]``;
+    - ``mirror``, the unique-entry index of every entry ``(a, b)`` of a
+      row-major element matrix, ``(a, b)`` and ``(b, a)`` alike.
+    """
+    n = grid.n
+    N, G = _q1_tables(n)
+    w = 0.5**n * float(np.prod(grid.spacings))  # quadrature weight
+    G = G / grid.spacings  # physical gradients, constant per uniform cell
+    a, b = np.triu_indices(1 << n)
+    T = w * np.einsum("qai,qbj->ijqab", G, G)[..., a, b]
+    stiff = np.concatenate([T[i, j] + T[j, i] if i < j else T[i, i] for i, j in zip(*np.triu_indices(n))])
+    mass = w * N[:, a] * N[:, b]
+    mirror = np.empty((1 << n, 1 << n), dtype=np.intp)
+    mirror[a, b] = mirror[b, a] = np.arange(a.size)
+    return N, stiff, mass, mirror.ravel()
+
+
 @lru_cache(maxsize=8)
 def _grid_layout(grid: CylinderGrid):
-    """Cell-node table and scatter pattern of a grid, computed once per
-    equal grid and shared read-only by every assembly on it."""
+    """Cell-node table, scatter pattern and element tables of a grid,
+    computed once per equal grid and shared read-only by every assembly on
+    it."""
     nodes = _cell_nodes(grid)
     pattern = _scatter_pattern(grid)
-    for arr in (nodes, *pattern):
+    tables = _element_tables(grid)
+    for arr in (nodes, *pattern, *tables):
         arr.flags.writeable = False
-    return nodes, pattern
+    return nodes, pattern, tables
 
 
-def _scatter(pattern, elem: np.ndarray, size: int) -> sp.csr_matrix:
-    """Sum the element matrices into the pattern; duplicates add up in
-    input order, so the result is a deterministic function of the layout.
-    The matrix gets its own copies of the cached index arrays."""
-    slot, indices, indptr = pattern
-    data = np.bincount(slot, weights=elem.ravel(), minlength=indices.size)
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
+def _cell_blocks(n_cells: int):
+    """Bounds of the assembly blocks: ``_BLOCK_CELLS`` cells each, the last
+    one shorter. A one-cell remainder joins the block before it, because
+    numpy hands a one-row product to a matrix-vector kernel whose sums may
+    round differently from the matrix-matrix kernel of the other blocks."""
+    bounds = list(range(0, n_cells, _BLOCK_CELLS)) + [n_cells]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _scatter(slot: np.ndarray, elem: np.ndarray, nnz: int) -> np.ndarray:
+    """The CSR data of the element matrices summed into the pattern;
+    duplicates add up in input order, so the result is a deterministic
+    function of the layout. ``np.add.at`` takes the int32 slots as they are
+    (``np.bincount`` would copy them to intp)."""
+    data = np.zeros(nnz)
+    np.add.at(data, slot, elem.reshape(-1))
+    return data
 
 
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
     """Assembled weak-form operator: Laplace part plus optional potential
-    mass part, on its grid. ``potential_id`` is a caller's label for the
-    potential; nothing in the package reads it."""
+    mass part, on its grid. The two parts share one sparsity pattern.
+    ``potential_id`` is a caller's label for the potential; nothing in the
+    package reads it."""
 
     grid: CylinderGrid
     laplace: sp.csr_matrix
@@ -215,7 +256,8 @@ class StiffnessSystem:
     def matrix(self) -> sp.csr_matrix:
         if self.mass is None:
             return self.laplace
-        return (self.laplace + self.mass).tocsr()
+        K = self.laplace
+        return sp.csr_matrix((K.data + self.mass.data, K.indices, K.indptr), shape=K.shape)
 
 
 def assemble_stiffness(
@@ -231,22 +273,30 @@ def assemble_stiffness(
         a(u, v) = int g^{ij} d_i u d_j v sqrt(det g)
                   + int V u v sqrt(det g).
 
-    With the metric interpolated to the Gauss points (one matmul with the
-    shape table N) and ``W = sqrt(det g) g^{-1}`` there from the SPD kernel
-    :func:`~calderon_lab.grid_geometry.spd_weight`, the element matrices of
-    all cells are one GEMM,
-    ``E[c, a, b] = sum_{i,j,q} W[i, j, q, c] T[i, j, q, a, b]`` with
-    ``T[i, j, q, a, b] = G[q, a, i] G[q, b, j]`` the products of physical
-    shape gradients times the quadrature weight; the mass matrix is a second
-    GEMM against ``N[q, a] N[q, b]``. The cell-node table and the scatter
-    pattern come from a per-grid cache (equal grids share one entry) and are
-    never handed out: each matrix owns its index arrays.
+    One loop runs over blocks of ``_BLOCK_CELLS`` cells. A block gathers
+    the ``n(n+1)/2`` unique metric components at its cells' corners,
+    interpolates them to the Gauss points (one matmul with the shape table
+    N), takes ``W = sqrt(det g) g^{-1}`` there from the SPD kernel
+    :func:`~calderon_lab.grid_geometry.spd_weight`, and gets the unique
+    entries ``a <= b`` of its element matrices by one GEMM,
+    ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]`` with ``k`` over
+    the components ``i <= j`` and the table of :func:`_element_tables`,
+    which folds ``T_ij + T_ji``. A fixed index mirrors them into one
+    ``(cells, 2^n * 2^n)`` element buffer, so every element matrix is
+    bitwise symmetric, and the buffer is scattered once, cell-major. The
+    loop also keeps ``sqrt(det g) V`` at the Gauss points; once K is
+    scattered, the mass matrix reuses the buffer, one GEMM per block
+    against ``w N[q, a] N[q, b]``. The cell-node table, the scatter
+    pattern and the tables come from a per-grid cache (equal grids share
+    one entry) and are never handed out: the system's matrices share one
+    copy of the index arrays. Work buffers are local to the call, so
+    assemblies may run in several threads at once.
     """
     grid = metric.grid
     n = grid.n
     n_loc = 1 << n
     size = grid.node_count
-    nodes, pattern = _grid_layout(grid)
+    nodes, pattern, (N, stiff, mass_table, mirror) = _grid_layout(grid)
     n_cells = nodes.shape[1]
 
     v_nodes = None
@@ -257,26 +307,29 @@ def assemble_stiffness(
         require_full_layers(v_values, "potential")
         v_nodes = v_values.reshape(size)
 
-    N, G = _q1_tables(n)
-    w = 0.5**n * float(np.prod(grid.spacings))  # quadrature weight
-    G = G / grid.spacings  # physical gradients, constant per uniform cell
-    # the metric at every Gauss point of every cell by component, g[i, j, q, c]
-    g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n).T)
-    g = np.matmul(N, g_nodes[:, nodes]).reshape(n, n, n_loc, n_cells)
-    W, root_det = spd_weight(g)
-    del g, g_nodes  # these whole-array temporaries set the peak memory
-    T = w * np.einsum("qai,qbj->ijqab", G, G).reshape(n * n * n_loc, n_loc * n_loc)
-    elem_k = (W.reshape(-1, n_cells).T @ T).reshape(n_cells, n_loc, n_loc)
-    del W
-    # a + b == b + a in floating point, so the element matrices are bitwise
-    # symmetric whatever order the GEMM summed in
-    K = _scatter(pattern, 0.5 * (elem_k + elem_k.transpose(0, 2, 1)), size)
+    # the unique metric components by node, packed for the SPD kernel; the
+    # gathers use np.take(mode="clip"), about 3 times faster than fancy
+    # indexing here, and the ids are in range
+    iu, ju = np.triu_indices(n)
+    g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n)[:, iu * n + ju].T)
+    elem = np.empty((n_cells, n_loc * n_loc))
+    mass_weight = None if v_nodes is None else np.empty((n_loc, n_cells))
+    for lo, hi in _cell_blocks(n_cells):
+        cell_nodes = nodes[:, lo:hi]
+        W, root_det = spd_weight(N @ np.take(g_nodes, cell_nodes, axis=1, mode="clip"))
+        # mode="clip" also spares np.take a buffered copy into out
+        np.take(W.reshape(-1, hi - lo).T @ stiff, mirror, axis=1, out=elem[lo:hi], mode="clip")
+        if v_nodes is not None:
+            mass_weight[:, lo:hi] = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
+    slot, indices, indptr = pattern
+    # one copy of the index arrays, shared by the system's matrices
+    indices, indptr = indices.copy(), indptr.copy()
+    K = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
     M = None
     if v_nodes is not None:
-        weight = root_det * (N @ v_nodes[nodes])  # [q, c]
-        table = w * np.einsum("qa,qb->qab", N, N).reshape(n_loc, n_loc * n_loc)
-        elem_m = (weight.T @ table).reshape(n_cells, n_loc, n_loc)
-        M = _scatter(pattern, 0.5 * (elem_m + elem_m.transpose(0, 2, 1)), size)
+        for lo, hi in _cell_blocks(n_cells):
+            np.take(mass_weight[:, lo:hi].T @ mass_table, mirror, axis=1, out=elem[lo:hi], mode="clip")
+        M = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
     return StiffnessSystem(
         grid, K, mass=M, potential_id=potential_id if potential is not None else None
     )
@@ -356,13 +409,12 @@ class InteriorSolver:
     never cached.
     """
 
-    def __init__(self, K: sp.spmatrix, grid: CylinderGrid):
+    def __init__(self, K: sp.csr_matrix, grid: CylinderGrid):
         self._fixed = grid.boundary_ids(FULL_BOUNDARY)
         P = grid.layer_count
         self.free = slice(P, (grid.num_t - 1) * P)
-        K = K[self.free]
-        self.block = K[:, self.free].tocsr()
-        self._coupling = K[:, self._fixed]
+        self.block = K[self.free, self.free]
+        self._coupling = K[self.free, self._fixed]
         self.iterations: int | None = None
         self._lu = None
         self._shape = (grid.num_t - 2, *grid.num_ang)

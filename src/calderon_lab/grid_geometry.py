@@ -6,9 +6,10 @@ node. Nodes are ordered lexicographically (t-major, C order), so the two
 boundary layers are the first and last contiguous blocks of node ids.
 
 Metrics live either as closed-form sources (evaluate anywhere) or as node
-tables whose sqrt(det g) and weight sqrt(det g) g^{-1} are cached from
-:func:`spd_weight`, the package's one factorisation of SPD tables, which
-also validates them. The divergence-form
+tables whose sqrt(det g) (:func:`spd_root_det`) and weight
+sqrt(det g) g^{-1} (:func:`spd_weight`) are cached from one unrolled
+Cholesky over packed symmetric components, the package's one factorisation
+of SPD tables, which also validates them. The divergence-form
 coefficient family with a one-dimensional Hoelder-rough part is assembled
 into 3-D and n-D metrics here; the defining algebraic property is that the
 metric's weight matrix sqrt(det g) * g^{-1} reproduces the coefficient
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -80,7 +81,7 @@ class CylinderGrid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)  # exact: no int64 wrap on huge shapes
 
     @property
     def layer_count(self) -> int:
@@ -222,41 +223,89 @@ def random_trig_metric(
     return MetricSource(n, func)
 
 
+def _packed_index(n: int) -> np.ndarray:
+    """Where entry ``(i, j)`` of a symmetric n x n matrix sits in the packed
+    component order of the SPD kernel, the order of ``np.triu_indices(n)``:
+    an (n, n) table, symmetric, so both triangles read the same entry."""
+    pos = np.empty((n, n), dtype=np.intp)
+    iu, ju = np.triu_indices(n)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return pos
+
+
+def _dot(pairs) -> np.ndarray:
+    """The sum of ``x * y`` over the pairs of arrays, left to right, in
+    one new array."""
+    (x, y), *rest = pairs
+    s = x * y
+    for x, y in rest:
+        s += x * y
+    return s
+
+
+def _cholesky(a: np.ndarray) -> tuple[dict, int]:
+    """Lower Cholesky factor ``a = L L^T`` of a packed batch (see
+    :func:`spd_weight`), unrolled over the component arrays: ``L[i, j]``
+    for ``i >= j``, and the order n. Each entry past the first column is
+    computed in the array of its dot product."""
+    n = (math.isqrt(8 * len(a) + 1) - 1) // 2
+    pos = _packed_index(n)
+    L = {}
+    for j in range(n):
+        for i in range(j, n):
+            if j == 0:
+                L[i, j] = np.sqrt(a[pos[i, j]]) if i == j else a[pos[i, j]] / L[j, j]
+            else:
+                s = _dot([(L[i, k], L[j, k]) for k in range(j)])
+                np.subtract(a[pos[i, j]], s, out=s)
+                L[i, j] = np.sqrt(s, out=s) if i == j else np.divide(s, L[j, j], out=s)
+    return L, n
+
+
+def spd_root_det(a: np.ndarray) -> np.ndarray:
+    """``sqrt(det a)`` for a packed batch of symmetric positive definite
+    matrices (see :func:`spd_weight`): the product of the Cholesky
+    diagonal, with no inverse formed. A pivot <= 0 makes it NaN or 0
+    there."""
+    L, n = _cholesky(a)
+    return reduce(np.multiply, [L[k, k] for k in range(n)])
+
+
 def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sqrt(det a) a^{-1}`` and ``sqrt(det a)`` for a batch of symmetric
-    positive definite n x n matrices given by component: ``a[i, j]`` is an
-    array over the batch, and only ``i >= j`` is read.
+    positive definite n x n matrices given packed: ``a[k]`` is the array
+    over the batch of the k-th entry ``(i, j)``, ``i <= j``, of
+    ``np.triu_indices(n)`` (:func:`_packed_index`). The weight comes back
+    packed the same way, so it is symmetric by construction.
 
     Unrolled Cholesky ``a = L L^T`` over the component arrays:
     ``sqrt(det a)`` is the product of the diagonal of L, and
     ``a^{-1} = R^T R`` with ``R = L^{-1}`` by forward substitution. The
-    weight has the shape and dtype (``longdouble`` too) of ``a`` and is
-    exactly symmetric. A pivot <= 0 makes ``sqrt(det a)`` NaN or 0 there.
+    weight has the shape and dtype (``longdouble`` too) of ``a``; each of
+    its components is written once, in place. A pivot <= 0 makes
+    ``sqrt(det a)`` NaN or 0 there.
     """
-    n = len(a)
-    L = {}
-    for j in range(n):
-        L[j, j] = np.sqrt(a[j, j] - sum(L[j, k] ** 2 for k in range(j)))
-        for i in range(j + 1, n):
-            L[i, j] = (a[i, j] - sum(L[i, k] * L[j, k] for k in range(j))) / L[j, j]
-    root_det = math.prod(L[k, k] for k in range(n))
+    L, n = _cholesky(a)
+    root_det = reduce(np.multiply, [L[k, k] for k in range(n)])
     R = {}
     for j in range(n):
         R[j, j] = 1.0 / L[j, j]
         for i in range(j + 1, n):
-            R[i, j] = -sum(L[i, k] * R[k, j] for k in range(j, i)) / L[i, i]
+            s = _dot([(L[i, k], R[k, j]) for k in range(j, i)])
+            np.negative(s, out=s)
+            R[i, j] = np.divide(s, L[i, i], out=s)
     W = np.empty_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            W[i, j] = W[j, i] = root_det * sum(R[k, i] * R[k, j] for k in range(i, n))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        np.multiply(root_det, _dot([(R[m, j], R[m, i]) for m in range(j, n)]), out=W[k])
     return W, root_det
 
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Metric sampled on a grid. Its volume element ``sqrt_det`` and weight
-    ``sqrt(det g) g^{-1}`` come from one cached :func:`spd_weight` call on
-    the node table, and ``inv`` is ``weight / sqrt_det``.
+    """Metric sampled on a grid. Its volume element ``sqrt_det`` is the
+    Cholesky diagonal product :func:`spd_root_det` of the node table, and
+    its weight ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it
+    is first read; ``inv`` is ``weight / sqrt_det``.
 
     Invariants (enforced by :func:`sample_metric` and
     :func:`metric_from_matrices`): ``mat``, ``weight`` and ``inv`` exactly
@@ -266,23 +315,25 @@ class MetricField:
     grid: CylinderGrid
     mat: np.ndarray
 
-    @cached_property
-    def _cholesky(self) -> tuple[np.ndarray, np.ndarray]:
-        W, root_det = spd_weight(np.moveaxis(self.mat, (-2, -1), (0, 1)))
-        return np.moveaxis(W, (0, 1), (-2, -1)), root_det
-
     @property
+    def _packed(self) -> np.ndarray:
+        """The node table packed by component for the SPD kernel."""
+        iu, ju = np.triu_indices(self.grid.n)
+        return np.moveaxis(self.mat[..., iu, ju], -1, 0)
+
+    @cached_property
     def sqrt_det(self) -> np.ndarray:
-        return self._cholesky[1]
+        return spd_root_det(self._packed)
 
     @cached_property
     def inv(self) -> np.ndarray:
         return self.weight / self.sqrt_det[..., None, None]
 
-    @property
+    @cached_property
     def weight(self) -> np.ndarray:
         """The divergence-form weight sqrt(det g) * g^{-1}."""
-        return self._cholesky[0]
+        W = spd_weight(self._packed)[0][_packed_index(self.grid.n)]
+        return np.moveaxis(W, (0, 1), (-2, -1))
 
 
 def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> MetricField:

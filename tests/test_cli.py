@@ -338,6 +338,22 @@ class TestConfigCheckedFirst:
         with pytest.raises(ConfigInvalid):
             run("dn-compare", cfg, tmp_path)
 
+    @pytest.mark.parametrize(
+        "n,size", [(3, 100001), (3, 66), (4, 3_000_000)], ids=["huge", "one-past-65-rung", "past-int64"]
+    )
+    def test_oversized_grid_refused(self, tmp_path, monkeypatch, capsys, n, size):
+        # numpy ran out of memory on the huge grid (exit 1, traceback); its
+        # n = 4 cousin wraps an int64 node count negative
+        monkeypatch.setattr(cli, "sample_metric", _must_not_run)
+        cfg = {"n": n, "sizes": [9, size], "transform": {"kind": "diffeo", "diffeo": "identity"}}
+        code, out = _cli(tmp_path, "dn-compare", cfg)
+        assert code == 2
+        assert "over the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_65_rung_fits_the_cap(self):
+        assert cli._grid(cyl_grid, 3, 65).node_count == cli._MAX_NODES
+
     def test_identities_need_n3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cyl_grid", _must_not_run)
         monkeypatch.setattr(cli, "sample_metric", _must_not_run)

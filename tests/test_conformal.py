@@ -9,9 +9,12 @@ Verifies:
   - the scaling-law residual vanishes for c = 1 and shrinks under
     refinement otherwise
   - measured volume-defect coefficients: binomial oracle for constant u,
-    quadratic term against direct quadrature, sample-set invariance
+    quadratic term against direct quadrature, sample-set invariance, and
+    a peak of at most 6 MB on the (25, 24, 24) study grid
   - weak gauge condition residual and the full-boundary rigidity check
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ from calderon_lab.errors import (
 from calderon_lab.grid_geometry import (
     GAMMA0,
     GAMMA1,
+    CylinderGrid,
     cyl_grid,
     flat_metric,
     random_trig_metric,
@@ -213,6 +217,21 @@ class TestVolumeExpansion:
         p2 = volume_expansion(bumpy9, u, self.EPS_ALT)
         scale = np.abs(p1).max()
         assert np.abs(p1 - p2).max() / scale < 5e-10, f"{np.abs(p1 - p2).max() / scale:.2e}"
+
+    def test_peak_memory_on_study_grid(self):
+        # only sqrt(det) is formed, from the Cholesky diagonal: 10.7 MB when
+        # the kernel also formed the weight, on the study's grid
+        grid = CylinderGrid(3, 25, (24, 24))
+        g = sample_metric(random_trig_metric(3, seed=4), grid)
+        u = ScalarField.from_source(grid, an.trig_sum(3, np.random.default_rng(4), terms=3))
+        volume_expansion(g, u, self.EPS)
+        tracemalloc.start()
+        try:
+            volume_expansion(g, u, self.EPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_needs_seven_distinct(self, grid9, bumpy9):
         u = ScalarField.constant(grid9, 0.1)

@@ -19,6 +19,10 @@ Verifies:
     and one per grid (with one set of flat pencil eigenpairs) over a cycle
     of six grids, is not reachable through a returned matrix, and the
     assembled bytes do not depend on the BLAS thread count
+  - the assembled bytes do not depend on the assembly block size (blocks
+    of 7 cells against one block, n = 2, 3, 4, with and without a
+    potential), K and M are bitwise symmetric, and a 33^3 assembly with a
+    potential holds at most 32 MB of temporaries above its result
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and fails its residual gate
     on NaN data
@@ -34,9 +38,11 @@ Verifies:
 import decimal
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -348,10 +354,11 @@ class TestAssembly:
         lam *= 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1))
         A = np.einsum("bij,bj,bkj->bik", Q, lam, Q)
         A = 0.5 * (A + A.transpose(0, 2, 1))
-        W, root_det = spd_weight(A.astype(dtype).transpose(1, 2, 0))
-        W = W.transpose(2, 0, 1)
-        assert W.dtype == dtype and root_det.dtype == dtype
-        assert (W == W.transpose(0, 2, 1)).all()
+        iu, ju = np.triu_indices(n)
+        W_packed, root_det = spd_weight(A.astype(dtype)[:, iu, ju].T)
+        assert W_packed.dtype == dtype and root_det.dtype == dtype
+        W = np.empty_like(A, dtype=dtype)
+        W[:, iu, ju] = W[:, ju, iu] = W_packed.T
         if dtype == np.float64:
             root_ref = np.sqrt(np.linalg.det(A))
             W_ref = root_ref[:, None, None] * np.linalg.inv(A)
@@ -458,13 +465,17 @@ class TestGridLayoutCache:
 
     def test_bytes_independent_of_blas_threads(self):
         # the element matrices come from BLAS GEMMs, and report.json byte
-        # identity across thread counts rests on their being reproducible
+        # identity across thread counts rests on their being reproducible;
+        # grid 25 spans several assembly blocks, the last one partial
+        grid = cyl_grid(3, 25)
+        blocks = list(dn_solver._cell_blocks((grid.num_t - 1) * math.prod(grid.num_ang)))
+        assert len(blocks) >= 2 and blocks[-1][1] - blocks[-1][0] < dn_solver._BLOCK_CELLS
         src = Path(dn_solver.__file__).resolve().parents[1]
         script = (
             "import hashlib, numpy as np\n"
             "from calderon_lab.dn_solver import assemble_stiffness\n"
             "from calderon_lab.grid_geometry import cyl_grid, random_trig_metric, sample_metric\n"
-            "grid = cyl_grid(3, 17)\n"
+            "grid = cyl_grid(3, 25)\n"
             "q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)\n"
             "s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)\n"
             "print(hashlib.sha256(s.laplace.data.tobytes()).hexdigest(),"
@@ -478,11 +489,57 @@ class TestGridLayoutCache:
                                  capture_output=True, text=True)
             digests.append(out.stdout.split())
         assert digests[0] == digests[1]
-        grid = cyl_grid(3, 17)
         q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)
         s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)
         here = [hashlib.sha256(M.data.tobytes()).hexdigest() for M in (s.laplace, s.mass)]
         assert digests[0] == here
+
+
+def _bitwise_symmetric(K) -> bool:
+    KT = K.T.tocsr()
+    KT.sort_indices()
+    return np.array_equal(K.indices, KT.indices) and K.data.tobytes() == KT.data.tobytes()
+
+
+class TestBlockedAssembly:
+    # 512 and 1296 cells leave one cell over in blocks of 7, which joins the
+    # block before it; 1024 leaves two
+    @pytest.mark.parametrize("with_potential", [False, True], ids=["plain", "potential"])
+    @pytest.mark.parametrize(
+        "grid", [cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(4, 7)], ids=["n2", "n3", "n4"]
+    )
+    def test_bytes_independent_of_block_size(self, monkeypatch, grid, with_potential):
+        metric = sample_metric(random_trig_metric(grid.n, seed=20 + grid.n), grid)
+        q = np.random.default_rng(grid.n).uniform(-1.0, 2.0, grid.shape) if with_potential else None
+        one_block = assemble_stiffness(metric, potential=q)
+        monkeypatch.setattr(dn_solver, "_BLOCK_CELLS", 7)
+        n_cells = (grid.num_t - 1) * math.prod(grid.num_ang)
+        assert n_cells <= 4096 and all(hi - lo >= 2 for lo, hi in dn_solver._cell_blocks(n_cells))
+        blocked = assemble_stiffness(metric, potential=q)
+        pairs = [(one_block.laplace, blocked.laplace)]
+        if with_potential:
+            pairs.append((one_block.mass, blocked.mass))
+        for A, B in pairs:
+            assert A.data.tobytes() == B.data.tobytes()
+            assert np.array_equal(A.indices, B.indices) and np.array_equal(A.indptr, B.indptr)
+            assert _bitwise_symmetric(B)
+
+    def test_temporaries_at_33(self):
+        # the whole-array kernel held 64.5 MB of temporaries above its result
+        grid = cyl_grid(3, 33)
+        metric = sample_metric(random_trig_metric(3, seed=6), grid)
+        q = np.random.default_rng(6).uniform(-1.0, 1.0, grid.shape)
+        assemble_stiffness(metric, potential=q)  # the grid layout is cached from here on
+        tracemalloc.start()
+        try:
+            sys_ = assemble_stiffness(metric, potential=q)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = sum(a.nbytes for a in (sys_.laplace.data, sys_.mass.data, sys_.laplace.indices,
+                                         sys_.laplace.indptr))
+        assert held <= result + 1e6
+        assert peak - held <= 32e6, f"{(peak - held) / 1e6:.1f} MB of temporaries"
 
 
 def _extend_boundary(metric, gamma0: float, gamma1):
