@@ -7,20 +7,17 @@ validate-dataset, synth-dataset, rigidity-check. Each reads a JSON config,
 runs the corresponding library routines, writes a deterministic report
 (JSON + CSV + markdown) and exits 0 when every configured verdict passes,
 1 on computational failure, 2 on config errors. Every config object (the
-root and each nested spec) goes through one reader, :func:`_read`, so an
-unknown key, a missing required key or a value out of range is a config
+root and each nested spec) goes through one reader, :func:`report.read`, so
+an unknown key, a missing required key or a value out of range is a config
 error raised before any computation.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import numbers
 import os
 import sys
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,106 +64,19 @@ from .grid_geometry import (
     random_trig_metric,
     sample_metric,
 )
-from .report import ExperimentReport, emit_report
-
-
-def _finite(text: str) -> float:
-    """JSON number hook: NaN, Infinity and overflowing literals are config errors."""
-    x = float(text)
-    if not np.isfinite(x):
-        raise ConfigInvalid(f"config holds the non-finite number {text}")
-    return x
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path) as f:
-            cfg = json.load(f, parse_float=_finite, parse_constant=_finite)
-    except OSError as e:
-        raise ConfigInvalid(f"cannot read config file {path!r}: {e.strerror}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigInvalid(f"config is not valid JSON: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid("config root must be a JSON object")
-    return cfg
-
-
-# -- the config reader and its converters ------------------------------------
-
-_REQUIRED = object()
-
-
-def _read(obj, where: str, **schema) -> SimpleNamespace:
-    """The keys of the config object ``obj``, which messages call ``where``.
-    ``schema`` maps every allowed key to ``(convert, default)``: a present
-    value becomes ``convert(value)``, an absent one its default, unless that
-    is ``_REQUIRED``. A non-object, an unknown or missing key and a value the
-    converter rejects (TypeError, ValueError, OverflowError) are config
-    errors."""
-    if not isinstance(obj, dict):
-        raise ConfigInvalid(f"{where} must be a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - set(schema))
-    if unknown:
-        raise ConfigInvalid(f"{where} has unknown key(s) {unknown}; it takes {sorted(schema)}")
-    vals = {}
-    for key, (convert, default) in schema.items():
-        if key not in obj:
-            if default is _REQUIRED:
-                raise ConfigInvalid(f"{where} lacks required key {key!r}")
-            vals[key] = default
-            continue
-        try:
-            vals[key] = convert(obj[key])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigInvalid(f"{where} key {key!r} has invalid value {obj[key]!r}: {e}") from e
-    return SimpleNamespace(**vals)
-
-
-def _number(v):
-    """A JSON number as given; strings and booleans are refused."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise TypeError(f"must be a number, not {type(v).__name__}")
-    return v
-
-
-def _float(v) -> float:
-    return float(_number(v))
-
-
-def _int(v) -> int:
-    """Converter for every integer key: a number with a fractional part is
-    refused, never truncated."""
-    if _number(v) != int(v):
-        raise ValueError("must be an integer")
-    return int(v)
-
-
-def _ranged(kind, lo, hi=np.inf):
-    """Converter: ``kind(v)``, which must lie in ``[lo, hi)``."""
-    def convert(v):
-        x = kind(v)
-        if not lo <= x < hi:
-            raise ValueError(f"must be at least {lo}" if hi == np.inf else f"must lie in [{lo}, {hi})")
-        return x
-    return convert
-
-
-def _list(item):
-    """Converter: a non-empty list of ``item(x)``; an empty one would
-    yield no evidence."""
-    def convert(v):
-        if not isinstance(v, (list, tuple)) or not v:
-            raise ValueError("must be a non-empty list")
-        return tuple(item(x) for x in v)
-    return convert
-
-
-def _choice(*options):
-    def convert(v):
-        if v not in options:
-            raise ValueError(f"must be one of {options}")
-        return v
-    return convert
+from .report import (
+    REQUIRED,
+    ExperimentReport,
+    choice,
+    emit_report,
+    integer,
+    list_of,
+    load_json,
+    ranged,
+    read,
+    real,
+    string,
+)
 
 
 def _as_is(v):
@@ -174,20 +84,14 @@ def _as_is(v):
     return v
 
 
-def _text(v) -> str:
-    if not isinstance(v, str):
-        raise TypeError(f"must be a string, not {type(v).__name__}")
-    return v
-
-
 def _file(v) -> str:
-    if not os.path.isfile(_text(v)):
+    if not os.path.isfile(string(v)):
         raise ValueError("is not a file")
     return v
 
 
 def _file_name(v) -> str:
-    if os.path.basename(_text(v)) != v or v in ("", ".", ".."):
+    if os.path.basename(string(v)) != v or v in ("", ".", ".."):
         raise ValueError("must be a bare file name")
     return v
 
@@ -195,7 +99,7 @@ def _file_name(v) -> str:
 def _volume_scale(v) -> float:
     """Converter for ``nonisometry_eps``: the volume fit needs its seven
     samples distinct, which 0 and scales near it do not give."""
-    x = _float(v)
+    x = real(v)
     try:
         nonisometry_samples(x)
     except InsufficientSamples as e:
@@ -203,28 +107,34 @@ def _volume_scale(v) -> float:
     return x
 
 
-_GAMMA = (_choice(*BOUNDARY_NAMES), "gamma1")
-_KIND = (_text, _REQUIRED)
-_SEED = (_ranged(_int, 0), 0)  # numpy rejects negative seeds
-
-
 # the 65 x 64 x 64 rung of the 3-D ladder, the largest grid a run is sized for
 _MAX_NODES = 65 * 64 * 64
+# the smallest grid of n axes, 3 x 4 x ... x 4, is over the cap from n = 10;
+# a larger n is refused before a grid builds its n-entry size tuple
+_MAX_N = 9
+
+_GAMMA = (choice(*BOUNDARY_NAMES), "gamma1")
+_KIND = (string, REQUIRED)
+_SEED = (ranged(integer, 0), 0)  # numpy rejects negative seeds
+_N = (ranged(integer, 2, _MAX_N + 1), 3)
 
 
 def _grid(build, *args) -> CylinderGrid:
     """``build(*args)`` for a grid builder or a coarsening; an invalid size,
     dimension or stride in the config is a config error, and so is a grid
     of more than ``_MAX_NODES`` nodes. A grid allocates nothing until it is
-    sampled, so the cap is checked before any array exists."""
+    sampled, so the cap is checked before any array exists. The count is a
+    running product that stops at the cap, so a huge grid costs no big
+    integer arithmetic."""
     try:
         grid = build(*args)
     except (ValueError, DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
-    if grid.node_count > _MAX_NODES:
-        raise ConfigInvalid(
-            f"grid {grid.shape} has {grid.node_count} nodes, over the cap of {_MAX_NODES}"
-        )
+    count = 1
+    for num in grid.shape:
+        count *= num
+        if count > _MAX_NODES:
+            raise ConfigInvalid(f"a grid of {grid.n} axes is over the cap of {_MAX_NODES} nodes")
     return grid
 
 
@@ -240,16 +150,16 @@ def _metric(spec):
     """A metric spec: ``None`` for the flat metric, else the random-trig keys."""
     if spec in ("flat", {"kind": "flat"}):
         return None
-    return _read(spec, "metric", kind=(_choice("random-trig"), _REQUIRED), seed=_SEED,
-                 amplitude=(_float, None), max_mode=(_ranged(_int, 0), 1))
+    return read(spec, "metric", kind=(choice("random-trig"), REQUIRED), seed=_SEED,
+                amplitude=(real, None), max_mode=(ranged(integer, 0), 1))
 
 
 def _factor(spec):
     """A conformal factor spec: ``None`` for c = 1, else the random factor keys."""
     if spec == "one":
         return None
-    f = _read(spec, "factor", seed=_SEED, amplitude=(_float, 0.25), offset=(_float, 1.3),
-              terms=(_ranged(_int, 0), 2), max_mode=(_ranged(_int, 0), 1))
+    f = read(spec, "factor", seed=_SEED, amplitude=(real, 0.25), offset=(real, 1.3),
+             terms=(ranged(integer, 0), 2), max_mode=(ranged(integer, 0), 1))
     # the waves sum to at most |amplitude|, so this keeps the factor positive
     if f.offset <= abs(f.amplitude):
         raise ConfigInvalid(f"factor offset {f.offset} must exceed |amplitude| {abs(f.amplitude)}")
@@ -260,9 +170,9 @@ def _diffeo(spec, n: int):
     """The diffeomorphism a diffeo spec names, and whether it is the identity."""
     if spec == "identity":
         return identity_diffeo(n), True
-    d = _read(spec, "diffeo", family=(_choice("bump", "cubic", "identity"), "bump"),
-              amplitude=(_float, 0.08), delta=(_float, 0.1),
-              shear=(lambda v: _read(v, "shear", axis=(_int, 1), amplitude=(_float, 0.1)), None))
+    d = read(spec, "diffeo", family=(choice("bump", "cubic", "identity"), "bump"),
+             amplitude=(real, 0.08), delta=(real, 0.1),
+             shear=(lambda v: read(v, "shear", axis=(integer, 1), amplitude=(real, 0.1)), None))
     # folding maps, shear axes outside 1..n-1 and empty collars are config errors
     try:
         if d.family == "identity":
@@ -292,8 +202,8 @@ def _order_fit(sizes, gaps):
 
 def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     # the fourth-power identity needs n >= 3
-    s = _read(cfg, "verify-identities config", n=(_ranged(_int, 3), 3), size=(_int, 9),
-              tuples=(_ranged(_int, 1), 20), seed=_SEED)
+    s = read(cfg, "verify-identities config", n=(ranged(integer, 3, _MAX_N + 1), 3), size=(integer, 9),
+             tuples=(ranged(integer, 1), 20), seed=_SEED)
     n, seed = s.n, s.seed
     rep = ExperimentReport("verify-identities", cfg)
     grid = _grid(cyl_grid, n, s.size)
@@ -321,9 +231,9 @@ def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport
 
 
 def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "dn-compare config", n=(_ranged(_int, 2), 3), sizes=(_list(_int), (9, 17, 33)),
-              gamma=_GAMMA, cut=(_ranged(_float, 0.0), 2.0), metric=(_metric, None),
-              transform=(_as_is, _REQUIRED))
+    s = read(cfg, "dn-compare config", n=_N, sizes=(list_of(integer), (9, 17, 33)),
+             gamma=_GAMMA, cut=(ranged(real, 0.0), 2.0), metric=(_metric, None),
+             transform=(_as_is, REQUIRED))
     n, m = s.n, s.metric
     grids = [_grid(cyl_grid, n, size) for size in s.sizes]
     src = flat_metric(n) if m is None else random_trig_metric(
@@ -336,7 +246,7 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     if kind == "conformal-2d":
         if n != 2:
             raise ConfigInvalid("conformal-2d requires n = 2")
-        f = _read(t, "transform", kind=_KIND, factor=(_factor, None)).factor
+        f = read(t, "transform", kind=_KIND, factor=(_factor, None)).factor
         identity = f is None
         c_src = an.constant(1.0, n) if identity else an.trig_sum(
             n, np.random.default_rng(f.seed), terms=f.terms, amplitude=f.amplitude,
@@ -348,8 +258,8 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     elif kind == "conformal-link":
         if n < 3:
             raise ConfigInvalid("conformal-link requires n >= 3")
-        link = _read(t, "transform", kind=_KIND, amplitude=(_float, 0.3),
-                     collar=(_ranged(_float, 0.0, 0.5), 0.15), seed=_SEED)
+        link = read(t, "transform", kind=_KIND, amplitude=(real, 0.3),
+                    collar=(ranged(real, 0.0, 0.5), 0.15), seed=_SEED)
         identity = False
         # c = 1 + amplitude * bump(t) * trig(angles) equals 1 with zero
         # normal derivative on collars at both ends, so the potential-link
@@ -366,7 +276,7 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
             q = conformal_potential(g, c, one_sided=True)
             return assemble_stiffness(scale_metric(g, c)), assemble_stiffness(g, potential=q)
     elif kind == "diffeo":
-        spec = _read(t, "transform", kind=_KIND, diffeo=(_as_is, {})).diffeo
+        spec = read(t, "transform", kind=_KIND, diffeo=(_as_is, {})).diffeo
         phi, identity = _diffeo(spec, n)
         src_t = pullback_metric(src, phi)
 
@@ -397,10 +307,10 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 
 _SYNTH = dict(
-    grid=(lambda v: _read(v, "synth grid", num_t=(_int, _REQUIRED), num_ang=(_list(_int), _REQUIRED)),
-          _REQUIRED),
-    T=(_float, None), amplitude=(_float, None), ridge=(_float, None), alpha=(_float, None),
-    rho=(_float, None), modes=(lambda v: tuple((_int(x), _int(y)) for x, y in v), None),
+    grid=(lambda v: read(v, "synth grid", num_t=(integer, REQUIRED), num_ang=(list_of(integer), REQUIRED)),
+          REQUIRED),
+    T=(real, None), amplitude=(real, None), ridge=(real, None), alpha=(real, None),
+    rho=(real, None), modes=(lambda v: tuple((integer(x), integer(y)) for x, y in v), None),
 )
 
 
@@ -410,7 +320,7 @@ def _synth(spec, check=None, where: str = "synth", **extra):
     the keys the block's object holds besides the synth keys;
     ``check(grid)`` vets the grid first, and a box or ridge the synthesis
     rejects is a config error. Returns (dataset, build report, read keys)."""
-    s = _read(spec, where, **_SYNTH, **extra)
+    s = read(spec, where, **_SYNTH, **extra)
     grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
     if check is not None:
         check(grid)
@@ -422,10 +332,10 @@ def _synth(spec, check=None, where: str = "synth", **extra):
 
 
 def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
-              eps=(_list(_float), (0.0, 0.025, 0.05, 0.1)),
-              strides=(_list(_ranged(_int, 1)), (4, 2, 1)), gamma=_GAMMA,
-              cut=(_ranged(_float, 0.0), 2.0), nonisometry_eps=(_volume_scale, 0.05))
+    s = read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
+             eps=(list_of(real), (0.0, 0.025, 0.05, 0.1)),
+             strides=(list_of(ranged(integer, 1)), (4, 2, 1)), gamma=_GAMMA,
+             cut=(ranged(real, 0.0), 2.0), nonisometry_eps=(_volume_scale, 0.05))
     if (s.dataset is None) == (s.synth is None):
         raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
@@ -447,7 +357,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
     u = ScalarField(data.grid, data.u)
     for eps in (*s.eps, s.nonisometry_eps, -s.nonisometry_eps):
         try:
-            conformal_family(u, eps, 3)
+            conformal_family(u, eps)
         except FactorTooLarge as e:
             raise ConfigInvalid(f"eps out of range for the dataset: {e}") from e
 
@@ -476,7 +386,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
 
 
 def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "validate-dataset config", dataset=(_file, _REQUIRED))
+    s = read(cfg, "validate-dataset config", dataset=(_file, REQUIRED))
     # a malformed container is a computation failure
     data = load_dataset(s.dataset)
     rep = ExperimentReport("validate-dataset", cfg)
@@ -505,8 +415,8 @@ def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
 
 
 def _run_rigidity_check(cfg: dict, threads: int, out_dir) -> ExperimentReport:
-    s = _read(cfg, "rigidity-check config", n=(_ranged(_int, 2), 3), size=(_int, 9),
-              seeds=(_list(_ranged(_int, 0)), tuple(range(5))))
+    s = read(cfg, "rigidity-check config", n=_N, size=(integer, 9),
+             seeds=(list_of(ranged(integer, 0)), tuple(range(5))))
     rep = ExperimentReport("rigidity-check", cfg)
     grid = _grid(cyl_grid, s.n, s.size)
     rows = []
@@ -558,7 +468,7 @@ def main(argv=None) -> int:
 
     made = []  # directories created here, deepest first
     try:
-        cfg = _load_config(args.config)
+        cfg = load_json(args.config)
         threads = max(1, args.threads)
         out_dir = args.out or os.path.join("reports", args.command)
         # made before the run, so an unusable path is refused before any

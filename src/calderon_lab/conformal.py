@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticScalar, constant as analytic_constant
+from .analytic import AnalyticScalar
 from .calculus import ScalarField, gradient, laplace_beltrami_pointwise
 from .dn_solver import InteriorSolver, StiffnessSystem, assemble_stiffness
 from .errors import (
@@ -79,30 +79,19 @@ class ConformalFactor:
         return cls(ScalarField.constant(grid, 1.0), n)
 
 
-def conformal_family(u: ScalarField, eps: float, n: int) -> ConformalFactor:
-    """The one-parameter family with c^{n-2} = 1 + eps * u.
+def conformal_family(u: ScalarField, eps: float) -> ConformalFactor:
+    """The one-parameter family with c^{n-2} = 1 + eps * u at n = 3, the
+    dimension of the coefficient datasets, so c = 1 + eps * u.
 
-    For n = 3 the value 1 + eps*u must stay >= 1/2 (the family's positivity
-    floor); for n > 3 it must stay positive. eps = 0 returns c identically
-    one, exactly.
+    The value 1 + eps*u must stay >= 1/2 (the family's positivity floor).
+    eps = 0 returns c identically one, exactly.
     """
-    if n < 3:
-        raise DimensionTooSmall("the conformal family is defined for n >= 3")
     eps = float(eps)
-    base = 1.0 + eps * u.values
-    lo = float(base.min())
-    if n == 3:
-        if lo < 0.5:
-            raise FactorTooLarge(
-                f"1 + eps*u drops to {lo:.4f} < 1/2 at eps = {eps}"
-            )
-    elif lo <= 0.0:
-        raise FactorTooLarge(f"1 + eps*u drops to {lo:.4f} <= 0 at eps = {eps}")
-    vals = base ** (1.0 / (n - 2))
-    src = None
-    if u.source is not None:
-        src = (analytic_constant(1.0, u.grid.n) + eps * u.source) ** (1.0 / (n - 2))
-    return ConformalFactor(ScalarField(u.grid, vals, source=src), n)
+    vals = 1.0 + eps * u.values
+    lo = float(vals.min())
+    if lo < 0.5:
+        raise FactorTooLarge(f"1 + eps*u drops to {lo:.4f} < 1/2 at eps = {eps}")
+    return ConformalFactor(ScalarField(u.grid, vals), 3)
 
 
 def scale_metric(g: MetricField, c: ConformalFactor) -> MetricField:
@@ -314,7 +303,7 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
     uu = u.values.astype(np.longdouble)
     V = np.empty(7, dtype=np.longdouble)
     for k, e in enumerate(eps):
-        conformal_family(u, float(e), 3)  # range validation only
+        conformal_family(u, float(e))  # range validation only
         c4 = (1 + e * uu) ** 4
         diff = spd_root_det(c4 * mat) - base
         V[k] = np.sum(diff * w)

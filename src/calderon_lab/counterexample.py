@@ -22,6 +22,7 @@ import base64
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +34,7 @@ from .calculus import laplace_beltrami_pointwise
 from .conformal import conformal_family, distinct_samples, scale_metric, volume_expansion, weak_condition_residual
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 from .errors import (
+    ConfigInvalid,
     GridMismatch,
     InfeasibleBounds,
     InsufficientSamples,
@@ -45,7 +47,18 @@ from .grid_geometry import (
     MillerDataset,
     assemble_counterexample_metric_3d,
 )
-from .report import atomic_write_text
+from .report import (
+    REQUIRED,
+    atomic_write_text,
+    choice,
+    integer,
+    list_of,
+    load_json,
+    ranged,
+    read,
+    real,
+    string,
+)
 
 _FORMAT = "miller-dataset"
 _ARRAY_NAMES = ("a1", "a2", "a3", "A1", "A3", "u")
@@ -65,32 +78,11 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(entry, name: str) -> np.ndarray:
-    if not isinstance(entry, dict) or "encoding" not in entry:
-        raise MalformedContainer(f"array {name} is not an encoded entry")
-    enc = entry["encoding"]
-    if enc not in ("nested", "base64"):
-        raise MalformedContainer(f"array {name}: unknown encoding {enc!r}")
-    try:
-        if enc == "nested":
-            arr = np.asarray(entry["data"], dtype=float)
-        else:
-            raw = base64.b64decode(entry["data"], validate=True)
-            arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(entry["shape"])
-    except (KeyError, ValueError, TypeError) as e:
-        raise MalformedContainer(f"array {name}: {e}") from e
-    # a NaN passes or breaks validation depending on where it sits
-    if not np.isfinite(arr).all():
-        raise MalformedContainer(f"array {name} holds a non-finite value")
-    return arr
-
-
 def save_dataset(data: MillerDataset, path) -> None:
-    """Write the dataset as a single JSON container.
-
-    Arrays are base64 raw little-endian float64, which round-trips
-    bit-exactly; :func:`load_dataset` also reads the nested-list encoding
-    of older containers.
+    """Write the dataset as a single JSON container: the format marker,
+    version 1, the metadata and one entry per array. Arrays are base64 raw
+    little-endian float64, which round-trips bit-exactly and is the one
+    encoding :func:`load_dataset` reads.
     """
     doc = {
         "format": _FORMAT,
@@ -123,72 +115,57 @@ def _check_ranges(T: float, rho: float, alpha: float) -> None:
         raise InfeasibleBounds(f"alpha = {alpha} leaves no admissible coefficient box")
 
 
-def _meta_number(v):
-    """A metadata number: a string or a boolean is refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"{v!r} is not a number")
-    return v
+def _meta(obj) -> SimpleNamespace:
+    """The container's metadata, its grid built and its ranges checked."""
+    m = read(obj, "container meta", n=(choice(3), REQUIRED), N_t=(integer, REQUIRED),
+             N_ang=(list_of(integer), REQUIRED), T=(real, REQUIRED), rho=(real, REQUIRED),
+             alpha=(real, REQUIRED), layout=(choice("row-major"), REQUIRED),
+             dtype=(choice("float64-le"), REQUIRED))
+    _check_ranges(m.T, m.rho, m.alpha)
+    m.grid = CylinderGrid(3, m.N_t, m.N_ang)  # a ValueError is the reader's to report
+    return m
 
 
-def _meta_int(v) -> int:
-    """An integer metadata value: a fraction is refused, never truncated."""
-    if _meta_number(v) != int(v):
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
+def _array(name: str):
+    """Converter of one array entry. Only errors that carry no copy of the
+    entry leave it, because the reader's message would quote the whole
+    base64 payload."""
+    def convert(entry) -> np.ndarray:
+        e = read(entry, f"array {name}", encoding=(choice("base64"), REQUIRED),
+                 shape=(list_of(integer), REQUIRED), data=(string, REQUIRED))
+        try:
+            raw = base64.b64decode(e.data, validate=True)
+            arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(e.shape)
+        except (ValueError, OverflowError) as exc:
+            raise MalformedContainer(f"array {name}: {exc}") from exc
+        # a NaN passes or breaks validation depending on where it sits
+        if not np.isfinite(arr).all():
+            raise MalformedContainer(f"array {name} holds a non-finite value")
+        return arr
+    return convert
+
+
+_ARRAYS = {nm: (_array(nm), REQUIRED) for nm in _ARRAY_NAMES}
 
 
 def load_dataset(path) -> MillerDataset:
     """Parse a dataset container; a malformed file raises
-    MalformedContainer. Loading does not validate the dataset's properties:
-    that is :func:`validate_miller_properties`."""
+    MalformedContainer. The file goes through the package's one JSON
+    loader and schema reader (:mod:`~calderon_lab.report`) at three levels:
+    the root (``format``, ``version`` 1, ``meta``, ``arrays``), the
+    metadata, and each array entry (``encoding`` ``base64``, ``shape``,
+    ``data``); an unknown key at any level is refused. Loading does not
+    validate the dataset's properties: that is
+    :func:`validate_miller_properties`."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        doc = read(load_json(path), "container", format=(choice(_FORMAT), REQUIRED),
+                   version=(ranged(integer, 1, 2), REQUIRED), meta=(_meta, REQUIRED),
+                   arrays=(lambda v: read(v, "container arrays", **_ARRAYS), REQUIRED))
+        m = doc.meta
+        return MillerDataset(m.grid, *(getattr(doc.arrays, nm) for nm in _ARRAY_NAMES),
+                             T=m.T, rho=m.rho, alpha=m.alpha)
+    except (ConfigInvalid, InfeasibleBounds, GridMismatch) as e:
         raise MalformedContainer(str(e)) from e
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise MalformedContainer("missing container format marker")
-    meta = doc.get("meta")
-    if not isinstance(meta, dict):
-        raise MalformedContainer("missing metadata header")
-    for key in ("n", "N_t", "N_ang", "T", "rho", "alpha", "layout", "dtype"):
-        if key not in meta:
-            raise MalformedContainer(f"metadata lacks {key!r}")
-    if meta["layout"] != "row-major" or meta["dtype"] != "float64-le":
-        raise MalformedContainer(
-            f"unsupported layout/dtype {meta['layout']!r}/{meta['dtype']!r}"
-        )
-    if meta["n"] != 3 or not isinstance(meta["N_ang"], list) or len(meta["N_ang"]) != 2:
-        raise MalformedContainer("coefficient datasets are 3-D with two angular axes")
-    try:
-        grid = CylinderGrid(3, _meta_int(meta["N_t"]), tuple(_meta_int(m) for m in meta["N_ang"]))
-        scalars = {key: float(_meta_number(meta[key])) for key in ("T", "rho", "alpha")}
-        if not np.isfinite(list(scalars.values())).all():
-            raise ValueError(f"non-finite scalar in {scalars}")
-        _check_ranges(**scalars)
-    except (TypeError, ValueError, OverflowError, InfeasibleBounds) as e:
-        raise MalformedContainer(f"invalid metadata: {e}") from e
-    arrays = doc.get("arrays")
-    if not isinstance(arrays, dict):
-        raise MalformedContainer("missing arrays section")
-    decoded = {}
-    for nm in _ARRAY_NAMES:
-        if nm not in arrays:
-            raise MalformedContainer(f"missing array {nm!r}")
-        decoded[nm] = _decode_array(arrays[nm], nm)
-    try:
-        return MillerDataset(
-            grid,
-            decoded["a1"],
-            decoded["a2"],
-            decoded["a3"],
-            decoded["A1"],
-            decoded["A3"],
-            decoded["u"],
-            **scalars,
-        )
-    except GridMismatch as e:
-        raise MalformedContainer(f"arrays disagree with the metadata grid: {e}") from e
 
 
 # -- property validation -----------------------------------------------------
@@ -522,7 +499,7 @@ def dn_gap_study(
             r = float(np.sqrt(np.sum(wq * lap * lap)))
 
             def cell(eps: float) -> StudyCell:
-                c = conformal_family(u, eps, 3)
+                c = conformal_family(u, eps)
                 weak = weak_condition_residual(sys_g, c, gamma)
                 sys_s = assemble_stiffness(scale_metric(g, c))
                 B_s, _ = dn_mode_matrix(sys_s, gamma, cut)

@@ -19,9 +19,9 @@ metric components and the unique element entries ``a <= b``. It is
 deterministic: the element matrices are mirrored from their unique
 entries and scattered once, cell-major, so the assembled matrices are
 bitwise symmetric and their bytes depend neither on the block size nor on
-the BLAS thread count. The cell-node table, the element tables and the
-CSR pattern are cached per grid; the pattern is built without a sort,
-from the tensor-product structure of the Q1 stencil.
+the BLAS thread count. The CSR pattern, with the cell-node table it
+yields, and the element tables are cached per grid; the pattern is built
+without a sort, from the tensor-product structure of the Q1 stencil.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -82,25 +82,6 @@ _BLOCK_CELLS = 4096  # cells per assembly block (2048 timed the same, 1024 and 8
 # assembly
 
 
-def _cell_nodes(grid: CylinderGrid) -> np.ndarray:
-    """Global node ids of each cell's 2^n corners, shape (2^n, n_cells).
-
-    Cells are indexed lexicographically like nodes; the t-axis has
-    num_t - 1 cells, each angular axis wraps and has as many cells as nodes.
-    Corner L of a cell offsets the cell's base node by the bits of L
-    (axis 0 = most significant bit), modulo the period on angular axes.
-    """
-    # int32 halves the cell-node table
-    ids = np.arange(grid.node_count, dtype=np.int32).reshape(grid.shape)
-    axes = tuple(range(grid.n))
-    return np.stack(
-        [
-            np.roll(ids, [-b for b in bits], axis=axes)[:-1].ravel()
-            for bits in itertools.product((0, 1), repeat=grid.n)
-        ]
-    )
-
-
 def _q1_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Q1 shape values N (2^n points, 2^n corners) and reference gradients
     G (2^n, 2^n, n) at the tensor two-point Gauss points of [0,1]^n.
@@ -143,7 +124,14 @@ def _spread(a: np.ndarray, d: int, n: int) -> np.ndarray:
 
 def _scatter_pattern(grid: CylinderGrid):
     """CSR pattern of the cell-major element scatter: the CSR slot of every
-    element-matrix entry, plus the column indices and row pointers.
+    element-matrix entry, the column indices and row pointers, and the
+    cell-node table, the global node ids of each cell's 2^n corners as
+    int32 of shape (2^n, cells).
+
+    Cells are indexed lexicographically like nodes; the t-axis has
+    num_t - 1 cells, each angular axis wraps and has as many cells as nodes.
+    Corner L of a cell offsets the cell's base node by the bits of L
+    (axis 0 = most significant bit), modulo the period on angular axes.
 
     The Q1 pattern is the tensor product of 1-D three-point patterns, open
     in t and periodic in the angles, so it needs no sort: a row's length is
@@ -176,7 +164,9 @@ def _scatter_pattern(grid: CylinderGrid):
         row = row + _spread(node[:, :, None] * strides[d], d, n)
         slot = slot * _spread(m[node][:, :, None].astype(index), d, n) + _spread(rank.astype(index), d, n)
     slot += indptr[row]
-    return slot.reshape(-1), indices, indptr
+    # the row node of every (cell, row corner), the same for every column corner
+    nodes = np.ascontiguousarray(row.reshape(-1, 1 << n).T, dtype=np.int32)
+    return slot.reshape(-1), indices, indptr, nodes
 
 
 def _element_tables(grid: CylinderGrid):
@@ -208,15 +198,14 @@ def _element_tables(grid: CylinderGrid):
 
 @lru_cache(maxsize=8)
 def _grid_layout(grid: CylinderGrid):
-    """Cell-node table, scatter pattern and element tables of a grid,
-    computed once per equal grid and shared read-only by every assembly on
-    it."""
-    nodes = _cell_nodes(grid)
+    """Scatter pattern with its cell-node table, and element tables of a
+    grid, computed once per equal grid and shared read-only by every
+    assembly on it."""
     pattern = _scatter_pattern(grid)
     tables = _element_tables(grid)
-    for arr in (nodes, *pattern, *tables):
+    for arr in (*pattern, *tables):
         arr.flags.writeable = False
-    return nodes, pattern, tables
+    return pattern, tables
 
 
 def _cell_blocks(n_cells: int):
@@ -296,7 +285,7 @@ def assemble_stiffness(
     n = grid.n
     n_loc = 1 << n
     size = grid.node_count
-    nodes, pattern, (N, stiff, mass_table, mirror) = _grid_layout(grid)
+    (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror) = _grid_layout(grid)
     n_cells = nodes.shape[1]
 
     v_nodes = None
@@ -321,7 +310,6 @@ def assemble_stiffness(
         np.take(W.reshape(-1, hi - lo).T @ stiff, mirror, axis=1, out=elem[lo:hi], mode="clip")
         if v_nodes is not None:
             mass_weight[:, lo:hi] = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
-    slot, indices, indptr = pattern
     # one copy of the index arrays, shared by the system's matrices
     indices, indptr = indices.copy(), indptr.copy()
     K = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
@@ -571,16 +559,12 @@ def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
     """Apply the DN map to trace columns without forming it densely.
 
-    ``traces`` has shape (n_gamma, k) or (n_gamma,); returns the same
-    shape. Columns go through one interior solver ``_DENSE_CHUNK`` at a
-    time.
+    ``traces`` has shape (n_gamma, k); returns the same shape. Columns go
+    through one interior solver ``_DENSE_CHUNK`` at a time.
     """
     grid = sys.grid
     G = grid.boundary_ids(gamma)
     V = np.asarray(traces, dtype=float)
-    squeeze = V.ndim == 1
-    if squeeze:
-        V = V[:, None]
     if V.ndim != 2 or V.shape[0] != G.size:
         raise ShapeMismatch(f"traces of shape {V.shape}, expected {G.size} rows on {gamma}")
     K_G = sys.matrix[G]
@@ -596,7 +580,7 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
         U_chunk = U[:, : cols.shape[1]]
         U_chunk[G] = cols
         out[:, lo : lo + _DENSE_CHUNK] = K_G @ solver.extend(U_chunk)
-    return out[:, 0] if squeeze else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +611,19 @@ def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
 
     Returns (V, labels) with V of shape (layer_count, n_vectors); labels
     are ("cos"|"sin", mode tuple). Modes must stay below the per-axis
-    Nyquist limit of the layer grid.
+    Nyquist limit of the layer grid. Every mode with |m| <= cut has its
+    components in [-floor(cut), floor(cut)], and the axis-aligned mode
+    (floor(cut), 0, ...) is one of them on every axis, so the cut aliases
+    exactly when floor(cut) >= 1 and 2 floor(cut) reaches the smallest
+    angular node count; that is checked before any mode is listed.
     """
     n_ang = grid.n - 1
+    k, N = math.floor(cut), min(grid.num_ang)
+    if k >= 1 and 2 * k >= N:
+        m = [0] * n_ang
+        m[grid.num_ang.index(N)] = k
+        raise ShapeMismatch(f"mode {tuple(m)} aliases on angular axis with {N} nodes")
     modes = _canonical_modes(n_ang, cut)
-    for m in modes:
-        for k, N in zip(m, grid.num_ang):
-            if 2 * abs(k) >= N:
-                raise ShapeMismatch(
-                    f"mode {m} aliases on angular axis with {N} nodes"
-                )
     cols = []
     labels = []
     for m, phase in zip(modes, _layer_phases(grid, modes).T):

@@ -1,11 +1,22 @@
-"""Experiment reports: a canonical JSON document plus CSV tables and a
-markdown summary.
+"""The package's JSON boundary: reading JSON documents in, writing
+experiment reports out.
 
-The JSON report is byte-reproducible for a fixed config and build: keys
-are sorted, scalars use shortest round-trip float representation, and
-nothing volatile (timestamps, wall-clock) enters it. Wall-clock numbers
-go to a separate sidecar so rerunning an experiment can be diffed against
-a stored report directly.
+Input. Every JSON document the package reads, a config or a dataset
+container, goes through one loader, :func:`load_json`, and each of its
+objects through one schema reader, :func:`read`, with the converters
+below. The loader decodes the file's bytes as UTF-8, whatever the
+locale, and turns every parse failure into :class:`ConfigInvalid`: an
+unreadable file, bytes that are not UTF-8, text that is not JSON, a
+non-finite number (``NaN``, ``Infinity``, an overflowing literal), an
+integer literal beyond Python's digit limit, nesting too deep to parse,
+and a root that is not an object.
+
+Output. A report is a canonical JSON document plus CSV tables and a
+markdown summary. The JSON report is byte-reproducible for a fixed config
+and build: keys are sorted, scalars use shortest round-trip float
+representation, and nothing volatile (timestamps, wall-clock) enters it.
+Wall-clock numbers go to a separate sidecar so rerunning an experiment
+can be diffed against a stored report directly.
 """
 
 from __future__ import annotations
@@ -14,9 +25,127 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
+
+from .errors import ConfigInvalid
+
+
+def _finite(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigInvalid(f"JSON holds the non-finite number {text}")
+    return x
+
+
+def load_json(path) -> dict:
+    """The JSON object in the file at ``path``; any failure to read or
+    parse it, or a root that is not an object, raises ConfigInvalid."""
+    try:
+        with open(path, "rb") as f:
+            doc = json.loads(f.read().decode("utf-8"), parse_float=_finite, parse_constant=_finite)
+    except OSError as e:
+        raise ConfigInvalid(f"cannot read {path!r}: {e.strerror}") from e
+    # ValueError covers bad UTF-8, bad JSON and an integer literal past the
+    # digit limit; RecursionError is nesting deeper than the parser goes
+    except (ValueError, RecursionError) as e:
+        raise ConfigInvalid(f"{path!r} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"the root of {path!r} must be a JSON object")
+    return doc
+
+
+# -- the schema reader and its converters ------------------------------------
+
+REQUIRED = object()
+
+
+def read(obj, where: str, **schema) -> SimpleNamespace:
+    """The keys of the JSON object ``obj``, which messages call ``where``.
+    ``schema`` maps every allowed key to ``(convert, default)``: a present
+    value becomes ``convert(value)``, an absent one its default, unless that
+    is ``REQUIRED``. A non-object, an unknown or missing key and a value the
+    converter rejects (TypeError, ValueError, OverflowError) raise
+    ConfigInvalid; other errors of a converter pass through."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigInvalid(f"{where} has unknown key(s) {unknown}; it takes {sorted(schema)}")
+    vals = {}
+    for key, (convert, default) in schema.items():
+        if key not in obj:
+            if default is REQUIRED:
+                raise ConfigInvalid(f"{where} lacks required key {key!r}")
+            vals[key] = default
+            continue
+        try:
+            vals[key] = convert(obj[key])
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigInvalid(f"{where} key {key!r} has invalid value {obj[key]!r}: {e}") from e
+    return SimpleNamespace(**vals)
+
+
+def number(v):
+    """A JSON number as given; strings and booleans are refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"must be a number, not {type(v).__name__}")
+    return v
+
+
+def real(v) -> float:
+    return float(number(v))
+
+
+def integer(v) -> int:
+    """Converter for every integer key: a number with a fractional part is
+    refused, never truncated."""
+    if number(v) != int(v):
+        raise ValueError("must be an integer")
+    return int(v)
+
+
+def ranged(kind, lo, hi=math.inf):
+    """Converter: ``kind(v)``, which must lie in ``[lo, hi)``."""
+    def convert(v):
+        x = kind(v)
+        if not lo <= x < hi:
+            raise ValueError(f"must be at least {lo}" if hi == math.inf else f"must lie in [{lo}, {hi})")
+        return x
+    return convert
+
+
+def list_of(item):
+    """Converter: a non-empty list of ``item(x)``; an empty one would
+    yield no evidence."""
+    def convert(v):
+        if not isinstance(v, (list, tuple)) or not v:
+            raise ValueError("must be a non-empty list")
+        return tuple(item(x) for x in v)
+    return convert
+
+
+def choice(*options):
+    def convert(v):
+        if v not in options:
+            raise ValueError(f"must be one of {options}")
+        return v
+    return convert
+
+
+def string(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"must be a string, not {type(v).__name__}")
+    return v
+
+
+# -- reports -----------------------------------------------------------------
+
 
 def atomic_write_text(path, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."

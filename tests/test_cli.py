@@ -11,10 +11,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calderon_lab import cli
 from calderon_lab.cli import main, run
@@ -247,6 +249,32 @@ class TestConfigErrors:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    # each of these ended in a traceback (a UnicodeDecodeError, a
+    # RecursionError, the 4300-digit limit of int, a node count formatted
+    # past that limit), and the cut listed every mode below 1e6 first
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("rigidity-check", b'{"n": 3, "size": 9\xff}'),
+            ("rigidity-check", b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+            ("rigidity-check", b'{"n": ' + b"1" * 5000 + b"}"),
+            ("rigidity-check", b'{"n": 20000, "size": 5}'),
+            ("synth-dataset", b'{"grid": {"num_t": 9, "num_ang": [' + b"9" * 4000 + b", " + b"9" * 4000 + b"]}}"),
+            ("dn-compare", b'{"n": 3, "sizes": [9], "cut": 1e6, "transform": {"kind": "diffeo", "diffeo": "identity"}}'),
+        ],
+        ids=["invalid-utf8", "nested-100000-deep", "5000-digit-integer", "n-20000", "4000-digit-num_ang",
+             "cut-1e6"],
+    )
+    def test_unreadable_or_huge_config_refused_fast(self, tmp_path, capsys, command, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "rc.json", {"bogus": 1})
         (tmp_path / "there").mkdir()
@@ -475,6 +503,67 @@ class TestReadmeConfigs:
             run(command, cfg, tmp_path)
 
 
+class _Reached(Exception):
+    """Raised by the stubbed computation: the config got past the reader."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# any JSON value the loader can return
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+_FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _ends_in_config_error_or_computation(command, cfg, out_dir):
+    """Run ``command`` on ``cfg`` with the computation stubbed: the reader
+    must refuse the config or let it reach the computation, nothing else."""
+    with pytest.MonkeyPatch.context() as mp:
+        _stub_computation(mp, _reached)
+        with pytest.raises((ConfigInvalid, _Reached)):
+            run(command, cfg, out_dir)
+
+
+def _mutated(data, obj, keys=()):
+    """``obj`` with a few of its keys, or of ``keys``, set to random JSON
+    values; a nested object may be mutated the same way instead."""
+    out = dict(obj)
+    for key in data.draw(st.lists(st.sampled_from(sorted({*obj, *keys})), max_size=3, unique=True)):
+        if isinstance(out.get(key), dict) and data.draw(st.booleans()):
+            out[key] = _mutated(data, out[key])
+        else:
+            out[key] = data.draw(_JSON)
+    return out
+
+
+class TestConfigFuzz:
+    @_FUZZ
+    @given(command=st.sampled_from(sorted(cli._HANDLERS)), cfg=_JSON)
+    def test_random_json(self, fuzz_dir, command, cfg):
+        _ends_in_config_error_or_computation(command, cfg, fuzz_dir / "out")
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_partly_valid_objects(self, fuzz_dir, data):
+        # the valid config of each subcommand and every README example,
+        # a few root keys (those the README lists, or "bogus") or nested
+        # keys replaced by random values
+        command, cfg = data.draw(st.sampled_from([*_valid_configs(fuzz_dir).items(), *_readme_configs()]))
+        cfg = _mutated(data, cfg, [*_readme_key_table(command), "bogus"])
+        _ends_in_config_error_or_computation(command, cfg, fuzz_dir / "out")
+
+
 class TestVerifyIdentities:
     def test_pass_and_artifacts(self, tmp_path):
         code, out = _cli(
@@ -616,6 +705,25 @@ class TestDatasetCommands:
             assert done.returncode == 1, key
             assert "computation failed: MalformedContainer" in done.stderr, key
             assert "Traceback" not in done.stderr, key
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace(b'"layout"', b'"layout\xff"'),
+            lambda text: text.replace(b'"N_t": 5', b'"N_t": ' + b"[" * 100_000 + b"]" * 100_000),
+            lambda text: text.replace(b'"N_t": 5', b'"N_t": ' + b"5" * 5000),
+        ],
+        ids=["invalid-utf8", "nested-100000-deep", "5000-digit-integer"],
+    )
+    def test_unreadable_container_exits_1(self, tmp_path, capsys, edit):
+        path = tmp_path / "ds.json"
+        save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
+        text = path.read_bytes()
+        path.write_bytes(edit(text))
+        assert path.read_bytes() != text
+        code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(path)})
+        assert code == 1
+        assert "computation failed: MalformedContainer" in capsys.readouterr().err
 
     def test_missing_dataset_is_config_error(self, tmp_path):
         code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(tmp_path / "no.json")})

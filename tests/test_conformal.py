@@ -2,7 +2,7 @@
 
 Verifies:
   - the pointwise energy identity holds to rounding on random tuples
-  - the one-parameter factor family and its positivity floors
+  - the one-parameter factor family and its positivity floor
   - fourth-power (n >= 3) and first-power (n = 2) metric scalings; a
     factor with a NaN, inf or non-positive value is refused
   - the scaling-law potential: exact-zero shortcut and boundary fill
@@ -84,29 +84,18 @@ class TestAlgebraicIdentity:
 class TestConformalFamily:
     def test_eps_zero_is_one(self, grid9):
         u = ScalarField.from_source(grid9, an.trig_sum(3, np.random.default_rng(0), terms=2))
-        c = conformal_family(u, 0.0, 3)
+        c = conformal_family(u, 0.0)
         assert np.all(c.values == 1.0)
 
     def test_linear_in_three_dimensions(self, grid9):
         u = ScalarField.constant(grid9, 0.25)
-        c = conformal_family(u, 0.5, 3)
+        c = conformal_family(u, 0.5)
         assert np.abs(c.values - 1.125).max() < 1e-15
 
     def test_floor_guard_n3(self, grid9):
         u = ScalarField.constant(grid9, -1.0)
         with pytest.raises(FactorTooLarge):
-            conformal_family(u, 0.6, 3)  # 1 - 0.6 = 0.4 < 1/2
-
-    def test_positivity_guard_high_dim(self, grid9):
-        u = ScalarField.constant(grid9, -1.0)
-        c = conformal_family(u, 0.6, 5)  # allowed: 0.4 > 0
-        assert np.abs(c.values - 0.4 ** (1.0 / 3.0)).max() < 1e-14
-        with pytest.raises(FactorTooLarge):
-            conformal_family(u, 1.0, 5)
-
-    def test_dimension_guard(self, grid9):
-        with pytest.raises(DimensionTooSmall):
-            conformal_family(ScalarField.constant(grid9, 0.0), 0.1, 2)
+            conformal_family(u, 0.6)  # 1 - 0.6 = 0.4 < 1/2
 
 
 class TestScaleMetric:

@@ -13,8 +13,9 @@ Verifies:
     numbers up to 1e8, and in longdouble matches an exact cofactor reference
   - the sort-free tensor-product scatter pattern equals, in slots, column
     indices, row pointers and their dtypes, the pattern found by sorting
-    the element entries' keys, for n = 2, 3, 4 on minimal, mixed-size and
-    33^3 grids
+    the element entries' keys, and its int32 cell-node table equals the
+    one found by rolling the node-id grid, for n = 2, 3, 4 on minimal,
+    mixed-size and 33^3 grids
   - the per-grid layout cache builds one scatter pattern for equal grids,
     and one per grid (with one set of flat pencil eigenpairs) over a cycle
     of six grids, is not reachable through a returned matrix, and the
@@ -28,7 +29,10 @@ Verifies:
     on NaN data
   - DN symmetry, metric homogeneity, zero-potential equivalence
   - dn_apply on the identity gives the same map whether its columns go
-    through the interior solver in one chunk or in many
+    through the interior solver in one chunk or in many, and it takes
+    trace columns only, refusing a 1-D array
+  - a mode cut is refused exactly when one of the listed modes aliases,
+    and a huge cut is refused before any mode is listed
   - mode eigenvalues approach the separated-variables values
   - singular interior blocks (the flat block shifted by its first Dirichlet
     eigenvalue, from a dense eigensolve) are detected by every solve entry
@@ -371,6 +375,20 @@ class TestAssembly:
         assert (err_s <= bound).all(), f"sqrt(det) off by {np.max(err_s / bound):.2f} of its bound"
 
 
+def _rolled_cell_nodes(grid):
+    """The node ids of each cell's 2^n corners, shape (2^n, cells), by
+    rolling the full node-id grid once per corner: corner L offsets the
+    cell's base node by the bits of L (axis 0 = most significant bit)."""
+    ids = np.arange(grid.node_count, dtype=np.int32).reshape(grid.shape)
+    axes = tuple(range(grid.n))
+    return np.stack(
+        [
+            np.roll(ids, [-b for b in bits], axis=axes)[:-1].ravel()
+            for bits in itertools.product((0, 1), repeat=grid.n)
+        ]
+    )
+
+
 def _argsort_pattern(nodes, size):
     """The scatter pattern by sorting: every element entry's key
     ``row * size + col``, its CSR slot the rank of that key among the
@@ -403,8 +421,11 @@ def _argsort_pattern(nodes, size):
     ids=lambda g: "x".join(map(str, g.shape)),
 )
 def test_tensor_pattern_matches_argsort(grid):
-    pattern = dn_solver._scatter_pattern(grid)
-    oracle = _argsort_pattern(dn_solver._cell_nodes(grid), grid.node_count)
+    *pattern, nodes = dn_solver._scatter_pattern(grid)
+    oracle_nodes = _rolled_cell_nodes(grid)
+    assert nodes.dtype == np.int32
+    assert np.array_equal(nodes, oracle_nodes), "cell nodes"
+    oracle = _argsort_pattern(oracle_nodes, grid.node_count)
     for name, got, want in zip(("slot", "indices", "indptr"), pattern, oracle):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
@@ -639,6 +660,12 @@ class TestDNMap:
         with pytest.raises(ShapeMismatch):
             dn_apply(sys, GAMMA1, np.ones((grid5.layer_count + 1, 2)))
 
+    def test_one_dimensional_traces_rejected(self, grid5):
+        # traces are columns: a 1-D array is not read as one column
+        sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))
+        with pytest.raises(ShapeMismatch):
+            dn_apply(sys, GAMMA1, np.ones(grid5.layer_count))
+
     def test_mode_matrix_matches_projection(self, bumpy9):
         sys = assemble_stiffness(bumpy9)
         B, labels = dn_mode_matrix(sys, GAMMA1, 1.5)
@@ -658,6 +685,29 @@ class TestDNMap:
         with pytest.raises(ShapeMismatch):
             fourier_modes(grid, 2.0)
 
+    @pytest.mark.parametrize("grid", [CylinderGrid(3, 5, (6, 4)), CylinderGrid(4, 5, (8, 5, 7)),
+                                      CylinderGrid(2, 5, (5,))], ids=lambda g: "x".join(map(str, g.shape)))
+    def test_aliasing_matches_every_listed_mode(self, grid):
+        # the guard refuses a cut exactly when some mode with |m| <= cut
+        # has a component k with 2|k| >= its axis's node count
+        for cut in (0.0, 0.5, 1.0, 1.5, 1.99, 2.0, 2.3, 2.9, 3.0, 3.5):
+            r = int(np.floor(cut))
+            aliases = any(
+                sum(k * k for k in m) <= cut * cut + 1e-9
+                and any(2 * abs(k) >= N for k, N in zip(m, grid.num_ang))
+                for m in itertools.product(range(-r, r + 1), repeat=grid.n - 1)
+            )
+            if aliases:
+                with pytest.raises(ShapeMismatch, match="aliases on angular axis with"):
+                    fourier_modes(grid, cut)
+            else:
+                fourier_modes(grid, cut)
+
+    def test_huge_cut_refused_before_listing(self):
+        # listing every mode with |m| <= 1e6 took minutes and gigabytes
+        with pytest.raises(ShapeMismatch, match=r"mode \(1000000, 0\) aliases"):
+            fourier_modes(cyl_grid(3, 9), 1e6)
+
 
 class TestSpectrum:
     # all four entry points eliminate the same interior block
@@ -665,7 +715,7 @@ class TestSpectrum:
         "solve",
         [
             lambda sys: dn_map_partial(sys, GAMMA1),
-            lambda sys: dn_apply(sys, GAMMA1, np.ones(sys.grid.num_ang).ravel()),
+            lambda sys: dn_apply(sys, GAMMA1, np.ones((sys.grid.layer_count, 1))),
             lambda sys: dn_mode_matrix(sys, GAMMA1),
             lambda sys: InteriorSolver(sys.matrix, sys.grid).extend(
                 np.ones(sys.grid.node_count)

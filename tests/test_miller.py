@@ -1,11 +1,15 @@
 """Counterexample datasets: containers, validation, synthesis, studies.
 
 Verifies:
-  - JSON containers round-trip bit-exactly in both readable encodings:
-    base64, which the writer uses, and the nested lists of older files
+  - JSON containers round-trip bit-exactly in base64, the one encoding
+    the writer uses and the reader takes
   - malformed containers, bad metadata included (a fractional or boolean
     grid size, a mistyped or out-of-range number, a grid the arrays
-    disagree with), are rejected with the container error
+    disagree with), an unknown key at any level, a version other than 1
+    and an encoding other than base64, are rejected with the container
+    error
+  - fuzzed: a container with random byte edits loads or raises the
+    container error, never anything else
   - the Hoelder quotient matches a brute-force double loop and separates
     a genuine order-1/2 profile from an over-declared order
   - property validation: vanishing, eigenvalue bounds, triviality,
@@ -24,6 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calderon_lab.calculus import divergence_form_apply, interior
 from calderon_lab.counterexample import (
@@ -59,20 +64,13 @@ def _toy_dataset(grid, scale=0.08):
 
 
 class TestContainer:
-    @pytest.mark.parametrize("encoding", ["nested", "base64"])
+    @pytest.mark.parametrize("encoding", ["base64"])
     def test_round_trip_bit_exact(self, tmp_path, encoding):
         grid = cyl_grid(3, 5)
         data = _toy_dataset(grid)
         path = tmp_path / f"ds-{encoding}.json"
         save_dataset(data, path)
-        if encoding == "nested":
-            # an older container, its arrays written by hand as nested lists
-            doc = json.loads(path.read_text())
-            doc["arrays"] = {
-                nm: {"encoding": "nested", "data": getattr(data, nm).tolist()}
-                for nm in ("a1", "a2", "a3", "A1", "A3", "u")
-            }
-            path.write_text(json.dumps(doc))
+        assert {a["encoding"] for a in json.loads(path.read_text())["arrays"].values()} == {encoding}
         back = load_dataset(path)
         for nm in ("a1", "a2", "a3", "A1", "A3", "u"):
             assert np.array_equal(getattr(back, nm), getattr(data, nm)), nm
@@ -132,23 +130,67 @@ class TestContainer:
 
     # a NaN in a1 broke the eigenvalue check with a LinAlgError; one in
     # the interior of u passed validation
-    @pytest.mark.parametrize("encoding", ["base64", "nested"])
+    @pytest.mark.parametrize("encoding", ["base64"])
     @pytest.mark.parametrize("name,node", [("a1", 0), ("u", 40)])
     def test_non_finite_array_rejected(self, tmp_path, name, node, encoding):
         data = _toy_dataset(cyl_grid(3, 5))
         path = tmp_path / "ds.json"
         save_dataset(data, path)
         doc = json.loads(path.read_text())
-        if encoding == "nested":
-            arr = getattr(data, name).copy()
-            arr.flat[node] = np.nan
-            # json writes the NaN as the literal NaN
-            doc["arrays"][name] = {"encoding": "nested", "data": arr.tolist()}
-        else:
-            doc["arrays"][name] = base64_with_nan(doc["arrays"][name], node)
+        assert doc["arrays"][name]["encoding"] == encoding
+        doc["arrays"][name] = base64_with_nan(doc["arrays"][name], node)
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedContainer, match="non-finite"):
             load_dataset(path)
+
+    # the reader refuses what the writer never writes
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(extra=1),
+            lambda doc: doc["meta"].update(units="m"),
+            lambda doc: doc["arrays"].update(v=doc["arrays"]["u"]),
+            lambda doc: doc["arrays"]["u"].update(order="C"),
+            lambda doc: doc.update(version=2),
+            lambda doc: doc.update(version=True),
+            lambda doc: doc.pop("version"),
+            lambda doc: doc["arrays"]["a1"].update(encoding="nested", data=np.zeros((5, 4, 4)).tolist()),
+        ],
+        ids=["root-key", "meta-key", "array-name", "entry-key", "version-2", "version-true",
+             "no-version", "nested-encoding"],
+    )
+    def test_unknown_keys_and_versions_rejected(self, tmp_path, edit):
+        path = tmp_path / "ds.json"
+        save_dataset(_toy_dataset(cyl_grid(3, 5)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedContainer):
+            load_dataset(path)
+
+
+class TestContainerFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=4))
+    def test_byte_edits_load_or_raise_container_error(self, tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "fuzz-container.json"
+        blob = _toy_container(tmp_path_factory)
+        for pos, byte in edits:
+            blob[pos % len(blob)] = byte
+        path.write_bytes(bytes(blob))
+        try:
+            data = load_dataset(path)
+        except MalformedContainer:
+            return
+        assert isinstance(data, MillerDataset)
+
+
+def _toy_container(tmp_path_factory) -> bytearray:
+    """The bytes of the toy dataset's container, written once per test run."""
+    path = tmp_path_factory.getbasetemp() / "toy-container.json"
+    if not path.exists():
+        save_dataset(_toy_dataset(cyl_grid(3, 5)), path)
+    return bytearray(path.read_bytes())
 
 
 class TestHolderQuotients:

@@ -6,19 +6,24 @@ Verifies:
   - the config digest ignores key order
   - emitted artifacts: report.json, CSV per table, summary.md, and the
     timings sidecar kept out of the canonical report
+  - fuzzed: the JSON loader turns arbitrary bytes into an object or a
+    config error, never anything else
 """
 
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from calderon_lab.errors import ConfigInvalid
 from calderon_lab.report import (
     ExperimentReport,
     Table,
     atomic_write_text,
     check,
     emit_report,
+    load_json,
 )
 
 
@@ -104,3 +109,17 @@ class TestEmission:
         atomic_write_text(p, "new")
         assert p.read_text() == "new"
         assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]
+
+
+class TestLoadJson:
+    # JSON-like text gets past the decoder more often than random bytes do
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(text=st.binary(max_size=64) | st.text('{}[]":,-+.0123456789eEtrufalsnNIy \\', max_size=64).map(str.encode))
+    def test_fuzz_bytes_give_object_or_config_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "fuzz-load-json.json"
+        p.write_bytes(text)
+        try:
+            doc = load_json(p)
+        except ConfigInvalid:
+            return
+        assert isinstance(doc, dict)
