@@ -1,6 +1,6 @@
 """Config-driven experiment runner.
 
-    calderon-lab <subcommand> --config <path> [--out <dir>] [--threads N]
+    calderon-lab <subcommand> --config <path> [--out <dir>]
 
 Subcommands: verify-identities, dn-compare, counterexample-study,
 validate-dataset, synth-dataset, rigidity-check. Each reads a JSON config,
@@ -72,6 +72,7 @@ from .report import (
     integer,
     list_of,
     load_json,
+    quote,
     ranged,
     read,
     real,
@@ -117,6 +118,10 @@ _GAMMA = (choice(*BOUNDARY_NAMES), "gamma1")
 _KIND = (string, REQUIRED)
 _SEED = (ranged(integer, 0), 0)  # numpy rejects negative seeds
 _N = (ranged(integer, 2, _MAX_N + 1), 3)
+# a spec's wave sum nests one level per term and its evaluation recurses
+# that deep (1,000 terms overflow the stack); its modes are drawn as int64
+_TERMS = (ranged(integer, 0, 65), 2)
+_MAX_MODE = (ranged(integer, 0, 65), 1)
 
 
 def _grid(build, *args) -> CylinderGrid:
@@ -151,7 +156,7 @@ def _metric(spec):
     if spec in ("flat", {"kind": "flat"}):
         return None
     return read(spec, "metric", kind=(choice("random-trig"), REQUIRED), seed=_SEED,
-                amplitude=(real, None), max_mode=(ranged(integer, 0), 1))
+                amplitude=(real, None), max_mode=_MAX_MODE)
 
 
 def _factor(spec):
@@ -159,7 +164,7 @@ def _factor(spec):
     if spec == "one":
         return None
     f = read(spec, "factor", seed=_SEED, amplitude=(real, 0.25), offset=(real, 1.3),
-             terms=(ranged(integer, 0), 2), max_mode=(ranged(integer, 0), 1))
+             terms=_TERMS, max_mode=_MAX_MODE)
     # the waves sum to at most |amplitude|, so this keeps the factor positive
     if f.offset <= abs(f.amplitude):
         raise ConfigInvalid(f"factor offset {f.offset} must exceed |amplitude| {abs(f.amplitude)}")
@@ -200,7 +205,7 @@ def _order_fit(sizes, gaps):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+def _run_verify_identities(cfg: dict, out_dir) -> ExperimentReport:
     # the fourth-power identity needs n >= 3
     s = read(cfg, "verify-identities config", n=(ranged(integer, 3, _MAX_N + 1), 3), size=(integer, 9),
              tuples=(ranged(integer, 1), 20), seed=_SEED)
@@ -230,7 +235,7 @@ def _run_verify_identities(cfg: dict, threads: int, out_dir) -> ExperimentReport
     return rep
 
 
-def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "dn-compare config", n=_N, sizes=(list_of(integer), (9, 17, 33)),
              gamma=_GAMMA, cut=(ranged(real, 0.0), 2.0), metric=(_metric, None),
              transform=(_as_is, REQUIRED))
@@ -284,9 +289,9 @@ def _run_dn_compare(cfg: dict, threads: int, out_dir) -> ExperimentReport:
             return assemble_stiffness(g), assemble_stiffness(sample_metric(src_t, g.grid))
     else:
         raise ConfigInvalid(f"transform needs a kind among conformal-2d, conformal-link, "
-                            f"diffeo, got {kind!r}")
+                            f"diffeo, got {quote(kind)}")
     if not identity and len(set(s.sizes)) < 2:
-        raise ConfigInvalid(f"fitting gap_order needs two distinct sizes, got {list(s.sizes)}")
+        raise ConfigInvalid(f"fitting gap_order needs two distinct sizes, got {quote(list(s.sizes))}")
     for grid in grids:
         _modes_fit(grid, s.cut)
 
@@ -331,7 +336,7 @@ def _synth(spec, check=None, where: str = "synth", **extra):
         raise ConfigInvalid(f"invalid synth block: {e}") from e
 
 
-def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
              eps=(list_of(real), (0.0, 0.025, 0.05, 0.1)),
              strides=(list_of(ranged(integer, 1)), (4, 2, 1)), gamma=_GAMMA,
@@ -361,7 +366,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
         except FactorTooLarge as e:
             raise ConfigInvalid(f"eps out of range for the dataset: {e}") from e
 
-    res = dn_gap_study(data, s.eps, strides=s.strides, gamma=s.gamma, cut=s.cut, threads=threads)
+    res = dn_gap_study(data, s.eps, strides=s.strides, gamma=s.gamma, cut=s.cut)
     rep.add_table(
         "gap_study",
         ("eps", "stride", "gap", "harmonic_residual", "weak_residual"),
@@ -385,7 +390,7 @@ def _run_counterexample_study(cfg: dict, threads: int, out_dir) -> ExperimentRep
     return rep
 
 
-def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+def _run_validate_dataset(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "validate-dataset config", dataset=(_file, REQUIRED))
     # a malformed container is a computation failure
     data = load_dataset(s.dataset)
@@ -401,7 +406,7 @@ def _run_validate_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     return rep
 
 
-def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     rep = ExperimentReport("synth-dataset", cfg)
     data, synth_rep, s = _synth(cfg, where="synth-dataset config",
                                 output=(_file_name, "dataset.json"))
@@ -414,7 +419,7 @@ def _run_synth_dataset(cfg: dict, threads: int, out_dir) -> ExperimentReport:
     return rep
 
 
-def _run_rigidity_check(cfg: dict, threads: int, out_dir) -> ExperimentReport:
+def _run_rigidity_check(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "rigidity-check config", n=_N, size=(integer, 9),
              seeds=(list_of(ranged(integer, 0)), tuple(range(5))))
     rep = ExperimentReport("rigidity-check", cfg)
@@ -443,11 +448,14 @@ _HANDLERS = {
 
 def run(command: str, cfg: dict, out_dir, threads: int = 1) -> ExperimentReport:
     """Dispatch one subcommand on an already-parsed config; its wall time
-    goes to ``timings["total"]``."""
+    goes to ``timings["total"]``. Every subcommand runs serially, so
+    ``threads`` is ignored. It stays only because the benchmark harness
+    (``perfbench/workloads.py``) still passes a count; ROADMAP item 2
+    removes it together with ``perfbench/run.py``'s ``pool_threads()``."""
     if command not in _HANDLERS:
         raise ConfigInvalid(f"unknown command {command!r}")
     t0 = time.perf_counter()
-    rep = _HANDLERS[command](cfg, threads, out_dir)
+    rep = _HANDLERS[command](cfg, out_dir)
     rep.timings["total"] = time.perf_counter() - t0
     return rep
 
@@ -463,13 +471,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     made = []  # directories created here, deepest first
     try:
         cfg = load_json(args.config)
-        threads = max(1, args.threads)
         out_dir = args.out or os.path.join("reports", args.command)
         # made before the run, so an unusable path is refused before any
         # computation
@@ -481,7 +487,7 @@ def main(argv=None) -> int:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as e:
             raise ConfigInvalid(f"cannot create output directory {out_dir!r}: {e}") from e
-        report = run(args.command, cfg, out_dir, threads)
+        report = run(args.command, cfg, out_dir)
         emit_report(report, out_dir)
     except ConfigInvalid as e:
         # a refused run leaves no directory behind; rmdir spares a non-empty one

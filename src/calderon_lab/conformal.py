@@ -58,10 +58,6 @@ class ConformalFactor:
     def grid(self) -> CylinderGrid:
         return self.field.grid
 
-    @property
-    def source(self) -> AnalyticScalar | None:
-        return self.field.source
-
     def power_nm2(self) -> ScalarField:
         """c^{n-2} as a field; carries a closed form when c does."""
         vals = self.values ** (self.n - 2)

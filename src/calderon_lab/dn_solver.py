@@ -278,8 +278,7 @@ def assemble_stiffness(
     against ``w N[q, a] N[q, b]``. The cell-node table, the scatter
     pattern and the tables come from a per-grid cache (equal grids share
     one entry) and are never handed out: the system's matrices share one
-    copy of the index arrays. Work buffers are local to the call, so
-    assemblies may run in several threads at once.
+    copy of the index arrays.
     """
     grid = metric.grid
     n = grid.n

@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import tempfile
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
@@ -64,6 +65,10 @@ def load_json(path) -> dict:
 
 REQUIRED = object()
 
+# quotes a JSON value in a message, cut to a few items, levels and
+# characters, so that a huge or deeply nested value cannot flood it
+quote = reprlib.Repr().repr
+
 
 def read(obj, where: str, **schema) -> SimpleNamespace:
     """The keys of the JSON object ``obj``, which messages call ``where``.
@@ -71,12 +76,13 @@ def read(obj, where: str, **schema) -> SimpleNamespace:
     value becomes ``convert(value)``, an absent one its default, unless that
     is ``REQUIRED``. A non-object, an unknown or missing key and a value the
     converter rejects (TypeError, ValueError, OverflowError) raise
-    ConfigInvalid; other errors of a converter pass through."""
+    ConfigInvalid, whose message quotes the offending value cut short;
+    other errors of a converter pass through."""
     if not isinstance(obj, dict):
-        raise ConfigInvalid(f"{where} must be a JSON object, got {obj!r}")
+        raise ConfigInvalid(f"{where} must be a JSON object, got {quote(obj)}")
     unknown = sorted(set(obj) - set(schema))
     if unknown:
-        raise ConfigInvalid(f"{where} has unknown key(s) {unknown}; it takes {sorted(schema)}")
+        raise ConfigInvalid(f"{where} has unknown key(s) {quote(unknown)}; it takes {sorted(schema)}")
     vals = {}
     for key, (convert, default) in schema.items():
         if key not in obj:
@@ -87,7 +93,7 @@ def read(obj, where: str, **schema) -> SimpleNamespace:
         try:
             vals[key] = convert(obj[key])
         except (TypeError, ValueError, OverflowError) as e:
-            raise ConfigInvalid(f"{where} key {key!r} has invalid value {obj[key]!r}: {e}") from e
+            raise ConfigInvalid(f"{where} key {key!r} has invalid value {quote(obj[key])}: {e}") from e
     return SimpleNamespace(**vals)
 
 

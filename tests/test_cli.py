@@ -251,7 +251,9 @@ class TestConfigErrors:
 
     # each of these ended in a traceback (a UnicodeDecodeError, a
     # RecursionError, the 4300-digit limit of int, a node count formatted
-    # past that limit), and the cut listed every mode below 1e6 first
+    # past that limit, the RecursionError of evaluating a 1,000-wave sum,
+    # numpy's int64 bound on a wave mode), and the cut listed every mode
+    # below 1e6 first
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -261,9 +263,13 @@ class TestConfigErrors:
             ("rigidity-check", b'{"n": 20000, "size": 5}'),
             ("synth-dataset", b'{"grid": {"num_t": 9, "num_ang": [' + b"9" * 4000 + b", " + b"9" * 4000 + b"]}}"),
             ("dn-compare", b'{"n": 3, "sizes": [9], "cut": 1e6, "transform": {"kind": "diffeo", "diffeo": "identity"}}'),
+            ("dn-compare", b'{"n": 2, "sizes": [9, 17], '
+                           b'"transform": {"kind": "conformal-2d", "factor": {"terms": 1000}}}'),
+            ("dn-compare", b'{"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d"}, '
+                           b'"metric": {"kind": "random-trig", "max_mode": 100000000000000000000}}'),
         ],
         ids=["invalid-utf8", "nested-100000-deep", "5000-digit-integer", "n-20000", "4000-digit-num_ang",
-             "cut-1e6"],
+             "cut-1e6", "factor-terms-1000", "metric-max_mode-1e20"],
     )
     def test_unreadable_or_huge_config_refused_fast(self, tmp_path, capsys, command, text):
         cfg_path = tmp_path / "cfg.json"
@@ -274,6 +280,21 @@ class TestConfigErrors:
         assert time.perf_counter() - t0 < 1.0
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    # a refusal quotes the offending value or key cut short, however large
+    @pytest.mark.parametrize(
+        "cfg",
+        ['{"seeds": [' + ", ".join(map(str, range(50_000))) + ', "x"]}',
+         '{"n": ' + "[" * 500 + "]" * 500 + "}",
+         {"seeds": [0], "x" * 10_000: 1}],
+        ids=["50001-seeds-one-string", "n-nested-500-deep", "10000-char-key"],
+    )
+    def test_message_quotes_value_cut_short(self, tmp_path, capsys, cfg):
+        code, _ = _cli(tmp_path, "rigidity-check", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: rigidity-check config" in err
+        assert len(err.encode()) < 1024
 
     def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "rc.json", {"bogus": 1})
@@ -478,6 +499,54 @@ def _readme_key_table(command):
     return sorted(key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1]))
 
 
+def _readme_nested_tables():
+    """{spec: sorted keys} from every README table headed "`spec` key", plus
+    the `counterexample-study` synth block, which takes the `synth-dataset`
+    keys except `output`."""
+    lines = _README.read_text().splitlines()
+    tables = {}
+    for k, line in enumerate(lines):
+        head = re.fullmatch(r"\| `([^`]+)` key \|.*", line)
+        if head:
+            rows = list(itertools.takewhile(lambda row: row.startswith("|"), lines[k + 2:]))
+            tables[head[1]] = sorted(re.findall(r"`([^`]+)`", row.split("|")[1])[0] for row in rows)
+    tables["synth"] = sorted(set(_readme_key_table("synth-dataset")) - {"output"})
+    return tables
+
+
+_NESTED = _readme_nested_tables()
+
+
+def _nested_sites():
+    """(spec, command, config, path) for each place a nested spec sits in
+    a config the reader accepts; ``path`` is the chain of keys down to the
+    spec object. The transform is listed once per kind."""
+    dn2 = {"n": 2, "sizes": [9, 17]}
+    dn3 = {"n": 3, "sizes": [9, 17]}
+    return [
+        ("metric", "dn-compare",
+         {**dn2, "metric": {"kind": "random-trig"}, "transform": {"kind": "conformal-2d"}}, ("metric",)),
+        ("transform", "dn-compare", {**dn2, "transform": {"kind": "conformal-2d"}}, ("transform",)),
+        ("transform", "dn-compare", {**dn3, "transform": {"kind": "conformal-link"}}, ("transform",)),
+        ("transform", "dn-compare", {**dn3, "transform": {"kind": "diffeo"}}, ("transform",)),
+        ("factor", "dn-compare", {**dn2, "transform": {"kind": "conformal-2d", "factor": {}}},
+         ("transform", "factor")),
+        ("diffeo", "dn-compare", {**dn3, "transform": {"kind": "diffeo", "diffeo": {}}},
+         ("transform", "diffeo")),
+        ("shear", "dn-compare", {**dn3, "transform": {"kind": "diffeo", "diffeo": {"shear": {}}}},
+         ("transform", "diffeo", "shear")),
+        ("grid", "synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}}, ("grid",)),
+        ("synth", "counterexample-study", _STUDY_CFG, ("synth",)),
+    ]
+
+
+def _replaced(cfg, path, edit):
+    """``cfg`` with the object at ``path`` replaced by ``edit(object)``."""
+    if not path:
+        return edit(cfg)
+    return {**cfg, path[0]: _replaced(cfg[path[0]], path[1:], edit)}
+
+
 class TestReadmeConfigs:
     def test_every_subcommand_has_an_example(self):
         assert {command for command, _ in _readme_configs()} == set(cli._HANDLERS)
@@ -489,6 +558,17 @@ class TestReadmeConfigs:
             run(command, {**_valid_configs(tmp_path)[command], "bogus": 1}, tmp_path)
         taken = ast.literal_eval(str(err.value).split("it takes ", 1)[1])
         assert _readme_key_table(command) == taken
+
+    @pytest.mark.parametrize("spec", sorted(_NESTED))
+    def test_nested_key_table_matches_reader(self, tmp_path, monkeypatch, spec):
+        _stub_computation(monkeypatch, _must_not_run)
+        taken = set()
+        for name, command, cfg, path in _nested_sites():
+            if name == spec:
+                with pytest.raises(ConfigInvalid, match=f"{spec} has unknown") as err:
+                    run(command, _replaced(cfg, path, lambda obj: {**obj, "bogus": 1}), tmp_path)
+                taken |= set(ast.literal_eval(str(err.value).split("it takes ", 1)[1]))
+        assert _NESTED[spec] == sorted(taken)
 
     @pytest.mark.parametrize("command,cfg", _readme_configs())
     def test_readme_config_is_accepted(self, tmp_path, monkeypatch, command, cfg):
@@ -526,6 +606,16 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+@pytest.fixture(scope="module")
+def fuzz_sites(fuzz_dir):
+    """(command, config, path, keys): each subcommand's valid config and
+    every README example at its root, and one valid config per place a
+    nested spec sits, at the spec; ``keys`` are the object's README keys."""
+    sites = [(command, cfg, (), _readme_key_table(command))
+             for command, cfg in [*_valid_configs(fuzz_dir).items(), *_readme_configs()]]
+    return sites + [(command, cfg, path, _NESTED[spec]) for spec, command, cfg, path in _nested_sites()]
+
+
 def _ends_in_config_error_or_computation(command, cfg, out_dir):
     """Run ``command`` on ``cfg`` with the computation stubbed: the reader
     must refuse the config or let it reach the computation, nothing else."""
@@ -537,11 +627,14 @@ def _ends_in_config_error_or_computation(command, cfg, out_dir):
 
 def _mutated(data, obj, keys=()):
     """``obj`` with a few of its keys, or of ``keys``, set to random JSON
-    values; a nested object may be mutated the same way instead."""
+    values. A key that names a nested spec may instead get that spec
+    mutated the same way over the keys of its README table, starting from
+    the object the key holds, or from ``{}``."""
     out = dict(obj)
     for key in data.draw(st.lists(st.sampled_from(sorted({*obj, *keys})), max_size=3, unique=True)):
-        if isinstance(out.get(key), dict) and data.draw(st.booleans()):
-            out[key] = _mutated(data, out[key])
+        if key in _NESTED and data.draw(st.booleans()):
+            inner = out.get(key)
+            out[key] = _mutated(data, inner if isinstance(inner, dict) else {}, _NESTED[key])
         else:
             out[key] = data.draw(_JSON)
     return out
@@ -555,13 +648,23 @@ class TestConfigFuzz:
 
     @_FUZZ
     @given(data=st.data())
-    def test_partly_valid_objects(self, fuzz_dir, data):
-        # the valid config of each subcommand and every README example,
-        # a few root keys (those the README lists, or "bogus") or nested
-        # keys replaced by random values
-        command, cfg = data.draw(st.sampled_from([*_valid_configs(fuzz_dir).items(), *_readme_configs()]))
-        cfg = _mutated(data, cfg, [*_readme_key_table(command), "bogus"])
+    def test_partly_valid_objects(self, fuzz_dir, fuzz_sites, data):
+        # a valid config with a few keys of its root or of one nested spec,
+        # those the object's README table lists or "bogus", replaced by
+        # random values
+        command, cfg, path, keys = data.draw(st.sampled_from(fuzz_sites))
+        cfg = _replaced(cfg, path, lambda obj: _mutated(data, obj, [*keys, "bogus"]))
         _ends_in_config_error_or_computation(command, cfg, fuzz_dir / "out")
+
+    def test_every_key_takes_hostile_values(self, fuzz_dir, fuzz_sites):
+        # the draws above need not reach every key; here each key of each
+        # object gets values of the wrong type, a negative and numbers far
+        # past any limit
+        for command, cfg, path, keys in fuzz_sites:
+            for key in keys:
+                for value in (None, True, "x", [], {}, -1, 10**20, 1e300):
+                    mutated = _replaced(cfg, path, lambda obj: {**obj, key: value})
+                    _ends_in_config_error_or_computation(command, mutated, fuzz_dir / "out")
 
 
 class TestVerifyIdentities:
@@ -739,13 +842,23 @@ class TestStudyAndRigidity:
         names = [v["name"] for v in doc["verdicts"]]
         assert "zero_eps_gap" in names and "fit_r2" in names
 
-    def test_study_report_byte_identical_across_threads(self, tmp_path):
+    def test_study_report_byte_identical_across_runs(self, tmp_path):
+        # the study runs serially; a thread count passed to run is ignored
         blobs = []
-        for k, threads in enumerate((1, 1, 2, 2)):
+        for k, extra in enumerate(((), (), (2,))):
             out = tmp_path / f"run{k}"
-            emit_report(run("counterexample-study", _STUDY_CFG, out, threads=threads), out)
+            emit_report(run("counterexample-study", _STUDY_CFG, out, *extra), out)
             blobs.append((out / "report.json").read_bytes())
         assert all(b == blobs[0] for b in blobs)
+
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "study.json", _STUDY_CFG)
+        with pytest.raises(SystemExit) as exit_:
+            main(["counterexample-study", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                  "--threads", "2"])
+        assert exit_.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_indefinite_dataset_exits_1(self, tmp_path):
         # a1 = a3 = -3 keeps the block determinant at 4 but gives the
