@@ -327,6 +327,11 @@ def _synth(spec, check=None, where: str = "synth", **extra):
     rejects is a config error. Returns (dataset, build report, read keys)."""
     s = read(spec, where, **_SYNTH, **extra)
     grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
+    # the aliasing rule of fourier_modes, per component of each mode pair
+    for m in s.modes or ():
+        for k, num in zip(m, grid.num_ang):
+            if k and 2 * abs(k) >= num:
+                raise ConfigInvalid(f"synth mode {quote(m)} aliases on an angular axis with {num} nodes")
     if check is not None:
         check(grid)
     kwargs = {key: getattr(s, key) for key in _SYNTH if key != "grid" and getattr(s, key) is not None}

@@ -320,5 +320,5 @@ def global_rigidity_check(g: MetricField) -> float:
     1 up to solver precision, which is this number.
     """
     u = np.ones(g.grid.node_count)
-    InteriorSolver(assemble_stiffness(g).matrix, g.grid).extend(u)
+    InteriorSolver(assemble_stiffness(g)).extend(u)
     return float(np.abs(u - 1.0).max())

@@ -31,11 +31,11 @@ and it is the only way Dirichlet data reaches a solve: DN maps
 (``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and zero elsewhere)
 and the rigidity check of ``conformal`` are both this one operation.
 Solves run batched conjugate gradients
-preconditioned by the exact inverse of the flat-metric block (fast
-diagonalisation of 1-D Q1 pencils, whose eigenpairs are cached per grid),
-with a sparse LU of the block as the
-fallback when CG breaks down or stalls. Each of its solves is checked at
-1e-10 relative residual.
+preconditioned by the exact inverse of a layered operator, the Q1 block of
+the t-cell means that assembly keeps (``StiffnessSystem.layers``), applied
+by fast diagonalisation; the flat metric is its special case. A sparse LU
+of the block is the fallback when that operator is indefinite or CG breaks
+down or stalls. Each of its solves is checked at 1e-10 relative residual.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
 t-layers with one dense Cholesky per layer (:func:`_layer_stripped`) and
@@ -233,11 +233,15 @@ def _scatter(slot: np.ndarray, elem: np.ndarray, nnz: int) -> np.ndarray:
 class StiffnessSystem:
     """Assembled weak-form operator: Laplace part plus optional potential
     mass part, on its grid. The two parts share one sparsity pattern.
-    ``potential_id`` is a caller's label for the potential; nothing in the
-    package reads it."""
+    ``layers`` (n + 1, num_t - 1) holds, per t-cell, the means over its
+    cells and Gauss points of the diagonal of ``W = sqrt(det g) g^{-1}``
+    and of ``sqrt(det g) V`` (zero without a potential), for
+    :class:`InteriorSolver`. ``potential_id`` is a caller's label for the
+    potential; nothing in the package reads it."""
 
     grid: CylinderGrid
     laplace: sp.csr_matrix
+    layers: np.ndarray
     mass: sp.csr_matrix | None = None
     potential_id: str | None = None
 
@@ -302,13 +306,18 @@ def assemble_stiffness(
     g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n)[:, iu * n + ju].T)
     elem = np.empty((n_cells, n_loc * n_loc))
     mass_weight = None if v_nodes is None else np.empty((n_loc, n_cells))
+    # per cell, the Gauss means of the diagonal of W, then of sqrt(det g) V
+    cell_means = np.zeros((n + 1, n_cells))
     for lo, hi in _cell_blocks(n_cells):
         cell_nodes = nodes[:, lo:hi]
         W, root_det = spd_weight(N @ np.take(g_nodes, cell_nodes, axis=1, mode="clip"))
         # mode="clip" also spares np.take a buffered copy into out
         np.take(W.reshape(-1, hi - lo).T @ stiff, mirror, axis=1, out=elem[lo:hi], mode="clip")
+        cell_means[:n, lo:hi] = W[iu == ju].mean(axis=1)
         if v_nodes is not None:
             mass_weight[:, lo:hi] = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
+            cell_means[n, lo:hi] = mass_weight[:, lo:hi].mean(axis=0)
+    layers = cell_means.reshape(n + 1, grid.num_t - 1, -1).mean(axis=2)
     # one copy of the index arrays, shared by the system's matrices
     indices, indptr = indices.copy(), indptr.copy()
     K = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
@@ -318,7 +327,7 @@ def assemble_stiffness(
             np.take(mass_weight[:, lo:hi].T @ mass_table, mirror, axis=1, out=elem[lo:hi], mode="clip")
         M = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
     return StiffnessSystem(
-        grid, K, mass=M, potential_id=potential_id if potential is not None else None
+        grid, K, layers, mass=M, potential_id=potential_id if potential is not None else None
     )
 
 
@@ -341,20 +350,25 @@ def _q1_pencil(num: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=8)
 def _flat_eigs(grid: CylinderGrid):
-    """Fast-diagonalisation factors of the flat-metric interior block of a
-    grid: the eigenvectors ``V_d`` of each 1-D Q1 pencil (t restricted to
-    the interior layers, the angles periodic) and the sum ``D`` of their
-    eigenvalues on the interior node grid. Computed once per equal grid and
+    """Fast-diagonalisation factors of the periodic angular axes of a grid:
+    the eigenvectors ``V_d`` and eigenvalues ``Lam_d`` of each 1-D Q1
+    pencil ``K_d V_d = M_d V_d Lam_d``. Computed once per equal grid and
     shared read-only by every solver on it."""
-    K_t, M_t = _q1_pencil(grid.num_t, grid.h_t, periodic=False)
-    pencils = [(K_t[1:-1, 1:-1], M_t[1:-1, 1:-1])]
-    pencils += [_q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
-    eigs = [scipy.linalg.eigh(Kd, Md) for Kd, Md in pencils]
-    vecs = tuple(V for _, V in eigs)
-    diag = reduce(np.add.outer, [lam for lam, _ in eigs])
-    for arr in (*vecs, diag):
+    eigs = [scipy.linalg.eigh(*_q1_pencil(m, h, periodic=True)) for m, h in zip(grid.num_ang, grid.h_ang)]
+    for arr in itertools.chain.from_iterable(eigs):
         arr.flags.writeable = False
-    return vecs, diag
+    return tuple(V for _, V in eigs), tuple(lam for lam, _ in eigs)
+
+
+def _t_matrix(stiff: np.ndarray, mass: np.ndarray, h: float) -> np.ndarray:
+    """The interior-node block, m x m with m = num_t - 2, of the 1-D Q1
+    matrix ``sum_c stiff[c] K_c + mass[c] M_c`` over the t-cells ``c``,
+    with ``K_c`` and ``M_c`` the cell's stiffness and mass matrices."""
+    m = stiff.size - 1
+    A = np.zeros((m, m))
+    A.flat[:: m + 1] = (stiff[:-1] + stiff[1:]) / h + (mass[:-1] + mass[1:]) * (h / 3.0)
+    A.flat[1 :: m + 1] = A.flat[m :: m + 1] = mass[1:-1] * (h / 6.0) - stiff[1:-1] / h
+    return A
 
 
 def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
@@ -365,27 +379,35 @@ def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
 
 
 class InteriorSolver:
-    """Harmonic extension from the whole boundary of ``grid`` into its
-    interior t-layers, the slice ``free`` of node ids. ``extend(u)``
-    overwrites ``u[free]`` by the solution of
+    """Harmonic extension from the whole boundary of the system's grid
+    into its interior t-layers, the slice ``free`` of node ids.
+    ``extend(u)`` overwrites ``u[free]`` by the solution of
     ``K[free, free] x = -K[free, fixed] u[fixed]`` with ``fixed`` the
     ``FULL_BOUNDARY`` ids: the Dirichlet data are the boundary entries of
     a nodal array, with no trace container in between. ``solve`` solves
     with the block ``K[free, free]`` directly.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
-    once (Concus & Golub 1973). The preconditioner is the exact inverse of
-    the flat-metric Q1 block on the same free layers, applied by fast
-    diagonalisation (Lynch, Rice & Thomas 1964): the 1-D Q1 pencils
-    ``K_d V_d = M_d V_d Lam_d`` (on t restricted to the interior layers,
-    on the angles periodic) give ``K_flat^{-1} = V D^{-1} V^T`` with
-    ``V = V_t (x) V_1 (x) ...`` and ``D = sum_d Lam_d``. A column stops
-    when its preconditioned residual ``sqrt(r^T z)`` is at most 1e-12 of
-    its start. With ``W = sqrt(det g) g^{-1}`` at the quadrature points,
-    ``min eig(W) K_flat <= K_g <= max eig(W) K_flat``, so a potential-free
-    block needs at most ``ceil(sqrt(kappa)/2 * ln(2 sqrt(kappa) / 1e-12))``
-    iterations with ``kappa = max eig(W) / min eig(W)``; the flat metric
-    needs one. ``iterations`` holds the count of the last solve.
+    once. The preconditioner is the exact inverse of a separable layered
+    operator (Concus & Golub 1973): the Q1 block with the coefficients
+    ``diag(w_tt, alpha_1 w_a, ...)`` and the potential ``q``, constant per
+    t-cell, from the system's ``layers``; ``w_a`` is the mean of the
+    angular ``w_dd`` and ``alpha_d`` the ratio of their means over t, so
+    the flat metric is its special case. Fast diagonalisation (Lynch, Rice
+    & Thomas 1964) of the t-pencil ``(K_t[w_tt] + M_t[q], M_t[w_a])`` and
+    of the periodic angular pencils ``(K_d, M_d)`` gives its inverse
+    ``V D^{-1} V^T`` with ``V = V_t (x) V_1 (x) ...`` and
+    ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``; a non-positive entry of ``D``
+    sends the solver straight to the LU below. A column stops when its
+    preconditioned residual ``sqrt(r^T z)`` is at most 1e-12 of its start.
+    With ``C`` the layered coefficients and ``W = sqrt(det g) g^{-1}``,
+    ``min eig(C^{-1} W) K_C <= K_g <= max eig(C^{-1} W) K_C`` over the
+    quadrature points, so a potential-free block needs at most
+    ``ceil(sqrt(kappa)/2 * ln(2 sqrt(kappa) / 1e-12))`` iterations with
+    ``kappa`` the ratio of those extremes. CG takes one where the operator
+    is the block: ``W`` diagonal with a t-only ``w_tt`` and constant
+    angular entries, and ``sqrt(det g) V`` constant.
+    ``iterations`` holds the count of the last solve.
 
     If CG breaks down (``p^T A p <= 0``, as it can on an indefinite
     ``-Lap_g + q`` block), has not converged after ``_CG_MAXIT`` iterations
@@ -396,7 +418,8 @@ class InteriorSolver:
     never cached.
     """
 
-    def __init__(self, K: sp.csr_matrix, grid: CylinderGrid):
+    def __init__(self, sys: StiffnessSystem):
+        grid, K = sys.grid, sys.matrix
         self._fixed = grid.boundary_ids(FULL_BOUNDARY)
         P = grid.layer_count
         self.free = slice(P, (grid.num_t - 1) * P)
@@ -405,7 +428,18 @@ class InteriorSolver:
         self.iterations: int | None = None
         self._lu = None
         self._shape = (grid.num_t - 2, *grid.num_ang)
-        self._vecs, self._diag = _flat_eigs(grid)
+        vecs, lams = _flat_eigs(grid)
+        w_tt, w_dd, q = sys.layers[0], sys.layers[1:-1], sys.layers[-1]
+        w_a = w_dd.mean(axis=0)
+        # the transposes of the symmetric t-matrices are Fortran-ordered, so
+        # LAPACK works on them in place
+        lam_t, V_t, info = scipy.linalg.lapack.dsygvd(
+            _t_matrix(w_tt, q, grid.h_t).T, _t_matrix(0.0 * w_a, w_a, grid.h_t).T, overwrite_a=1, overwrite_b=1
+        )
+        alpha = w_dd.sum(axis=1) / w_a.sum()  # the ratios of the means over t
+        self._vecs = (V_t, *vecs)
+        self._diag = reduce(np.add.outer, [lam_t, *(a * lam for a, lam in zip(alpha, lams))])
+        self._definite = info == 0 and bool((self._diag > 0.0).all())
 
     def extend(self, u: np.ndarray) -> np.ndarray:
         """Overwrite the interior entries of ``u`` (nodes first, any number
@@ -416,8 +450,9 @@ class InteriorSolver:
         u[self.free] = self.solve(u[self.free])
         return u
 
-    def _flat_inverse(self, R: np.ndarray) -> np.ndarray:
-        """``V D^{-1} V^T R`` for the columns of ``R``."""
+    def _precondition(self, R: np.ndarray) -> np.ndarray:
+        """``V D^{-1} V^T R`` for the columns of ``R``: the inverse of the
+        layered operator."""
         Y = R.reshape(*self._shape, R.shape[1])
         for d, V in enumerate(self._vecs):
             Y = _along_axis(V.T, Y, d)
@@ -434,7 +469,7 @@ class InteriorSolver:
         out = np.empty_like(B)
         X = np.zeros_like(B)
         R = B.copy()
-        P = self._flat_inverse(R)
+        P = self._precondition(R)
         rz = np.einsum("ij,ij->j", R, P)
         stop = _CG_RTOL**2 * rz
         active = np.arange(B.shape[1])
@@ -459,7 +494,7 @@ class InteriorSolver:
             X += alpha * P
             Q *= alpha
             R -= Q
-            Z = self._flat_inverse(R)
+            Z = self._precondition(R)
             rz_new = np.einsum("ij,ij->j", R, Z)
             P *= rz_new / rz
             P += Z
@@ -485,7 +520,7 @@ class InteriorSolver:
         ``||block @ X - rhs|| <= 1e-10 ||rhs||``."""
         B = rhs.reshape(rhs.shape[0], -1)
         scale = max(np.linalg.norm(B), 1e-300)
-        X = None if self._lu is not None else self._pcg(B)
+        X = self._pcg(B) if self._lu is None and self._definite else None
         res = None if X is None else np.linalg.norm(self.block @ X - B)
         if res is None or not (res <= _SOLVE_RTOL * scale):
             self.iterations = None
@@ -567,7 +602,7 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     if V.ndim != 2 or V.shape[0] != G.size:
         raise ShapeMismatch(f"traces of shape {V.shape}, expected {G.size} rows on {gamma}")
     K_G = sys.matrix[G]
-    solver = InteriorSolver(sys.matrix, grid)
+    solver = InteriorSolver(sys)
     out = np.empty((G.size, V.shape[1]))
     # One node array for all chunks: extend writes only its free rows, so
     # the rows off G stay zero. A fresh array per chunk fragments the heap:

@@ -252,8 +252,9 @@ class TestConfigErrors:
     # each of these ended in a traceback (a UnicodeDecodeError, a
     # RecursionError, the 4300-digit limit of int, a node count formatted
     # past that limit, the RecursionError of evaluating a 1,000-wave sum,
-    # numpy's int64 bound on a wave mode), and the cut listed every mode
-    # below 1e6 first
+    # numpy's int64 bound on a wave mode), the cut listed every mode below
+    # 1e6 first, and a synth mode that aliases on the grid synthesised a
+    # dataset
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -267,9 +268,11 @@ class TestConfigErrors:
                            b'"transform": {"kind": "conformal-2d", "factor": {"terms": 1000}}}'),
             ("dn-compare", b'{"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d"}, '
                            b'"metric": {"kind": "random-trig", "max_mode": 100000000000000000000}}'),
+            ("synth-dataset", b'{"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[100000000000000000000, 0]]}'),
+            ("synth-dataset", b'{"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[4, 0]]}'),
         ],
         ids=["invalid-utf8", "nested-100000-deep", "5000-digit-integer", "n-20000", "4000-digit-num_ang",
-             "cut-1e6", "factor-terms-1000", "metric-max_mode-1e20"],
+             "cut-1e6", "factor-terms-1000", "metric-max_mode-1e20", "synth-mode-1e20", "synth-mode-4-on-8"],
     )
     def test_unreadable_or_huge_config_refused_fast(self, tmp_path, capsys, command, text):
         cfg_path = tmp_path / "cfg.json"

@@ -17,13 +17,15 @@ Verifies:
     one found by rolling the node-id grid, for n = 2, 3, 4 on minimal,
     mixed-size and 33^3 grids
   - the per-grid layout cache builds one scatter pattern for equal grids,
-    and one per grid (with one set of flat pencil eigenpairs) over a cycle
+    and one per grid (with one set of angular pencil eigenpairs) over a cycle
     of six grids, is not reachable through a returned matrix, and the
     assembled bytes do not depend on the BLAS thread count
   - the assembled bytes do not depend on the assembly block size (blocks
     of 7 cells against one block, n = 2, 3, 4, with and without a
-    potential), K and M are bitwise symmetric, and a 33^3 assembly with a
-    potential holds at most 32 MB of temporaries above its result
+    potential), nor do the bytes of the layer means (blocks of 2 to 1440
+    cells, most of them cutting t-layers), K and M are bitwise symmetric,
+    and a 33^3 assembly with a potential holds at most 32 MB of
+    temporaries above its result
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and fails its residual gate
     on NaN data
@@ -466,7 +468,7 @@ class TestGridLayoutCache:
         for _ in range(3):
             for grid in grids:
                 sys = assemble_stiffness(sample_metric(flat_metric(grid.n), grid))
-                InteriorSolver(sys.matrix, grid)
+                InteriorSolver(sys)
         assert len(calls) == len(grids)
         assert dn_solver._flat_eigs.cache_info().misses == len(grids)
 
@@ -544,6 +546,19 @@ class TestBlockedAssembly:
             assert A.data.tobytes() == B.data.tobytes()
             assert np.array_equal(A.indices, B.indices) and np.array_equal(A.indptr, B.indptr)
             assert _bitwise_symmetric(B)
+        assert one_block.layers.tobytes() == blocked.layers.tobytes()
+
+    # 120 cells per t-layer: every size here but the last cuts t-layers
+    @pytest.mark.parametrize("block", [2, 7, 64, 500, 1440])
+    def test_layer_means_independent_of_block_size(self, monkeypatch, block):
+        grid = CylinderGrid(3, 13, (12, 10))
+        metric = sample_metric(random_trig_metric(3, seed=3), grid)
+        q = np.random.default_rng(3).uniform(-1.0, 2.0, grid.shape)
+        default = assemble_stiffness(metric, potential=q).layers
+        monkeypatch.setattr(dn_solver, "_BLOCK_CELLS", block)
+        layers = assemble_stiffness(metric, potential=q).layers
+        assert layers.shape == (4, grid.num_t - 1)
+        assert layers.tobytes() == default.tobytes()
 
     def test_temporaries_at_33(self):
         # the whole-array kernel held 64.5 MB of temporaries above its result
@@ -570,7 +585,7 @@ def _extend_boundary(metric, gamma0: float, gamma1):
     u = np.zeros(grid.shape)
     u[0] = gamma0
     u[-1] = gamma1
-    solver = InteriorSolver(assemble_stiffness(metric).matrix, grid)
+    solver = InteriorSolver(assemble_stiffness(metric))
     return solver.extend(u.reshape(grid.node_count)).reshape(grid.shape)
 
 
@@ -717,7 +732,7 @@ class TestSpectrum:
             lambda sys: dn_map_partial(sys, GAMMA1),
             lambda sys: dn_apply(sys, GAMMA1, np.ones((sys.grid.layer_count, 1))),
             lambda sys: dn_mode_matrix(sys, GAMMA1),
-            lambda sys: InteriorSolver(sys.matrix, sys.grid).extend(
+            lambda sys: InteriorSolver(sys).extend(
                 np.ones(sys.grid.node_count)
             ),
         ],

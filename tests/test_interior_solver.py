@@ -10,15 +10,24 @@ Verifies:
     to 1e-10 relative
   - on potential-free blocks the CG iteration count stays within the
     a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
-    quadrature points, and is exactly 1 on the flat metric, whose block
-    the preconditioner inverts exactly
+    quadrature points, taken relative to the flat metric (the layered
+    preconditioner only tightens it), and is exactly 1 on the flat metric
+  - the layered preconditioner is the inverse of its operator, assembled
+    densely here from Kronecker products of 1-D Q1 matrices and the
+    system's layer means; on the flat metric its factors are the flat
+    pencils' eigenpairs; it is exact, so CG takes one iteration, on the
+    flat metric with the constant potential 1.3 and on a diagonal t-only
+    metric whose angular entries share one t-profile; and the
+    criterion-3 c^4 g and link systems at size 17 take at most 12
+    iterations (the flat preconditioner took 14 and 15)
   - a batch whose columns converge at 0, 1, 2, 3 and the full count of
     iterations matches column-by-column solves to 1e-12 relative and
     reports the slowest column's count; a NaN column in it still ends in
     the LU fallback and NoConvergence
   - an indefinite but nonsingular block (the flat block shifted past its
-    first Dirichlet eigenvalue, from a dense eigensolve) falls back to LU
-    in InteriorSolver.extend and still solves
+    first Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
+    layered operator, goes straight to LU in InteriorSolver.extend and
+    still solves
   - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match the
     dense sparse-LU Schur complement to 3e-14 and the CG map of dn_apply to
     1e-10; an indefinite interior block and the full boundary still take
@@ -26,6 +35,7 @@ Verifies:
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -34,7 +44,7 @@ import scipy.sparse.linalg as spla
 
 from calderon_lab import analytic as an
 from calderon_lab import dn_solver
-from calderon_lab.conformal import ConformalFactor, conformal_potential
+from calderon_lab.conformal import ConformalFactor, conformal_potential, scale_metric
 from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
     InteriorSolver,
@@ -50,6 +60,7 @@ from calderon_lab.grid_geometry import (
     GAMMA0,
     GAMMA1,
     CylinderGrid,
+    MetricSource,
     assemble_counterexample_metric_3d,
     cyl_grid,
     flat_metric,
@@ -97,7 +108,7 @@ def _lu_reference(sys, gamma=GAMMA1):
         z = np.zeros_like(V)
         V = np.block([[V, z], [z, V]])
     rhs = K[I][:, G] @ V
-    solver = InteriorSolver(K, grid)
+    solver = InteriorSolver(sys)
     solver.solve(rhs)
     X = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
@@ -127,14 +138,46 @@ def _shifted_system(metric, lam1):
     return assemble_stiffness(metric, potential=shift, potential_id="shift")
 
 
-def _link_system(metric):
-    """Criterion-3 link system -Lap_g + q, q from a collar-flat factor."""
-    grid = metric.grid
+def _collar_flat_factor(grid):
+    """Criterion 3's factor of seed 10: 1 with zero normal derivative on
+    collars at both ends."""
     ang = an.trig_sum(3, np.random.default_rng(10), terms=2, amplitude=0.5, max_mode=1, offset=1.0)
     src = an.constant(1.0, 3) + an.bump(0.15, 0.85, 3, 0) * ang * an.constant(0.3, 3)
-    c = ConformalFactor.from_source(grid, src, 3)
-    q = conformal_potential(metric, c, one_sided=True)
+    return ConformalFactor.from_source(grid, src, 3)
+
+
+def _link_system(metric):
+    """Criterion-3 link system -Lap_g + q, q from a collar-flat factor."""
+    q = conformal_potential(metric, _collar_flat_factor(metric.grid), one_sided=True)
     return assemble_stiffness(metric, potential=q, potential_id="link")
+
+
+def _layered_operator(sys):
+    """The layered operator on the interior nodes, dense: Kronecker
+    products of 1-D Q1 matrices, the t-ones summed here cell by cell from
+    the system's layer means,
+    ``(K_t[w_tt] + M_t[q]) (x) M_1 (x) ... + sum_d alpha_d M_t[w_a] (x) ... K_d ...``
+    with ``w_a`` the mean of the angular ``w_dd`` and ``alpha_d`` the ratio
+    of their means over t."""
+    grid = sys.grid
+    w_tt, *w_dd, q = sys.layers
+    w_a = np.mean(w_dd, axis=0)
+    h = grid.h_t
+    cell_K = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    cell_M = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+
+    def t_matrix(stiff, mass):
+        A = np.zeros((grid.num_t, grid.num_t))
+        for c in range(grid.num_t - 1):
+            A[c : c + 2, c : c + 2] += stiff[c] * cell_K + mass[c] * cell_M
+        return A[1:-1, 1:-1]
+
+    ang = [dn_solver._q1_pencil(m, ha, periodic=True) for m, ha in zip(grid.num_ang, grid.h_ang)]
+    L = reduce(np.kron, [t_matrix(w_tt, q)] + [M for _, M in ang])
+    for d, w in enumerate(w_dd):
+        factors = [K if e == d else M for e, (K, M) in enumerate(ang)]
+        L += w.mean() / w_a.mean() * reduce(np.kron, [t_matrix(0.0 * w_a, w_a)] + factors)
+    return L
 
 
 @pytest.fixture(scope="module")
@@ -182,19 +225,20 @@ class TestCrossCheck:
 
 class TestStaggeredBatch:
     """Columns leave the CG batch at different iterations. The block is
-    A = K_g on the interior of bumpy9 and K_flat the preconditioned flat
-    block; A v for a generalized eigenvector v of (A, K_flat) converges in
-    one iteration, a sum of k of them in k, Fourier trace data and noise
-    take the full count, and a zero column leaves at once."""
+    A = K_g on the interior of bumpy9 and L its layered operator, whose
+    inverse is the preconditioner; A v for a generalized eigenvector v of
+    (A, L) converges in one iteration, a sum of k of them in k, Fourier
+    trace data and noise take the full count, and a zero column leaves at
+    once."""
 
     @staticmethod
     def _batch(metric):
         grid = metric.grid
-        K = assemble_stiffness(metric).matrix
-        flat = assemble_stiffness(sample_metric(flat_metric(3), grid)).matrix
+        sys = assemble_stiffness(metric)
+        K = sys.matrix
         I = grid.interior_ids()
         A = K[I][:, I].toarray()
-        _, vecs = scipy.linalg.eigh(A, flat[I][:, I].toarray())
+        _, vecs = scipy.linalg.eigh(A, _layered_operator(sys))
         V, _ = fourier_modes(grid, 1.0)
         B = np.hstack([
             A @ vecs[:, [0]],  # the smoothest generalized mode
@@ -205,16 +249,15 @@ class TestStaggeredBatch:
             np.random.default_rng(5).standard_normal((I.size, 1)),
             np.zeros((I.size, 1)),
         ])
-        return K, B
+        return sys, B
 
     def test_matches_column_by_column(self, bumpy9):
-        grid = bumpy9.grid
-        K, B = self._batch(bumpy9)
-        solver = InteriorSolver(K, grid)
+        sys, B = self._batch(bumpy9)
+        solver = InteriorSolver(sys)
         X = solver.solve(B)
         counts = []
         for j in range(B.shape[1]):
-            single = InteriorSolver(K, grid)
+            single = InteriorSolver(sys)
             x = single.solve(B[:, j])
             counts.append(single.iterations)
             assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x), j
@@ -222,28 +265,96 @@ class TestStaggeredBatch:
         assert solver.iterations == max(counts)
 
     def test_nan_column_ends_in_lu_and_no_convergence(self, bumpy9):
-        K, B = self._batch(bumpy9)
+        sys, B = self._batch(bumpy9)
         B[3, 2] = np.nan
-        solver = InteriorSolver(K, bumpy9.grid)
+        solver = InteriorSolver(sys)
         with pytest.raises(NoConvergence):
             solver.solve(B)
         assert solver.iterations is None  # CG gave up and LU answered
 
 
-def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1):
+def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
+    monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B: pytest.fail("CG ran"))
     grid = flat9.grid
     sys = _shifted_system(flat9, flat9_lambda1)
-    u = InteriorSolver(sys.matrix, grid).extend(np.ones(grid.node_count))
+    u = InteriorSolver(sys).extend(np.ones(grid.node_count))
 
     K = sys.matrix
     I = grid.interior_ids()
     B = grid.boundary_ids(FULL_BOUNDARY)
     rhs = -K[I][:, B] @ np.ones(B.size)
-    solver = InteriorSolver(K, grid)
+    solver = InteriorSolver(sys)
+    assert not (solver._diag > 0.0).all()  # the layered operator is indefinite too
     solver.solve(rhs)
-    assert solver.iterations is None  # CG broke down, LU answered
+    assert solver.iterations is None  # LU answered
     u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     assert _rel(u[I], u_ref) <= 1e-10
+
+
+def _t_only_metric() -> MetricSource:
+    """diag(1, b(t), 2 b(t)): diagonal, t-only, its angular entries of one
+    t-profile. Its W = sqrt(det g) g^{-1} is diag(sqrt(2) b(t), sqrt(2),
+    1/sqrt(2)), and the multilinear interpolation of g keeps that form at
+    the Gauss points, so the layered operator is the block itself."""
+
+    def func(p):
+        b = 1.0 + 0.5 * np.sin(3.0 * p[..., 0]) ** 2
+        g = np.zeros(p.shape[:-1] + (3, 3))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = b
+        g[..., 2, 2] = 2.0 * b
+        return g
+
+    return MetricSource(3, func)
+
+
+class TestLayeredPreconditioner:
+    @pytest.mark.parametrize("n,size", [(2, 17), (3, 9), (4, 7)])
+    def test_inverts_the_layered_operator(self, n, size):
+        grid = cyl_grid(n, size)
+        q = np.random.default_rng(size).uniform(0.5, 1.5, grid.shape)
+        sys = assemble_stiffness(sample_metric(random_trig_metric(n, seed=size), grid), potential=q)
+        L = _layered_operator(sys)
+        X = np.random.default_rng(1).standard_normal((L.shape[0], 3))
+        assert _rel(InteriorSolver(sys)._precondition(L @ X), X) <= 1e-12
+
+    @pytest.mark.parametrize("n,size", [(2, 17), (3, 9), (3, 13), (4, 7)])
+    def test_flat_factors_are_the_flat_pencils(self, n, size):
+        grid = cyl_grid(n, size)
+        solver = InteriorSolver(assemble_stiffness(sample_metric(flat_metric(n), grid)))
+        K_t, M_t = dn_solver._q1_pencil(grid.num_t, grid.h_t, periodic=False)
+        pencils = [(K_t[1:-1, 1:-1], M_t[1:-1, 1:-1])]
+        pencils += [dn_solver._q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
+        eigs = [scipy.linalg.eigh(K, M) for K, M in pencils]
+        for (_, V), V_solver in zip(eigs, solver._vecs):
+            # an eigenvector's sign is free: fix it by the first row
+            assert np.allclose(V_solver * np.sign(V_solver[0]), V * np.sign(V[0]), rtol=0.0, atol=1e-13)
+        D = reduce(np.add.outer, [lam for lam, _ in eigs])
+        assert np.abs(solver._diag - D).max() <= 1e-13 * np.abs(D).max()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_flat_with_constant_potential_one_iteration(self, size):
+        # criterion 5's kappa^2 = 1.3 systems; the flat preconditioner took 6
+        grid = cyl_grid(3, size)
+        sys = assemble_stiffness(sample_metric(flat_metric(3), grid), potential=np.full(grid.shape, 1.3))
+        B_ref, its = _lu_reference(sys)
+        assert its == 1
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_t_only_metric_one_iteration(self, size):
+        sys = assemble_stiffness(sample_metric(_t_only_metric(), cyl_grid(3, size)))
+        B_ref, its = _lu_reference(sys)
+        assert its == 1
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    def test_criterion_3_systems_stay_layered(self):
+        # 9 and 9 iterations; the flat preconditioner took 14 (c^4 g) and 15 (link)
+        grid = cyl_grid(3, 17)
+        g = sample_metric(random_trig_metric(3, seed=0, max_mode=1), grid)
+        c4g = assemble_stiffness(scale_metric(g, _collar_flat_factor(grid)))
+        its = [_lu_reference(sys)[1] for sys in (c4g, _link_system(g))]
+        assert all(it is not None and it <= 12 for it in its), its
 
 
 class TestLayerStripping:
