@@ -16,12 +16,12 @@ Rayleigh quotients against the boundary mass matrix.
 Assembly (:func:`assemble_stiffness`) is one loop over blocks of cells,
 so its temporaries are block-sized, and one GEMM per block over the unique
 metric components and the unique element entries ``a <= b``. It is
-deterministic: the element matrices are mirrored from their unique
-entries and scattered once, cell-major, so the assembled matrices are
-bitwise symmetric and their bytes depend neither on the block size nor on
-the BLAS thread count. The CSR pattern, with the cell-node table it
-yields, and the element tables are cached per grid; the pattern is built
-without a sort, from the tensor-product structure of the Q1 stencil.
+deterministic: each block mirrors its element matrices from their unique
+entries and scatters them, so every CSR slot sums in cell-major order;
+the matrices are bitwise symmetric and their bytes depend neither on the
+block size nor on the BLAS thread count. The CSR pattern, with the
+cell-node table it yields, and the element tables are cached per grid;
+the pattern is built without a sort, from the Q1 stencil's tensor form.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -74,7 +74,7 @@ _PIVOT_RATIO_FLOOR = 1e-9
 _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _CG_MAXIT = 200
-_DENSE_CHUNK = 256  # trace columns per interior solve in dn_apply
+_DENSE_BYTES = 32 << 20  # bytes of the node array of one interior solve in dn_apply
 _BLOCK_CELLS = 4096  # cells per assembly block (2048 timed the same, 1024 and 8192 slower)
 
 
@@ -219,14 +219,14 @@ def _cell_blocks(n_cells: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _scatter(slot: np.ndarray, elem: np.ndarray, nnz: int) -> np.ndarray:
-    """The CSR data of the element matrices summed into the pattern;
-    duplicates add up in input order, so the result is a deterministic
-    function of the layout. ``np.add.at`` takes the int32 slots as they are
+def _scatter(data: np.ndarray, slot: np.ndarray, unique: np.ndarray, mirror: np.ndarray) -> None:
+    """Add a block's element matrices, given by their unique entries
+    ``(cells, p)``, to the CSR data at their slots. ``mirror`` writes each
+    matrix out whole, so it is bitwise symmetric. ``np.add.at`` adds in
+    input order, so block after block the slots sum in cell-major order
+    whatever the block size; it takes the int32 slots as they are
     (``np.bincount`` would copy them to intp)."""
-    data = np.zeros(nnz)
-    np.add.at(data, slot, elem.reshape(-1))
-    return data
+    np.add.at(data, slot, np.take(unique, mirror, axis=1, mode="clip").ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,19 +274,19 @@ def assemble_stiffness(
     entries ``a <= b`` of its element matrices by one GEMM,
     ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]`` with ``k`` over
     the components ``i <= j`` and the table of :func:`_element_tables`,
-    which folds ``T_ij + T_ji``. A fixed index mirrors them into one
-    ``(cells, 2^n * 2^n)`` element buffer, so every element matrix is
-    bitwise symmetric, and the buffer is scattered once, cell-major. The
-    loop also keeps ``sqrt(det g) V`` at the Gauss points; once K is
-    scattered, the mass matrix reuses the buffer, one GEMM per block
-    against ``w N[q, a] N[q, b]``. The cell-node table, the scatter
-    pattern and the tables come from a per-grid cache (equal grids share
-    one entry) and are never handed out: the system's matrices share one
-    copy of the index arrays.
+    which folds ``T_ij + T_ji``. The block mirrors them into whole element
+    matrices and scatters them straight into the CSR data of K, and of the
+    mass matrix when there is a potential, whose entries come from
+    ``sqrt(det g) V`` at the block's Gauss points by one GEMM against
+    ``w N[q, a] N[q, b]``. Block after block the scatter sums every slot
+    in cell-major order, so K and M are bitwise symmetric and their bytes
+    depend on neither the block size nor the BLAS thread count. The
+    cell-node table, the scatter pattern and the tables come from a
+    per-grid cache (equal grids share one entry) and are never handed out:
+    the system's matrices share one copy of the index arrays.
     """
     grid = metric.grid
     n = grid.n
-    n_loc = 1 << n
     size = grid.node_count
     (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror) = _grid_layout(grid)
     n_cells = nodes.shape[1]
@@ -304,28 +304,25 @@ def assemble_stiffness(
     # indexing here, and the ids are in range
     iu, ju = np.triu_indices(n)
     g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n)[:, iu * n + ju].T)
-    elem = np.empty((n_cells, n_loc * n_loc))
-    mass_weight = None if v_nodes is None else np.empty((n_loc, n_cells))
+    k_data = np.zeros(indices.size)
+    m_data = None if v_nodes is None else np.zeros(indices.size)
     # per cell, the Gauss means of the diagonal of W, then of sqrt(det g) V
     cell_means = np.zeros((n + 1, n_cells))
     for lo, hi in _cell_blocks(n_cells):
         cell_nodes = nodes[:, lo:hi]
+        block_slot = slot[lo * mirror.size : hi * mirror.size]
         W, root_det = spd_weight(N @ np.take(g_nodes, cell_nodes, axis=1, mode="clip"))
-        # mode="clip" also spares np.take a buffered copy into out
-        np.take(W.reshape(-1, hi - lo).T @ stiff, mirror, axis=1, out=elem[lo:hi], mode="clip")
+        _scatter(k_data, block_slot, W.reshape(-1, hi - lo).T @ stiff, mirror)
         cell_means[:n, lo:hi] = W[iu == ju].mean(axis=1)
-        if v_nodes is not None:
-            mass_weight[:, lo:hi] = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
-            cell_means[n, lo:hi] = mass_weight[:, lo:hi].mean(axis=0)
+        if m_data is not None:
+            mass_weight = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
+            _scatter(m_data, block_slot, mass_weight.T @ mass_table, mirror)
+            cell_means[n, lo:hi] = mass_weight.mean(axis=0)
     layers = cell_means.reshape(n + 1, grid.num_t - 1, -1).mean(axis=2)
     # one copy of the index arrays, shared by the system's matrices
     indices, indptr = indices.copy(), indptr.copy()
-    K = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
-    M = None
-    if v_nodes is not None:
-        for lo, hi in _cell_blocks(n_cells):
-            np.take(mass_weight[:, lo:hi].T @ mass_table, mirror, axis=1, out=elem[lo:hi], mode="clip")
-        M = sp.csr_matrix((_scatter(slot, elem, indices.size), indices, indptr), shape=(size, size))
+    K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
+    M = None if m_data is None else sp.csr_matrix((m_data, indices, indptr), shape=(size, size))
     return StiffnessSystem(
         grid, K, layers, mass=M, potential_id=potential_id if potential is not None else None
     )
@@ -335,10 +332,10 @@ def assemble_stiffness(
 # interior solves
 
 
-def _q1_pencil(num: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 1-D Q1 stiffness and mass matrices on ``num`` nodes of spacing
-    ``h``: an interval including both end nodes, or a periodic axis."""
-    a = np.arange(num if periodic else num - 1)
+def _q1_pencil(num: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 1-D Q1 stiffness and mass matrices of a periodic axis of
+    ``num`` nodes of spacing ``h``."""
+    a = np.arange(num)
     b = (a + 1) % num
     K = np.zeros((num, num))
     M = np.zeros((num, num))
@@ -354,7 +351,7 @@ def _flat_eigs(grid: CylinderGrid):
     the eigenvectors ``V_d`` and eigenvalues ``Lam_d`` of each 1-D Q1
     pencil ``K_d V_d = M_d V_d Lam_d``. Computed once per equal grid and
     shared read-only by every solver on it."""
-    eigs = [scipy.linalg.eigh(*_q1_pencil(m, h, periodic=True)) for m, h in zip(grid.num_ang, grid.h_ang)]
+    eigs = [scipy.linalg.eigh(*_q1_pencil(m, h)) for m, h in zip(grid.num_ang, grid.h_ang)]
     for arr in itertools.chain.from_iterable(eigs):
         arr.flags.writeable = False
     return tuple(V for _, V in eigs), tuple(lam for lam, _ in eigs)
@@ -594,7 +591,8 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     """Apply the DN map to trace columns without forming it densely.
 
     ``traces`` has shape (n_gamma, k); returns the same shape. Columns go
-    through one interior solver ``_DENSE_CHUNK`` at a time.
+    through one interior solver in chunks of at most ``_DENSE_BYTES`` of
+    node array (at least one column), so a solve's memory is bounded.
     """
     grid = sys.grid
     G = grid.boundary_ids(gamma)
@@ -604,16 +602,17 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     K_G = sys.matrix[G]
     solver = InteriorSolver(sys)
     out = np.empty((G.size, V.shape[1]))
+    chunk = max(1, _DENSE_BYTES // (8 * grid.node_count))
     # One node array for all chunks: extend writes only its free rows, so
     # the rows off G stay zero. A fresh array per chunk fragments the heap:
     # a 576-column map (the fallback of dn_map_partial) run after a gap
     # study peaked at 417 MB process RSS instead of 309 MB.
-    U = np.zeros((grid.node_count, min(V.shape[1], _DENSE_CHUNK)))
-    for lo in range(0, V.shape[1], _DENSE_CHUNK):
-        cols = V[:, lo : lo + _DENSE_CHUNK]
+    U = np.zeros((grid.node_count, min(V.shape[1], chunk)))
+    for lo in range(0, V.shape[1], chunk):
+        cols = V[:, lo : lo + chunk]
         U_chunk = U[:, : cols.shape[1]]
         U_chunk[G] = cols
-        out[:, lo : lo + _DENSE_CHUNK] = K_G @ solver.extend(U_chunk)
+        out[:, lo : lo + chunk] = K_G @ solver.extend(U_chunk)
     return out
 
 
@@ -711,7 +710,7 @@ def boundary_mass_matrix(grid: CylinderGrid, gamma: str) -> sp.spmatrix:
         raise ValueError("boundary mass is defined per layer")
     M = sp.identity(1, format="csr")
     for num, h in zip(grid.num_ang, grid.h_ang):
-        M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h, periodic=True)[1]), format="csr")
+        M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h)[1]), format="csr")
     return M
 
 

@@ -24,15 +24,17 @@ Verifies:
     of 7 cells against one block, n = 2, 3, 4, with and without a
     potential), nor do the bytes of the layer means (blocks of 2 to 1440
     cells, most of them cutting t-layers), K and M are bitwise symmetric,
-    and a 33^3 assembly with a potential holds at most 32 MB of
-    temporaries above its result
+    and an assembly holds at most 12 MB of temporaries above its result at
+    33^3 and 32 MB at 13^4 in four dimensions, with and without a
+    potential (a full-size element buffer took 21 to 53 MB)
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and fails its residual gate
     on NaN data
   - DN symmetry, metric homogeneity, zero-potential equivalence
   - dn_apply on the identity gives the same map whether its columns go
-    through the interior solver in one chunk or in many, and it takes
-    trace columns only, refusing a 1-D array
+    through the interior solver in one chunk or in many, its byte budget
+    per chunk bounds its peak memory, and it takes trace columns only,
+    refusing a 1-D array
   - a mode cut is refused exactly when one of the listed modes aliases,
     and a huge cut is refused before any mode is listed
   - mode eigenvalues approach the separated-variables values
@@ -524,6 +526,29 @@ def _bitwise_symmetric(K) -> bool:
     return np.array_equal(K.indices, KT.indices) and K.data.tobytes() == KT.data.tobytes()
 
 
+def _assembly_temporaries(n: int, size: int) -> list[int]:
+    """Bytes of temporaries above its result of one assembly on a cached
+    grid layout, for the plain and then the potential system."""
+    grid = cyl_grid(n, size)
+    metric = sample_metric(random_trig_metric(n, seed=6), grid)
+    temps = []
+    for q in (None, np.random.default_rng(6).uniform(-1.0, 1.0, grid.shape)):
+        assemble_stiffness(metric, potential=q)  # the grid layout is cached from here on
+        tracemalloc.start()
+        try:
+            sys_ = assemble_stiffness(metric, potential=q)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        K = sys_.laplace
+        result = sum(a.nbytes for a in (K.data, K.indices, K.indptr))
+        if q is not None:
+            result += sys_.mass.data.nbytes
+        assert held <= result + 1e6
+        temps.append(peak - held)
+    return temps
+
+
 class TestBlockedAssembly:
     # 512 and 1296 cells leave one cell over in blocks of 7, which joins the
     # block before it; 1024 leaves two
@@ -560,22 +585,16 @@ class TestBlockedAssembly:
         assert layers.shape == (4, grid.num_t - 1)
         assert layers.tobytes() == default.tobytes()
 
+    # the full-size element buffer held 21.4 (plain) and 23.5 MB (potential)
+    # of temporaries at 33^3, and 48 to 53 MB at 13^4; block-by-block
+    # scatters hold 8 and 24 MB
     def test_temporaries_at_33(self):
-        # the whole-array kernel held 64.5 MB of temporaries above its result
-        grid = cyl_grid(3, 33)
-        metric = sample_metric(random_trig_metric(3, seed=6), grid)
-        q = np.random.default_rng(6).uniform(-1.0, 1.0, grid.shape)
-        assemble_stiffness(metric, potential=q)  # the grid layout is cached from here on
-        tracemalloc.start()
-        try:
-            sys_ = assemble_stiffness(metric, potential=q)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        result = sum(a.nbytes for a in (sys_.laplace.data, sys_.mass.data, sys_.laplace.indices,
-                                         sys_.laplace.indptr))
-        assert held <= result + 1e6
-        assert peak - held <= 32e6, f"{(peak - held) / 1e6:.1f} MB of temporaries"
+        temps = _assembly_temporaries(3, 33)
+        assert max(temps) <= 12e6, [f"{t / 1e6:.1f} MB" for t in temps]
+
+    def test_temporaries_at_13_in_4d(self):
+        temps = _assembly_temporaries(4, 13)
+        assert max(temps) <= 32e6, [f"{t / 1e6:.1f} MB" for t in temps]
 
 
 def _extend_boundary(metric, gamma0: float, gamma1):
@@ -666,9 +685,26 @@ class TestDNMap:
         # 64 boundary columns: one chunk by default, ten chunks of at most 7
         sys = assemble_stiffness(bumpy9)
         lam = dn_apply(sys, GAMMA1, np.eye(64))
-        monkeypatch.setattr(dn_solver, "_DENSE_CHUNK", 7)
+        monkeypatch.setattr(dn_solver, "_DENSE_BYTES", 7 * 8 * bumpy9.grid.node_count)
         lam7 = dn_apply(sys, GAMMA1, np.eye(64))
         assert np.abs(lam7 - lam).max() <= 1e-12 * np.abs(lam).max()
+
+    def test_chunk_budget_bounds_memory(self, monkeypatch):
+        # 256 columns in one chunk peaked at 75.7 MB, in chunks of 8 at 4.3 MB
+        grid = cyl_grid(3, 17)
+        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=5), grid))
+        eye = np.eye(grid.layer_count)
+        monkeypatch.setattr(dn_solver, "_DENSE_BYTES", 256 * 8 * grid.node_count)
+        lam = dn_apply(sys, GAMMA1, eye)
+        monkeypatch.setattr(dn_solver, "_DENSE_BYTES", 8 * 8 * grid.node_count)
+        tracemalloc.start()
+        try:
+            lam8 = dn_apply(sys, GAMMA1, eye)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, f"{peak / 1e6:.1f} MB peak"
+        assert np.abs(lam8 - lam).max() <= 1e-12 * np.abs(lam).max()
 
     def test_wrong_trace_rows_rejected(self, grid5):
         sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))

@@ -172,7 +172,7 @@ def _layered_operator(sys):
             A[c : c + 2, c : c + 2] += stiff[c] * cell_K + mass[c] * cell_M
         return A[1:-1, 1:-1]
 
-    ang = [dn_solver._q1_pencil(m, ha, periodic=True) for m, ha in zip(grid.num_ang, grid.h_ang)]
+    ang = [dn_solver._q1_pencil(m, ha) for m, ha in zip(grid.num_ang, grid.h_ang)]
     L = reduce(np.kron, [t_matrix(w_tt, q)] + [M for _, M in ang])
     for d, w in enumerate(w_dd):
         factors = [K if e == d else M for e, (K, M) in enumerate(ang)]
@@ -322,9 +322,10 @@ class TestLayeredPreconditioner:
     def test_flat_factors_are_the_flat_pencils(self, n, size):
         grid = cyl_grid(n, size)
         solver = InteriorSolver(assemble_stiffness(sample_metric(flat_metric(n), grid)))
-        K_t, M_t = dn_solver._q1_pencil(grid.num_t, grid.h_t, periodic=False)
-        pencils = [(K_t[1:-1, 1:-1], M_t[1:-1, 1:-1])]
-        pencils += [dn_solver._q1_pencil(m, h, periodic=True) for m, h in zip(grid.num_ang, grid.h_ang)]
+        m = grid.num_t - 2  # the interior block of the open t-pencil
+        K_t = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.h_t
+        M_t = (4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)) * grid.h_t / 6.0
+        pencils = [(K_t, M_t)] + [dn_solver._q1_pencil(num, h) for num, h in zip(grid.num_ang, grid.h_ang)]
         eigs = [scipy.linalg.eigh(K, M) for K, M in pencils]
         for (_, V), V_solver in zip(eigs, solver._vecs):
             # an eigenvector's sign is free: fix it by the first row
