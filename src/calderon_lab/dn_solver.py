@@ -19,13 +19,14 @@ metric components and the unique element entries ``a <= b``. It is
 deterministic: each block mirrors its element matrices from their unique
 entries and scatters them, so every CSR slot sums in cell-major order;
 the matrices are bitwise symmetric and their bytes depend neither on the
-block size nor on the BLAS thread count. The CSR pattern, with the
-cell-node table it yields, and the element tables are cached per grid;
-the pattern is built without a sort, from the Q1 stencil's tensor form.
+block size nor on the BLAS thread count. The CSR pattern and the element
+tables are cached per grid; the pattern is built without a sort, from the
+Q1 stencil's tensor form, and keeps three cell layers: the others shift.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
-one contiguous id range. Its ``extend`` replaces the interior entries of a
+one contiguous id range, so it borrows K's free rows and copies no block
+but for its LU fallback. Its ``extend`` replaces the interior entries of a
 nodal array by the discrete harmonic extension of its boundary entries,
 and it is the only way Dirichlet data reaches a solve: DN maps
 (``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and zero elsewhere)
@@ -123,10 +124,11 @@ def _spread(a: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 def _scatter_pattern(grid: CylinderGrid):
-    """CSR pattern of the cell-major element scatter: the CSR slot of every
-    element-matrix entry, the column indices and row pointers, and the
-    cell-node table, the global node ids of each cell's 2^n corners as
-    int32 of shape (2^n, cells).
+    """CSR pattern of the cell-major element scatter: the CSR slots of the
+    element entries of cell layers 0, 1 and num_t - 2 (3, P, 4^n), the
+    column indices and row pointers, and layer 0's cell-node table, the
+    node ids of each cell's 2^n corners (int32, (2^n, P)); P is the layer
+    count, and :func:`_cell_layout` derives the other cell layers.
 
     Cells are indexed lexicographically like nodes; the t-axis has
     num_t - 1 cells, each angular axis wraps and has as many cells as nodes.
@@ -158,15 +160,33 @@ def _scatter_pattern(grid: CylinderGrid):
     row, slot = 0, 0
     for d, (num, nb, m) in enumerate(zip(shape, nbs, lengths)):
         # the corners of cell c along axis d are the nodes c and c + 1
-        node = (np.arange(num - 1 if d == 0 else num)[:, None] + np.arange(2)) % num
+        cells = np.array([0, 1, num - 2]) if d == 0 else np.arange(num)
+        node = (cells[:, None] + np.arange(2)) % num
         near = nb[node][:, :, None, :]
         rank = ((near >= 0) & (near < node[:, None, :, None])).sum(axis=-1)
         row = row + _spread(node[:, :, None] * strides[d], d, n)
         slot = slot * _spread(m[node][:, :, None].astype(index), d, n) + _spread(rank.astype(index), d, n)
     slot += indptr[row]
-    # the row node of every (cell, row corner), the same for every column corner
-    nodes = np.ascontiguousarray(row.reshape(-1, 1 << n).T, dtype=np.int32)
-    return slot.reshape(-1), indices, indptr, nodes
+    # the row node of every (cell, row corner) of layer 0, for any column corner
+    P = grid.layer_count
+    nodes = np.ascontiguousarray(row.reshape(-1, 1 << n)[:P].T, dtype=np.int32)
+    return slot.reshape(3, P, -1), indices, indptr, nodes
+
+
+def _cell_layout(grid: CylinderGrid, slot: np.ndarray, nodes: np.ndarray, lo: int, hi: int):
+    """Cell-node table (2^n, hi - lo) and flat scatter slots of the cells
+    lo..hi from the stored layers: layer j's nodes are layer 0's plus j P,
+    and as every interior row holds 3^n entries, for 1 <= j <= num_t - 3
+    its slots are layer 1's plus (j - 1) 3^n P."""
+    P, step = grid.layer_count, 3**grid.n * grid.layer_count
+    cell_nodes = np.empty((nodes.shape[0], hi - lo), dtype=np.int32)
+    cell_slot = np.empty((hi - lo, slot.shape[2]), dtype=slot.dtype)
+    for j in range(lo // P, (hi - 1) // P + 1):
+        a, b = max(lo, j * P), min(hi, (j + 1) * P)  # the block's cells in layer j
+        k = 0 if j == 0 else 2 if j == grid.num_t - 2 else 1
+        np.add(nodes[:, a - j * P : b - j * P], j * P, out=cell_nodes[:, a - lo : b - lo])
+        np.add(slot[k, a - j * P : b - j * P], (j - 1) * step if k == 1 else 0, out=cell_slot[a - lo : b - lo])
+    return cell_nodes, cell_slot.ravel()
 
 
 def _element_tables(grid: CylinderGrid):
@@ -198,9 +218,9 @@ def _element_tables(grid: CylinderGrid):
 
 @lru_cache(maxsize=8)
 def _grid_layout(grid: CylinderGrid):
-    """Scatter pattern with its cell-node table, and element tables of a
-    grid, computed once per equal grid and shared read-only by every
-    assembly on it."""
+    """Scatter pattern, with three cell layers of slots and one of cell
+    nodes and no per-cell table, and element tables of a grid, computed
+    once per equal grid and shared read-only by every assembly on it."""
     pattern = _scatter_pattern(grid)
     tables = _element_tables(grid)
     for arr in (*pattern, *tables):
@@ -289,7 +309,7 @@ def assemble_stiffness(
     n = grid.n
     size = grid.node_count
     (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror) = _grid_layout(grid)
-    n_cells = nodes.shape[1]
+    n_cells = (grid.num_t - 1) * grid.layer_count
 
     v_nodes = None
     if potential is not None:
@@ -309,8 +329,7 @@ def assemble_stiffness(
     # per cell, the Gauss means of the diagonal of W, then of sqrt(det g) V
     cell_means = np.zeros((n + 1, n_cells))
     for lo, hi in _cell_blocks(n_cells):
-        cell_nodes = nodes[:, lo:hi]
-        block_slot = slot[lo * mirror.size : hi * mirror.size]
+        cell_nodes, block_slot = _cell_layout(grid, slot, nodes, lo, hi)
         W, root_det = spd_weight(N @ np.take(g_nodes, cell_nodes, axis=1, mode="clip"))
         _scatter(k_data, block_slot, W.reshape(-1, hi - lo).T @ stiff, mirror)
         cell_means[:n, lo:hi] = W[iu == ju].mean(axis=1)
@@ -382,7 +401,8 @@ class InteriorSolver:
     ``K[free, free] x = -K[free, fixed] u[fixed]`` with ``fixed`` the
     ``FULL_BOUNDARY`` ids: the Dirichlet data are the boundary entries of
     a nodal array, with no trace container in between. ``solve`` solves
-    with the block ``K[free, free]`` directly.
+    with the block ``K[free, free]`` directly. Both apply K through
+    ``rows``, the free rows of K borrowed as views.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
     once. The preconditioner is the exact inverse of a separable layered
@@ -417,11 +437,13 @@ class InteriorSolver:
 
     def __init__(self, sys: StiffnessSystem):
         grid, K = sys.grid, sys.matrix
-        self._fixed = grid.boundary_ids(FULL_BOUNDARY)
         P = grid.layer_count
         self.free = slice(P, (grid.num_t - 1) * P)
-        self.block = K[self.free, self.free]
-        self._coupling = K[self.free, self._fixed]
+        # K's free rows: views of its data and indices, shifted row pointers
+        # (scipy copies views under half of K, as on num_t = 3 grids)
+        ptr = K.indptr[self.free.start : self.free.stop + 1]
+        lo, hi = ptr[0], ptr[-1]
+        self.rows = sp.csr_matrix((K.data[lo:hi], K.indices[lo:hi], ptr - lo), shape=(ptr.size - 1, K.shape[1]))
         self.iterations: int | None = None
         self._lu = None
         self._shape = (grid.num_t - 2, *grid.num_ang)
@@ -441,11 +463,20 @@ class InteriorSolver:
     def extend(self, u: np.ndarray) -> np.ndarray:
         """Overwrite the interior entries of ``u`` (nodes first, any number
         of columns) by the harmonic extension of its boundary entries;
-        returns ``u``. The right-hand side is built in ``u[free]`` itself,
-        so no node-sized copy of ``u`` is made."""
-        u[self.free] = self._coupling @ -u[self._fixed]
+        returns ``u``. With ``u[free]`` zero, ``rows @ u`` is ``K[free,
+        fixed] @ u[fixed]``; ``0 - rows @ u``, the right-hand side, is built
+        in ``u[free]`` itself (``-(rows @ u)`` would turn a zero row -0.0)."""
+        u[self.free] = 0.0
+        np.subtract(0.0, self.rows @ u, out=u[self.free])
         u[self.free] = self.solve(u[self.free])
         return u
+
+    def _apply(self, X: np.ndarray) -> np.ndarray:
+        """``K[free, free] @ X`` bitwise: ``rows`` times ``X`` in a node array
+        of zero fixed rows, whose terms leave each row's sum as it is."""
+        U = np.zeros((self.rows.shape[1], X.shape[1]))
+        U[self.free] = X
+        return self.rows @ U
 
     def _precondition(self, R: np.ndarray) -> np.ndarray:
         """``V D^{-1} V^T R`` for the columns of ``R``: the inverse of the
@@ -466,7 +497,9 @@ class InteriorSolver:
         out = np.empty_like(B)
         X = np.zeros_like(B)
         R = B.copy()
-        P = self._precondition(R)
+        P_nodes = np.zeros((self.rows.shape[1], B.shape[1]))  # for ``rows``; fixed rows stay 0
+        P = P_nodes[self.free]
+        P[:] = self._precondition(R)
         rz = np.einsum("ij,ij->j", R, P)
         stop = _CG_RTOL**2 * rz
         active = np.arange(B.shape[1])
@@ -475,7 +508,8 @@ class InteriorSolver:
             keep = ~(rz <= stop)  # a NaN column stays and ends CG as a breakdown
             if not keep.all():
                 out[:, active[~keep]] = X[:, ~keep]
-                active, X, R, P = active[keep], X[:, keep], R[:, keep], P[:, keep]
+                active, X, R, P_nodes = active[keep], X[:, keep], R[:, keep], P_nodes[:, keep]
+                P = P_nodes[self.free]
                 rz, stop = rz[keep], stop[keep]
             if active.size == 0:
                 self.iterations = it
@@ -483,7 +517,7 @@ class InteriorSolver:
             if it == _CG_MAXIT:
                 return None
             it += 1
-            Q = self.block @ P
+            Q = self.rows @ P_nodes
             pq = np.einsum("ij,ij->j", P, Q)
             if not (pq > 0.0).all():
                 return None
@@ -491,17 +525,19 @@ class InteriorSolver:
             X += alpha * P
             Q *= alpha
             R -= Q
+            del Q  # before _precondition allocates
             Z = self._precondition(R)
             rz_new = np.einsum("ij,ij->j", R, Z)
             P *= rz_new / rz
             P += Z
+            del Z
             rz = rz_new
 
     def _factor(self):
-        """The sparse LU of the block, made on first use."""
+        """The sparse LU of ``K[free, free]``, cut and made on first use."""
         if self._lu is None:
             try:
-                lu = spla.splu(self.block.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                lu = spla.splu(self.rows[:, self.free].tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise SingularInteriorBlock(str(exc)) from exc
             d = np.abs(lu.U.diagonal())
@@ -513,16 +549,16 @@ class InteriorSolver:
         return self._lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``block @ X = rhs``; raises NoConvergence unless
-        ``||block @ X - rhs|| <= 1e-10 ||rhs||``."""
+        """Solve ``K[free, free] @ X = rhs``; raises NoConvergence unless
+        ``||K[free, free] @ X - rhs|| <= 1e-10 ||rhs||``."""
         B = rhs.reshape(rhs.shape[0], -1)
         scale = max(np.linalg.norm(B), 1e-300)
         X = self._pcg(B) if self._lu is None and self._definite else None
-        res = None if X is None else np.linalg.norm(self.block @ X - B)
+        res = None if X is None else np.linalg.norm(self._apply(X) - B)
         if res is None or not (res <= _SOLVE_RTOL * scale):
             self.iterations = None
             X = self._factor().solve(B)
-            res = np.linalg.norm(self.block @ X - B)
+            res = np.linalg.norm(self._apply(X) - B)
         if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return X.reshape(rhs.shape)
@@ -553,12 +589,16 @@ def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
     the interior block; None when it fails, its pivot ratio
     ``min/max diag(L)^2`` is below ``_PIVOT_RATIO_FLOOR`` or S is not finite.
     """
-    P = sys.grid.layer_count
-    T = sys.grid.num_t
+    K, P, T = sys.matrix, sys.grid.layer_count, sys.grid.num_t
     ids = list(range(1, T)) if gamma == GAMMA1 else list(range(T - 2, -1, -1))
+    w = 3 ** (sys.grid.n - 1)  # a row's sorted entries fall w in each adjacent layer
 
     def block(i: int, j: int) -> np.ndarray:
-        return sys.matrix[i * P : (i + 1) * P, j * P : (j + 1) * P].toarray()
+        lo, hi = K.indptr[i * P], K.indptr[(i + 1) * P]
+        cols, vals = (a[lo:hi].reshape(P, -1, w)[:, j - max(i - 1, 0)] for a in (K.indices, K.data))
+        out = np.zeros((P, P))
+        out[np.arange(P)[:, None], cols - j * P] = vals
+        return out
 
     S = block(ids[0], ids[0])
     pivots = []

@@ -11,15 +11,17 @@ Verifies:
     synthesised counterexample metric; the SPD kernel
     grid_geometry.spd_weight matches det/inv on batches with condition
     numbers up to 1e8, and in longdouble matches an exact cofactor reference
-  - the sort-free tensor-product scatter pattern equals, in slots, column
-    indices, row pointers and their dtypes, the pattern found by sorting
-    the element entries' keys, and its int32 cell-node table equals the
-    one found by rolling the node-id grid, for n = 2, 3, 4 on minimal,
-    mixed-size and 33^3 grids
+  - the sort-free tensor-product scatter pattern, its slots and cell
+    nodes rebuilt for every cell from the three stored cell layers, equals
+    in slots, column indices, row pointers and their dtypes the pattern
+    found by sorting the element entries' keys, and its int32 cell-node
+    table equals the one found by rolling the node-id grid, for n = 2, 3, 4
+    on minimal, mixed-size and 33^3 grids
   - the per-grid layout cache builds one scatter pattern for equal grids,
     and one per grid (with one set of angular pencil eigenpairs) over a cycle
-    of six grids, is not reachable through a returned matrix, and the
-    assembled bytes do not depend on the BLAS thread count
+    of six grids, is not reachable through a returned matrix, holds at most
+    6.5 MB at 33^3, and the assembled bytes do not depend on the BLAS
+    thread count
   - the assembled bytes do not depend on the assembly block size (blocks
     of 7 cells against one block, n = 2, 3, 4, with and without a
     potential), nor do the bytes of the layer means (blocks of 2 to 1440
@@ -34,7 +36,8 @@ Verifies:
   - dn_apply on the identity gives the same map whether its columns go
     through the interior solver in one chunk or in many, its byte budget
     per chunk bounds its peak memory, and it takes trace columns only,
-    refusing a 1-D array
+    refusing a 1-D array; a 33^3 mode matrix peaks at most 28 MB above its
+    start
   - a mode cut is refused exactly when one of the listed modes aliases,
     and a huge cut is refused before any mode is listed
   - mode eigenvalues approach the separated-variables values
@@ -425,12 +428,16 @@ def _argsort_pattern(nodes, size):
     ids=lambda g: "x".join(map(str, g.shape)),
 )
 def test_tensor_pattern_matches_argsort(grid):
-    *pattern, nodes = dn_solver._scatter_pattern(grid)
+    # the full tables, rebuilt from the three stored cell layers of slots
+    # and the one of cell nodes
+    slot, indices, indptr, layer0 = dn_solver._scatter_pattern(grid)
+    assert slot.shape[0] == 3 and layer0.shape == (1 << grid.n, grid.layer_count)
+    nodes, slot = dn_solver._cell_layout(grid, slot, layer0, 0, (grid.num_t - 1) * grid.layer_count)
     oracle_nodes = _rolled_cell_nodes(grid)
     assert nodes.dtype == np.int32
     assert np.array_equal(nodes, oracle_nodes), "cell nodes"
     oracle = _argsort_pattern(oracle_nodes, grid.node_count)
-    for name, got, want in zip(("slot", "indices", "indptr"), pattern, oracle):
+    for name, got, want in zip(("slot", "indices", "indptr"), (slot, indices, indptr), oracle):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
@@ -473,6 +480,13 @@ class TestGridLayoutCache:
                 InteriorSolver(sys)
         assert len(calls) == len(grids)
         assert dn_solver._flat_eigs.cache_info().misses == len(grids)
+
+    def test_layout_under_6_5mb_at_33(self):
+        # 13.2 MB when the slot table held every cell (8.4 MB) and the
+        # cell-node table every cell layer
+        pattern, tables = dn_solver._grid_layout(cyl_grid(3, 33))
+        total = sum(a.nbytes for a in (*pattern, *tables))
+        assert total <= 6.5e6, f"{total / 1e6:.1f} MB"
 
     def test_returned_matrix_does_not_share_the_layout(self, bumpy9):
         q = np.random.default_rng(8).uniform(0.5, 1.5, bumpy9.grid.shape)
@@ -705,6 +719,22 @@ class TestDNMap:
             tracemalloc.stop()
         assert peak <= 12e6, f"{peak / 1e6:.1f} MB peak"
         assert np.abs(lam8 - lam).max() <= 1e-12 * np.abs(lam).max()
+
+    def test_mode_matrix_peak_at_33(self):
+        # 41.2 MB when the solver copied K's interior block and coupling and
+        # CG kept Q and Z alive into the next preconditioner application
+        grid = cyl_grid(3, 33)
+        q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
+        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q)
+        sys.matrix
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dn_mode_matrix(sys, GAMMA1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e6, f"{peak / 1e6:.1f} MB peak"
 
     def test_wrong_trace_rows_rejected(self, grid5):
         sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))

@@ -32,10 +32,23 @@ Verifies:
     dense sparse-LU Schur complement to 3e-14 and the CG map of dn_apply to
     1e-10; an indefinite interior block and the full boundary still take
     the CG/LU route
+  - the solver borrows K's free rows instead of copying the interior
+    block: their product with a node array of zero fixed rows has the
+    bytes of ``K[free, free] @ X``, and the right-hand side of ``extend``
+    has the bytes of ``K[free, fixed] @ -u[fixed]``, on 2-D, 3-D, 4-D and
+    num_t = 3 grids, plain and with a potential; at 33^3 a solver
+    allocates at most 1 MB (the copied blocks took 10.8 MB), and at 65^3 a
+    fresh process that samples, assembles with a potential and builds a
+    solver peaks at most at 420 MB max RSS (543 MB with the copies)
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +410,80 @@ class TestLayerStripping:
         sys = assemble_stiffness(bumpy9)
         lam = dn_map_partial(sys, FULL_BOUNDARY).matrix
         assert _rel(lam, _dense_lu_reference(sys, FULL_BOUNDARY)) <= 1e-10
+
+
+BORROW_GRIDS = [cyl_grid(2, 17), cyl_grid(3, 9), cyl_grid(4, 7), CylinderGrid(2, 3, (6,)),
+                CylinderGrid(3, 3, (4, 5))]
+
+
+class TestBorrowedRows:
+    @staticmethod
+    def _system(grid, potential):
+        g = sample_metric(random_trig_metric(grid.n, seed=grid.num_t), grid)
+        q = np.random.default_rng(3).uniform(-1.0, 1.5, grid.shape) if potential else None
+        return assemble_stiffness(g, potential=q)
+
+    @pytest.mark.parametrize("potential", [False, True], ids=["plain", "potential"])
+    @pytest.mark.parametrize("grid", BORROW_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+    def test_block_product_bitwise(self, grid, potential):
+        sys = self._system(grid, potential)
+        solver = InteriorSolver(sys)
+        block = sys.matrix[solver.free, solver.free]
+        rng = np.random.default_rng(0)
+        for cols in (1, 4):
+            X = rng.standard_normal((block.shape[0], cols))
+            X[::5] = 0.0
+            X[1::7] = -0.0
+            assert solver._apply(X).tobytes() == (block @ X).tobytes(), cols
+
+    @pytest.mark.parametrize("potential", [False, True], ids=["plain", "potential"])
+    @pytest.mark.parametrize("grid", BORROW_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+    def test_extend_right_hand_side_bitwise(self, grid, potential):
+        sys = self._system(grid, potential)
+        fixed = grid.boundary_ids(FULL_BOUNDARY)
+        u = np.random.default_rng(1).standard_normal((grid.node_count, 3))
+        solver = InteriorSolver(sys)
+        coupling = sys.matrix[solver.free, fixed]
+        seen = []
+        solver.solve = lambda rhs: seen.append(rhs.copy()) or rhs
+        solver.extend(u.copy())
+        # the copied coupling's right-hand side, +0.0 on rows with no fixed
+        # neighbour included
+        assert seen[0].tobytes() == (coupling @ -u[fixed]).tobytes()
+        assert np.array_equal(seen[0], -(coupling @ u[fixed]))
+
+    def test_solver_allocates_under_1mb_at_33(self):
+        grid = cyl_grid(3, 33)
+        q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
+        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q)
+        K = sys.matrix
+        tracemalloc.start()
+        try:
+            solver = InteriorSolver(sys)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1e6, f"{held / 1e6:.2f} MB"
+        assert np.shares_memory(solver.rows.data, K.data)
+        assert np.shares_memory(solver.rows.indices, K.indices)
+
+
+def test_setup_peak_rss_at_65():
+    """Memory probe for a byte cap: a 65^3 random-trig metric, assembled
+    with a potential, and one solver, in a fresh process (543 MB max RSS
+    when the solver copied K's interior block and coupling, 343 to 346 MB
+    since it borrows K's rows)."""
+    script = (
+        "import resource, numpy as np\n"
+        "from calderon_lab.dn_solver import InteriorSolver, assemble_stiffness\n"
+        "from calderon_lab.grid_geometry import cyl_grid, random_trig_metric, sample_metric\n"
+        "grid = cyl_grid(3, 65)\n"
+        "q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)\n"
+        "InteriorSolver(assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+    )
+    src = Path(dn_solver.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert float(out.stdout) <= 420.0, f"{float(out.stdout):.0f} MB max RSS"
