@@ -206,9 +206,10 @@ def _order_fit(sizes, gaps):
 
 
 def _run_verify_identities(cfg: dict, out_dir) -> ExperimentReport:
-    # the fourth-power identity needs n >= 3
+    # the fourth-power identity needs n >= 3; each tuple samples a metric
+    # and checks it, so their count is bounded like the config lists'
     s = read(cfg, "verify-identities config", n=(ranged(integer, 3, _MAX_N + 1), 3), size=(integer, 9),
-             tuples=(ranged(integer, 1), 20), seed=_SEED)
+             tuples=(ranged(integer, 1, 1001), 20), seed=_SEED)
     n, seed = s.n, s.seed
     rep = ExperimentReport("verify-identities", cfg)
     grid = _grid(cyl_grid, n, s.size)

@@ -30,13 +30,19 @@ but for its LU fallback. Its ``extend`` replaces the interior entries of a
 nodal array by the discrete harmonic extension of its boundary entries,
 and it is the only way Dirichlet data reaches a solve: DN maps
 (``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and zero elsewhere)
-and the rigidity check of ``conformal`` are both this one operation.
+and the rigidity check of ``conformal`` are both this one operation, and
+mode matrices are its energies ``U^T K U`` (``energy``).
 Solves run batched conjugate gradients
 preconditioned by the exact inverse of a layered operator, the Q1 block of
 the t-cell means that assembly keeps (``StiffnessSystem.layers``), applied
 by fast diagonalisation; the flat metric is its special case. A sparse LU
 of the block is the fallback when that operator is indefinite or CG breaks
-down or stalls. Each of its solves is checked at 1e-10 relative residual.
+down or stalls. Each solve of ``solve`` and ``extend`` stops CG at 1e-12
+of the preconditioned residual and is checked at 1e-10 relative residual.
+``energy`` stops at 5e-7, near the square root of 1e-12: an energy is off
+only by the square of its extension's error, in the K-energy norm. It
+checks its true residual, from the same product ``K @ U`` as the energies,
+at twice that stop, and calls ``extend`` when the check fails.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
 t-layers with one dense Cholesky per layer (:func:`_layer_stripped`) and
@@ -74,8 +80,9 @@ from .grid_geometry import (
 _PIVOT_RATIO_FLOOR = 1e-9
 _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
+_ENERGY_RTOL = 5e-7  # the same in InteriorSolver.energy, whose error is second order
 _CG_MAXIT = 200
-_DENSE_BYTES = 32 << 20  # bytes of the node array of one interior solve in dn_apply
+_DENSE_BYTES = 32 << 20  # bytes of the node array of one interior solve in dn_apply or dn_mode_matrix
 _BLOCK_CELLS = 4096  # cells per assembly block (2048 timed the same, 1024 and 8192 slower)
 
 
@@ -387,6 +394,17 @@ def _t_matrix(stiff: np.ndarray, mass: np.ndarray, h: float) -> np.ndarray:
     return A
 
 
+def _row_view(A: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo..hi of the CSR matrix ``A`` as views of its data and indices,
+    with shifted row pointers. They are set after construction: scipy's
+    constructor copies a view under half of its base."""
+    ptr = A.indptr[lo : hi + 1]
+    view = sp.csr_matrix((hi - lo, A.shape[1]))
+    view.data, view.indices = A.data[ptr[0] : ptr[-1]], A.indices[ptr[0] : ptr[-1]]
+    view.indptr = ptr - ptr[0]
+    return view
+
+
 def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
     """Apply the matrix ``A`` along one axis of ``Y`` with one matmul on a
     (lead, N, rest) reshape."""
@@ -400,9 +418,12 @@ class InteriorSolver:
     ``extend(u)`` overwrites ``u[free]`` by the solution of
     ``K[free, free] x = -K[free, fixed] u[fixed]`` with ``fixed`` the
     ``FULL_BOUNDARY`` ids: the Dirichlet data are the boundary entries of
-    a nodal array, with no trace container in between. ``solve`` solves
-    with the block ``K[free, free]`` directly. Both apply K through
-    ``rows``, the free rows of K borrowed as views.
+    a nodal array, with no trace container in between. ``energy(u)``
+    extends the same way and returns the Dirichlet energies ``u^T K u``
+    of the extensions. ``solve`` solves with the block ``K[free, free]``
+    directly. All apply K through ``rows``, the free rows of K borrowed as
+    views; only the first and last free t-layers touch fixed nodes, so a
+    right-hand side multiplies only their rows.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
     once. The preconditioner is the exact inverse of a separable layered
@@ -415,8 +436,9 @@ class InteriorSolver:
     of the periodic angular pencils ``(K_d, M_d)`` gives its inverse
     ``V D^{-1} V^T`` with ``V = V_t (x) V_1 (x) ...`` and
     ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``; a non-positive entry of ``D``
-    sends the solver straight to the LU below. A column stops when its
-    preconditioned residual ``sqrt(r^T z)`` is at most 1e-12 of its start.
+    sends the solver straight to the LU below. In ``solve`` and ``extend``
+    a column stops when its preconditioned residual ``sqrt(r^T z)`` is at
+    most 1e-12 of its start.
     With ``C`` the layered coefficients and ``W = sqrt(det g) g^{-1}``,
     ``min eig(C^{-1} W) K_C <= K_g <= max eig(C^{-1} W) K_C`` over the
     quadrature points, so a potential-free block needs at most
@@ -425,6 +447,18 @@ class InteriorSolver:
     is the block: ``W`` diagonal with a t-only ``w_tt`` and constant
     angular entries, and ``sqrt(det g) V`` constant.
     ``iterations`` holds the count of the last solve.
+
+    ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead, because the
+    energy is second order in the error (Arioli 2004; Strakos & Tichy
+    2005): with ``u*`` the exact extension and ``e = u - u*`` zero on the
+    boundary, ``(K u*)[free] = 0`` gives ``u^T K u = u*^T K u* + e^T K e``.
+    The excess is the K-energy of ``e``, positive semidefinite (the
+    Dirichlet principle), and within the preconditioned condition number
+    of ``r^T z``, so it is about ``kappa`` times the square of the stop
+    relative to the energy. One product ``K @ u`` over all rows gives the
+    energies and the true residual ``-(K u)[free]``, which must pass the
+    same test with 2x slack; if it does not, or CG is not run or fails,
+    ``energy`` calls ``extend``.
 
     If CG breaks down (``p^T A p <= 0``, as it can on an indefinite
     ``-Lap_g + q`` block), has not converged after ``_CG_MAXIT`` iterations
@@ -437,16 +471,16 @@ class InteriorSolver:
 
     def __init__(self, sys: StiffnessSystem):
         grid, K = sys.grid, sys.matrix
-        P = grid.layer_count
-        self.free = slice(P, (grid.num_t - 1) * P)
-        # K's free rows: views of its data and indices, shifted row pointers
-        # (scipy copies views under half of K, as on num_t = 3 grids)
-        ptr = K.indptr[self.free.start : self.free.stop + 1]
-        lo, hi = ptr[0], ptr[-1]
-        self.rows = sp.csr_matrix((K.data[lo:hi], K.indices[lo:hi], ptr - lo), shape=(ptr.size - 1, K.shape[1]))
+        P, m = grid.layer_count, grid.num_t - 2
+        self.free = slice(P, (m + 1) * P)
+        self._K = K
+        self.rows = _row_view(K, self.free.start, self.free.stop)
+        # the free layers with fixed neighbours, the first and the last
+        self._coupled = [(slice(j * P, (j + 1) * P), _row_view(self.rows, j * P, (j + 1) * P))
+                         for j in sorted({0, m - 1})]
         self.iterations: int | None = None
         self._lu = None
-        self._shape = (grid.num_t - 2, *grid.num_ang)
+        self._shape = (m, *grid.num_ang)
         vecs, lams = _flat_eigs(grid)
         w_tt, w_dd, q = sys.layers[0], sys.layers[1:-1], sys.layers[-1]
         w_a = w_dd.mean(axis=0)
@@ -460,16 +494,43 @@ class InteriorSolver:
         self._diag = reduce(np.add.outer, [lam_t, *(a * lam for a, lam in zip(alpha, lams))])
         self._definite = info == 0 and bool((self._diag > 0.0).all())
 
+    def _rhs(self, u: np.ndarray) -> np.ndarray:
+        """Write ``-K[free, fixed] @ u[fixed]`` into ``u[free]`` and return
+        that view. With ``u[free]`` zero, a coupled layer's rows times ``u``
+        is its part; both products are taken before either is written, as
+        on a grid of two free layers each reads the other. ``0 - rows @ u``
+        is built in place (``-(rows @ u)`` would turn a zero row -0.0), and
+        the other rows stay +0.0."""
+        b = u[self.free]
+        b[:] = 0.0
+        parts = [layer @ u for _, layer in self._coupled]
+        for (rows, _), part in zip(self._coupled, parts):
+            np.subtract(0.0, part, out=b[rows])
+        return b
+
     def extend(self, u: np.ndarray) -> np.ndarray:
         """Overwrite the interior entries of ``u`` (nodes first, any number
         of columns) by the harmonic extension of its boundary entries;
-        returns ``u``. With ``u[free]`` zero, ``rows @ u`` is ``K[free,
-        fixed] @ u[fixed]``; ``0 - rows @ u``, the right-hand side, is built
-        in ``u[free]`` itself (``-(rows @ u)`` would turn a zero row -0.0)."""
-        u[self.free] = 0.0
-        np.subtract(0.0, self.rows @ u, out=u[self.free])
-        u[self.free] = self.solve(u[self.free])
+        returns ``u``."""
+        u[self.free] = self.solve(self._rhs(u))
         return u
+
+    def energy(self, u: np.ndarray) -> np.ndarray:
+        """Extend the boundary columns of ``u`` (nodes first) into its
+        interior entries, as ``extend`` does, and return the pairing
+        ``u^T K u``, with CG stopped at ``_ENERGY_RTOL``."""
+        b = self._rhs(u)
+        run = self._pcg(b, _ENERGY_RTOL) if self._lu is None and self._definite else None
+        if run is not None:
+            X, start = run
+            b[:] = X
+            Ku = self._K @ u
+            r = Ku[self.free]  # minus the residual
+            rz = np.einsum("ij,ij->j", r, self._precondition(r))
+            if (rz <= (2.0 * _ENERGY_RTOL) ** 2 * start).all():  # NaN fails too
+                return u.T @ Ku
+        self.extend(u)
+        return u.T @ (self._K @ u)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         """``K[free, free] @ X`` bitwise: ``rows`` times ``X`` in a node array
@@ -489,19 +550,21 @@ class InteriorSolver:
             Y = _along_axis(V, Y, d)
         return Y.reshape(R.shape)
 
-    def _pcg(self, B: np.ndarray) -> np.ndarray | None:
-        """Batched preconditioned CG; None on breakdown or after _CG_MAXIT
-        iterations. The iterates ``X`` of the running columns stay compact
-        beside ``R`` and ``P``; a column is written to the result when it
-        converges and leaves the batch."""
+    def _pcg(self, B: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """Batched preconditioned CG, each column stopped when ``sqrt(r^T z)``
+        is at most ``rtol`` of its start; returns the solution and the
+        starting ``r^T z`` of each column, or None on breakdown or after
+        _CG_MAXIT iterations. The iterates ``X`` of the running columns
+        stay compact beside ``R`` and ``P``; a column is written to the
+        result when it converges and leaves the batch."""
         out = np.empty_like(B)
         X = np.zeros_like(B)
         R = B.copy()
         P_nodes = np.zeros((self.rows.shape[1], B.shape[1]))  # for ``rows``; fixed rows stay 0
         P = P_nodes[self.free]
         P[:] = self._precondition(R)
-        rz = np.einsum("ij,ij->j", R, P)
-        stop = _CG_RTOL**2 * rz
+        start = rz = np.einsum("ij,ij->j", R, P)
+        stop = rtol**2 * rz
         active = np.arange(B.shape[1])
         it = 0
         while True:
@@ -513,7 +576,7 @@ class InteriorSolver:
                 rz, stop = rz[keep], stop[keep]
             if active.size == 0:
                 self.iterations = it
-                return out
+                return out, start
             if it == _CG_MAXIT:
                 return None
             it += 1
@@ -553,7 +616,8 @@ class InteriorSolver:
         ``||K[free, free] @ X - rhs|| <= 1e-10 ||rhs||``."""
         B = rhs.reshape(rhs.shape[0], -1)
         scale = max(np.linalg.norm(B), 1e-300)
-        X = self._pcg(B) if self._lu is None and self._definite else None
+        run = self._pcg(B, _CG_RTOL) if self._lu is None and self._definite else None
+        X = None if run is None else run[0]
         res = None if X is None else np.linalg.norm(self._apply(X) - B)
         if res is None or not (res <= _SOLVE_RTOL * scale):
             self.iterations = None
@@ -720,16 +784,27 @@ def _mode_basis(grid: CylinderGrid, gamma: str, cut: float) -> tuple[np.ndarray,
 
 
 def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[np.ndarray, list]:
-    """Low-mode pairing matrix B[m, m'] = <Lam v_m, v_m'> computed with one
-    interior solve per mode vector.
+    """Low-mode pairing matrix B[m, m'] = <Lam v_m, v_m'>, the Dirichlet
+    energies ``u_m^T K u_m'`` of the harmonic extensions ``u_m`` of the
+    mode vectors, zero on the rest of the boundary: one batched interior
+    solve (:meth:`InteriorSolver.energy`) for all mode vectors. Its error
+    is second order in the solve's and, up to rounding, positive
+    semidefinite (the Dirichlet principle). Mode vectors whose node array
+    would pass ``_DENSE_BYTES``
+    (more than 15 at size 65) go through the chunks of ``dn_apply``
+    instead, as ``V^T Lam V``.
 
     Because the DN matrix returns quadrature-weighted Neumann data, B
     approximates the continuum pairing and is comparable across grid
     refinements of the same cylinder.
     """
-    V, labels = _mode_basis(sys.grid, gamma, cut)
-    lamV = dn_apply(sys, gamma, V)
-    return V.T @ lamV, labels
+    grid = sys.grid
+    V, labels = _mode_basis(grid, gamma, cut)
+    if 8 * grid.node_count * V.shape[1] > _DENSE_BYTES:
+        return V.T @ dn_apply(sys, gamma, V), labels
+    U = np.zeros((grid.node_count, V.shape[1]))
+    U[grid.boundary_ids(gamma)] = V
+    return InteriorSolver(sys).energy(U), labels
 
 
 def mode_gap(B1: np.ndarray, B2: np.ndarray) -> float:

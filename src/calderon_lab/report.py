@@ -127,11 +127,14 @@ def ranged(kind, lo, hi=math.inf):
 
 
 def list_of(item):
-    """Converter: a non-empty list of ``item(x)``; an empty one would
-    yield no evidence."""
+    """Converter: a list of 1 to 64 ``item(x)``. An empty one would yield
+    no evidence, and each entry of a config list (a size, eps, stride or
+    seed) is a unit of work, so the length is checked before any entry."""
     def convert(v):
         if not isinstance(v, (list, tuple)) or not v:
             raise ValueError("must be a non-empty list")
+        if len(v) > 64:
+            raise ValueError(f"must have at most 64 entries, not {len(v)}")
         return tuple(item(x) for x in v)
     return convert
 

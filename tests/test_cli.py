@@ -406,6 +406,29 @@ class TestConfigCheckedFirst:
     def test_65_rung_fits_the_cap(self):
         assert cli._grid(cyl_grid, 3, 65).node_count == cli._MAX_NODES
 
+    # each tuple and each list entry is a unit of work: a config could ask
+    # for 10^9 tuples and run for days; the limit itself passes the reader
+    @pytest.mark.parametrize(
+        "command,key,cfg,past",
+        [
+            ("verify-identities", "tuples", {"tuples": 1000}, 1001),
+            ("dn-compare", "sizes", {"n": 2, "sizes": [9] * 64,
+                                     "transform": {"kind": "diffeo", "diffeo": "identity"}}, [9] * 65),
+            ("counterexample-study", "eps", {**_STUDY_CFG, "eps": [0.0] * 64}, [0.0] * 65),
+            ("counterexample-study", "strides", {**_STUDY_CFG, "strides": [1] * 64}, [1] * 65),
+            ("rigidity-check", "seeds", {"seeds": list(range(64))}, list(range(65))),
+        ],
+        ids=["tuples", "sizes", "eps", "strides", "seeds"],
+    )
+    def test_work_capped(self, tmp_path, monkeypatch, capsys, command, key, cfg, past):
+        _stub_computation(monkeypatch, _must_not_run)
+        with pytest.raises(AssertionError, match="computation started"):
+            run(command, cfg, tmp_path)
+        code, out = _cli(tmp_path, command, {**cfg, key: past})
+        assert code == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identities_need_n3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cyl_grid", _must_not_run)
         monkeypatch.setattr(cli, "sample_metric", _must_not_run)

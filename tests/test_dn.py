@@ -37,7 +37,8 @@ Verifies:
     through the interior solver in one chunk or in many, its byte budget
     per chunk bounds its peak memory, and it takes trace columns only,
     refusing a 1-D array; a 33^3 mode matrix peaks at most 28 MB above its
-    start
+    start, and the bytes of a 25^3 one with a potential do not depend on
+    the BLAS thread count
   - a mode cut is refused exactly when one of the listed modes aliases,
     and a huge cut is refused before any mode is listed
   - mode eigenvalues approach the separated-variables values
@@ -735,6 +736,27 @@ class TestDNMap:
         finally:
             tracemalloc.stop()
         assert peak <= 28e6, f"{peak / 1e6:.1f} MB peak"
+
+    def test_mode_matrix_bytes_independent_of_blas_threads(self):
+        # the energy pairing u^T (K u) is a GEMM over all nodes
+        src = Path(dn_solver.__file__).resolve().parents[1]
+        script = (
+            "import hashlib, numpy as np\n"
+            "from calderon_lab.dn_solver import assemble_stiffness, dn_mode_matrix\n"
+            "from calderon_lab.grid_geometry import GAMMA1, cyl_grid, random_trig_metric, sample_metric\n"
+            "grid = cyl_grid(3, 25)\n"
+            "q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)\n"
+            "s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q)\n"
+            "print(hashlib.sha256(dn_mode_matrix(s, GAMMA1)[0].tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_wrong_trace_rows_rejected(self, grid5):
         sys = assemble_stiffness(sample_metric(flat_metric(3), grid5))

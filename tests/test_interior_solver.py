@@ -7,7 +7,16 @@ Verifies:
   - mode matrices agree with a sparse LU of the same interior block
     (sliced and factorised here with splu, through the Schur complement
     K_GG - K_GI K_II^{-1} K_IG on GAMMA0, GAMMA1 and the full boundary)
-    to 1e-10 relative
+    to 1e-10 relative, and to 1e-12 on random-trig metrics at 3-D 9, 13
+    and 17, 2-D 33 and 4-D 9, plain and with a potential, on all three
+    boundary parts
+  - mode matrices are Dirichlet energies: with CG stopped at 1e-3 they
+    stay above the LU pairing (their difference is positive
+    semidefinite) and their error is at most 1e-2 of the error of the
+    linear form V^T K_G u of the same extension; a loose solution that
+    misses the energy route's residual check falls back to extend and
+    its strict solve, and too many mode columns for one node array go
+    through dn_apply's chunks
   - on potential-free blocks the CG iteration count stays within the
     a-priori bound from the weight matrix W = sqrt(det g) g^{-1} at the
     quadrature points, taken relative to the flat metric (the layered
@@ -19,7 +28,8 @@ Verifies:
     flat metric with the constant potential 1.3 and on a diagonal t-only
     metric whose angular entries share one t-profile; and the
     criterion-3 c^4 g and link systems at size 17 take at most 12
-    iterations (the flat preconditioner took 14 and 15)
+    iterations (the flat preconditioner took 14 and 15), and at most 6
+    on the energy route
   - a batch whose columns converge at 0, 1, 2, 3 and the full count of
     iterations matches column-by-column solves to 1e-12 relative and
     reports the slowest column's count; a NaN column in it still ends in
@@ -127,6 +137,17 @@ def _lu_reference(sys, gamma=GAMMA1):
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
 
 
+def _energy_solver(sys, gamma=GAMMA1):
+    """The mode vectors (cut 2) on ``gamma`` in a node array, their energy
+    pairing and the solver that computed it."""
+    grid = sys.grid
+    V, _ = dn_solver._mode_basis(grid, gamma, 2.0)
+    U = np.zeros((grid.node_count, V.shape[1]))
+    U[grid.boundary_ids(gamma)] = V
+    solver = InteriorSolver(sys)
+    return solver.energy(U), U, V, solver
+
+
 def _dense_lu_reference(sys, gamma):
     """Dense Schur complement K_GG - K_GI K_II^{-1} K_IG on ``gamma``, sliced
     here and solved with splu of the interior block."""
@@ -212,14 +233,24 @@ class TestCrossCheck:
         assert _rel(dn_mode_matrix(sys, gamma)[0], B_ref) <= 1e-10
 
     @pytest.mark.parametrize(
-        "n,size", [(3, s) for s in SIZES] + [(4, 9)]
+        "n,size,potential,gamma",
+        # the plain GAMMA1 cases keep the ids of their size alone
+        [pytest.param(n, size, potential, gamma, id="-".join(
+            [str(n), str(size)] + ["potential"] * potential + [gamma] * (gamma != GAMMA1)))
+         for n, size in [(3, s) for s in SIZES] + [(4, 9), (2, 33)]
+         for potential in (False, True)
+         for gamma in (GAMMA1, GAMMA0, FULL_BOUNDARY)],
     )
-    def test_random_trig_within_bound(self, n, size):
-        g = sample_metric(random_trig_metric(n, seed=size), cyl_grid(n, size))
-        sys = assemble_stiffness(g)
-        B_ref, its = _lu_reference(sys)
-        assert its is not None and its <= _iteration_bound(g), its
-        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+    def test_random_trig_within_bound(self, n, size, potential, gamma):
+        grid = cyl_grid(n, size)
+        g = sample_metric(random_trig_metric(n, seed=size), grid)
+        q = np.random.default_rng(size).uniform(0.5, 1.5, grid.shape) if potential else None
+        sys = assemble_stiffness(g, potential=q)
+        B_ref, its = _lu_reference(sys, gamma)
+        assert its is not None
+        if not potential:
+            assert its <= _iteration_bound(g), its
+        assert _rel(dn_mode_matrix(sys, gamma)[0], B_ref) <= 1e-12
 
     @pytest.mark.parametrize("size", SIZES)
     def test_link_system_with_potential(self, size):
@@ -234,6 +265,47 @@ class TestCrossCheck:
         B_ref, its = _lu_reference(sys)
         assert its is not None and its <= _iteration_bound(counterexample_metric), its
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+
+class TestEnergy:
+    def test_dirichlet_principle_ordering(self, monkeypatch):
+        # at a 1e-3 stop CG takes 3 iterations instead of 9; the energy
+        # pairing is 1.1e-6 above LU where the linear form is 3.9e-3 off
+        monkeypatch.setattr(dn_solver, "_ENERGY_RTOL", 1e-3)
+        grid = cyl_grid(3, 13)
+        q = np.random.default_rng(13).uniform(0.5, 1.5, grid.shape)
+        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=13), grid), potential=q)
+        B_ref, _ = _lu_reference(sys)
+        B, U, V, solver = _energy_solver(sys)
+        assert solver.iterations is not None and solver.iterations <= 4, solver.iterations
+        excess = B - B_ref
+        assert np.linalg.eigvalsh(0.5 * (excess + excess.T)).min() >= -1e-12 * np.abs(B).max()
+        linear = V.T @ (sys.matrix[grid.boundary_ids(GAMMA1)] @ U) - B_ref
+        assert np.abs(linear).max() >= 1e-6 * np.abs(B).max()  # the extension stopped early
+        assert np.abs(excess).max() <= 1e-2 * np.abs(linear).max()
+
+    def test_missed_check_falls_back_to_extend(self, bumpy9, monkeypatch):
+        # a loose solution scaled off by 1e-3 misses the true-residual check
+        loose = InteriorSolver._pcg
+
+        def off(self, B, rtol):
+            X, start = loose(self, B, rtol)
+            return (X * (1.0 + 1e-3) if rtol == dn_solver._ENERGY_RTOL else X), start
+
+        monkeypatch.setattr(InteriorSolver, "_pcg", off)
+        sys = assemble_stiffness(bumpy9)
+        B_ref, its = _lu_reference(sys)
+        B, _, _, solver = _energy_solver(sys)
+        assert solver.iterations == its  # the strict solve answered
+        assert _rel(B, B_ref) <= 1e-12
+
+    def test_many_columns_take_dn_apply_chunks(self, bumpy9, monkeypatch):
+        sys = assemble_stiffness(bumpy9)
+        B = dn_mode_matrix(sys, FULL_BOUNDARY)[0]  # 26 columns, one node array
+        monkeypatch.setattr(dn_solver, "_DENSE_BYTES", 25 * 8 * bumpy9.grid.node_count)
+        monkeypatch.setattr(InteriorSolver, "energy", lambda self, u: pytest.fail("energy ran"))
+        B_chunks = dn_mode_matrix(sys, FULL_BOUNDARY)[0]
+        assert _rel(B_chunks, B) <= 1e-12
 
 
 class TestStaggeredBatch:
@@ -287,7 +359,7 @@ class TestStaggeredBatch:
 
 
 def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
-    monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B: pytest.fail("CG ran"))
+    monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B, rtol: pytest.fail("CG ran"))
     grid = flat9.grid
     sys = _shifted_system(flat9, flat9_lambda1)
     u = InteriorSolver(sys).extend(np.ones(grid.node_count))
@@ -363,12 +435,16 @@ class TestLayeredPreconditioner:
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
 
     def test_criterion_3_systems_stay_layered(self):
-        # 9 and 9 iterations; the flat preconditioner took 14 (c^4 g) and 15 (link)
+        # 9 and 9 iterations; the flat preconditioner took 14 (c^4 g) and 15
+        # (link); the energy route, stopped at 5e-7, takes 5 and 5
         grid = cyl_grid(3, 17)
         g = sample_metric(random_trig_metric(3, seed=0, max_mode=1), grid)
         c4g = assemble_stiffness(scale_metric(g, _collar_flat_factor(grid)))
-        its = [_lu_reference(sys)[1] for sys in (c4g, _link_system(g))]
+        systems = (c4g, _link_system(g))
+        its = [_lu_reference(sys)[1] for sys in systems]
         assert all(it is not None and it <= 12 for it in its), its
+        its = [_energy_solver(sys)[3].iterations for sys in systems]
+        assert all(it is not None and it <= 6 for it in its), its
 
 
 class TestLayerStripping:
