@@ -362,7 +362,9 @@ def synth_approx_miller(
     converges (``lsqr_stop`` 1 or 2) within its 2000 iterations on modes
     ((1,0),(0,1)) and ((1,1),(1,0)) at grid (25,24,24).
 
-    Returns (dataset, report dict).
+    Returns (dataset, report dict). Raises InfeasibleBounds when the LSQR
+    damping, the baseline residual or the fit's residual is not finite (an
+    amplitude of 1e160 overflows the Jacobian's squared column norms).
     """
     if grid.n != 3:
         raise GridMismatch("synthesis targets the 3-D cylinder")
@@ -389,12 +391,16 @@ def synth_approx_miller(
     # a zero source (u = 0) gives G = 0 and b = 0: LSQR returns x = 0 at once
     colsq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
     damp = float(np.sqrt(ridge * colsq.mean()))
+    if not np.isfinite([damp, baseline]).all():
+        raise InfeasibleBounds(f"amplitude {amplitude} overflows the fit: damp {damp}, baseline {baseline}")
     sol = spla.lsqr(G, b, damp=damp, atol=1e-12, btol=1e-12, iter_lim=2000)
     a_vec, istop, itn = np.clip(sol[0], -box, box), int(sol[1]), int(sol[2])
     taus = (1.0, 0.75, 0.5, 0.25, 0.0)
     residuals = [float(np.linalg.norm(G @ (tau * a_vec) - b)) for tau in taus]
     k = int(np.argmin(residuals))
     tau, achieved = taus[k], residuals[k]
+    if not np.isfinite(achieved):
+        raise InfeasibleBounds(f"amplitude {amplitude} overflows the fit: residual {achieved}")
     a_vec = tau * a_vec
 
     fields = np.zeros((3, grid.node_count))

@@ -13,13 +13,14 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 (quadrature-weighted) Neumann data, so mode eigenvalues are generalized
 Rayleigh quotients against the boundary mass matrix.
 
-Assembly (:func:`assemble_stiffness`) is one loop over blocks of cells,
-so its temporaries are block-sized, and one GEMM per block over the unique
-metric components and the unique element entries ``a <= b``. It is
-deterministic: each block mirrors its element matrices from their unique
-entries and scatters them, so every CSR slot sums in cell-major order;
-the matrices are bitwise symmetric and their bytes depend neither on the
-block size nor on the BLAS thread count. The CSR pattern and the element
+Assembly (:func:`assemble_stiffness`) is one loop over blocks of whole
+cell layers, about 4,096 cells each, so its temporaries are block-sized,
+and one GEMM per block over the unique metric components and the unique
+element entries ``a <= b``. It is deterministic: each block mirrors its
+element matrices from their unique entries and scatters them, so every
+CSR slot sums in cell-major order; the matrices are bitwise symmetric and
+their bytes depend neither on the block size (but see the 4-D caveat
+there) nor on the BLAS thread count. The CSR pattern and the element
 tables are cached per grid; the pattern is built without a sort, from the
 Q1 stencil's tensor form, and keeps three cell layers: the others shift.
 
@@ -83,7 +84,7 @@ _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _ENERGY_RTOL = 5e-7  # the same in InteriorSolver.energy, whose error is second order
 _CG_MAXIT = 200
 _DENSE_BYTES = 32 << 20  # bytes of the node array of one interior solve in dn_apply or dn_mode_matrix
-_BLOCK_CELLS = 4096  # cells per assembly block (2048 timed the same, 1024 and 8192 slower)
+_BLOCK_CELLS = 4096  # cells per assembly block, in whole cell layers (2048 timed the same, 1024 and 8192 slower)
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +181,19 @@ def _scatter_pattern(grid: CylinderGrid):
     return slot.reshape(3, P, -1), indices, indptr, nodes
 
 
-def _cell_layout(grid: CylinderGrid, slot: np.ndarray, nodes: np.ndarray, lo: int, hi: int):
-    """Cell-node table (2^n, hi - lo) and flat scatter slots of the cells
-    lo..hi from the stored layers: layer j's nodes are layer 0's plus j P,
-    and as every interior row holds 3^n entries, for 1 <= j <= num_t - 3
-    its slots are layer 1's plus (j - 1) 3^n P."""
+def _cell_layout(grid: CylinderGrid, slot: np.ndarray, nodes: np.ndarray, j0: int, j1: int):
+    """Cell-node table (2^n, (j1 - j0) P) and flat scatter slots of the
+    whole cell layers j0..j1 from the stored layers: layer j's nodes are
+    layer 0's plus j P, and as every interior row holds 3^n entries, for
+    1 <= j <= num_t - 3 its slots are layer 1's plus (j - 1) 3^n P."""
     P, step = grid.layer_count, 3**grid.n * grid.layer_count
-    cell_nodes = np.empty((nodes.shape[0], hi - lo), dtype=np.int32)
-    cell_slot = np.empty((hi - lo, slot.shape[2]), dtype=slot.dtype)
-    for j in range(lo // P, (hi - 1) // P + 1):
-        a, b = max(lo, j * P), min(hi, (j + 1) * P)  # the block's cells in layer j
+    cell_nodes = np.empty((nodes.shape[0], j1 - j0, P), dtype=np.int32)
+    cell_slot = np.empty((j1 - j0, *slot.shape[1:]), dtype=slot.dtype)
+    for j in range(j0, j1):
         k = 0 if j == 0 else 2 if j == grid.num_t - 2 else 1
-        np.add(nodes[:, a - j * P : b - j * P], j * P, out=cell_nodes[:, a - lo : b - lo])
-        np.add(slot[k, a - j * P : b - j * P], (j - 1) * step if k == 1 else 0, out=cell_slot[a - lo : b - lo])
-    return cell_nodes, cell_slot.ravel()
+        np.add(nodes, j * P, out=cell_nodes[:, j - j0])
+        np.add(slot[k], (j - 1) * step if k == 1 else 0, out=cell_slot[j - j0])
+    return cell_nodes.reshape(nodes.shape[0], -1), cell_slot.ravel()
 
 
 def _element_tables(grid: CylinderGrid):
@@ -233,17 +233,6 @@ def _grid_layout(grid: CylinderGrid):
     for arr in (*pattern, *tables):
         arr.flags.writeable = False
     return pattern, tables
-
-
-def _cell_blocks(n_cells: int):
-    """Bounds of the assembly blocks: ``_BLOCK_CELLS`` cells each, the last
-    one shorter. A one-cell remainder joins the block before it, because
-    numpy hands a one-row product to a matrix-vector kernel whose sums may
-    round differently from the matrix-matrix kernel of the other blocks."""
-    bounds = list(range(0, n_cells, _BLOCK_CELLS)) + [n_cells]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
 
 
 def _scatter(data: np.ndarray, slot: np.ndarray, unique: np.ndarray, mirror: np.ndarray) -> None:
@@ -293,7 +282,9 @@ def assemble_stiffness(
         a(u, v) = int g^{ij} d_i u d_j v sqrt(det g)
                   + int V u v sqrt(det g).
 
-    One loop runs over blocks of ``_BLOCK_CELLS`` cells. A block gathers
+    One loop runs over blocks of whole cell layers, as many as fit in
+    ``_BLOCK_CELLS`` cells and at least one, so a block holds at least the
+    P >= 4 cells of a layer and no GEMM has a single row. A block gathers
     the ``n(n+1)/2`` unique metric components at its cells' corners,
     interpolates them to the Gauss points (one matmul with the shape table
     N), takes ``W = sqrt(det g) g^{-1}`` there from the SPD kernel
@@ -305,9 +296,13 @@ def assemble_stiffness(
     matrices and scatters them straight into the CSR data of K, and of the
     mass matrix when there is a potential, whose entries come from
     ``sqrt(det g) V`` at the block's Gauss points by one GEMM against
-    ``w N[q, a] N[q, b]``. Block after block the scatter sums every slot
+    ``w N[q, a] N[q, b]``; it writes its t-cells' ``layers`` from those
+    Gauss points too. Block after block the scatter sums every slot
     in cell-major order, so K and M are bitwise symmetric and their bytes
-    depend on neither the block size nor the BLAS thread count. The
+    depend on neither the block size nor the BLAS thread count; but in 4-D
+    the interpolation matmul rounds the last one to four columns of a block
+    whose cell count is not a multiple of 8 its own way, so there the bytes
+    can change with the block size unless P is a multiple of 8. The
     cell-node table, the scatter pattern and the tables come from a
     per-grid cache (equal grids share one entry) and are never handed out:
     the system's matrices share one copy of the index arrays.
@@ -316,7 +311,7 @@ def assemble_stiffness(
     n = grid.n
     size = grid.node_count
     (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror) = _grid_layout(grid)
-    n_cells = (grid.num_t - 1) * grid.layer_count
+    P, num_cells_t = grid.layer_count, grid.num_t - 1
 
     v_nodes = None
     if potential is not None:
@@ -333,18 +328,19 @@ def assemble_stiffness(
     g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n)[:, iu * n + ju].T)
     k_data = np.zeros(indices.size)
     m_data = None if v_nodes is None else np.zeros(indices.size)
-    # per cell, the Gauss means of the diagonal of W, then of sqrt(det g) V
-    cell_means = np.zeros((n + 1, n_cells))
-    for lo, hi in _cell_blocks(n_cells):
-        cell_nodes, block_slot = _cell_layout(grid, slot, nodes, lo, hi)
+    # per t-cell, the means of diag(W), then of sqrt(det g) V
+    layers = np.zeros((n + 1, num_cells_t))
+    per = max(1, _BLOCK_CELLS // P)  # whole cell layers per block
+    for j0 in range(0, num_cells_t, per):
+        j1 = min(j0 + per, num_cells_t)
+        cell_nodes, block_slot = _cell_layout(grid, slot, nodes, j0, j1)
         W, root_det = spd_weight(N @ np.take(g_nodes, cell_nodes, axis=1, mode="clip"))
-        _scatter(k_data, block_slot, W.reshape(-1, hi - lo).T @ stiff, mirror)
-        cell_means[:n, lo:hi] = W[iu == ju].mean(axis=1)
+        _scatter(k_data, block_slot, W.reshape(-1, cell_nodes.shape[1]).T @ stiff, mirror)
+        layers[:n, j0:j1] = W[iu == ju].mean(axis=1).reshape(n, -1, P).mean(axis=2)
         if m_data is not None:
             mass_weight = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
             _scatter(m_data, block_slot, mass_weight.T @ mass_table, mirror)
-            cell_means[n, lo:hi] = mass_weight.mean(axis=0)
-    layers = cell_means.reshape(n + 1, grid.num_t - 1, -1).mean(axis=2)
+            layers[n, j0:j1] = mass_weight.mean(axis=0).reshape(-1, P).mean(axis=1)
     # one copy of the index arrays, shared by the system's matrices
     indices, indptr = indices.copy(), indptr.copy()
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))

@@ -137,7 +137,8 @@ class GridMismatch(CalderonLabError):
 
 
 class InfeasibleBounds(CalderonLabError):
-    """Coefficient box constraints admit no variation."""
+    """A synthesis parameter is out of range: coefficient box constraints
+    that admit no variation, or an amplitude whose fit is not finite."""
 
 
 class TrivialU(CalderonLabError):

@@ -23,7 +23,7 @@ from calderon_lab.cli import main, run
 from calderon_lab.counterexample import save_dataset
 from calderon_lab.errors import ConfigInvalid
 from calderon_lab.grid_geometry import MillerDataset, cyl_grid
-from calderon_lab.report import emit_report
+from calderon_lab.report import emit_report, load_json
 from conftest import base64_with_nan
 
 _STUDY_CFG = {
@@ -429,6 +429,37 @@ class TestConfigCheckedFirst:
         assert f"key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    # 1,500 pairs nested the synthesised wave sum past the recursion limit
+    # (RecursionError, exit 1), and an empty list was accepted
+    @pytest.mark.parametrize("modes", [[[1, 0]] * 1500, []], ids=["1500-pairs", "empty"])
+    @pytest.mark.parametrize("command", ["synth-dataset", "counterexample-study"])
+    def test_synth_modes_bounded(self, tmp_path, monkeypatch, capsys, command, modes):
+        _stub_computation(monkeypatch, _must_not_run)
+        if command == "synth-dataset":
+            cfg = {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": modes}
+        else:
+            cfg = {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "modes": modes}}
+        code, out = _cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "key 'modes'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the subcommands that assemble take n up to 4: rigidity-check at n = 7,
+    # size 5 ran out of memory under a 3 GB limit (exit 1, traceback)
+    @pytest.mark.parametrize("command,cfg", [
+        ("dn-compare", {"sizes": [9], "transform": {"kind": "diffeo", "diffeo": "identity"}}),
+        ("rigidity-check", {"size": 5, "seeds": [0]}),
+    ], ids=["dn-compare", "rigidity-check"])
+    def test_assembling_commands_take_n_up_to_4(self, tmp_path, monkeypatch, capsys, command, cfg):
+        _stub_computation(monkeypatch, _must_not_run)
+        with pytest.raises(AssertionError, match="computation started"):
+            run(command, {**cfg, "n": 4}, tmp_path)
+        for n in range(5, 10):
+            code, out = _cli(tmp_path, command, {**cfg, "n": n})
+            assert code == 2
+            assert "key 'n'" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_identities_need_n3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "cyl_grid", _must_not_run)
         monkeypatch.setattr(cli, "sample_metric", _must_not_run)
@@ -763,6 +794,19 @@ class TestDnCompare:
         )
         assert code == 0
 
+    # all-zero gaps made _order_fit return inf: the report held
+    # "value": Infinity, which load_json refuses, and passed gap_order vacuously
+    @pytest.mark.parametrize("transform", [
+        {"kind": "conformal-link", "amplitude": 0},
+        {"kind": "diffeo", "diffeo": {"family": "bump", "amplitude": 0}},
+    ], ids=["link", "bump"])
+    def test_zero_amplitude_gaps_at_floor(self, tmp_path, transform):
+        code, out = _cli(tmp_path, "dn-compare", {"n": 3, "sizes": [5, 9], "cut": 1.0, "transform": transform})
+        assert code == 0
+        doc = load_json(out / "report.json")
+        assert doc["scalars"]["gaps"] == [0.0, 0.0]
+        assert [(v["name"], v["value"]) for v in doc["verdicts"]] == [("gap_at_floor", 0.0)]
+
 
 class TestDatasetCommands:
     def test_synth_passes_only_set_keys(self, monkeypatch):
@@ -795,6 +839,14 @@ class TestDatasetCommands:
         assert code2 == 0
         doc = json.loads((out2 / "report.json").read_text())
         assert doc["passed"] is True
+
+    # the Jacobian's squared column norms overflowed: NaN in five lines of
+    # report.json and exit 1 on a failed verdict
+    def test_overflowing_amplitude_is_config_error(self, tmp_path, capsys):
+        code, out = _cli(tmp_path, "synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "amplitude": 1e160})
+        assert code == 2
+        assert "overflows the fit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_failing_dataset_exits_1(self, tmp_path):
         grid = cyl_grid(3, 5)

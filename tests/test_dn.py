@@ -50,7 +50,6 @@ Verifies:
 import decimal
 import hashlib
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -433,7 +432,7 @@ def test_tensor_pattern_matches_argsort(grid):
     # and the one of cell nodes
     slot, indices, indptr, layer0 = dn_solver._scatter_pattern(grid)
     assert slot.shape[0] == 3 and layer0.shape == (1 << grid.n, grid.layer_count)
-    nodes, slot = dn_solver._cell_layout(grid, slot, layer0, 0, (grid.num_t - 1) * grid.layer_count)
+    nodes, slot = dn_solver._cell_layout(grid, slot, layer0, 0, grid.num_t - 1)
     oracle_nodes = _rolled_cell_nodes(grid)
     assert nodes.dtype == np.int32
     assert np.array_equal(nodes, oracle_nodes), "cell nodes"
@@ -506,10 +505,11 @@ class TestGridLayoutCache:
     def test_bytes_independent_of_blas_threads(self):
         # the element matrices come from BLAS GEMMs, and report.json byte
         # identity across thread counts rests on their being reproducible;
-        # grid 25 spans several assembly blocks, the last one partial
+        # grid 25 spans several whole-layer assembly blocks, the last one
+        # partial: 24 layers of 576 cells in blocks of 7
         grid = cyl_grid(3, 25)
-        blocks = list(dn_solver._cell_blocks((grid.num_t - 1) * math.prod(grid.num_ang)))
-        assert len(blocks) >= 2 and blocks[-1][1] - blocks[-1][0] < dn_solver._BLOCK_CELLS
+        per = dn_solver._BLOCK_CELLS // grid.layer_count
+        assert per == 7 and (grid.num_t - 1) % per != 0
         src = Path(dn_solver.__file__).resolve().parents[1]
         script = (
             "import hashlib, numpy as np\n"
@@ -565,8 +565,9 @@ def _assembly_temporaries(n: int, size: int) -> list[int]:
 
 
 class TestBlockedAssembly:
-    # 512 and 1296 cells leave one cell over in blocks of 7, which joins the
-    # block before it; 1024 leaves two
+    # each grid is one block by default; _BLOCK_CELLS = 7 makes one layer a
+    # block, and five layers a block leave a partial last one (32, 8 and 6
+    # layers)
     @pytest.mark.parametrize("with_potential", [False, True], ids=["plain", "potential"])
     @pytest.mark.parametrize(
         "grid", [cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(4, 7)], ids=["n2", "n3", "n4"]
@@ -574,21 +575,22 @@ class TestBlockedAssembly:
     def test_bytes_independent_of_block_size(self, monkeypatch, grid, with_potential):
         metric = sample_metric(random_trig_metric(grid.n, seed=20 + grid.n), grid)
         q = np.random.default_rng(grid.n).uniform(-1.0, 2.0, grid.shape) if with_potential else None
+        layers = grid.num_t - 1
+        assert layers * grid.layer_count <= dn_solver._BLOCK_CELLS and layers % 5 != 0
         one_block = assemble_stiffness(metric, potential=q)
-        monkeypatch.setattr(dn_solver, "_BLOCK_CELLS", 7)
-        n_cells = (grid.num_t - 1) * math.prod(grid.num_ang)
-        assert n_cells <= 4096 and all(hi - lo >= 2 for lo, hi in dn_solver._cell_blocks(n_cells))
-        blocked = assemble_stiffness(metric, potential=q)
-        pairs = [(one_block.laplace, blocked.laplace)]
-        if with_potential:
-            pairs.append((one_block.mass, blocked.mass))
-        for A, B in pairs:
-            assert A.data.tobytes() == B.data.tobytes()
-            assert np.array_equal(A.indices, B.indices) and np.array_equal(A.indptr, B.indptr)
-            assert _bitwise_symmetric(B)
-        assert one_block.layers.tobytes() == blocked.layers.tobytes()
+        for block in (7, 5 * grid.layer_count):
+            monkeypatch.setattr(dn_solver, "_BLOCK_CELLS", block)
+            blocked = assemble_stiffness(metric, potential=q)
+            pairs = [(one_block.laplace, blocked.laplace)]
+            if with_potential:
+                pairs.append((one_block.mass, blocked.mass))
+            for A, B in pairs:
+                assert A.data.tobytes() == B.data.tobytes()
+                assert np.array_equal(A.indices, B.indices) and np.array_equal(A.indptr, B.indptr)
+                assert _bitwise_symmetric(B)
+            assert one_block.layers.tobytes() == blocked.layers.tobytes()
 
-    # 120 cells per t-layer: every size here but the last cuts t-layers
+    # 120 cells per t-layer: blocks of one, four and all twelve layers
     @pytest.mark.parametrize("block", [2, 7, 64, 500, 1440])
     def test_layer_means_independent_of_block_size(self, monkeypatch, block):
         grid = CylinderGrid(3, 13, (12, 10))
