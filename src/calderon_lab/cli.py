@@ -128,21 +128,17 @@ _MAX_MODE = (ranged(integer, 0, 65), 1)
 
 
 def _grid(build, *args) -> CylinderGrid:
-    """``build(*args)`` for a grid builder or a coarsening; an invalid size,
-    dimension or stride in the config is a config error, and so is a grid
-    of more than ``_MAX_NODES`` nodes. A grid allocates nothing until it is
-    sampled, so the cap is checked before any array exists. The count is a
-    running product that stops at the cap, so a huge grid costs no big
-    integer arithmetic."""
+    """``build(*args)`` for a grid builder, a coarsening or a dataset's
+    grid; an invalid size, dimension or stride in the config is a config
+    error, and so is a grid of more than ``_MAX_NODES`` nodes. A grid
+    allocates nothing until it is sampled, so the cap is checked before any
+    array exists."""
     try:
         grid = build(*args)
     except (ValueError, DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
-    count = 1
-    for num in grid.shape:
-        count *= num
-        if count > _MAX_NODES:
-            raise ConfigInvalid(f"a grid of {grid.n} axes is over the cap of {_MAX_NODES} nodes")
+    if grid.node_count > _MAX_NODES:
+        raise ConfigInvalid(f"a grid of {grid.n} axes is over the cap of {_MAX_NODES} nodes")
     return grid
 
 
@@ -369,7 +365,7 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     rep = ExperimentReport("counterexample-study", cfg)
     if s.synth is None:
         data = load_dataset(s.dataset)
-        check(data.grid)
+        check(_grid(lambda: data.grid))
         rep.scalars["dataset"] = s.dataset
     else:
         data, synth_rep, _ = _synth(s.synth, check)
@@ -382,6 +378,13 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
             conformal_family(u, eps)
         except FactorTooLarge as e:
             raise ConfigInvalid(f"eps out of range for the dataset: {e}") from e
+    # the fit has two coefficients: with nonzero eps it needs two distinct
+    # ones and three distinct cells, or its R^2 of 1 and its betas say nothing
+    nonzero = {eps for eps in s.eps if eps != 0.0}
+    if nonzero and (len(nonzero) < 2 or len(nonzero) * len(set(s.strides)) < 3):
+        raise ConfigInvalid(f"the gap fit needs at least 2 distinct nonzero eps and 3 distinct "
+                            f"(nonzero eps, stride) cells, got eps {quote(list(s.eps))} and "
+                            f"strides {quote(list(s.strides))}")
 
     res = dn_gap_study(data, s.eps, strides=s.strides, gamma=s.gamma, cut=s.cut)
     rep.add_table(
@@ -409,8 +412,10 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
 
 def _run_validate_dataset(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "validate-dataset config", dataset=(_file, REQUIRED))
-    # a malformed container is a computation failure
+    # a malformed container is a computation failure, a grid over the cap a
+    # config error
     data = load_dataset(s.dataset)
+    _grid(lambda: data.grid)
     rep = ExperimentReport("validate-dataset", cfg)
     result = validate_miller_properties(data)
     rep.scalars["validation"] = result.as_dict()

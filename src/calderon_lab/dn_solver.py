@@ -27,23 +27,23 @@ Q1 stencil's tensor form, and keeps three cell layers: the others shift.
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
 one contiguous id range, so it borrows K's free rows and copies no block
-but for its LU fallback. Its ``extend`` replaces the interior entries of a
-nodal array by the discrete harmonic extension of its boundary entries,
-and it is the only way Dirichlet data reaches a solve: DN maps
-(``K[G] @ extend(U)`` with ``U`` the traces on ``G`` and zero elsewhere)
-and the rigidity check of ``conformal`` are both this one operation, and
-mode matrices are its energies ``U^T K U`` (``energy``).
-Solves run batched conjugate gradients
+but for its LU fallback. Its one step, the only way Dirichlet data reach
+a solve, replaces the interior entries of a nodal array ``U`` by the
+discrete harmonic extension of its boundary entries and returns
+``K @ U``: its free rows are minus the residual, its rows on ``G`` the
+Neumann data (DN maps are ``extend(U)[G]``, ``U`` the traces on ``G`` and
+zero elsewhere), and ``U^T K U`` the Dirichlet energies of mode matrices
+(``energy``). Solves run batched conjugate gradients
 preconditioned by the exact inverse of a layered operator, the Q1 block of
 the t-cell means that assembly keeps (``StiffnessSystem.layers``), applied
 by fast diagonalisation; the flat metric is its special case. A sparse LU
 of the block is the fallback when that operator is indefinite or CG breaks
-down or stalls. Each solve of ``solve`` and ``extend`` stops CG at 1e-12
-of the preconditioned residual and is checked at 1e-10 relative residual.
-``energy`` stops at 5e-7, near the square root of 1e-12: an energy is off
-only by the square of its extension's error, in the K-energy norm. It
-checks its true residual, from the same product ``K @ U`` as the energies,
-at twice that stop, and calls ``extend`` when the check fails.
+down or stalls. ``extend`` stops CG at 1e-12 of the preconditioned
+residual and checks the true one at 1e-10 relative. ``energy`` stops at
+5e-7, near the square root of 1e-12: an energy is off only by the square
+of its extension's error, in the K-energy norm. It checks the
+preconditioned true residual at twice that stop and reruns as ``extend``
+when the check fails.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
 t-layers with one dense Cholesky per layer (:func:`_layer_stripped`) and
@@ -413,13 +413,14 @@ class InteriorSolver:
     into its interior t-layers, the slice ``free`` of node ids.
     ``extend(u)`` overwrites ``u[free]`` by the solution of
     ``K[free, free] x = -K[free, fixed] u[fixed]`` with ``fixed`` the
-    ``FULL_BOUNDARY`` ids: the Dirichlet data are the boundary entries of
-    a nodal array, with no trace container in between. ``energy(u)``
-    extends the same way and returns the Dirichlet energies ``u^T K u``
-    of the extensions. ``solve`` solves with the block ``K[free, free]``
-    directly. All apply K through ``rows``, the free rows of K borrowed as
-    views; only the first and last free t-layers touch fixed nodes, so a
-    right-hand side multiplies only their rows.
+    ``FULL_BOUNDARY`` ids (the Dirichlet data are the boundary entries of
+    a nodal array) and returns ``K @ u``, whose boundary rows are the
+    Neumann data; ``energy(u)`` returns the Dirichlet energies ``u^T K u``.
+    Both are the one step ``_extend``, which checks the solve by the free
+    rows of that product, minus the residual. CG applies K through
+    ``rows``, the free rows of K borrowed as views; only the first and last
+    free t-layers touch fixed nodes, so a right-hand side multiplies only
+    their rows.
 
     Every solve runs preconditioned CG on all right-hand-side columns at
     once. The preconditioner is the exact inverse of a separable layered
@@ -432,9 +433,10 @@ class InteriorSolver:
     of the periodic angular pencils ``(K_d, M_d)`` gives its inverse
     ``V D^{-1} V^T`` with ``V = V_t (x) V_1 (x) ...`` and
     ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``; a non-positive entry of ``D``
-    sends the solver straight to the LU below. In ``solve`` and ``extend``
-    a column stops when its preconditioned residual ``sqrt(r^T z)`` is at
-    most 1e-12 of its start.
+    sends the solver straight to the LU below. In ``extend`` a column
+    stops when its preconditioned residual ``sqrt(r^T z)`` is at most 1e-12
+    of its start, and the extension stands when ``||(K u)[free]||`` is at
+    most 1e-10 of ``||b||``, ``b`` the right-hand side.
     With ``C`` the layered coefficients and ``W = sqrt(det g) g^{-1}``,
     ``min eig(C^{-1} W) K_C <= K_g <= max eig(C^{-1} W) K_C`` over the
     quadrature points, so a potential-free block needs at most
@@ -451,17 +453,18 @@ class InteriorSolver:
     The excess is the K-energy of ``e``, positive semidefinite (the
     Dirichlet principle), and within the preconditioned condition number
     of ``r^T z``, so it is about ``kappa`` times the square of the stop
-    relative to the energy. One product ``K @ u`` over all rows gives the
-    energies and the true residual ``-(K u)[free]``, which must pass the
-    same test with 2x slack; if it does not, or CG is not run or fails,
-    ``energy`` calls ``extend``.
+    relative to the energy. The true residual ``r = -(K u)[free]`` must
+    pass the same test with 2x slack, ``r^T z <= (2 * 5e-7)^2`` of each
+    column's start; if it does not, or CG is not run or fails, the step
+    reruns as ``extend``.
 
     If CG breaks down (``p^T A p <= 0``, as it can on an indefinite
     ``-Lap_g + q`` block), has not converged after ``_CG_MAXIT`` iterations
-    or returns a solution that misses the residual check, this and every
+    or returns a solution that misses the 1e-10 check, this and every
     later solve use a sparse LU of the block instead, ordered by MMD on
-    A^T + A; a pivot ratio below 1e-9 there raises SingularInteriorBlock,
-    and ``iterations`` is None. Each solver serves one public call and is
+    A^T + A, and checked at 1e-10 as well, or NoConvergence is raised; a
+    pivot ratio below 1e-9 there raises SingularInteriorBlock, and
+    ``iterations`` is None. Each solver serves one public call and is
     never cached.
     """
 
@@ -505,35 +508,45 @@ class InteriorSolver:
         return b
 
     def extend(self, u: np.ndarray) -> np.ndarray:
-        """Overwrite the interior entries of ``u`` (nodes first, any number
-        of columns) by the harmonic extension of its boundary entries;
-        returns ``u``."""
-        u[self.free] = self.solve(self._rhs(u))
-        return u
+        """Overwrite the interior entries of ``u`` (nodes first, one column
+        or several) by the harmonic extension of its boundary entries and
+        return ``K @ u``, whose boundary rows are its Neumann data."""
+        return self._extend(u, _CG_RTOL)
 
     def energy(self, u: np.ndarray) -> np.ndarray:
-        """Extend the boundary columns of ``u`` (nodes first) into its
-        interior entries, as ``extend`` does, and return the pairing
-        ``u^T K u``, with CG stopped at ``_ENERGY_RTOL``."""
-        b = self._rhs(u)
-        run = self._pcg(b, _ENERGY_RTOL) if self._lu is None and self._definite else None
+        """Extend the boundary columns of ``u`` (nodes first) as ``extend``
+        does, with CG stopped at ``_ENERGY_RTOL``, and return the Dirichlet
+        energies ``u^T K u``."""
+        return u.T @ self._extend(u, _ENERGY_RTOL)
+
+    def _extend(self, u: np.ndarray, rtol: float) -> np.ndarray:
+        """Solve ``K[free, free] x = _rhs(u)`` into ``u[free]``, checked as
+        above, and return ``K @ u``."""
+        U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
+        b = self._rhs(U)
+        scale = max(np.linalg.norm(b), 1e-300)
+        run = self._pcg(b, rtol) if self._lu is None and self._definite else None
         if run is not None:
             X, start = run
             b[:] = X
-            Ku = self._K @ u
-            r = Ku[self.free]  # minus the residual
-            rz = np.einsum("ij,ij->j", r, self._precondition(r))
-            if (rz <= (2.0 * _ENERGY_RTOL) ** 2 * start).all():  # NaN fails too
-                return u.T @ Ku
-        self.extend(u)
-        return u.T @ (self._K @ u)
-
-    def _apply(self, X: np.ndarray) -> np.ndarray:
-        """``K[free, free] @ X`` bitwise: ``rows`` times ``X`` in a node array
-        of zero fixed rows, whose terms leave each row's sum as it is."""
-        U = np.zeros((self.rows.shape[1], X.shape[1]))
-        U[self.free] = X
-        return self.rows @ U
+            KU = self._K @ U
+            r = KU[self.free]
+            if rtol == _CG_RTOL:
+                ok = np.linalg.norm(r) <= _SOLVE_RTOL * scale
+            else:
+                ok = (np.einsum("ij,ij->j", r, self._precondition(r)) <= (2.0 * rtol) ** 2 * start).all()
+            if ok:  # NaN fails
+                return KU.reshape(u.shape)
+        if rtol != _CG_RTOL:
+            return self._extend(u, _CG_RTOL)
+        self.iterations = None
+        b = self._rhs(U)
+        b[:] = self._factor().solve(b)
+        KU = self._K @ U
+        res = np.linalg.norm(KU[self.free])
+        if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
+            raise NoConvergence(res / scale, _SOLVE_RTOL)
+        return KU.reshape(u.shape)
 
     def _precondition(self, R: np.ndarray) -> np.ndarray:
         """``V D^{-1} V^T R`` for the columns of ``R``: the inverse of the
@@ -607,22 +620,6 @@ class InteriorSolver:
             self._lu = lu
         return self._lu
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``K[free, free] @ X = rhs``; raises NoConvergence unless
-        ``||K[free, free] @ X - rhs|| <= 1e-10 ||rhs||``."""
-        B = rhs.reshape(rhs.shape[0], -1)
-        scale = max(np.linalg.norm(B), 1e-300)
-        run = self._pcg(B, _CG_RTOL) if self._lu is None and self._definite else None
-        X = None if run is None else run[0]
-        res = None if X is None else np.linalg.norm(self._apply(X) - B)
-        if res is None or not (res <= _SOLVE_RTOL * scale):
-            self.iterations = None
-            X = self._factor().solve(B)
-            res = np.linalg.norm(self._apply(X) - B)
-        if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
-            raise NoConvergence(res / scale, _SOLVE_RTOL)
-        return X.reshape(rhs.shape)
-
 
 # ---------------------------------------------------------------------------
 # DN maps
@@ -690,16 +687,17 @@ def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
     """Apply the DN map to trace columns without forming it densely.
 
-    ``traces`` has shape (n_gamma, k); returns the same shape. Columns go
-    through one interior solver in chunks of at most ``_DENSE_BYTES`` of
-    node array (at least one column), so a solve's memory is bounded.
+    ``traces`` has shape (n_gamma, k); returns the same shape: the rows on
+    ``gamma`` of ``K @ u`` that ``InteriorSolver.extend`` returns, the
+    Neumann data of the extensions ``u``. Columns go through one interior
+    solver in chunks of at most ``_DENSE_BYTES`` of node array (at least
+    one column), so a solve's memory is bounded.
     """
     grid = sys.grid
     G = grid.boundary_ids(gamma)
     V = np.asarray(traces, dtype=float)
     if V.ndim != 2 or V.shape[0] != G.size:
         raise ShapeMismatch(f"traces of shape {V.shape}, expected {G.size} rows on {gamma}")
-    K_G = sys.matrix[G]
     solver = InteriorSolver(sys)
     out = np.empty((G.size, V.shape[1]))
     chunk = max(1, _DENSE_BYTES // (8 * grid.node_count))
@@ -712,7 +710,7 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
         cols = V[:, lo : lo + chunk]
         U_chunk = U[:, : cols.shape[1]]
         U_chunk[G] = cols
-        out[:, lo : lo + chunk] = K_G @ solver.extend(U_chunk)
+        out[:, lo : lo + chunk] = solver.extend(U_chunk)[G]
     return out
 
 

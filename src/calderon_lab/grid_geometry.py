@@ -86,7 +86,7 @@ class CylinderGrid:
     @property
     def layer_count(self) -> int:
         """Nodes in one t-layer."""
-        return int(np.prod(self.num_ang))
+        return math.prod(self.num_ang)
 
     @property
     def h_t(self) -> float:

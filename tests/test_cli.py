@@ -22,7 +22,7 @@ from calderon_lab import cli
 from calderon_lab.cli import main, run
 from calderon_lab.counterexample import save_dataset
 from calderon_lab.errors import ConfigInvalid
-from calderon_lab.grid_geometry import MillerDataset, cyl_grid
+from calderon_lab.grid_geometry import CylinderGrid, MillerDataset, cyl_grid
 from calderon_lab.report import emit_report, load_json
 from conftest import base64_with_nan
 
@@ -338,6 +338,15 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("computation started before the config was checked")
 
 
+@pytest.fixture(scope="module")
+def over_cap_dataset(tmp_path_factory):
+    """A zero dataset on 69 x 68 x 68 nodes, 319,056 against the cap of
+    266,240."""
+    path = tmp_path_factory.mktemp("over-cap") / "ds.json"
+    save_dataset(MillerDataset.zero(CylinderGrid(3, 69, (68, 68))), path)
+    return str(path)
+
+
 class TestConfigCheckedFirst:
     # at 0 and 1e-16 the seven volume samples are not distinct: the study
     # used to run in full and then exit 1 with InsufficientSamples
@@ -352,6 +361,27 @@ class TestConfigCheckedFirst:
         code, _ = _cli(tmp_path, "counterexample-study", {**_STUDY_CFG, key: value})
         assert code == 2
         assert f"key {key!r}" in capsys.readouterr().err
+
+    # the fit has two coefficients: on one or two cells it reported an R^2
+    # of 1.0, passed both beta verdicts and exited 0
+    @pytest.mark.parametrize(
+        "eps,strides",
+        [([0.05], [1]), ([0.05, 0.05], [1]), ([0.0, 0.05, 0.1], [1]), ([0.05], [2, 1])],
+        ids=["one-cell", "one-cell-repeated", "two-cells", "one-eps"],
+    )
+    def test_study_fit_needs_cells(self, tmp_path, monkeypatch, capsys, eps, strides):
+        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
+        code, out = _cli(tmp_path, "counterexample-study", {**_STUDY_CFG, "eps": eps, "strides": strides})
+        assert code == 2
+        assert "the gap fit needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", [[0.0], [0.0, 0.025, 0.05, 0.1]], ids=["all-zero", "three-cells"])
+    def test_study_fit_cells_enough(self, tmp_path, monkeypatch, eps):
+        # an all-zero list has only its zero_eps_gap verdict
+        monkeypatch.setattr(cli, "dn_gap_study", _reached)
+        with pytest.raises(_Reached):
+            run("counterexample-study", {**_STUDY_CFG, "eps": eps, "strides": [1]}, tmp_path)
 
     @pytest.mark.parametrize(
         "key,value", [("eps", [0.0, 1000.0]), ("nonisometry_eps", 1000.0)], ids=["eps", "nonisometry_eps"]
@@ -399,6 +429,20 @@ class TestConfigCheckedFirst:
         monkeypatch.setattr(cli, "sample_metric", _must_not_run)
         cfg = {"n": n, "sizes": [9, size], "transform": {"kind": "diffeo", "diffeo": "identity"}}
         code, out = _cli(tmp_path, "dn-compare", cfg)
+        assert code == 2
+        assert "over the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg", [("validate-dataset", {}), ("counterexample-study", {"strides": [4]})],
+        ids=["validate-dataset", "counterexample-study"],
+    )
+    def test_over_cap_dataset_refused(self, tmp_path, monkeypatch, capsys, over_cap_dataset, command, cfg):
+        # both runs passed at exit 0: validation, and a stride-4 study that
+        # ran its nonisometry check on the full 319,056-node grid
+        monkeypatch.setattr(cli, "validate_miller_properties", _must_not_run)
+        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
+        code, out = _cli(tmp_path, command, {**cfg, "dataset": over_cap_dataset})
         assert code == 2
         assert "over the cap" in capsys.readouterr().err
         assert not out.exists()

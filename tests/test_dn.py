@@ -621,8 +621,8 @@ def _extend_boundary(metric, gamma0: float, gamma1):
     u = np.zeros(grid.shape)
     u[0] = gamma0
     u[-1] = gamma1
-    solver = InteriorSolver(assemble_stiffness(metric))
-    return solver.extend(u.reshape(grid.node_count)).reshape(grid.shape)
+    InteriorSolver(assemble_stiffness(metric)).extend(u.reshape(grid.node_count))  # a view of u
+    return u
 
 
 class TestDirichletSolve:

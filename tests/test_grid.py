@@ -50,6 +50,12 @@ class TestCylinderGrid:
         assert grid.node_count == 9 * 8 * 6
         assert grid.layer_count == 48
 
+    def test_huge_counts_exact(self):
+        # an int64 product wrapped the layer count of this grid to 0
+        grid = CylinderGrid(3, 3, (2**32, 2**32))
+        assert grid.layer_count == 2**64
+        assert grid.node_count == 3 * 2**64
+
     def test_cyl_grid_convention(self):
         # "size s" means s nodes in t and s-1 per angular axis
         assert cyl_grid(3, 9).shape == (9, 8, 8)

@@ -31,9 +31,9 @@ Verifies:
     iterations (the flat preconditioner took 14 and 15), and at most 6
     on the energy route
   - a batch whose columns converge at 0, 1, 2, 3 and the full count of
-    iterations matches column-by-column solves to 1e-12 relative and
-    reports the slowest column's count; a NaN column in it still ends in
-    the LU fallback and NoConvergence
+    iterations in CG matches column-by-column runs to 1e-12 relative and
+    reports the slowest column's count; a NaN boundary entry in a node
+    array sent to extend ends CG, then the LU fallback, in NoConvergence
   - an indefinite but nonsingular block (the flat block shifted past its
     first Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
     layered operator, goes straight to LU in InteriorSolver.extend and
@@ -44,9 +44,11 @@ Verifies:
     the CG/LU route
   - the solver borrows K's free rows instead of copying the interior
     block: their product with a node array of zero fixed rows has the
-    bytes of ``K[free, free] @ X``, and the right-hand side of ``extend``
-    has the bytes of ``K[free, fixed] @ -u[fixed]``, on 2-D, 3-D, 4-D and
-    num_t = 3 grids, plain and with a potential; at 33^3 a solver
+    bytes of ``K[free, free] @ X``, the right-hand side of ``extend`` has
+    the bytes of ``K[free, fixed] @ -u[fixed]``, ``extend`` returns the
+    bytes of ``K @ u`` for one column and several, and ``dn_apply`` those
+    of ``K[G] @ u``, on 2-D, 3-D, 4-D and num_t = 3 grids, plain and with
+    a potential; at 33^3 a solver
     allocates at most 1 MB (the copied blocks took 10.8 MB), and at 65^3 a
     fresh process that samples, assembles with a potential and builds a
     solver peaks at most at 420 MB max RSS (543 MB with the copies)
@@ -121,7 +123,8 @@ def _iteration_bound(metric) -> int:
 def _lu_reference(sys, gamma=GAMMA1):
     """Mode matrix (cut 2) on ``gamma`` as the Schur complement
     K_GG - K_GI K_II^{-1} K_IG, sliced here and solved with splu of the
-    interior block, and the CG iteration count of the same interior solve."""
+    interior block, and the CG iteration count of ``extend`` on a node
+    array of the same mode traces."""
     grid = sys.grid
     K = sys.matrix
     I = grid.interior_ids()
@@ -130,9 +133,11 @@ def _lu_reference(sys, gamma=GAMMA1):
     if gamma == FULL_BOUNDARY:
         z = np.zeros_like(V)
         V = np.block([[V, z], [z, V]])
-    rhs = K[I][:, G] @ V
+    U = np.zeros((grid.node_count, V.shape[1]))
+    U[G] = V
     solver = InteriorSolver(sys)
-    solver.solve(rhs)
+    solver.extend(U)
+    rhs = K[I][:, G] @ V
     X = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
 
@@ -339,22 +344,26 @@ class TestStaggeredBatch:
     def test_matches_column_by_column(self, bumpy9):
         sys, B = self._batch(bumpy9)
         solver = InteriorSolver(sys)
-        X = solver.solve(B)
+        X, _ = solver._pcg(B, dn_solver._CG_RTOL)
         counts = []
         for j in range(B.shape[1]):
             single = InteriorSolver(sys)
-            x = single.solve(B[:, j])
+            x, _ = single._pcg(B[:, [j]], dn_solver._CG_RTOL)
             counts.append(single.iterations)
-            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x), j
+            assert np.linalg.norm(X[:, j] - x[:, 0]) <= 1e-12 * np.linalg.norm(x), j
         assert counts[:4] == [1, 1, 2, 3] and counts[-1] == 0, counts
         assert solver.iterations == max(counts)
 
     def test_nan_column_ends_in_lu_and_no_convergence(self, bumpy9):
-        sys, B = self._batch(bumpy9)
-        B[3, 2] = np.nan
+        grid = bumpy9.grid
+        sys = assemble_stiffness(bumpy9)
+        G = grid.boundary_ids(FULL_BOUNDARY)
+        U = np.zeros((grid.node_count, 7))
+        U[G] = np.random.default_rng(5).standard_normal((G.size, 7))
+        U[G[3], 2] = np.nan
         solver = InteriorSolver(sys)
         with pytest.raises(NoConvergence):
-            solver.solve(B)
+            solver.extend(U)
         assert solver.iterations is None  # CG gave up and LU answered
 
 
@@ -362,16 +371,16 @@ def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
     monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B, rtol: pytest.fail("CG ran"))
     grid = flat9.grid
     sys = _shifted_system(flat9, flat9_lambda1)
-    u = InteriorSolver(sys).extend(np.ones(grid.node_count))
+    u = np.ones(grid.node_count)
+    solver = InteriorSolver(sys)
+    assert not (solver._diag > 0.0).all()  # the layered operator is indefinite too
+    solver.extend(u)
+    assert solver.iterations is None  # LU answered
 
     K = sys.matrix
     I = grid.interior_ids()
     B = grid.boundary_ids(FULL_BOUNDARY)
     rhs = -K[I][:, B] @ np.ones(B.size)
-    solver = InteriorSolver(sys)
-    assert not (solver._diag > 0.0).all()  # the layered operator is indefinite too
-    solver.solve(rhs)
-    assert solver.iterations is None  # LU answered
     u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     assert _rel(u[I], u_ref) <= 1e-10
 
@@ -510,7 +519,9 @@ class TestBorrowedRows:
             X = rng.standard_normal((block.shape[0], cols))
             X[::5] = 0.0
             X[1::7] = -0.0
-            assert solver._apply(X).tobytes() == (block @ X).tobytes(), cols
+            U = np.zeros((grid.node_count, cols))  # as in _pcg: zero fixed rows
+            U[solver.free] = X
+            assert (solver.rows @ U).tobytes() == (block @ X).tobytes(), cols
 
     @pytest.mark.parametrize("potential", [False, True], ids=["plain", "potential"])
     @pytest.mark.parametrize("grid", BORROW_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
@@ -520,13 +531,28 @@ class TestBorrowedRows:
         u = np.random.default_rng(1).standard_normal((grid.node_count, 3))
         solver = InteriorSolver(sys)
         coupling = sys.matrix[solver.free, fixed]
-        seen = []
-        solver.solve = lambda rhs: seen.append(rhs.copy()) or rhs
-        solver.extend(u.copy())
+        b = solver._rhs(u.copy())
         # the copied coupling's right-hand side, +0.0 on rows with no fixed
         # neighbour included
-        assert seen[0].tobytes() == (coupling @ -u[fixed]).tobytes()
-        assert np.array_equal(seen[0], -(coupling @ u[fixed]))
+        assert b.tobytes() == (coupling @ -u[fixed]).tobytes()
+        assert np.array_equal(b, -(coupling @ u[fixed]))
+
+    @pytest.mark.parametrize("potential", [False, True], ids=["plain", "potential"])
+    @pytest.mark.parametrize("grid", BORROW_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+    def test_extend_returns_k_times_u_bitwise(self, grid, potential):
+        # the Neumann rows of dn_apply come from extend's one product K @ u
+        sys = self._system(grid, potential)
+        K = sys.matrix
+        G = grid.boundary_ids(GAMMA1)
+        rng = np.random.default_rng(2)
+        u = np.zeros(grid.node_count)
+        u[grid.boundary_ids(FULL_BOUNDARY)] = rng.standard_normal(2 * G.size)
+        assert InteriorSolver(sys).extend(u).tobytes() == (K @ u).tobytes()
+        V = rng.standard_normal((G.size, 3))
+        U = np.zeros((grid.node_count, 3))
+        U[G] = V
+        assert InteriorSolver(sys).extend(U).tobytes() == (K @ U).tobytes()
+        assert dn_apply(sys, GAMMA1, V).tobytes() == (K[G] @ U).tobytes()
 
     def test_solver_allocates_under_1mb_at_33(self):
         grid = cyl_grid(3, 33)
