@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analytic import AnalyticScalar, constant as analytic_constant
-from .errors import BoundaryLayerRequested, GridMismatch, MissingAnalyticGradient
+from .errors import GridMismatch, MissingAnalyticGradient
 from .grid_geometry import CylinderGrid, MetricField
 
 
@@ -191,13 +191,3 @@ def laplace_beltrami_pointwise(g: MetricField, f: np.ndarray) -> np.ndarray:
 def interior(values: np.ndarray) -> np.ndarray:
     """The t-interior slab of a node table (drops both boundary layers)."""
     return values[1:-1]
-
-
-def require_full_layers(values: np.ndarray, what: str = "field") -> np.ndarray:
-    """Assert a node table has no NaN boundary layers left."""
-    if np.isnan(values).any():
-        raise BoundaryLayerRequested(
-            f"{what} is undefined on the t-boundary layers; "
-            "enable one-sided extension to use it there"
-        )
-    return values

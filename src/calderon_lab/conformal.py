@@ -293,8 +293,7 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
     w = g.grid.quad_weights.astype(np.longdouble)
     # the packed components in float64: products with the longdouble factor
     # promote exactly, so no longdouble copy of the table is kept
-    iu, ju = np.triu_indices(3)
-    mat = np.moveaxis(g.mat[..., iu, ju], -1, 0)
+    mat = g.packed
     base = spd_root_det(mat.astype(np.longdouble))
     uu = u.values.astype(np.longdouble)
     V = np.empty(7, dtype=np.longdouble)

@@ -215,13 +215,13 @@ def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float) -> dict:
     return out
 
 
-def _growth(q: dict) -> float:
+def _growth(q: dict) -> float | None:
     """Finest-stride quotient over the coarsest: 1 when the finest is 0,
-    inf when only the coarsest is."""
+    None (unbounded, and no JSON number) when only the coarsest is."""
     finest, coarsest = q[1], q[max(q)]
     if finest == 0.0:
         return 1.0
-    return np.inf if coarsest == 0.0 else finest / coarsest
+    return None if coarsest == 0.0 else finest / coarsest
 
 
 def _holder_item(name: str, t: np.ndarray, A: np.ndarray, rho: float) -> dict:
@@ -248,7 +248,7 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
     data can be consistent with the properties, never certify them.
     """
     grid = data.grid
-    t = grid.points[:, 0, 0, 0]
+    t = grid.axes()[0]
     items = []
 
     late = t >= data.T - 1e-12
@@ -268,7 +268,7 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
     )
 
     holder = [_holder_item("A1", t, data.A1, data.rho), _holder_item("A3", t, data.A3, data.rho)]
-    worst_growth = max(h["growth"] for h in holder)
+    worst_growth = max(np.inf if h["growth"] is None else h["growth"] for h in holder)
     if worst_growth <= 4.0:
         status, code = "pass", None
     elif worst_growth <= 32.0:
@@ -362,15 +362,20 @@ def synth_approx_miller(
     converges (``lsqr_stop`` 1 or 2) within its 2000 iterations on modes
     ((1,0),(0,1)) and ((1,1),(1,0)) at grid (25,24,24).
 
-    Returns (dataset, report dict). Raises InfeasibleBounds when the LSQR
-    damping, the baseline residual or the fit's residual is not finite (an
-    amplitude of 1e160 overflows the Jacobian's squared column norms).
+    Returns (dataset, report dict). Raises InfeasibleBounds when ``T`` is
+    not above the first interior t-node (the fit has no unknowns), or when
+    the LSQR damping, the baseline residual or the fit's residual is not
+    finite (an amplitude of 1e160 overflows the Jacobian's squared column
+    norms).
     """
     if grid.n != 3:
         raise GridMismatch("synthesis targets the 3-D cylinder")
     if not 0.0 <= ridge < np.inf:
         raise InfeasibleBounds(f"ridge = {ridge} must be finite and non-negative")
     _check_ranges(T, rho, alpha)
+    t = grid.axes()[0]
+    if not t[1] < T - 1e-12:
+        raise InfeasibleBounds(f"T = {T} leaves no t-node to fit: the first interior node is t = {t[1]}")
     box = (1.0 - alpha) / 2.0
 
     src = an.constant(0.0, 3)
@@ -379,7 +384,6 @@ def synth_approx_miller(
     u_src = an.exp_flat(T, 3, 0) * src * an.constant(float(amplitude), 3)
     u = ScalarField.from_source(grid, u_src)
 
-    t = grid.points[:, 0, 0, 0]
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown[1:-1] = (t[1:-1] < T - 1e-12)[:, None, None]
 
@@ -453,7 +457,7 @@ def _gap_fit(cells) -> dict:
             [c.eps**2 for c in cells],
         ]
     )
-    if np.allclose(y, 0.0):
+    if not y.any():  # every gap exactly 0, as for a zero dataset or all-zero eps
         return {"beta_eps_r": 0.0, "beta_eps2": 0.0, "r2": 1.0, "trivial": True}
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     ss_res = float(np.sum((y - X @ beta) ** 2))

@@ -20,9 +20,11 @@ element entries ``a <= b``. It is deterministic: each block mirrors its
 element matrices from their unique entries and scatters them, so every
 CSR slot sums in cell-major order; the matrices are bitwise symmetric and
 their bytes depend neither on the block size (but see the 4-D caveat
-there) nor on the BLAS thread count. The CSR pattern and the element
-tables are cached per grid; the pattern is built without a sort, from the
-Q1 stencil's tensor form, and keeps three cell layers: the others shift.
+there) nor on the BLAS thread count. One per-grid cache
+(:func:`_grid_layout`) holds the CSR pattern, the element tables and the
+angular eigenpairs of the solver; the pattern is built without a sort,
+from the Q1 stencil's tensor form, and keeps three cell layers: the
+others shift.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -62,8 +64,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import require_full_layers
 from .errors import (
+    BoundaryLayerRequested,
     GridMismatch,
     NoConvergence,
     ShapeMismatch,
@@ -223,16 +225,30 @@ def _element_tables(grid: CylinderGrid):
     return N, stiff, mass, mirror.ravel()
 
 
+def _q1_pencil(num: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 1-D Q1 stiffness and mass matrices of a periodic axis of
+    ``num`` nodes of spacing ``h``: the circulants ``(2I - S - S^T) / h``
+    and ``(4I + S + S^T) h / 6``, ``S`` the cyclic shift."""
+    S = np.roll(np.eye(num), 1, axis=1)
+    return (2.0 * np.eye(num) - S - S.T) / h, (4.0 * np.eye(num) + S + S.T) * (h / 6.0)
+
+
 @lru_cache(maxsize=8)
 def _grid_layout(grid: CylinderGrid):
-    """Scatter pattern, with three cell layers of slots and one of cell
-    nodes and no per-cell table, and element tables of a grid, computed
-    once per equal grid and shared read-only by every assembly on it."""
+    """The per-grid tables of assembly and of :class:`InteriorSolver`,
+    computed once per equal grid and shared read-only: the scatter pattern
+    (three cell layers of slots, one of cell nodes), the element tables,
+    and the fast-diagonalisation factors of the periodic angular axes, the
+    eigenvectors ``V_d`` and eigenvalues ``Lam_d`` of each 1-D Q1 pencil
+    ``K_d V_d = M_d V_d Lam_d``. A solver is built on a system just
+    assembled on its grid, so the cache holds its grid's entry."""
     pattern = _scatter_pattern(grid)
     tables = _element_tables(grid)
-    for arr in (*pattern, *tables):
+    eigs = [scipy.linalg.eigh(*_q1_pencil(m, h)) for m, h in zip(grid.num_ang, grid.h_ang)]
+    vecs, lams = tuple(V for _, V in eigs), tuple(lam for lam, _ in eigs)
+    for arr in (*pattern, *tables, *vecs, *lams):
         arr.flags.writeable = False
-    return pattern, tables
+    return pattern, tables, (vecs, lams)
 
 
 def _scatter(data: np.ndarray, slot: np.ndarray, unique: np.ndarray, mirror: np.ndarray) -> None:
@@ -310,7 +326,7 @@ def assemble_stiffness(
     grid = metric.grid
     n = grid.n
     size = grid.node_count
-    (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror) = _grid_layout(grid)
+    (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror), _ = _grid_layout(grid)
     P, num_cells_t = grid.layer_count, grid.num_t - 1
 
     v_nodes = None
@@ -318,14 +334,16 @@ def assemble_stiffness(
         v_values = np.asarray(potential, dtype=float)
         if v_values.shape != grid.shape:
             raise GridMismatch(f"potential shape {v_values.shape}, expected {grid.shape}")
-        require_full_layers(v_values, "potential")
+        if np.isnan(v_values).any():
+            raise BoundaryLayerRequested("potential is undefined on the t-boundary layers; "
+                                         "enable one-sided extension to use it there")
         v_nodes = v_values.reshape(size)
 
     # the unique metric components by node, packed for the SPD kernel; the
     # gathers use np.take(mode="clip"), about 3 times faster than fancy
     # indexing here, and the ids are in range
+    g_nodes = np.ascontiguousarray(metric.packed.reshape(-1, size))
     iu, ju = np.triu_indices(n)
-    g_nodes = np.ascontiguousarray(metric.mat.reshape(size, n * n)[:, iu * n + ju].T)
     k_data = np.zeros(indices.size)
     m_data = None if v_nodes is None else np.zeros(indices.size)
     # per t-cell, the means of diag(W), then of sqrt(det g) V
@@ -352,31 +370,6 @@ def assemble_stiffness(
 
 # ---------------------------------------------------------------------------
 # interior solves
-
-
-def _q1_pencil(num: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 1-D Q1 stiffness and mass matrices of a periodic axis of
-    ``num`` nodes of spacing ``h``."""
-    a = np.arange(num)
-    b = (a + 1) % num
-    K = np.zeros((num, num))
-    M = np.zeros((num, num))
-    for i, j, k, m in ((a, a, 1.0, 2.0), (a, b, -1.0, 1.0), (b, a, -1.0, 1.0), (b, b, 1.0, 2.0)):
-        np.add.at(K, (i, j), k / h)
-        np.add.at(M, (i, j), m * h / 6.0)
-    return K, M
-
-
-@lru_cache(maxsize=8)
-def _flat_eigs(grid: CylinderGrid):
-    """Fast-diagonalisation factors of the periodic angular axes of a grid:
-    the eigenvectors ``V_d`` and eigenvalues ``Lam_d`` of each 1-D Q1
-    pencil ``K_d V_d = M_d V_d Lam_d``. Computed once per equal grid and
-    shared read-only by every solver on it."""
-    eigs = [scipy.linalg.eigh(*_q1_pencil(m, h)) for m, h in zip(grid.num_ang, grid.h_ang)]
-    for arr in itertools.chain.from_iterable(eigs):
-        arr.flags.writeable = False
-    return tuple(V for _, V in eigs), tuple(lam for lam, _ in eigs)
 
 
 def _t_matrix(stiff: np.ndarray, mass: np.ndarray, h: float) -> np.ndarray:
@@ -432,7 +425,8 @@ class InteriorSolver:
     & Thomas 1964) of the t-pencil ``(K_t[w_tt] + M_t[q], M_t[w_a])`` and
     of the periodic angular pencils ``(K_d, M_d)`` gives its inverse
     ``V D^{-1} V^T`` with ``V = V_t (x) V_1 (x) ...`` and
-    ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``; a non-positive entry of ``D``
+    ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``, the angular factors read from
+    the grid's :func:`_grid_layout` entry; a non-positive entry of ``D``
     sends the solver straight to the LU below. In ``extend`` a column
     stops when its preconditioned residual ``sqrt(r^T z)`` is at most 1e-12
     of its start, and the extension stands when ``||(K u)[free]||`` is at
@@ -480,7 +474,7 @@ class InteriorSolver:
         self.iterations: int | None = None
         self._lu = None
         self._shape = (m, *grid.num_ang)
-        vecs, lams = _flat_eigs(grid)
+        vecs, lams = _grid_layout(grid)[2]
         w_tt, w_dd, q = sys.layers[0], sys.layers[1:-1], sys.layers[-1]
         w_a = w_dd.mean(axis=0)
         # the transposes of the symmetric t-matrices are Fortran-ordered, so

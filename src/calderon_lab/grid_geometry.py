@@ -302,10 +302,12 @@ def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Metric sampled on a grid. Its volume element ``sqrt_det`` is the
-    Cholesky diagonal product :func:`spd_root_det` of the node table, and
-    its weight ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it
-    is first read; ``inv`` is ``weight / sqrt_det``.
+    """Metric sampled on a grid. ``packed`` is the one packing of the node
+    table into the component order of the SPD kernel, which assembly and
+    the volume expansion read too. The volume element ``sqrt_det`` is the
+    Cholesky diagonal product :func:`spd_root_det` of that packing, and the
+    weight ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it is
+    first read; ``inv`` is ``weight / sqrt_det``.
 
     Invariants (enforced by :func:`sample_metric` and
     :func:`metric_from_matrices`): ``mat``, ``weight`` and ``inv`` exactly
@@ -316,14 +318,16 @@ class MetricField:
     mat: np.ndarray
 
     @property
-    def _packed(self) -> np.ndarray:
-        """The node table packed by component for the SPD kernel."""
+    def packed(self) -> np.ndarray:
+        """The node table packed by component for the SPD kernel, shape
+        ``(n(n+1)/2, *grid.shape)`` in the order of ``np.triu_indices(n)``;
+        built on each read, not kept."""
         iu, ju = np.triu_indices(self.grid.n)
         return np.moveaxis(self.mat[..., iu, ju], -1, 0)
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
-        return spd_root_det(self._packed)
+        return spd_root_det(self.packed)
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -332,7 +336,7 @@ class MetricField:
     @cached_property
     def weight(self) -> np.ndarray:
         """The divergence-form weight sqrt(det g) * g^{-1}."""
-        W = spd_weight(self._packed)[0][_packed_index(self.grid.n)]
+        W = spd_weight(self.packed)[0][_packed_index(self.grid.n)]
         return np.moveaxis(W, (0, 1), (-2, -1))
 
 

@@ -23,8 +23,8 @@ from calderon_lab.calculus import (
     integrate_volume,
     interior,
     laplace_beltrami_pointwise,
-    require_full_layers,
 )
+from calderon_lab.dn_solver import assemble_stiffness
 from calderon_lab.errors import BoundaryLayerRequested, GridMismatch
 from calderon_lab.grid_geometry import CylinderGrid, cyl_grid, flat_metric, sample_metric
 from conftest import constant_metric
@@ -128,9 +128,10 @@ class TestDivergenceForm:
         assert np.isfinite(interior(out)).all()
 
     def test_require_full_layers_guard(self, grid9, flat9):
+        # assembly refuses a potential with the stencil's NaN boundary layers
         out = divergence_form_apply(flat9.weight, np.ones(grid9.shape), grid9)
-        with pytest.raises(BoundaryLayerRequested):
-            require_full_layers(out)
+        with pytest.raises(BoundaryLayerRequested, match="t-boundary layers"):
+            assemble_stiffness(flat9, potential=out)
 
 
 class TestDivergenceFormJacobian:

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +47,13 @@ def _write(tmp_path, name, cfg):
 
 
 def _cli(tmp_path, command, cfg):
+    """Run a subcommand on a config. A report it writes must read back
+    through ``load_json``, which refuses a non-finite number."""
     cfg_path = _write(tmp_path, f"{command}.json", cfg)
     out = tmp_path / f"out-{command}"
     code = main([command, "--config", cfg_path, "--out", str(out)])
+    if (out / "report.json").exists():
+        load_json(out / "report.json")
     return code, out
 
 
@@ -950,6 +955,35 @@ class TestDatasetCommands:
         assert code == 1
         assert "computation failed: MalformedContainer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cfg", [
+        ("synth-dataset", {"grid": {"num_t": 5, "num_ang": [8, 8]}, "T": 0.2}),
+        ("counterexample-study", {"synth": {"grid": {"num_t": 5, "num_ang": [8, 8]}, "T": 0.2},
+                                  "eps": [0.05, 0.1, 0.2], "strides": [1]}),
+    ], ids=["synth-dataset", "study-synth"])
+    def test_T_below_first_interior_node_is_config_error(self, tmp_path, capsys, command, cfg):
+        # the fit had no unknowns: two numpy warnings, then "amplitude 0.1
+        # overflows the fit: damp nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "T = 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbounded_holder_growth_reads_back(self, tmp_path):
+        # stride 2 from the last sample skips A1[3], so only the finest
+        # quotient is nonzero: the report held "growth": Infinity
+        data = MillerDataset.zero(cyl_grid(3, 9))
+        data.A1[3] = 0.01
+        path = tmp_path / "ds.json"
+        save_dataset(data, path)
+        code, out = _cli(tmp_path, "validate-dataset", {"dataset": str(path)})
+        assert code == 1
+        items = {i["name"]: i for i in load_json(out / "report.json")["scalars"]["validation"]["items"]}
+        holder = items["holder_quotient"]
+        assert (holder["status"], holder["code"]) == ("fail", "HolderUnstable")
+        assert holder["details"]["series"][0]["growth"] is None
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(tmp_path / "no.json")})
         assert code == 2
@@ -963,6 +997,18 @@ class TestStudyAndRigidity:
         assert "gap_study" in doc["tables"]
         names = [v["name"] for v in doc["verdicts"]]
         assert "zero_eps_gap" in names and "fit_r2" in names
+
+    def test_small_nonzero_gaps_are_fitted(self, tmp_path):
+        # gaps up to 1.25e-9 were within np.allclose of 0: the fit read
+        # trivial, its verdicts and the nonisometry block were skipped
+        cfg = {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "amplitude": 1e-7}}
+        code, out = _cli(tmp_path, "counterexample-study", cfg)
+        doc = load_json(out / "report.json")
+        assert 0.0 < max(row[2] for row in doc["tables"]["gap_study"]["rows"]) < 1e-8
+        assert doc["scalars"]["fit"]["trivial"] is False
+        names = {v["name"] for v in doc["verdicts"]}
+        assert {"fit_r2", "nonisometry_p2_match"} <= names
+        assert code == (0 if doc["passed"] else 1)
 
     def test_study_report_byte_identical_across_runs(self, tmp_path):
         # the study runs serially; a thread count passed to run is ignored

@@ -42,6 +42,8 @@ Verifies:
   - a mode cut is refused exactly when one of the listed modes aliases,
     and a huge cut is refused before any mode is listed
   - mode eigenvalues approach the separated-variables values
+  - the periodic 1-D Q1 pencil equals, bitwise, its element-by-element
+    assembly
   - singular interior blocks (the flat block shifted by its first Dirichlet
     eigenvalue, from a dense eigensolve) are detected by every solve entry
     point
@@ -473,19 +475,18 @@ class TestGridLayoutCache:
 
         monkeypatch.setattr(dn_solver, "_scatter_pattern", counted)
         dn_solver._grid_layout.cache_clear()
-        dn_solver._flat_eigs.cache_clear()
         for _ in range(3):
             for grid in grids:
                 sys = assemble_stiffness(sample_metric(flat_metric(grid.n), grid))
                 InteriorSolver(sys)
         assert len(calls) == len(grids)
-        assert dn_solver._flat_eigs.cache_info().misses == len(grids)
+        # the solvers' angular eigenpairs come from the same entries
+        assert dn_solver._grid_layout.cache_info().misses == len(grids)
 
     def test_layout_under_6_5mb_at_33(self):
-        # 13.2 MB when the slot table held every cell (8.4 MB) and the
-        # cell-node table every cell layer
-        pattern, tables = dn_solver._grid_layout(cyl_grid(3, 33))
-        total = sum(a.nbytes for a in (*pattern, *tables))
+        # three cell layers of slots and one of cell nodes, no per-cell table
+        pattern, tables, (vecs, lams) = dn_solver._grid_layout(cyl_grid(3, 33))
+        total = sum(a.nbytes for a in (*pattern, *tables, *vecs, *lams))
         assert total <= 6.5e6, f"{total / 1e6:.1f} MB"
 
     def test_returned_matrix_does_not_share_the_layout(self, bumpy9):
@@ -842,3 +843,17 @@ class TestBoundaryMass:
         M = boundary_mass_matrix(grid9, GAMMA1)
         sums = np.asarray(M.sum(axis=1)).ravel()
         assert np.abs(sums - (2.0 * np.pi / 8) ** 2).max() < 1e-12
+
+    @pytest.mark.parametrize("num", [4, 5, 8, 12, 17, 32, 64, 100])
+    def test_pencil_matches_element_assembly(self, num):
+        # the periodic 1-D Q1 matrices, summed element by element
+        for h in (2.0 * np.pi / num, 0.1 + 1.0 / num):
+            K, M = np.zeros((num, num)), np.zeros((num, num))
+            k_elem = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+            m_elem = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+            for c in range(num):
+                ids = np.array([c, (c + 1) % num])
+                K[ids[:, None], ids] += k_elem
+                M[ids[:, None], ids] += m_elem
+            got = dn_solver._q1_pencil(num, h)
+            assert [a.tobytes() for a in got] == [K.tobytes(), M.tobytes()], h
