@@ -37,7 +37,6 @@ from .counterexample import (
     dn_gap_study,
     load_dataset,
     nonisometry_check,
-    nonisometry_samples,
     save_dataset,
     synth_approx_miller,
     validate_miller_properties,
@@ -50,7 +49,6 @@ from .errors import (
     FactorTooLarge,
     GridMismatch,
     InfeasibleBounds,
-    InsufficientSamples,
     NonOrientationPreserving,
     ShapeMismatch,
     TrivialU,
@@ -95,17 +93,6 @@ def _file_name(v) -> str:
     if os.path.basename(string(v)) != v or v in ("", ".", ".."):
         raise ValueError("must be a bare file name")
     return v
-
-
-def _volume_scale(v) -> float:
-    """Converter for ``nonisometry_eps``: the volume fit needs its seven
-    samples distinct, which 0 and scales near it do not give."""
-    x = real(v)
-    try:
-        nonisometry_samples(x)
-    except InsufficientSamples as e:
-        raise ValueError(str(e)) from e
-    return x
 
 
 # the 65 x 64 x 64 rung of the 3-D ladder, the largest grid a run is sized for
@@ -267,7 +254,10 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
         identity = False
         # c = 1 + amplitude * bump(t) * trig(angles) equals 1 with zero
         # normal derivative on collars at both ends, so the potential-link
-        # comparison sees matching Dirichlet and Neumann traces
+        # comparison sees matching Dirichlet and Neumann traces; with the bump
+        # in [0, 1] and the trig factor in [1/2, 3/2], c > 0 for amplitude > -2/3
+        if link.amplitude <= -2.0 / 3.0:
+            raise ConfigInvalid(f"conformal-link amplitude {link.amplitude} must exceed -2/3")
         prof = an.bump(link.collar, 1.0 - link.collar, n, 0)
         ang = an.trig_sum(n, np.random.default_rng(link.seed), terms=2, amplitude=0.5,
                           max_mode=1, offset=1.0)
@@ -353,7 +343,7 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
              eps=(list_of(real), (0.0, 0.025, 0.05, 0.1)),
              strides=(list_of(ranged(integer, 1)), (4, 2, 1)), gamma=_GAMMA,
-             cut=(ranged(real, 0.0), 2.0), nonisometry_eps=(_volume_scale, 0.05))
+             cut=(ranged(real, 0.0), 2.0), nonisometry_eps=(ranged(real, 0.01, 0.5), 0.05))
     if (s.dataset is None) == (s.synth is None):
         raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
 
@@ -370,10 +360,10 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     else:
         data, synth_rep, _ = _synth(s.synth, check)
         rep.scalars["synth"] = synth_rep
-    # each study eps and +-nonisometry_eps (the widest volume samples) must
-    # keep 1 + eps*u above the family's floor; vetted here, not after the study
+    # each study eps must keep 1 + eps*u above the family's floor (the volume
+    # samples keep it by construction); vetted here, not after the study
     u = ScalarField(data.grid, data.u)
-    for eps in (*s.eps, s.nonisometry_eps, -s.nonisometry_eps):
+    for eps in s.eps:
         try:
             conformal_family(u, eps)
         except FactorTooLarge as e:

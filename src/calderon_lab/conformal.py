@@ -95,7 +95,8 @@ def scale_metric(g: MetricField, c: ConformalFactor) -> MetricField:
 
     The volume-element check ``sqrt(det(c^4 g)) = c^{2n} sqrt(det g)`` is
     enforced to 1e-12 relative; it is the discrete version of how volume
-    responds to the scaling.
+    responds to the scaling, and a factor whose volume element overflows
+    fails it.
     """
     n = g.grid.n
     if n < 3:
@@ -104,13 +105,14 @@ def scale_metric(g: MetricField, c: ConformalFactor) -> MetricField:
         )
     if c.grid.shape != g.grid.shape:
         raise GridMismatch("factor and metric grids differ")
-    c4 = (c.values**4)[..., None, None]
-    out = MetricField(g.grid, c4 * g.mat)
-    expected = (c.values ** (2 * n)) * g.sqrt_det
-    defect = np.abs(out.sqrt_det - expected)
+    # an overflow gives a defect of inf or NaN, which fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = MetricField(g.grid, (c.values**4)[..., None, None] * g.mat)
+        expected = (c.values ** (2 * n)) * g.sqrt_det
+        defect = np.abs(out.sqrt_det - expected)
     scale = np.maximum(np.abs(expected), 1e-300)
-    if (defect > 1e-12 * scale).any():
-        raise NonPositiveFactor("scaled volume element violates c^{2n} sqrt(det g)")
+    if not (defect <= 1e-12 * scale).all():
+        raise NonPositiveFactor("scaled volume element is not finite or violates c^{2n} sqrt(det g)")
     return out
 
 
@@ -232,43 +234,17 @@ def weak_condition_residual(
     return max(i_res, g_res)
 
 
-def _solve_pivoted(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting in the dtype of A.
-
-    LAPACK only handles double, so extended-precision right hand sides
-    need this small hand-rolled path (systems here are 7x7).
-    """
-    A = A.copy()
-    b = b.copy()
-    m = len(b)
+def _bjorck_pereyra(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of the polynomial through (x_k, f_k), distinct
+    x_k, in f's dtype (LAPACK has no longdouble solve): Bjorck-Pereyra's
+    divided differences, then their expansion in powers of x, no pivoting."""
+    a = f.copy()
+    m = len(a) - 1
     for k in range(m):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0:
-            raise InsufficientSamples("eps samples are numerically coincident")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        for i in range(k + 1, m):
-            f = A[i, k] / A[k, k]
-            A[i, k:] -= f * A[k, k:]
-            b[i] -= f * b[k]
-    x = np.zeros_like(b)
+        a[k + 1:] = (a[k + 1:] - a[k:-1]) / (x[k + 1:] - x[:m - k])
     for k in range(m - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-    return x
-
-
-def distinct_samples(eps_list) -> list:
-    """The first seven distinct values of ``eps_list``, the samples
-    :func:`volume_expansion` fits on; two values closer than 1e-15 count
-    as one."""
-    eps = []
-    for e in np.asarray(eps_list, dtype=float).ravel():
-        if not any(abs(e - x) < 1e-15 for x in eps):
-            eps.append(float(e))
-        if len(eps) == 7:
-            return eps
-    raise InsufficientSamples(f"need 7 distinct eps samples, got {len(eps)}")
+        a[k:-1] -= x[k] * a[k + 1:]
+    return a
 
 
 def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
@@ -276,20 +252,21 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
 
         V(eps) = Vol_{c_eps^4 g}(M) - Vol_g(M),   c_eps^{n-2} = 1 + eps u,
 
-    on the 3-D cylinder, fitted by an exact Vandermonde interpolation on
-    the first seven distinct eps samples (scaled variable). Volumes are
-    measured, not expanded symbolically: sqrt(det(c^4 g)) is evaluated per
-    node by :func:`~calderon_lab.grid_geometry.spd_root_det` and differenced
+    on the 3-D cylinder, interpolated in eps / max|eps| on exactly seven
+    distinct eps samples (else InsufficientSamples). Volumes are measured,
+    not expanded symbolically: sqrt(det(c^4 g)) is evaluated per node by
+    :func:`~calderon_lab.grid_geometry.spd_root_det` and differenced
     against the base volume element before summation. The whole pipeline
     runs in extended precision; in double the Vandermonde conditioning
-    leaves the recovered coefficients dependent on the sample set at the
-    1e-8 level.
+    leaves the coefficients dependent on the sample set at the 1e-8 level.
     """
     if g.grid.n != 3:
         raise DimensionTooSmall("the volume expansion argument is n = 3")
     if u.grid.shape != g.grid.shape:
         raise GridMismatch("field and metric grids differ")
-    eps = np.array(distinct_samples(eps_list), dtype=np.longdouble)
+    eps = np.asarray(eps_list, dtype=float).ravel().astype(np.longdouble)
+    if eps.size != 7 or np.unique(eps).size != 7:
+        raise InsufficientSamples(f"need 7 distinct eps samples, got {np.unique(eps).size} of {eps.size}")
     w = g.grid.quad_weights.astype(np.longdouble)
     # the packed components in float64: products with the longdouble factor
     # promote exactly, so no longdouble copy of the table is kept
@@ -303,10 +280,7 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
         diff = spd_root_det(c4 * mat) - base
         V[k] = np.sum(diff * w)
     s = np.abs(eps).max()
-    if s == 0:
-        raise InsufficientSamples("eps samples are all zero")
-    A = np.vander(eps / s, 7, increasing=True)
-    q = _solve_pivoted(A, V)
+    q = _bjorck_pereyra(eps / s, V)
     return np.asarray(q / s ** np.arange(7), dtype=float)
 
 

@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 from . import analytic as an
 from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume, interior
 from .calculus import laplace_beltrami_pointwise
-from .conformal import conformal_family, distinct_samples, scale_metric, volume_expansion, weak_condition_residual
+from .conformal import conformal_family, scale_metric, volume_expansion, weak_condition_residual
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
 from .errors import (
     ConfigInvalid,
@@ -508,27 +508,22 @@ def dn_gap_study(
     return StudyResult(tuple(cells), _gap_fit(cells))
 
 
-def nonisometry_samples(eps: float) -> list:
-    """The seven volume samples of :func:`nonisometry_check`, scaled by
-    ``eps``; a scale at which they are not seven distinct samples (0
-    among them) raises InsufficientSamples."""
-    return distinct_samples(float(eps) * np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25]))
-
-
 def nonisometry_check(data: MillerDataset, eps: float = 0.05) -> dict:
     """Volume obstruction to the rescaled family being isometric to g.
 
-    Fits the volume defect polynomial of the family c_eps^4 g on seven
-    samples scaled by ``eps`` and compares its quadratic coefficient with
-    the direct quadrature of 15 * int u^2 dVol_g; a strictly positive
-    value rules out volume-preserving identifications of the family with
-    the base metric.
+    Fits the volume defect polynomial of the family c_eps^4 g on the seven
+    samples ``(eps / max|u|) * (1, -1, 1/2, -1/2, 3/4, -3/4, 1/4)``, so
+    the widest moves c by +-eps where |u| peaks whatever u's amplitude, and
+    compares its quadratic coefficient with the direct quadrature of
+    15 * int u^2 dVol_g; a strictly positive value rules out
+    volume-preserving identifications of the family with the base metric.
     """
-    if float(np.abs(data.u).max()) <= TRIVIAL_TOL:
+    top = float(np.abs(data.u).max())
+    if top <= TRIVIAL_TOL:
         raise TrivialU("u vanishes at every grid node; no obstruction derivable")
     g = assemble_counterexample_metric_3d(data)
     u = ScalarField(data.grid, data.u)
-    samples = nonisometry_samples(eps)
+    samples = eps / top * np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25])
     p = volume_expansion(g, u, samples)
     direct = 15.0 * integrate_volume(ScalarField(data.grid, data.u**2), g)
     rel = abs(p[2] - direct) / abs(direct)

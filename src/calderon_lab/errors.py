@@ -112,7 +112,7 @@ class MissingAnalyticGradient(CalderonLabError):
 
 
 class InsufficientSamples(CalderonLabError):
-    """Too few distinct sample points for a requested polynomial fit."""
+    """A requested fit did not get the number of distinct sample points it needs."""
 
 
 # ---------------------------------------------------------------------------

@@ -354,11 +354,13 @@ def over_cap_dataset(tmp_path_factory):
 
 class TestConfigCheckedFirst:
     # at 0 and 1e-16 the seven volume samples are not distinct: the study
-    # used to run in full and then exit 1 with InsufficientSamples
+    # used to run in full and then exit 1 with InsufficientSamples; the
+    # scale lies in [0.01, 0.5), so a negative one is refused too
     @pytest.mark.parametrize(
         "key,value",
-        [("nonisometry_eps", "abc"), ("nonisometry_eps", 0), ("nonisometry_eps", 1e-16)],
-        ids=["nonisometry_eps", "nonisometry_eps-zero", "nonisometry_eps-1e-16"],
+        [("nonisometry_eps", "abc"), ("nonisometry_eps", 0), ("nonisometry_eps", 1e-16),
+         ("nonisometry_eps", -0.05)],
+        ids=["nonisometry_eps", "nonisometry_eps-zero", "nonisometry_eps-1e-16", "nonisometry_eps-negative"],
     )
     def test_study_keys(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
@@ -389,12 +391,15 @@ class TestConfigCheckedFirst:
             run("counterexample-study", {**_STUDY_CFG, "eps": eps, "strides": [1]}, tmp_path)
 
     @pytest.mark.parametrize(
-        "key,value", [("eps", [0.0, 1000.0]), ("nonisometry_eps", 1000.0)], ids=["eps", "nonisometry_eps"]
+        "key,value,match",
+        [("eps", [0.0, 1000.0], "out of range"), ("nonisometry_eps", 1000.0, r"must lie in \[0.01, 0.5\)")],
+        ids=["eps", "nonisometry_eps"],
     )
-    def test_study_eps_vetted_before_study(self, tmp_path, monkeypatch, key, value):
-        # 1 + eps*u drops below the family's floor of 1/2 on the synthesised u
+    def test_study_eps_vetted_before_study(self, tmp_path, monkeypatch, key, value, match):
+        # 1 + eps*u drops below the family's floor of 1/2 on the synthesised
+        # u; nonisometry_eps is bounded by 1/2 when the config is read
         monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
-        with pytest.raises(ConfigInvalid, match="out of range"):
+        with pytest.raises(ConfigInvalid, match=match):
             run("counterexample-study", {**_STUDY_CFG, key: value}, tmp_path)
 
     @pytest.mark.parametrize(
@@ -423,6 +428,23 @@ class TestConfigCheckedFirst:
         monkeypatch.setattr(cli, "assemble_stiffness", _must_not_run)
         cfg = {"n": n, "sizes": [5, 9], "transform": transform}
         with pytest.raises(ConfigInvalid):
+            run("dn-compare", cfg, tmp_path)
+
+    @pytest.mark.parametrize("amplitude", [-1, -2 / 3], ids=["minus-one", "minus-two-thirds"])
+    def test_link_amplitude_keeps_factor_positive(self, tmp_path, monkeypatch, capsys, amplitude):
+        # c = 1 + amplitude * bump * trig reaches 1 - 1.5 |amplitude|: -1
+        # ran into NonPositiveFactor and exited 1 as a computation failure
+        monkeypatch.setattr(cli, "sample_metric", _must_not_run)
+        cfg = {"n": 3, "sizes": [9, 13], "transform": {"kind": "conformal-link", "amplitude": amplitude}}
+        code, out = _cli(tmp_path, "dn-compare", cfg)
+        assert code == 2
+        assert "must exceed -2/3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_link_amplitude_above_floor_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sample_metric", _reached)
+        cfg = {"n": 3, "sizes": [9, 13], "transform": {"kind": "conformal-link", "amplitude": -0.6}}
+        with pytest.raises(_Reached):
             run("dn-compare", cfg, tmp_path)
 
     @pytest.mark.parametrize(
@@ -1000,15 +1022,17 @@ class TestStudyAndRigidity:
 
     def test_small_nonzero_gaps_are_fitted(self, tmp_path):
         # gaps up to 1.25e-9 were within np.allclose of 0: the fit read
-        # trivial, its verdicts and the nonisometry block were skipped
+        # trivial, its verdicts and the nonisometry block were skipped;
+        # then, with volume samples blind to max|u|, nonisometry_p2_match
+        # read 5.8e-3 against 1e-10 and the study exited 1
         cfg = {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "amplitude": 1e-7}}
         code, out = _cli(tmp_path, "counterexample-study", cfg)
         doc = load_json(out / "report.json")
         assert 0.0 < max(row[2] for row in doc["tables"]["gap_study"]["rows"]) < 1e-8
         assert doc["scalars"]["fit"]["trivial"] is False
-        names = {v["name"] for v in doc["verdicts"]}
-        assert {"fit_r2", "nonisometry_p2_match"} <= names
-        assert code == (0 if doc["passed"] else 1)
+        values = {v["name"]: v["value"] for v in doc["verdicts"]}
+        assert "fit_r2" in values and values["nonisometry_p2_match"] <= 1e-10
+        assert code == 0 and doc["passed"]
 
     def test_study_report_byte_identical_across_runs(self, tmp_path):
         # the study runs serially; a thread count passed to run is ignored

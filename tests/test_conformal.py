@@ -8,9 +8,12 @@ Verifies:
   - the scaling-law potential: exact-zero shortcut and boundary fill
   - the scaling-law residual vanishes for c = 1 and shrinks under
     refinement otherwise
+  - a factor whose scaled volume element overflows is refused
   - measured volume-defect coefficients: binomial oracle for constant u,
     quadratic term against direct quadrature, sample-set invariance, and
-    a peak of at most 6 MB on the (25, 24, 24) study grid
+    a peak of at most 6 MB on the (25, 24, 24) study grid; exactly seven
+    distinct samples, fitted by a Vandermonde solve that recovers a known
+    longdouble polynomial
   - weak gauge condition residual and the full-boundary rigidity check
 """
 
@@ -21,7 +24,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from math import comb
 
-from calderon_lab import analytic as an
+from calderon_lab import analytic as an, conformal
 from calderon_lab.calculus import ScalarField, integrate_volume, interior
 from calderon_lab.conformal import (
     ConformalFactor,
@@ -113,6 +116,12 @@ class TestScaleMetric:
         vals[4, 2, 1] = bad
         with pytest.raises(NonPositiveFactor):
             ConformalFactor(ScalarField(grid9, vals), 3)
+
+    def test_overflowing_factor_refused(self, grid9, flat9):
+        # c^6 overflows: both sides of the volume check were inf, the NaN
+        # defect passed it and the failure surfaced later, in assembly
+        with pytest.raises(NonPositiveFactor):
+            scale_metric(flat9, ConformalFactor(ScalarField.constant(grid9, 1e60), 3))
 
     def test_rejects_2d(self):
         grid = cyl_grid(2, 9)
@@ -226,6 +235,23 @@ class TestVolumeExpansion:
         u = ScalarField.constant(grid9, 0.1)
         with pytest.raises(InsufficientSamples):
             volume_expansion(bumpy9, u, (0.01, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06))
+
+    @pytest.mark.parametrize("count", [6, 8])
+    def test_needs_exactly_seven(self, grid9, bumpy9, count):
+        # eight samples used to be cut to their first seven distinct ones
+        u = ScalarField.constant(grid9, 0.1)
+        with pytest.raises(InsufficientSamples):
+            volume_expansion(bumpy9, u, 0.01 * np.arange(1, count + 1))
+
+    def test_vandermonde_solve_recovers_polynomial(self):
+        # a known degree-6 polynomial in longdouble, sampled on the
+        # nonisometry pattern, comes back to extended-precision rounding
+        x = np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25], dtype=np.longdouble)
+        coef = np.random.default_rng(3).uniform(-1.0, 1.0, 7).astype(np.longdouble)
+        f = sum(a * x**k for k, a in enumerate(coef))
+        got = conformal._bjorck_pereyra(x, f)
+        assert got.dtype == np.longdouble
+        assert np.abs(got - coef).max() <= 1e-17
 
 
 class TestWeakCondition:

@@ -20,11 +20,12 @@ Verifies:
     at the default ridge its LSQR converges and the fields are stable
     under rounding of the input
   - DN gap study: exact zeros for the zero dataset, cell bookkeeping
-  - the volume obstruction and its trivial-field guard
+  - the volume obstruction, its trivial-field guard, and samples scaled
+    by 1/max|u| so that a small u is fitted as well as a large one
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -415,3 +416,12 @@ class TestNonIsometry:
     def test_trivial_guard(self):
         with pytest.raises(TrivialU):
             nonisometry_check(MillerDataset.zero(cyl_grid(3, 5)))
+
+    def test_samples_scale_with_u(self):
+        # the samples are scaled by 1/max|u|: with fixed samples the
+        # quadratic defect of u * 1e-6 sank into rounding (rel_diff 1.4e-4)
+        data = _toy_dataset(cyl_grid(3, 9))
+        for field in (data.u, 1e-6 * data.u):
+            out = nonisometry_check(replace(data, u=field))
+            assert out["rel_diff"] <= 1e-10, out["rel_diff"]
+            assert max(abs(e) for e in out["eps_samples"]) * np.abs(field).max() == pytest.approx(0.05)
