@@ -244,8 +244,9 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
             offset=f.offset, max_mode=f.max_mode)
 
         def pair(g):
-            c = ConformalFactor.from_source(g.grid, c_src, n)
-            return assemble_stiffness(g), assemble_stiffness(scale_metric_2d(g, c))
+            # scaled first, so a factor that breaks the metric stops before assembly
+            g_c = scale_metric_2d(g, ConformalFactor.from_source(g.grid, c_src, n))
+            return assemble_stiffness(g), assemble_stiffness(g_c)
     elif kind == "conformal-link":
         if n < 3:
             raise ConfigInvalid("conformal-link requires n >= 3")

@@ -391,10 +391,12 @@ def synth_approx_miller(
     b = -interior(divergence_form_apply(eye, u.values, grid)).ravel()
     G, unk_flat = _coefficient_jacobian(u.values, grid, unknown)
 
-    baseline = float(np.linalg.norm(b))
-    # a zero source (u = 0) gives G = 0 and b = 0: LSQR returns x = 0 at once
-    colsq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
-    damp = float(np.sqrt(ridge * colsq.mean()))
+    # a zero source (u = 0) gives G = 0 and b = 0: LSQR returns x = 0 at once;
+    # an overflow gives inf or NaN, refused on the next line, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        baseline = float(np.linalg.norm(b))
+        colsq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
+        damp = float(np.sqrt(ridge * colsq.mean()))
     if not np.isfinite([damp, baseline]).all():
         raise InfeasibleBounds(f"amplitude {amplitude} overflows the fit: damp {damp}, baseline {baseline}")
     sol = spla.lsqr(G, b, damp=damp, atol=1e-12, btol=1e-12, iter_lim=2000)

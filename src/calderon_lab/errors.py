@@ -36,26 +36,17 @@ class Asymmetric(CalderonLabError):
 
 
 class NonPositiveDefinite(CalderonLabError):
-    """A sampled metric matrix has a non-positive eigenvalue at some node."""
+    """A metric node table fails its Cholesky check at some node. The
+    ``eigenvalue`` payload is the node's smallest: <= 0 when the matrix is
+    not positive definite, > 0 when ``sqrt(det g)`` is not finite and > 0,
+    NaN when an entry is not finite."""
 
     def __init__(self, node: tuple, eigenvalue: float):
         self.node = tuple(int(k) for k in node)
-        self.eigenvalue = float(eigenvalue)
-        super().__init__(
-            f"metric not positive definite at node {self.node}: "
-            f"min eigenvalue {self.eigenvalue:.3e}"
-        )
-
-
-class DegenerateDeterminant(CalderonLabError):
-    """A coefficient determinant vanishes or turns negative at some node."""
-
-    def __init__(self, node: tuple, value: float):
-        self.node = tuple(int(k) for k in node)
-        self.value = float(value)
-        super().__init__(
-            f"coefficient determinant degenerate at node {self.node}: {self.value:.3e}"
-        )
+        self.eigenvalue = lam = float(eigenvalue)
+        what = ("not positive definite" if lam <= 0.0 else "sqrt(det g) not finite and > 0"
+                if lam > 0.0 else "entry not finite")
+        super().__init__(f"metric {what} at node {self.node}: min eigenvalue {lam:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 from .analytic import trig_sum
 from .errors import (
     Asymmetric,
-    DegenerateDeterminant,
     DimensionTooSmall,
     GridMismatch,
     NonPositiveDefinite,
@@ -302,20 +301,55 @@ def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Metric sampled on a grid. ``packed`` is the one packing of the node
-    table into the component order of the SPD kernel, which assembly and
-    the volume expansion read too. The volume element ``sqrt_det`` is the
-    Cholesky diagonal product :func:`spd_root_det` of that packing, and the
-    weight ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it is
-    first read; ``inv`` is ``weight / sqrt_det``.
+    """Metric sampled on a grid, checked when it is built. ``packed`` is the
+    one packing of the node table into the component order of the SPD
+    kernel, which assembly and the volume expansion read too. The volume
+    element ``sqrt_det`` is the Cholesky diagonal product
+    :func:`spd_root_det` of that packing, and the weight
+    ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it is first
+    read; ``inv`` is ``weight / sqrt_det``.
 
-    Invariants (enforced by :func:`sample_metric` and
-    :func:`metric_from_matrices`): ``mat``, ``weight`` and ``inv`` exactly
-    symmetric, every Cholesky pivot positive, ``sqrt_det`` finite and > 0.
+    Every table, sampled, rescaled, assembled from a dataset or given
+    directly, passes this one check, so the invariants hold by
+    construction: ``mat``, ``weight`` and ``inv`` exactly symmetric, every
+    Cholesky pivot positive, ``sqrt_det`` finite and > 0. A wrong shape
+    raises ``GridMismatch``; a node beyond 1e-12 (relative) of symmetric
+    raises ``Asymmetric``, and a table within it is symmetrised exactly.
+    A ``sqrt_det`` not finite and > 0 raises ``NonPositiveDefinite`` at the
+    first such node with a non-finite entry, else at the one among them of
+    the smallest eigenvalue.
     """
 
     grid: CylinderGrid
     mat: np.ndarray
+
+    def __post_init__(self):
+        grid, mat = self.grid, np.asarray(self.mat, dtype=float)
+        if mat.shape != grid.shape + (grid.n, grid.n):
+            raise GridMismatch(
+                f"matrix table shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
+            )
+        # a non-finite entry or a failed pivot gives NaN, inf or 0, not a warning
+        with np.errstate(all="ignore"):
+            mat_t = np.swapaxes(mat, -1, -2)
+            if (mat != mat_t).any():
+                defect = np.abs(mat - mat_t).max(axis=(-1, -2))
+                scale = np.maximum(1.0, np.abs(mat).max(axis=(-1, -2)))
+                if (defect > 1e-12 * scale).any():
+                    node = np.unravel_index(int(np.nanargmax(defect / scale)), grid.shape)
+                    raise Asymmetric(node, float(defect[node]))
+                # exact symmetry for downstream bitwise-symmetric algebra
+                mat = 0.5 * (mat + mat_t)
+            object.__setattr__(self, "mat", mat)
+            bad = ~(np.isfinite(self.sqrt_det) & (self.sqrt_det > 0.0))
+        if bad.any():
+            nodes, sub = np.argwhere(bad), mat[bad]
+            finite = np.isfinite(sub).all(axis=(-1, -2))
+            if finite.all():
+                lam_min = np.linalg.eigvalsh(sub)[:, 0]
+                k = int(np.argmin(lam_min))
+                raise NonPositiveDefinite(nodes[k], float(lam_min[k]))
+            raise NonPositiveDefinite(nodes[int(np.argmin(finite))], float("nan"))
 
     @property
     def packed(self) -> np.ndarray:
@@ -340,61 +374,12 @@ class MetricField:
         return np.moveaxis(W, (0, 1), (-2, -1))
 
 
-def _checked_spd(mat: np.ndarray, grid: CylinderGrid) -> MetricField:
-    """A node table of metric matrices as a MetricField, exactly symmetrised,
-    accepted when its ``sqrt_det`` is finite and > 0 at every node (every
-    Cholesky pivot positive); eigenvalues only name the node of a reject.
-
-    Raises
-    ------
-    Asymmetric
-        If any node matrix deviates from symmetry beyond 1e-12 (relative).
-    NonPositiveDefinite
-        At the first node with a non-finite entry, else, when a pivot is
-        <= 0, at the node of the smallest eigenvalue.
-    """
-    finite = np.isfinite(mat).all(axis=(-1, -2))
-    if not finite.all():
-        node = np.unravel_index(int(np.argmin(finite)), grid.shape)
-        raise NonPositiveDefinite(node, float("nan"))
-    defect = np.abs(mat - np.swapaxes(mat, -1, -2)).max(axis=(-1, -2))
-    scale = np.maximum(1.0, np.abs(mat).max(axis=(-1, -2)))
-    if (defect > 1e-12 * scale).any():
-        node = np.unravel_index(int(np.argmax(defect / scale)), grid.shape)
-        raise Asymmetric(node, float(defect[node]))
-    # exact symmetry for downstream bitwise-symmetric algebra
-    field = MetricField(grid, 0.5 * (mat + np.swapaxes(mat, -1, -2)))
-    with np.errstate(all="ignore"):  # a failed pivot gives NaN or 0, not a warning
-        root_det = field.sqrt_det
-    if not (np.isfinite(root_det) & (root_det > 0.0)).all():
-        lam_min = np.linalg.eigvalsh(field.mat)[..., 0]
-        node = np.unravel_index(int(np.argmin(lam_min)), grid.shape)
-        raise NonPositiveDefinite(node, float(lam_min[node]))
-    return field
-
-
 def sample_metric(source: MetricSource, grid: CylinderGrid) -> MetricField:
-    """Evaluate a metric source at the grid nodes and validate it with
-    :func:`_checked_spd`."""
+    """Evaluate a metric source at the grid nodes; the :class:`MetricField`
+    checks the table."""
     if source.n != grid.n:
         raise GridMismatch(f"metric dimension {source.n} != grid dimension {grid.n}")
-    mat = source(grid.points)
-    if mat.shape != grid.shape + (grid.n, grid.n):
-        raise GridMismatch(
-            f"source returned shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
-        )
-    return _checked_spd(mat, grid)
-
-
-def metric_from_matrices(grid: CylinderGrid, mat: np.ndarray) -> MetricField:
-    """Wrap an explicit node table of matrices as a MetricField, validated
-    like :func:`sample_metric`."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != grid.shape + (grid.n, grid.n):
-        raise GridMismatch(
-            f"matrix table shape {mat.shape}, expected {grid.shape + (grid.n, grid.n)}"
-        )
-    return _checked_spd(mat, grid)
+    return MetricField(grid, source(grid.points))
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +507,16 @@ def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -
         raise GridMismatch(
             f"grid {grid.shape} incompatible with dataset grid {data.grid.shape}"
         )
-    D3 = data.block_determinant()
-    if (D3 <= 0.0).any():
-        node = np.unravel_index(int(np.argmin(D3)), data.grid.shape)
-        raise DegenerateDeterminant(node, float(D3[node]))
     extra = (1,) * (n - 3)
-    D = D3.reshape(D3.shape + extra)
+    D = data.block_determinant().reshape(data.grid.shape + extra)
     b11 = (1.0 + data.a3 + data.rough3()).reshape(D.shape)
     b22 = (1.0 + data.a1 + data.rough1()).reshape(D.shape)
     b12 = (-data.a2).reshape(D.shape)
 
-    factor = D ** (1.0 / (n - 2))
-    # at n = 3, factor / D is exactly 1.0, so the block is the dataset's
-    scale = factor / D
+    with np.errstate(divide="ignore", invalid="ignore"):  # D <= 0 fails the metric check
+        factor = D ** (1.0 / (n - 2))
+        # at n = 3, factor / D is exactly 1.0, so the block is the dataset's
+        scale = factor / D
     g = np.zeros(data.grid.shape + extra + (n, n))
     g[..., 0, 0] = factor
     g[..., 1, 1] = scale * b11
@@ -543,7 +525,7 @@ def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -
     g[..., 2, 2] = scale * b22
     for k in range(3, n):
         g[..., k, k] = factor
-    return metric_from_matrices(grid, np.broadcast_to(g, grid.shape + (n, n)))
+    return MetricField(grid, np.broadcast_to(g, grid.shape + (n, n)))
 
 
 def weight_identity_check(data: MillerDataset) -> float:

@@ -865,6 +865,18 @@ class TestDnCompare:
         )
         assert code == 0
 
+    # c g overflows: numpy warned three times in the interior solver, and
+    # the run ended in a misleading SingularInteriorBlock
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_2d_factor_refused_before_assembly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "assemble_stiffness", _must_not_run)
+        factor = {"seed": 1, "amplitude": 0.3, "offset": 1.7e308}
+        cfg = {"n": 2, "sizes": [9, 17], "metric": {"kind": "random-trig", "seed": 3},
+               "transform": {"kind": "conformal-2d", "factor": factor}}
+        code, _ = _cli(tmp_path, "dn-compare", cfg)
+        assert code == 1
+        assert "NonPositiveDefinite" in capsys.readouterr().err
+
     # all-zero gaps made _order_fit return inf: the report held
     # "value": Infinity, which load_json refuses, and passed gap_order vacuously
     @pytest.mark.parametrize("transform", [
@@ -912,7 +924,9 @@ class TestDatasetCommands:
         assert doc["passed"] is True
 
     # the Jacobian's squared column norms overflowed: NaN in five lines of
-    # report.json and exit 1 on a failed verdict
+    # report.json and exit 1 on a failed verdict; under -W error numpy's
+    # overflow warning escaped instead of the config error
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_amplitude_is_config_error(self, tmp_path, capsys):
         code, out = _cli(tmp_path, "synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "amplitude": 1e160})
         assert code == 2

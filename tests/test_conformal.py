@@ -5,10 +5,12 @@ Verifies:
   - the one-parameter factor family and its positivity floor
   - fourth-power (n >= 3) and first-power (n = 2) metric scalings; a
     factor with a NaN, inf or non-positive value is refused
+  - the volume law sqrt(det(c^4 g)) = c^{2n} sqrt(det g) at n = 3 and 4
   - the scaling-law potential: exact-zero shortcut and boundary fill
   - the scaling-law residual vanishes for c = 1 and shrinks under
     refinement otherwise
-  - a factor whose scaled volume element overflows is refused
+  - a factor whose scaled volume element overflows is refused by the
+    MetricField check, naming the node
   - measured volume-defect coefficients: binomial oracle for constant u,
     quadratic term against direct quadrature, sample-set invariance, and
     a peak of at most 6 MB on the (25, 24, 24) study grid; exactly seven
@@ -45,6 +47,7 @@ from calderon_lab.errors import (
     GridMismatch,
     InsufficientSamples,
     MissingAnalyticGradient,
+    NonPositiveDefinite,
     NonPositiveFactor,
 )
 from calderon_lab.grid_geometry import (
@@ -120,8 +123,23 @@ class TestScaleMetric:
     def test_overflowing_factor_refused(self, grid9, flat9):
         # c^6 overflows: both sides of the volume check were inf, the NaN
         # defect passed it and the failure surfaced later, in assembly
-        with pytest.raises(NonPositiveFactor):
+        with pytest.raises(NonPositiveDefinite) as err:
             scale_metric(flat9, ConformalFactor(ScalarField.constant(grid9, 1e60), 3))
+        assert err.value.node == (0, 0, 0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_volume_law(self, n):
+        # the discrete form of how volume responds to the scaling, a second
+        # route to the scaled volume element
+        grid = cyl_grid(n, 9)
+        g = sample_metric(random_trig_metric(n, seed=n), grid)
+        rng = np.random.default_rng(n)
+        c = ConformalFactor.from_source(
+            grid, an.constant(1.0, n) + an.trig_sum(n, rng, terms=2, amplitude=0.3, max_mode=1), n
+        )
+        expect = c.values ** (2 * n) * g.sqrt_det
+        rel = np.abs(scale_metric(g, c).sqrt_det - expect) / expect
+        assert rel.max() <= 1e-12, f"{rel.max():.2e}"
 
     def test_rejects_2d(self):
         grid = cyl_grid(2, 9)

@@ -3,21 +3,29 @@
 Verifies:
   - node layout, spacings, and quadrature weights of the cylinder grid
   - boundary/interior id sets partition the grid
-  - metric sampling: symmetry/positivity/finiteness guards, with the
-    NonPositiveDefinite payload naming eigvalsh's node and eigenvalue for an
-    indefinite node with a positive diagonal and for a singular node, and
-    no floating-point warning on the way; the cached sqrt(det g)
+  - the one MetricField check: every route that builds a metric (the
+    constructor, sampling, both conformal scalings, both dataset
+    assemblers at n = 3 and 4) refuses the same bad tables with the same
+    typed error: asymmetric, indefinite, singular or non-finite entries;
+    the NonPositiveDefinite payload names eigvalsh's node and eigenvalue
+    for an indefinite node with a positive diagonal and for a singular
+    node, and its message names the check that failed; no floating-point
+    warning on the way; the cached sqrt(det g)
   - the coefficient-dataset metric reproduces its weight matrix exactly,
-    and an indefinite dataset metric is refused by both assemblers
+    and a dataset metric with a degenerate determinant or an indefinite
+    block is refused by both assemblers
   - 3-D and n-D counterexample assemblers agree node for node at n = 3
 """
+
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from calderon_lab.conformal import ConformalFactor, scale_metric, scale_metric_2d
 from calderon_lab.errors import (
     Asymmetric,
-    DegenerateDeterminant,
     DimensionTooSmall,
     GridMismatch,
     NonPositiveDefinite,
@@ -35,7 +43,6 @@ from calderon_lab.grid_geometry import (
     assemble_counterexample_metric_nd,
     cyl_grid,
     flat_metric,
-    metric_from_matrices,
     random_trig_metric,
     sample_metric,
     weight_identity_check,
@@ -99,13 +106,23 @@ class TestCylinderGrid:
             CylinderGrid(1, 5, ())
 
 
-# Both metric entry points validate through one check; the sample_metric
-# route gets its bad table from a source that ignores the points.
+def _scaled(grid, mats):
+    """The table through ``scale_metric`` (n >= 3) or ``scale_metric_2d``
+    (n = 2) by c = 1, from a stand-in metric that holds it unchecked:
+    ``1.0 * x`` is ``x``, so the scaled table is the table."""
+    scale = scale_metric_2d if grid.n == 2 else scale_metric
+    return scale(SimpleNamespace(grid=grid, mat=mats), ConformalFactor.one(grid, grid.n))
+
+
+# Every route to a MetricField validates through the one check in its
+# constructor; the sample_metric route gets its bad table from a source
+# that ignores the points.
 BUILDERS = [
-    metric_from_matrices,
+    MetricField,
     lambda grid, mats: sample_metric(MetricSource(grid.n, lambda pts: mats), grid),
+    _scaled,
 ]
-BUILDER_IDS = ["metric_from_matrices", "sample_metric"]
+BUILDER_IDS = ["MetricField", "sample_metric", "scale_metric"]
 
 
 class TestMetricField:
@@ -160,6 +177,48 @@ class TestMetricField:
         with pytest.raises(NonPositiveDefinite) as err:
             build(grid9, mats)
         assert err.value.node == (2, 3, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ([[1.0, 0.1], [0.0, 1.0]], Asymmetric),
+            ([[1.0, 2.0], [2.0, 1.0]], NonPositiveDefinite),  # eigenvalues -1, 3
+            ([[1.0, 1.0], [1.0, 1.0]], NonPositiveDefinite),  # zero pivot
+            ([[1.0, 0.0], [0.0, np.inf]], NonPositiveDefinite),
+        ],
+        ids=["asymmetric", "indefinite_positive_diagonal", "singular", "non_finite"],
+    )
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_2d_tables_refused(self, build, bad, error):
+        # at n = 2 the scaling route is scale_metric_2d
+        grid = cyl_grid(2, 9)
+        mats = np.tile(np.eye(2), grid.shape + (1, 1))
+        mats[2, 3] = bad
+        with pytest.raises(error) as err:
+            build(grid, mats)
+        assert err.value.node == (2, 3)
+        if error is NonPositiveDefinite and np.isfinite(mats).all():
+            assert err.value.eigenvalue == np.linalg.eigvalsh(mats)[2, 3, 0]
+
+    @pytest.mark.parametrize(
+        "entry,check",
+        [
+            (-1.0, "not positive definite"),
+            (1e210, "sqrt(det g) not finite"),
+            (np.nan, "entry not finite"),
+        ],
+        ids=["indefinite", "volume_overflow", "non_finite"],
+    )
+    def test_refusal_names_the_check(self, grid9, entry, check):
+        # the volume element of 1e210 * I is 1e315: a positive eigenvalue
+        # read "not positive definite" when sqrt(det g) overflowed
+        mats = np.tile(np.eye(3), grid9.shape + (1, 1))
+        mats[2, 3, 4] *= entry
+        with pytest.raises(NonPositiveDefinite, match=re.escape(check)) as err:
+            MetricField(grid9, mats)
+        assert err.value.node == (2, 3, 4)
+        np.testing.assert_equal(err.value.eigenvalue, entry)  # NaN equals NaN here
 
     def test_constant_metric_sampling(self, grid9):
         m = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
@@ -229,13 +288,15 @@ class TestMillerDataset:
         bad = MillerDataset(
             grid5, data.a1, data.a2 + 2.0, data.a3, data.A1, data.A3, data.u
         )
-        with pytest.raises(DegenerateDeterminant):
+        with pytest.raises(NonPositiveDefinite) as err:
             assemble_counterexample_metric_3d(bad)
+        assert bad.block_determinant()[err.value.node] <= 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_indefinite_metric_rejected(self, grid5, n):
-        # the block determinant (1 - 3)^2 = 4 passes the determinant guard,
-        # but the metric has eigenvalue -2 in both angular directions
+        # the block determinant (1 - 3)^2 = 4 is positive, but the metric
+        # has eigenvalue -2 in both angular directions: the MetricField
+        # check refuses it
         z = MillerDataset.zero(grid5)
         bad = MillerDataset(grid5, z.a1 - 3.0, z.a2, z.a3 - 3.0, z.A1, z.A3, z.u)
         with pytest.raises(NonPositiveDefinite):
@@ -244,6 +305,31 @@ class TestMillerDataset:
             else:
                 big = CylinderGrid(n, grid5.num_t, grid5.num_ang + (4,))
                 assemble_counterexample_metric_nd(bad, big)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues -1, 3
+            [[1.0, 1.0], [1.0, 1.0]],  # zero determinant
+            [[np.inf, 0.0], [0.0, 1.0]],
+        ],
+        ids=["indefinite_positive_diagonal", "singular", "non_finite"],
+    )
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bad_angular_block_refused(self, grid9, n, block):
+        # a dataset carries a bad entry into its metric through the angular
+        # block [[1 + a3, -a2], [-a2, 1 + a1]] of a node; the MetricField
+        # check refuses the metric at that node, along any extra axis
+        z = MillerDataset.zero(grid9)
+        a1, a2, a3 = np.zeros((3,) + grid9.shape)
+        (b11, b12), (_, b22) = block
+        a3[2, 3, 4], a2[2, 3, 4], a1[2, 3, 4] = b11 - 1.0, -b12, b22 - 1.0
+        bad = MillerDataset(grid9, a1, a2, a3, z.A1, z.A3, z.u)
+        big = CylinderGrid(n, grid9.num_t, grid9.num_ang + (4,) * (n - 3))
+        with pytest.raises(NonPositiveDefinite) as err:
+            assemble_counterexample_metric_nd(bad, big)
+        assert err.value.node == (2, 3, 4) + (0,) * (n - 3)
 
     def test_nd_matches_3d(self, grid5):
         data = _toy_dataset(grid5)

@@ -574,18 +574,21 @@ def test_setup_peak_rss_at_65():
     """Memory probe for a byte cap: a 65^3 random-trig metric, assembled
     with a potential, and one solver, in a fresh process (543 MB max RSS
     when the solver copied K's interior block and coupling, 343 to 346 MB
-    since it borrows K's rows)."""
+    since it borrows K's rows). The child reports its own ``VmHWM``: its
+    ``ru_maxrss`` starts from the high-water mark of the process that
+    forked it, here the test run's."""
     script = (
-        "import resource, numpy as np\n"
+        "import re, numpy as np\n"
+        "from pathlib import Path\n"
         "from calderon_lab.dn_solver import InteriorSolver, assemble_stiffness\n"
         "from calderon_lab.grid_geometry import cyl_grid, random_trig_metric, sample_metric\n"
         "grid = cyl_grid(3, 65)\n"
         "q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)\n"
         "InteriorSolver(assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+        "print(int(re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text()).group(1)) / 1024)\n"
     )
     src = Path(dn_solver.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
-    assert float(out.stdout) <= 420.0, f"{float(out.stdout):.0f} MB max RSS"
+    assert float(out.stdout) <= 420.0, f"{float(out.stdout):.0f} MiB peak RSS"

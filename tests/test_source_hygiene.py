@@ -18,7 +18,10 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
   - every parameter with a default, on a module-level function or a class
     method, is passed by some call in the package, the benchmark or
     ``tests/test_acceptance.py``: a default that only unit tests override
-    is surface too.
+    is surface too;
+  - every error class of ``errors.py`` but the base ``CalderonLabError``
+    is raised somewhere in the package, so a deleted guard leaves no
+    orphan error type.
 """
 
 import ast
@@ -300,3 +303,15 @@ def test_parameter_check_call_forms():
         "(by_branch if x else len)(1, True)\n"
     )
     assert _unpassed_defaults({"m": tree}, [tree]) == ["m.never(flag)"]
+
+
+def test_every_error_class_is_raised():
+    raised = {
+        (n.exc.func if isinstance(n.exc, ast.Call) else n.exc).id
+        for p in MODULES
+        for n in ast.walk(_tree(p))
+        if isinstance(n, ast.Raise) and isinstance(getattr(n.exc, "func", n.exc), ast.Name)
+    }
+    classes = [n.name for n in _tree(PACKAGE / "errors.py").body if isinstance(n, ast.ClassDef)]
+    orphans = [nm for nm in classes if nm != "CalderonLabError" and nm not in raised]
+    assert not orphans, f"error classes the package never raises: {orphans}"
