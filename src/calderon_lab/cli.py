@@ -322,15 +322,12 @@ def _synth(spec, check=None, where: str = "synth", **extra):
     """Read a synth block and run :func:`synth_approx_miller` with only the
     keys it sets, so the library defaults hold. ``extra`` is the schema of
     the keys the block's object holds besides the synth keys;
-    ``check(grid)`` vets the grid first, and a box or ridge the synthesis
-    rejects is a config error. Returns (dataset, build report, read keys)."""
+    ``check(grid)`` vets the grid first. Whatever the synthesis refuses as
+    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, a negative
+    ridge, an aliasing mode, an overflowing amplitude) is a config error.
+    Returns (dataset, build report, read keys)."""
     s = read(spec, where, **_SYNTH, **extra)
     grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
-    # the aliasing rule of fourier_modes, per component of each mode pair
-    for m in s.modes or ():
-        for k, num in zip(m, grid.num_ang):
-            if k and 2 * abs(k) >= num:
-                raise ConfigInvalid(f"synth mode {quote(m)} aliases on an angular axis with {num} nodes")
     if check is not None:
         check(grid)
     kwargs = {key: getattr(s, key) for key in _SYNTH if key != "grid" and getattr(s, key) is not None}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +53,7 @@ from .report import (
     integer,
     list_of,
     load_json,
+    quote,
     ranged,
     read,
     real,
@@ -101,26 +102,13 @@ def save_dataset(data: MillerDataset, path) -> None:
     atomic_write_text(path, json.dumps(doc))
 
 
-def _check_ranges(T: float, rho: float, alpha: float) -> None:
-    """The paper's range of the metadata: the fields vanish beyond a T in
-    (0, 1], inside the cylinder, the rough parts are Hoelder of an order
-    rho in (0, 1), and the eigenvalue box [alpha, 1/alpha] has room around
-    the identity."""
-    if not 0.0 < T <= 1.0:
-        raise InfeasibleBounds(f"T = {T} must lie in (0, 1]")
-    if not 0.0 < rho < 1.0:
-        raise InfeasibleBounds(f"rho = {rho} must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise InfeasibleBounds(f"alpha = {alpha} leaves no admissible coefficient box")
-
-
 def _meta(obj) -> SimpleNamespace:
-    """The container's metadata, its grid built and its ranges checked."""
+    """The container's metadata with its grid built; the ranges of T, rho
+    and alpha are the dataset's own to check."""
     m = read(obj, "container meta", n=(choice(3), REQUIRED), N_t=(integer, REQUIRED),
              N_ang=(list_of(integer), REQUIRED), T=(real, REQUIRED), rho=(real, REQUIRED),
              alpha=(real, REQUIRED), layout=(choice("row-major"), REQUIRED),
              dtype=(choice("float64-le"), REQUIRED))
-    _check_ranges(m.T, m.rho, m.alpha)
     m.grid = CylinderGrid(3, m.N_t, m.N_ang)  # a ValueError is the reader's to report
     return m
 
@@ -148,9 +136,11 @@ def load_dataset(path) -> MillerDataset:
     loader and schema reader (:mod:`~calderon_lab.report`) at three levels:
     the root (``format``, ``version`` 1, ``meta``, ``arrays``), the
     metadata, and each array entry (``encoding`` ``base64``, ``shape``,
-    ``data``); an unknown key at any level is refused. Loading does not
-    validate the dataset's properties: that is
-    :func:`validate_miller_properties`."""
+    ``data``); an unknown key at any level is refused, and so is a
+    non-finite array entry. The loaded dataset checks its own shapes and
+    metadata ranges (:class:`MillerDataset`), and its refusal is a
+    MalformedContainer too. Loading does not validate the dataset's
+    properties: that is :func:`validate_miller_properties`."""
     try:
         doc = read(load_json(path), "container", format=(choice(_FORMAT), REQUIRED),
                    version=(ranged(integer, 1, 2), REQUIRED), meta=(_meta, REQUIRED),
@@ -362,17 +352,24 @@ def synth_approx_miller(
     converges (``lsqr_stop`` 1 or 2) within its 2000 iterations on modes
     ((1,0),(0,1)) and ((1,1),(1,0)) at grid (25,24,24).
 
-    Returns (dataset, report dict). Raises InfeasibleBounds when ``T`` is
-    not above the first interior t-node (the fit has no unknowns), or when
-    the LSQR damping, the baseline residual or the fit's residual is not
-    finite (an amplitude of 1e160 overflows the Jacobian's squared column
-    norms).
+    Returns (dataset, report dict). The zero dataset of ``grid`` and the
+    metadata is built before any fitting, so a grid of other than 3 axes
+    raises DimensionTooSmall and metadata out of :class:`MillerDataset`'s
+    ranges InfeasibleBounds. InfeasibleBounds also refuses a negative or
+    non-finite ``ridge``; a mode component m on N angular nodes with
+    2|m| >= N, which aliases (on 8 nodes mode (4, 0) samples to zero);
+    a ``T`` not above the first interior t-node (no unknowns); and a
+    damping, baseline or fitted residual that is not finite (amplitude
+    1e160 overflows the Jacobian's squared column norms).
     """
-    if grid.n != 3:
-        raise GridMismatch("synthesis targets the 3-D cylinder")
+    zero = MillerDataset.zero(grid, T=float(T), rho=float(rho), alpha=float(alpha))
     if not 0.0 <= ridge < np.inf:
         raise InfeasibleBounds(f"ridge = {ridge} must be finite and non-negative")
-    _check_ranges(T, rho, alpha)
+    # the aliasing rule of fourier_modes, per component of each mode pair
+    for m in modes:
+        for k, num in zip(m, grid.num_ang):
+            if k and 2 * abs(k) >= num:
+                raise InfeasibleBounds(f"synth mode {quote(m)} aliases on an angular axis with {num} nodes")
     t = grid.axes()[0]
     if not t[1] < T - 1e-12:
         raise InfeasibleBounds(f"T = {T} leaves no t-node to fit: the first interior node is t = {t[1]}")
@@ -387,8 +384,7 @@ def synth_approx_miller(
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown[1:-1] = (t[1:-1] < T - 1e-12)[:, None, None]
 
-    eye = np.broadcast_to(np.eye(3), grid.shape + (3, 3))
-    b = -interior(divergence_form_apply(eye, u.values, grid)).ravel()
+    b = -interior(divergence_form_apply(zero.coefficient_matrix(), u.values, grid)).ravel()
     G, unk_flat = _coefficient_jacobian(u.values, grid, unknown)
 
     # a zero source (u = 0) gives G = 0 and b = 0: LSQR returns x = 0 at once;
@@ -412,11 +408,7 @@ def synth_approx_miller(
     fields = np.zeros((3, grid.node_count))
     fields[:, unk_flat] = a_vec.reshape(3, -1)
     fields = fields.reshape((3, *grid.shape))
-    zt = np.zeros(grid.num_t)
-    data = MillerDataset(
-        grid, fields[0], fields[1], fields[2], zt, zt.copy(), u.values,
-        T=float(T), rho=float(rho), alpha=float(alpha),
-    )
+    data = replace(zero, a1=fields[0], a2=fields[1], a3=fields[2], u=u.values)
     report = {
         "baseline_l2": baseline,
         "achieved_l2": achieved,

@@ -128,8 +128,9 @@ class GridMismatch(CalderonLabError):
 
 
 class InfeasibleBounds(CalderonLabError):
-    """A synthesis parameter is out of range: coefficient box constraints
-    that admit no variation, or an amplitude whose fit is not finite."""
+    """A dataset or synthesis parameter is out of range: dataset metadata
+    outside the paper's ranges, a synthesis mode that aliases on the grid,
+    or an amplitude whose fit is not finite."""
 
 
 class TrivialU(CalderonLabError):

@@ -19,7 +19,7 @@ matrix exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .errors import (
     Asymmetric,
     DimensionTooSmall,
     GridMismatch,
+    InfeasibleBounds,
     NonPositiveDefinite,
 )
 
@@ -400,6 +401,13 @@ class MillerDataset:
     Metadata: T is the time beyond which everything vanishes, rho the
     declared Hoelder order of A1, A3, alpha the declared eigenvalue floor
     (eigenvalues of the coefficient matrix lie in [alpha, 1/alpha]).
+
+    Every route that builds a dataset (the constructor, :meth:`zero`,
+    :meth:`coarsen`, the loader, the synthesiser) runs one check: a grid of
+    other than 3 axes raises DimensionTooSmall, an array off the grid
+    GridMismatch, and metadata out of the paper's ranges InfeasibleBounds:
+    T in (0, 1], rho in (0, 1), and alpha in (0, 1), so that the box
+    [alpha, 1/alpha] has room around the identity.
     """
 
     grid: CylinderGrid
@@ -429,30 +437,36 @@ class MillerDataset:
                     f"array {nm} has shape {arr.shape}, expected ({self.grid.num_t},)"
                 )
             object.__setattr__(self, nm, arr)
+        if not 0.0 < self.T <= 1.0:
+            raise InfeasibleBounds(f"T = {self.T} must lie in (0, 1]")
+        if not 0.0 < self.rho < 1.0:
+            raise InfeasibleBounds(f"rho = {self.rho} must lie in (0, 1)")
+        if not 0.0 < self.alpha < 1.0:
+            raise InfeasibleBounds(f"alpha = {self.alpha} leaves no admissible coefficient box")
 
     # -- derived fields ----------------------------------------------------
 
-    def rough1(self) -> np.ndarray:
-        """A1 broadcast over the angular axes."""
-        return self.A1[:, None, None]
-
-    def rough3(self) -> np.ndarray:
-        return self.A3[:, None, None]
+    def block(self) -> tuple:
+        """The angular block's entries per node, ``(1+a1+A1, a2, 1+a3+A3)``,
+        each of shape ``grid.shape``: the one place the rough parts meet
+        the smooth ones."""
+        return 1.0 + self.a1 + self.A1[:, None, None], self.a2, 1.0 + self.a3 + self.A3[:, None, None]
 
     def coefficient_matrix(self) -> np.ndarray:
         """The divergence-form matrix per node, shape ``(*grid.shape, 3, 3)``."""
-        shape = self.grid.shape
-        A = np.zeros(shape + (3, 3))
+        b1, a2, b3 = self.block()
+        A = np.zeros(self.grid.shape + (3, 3))
         A[..., 0, 0] = 1.0
-        A[..., 1, 1] = 1.0 + self.a1 + self.rough1()
-        A[..., 1, 2] = self.a2
-        A[..., 2, 1] = self.a2
-        A[..., 2, 2] = 1.0 + self.a3 + self.rough3()
+        A[..., 1, 1] = b1
+        A[..., 1, 2] = a2
+        A[..., 2, 1] = a2
+        A[..., 2, 2] = b3
         return A
 
     def block_determinant(self) -> np.ndarray:
         """det of the angular 2x2 block (equals det of the full matrix)."""
-        return (1.0 + self.a1 + self.rough1()) * (1.0 + self.a3 + self.rough3()) - self.a2**2
+        b1, a2, b3 = self.block()
+        return b1 * b3 - a2**2
 
     @classmethod
     def zero(cls, grid: CylinderGrid, **meta) -> "MillerDataset":
@@ -463,20 +477,9 @@ class MillerDataset:
     def coarsen(self, stride: int) -> "MillerDataset":
         """Restrict all fields to every ``stride``-th node."""
         s = int(stride)
-        cg = self.grid.coarsen(s)
         sl = (slice(None, None, s),) * 3
-        return MillerDataset(
-            cg,
-            self.a1[sl],
-            self.a2[sl],
-            self.a3[sl],
-            self.A1[::s],
-            self.A3[::s],
-            self.u[sl],
-            T=self.T,
-            rho=self.rho,
-            alpha=self.alpha,
-        )
+        return replace(self, grid=self.grid.coarsen(s), a1=self.a1[sl], a2=self.a2[sl], a3=self.a3[sl],
+                       A1=self.A1[::s], A3=self.A3[::s], u=self.u[sl])
 
 
 def assemble_counterexample_metric_3d(data: MillerDataset) -> MetricField:
@@ -508,10 +511,9 @@ def assemble_counterexample_metric_nd(data: MillerDataset, grid: CylinderGrid) -
             f"grid {grid.shape} incompatible with dataset grid {data.grid.shape}"
         )
     extra = (1,) * (n - 3)
-    D = data.block_determinant().reshape(data.grid.shape + extra)
-    b11 = (1.0 + data.a3 + data.rough3()).reshape(D.shape)
-    b22 = (1.0 + data.a1 + data.rough1()).reshape(D.shape)
-    b12 = (-data.a2).reshape(D.shape)
+    b22, a2, b11 = (b.reshape(data.grid.shape + extra) for b in data.block())
+    D = data.block_determinant().reshape(b11.shape)
+    b12 = -a2
 
     with np.errstate(divide="ignore", invalid="ignore"):  # D <= 0 fails the metric check
         factor = D ** (1.0 / (n - 2))

@@ -1,7 +1,8 @@
 """Conformal rescaling machinery.
 
 Verifies:
-  - the pointwise energy identity holds to rounding on random tuples
+  - the pointwise energy identity holds to rounding on random tuples at
+    n = 3, 4 and 5
   - the one-parameter factor family and its positivity floor
   - fourth-power (n >= 3) and first-power (n = 2) metric scalings; a
     factor with a NaN, inf or non-positive value is refused
@@ -62,21 +63,25 @@ from calderon_lab.grid_geometry import (
 
 
 def _random_tuple(grid, seed):
+    n = grid.n
     rng = np.random.default_rng(seed)
-    g = sample_metric(random_trig_metric(3, seed=seed), grid)
+    g = sample_metric(random_trig_metric(n, seed=seed), grid)
     c = ConformalFactor.from_source(
-        grid, an.constant(1.0, 3) + an.trig_sum(3, rng, terms=2, amplitude=0.1), 3
+        grid, an.constant(1.0, n) + an.trig_sum(n, rng, terms=2, amplitude=0.1), n
     )
-    u = ScalarField.from_source(grid, an.trig_sum(3, rng, terms=2, amplitude=1.0))
-    w = ScalarField.from_source(grid, an.trig_sum(3, rng, terms=2, amplitude=1.0))
+    u = ScalarField.from_source(grid, an.trig_sum(n, rng, terms=2, amplitude=1.0))
+    w = ScalarField.from_source(grid, an.trig_sum(n, rng, terms=2, amplitude=1.0))
     return g, c, u, w
 
 
 class TestAlgebraicIdentity:
-    def test_random_tuples(self, grid9):
+    # from n = 4 the factor enters as c^{n-2}, a power other than the first
+    @pytest.mark.parametrize("n,size", [(3, 9), (4, 7), (5, 5)], ids=["n3", "n4", "n5"])
+    def test_random_tuples(self, n, size):
+        grid = cyl_grid(n, size)
         worst = 0.0
         for seed in range(5):
-            g, c, u, w = _random_tuple(grid9, seed)
+            g, c, u, w = _random_tuple(grid, seed)
             worst = max(worst, algebraic_identity_check(g, c, u, w))
         assert worst < 1e-12, f"identity defect {worst:.2e}"
 

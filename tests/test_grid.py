@@ -15,6 +15,7 @@ Verifies:
     and a dataset metric with a degenerate determinant or an indefinite
     block is refused by both assemblers
   - 3-D and n-D counterexample assemblers agree node for node at n = 3
+  - the dataset's angular block is the coefficient matrix's angular slots
 """
 
 import re
@@ -255,6 +256,16 @@ class TestMillerDataset:
         assert np.abs(A[..., 1, 2] - A[..., 2, 1]).max() == 0.0
         det_direct = np.linalg.det(A)
         assert np.abs(det_direct - data.block_determinant()).max() < 1e-13
+
+    def test_block_is_the_angular_slots(self, grid5):
+        # the one source of the angular block: the coefficient matrix and
+        # the determinant read it entry for entry
+        data = _toy_dataset(grid5)
+        b1, a2, b3 = data.block()
+        A = data.coefficient_matrix()
+        for slot, entry in (((1, 1), b1), ((1, 2), a2), ((2, 1), a2), ((2, 2), b3)):
+            assert np.array_equal(A[(..., *slot)], entry), slot
+        assert np.array_equal(data.block_determinant(), b1 * b3 - a2**2)
 
     def test_shape_guard(self, grid5):
         z = np.zeros(grid5.shape)

@@ -138,7 +138,7 @@ def _lu_reference(sys, gamma=GAMMA1):
     solver = InteriorSolver(sys)
     solver.extend(U)
     rhs = K[I][:, G] @ V
-    X = spla.splu(K[I][:, I].tocsc()).solve(rhs)
+    X = spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
 
 

@@ -16,6 +16,10 @@ Verifies:
     and the forced-failure paths
   - the fitted coefficient Jacobian reproduces the divergence stencil
     exactly
+  - every route to a dataset (the constructor, ``zero``, the loader and
+    the synthesizer) refuses T, rho or alpha outside the paper's ranges;
+    the synthesizer refuses a mode that aliases on the grid and a grid of
+    other than 3 axes
   - the synthesizer respects its box and never loses to the baseline;
     at the default ridge its LSQR converges and the fields are stable
     under rounding of the input
@@ -43,6 +47,7 @@ from calderon_lab.counterexample import (
     _coefficient_jacobian,
 )
 from calderon_lab.errors import (
+    DimensionTooSmall,
     InfeasibleBounds,
     InsufficientSamples,
     MalformedContainer,
@@ -327,6 +332,60 @@ class TestCoefficientJacobian:
         assert np.abs(direct - linear).max() < 1e-13, (
             f"jacobian mismatch {np.abs(direct - linear).max():.2e}"
         )
+
+
+def _load_with_meta(tmp_path, grid, **meta) -> MillerDataset:
+    """Load a saved zero dataset on ``grid`` whose container metadata was
+    edited to ``meta``."""
+    path = tmp_path / "ds.json"
+    save_dataset(MillerDataset.zero(grid), path)
+    doc = json.loads(path.read_text())
+    doc["meta"].update(meta)
+    path.write_text(json.dumps(doc))
+    return load_dataset(path)
+
+
+def _constructed(tmp_path, grid, **meta) -> MillerDataset:
+    z, zt = np.zeros(grid.shape), np.zeros(grid.num_t)
+    return MillerDataset(grid, z, z, z, zt, zt, z, **meta)
+
+
+class TestDatasetRanges:
+    # every route to a dataset passes the one check of its metadata: T in
+    # (0, 1], rho in (0, 1), alpha in (0, 1)
+    @pytest.mark.parametrize(
+        "route,error",
+        [(_constructed, InfeasibleBounds),
+         (lambda tmp_path, grid, **meta: MillerDataset.zero(grid, **meta), InfeasibleBounds),
+         (_load_with_meta, MalformedContainer),
+         (lambda tmp_path, grid, **meta: synth_approx_miller(grid, **meta), InfeasibleBounds)],
+        ids=["constructor", "zero", "loader", "synth"],
+    )
+    @pytest.mark.parametrize(
+        "key,value",
+        [("T", 0.0), ("T", 5.0), ("rho", -1.0), ("rho", 0.0), ("rho", 1.0),
+         ("alpha", 0.0), ("alpha", 1.0), ("alpha", 3.0)],
+        ids=["T-0", "T-5", "rho-minus-1", "rho-0", "rho-1", "alpha-0", "alpha-1", "alpha-3"],
+    )
+    def test_out_of_range_metadata_refused(self, tmp_path, route, error, key, value):
+        with pytest.raises(error) as err:
+            route(tmp_path, cyl_grid(3, 5), **{key: value})
+        assert isinstance(err.value, InfeasibleBounds) or isinstance(err.value.__cause__, InfeasibleBounds)
+
+    def test_vanishing_beyond_the_cylinder_refused(self):
+        # T = 5 left no t-layer to check, and the vanishing item passed
+        with pytest.raises(InfeasibleBounds):
+            validate_miller_properties(MillerDataset.zero(cyl_grid(3, 9), T=5.0))
+
+    # on 8 angular nodes mode 4 samples to zero and mode 5 to mode -3
+    @pytest.mark.parametrize("modes", [((4, 0),), ((5, 0),), ((1, 0), (0, -4))], ids=["4-0", "5-0", "0-minus-4"])
+    def test_aliasing_synth_mode_refused(self, modes):
+        with pytest.raises(InfeasibleBounds, match="aliases"):
+            synth_approx_miller(CylinderGrid(3, 9, (8, 8)), modes=modes)
+
+    def test_synth_needs_three_axes(self):
+        with pytest.raises(DimensionTooSmall):
+            synth_approx_miller(cyl_grid(4, 5))
 
 
 class TestSynthesis:
