@@ -8,8 +8,8 @@ The divergence-form operator
 uses the conservative flux stencil: coefficients are averaged to cell
 midpoints, never differenced, so a coefficient that is merely continuous
 in t (or rougher) is acceptable wherever the flux direction is angular.
-Divergence values exist at interior t-layers only; the boundary layers of
-the returned table are NaN.
+Divergence values exist at interior t-layers only, and the stencil returns
+just those: a table of shape ``(num_t - 2, *num_ang)``.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def divergence_form_apply(
     Fluxes live on half-nodes: the weight and (for cross terms) the
     centered tangential derivative are averaged onto the half-node, the
     derivative along the flux direction is the natural two-point
-    difference. Returns a full node table whose t-boundary layers are NaN.
+    difference. Returns the interior t-layers, shape ``(num_t - 2, *num_ang)``.
     """
     values = _field_values(f, grid)
     n = grid.n
@@ -133,7 +133,7 @@ def divergence_form_apply(
         raise GridMismatch(f"weight shape {weight.shape}, expected {grid.shape + (n, n)}")
     h = grid.spacings
 
-    out = np.zeros(grid.shape)
+    out = np.zeros((grid.num_t - 2, *grid.num_ang))
     for i in range(n):
         periodic = i > 0
         factors = _flux_factors(values, grid, i)
@@ -143,20 +143,19 @@ def divergence_form_apply(
             if j != i:
                 flux = flux + _half_shift(weight[..., i, j], i, periodic) * factors[j]
         if periodic:
+            flux = flux[1:-1]
             out += (flux - np.roll(flux, 1, i)) / h[i]
         else:
-            out[1:-1] += (flux[1:] - flux[:-1]) / h[i]
-    out[0] = np.nan
-    out[-1] = np.nan
+            out += (flux[1:] - flux[:-1]) / h[i]
     return out
 
 
 def divergence_form_jacobian(
     f: np.ndarray, grid: CylinderGrid, i: int, j: int
 ) -> sp.csr_matrix:
-    """Derivative of the interior rows of :func:`divergence_form_apply`
-    with respect to the weight slot W^{ij} (the table ``weight[..., i, j]``
-    flattened), for an angular direction i.
+    """Derivative of :func:`divergence_form_apply` with respect to the
+    weight slot W^{ij} (the table ``weight[..., i, j]`` flattened), for an
+    angular direction i.
 
     The stencil is linear in the weight, so this is the exact sparse
     product ``Div_i diag(factor_ij) Half_i``: half-shift onto the
@@ -180,14 +179,7 @@ def divergence_form_jacobian(
 
 def laplace_beltrami_pointwise(g: MetricField, f: np.ndarray) -> np.ndarray:
     """Metric Laplacian via the divergence form with weight
-    sqrt(det g) * g^{-1}, divided node-wise by sqrt(det g).
-
-    Interior t-layers only; boundary layers are NaN.
+    sqrt(det g) * g^{-1}, divided node-wise by sqrt(det g), on the interior
+    t-layers.
     """
-    div = divergence_form_apply(g.weight, f, g.grid)
-    return div / g.sqrt_det
-
-
-def interior(values: np.ndarray) -> np.ndarray:
-    """The t-interior slab of a node table (drops both boundary layers)."""
-    return values[1:-1]
+    return divergence_form_apply(g.weight, f, g.grid) / g.sqrt_det[1:-1]

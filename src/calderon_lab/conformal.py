@@ -38,8 +38,9 @@ from .grid_geometry import GAMMA1, CylinderGrid, MetricField, spd_root_det
 
 @dataclass(frozen=True, eq=False)
 class ConformalFactor:
-    """Finite, strictly positive scalar factor c on a grid, with the power
-    c^{n-2} cached since every identity is algebraic in that power."""
+    """Finite, strictly positive scalar factor c on a grid of dimension
+    ``n``; :meth:`power_nm2` computes c^{n-2}, the power every identity is
+    algebraic in."""
 
     field: ScalarField
     n: int
@@ -47,6 +48,8 @@ class ConformalFactor:
     def __post_init__(self):
         if self.n < 2:
             raise DimensionTooSmall("conformal factors need n >= 2")
+        if self.n != self.grid.n:
+            raise GridMismatch(f"factor dimension {self.n} != grid dimension {self.grid.n}")
         if not (np.isfinite(self.values) & (self.values > 0.0)).all():
             raise NonPositiveFactor(f"factor not finite and > 0, min {float(self.values.min()):.3e}")
 
@@ -115,12 +118,14 @@ def scale_metric_2d(g: MetricField, c: ConformalFactor) -> MetricField:
         return MetricField(g.grid, c.values[..., None, None] * g.mat)
 
 
-def _extrapolate_t_ends(values: np.ndarray) -> np.ndarray:
-    """Fill the NaN t-boundary layers by quadratic extrapolation from the
-    three adjacent interior layers."""
-    out = values.copy()
-    out[0] = 3.0 * values[1] - 3.0 * values[2] + values[3]
-    out[-1] = 3.0 * values[-2] - 3.0 * values[-3] + values[-4]
+def _t_ends(q: np.ndarray, one_sided: bool) -> np.ndarray:
+    """The interior t-layers ``q`` with both t-boundary layers added: the
+    quadratic extrapolation from the three adjacent layers, or NaN."""
+    out = np.full((q.shape[0] + 2, *q.shape[1:]), np.nan)
+    out[1:-1] = q
+    if one_sided:
+        out[0] = 3.0 * out[1] - 3.0 * out[2] + out[3]
+        out[-1] = 3.0 * out[-2] - 3.0 * out[-3] + out[-4]
     return out
 
 
@@ -130,20 +135,16 @@ def conformal_potential(
     """The scaling-law potential q = c^{-(n-2)} Lap_g c^{n-2} as a node
     table.
 
-    The stencil Laplacian does not exist on the t-boundary layers; with
-    ``one_sided`` they are filled by quadratic extrapolation (exact when c
-    is constant near the ends), otherwise they stay NaN. If c^{n-2} is
-    constant the result is identically zero, boundary layers included.
+    The stencil Laplacian exists on the interior t-layers only; this is
+    the one place that adds the two boundary layers to it: with
+    ``one_sided`` by quadratic extrapolation (exact when c is constant
+    near the ends), otherwise as NaN. If c^{n-2} is constant the result is
+    identically zero, boundary layers included.
     """
-    P = c.power_nm2()
-    vals = P.values
+    vals = c.power_nm2().values
     if np.ptp(vals) == 0.0:
         return np.zeros(g.grid.shape)
-    lap = laplace_beltrami_pointwise(g, vals)
-    q = lap / vals
-    if one_sided:
-        q = _extrapolate_t_ends(q)
-    return q
+    return _t_ends(laplace_beltrami_pointwise(g, vals) / vals[1:-1], one_sided)
 
 
 def scaling_law_residual(g: MetricField, c: ConformalFactor, f: ScalarField) -> float:
@@ -159,12 +160,10 @@ def scaling_law_residual(g: MetricField, c: ConformalFactor, f: ScalarField) -> 
         raise GridMismatch("field and metric grids differ")
     g_scaled = scale_metric(g, c)
     lhs = -laplace_beltrami_pointwise(g_scaled, f.values)
-    P = c.power_nm2().values
-    q = conformal_potential(g, c)
-    rhs = (c.values ** (-(n + 2))) * (
-        -laplace_beltrami_pointwise(g, P * f.values) + q * (P * f.values)
-    )
-    return float(np.abs(lhs[1:-1] - rhs[1:-1]).max())
+    Pf = c.power_nm2().values * f.values
+    q = conformal_potential(g, c)[1:-1]
+    rhs = (c.values ** (-(n + 2)))[1:-1] * (-laplace_beltrami_pointwise(g, Pf) + q * Pf[1:-1])
+    return float(np.abs(lhs - rhs).max())
 
 
 def algebraic_identity_check(
@@ -179,6 +178,9 @@ def algebraic_identity_check(
     only error is floating point. Both sides equal c^{2n-4} <du,dw>_g
     sqrt(det g) pointwise.
     """
+    for name, f in (("factor", c), ("u", u), ("w", w)):
+        if f.grid.shape != g.grid.shape:
+            raise GridMismatch(f"{name} and metric grids differ")
     du = gradient(u)
     dw = gradient(w)
     P = c.power_nm2()

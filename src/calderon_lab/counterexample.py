@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import analytic as an
-from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume, interior
+from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume
 from .calculus import laplace_beltrami_pointwise
 from .conformal import conformal_family, scale_metric, volume_expansion, weak_condition_residual
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
@@ -286,8 +286,8 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
         )
     )
 
-    R = interior(divergence_form_apply(data.coefficient_matrix(), data.u, grid))
-    w = interior(grid.quad_weights)
+    R = divergence_form_apply(data.coefficient_matrix(), data.u, grid)
+    w = grid.quad_weights[1:-1]
     items.append(
         ValidationItem(
             "harmonic_residual",
@@ -384,7 +384,7 @@ def synth_approx_miller(
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown[1:-1] = (t[1:-1] < T - 1e-12)[:, None, None]
 
-    b = -interior(divergence_form_apply(zero.coefficient_matrix(), u.values, grid)).ravel()
+    b = -divergence_form_apply(zero.coefficient_matrix(), u.values, grid).ravel()
     G, unk_flat = _coefficient_jacobian(u.values, grid, unknown)
 
     # a zero source (u = 0) gives G = 0 and b = 0: LSQR returns x = 0 at once;
@@ -490,8 +490,8 @@ def dn_gap_study(
         sys_g = assemble_stiffness(g)
         B_g, _ = dn_mode_matrix(sys_g, gamma, cut)
         u = ScalarField(ds.grid, ds.u)
-        lap = interior(laplace_beltrami_pointwise(g, u.values))
-        wq = interior(g.grid.quad_weights * g.sqrt_det)
+        lap = laplace_beltrami_pointwise(g, u.values)
+        wq = (g.grid.quad_weights * g.sqrt_det)[1:-1]
         r = float(np.sqrt(np.sum(wq * lap * lap)))
         for eps in eps_list:
             c = conformal_family(u, eps)

@@ -143,8 +143,8 @@ class CylinderGrid:
 
     def coarsen(self, stride: int) -> "CylinderGrid":
         s = int(stride)
-        if (self.num_t - 1) % s or any(m % s for m in self.num_ang):
-            raise GridMismatch(f"stride {s} does not divide grid {self.shape}")
+        if s < 1 or (self.num_t - 1) % s or any(m % s for m in self.num_ang):
+            raise GridMismatch(f"stride {s} is not a positive divisor of grid {self.shape}")
         return CylinderGrid(self.n, (self.num_t - 1) // s + 1, tuple(m // s for m in self.num_ang))
 
 

@@ -5,7 +5,9 @@ Verifies:
   - volume quadrature reproduces hand-computed integrals
   - the conservative stencil applied to the flat metric reproduces the
     Laplacian of trigonometric fields at second order
-  - boundary t-layers of divergence output are NaN and guarded
+  - divergence output covers the interior t-layers only, the rows of the
+    stencil's Jacobian, and assembly refuses a potential with NaN
+    boundary layers
   - the sparse Jacobian of the stencil with respect to one angular weight
     slot reproduces the stencil with only that slot set, on prime axis
     lengths and at n = 3 and 4
@@ -21,7 +23,6 @@ from calderon_lab.calculus import (
     divergence_form_jacobian,
     gradient,
     integrate_volume,
-    interior,
     laplace_beltrami_pointwise,
 )
 from calderon_lab.dn_solver import assemble_stiffness
@@ -92,26 +93,26 @@ class TestDivergenceForm:
             f = ScalarField.from_source(grid, an.wave([0.0, 1.0, 1.0]))
             out = divergence_form_apply(g.weight, f.values, grid)
             exact = -2.0 * f.values  # |m|^2 = 2 for the (1,1) angular wave
-            errs.append(np.abs(interior(out) - interior(exact)).max())
+            errs.append(np.abs(out - exact[1:-1]).max())
         order = np.log(errs[0] / errs[2]) / np.log(4.0)
         assert 1.8 < order < 2.2, f"divergence stencil order {order}"
 
-    def test_boundary_layers_nan(self, grid9, flat9):
+    def test_interior_layers_only(self, grid9, flat9):
         f = ScalarField.constant(grid9, 1.0)
         out = divergence_form_apply(flat9.weight, f.values, grid9)
-        assert np.all(np.isnan(out[0])) and np.all(np.isnan(out[-1]))
-        assert np.abs(interior(out)).max() < 1e-12
+        assert out.shape == (grid9.num_t - 2, *grid9.num_ang)
+        assert np.abs(out).max() < 1e-12
 
     def test_constant_in_kernel_bumpy(self, grid9, bumpy9):
         out = divergence_form_apply(bumpy9.weight, np.ones(grid9.shape), grid9)
-        assert np.abs(interior(out)).max() < 1e-11
+        assert np.abs(out).max() < 1e-11
 
     def test_laplace_beltrami_matches_divergence(self, grid9, bumpy9):
         f = ScalarField.from_source(grid9, an.wave([1.0, 1.0, 0.0]))
         lap = laplace_beltrami_pointwise(bumpy9, f.values)
         div = divergence_form_apply(bumpy9.weight, f.values, grid9)
-        expect = div / bumpy9.sqrt_det
-        assert np.abs(interior(lap) - interior(expect)).max() < 1e-12
+        expect = div / bumpy9.sqrt_det[1:-1]
+        assert np.abs(lap - expect).max() < 1e-12
 
     def test_t_only_rough_coefficient_allowed(self):
         # coefficients in angular flux slots may be rough in t: the stencil
@@ -125,13 +126,15 @@ class TestDivergenceForm:
         W[..., 2, 2] = 1.0
         f = ScalarField.from_source(grid, an.wave([0.0, 1.0, 0.0]))
         out = divergence_form_apply(W, f.values, grid)
-        assert np.isfinite(interior(out)).all()
+        assert np.isfinite(out).all()
 
     def test_require_full_layers_guard(self, grid9, flat9):
-        # assembly refuses a potential with the stencil's NaN boundary layers
-        out = divergence_form_apply(flat9.weight, np.ones(grid9.shape), grid9)
+        # assembly refuses a potential whose t-boundary layers are NaN, as
+        # conformal_potential leaves them without the one-sided fill
+        q = np.zeros(grid9.shape)
+        q[0] = q[-1] = np.nan
         with pytest.raises(BoundaryLayerRequested, match="t-boundary layers"):
-            assemble_stiffness(flat9, potential=out)
+            assemble_stiffness(flat9, potential=q)
 
 
 class TestDivergenceFormJacobian:
@@ -149,7 +152,7 @@ class TestDivergenceFormJacobian:
                 w = rng.normal(size=grid.shape)
                 W = np.zeros(grid.shape + (n, n))
                 W[..., i, j] = w
-                direct = interior(divergence_form_apply(W, f, grid)).ravel()
+                direct = divergence_form_apply(W, f, grid).ravel()
                 J = divergence_form_jacobian(f, grid, i, j)
                 err = np.abs(J @ w.ravel() - direct).max()
                 assert err < 1e-13, f"slot ({i}, {j}): {err:.2e}"

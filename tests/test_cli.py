@@ -710,6 +710,26 @@ class TestReadmeConfigs:
         with pytest.raises(AssertionError, match="computation started"):
             run(command, cfg, tmp_path)
 
+    def test_readme_configs_run_end_to_end(self, tmp_path, monkeypatch):
+        # every README example, computed for real and twice from a fresh
+        # directory: each passes its verdicts, and both runs write the
+        # same report bytes (relative paths, since validate-dataset
+        # reports its dataset path)
+        configs = _readme_configs()
+        synth = next(k for k, (command, _) in enumerate(configs) if command == "synth-dataset")
+        dataset = f"out{synth}/{configs[synth][1]['output']}"
+        reports = []
+        for run_dir in (tmp_path / "first", tmp_path / "second"):
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            for k, (command, cfg) in enumerate(configs):
+                if command == "validate-dataset":
+                    cfg = {**cfg, "dataset": dataset}
+                Path(f"cfg{k}.json").write_text(json.dumps(cfg))
+                assert main([command, "--config", f"cfg{k}.json", "--out", f"out{k}"]) == 0, (command, cfg)
+            reports.append([Path(f"out{k}/report.json").read_bytes() for k in range(len(configs))])
+        assert reports[0] == reports[1]
+
 
 class _Reached(Exception):
     """Raised by the stubbed computation: the config got past the reader."""

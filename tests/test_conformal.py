@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from math import comb
 
 from calderon_lab import analytic as an, conformal
-from calderon_lab.calculus import ScalarField, integrate_volume, interior
+from calderon_lab.calculus import ScalarField, integrate_volume
 from calderon_lab.conformal import (
     ConformalFactor,
     algebraic_identity_check,
@@ -91,6 +91,15 @@ class TestAlgebraicIdentity:
         with pytest.raises(MissingAnalyticGradient):
             algebraic_identity_check(g, c, nodal, w)
 
+    @pytest.mark.parametrize("off", [0, 1, 2], ids=["c", "u", "w"])
+    def test_fields_on_the_metric_grid(self, off):
+        # a u or w off g's grid ended in numpy's broadcast ValueError
+        args = list(_random_tuple(cyl_grid(3, 9), 0)[1:])
+        args[off] = _random_tuple(cyl_grid(3, 13), 0)[1 + off]
+        g = sample_metric(random_trig_metric(3, seed=0), cyl_grid(3, 9))
+        with pytest.raises(GridMismatch, match="metric grids differ"):
+            algebraic_identity_check(g, *args)
+
 
 class TestConformalFamily:
     def test_eps_zero_is_one(self, grid9):
@@ -124,6 +133,12 @@ class TestScaleMetric:
         vals[4, 2, 1] = bad
         with pytest.raises(NonPositiveFactor):
             ConformalFactor(ScalarField(grid9, vals), 3)
+
+    def test_factor_dimension_is_the_grid_dimension(self, grid9):
+        # n = 4 on a 3-D grid was accepted: power_nm2() gave c^2, not c
+        src = an.constant(1.0, 3) + an.wave([1.0, 1.0, 0.0]) * an.constant(0.1, 3)
+        with pytest.raises(GridMismatch, match="dimension 4 != grid dimension 3"):
+            ConformalFactor.from_source(grid9, src, 4)
 
     def test_overflowing_factor_refused(self, grid9, flat9):
         # c^6 overflows: both sides of the volume check were inf, the NaN
@@ -178,10 +193,10 @@ class TestConformalPotential:
         )
         q = conformal_potential(flat9, c)
         assert np.all(np.isnan(q[0])) and np.all(np.isnan(q[-1]))
-        assert np.isfinite(interior(q)).all()
+        assert np.isfinite(q[1:-1]).all()
         q_filled = conformal_potential(flat9, c, one_sided=True)
         assert np.isfinite(q_filled).all()
-        assert np.abs(interior(q_filled) - interior(q)).max() == 0.0
+        assert np.abs(q_filled[1:-1] - q[1:-1]).max() == 0.0
 
 
 class TestScalingLaw:

@@ -102,6 +102,14 @@ class TestCylinderGrid:
         with pytest.raises(GridMismatch):
             cyl_grid(3, 9).coarsen(3)
 
+    @pytest.mark.parametrize("stride", [0, -1, -2])
+    def test_coarsen_rejects_stride_below_one(self, stride):
+        # 0 raised ZeroDivisionError, -1 a t-node count of -7
+        grid = cyl_grid(3, 9)
+        for coarsen in (grid.coarsen, _toy_dataset(grid).coarsen):
+            with pytest.raises(GridMismatch, match="not a positive divisor"):
+                coarsen(stride)
+
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooSmall):
             CylinderGrid(1, 5, ())
