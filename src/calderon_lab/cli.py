@@ -323,8 +323,8 @@ def _synth(spec, check=None, where: str = "synth", **extra):
     keys it sets, so the library defaults hold. ``extra`` is the schema of
     the keys the block's object holds besides the synth keys;
     ``check(grid)`` vets the grid first. Whatever the synthesis refuses as
-    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, a negative
-    ridge, an aliasing mode, an overflowing amplitude) is a config error.
+    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, a ridge
+    <= 0, an aliasing mode, an overflowing amplitude) is a config error.
     Returns (dataset, build report, read keys)."""
     s = read(spec, where, **_SYNTH, **extra)
     grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)

@@ -161,6 +161,8 @@ class TestConfigErrors:
             ("counterexample-study", {**_STUDY_CFG, "cut": -2}),
             # synthesis parameters: sqrt of a negative ridge gives a NaN damping
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": -1.0}),
+            # at ridge 0 LSQR ran to its iteration cap and exited 0
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": 0.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "alpha": 1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1]]}),
             # the paper's range: T in (0, 1], rho in (0, 1)
@@ -238,7 +240,7 @@ class TestConfigErrors:
             "negative-factor-seed", "negative-link-seed",
             "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
             "negative-cut-dn-compare", "negative-cut-study",
-            "negative-ridge", "alpha-leaves-no-box", "one-index-mode",
+            "negative-ridge", "zero-ridge", "alpha-leaves-no-box", "one-index-mode",
             "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one",
             "study-T-negative",
             "identity-at-n2", "misspelled-tuples",
@@ -942,6 +944,27 @@ class TestDatasetCommands:
         assert code2 == 0
         doc = json.loads((out2 / "report.json").read_text())
         assert doc["passed"] is True
+
+    def test_synth_bytes_independent_of_blas_threads(self, tmp_path):
+        # LSQR and np.linalg.norm summed by a threaded ddot: at 1 and 2
+        # threads the bytes differed (lsqr_iterations 794 against 796)
+        cfg = {"grid": {"num_t": 25, "num_ang": [24, 24]}, "modes": [[1, 1], [1, 0]]}
+        src = Path(cli.__file__).resolve().parents[1]
+        runs = {}
+        for threads in ("1", "2"):  # side by side
+            run_dir = tmp_path / f"threads-{threads}"
+            run_dir.mkdir()
+            (run_dir / "synth.json").write_text(json.dumps(cfg))
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            runs[run_dir] = subprocess.Popen(
+                [sys.executable, "-m", "calderon_lab.cli", "synth-dataset", "--config", "synth.json", "--out", "out"],
+                cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for proc in runs.values():
+            assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
+        written = [[(run_dir / "out" / name).read_bytes() for name in ("report.json", "dataset.json")]
+                   for run_dir in runs]
+        assert written[0] == written[1]
 
     # the Jacobian's squared column norms overflowed: NaN in five lines of
     # report.json and exit 1 on a failed verdict; under -W error numpy's

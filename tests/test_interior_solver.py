@@ -5,8 +5,9 @@ every DN map and the rigidity check go through that one seam.
 
 Verifies:
   - mode matrices agree with a sparse LU of the same interior block
-    (sliced and factorised here with splu, through the Schur complement
-    K_GG - K_GI K_II^{-1} K_IG on GAMMA0, GAMMA1 and the full boundary)
+    (sliced and factorised here with splu, once per system for the whole
+    module, through the Schur complement K_GG - K_GI K_II^{-1} K_IG on
+    GAMMA0, GAMMA1 and the full boundary)
     to 1e-10 relative, and to 1e-12 on random-trig metrics at 3-D 9, 13
     and 17, 2-D 33 and 4-D 9, plain and with a potential, on all three
     boundary parts
@@ -38,8 +39,9 @@ Verifies:
     first Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
     layered operator, goes straight to LU in InteriorSolver.extend and
     still solves
-  - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match the
-    dense sparse-LU Schur complement to 3e-14 and the CG map of dn_apply to
+  - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match
+    their block of the dense sparse-LU full-boundary Schur complement to
+    3e-14 and the CG map of dn_apply to
     1e-10; an indefinite interior block and the full boundary still take
     the CG/LU route
   - the solver borrows K's free rows instead of copying the interior
@@ -54,6 +56,7 @@ Verifies:
     solver peaks at most at 420 MB max RSS (543 MB with the copies)
 """
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -96,6 +99,27 @@ from calderon_lab.grid_geometry import (
 SIZES = (9, 13, 17)
 
 
+# The references of a system, shared by its tests and freed at module
+# teardown: the iteration bound of its metric, keyed by the metric's bytes,
+# and, keyed by the bytes of K, one splu factor of the interior block for
+# every boundary part, with the dense full-boundary Schur complement once a
+# test asks for it. Only the last three systems' factors are kept (the flat
+# tests cycle through three sizes): keeping all of them took the test
+# process to a 466 MiB peak, three to 330 MiB.
+_REFERENCES = {}
+_FACTORS_KEPT = 3
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _free_references():
+    yield
+    _REFERENCES.clear()
+
+
+def _digest(arr: np.ndarray) -> tuple:
+    return arr.shape, hashlib.sha256(arr.tobytes()).hexdigest()
+
+
 def _iteration_bound(metric) -> int:
     """ceil(sqrt(kappa)/2 * ln(2 sqrt(kappa) / 1e-12)), with kappa the
     eigenvalue ratio of W over all 2-point Gauss points of all cells.
@@ -103,6 +127,9 @@ def _iteration_bound(metric) -> int:
     The metric is interpolated multilinearly one axis at a time (t clipped,
     angles periodic), independently of the assembler's shape functions.
     """
+    key = ("bound", _digest(metric.mat))
+    if key in _REFERENCES:
+        return _REFERENCES[key]
     g = metric.mat
     xs = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
     lo, hi = np.inf, 0.0
@@ -117,14 +144,28 @@ def _iteration_bound(metric) -> int:
         ev = np.linalg.eigvalsh(W)
         lo, hi = min(lo, ev[..., 0].min()), max(hi, ev[..., -1].max())
     kappa = hi / lo
-    return int(np.ceil(np.sqrt(kappa) / 2.0 * np.log(2.0 * np.sqrt(kappa) / 1e-12)))
+    _REFERENCES[key] = int(np.ceil(np.sqrt(kappa) / 2.0 * np.log(2.0 * np.sqrt(kappa) / 1e-12)))
+    return _REFERENCES[key]
+
+
+def _reference(sys) -> dict:
+    K = sys.matrix
+    key = ("lu", _digest(K.data))
+    if key not in _REFERENCES:
+        factors = [k for k in _REFERENCES if k[0] == "lu"]
+        for old in factors[: max(len(factors) + 1 - _FACTORS_KEPT, 0)]:
+            del _REFERENCES[old]
+        I = sys.grid.interior_ids()
+        _REFERENCES[key] = {"lu": spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A")}
+    _REFERENCES[key] = _REFERENCES.pop(key)  # most recently used last
+    return _REFERENCES[key]
 
 
 def _lu_reference(sys, gamma=GAMMA1):
     """Mode matrix (cut 2) on ``gamma`` as the Schur complement
-    K_GG - K_GI K_II^{-1} K_IG, sliced here and solved with splu of the
-    interior block, and the CG iteration count of ``extend`` on a node
-    array of the same mode traces."""
+    K_GG - K_GI K_II^{-1} K_IG, sliced here and solved with the cached splu
+    of the interior block, and the CG iteration count of ``extend`` on a
+    node array of the same mode traces."""
     grid = sys.grid
     K = sys.matrix
     I = grid.interior_ids()
@@ -138,7 +179,7 @@ def _lu_reference(sys, gamma=GAMMA1):
     solver = InteriorSolver(sys)
     solver.extend(U)
     rhs = K[I][:, G] @ V
-    X = spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    X = _reference(sys)["lu"].solve(rhs)
     return V.T @ (K[G][:, G] @ V - K[G][:, I] @ X), solver.iterations
 
 
@@ -154,14 +195,20 @@ def _energy_solver(sys, gamma=GAMMA1):
 
 
 def _dense_lu_reference(sys, gamma):
-    """Dense Schur complement K_GG - K_GI K_II^{-1} K_IG on ``gamma``, sliced
-    here and solved with splu of the interior block."""
+    """Dense Schur complement K_GG - K_GI K_II^{-1} K_IG on ``gamma``: its
+    block of the full-boundary one, made once per system with the cached
+    splu of the interior block."""
     grid = sys.grid
-    K = sys.matrix
-    I = grid.interior_ids()
-    G = grid.boundary_ids(gamma)
-    lu = spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    return K[G][:, G].toarray() - K[G][:, I] @ lu.solve(K[I][:, G].toarray())
+    ref = _reference(sys)
+    if "schur" not in ref:
+        K = sys.matrix
+        I = grid.interior_ids()
+        F = grid.boundary_ids(FULL_BOUNDARY)
+        ref["schur"] = K[F][:, F].toarray() - K[F][:, I] @ ref["lu"].solve(K[I][:, F].toarray())
+        ref["schur"].setflags(write=False)  # tests share it
+    # the full boundary lists GAMMA0's layer, then GAMMA1's
+    at = {GAMMA0: slice(0, grid.layer_count), GAMMA1: slice(grid.layer_count, None)}.get(gamma, slice(None))
+    return ref["schur"][at, at]
 
 
 def _rel(a, b) -> float:

@@ -21,8 +21,12 @@ Verifies:
     the synthesizer refuses a mode that aliases on the grid and a grid of
     other than 3 axes
   - the synthesizer respects its box and never loses to the baseline;
-    at the default ridge its LSQR converges and the fields are stable
-    under rounding of the input
+    its per-t-layer dual solve is exact: the fields match a tight scipy
+    ``lsqr`` oracle to 1e-8, the normal-equation residual is at most
+    1e-12, G G^T has no entry across t-layers (the split it rests on),
+    u = 0 gives zero fields and a zero residual, a ridge <= 0 is refused,
+    amplitudes 1e-120 and 1e120 fit the fields of amplitude 1, and the
+    fields are stable under rounding of the input
   - DN gap study: exact zeros for the zero dataset, cell bookkeeping
   - the volume obstruction, its trivial-field guard, and samples scaled
     by 1/max|u| so that a small u is fitted as well as a large one
@@ -33,6 +37,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from calderon_lab.calculus import divergence_form_apply
@@ -404,20 +409,48 @@ class TestSynthesis:
     def test_zero_amplitude_baseline(self):
         grid = cyl_grid(3, 9)
         data, report = synth_approx_miller(grid, amplitude=0.0)
-        assert report["baseline_l2"] == 0.0
-        assert report["lsqr_iterations"] == 0 and report["damp"] == 0.0
+        assert report["baseline_l2"] == 0.0 and report["achieved_l2"] == 0.0
+        assert report["damp"] == 0.0 and report["normal_residual"] == 0.0
+        assert report["lsqr_iterations"] == 0
         assert np.all(data.u == 0.0)
-        assert np.all(data.a1 == 0.0)
+        for nm in ("a1", "a2", "a3"):
+            assert np.all(getattr(data, nm) == 0.0), nm
 
     def test_infeasible_alpha(self):
         grid = cyl_grid(3, 9)
         with pytest.raises(InfeasibleBounds):
             synth_approx_miller(grid, alpha=1.0)
 
-    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    # at ridge 0 each t-layer's dual block is singular: its rows sum to zero
+    @pytest.mark.parametrize("ridge", [-1.0, 0.0, np.nan, np.inf])
     def test_infeasible_ridge(self, ridge):
         with pytest.raises(InfeasibleBounds):
             synth_approx_miller(cyl_grid(3, 9), ridge=ridge)
+
+    def test_extreme_amplitudes_fit_the_same_fields(self):
+        # the fit is invariant under u -> c u in exact arithmetic; without
+        # the solve's power-of-two scaling the residual check underflowed to
+        # 0 / 0 at 1e-120 and overflowed at 1e120
+        grid = CylinderGrid(3, 9, (8, 8))
+        ref, _ = synth_approx_miller(grid, amplitude=1.0)
+        for amplitude in (1e-120, 1e120):
+            data, report = synth_approx_miller(grid, amplitude=amplitude)
+            assert 0.0 < report["normal_residual"] <= 1e-12, amplitude
+            for nm in ("a1", "a2", "a3"):
+                assert np.abs(getattr(data, nm) - getattr(ref, nm)).max() <= 1e-10 * report["box"], (amplitude, nm)
+
+
+def _fit_problem(data):
+    """The synthesizer's damped problem for ``data.u``: the coefficient
+    Jacobian G, the right-hand side b and the t-layer of each row."""
+    grid = data.grid
+    t = grid.axes()[0]
+    unknown = np.zeros(grid.shape, dtype=bool)
+    unknown[1:-1] = (t[1:-1] < data.T - 1e-12)[:, None, None]
+    zero = MillerDataset.zero(grid, T=data.T, rho=data.rho, alpha=data.alpha)
+    b = -divergence_form_apply(zero.coefficient_matrix(), data.u, grid).ravel()
+    G, _ = _coefficient_jacobian(data.u, grid, unknown)
+    return G, b, np.arange(G.shape[0]) // grid.layer_count
 
 
 @pytest.fixture(scope="module", params=[((1, 0), (0, 1)), ((1, 1), (1, 0))], ids=["modes-10-01", "modes-11-10"])
@@ -428,13 +461,35 @@ def synth_pair(request):
 
 
 class TestSynthesisConverges:
-    """At the default ridge LSQR stops on its tolerances, so the fitted fields
-    depend on the data, not on where the iteration was cut off."""
+    """The per-t-layer dual solve is exact, so the fitted fields depend on
+    the data, not on a solver's stopping rule."""
 
-    def test_lsqr_stops_on_tolerance(self, synth_pair):
+    def test_normal_residual(self, synth_pair):
         for _, report in synth_pair:
-            assert report["lsqr_stop"] in (1, 2), report
-            assert report["lsqr_iterations"] < 2000
+            assert report["normal_residual"] <= 1e-12, report
+            assert 0.0 < report["pivot_ratio"] <= 1.0 and report["lsqr_iterations"] == 0
+
+    @pytest.mark.parametrize("size", [13, 17])
+    def test_matches_lsqr_oracle(self, size):
+        grid = CylinderGrid(3, size, (size - 1, size - 1))
+        data, report = synth_approx_miller(grid, modes=((1, 1), (1, 0)))
+        assert report["tau"] == 1.0
+        G, b, _ = _fit_problem(data)
+        x, istop = spla.lsqr(G, b, damp=report["damp"], atol=1e-14, btol=1e-14, iter_lim=20000)[:2]
+        assert istop in (1, 2), istop
+        oracle = np.clip(x, -report["box"], report["box"])
+        # T = 1: the unknowns are the interior t-layers of each field
+        fitted = np.concatenate([getattr(data, nm)[1:-1].ravel() for nm in ("a1", "a2", "a3")])
+        assert np.linalg.norm(fitted - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("grid,T", [(CylinderGrid(3, 9, (8, 8)), 1.0), (CylinderGrid(3, 13, (12, 10)), 1.0),
+                                        (CylinderGrid(3, 13, (12, 12)), 0.5)], ids=["9x8x8", "13x12x10", "T-0.5"])
+    def test_dual_matrix_splits_by_t_layer(self, grid, T):
+        data, _ = synth_approx_miller(grid, T=T, modes=((1, 1), (1, 0)))
+        G, _, layer = _fit_problem(data)
+        D = (G @ G.T).tocoo()
+        assert D.nnz > 0
+        assert np.array_equal(layer[D.row], layer[D.col])
 
     def test_fields_stable_under_amplitude_rounding(self, synth_pair):
         # the fit is linear in u, so in exact arithmetic scaling the
