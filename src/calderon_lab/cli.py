@@ -303,61 +303,18 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
     return rep
 
 
-def _mode_pair(v) -> tuple[int, int]:
-    """Converter for a synth mode: a list of two integers."""
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError("each mode must be a pair of integers")
-    return integer(v[0]), integer(v[1])
-
-
-_SYNTH = dict(
-    grid=(lambda v: read(v, "synth grid", num_t=(integer, REQUIRED), num_ang=(list_of(integer), REQUIRED)),
-          REQUIRED),
-    T=(real, None), amplitude=(real, None), ridge=(real, None), alpha=(real, None),
-    rho=(real, None), modes=(list_of(_mode_pair), None),
-)
-
-
-def _synth(spec, check=None, where: str = "synth", **extra):
-    """Read a synth block and run :func:`synth_approx_miller` with only the
-    keys it sets, so the library defaults hold. ``extra`` is the schema of
-    the keys the block's object holds besides the synth keys;
-    ``check(grid)`` vets the grid first. Whatever the synthesis refuses as
-    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, a ridge
-    <= 0, an aliasing mode, an overflowing amplitude) is a config error.
-    Returns (dataset, build report, read keys)."""
-    s = read(spec, where, **_SYNTH, **extra)
-    grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
-    if check is not None:
-        check(grid)
-    kwargs = {key: getattr(s, key) for key in _SYNTH if key != "grid" and getattr(s, key) is not None}
-    try:
-        return (*synth_approx_miller(grid, **kwargs), s)
-    except InfeasibleBounds as e:
-        raise ConfigInvalid(f"invalid synth block: {e}") from e
-
-
 def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
-    s = read(cfg, "counterexample-study config", dataset=(_file, None), synth=(_as_is, None),
+    s = read(cfg, "counterexample-study config", dataset=(_file, REQUIRED),
              eps=(list_of(real), (0.0, 0.025, 0.05, 0.1)),
              strides=(list_of(ranged(integer, 1)), (4, 2, 1)), gamma=_GAMMA,
              cut=(ranged(real, 0.0), 2.0), nonisometry_eps=(ranged(real, 0.01, 0.5), 0.05))
-    if (s.dataset is None) == (s.synth is None):
-        raise ConfigInvalid("config needs either a 'dataset' path or a 'synth' block")
-
-    def check(grid: CylinderGrid) -> None:
-        # a stride must divide the dataset grid, and the modes fit the coarsest
-        for stride in s.strides:
-            _modes_fit(_grid(grid.coarsen, stride), s.cut)
-
+    data = load_dataset(s.dataset)
+    grid = _grid(lambda: data.grid)
+    # a stride must divide the dataset grid, and the modes fit the coarsest
+    for stride in s.strides:
+        _modes_fit(_grid(grid.coarsen, stride), s.cut)
     rep = ExperimentReport("counterexample-study", cfg)
-    if s.synth is None:
-        data = load_dataset(s.dataset)
-        check(_grid(lambda: data.grid))
-        rep.scalars["dataset"] = s.dataset
-    else:
-        data, synth_rep, _ = _synth(s.synth, check)
-        rep.scalars["synth"] = synth_rep
+    rep.scalars["dataset"] = s.dataset
     # each study eps must keep 1 + eps*u above the family's floor (the volume
     # samples keep it by construction); vetted here, not after the study
     u = ScalarField(data.grid, data.u)
@@ -416,10 +373,30 @@ def _run_validate_dataset(cfg: dict, out_dir) -> ExperimentReport:
     return rep
 
 
+def _mode_pair(v) -> tuple[int, int]:
+    """Converter for a synth mode: a list of two integers."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError("each mode must be a pair of integers")
+    return integer(v[0]), integer(v[1])
+
+
 def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
+    """Run :func:`synth_approx_miller` with only the keys the config sets,
+    so the library defaults hold. Whatever the synthesis refuses as
+    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, a ridge
+    <= 0, an aliasing mode, an overflowing amplitude) is a config error."""
+    s = read(cfg, "synth-dataset config",
+             grid=(lambda v: read(v, "synth grid", num_t=(integer, REQUIRED), num_ang=(list_of(integer), REQUIRED)),
+                   REQUIRED),
+             T=(real, None), amplitude=(real, None), ridge=(real, None), alpha=(real, None),
+             rho=(real, None), modes=(list_of(_mode_pair), None), output=(_file_name, "dataset.json"))
+    grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
+    kwargs = {key: v for key, v in vars(s).items() if key not in ("grid", "output") and v is not None}
+    try:
+        data, synth_rep = synth_approx_miller(grid, **kwargs)
+    except InfeasibleBounds as e:
+        raise ConfigInvalid(f"invalid synthesis: {e}") from e
     rep = ExperimentReport("synth-dataset", cfg)
-    data, synth_rep, s = _synth(cfg, where="synth-dataset config",
-                                output=(_file_name, "dataset.json"))
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(data, os.path.join(out_dir, s.output))
     rep.scalars["synth"] = synth_rep

@@ -67,6 +67,7 @@ import scipy.sparse.linalg as spla
 from .errors import (
     BoundaryLayerRequested,
     GridMismatch,
+    InfeasibleBounds,
     NoConvergence,
     ShapeMismatch,
     SingularInteriorBlock,
@@ -334,6 +335,13 @@ def assemble_stiffness(
         v_values = np.asarray(potential, dtype=float)
         if v_values.shape != grid.shape:
             raise GridMismatch(f"potential shape {v_values.shape}, expected {grid.shape}")
+        # NaN t-end layers are what conformal_potential leaves without its
+        # one-sided fill; any other non-finite entry is refused by its node
+        stray = ~np.isfinite(v_values)
+        stray[[0, -1]] = np.isinf(v_values[[0, -1]])
+        if stray.any():
+            node = tuple(int(k) for k in np.argwhere(stray)[0])
+            raise InfeasibleBounds(f"potential {v_values[node]} at node {node} is not finite")
         if np.isnan(v_values).any():
             raise BoundaryLayerRequested("potential is undefined on the t-boundary layers; "
                                          "enable one-sided extension to use it there")

@@ -128,9 +128,10 @@ class GridMismatch(CalderonLabError):
 
 
 class InfeasibleBounds(CalderonLabError):
-    """A dataset or synthesis parameter is out of range: dataset metadata
-    outside the paper's ranges, a synthesis mode that aliases on the grid,
-    or an amplitude whose fit is not finite."""
+    """A dataset, synthesis or assembly input is out of range: dataset
+    metadata outside the paper's ranges, a synthesis mode that aliases on
+    the grid, an amplitude whose fit is not finite, or a potential with a
+    non-finite entry other than a NaN on the t-boundary layers."""
 
 
 class TrivialU(CalderonLabError):

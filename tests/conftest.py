@@ -3,6 +3,13 @@ below 17 nodes per axis so the full suite (minus the acceptance module)
 runs in seconds."""
 
 import base64
+import os
+
+# In-process tests run on one BLAS thread, set before numpy loads: small BLAS
+# calls pay for a second thread. A count set by the caller is kept, and the
+# thread-invariance tests start subprocesses with their own counts.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

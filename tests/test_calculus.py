@@ -1,7 +1,9 @@
 """Discrete calculus: gradients, volume integrals, divergence-form stencil.
 
 Verifies:
-  - closed-form gradients are exact
+  - closed-form gradients are exact; the bump and exp_flat cut-offs'
+    gradients match central differences inside their support and are
+    exactly 0 outside it
   - volume quadrature reproduces hand-computed integrals
   - the conservative stencil applied to the flat metric reproduces the
     Laplacian of trigonometric fields at second order
@@ -62,6 +64,31 @@ class TestGradient:
         assert np.abs(df[..., 0] - np.cos(phase)).max() < 1e-14
         assert np.abs(df[..., 1] - 2 * np.cos(phase)).max() < 1e-14
         assert np.abs(df[..., 2]).max() < 1e-14
+
+    # the cut-offs' closed-form gradients, along t and along an angle
+    @pytest.mark.parametrize(
+        "expr,axis,inside,outside",
+        [(an.bump(0.2, 0.8, 3, 0), 0, (0.22, 0.78), [0.0, 0.2, 0.8, 1.0]),
+         (an.bump(1.0, 2.5, 3, 2), 2, (1.05, 2.45), [0.5, 1.0, 2.5, 3.0]),
+         (an.exp_flat(0.7, 3, 0), 0, (0.0, 0.68), [0.7, 0.85, 1.0])],
+        ids=["bump-t", "bump-angle", "exp-flat"],
+    )
+    def test_cutoff_gradients(self, expr, axis, inside, outside):
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(0.0, 1.0, (200, 3))
+        pts[:, axis] = rng.uniform(*inside, 200)
+        grad, h = expr.gradient(pts), 1e-6
+        scale = np.abs(grad[:, axis]).max()
+        assert scale > 0.1
+        for d in range(3):
+            step = np.zeros(3)
+            step[d] = h
+            central = (expr.value(pts + step) - expr.value(pts - step)) / (2.0 * h)
+            assert np.abs(grad[:, d] - central).max() < 1e-8 * scale, d
+        # identically zero outside the support, the endpoints included
+        pts = pts[: len(outside)].copy()
+        pts[:, axis] = outside
+        assert not expr.value(pts).any() and not expr.gradient(pts).any()
 
 
 class TestIntegrateVolume:

@@ -9,8 +9,10 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -21,22 +23,32 @@ from hypothesis import given, settings, strategies as st
 
 from calderon_lab import cli
 from calderon_lab.cli import main, run
-from calderon_lab.counterexample import save_dataset
+from calderon_lab.counterexample import save_dataset, synth_approx_miller
 from calderon_lab.errors import ConfigInvalid
 from calderon_lab.grid_geometry import CylinderGrid, MillerDataset, cyl_grid
 from calderon_lab.report import emit_report, load_json
 from conftest import base64_with_nan
 
-_STUDY_CFG = {
-    "synth": {
-        "grid": {"num_t": 13, "num_ang": [12, 12]},
-        "modes": [[1, 0], [0, 1]],
-        "amplitude": 0.1,
-    },
-    "eps": [0.0, 0.05, 0.1],
-    "strides": [2, 1],
-    "gamma": "gamma1",
-}
+# the study's dataset, written once for the module by ``study_dataset``;
+# the parametrized configs below name it before it exists
+_STUDY_DATASET = os.path.join(tempfile.gettempdir(), f"calderon-lab-test-cli-{os.getpid()}", "ds.json")
+_STUDY_CFG = {"dataset": _STUDY_DATASET, "eps": [0.0, 0.05, 0.1], "strides": [2, 1], "gamma": "gamma1"}
+
+
+def _write_study_dataset(path, amplitude=0.1):
+    """The README's synthesised dataset, 13 x 12 x 12 with modes (1, 0) and
+    (0, 1), at ``amplitude``."""
+    data, _ = synth_approx_miller(CylinderGrid(3, 13, (12, 12)), modes=((1, 0), (0, 1)), amplitude=amplitude)
+    save_dataset(data, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def study_dataset():
+    os.makedirs(os.path.dirname(_STUDY_DATASET), exist_ok=True)
+    _write_study_dataset(_STUDY_DATASET)
+    yield
+    shutil.rmtree(os.path.dirname(_STUDY_DATASET))
 
 
 def _write(tmp_path, name, cfg):
@@ -115,10 +127,7 @@ class TestConfigErrors:
             ("counterexample-study", {**_STUDY_CFG, "eps": []}),
             ("counterexample-study", {**_STUDY_CFG, "strides": []}),
             ("counterexample-study", {**_STUDY_CFG, "strides": [2, 0]}),
-            (
-                "counterexample-study",
-                {**_STUDY_CFG, "synth": {"grid": {"num_t": 9, "num_ang": [8, 8]}}, "strides": [3]},
-            ),
+            ("counterexample-study", {**_STUDY_CFG, "strides": [5]}),
             ("counterexample-study", {**_STUDY_CFG, "strides": [12]}),
             ("dn-compare", {"n": 2, "sizes": [], "transform": {"kind": "conformal-2d"}}),
             (
@@ -170,7 +179,6 @@ class TestConfigErrors:
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "T": 0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "rho": 0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "rho": 1}),
-            ("counterexample-study", {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "T": -0.5}}),
             # the fourth-power identity needs n >= 3
             ("verify-identities", {"n": 2}),
             # a misspelled key at any level is refused, not ignored
@@ -208,10 +216,7 @@ class TestConfigErrors:
                     "transform": {"kind": "diffeo", "diffeo": {"shear": {"axis": 1, "amplitud": 0.1}}},
                 },
             ),
-            (
-                "counterexample-study",
-                {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "amplitud": 0.1}},
-            ),
+            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "amplitud": 0.1}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8], "numt": 9}}),
             # an integer key neither truncates a fraction nor takes a string
             # or a boolean, and no number key takes a string
@@ -242,7 +247,6 @@ class TestConfigErrors:
             "negative-cut-dn-compare", "negative-cut-study",
             "negative-ridge", "zero-ridge", "alpha-leaves-no-box", "one-index-mode",
             "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one",
-            "study-T-negative",
             "identity-at-n2", "misspelled-tuples",
             "misspelled-sizes", "misspelled-factor", "misspelled-metric-seed",
             "misspelled-factor-seed", "misspelled-diffeo-family", "misspelled-shear-amplitude",
@@ -315,6 +319,16 @@ class TestConfigErrors:
         assert (tmp_path / "there").is_dir()
         assert not (tmp_path / "there" / "never").exists()
 
+    def test_study_takes_no_synth_block(self, tmp_path, monkeypatch, capsys):
+        # a study reads its dataset from a file, which synth-dataset writes
+        monkeypatch.setattr(cli, "load_dataset", _must_not_run)
+        synth = {"grid": {"num_t": 13, "num_ang": [12, 12]}}
+        for cfg in ({**_STUDY_CFG, "synth": synth}, {"synth": synth}):
+            code, out = _cli(tmp_path, "counterexample-study", cfg)
+            assert code == 2
+            assert "has unknown key(s) ['synth']" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_config_is_directory(self, tmp_path, capsys):
         assert main(["verify-identities", "--config", str(tmp_path)]) == 2
         assert "config error:" in capsys.readouterr().err
@@ -365,7 +379,7 @@ class TestConfigCheckedFirst:
         ids=["nonisometry_eps", "nonisometry_eps-zero", "nonisometry_eps-1e-16", "nonisometry_eps-negative"],
     )
     def test_study_keys(self, tmp_path, monkeypatch, capsys, key, value):
-        monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
+        monkeypatch.setattr(cli, "load_dataset", _must_not_run)
         monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
         code, _ = _cli(tmp_path, "counterexample-study", {**_STUDY_CFG, key: value})
         assert code == 2
@@ -410,7 +424,8 @@ class TestConfigCheckedFirst:
         ids=["cut-aliases", "stride-too-coarse"],
     )
     def test_study_grid_vetted_before_synthesis(self, tmp_path, monkeypatch, cfg):
-        monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
+        # the dataset's grid is vetted as it is loaded, before any DN work
+        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
         with pytest.raises(ConfigInvalid):
             run("counterexample-study", cfg, tmp_path)
 
@@ -504,15 +519,11 @@ class TestConfigCheckedFirst:
 
     # 1,500 pairs nested the synthesised wave sum past the recursion limit
     # (RecursionError, exit 1), and an empty list was accepted
-    @pytest.mark.parametrize("modes", [[[1, 0]] * 1500, []], ids=["1500-pairs", "empty"])
-    @pytest.mark.parametrize("command", ["synth-dataset", "counterexample-study"])
-    def test_synth_modes_bounded(self, tmp_path, monkeypatch, capsys, command, modes):
+    @pytest.mark.parametrize("modes", [[[1, 0]] * 1500, []],
+                             ids=["synth-dataset-1500-pairs", "synth-dataset-empty"])
+    def test_synth_modes_bounded(self, tmp_path, monkeypatch, capsys, modes):
         _stub_computation(monkeypatch, _must_not_run)
-        if command == "synth-dataset":
-            cfg = {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": modes}
-        else:
-            cfg = {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "modes": modes}}
-        code, out = _cli(tmp_path, command, cfg)
+        code, out = _cli(tmp_path, "synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": modes})
         assert code == 2
         assert "key 'modes'" in capsys.readouterr().err
         assert not out.exists()
@@ -630,9 +641,7 @@ def _readme_key_table(command):
 
 
 def _readme_nested_tables():
-    """{spec: sorted keys} from every README table headed "`spec` key", plus
-    the `counterexample-study` synth block, which takes the `synth-dataset`
-    keys except `output`."""
+    """{spec: sorted keys} from every README table headed "`spec` key"."""
     lines = _README.read_text().splitlines()
     tables = {}
     for k, line in enumerate(lines):
@@ -640,7 +649,6 @@ def _readme_nested_tables():
         if head:
             rows = list(itertools.takewhile(lambda row: row.startswith("|"), lines[k + 2:]))
             tables[head[1]] = sorted(re.findall(r"`([^`]+)`", row.split("|")[1])[0] for row in rows)
-    tables["synth"] = sorted(set(_readme_key_table("synth-dataset")) - {"output"})
     return tables
 
 
@@ -666,7 +674,6 @@ def _nested_sites():
         ("shear", "dn-compare", {**dn3, "transform": {"kind": "diffeo", "diffeo": {"shear": {}}}},
          ("transform", "diffeo", "shear")),
         ("grid", "synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}}, ("grid",)),
-        ("synth", "counterexample-study", _STUDY_CFG, ("synth",)),
     ]
 
 
@@ -715,8 +722,9 @@ class TestReadmeConfigs:
     def test_readme_configs_run_end_to_end(self, tmp_path, monkeypatch):
         # every README example, computed for real and twice from a fresh
         # directory: each passes its verdicts, and both runs write the
-        # same report bytes (relative paths, since validate-dataset
-        # reports its dataset path)
+        # same report bytes (relative paths, since validate-dataset and
+        # the study report their dataset path); both dataset commands read
+        # the file the synth-dataset example writes
         configs = _readme_configs()
         synth = next(k for k, (command, _) in enumerate(configs) if command == "synth-dataset")
         dataset = f"out{synth}/{configs[synth][1]['output']}"
@@ -725,7 +733,7 @@ class TestReadmeConfigs:
             run_dir.mkdir()
             monkeypatch.chdir(run_dir)
             for k, (command, cfg) in enumerate(configs):
-                if command == "validate-dataset":
+                if command in ("validate-dataset", "counterexample-study"):
                     cfg = {**cfg, "dataset": dataset}
                 Path(f"cfg{k}.json").write_text(json.dumps(cfg))
                 assert main([command, "--config", f"cfg{k}.json", "--out", f"out{k}"]) == 0, (command, cfg)
@@ -914,15 +922,15 @@ class TestDnCompare:
 
 
 class TestDatasetCommands:
-    def test_synth_passes_only_set_keys(self, monkeypatch):
+    def test_synth_passes_only_set_keys(self, tmp_path, monkeypatch):
         seen = {}
 
         def record(grid, **kwargs):
             seen.update(kwargs)
-            return MillerDataset.zero(grid), {}
+            return MillerDataset.zero(grid), {"achieved_l2": 0.0, "baseline_l2": 0.0}
 
         monkeypatch.setattr(cli, "synth_approx_miller", record)
-        cli._synth({"grid": {"num_t": 5, "num_ang": [4, 4]}, "amplitude": 1, "modes": [[1, 1]]})
+        run("synth-dataset", {"grid": {"num_t": 5, "num_ang": [4, 4]}, "amplitude": 1, "modes": [[1, 1]]}, tmp_path)
         assert seen == {"amplitude": 1.0, "modes": ((1, 1),)}
         assert isinstance(seen["amplitude"], float)
 
@@ -1034,17 +1042,13 @@ class TestDatasetCommands:
         assert code == 1
         assert "computation failed: MalformedContainer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,cfg", [
-        ("synth-dataset", {"grid": {"num_t": 5, "num_ang": [8, 8]}, "T": 0.2}),
-        ("counterexample-study", {"synth": {"grid": {"num_t": 5, "num_ang": [8, 8]}, "T": 0.2},
-                                  "eps": [0.05, 0.1, 0.2], "strides": [1]}),
-    ], ids=["synth-dataset", "study-synth"])
-    def test_T_below_first_interior_node_is_config_error(self, tmp_path, capsys, command, cfg):
+    @pytest.mark.parametrize("cfg", [{"grid": {"num_t": 5, "num_ang": [8, 8]}, "T": 0.2}], ids=["synth-dataset"])
+    def test_T_below_first_interior_node_is_config_error(self, tmp_path, capsys, cfg):
         # the fit had no unknowns: two numpy warnings, then "amplitude 0.1
         # overflows the fit: damp nan"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = _cli(tmp_path, command, cfg)
+            code, out = _cli(tmp_path, "synth-dataset", cfg)
         assert code == 2
         assert "T = 0.2" in capsys.readouterr().err
         assert not out.exists()
@@ -1082,7 +1086,7 @@ class TestStudyAndRigidity:
         # trivial, its verdicts and the nonisometry block were skipped;
         # then, with volume samples blind to max|u|, nonisometry_p2_match
         # read 5.8e-3 against 1e-10 and the study exited 1
-        cfg = {**_STUDY_CFG, "synth": {**_STUDY_CFG["synth"], "amplitude": 1e-7}}
+        cfg = {**_STUDY_CFG, "dataset": _write_study_dataset(tmp_path / "ds.json", amplitude=1e-7)}
         code, out = _cli(tmp_path, "counterexample-study", cfg)
         doc = load_json(out / "report.json")
         assert 0.0 < max(row[2] for row in doc["tables"]["gap_study"]["rows"]) < 1e-8

@@ -3,7 +3,10 @@
 Verifies:
   - assembled flat-metric stiffness equals the tensor-product (Kronecker)
     formula built from hand-coded 1-D element matrices
-  - potential term equals the Kronecker mass matrix for V = 1
+  - potential term equals the Kronecker mass matrix for V = 1; assembly
+    refuses a potential with an infinite entry or an interior NaN
+    (InfeasibleBounds, naming the node) and asks for the one-sided fill
+    when NaNs sit on the t-end layers only
   - a constant anisotropic metric's stiffness, cross terms included, equals
     its Kronecker formula
   - the batched kernel matches a per-Gauss-point reference loop built on
@@ -32,7 +35,8 @@ Verifies:
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and fails its residual gate
     on NaN data
-  - DN symmetry, metric homogeneity, zero-potential equivalence
+  - DN symmetry, metric homogeneity, zero-potential equivalence; the
+    mode gap of two zero matrices is 0
   - dn_apply on the identity gives the same map whether its columns go
     through the interior solver in one chunk or in many, its byte budget
     per chunk bounds its peak memory, and it takes trace columns only,
@@ -53,6 +57,7 @@ import decimal
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -79,7 +84,9 @@ from calderon_lab.dn_solver import (
     mode_gap,
 )
 from calderon_lab.errors import (
+    BoundaryLayerRequested,
     GridMismatch,
+    InfeasibleBounds,
     NoConvergence,
     ShapeMismatch,
     SingularInteriorBlock,
@@ -243,6 +250,32 @@ def _assembly_case(name):
 
 
 class TestAssembly:
+    # an infinite entry assembled a K with non-finite entries, which failed
+    # only in the mode matrix's LU ("Factor is exactly singular"), and an
+    # interior NaN was blamed on the t-boundary layers; the first entry
+    # that is not a NaN on an end layer is named
+    @pytest.mark.parametrize(
+        "bad,node",
+        [({(4, 3, 3): np.inf}, (4, 3, 3)), ({(4, 3, 3): -np.inf}, (4, 3, 3)),
+         ({(4, 3, 3): np.nan}, (4, 3, 3)), ({(0, 1, 2): np.inf}, (0, 1, 2)),
+         ({(0, 0, 0): np.nan, (8, 0, 0): np.nan, (6, 2, 5): np.inf}, (6, 2, 5))],
+        ids=["inf", "minus-inf", "interior-nan", "end-layer-inf", "end-nan-and-interior-inf"],
+    )
+    def test_non_finite_potential_refused(self, flat9, bad, node):
+        q = np.zeros(flat9.grid.shape)
+        for k, v in bad.items():
+            q[k] = v
+        with pytest.raises(InfeasibleBounds, match=re.escape(f"at node {node} is not finite")):
+            assemble_stiffness(flat9, potential=q)
+
+    @pytest.mark.parametrize("layers", [[0], [-1], [0, -1]], ids=["first", "last", "both"])
+    def test_nan_end_layers_ask_for_one_sided_fill(self, flat9, layers):
+        # what conformal_potential leaves without its one-sided fill
+        q = np.zeros(flat9.grid.shape)
+        q[layers, 2, 1] = np.nan
+        with pytest.raises(BoundaryLayerRequested, match="t-boundary layers"):
+            assemble_stiffness(flat9, potential=q)
+
     def test_flat_matches_kronecker(self):
         grid = CylinderGrid(3, 5, (6, 4))
         g = sample_metric(flat_metric(3), grid)
@@ -670,6 +703,14 @@ class TestDNMap:
             vals = dn_mode_eigenvalues(assemble_stiffness(g), GAMMA1, modes)
             errs.append(np.abs(vals - exact).max())
         assert errs[1] < errs[0] / 3.0, f"no O(h^2) decrease: {errs}"
+
+    def test_mode_gap(self):
+        # the relative Frobenius gap; two zero matrices have no scale, and
+        # their gap is 0
+        A = np.diag([3.0, 4.0])
+        assert mode_gap(A, np.zeros((2, 2))) == 1.0
+        assert mode_gap(A, 2.0 * A) == 0.5
+        assert mode_gap(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
 
     def test_symmetry(self, bumpy9):
         lam = dn_map_partial(assemble_stiffness(bumpy9), GAMMA1).matrix

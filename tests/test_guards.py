@@ -1,0 +1,110 @@
+"""Argument guards: each refuses its bad argument with its typed error.
+
+Verifies, one row per guard, that the guard raises its error type with
+its message on the argument it exists to refuse: malformed grids, an
+unknown boundary name, a metric table or source of the wrong shape or
+dimension, fields, factors, systems, datasets and diffeomorphisms whose
+grids or dimensions differ, a collar that leaves a profile no room, a
+reparametrisation that moves the collars, and expressions of two
+dimensions combined.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from calderon_lab import analytic as an
+from calderon_lab.calculus import ScalarField, divergence_form_apply, integrate_volume
+from calderon_lab.conformal import (
+    ConformalFactor,
+    scale_metric,
+    scale_metric_2d,
+    scaling_law_residual,
+    volume_expansion,
+    weak_condition_residual,
+)
+from calderon_lab.dn_solver import assemble_stiffness
+from calderon_lab.errors import DimensionTooSmall, GridMismatch, NonOrientationPreserving
+from calderon_lab.gauge import CylinderDiffeo, cubic_reparam, identity_diffeo, pullback_metric
+from calderon_lab.grid_geometry import (
+    CylinderGrid,
+    MetricField,
+    MillerDataset,
+    assemble_counterexample_metric_nd,
+    cyl_grid,
+    flat_metric,
+    sample_metric,
+)
+
+
+# a 3-D grid, a finer 3-D grid and a 2-D grid
+_G3, _G3_FINE, _G2 = cyl_grid(3, 5), cyl_grid(3, 9), cyl_grid(2, 5)
+
+
+def _flat(grid):
+    return sample_metric(flat_metric(grid.n), grid)
+
+
+def _one(grid):
+    return ScalarField.constant(grid, 1.0)
+
+
+def _off_collar_parts(t):
+    """s(t) = t + 0.01 sin(pi t): it fixes 0 and 1 and does not fold, but
+    it moves the collars."""
+    t = np.asarray(t, dtype=float)
+    zeros = np.zeros(t.shape + (1,))
+    return t + 0.01 * np.sin(np.pi * t), 1.0 + 0.01 * np.pi * np.cos(np.pi * t), zeros, zeros
+
+
+_EPS = (-1.0, -0.75, -0.5, 0.25, 0.5, 0.75, 1.0)
+
+_GUARDS = {
+    "grid-angular-count": (lambda: CylinderGrid(3, 5, (4,)), ValueError, "expected 2 angular sizes"),
+    "grid-angular-below-4": (lambda: CylinderGrid(3, 5, (4, 3)), ValueError, "at least 4 nodes per angular"),
+    "boundary-name": (lambda: _G3.boundary_ids("edge"), ValueError, "unknown boundary component"),
+    "metric-table-shape": (lambda: MetricField(_G3, np.broadcast_to(np.eye(2), _G3.shape + (2, 2))),
+                           GridMismatch, "matrix table shape"),
+    "sample-metric-dimension": (lambda: sample_metric(flat_metric(2), _G3), GridMismatch,
+                                "metric dimension 2 != grid dimension 3"),
+    "nd-metric-n2": (lambda: assemble_counterexample_metric_nd(MillerDataset.zero(_G3), _G2),
+                     DimensionTooSmall, "n >= 3"),
+    "nd-metric-grid": (lambda: assemble_counterexample_metric_nd(MillerDataset.zero(_G3), _G3_FINE),
+                       GridMismatch, "incompatible with dataset grid"),
+    "field-source-dimension": (lambda: ScalarField.from_source(_G3, an.constant(1.0, 2)), GridMismatch,
+                               "source dim 2"),
+    "stencil-field-shape": (lambda: divergence_form_apply(np.zeros(_G3.shape + (3, 3)), np.zeros((3, 3)), _G3),
+                            GridMismatch, "field shape"),
+    "volume-field-grid": (lambda: integrate_volume(_one(_G3), _flat(_G3_FINE)), GridMismatch, "field shape"),
+    "stencil-weight-shape": (lambda: divergence_form_apply(np.zeros(_G3.shape + (2, 2)), np.zeros(_G3.shape), _G3),
+                             GridMismatch, "weight shape"),
+    "factor-n1": (lambda: ConformalFactor(_one(_G3), 1), DimensionTooSmall, "n >= 2"),
+    "scale-metric-grid": (lambda: scale_metric(_flat(_G3), ConformalFactor.one(_G3_FINE, 3)), GridMismatch,
+                          "factor and metric grids differ"),
+    "scale-metric-2d-grid": (lambda: scale_metric_2d(_flat(_G2), ConformalFactor.one(cyl_grid(2, 9), 2)),
+                             GridMismatch, "factor and metric grids differ"),
+    "scaling-law-field-grid": (lambda: scaling_law_residual(_flat(_G3), ConformalFactor.one(_G3, 3), _one(_G3_FINE)),
+                               GridMismatch, "field and metric grids differ"),
+    "weak-condition-grid": (
+        lambda: weak_condition_residual(assemble_stiffness(_flat(_G3)), ConformalFactor.one(_G3_FINE, 3)),
+        GridMismatch, "factor and system grids differ"),
+    "volume-expansion-n2": (lambda: volume_expansion(_flat(_G2), _one(_G2), _EPS), DimensionTooSmall, "n = 3"),
+    "volume-expansion-grid": (lambda: volume_expansion(_flat(_G3), _one(_G3_FINE), _EPS), GridMismatch,
+                              "field and metric grids differ"),
+    "cubic-profile-no-room": (lambda: cubic_reparam(3, 0.05, delta=0.5), ValueError, "hi > lo"),
+    "diffeo-n1": (lambda: CylinderDiffeo(1, identity_diffeo(2).parts), NonOrientationPreserving, "at least 2"),
+    "diffeo-moves-collar": (lambda: CylinderDiffeo(2, _off_collar_parts), NonOrientationPreserving,
+                            "identity on the collars"),
+    "compose-dimension": (lambda: identity_diffeo(3).compose(identity_diffeo(2)), GridMismatch,
+                          "different cylinders"),
+    "pullback-dimension": (lambda: pullback_metric(flat_metric(2), identity_diffeo(3)), GridMismatch,
+                           "dimensions differ"),
+    "expression-dimension": (lambda: an.constant(1.0, 2) + an.constant(1.0, 3), ValueError, "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", _GUARDS.values(), ids=_GUARDS.keys())
+def test_guard_raises_typed_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

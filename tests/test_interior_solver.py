@@ -34,7 +34,9 @@ Verifies:
   - a batch whose columns converge at 0, 1, 2, 3 and the full count of
     iterations in CG matches column-by-column runs to 1e-12 relative and
     reports the slowest column's count; a NaN boundary entry in a node
-    array sent to extend ends CG, then the LU fallback, in NoConvergence
+    array sent to extend ends CG, then the LU fallback, in NoConvergence;
+    CG capped at one iteration gives up, and the LU answers within 1e-10
+    of the default solve
   - an indefinite but nonsingular block (the flat block shifted past its
     first Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
     layered operator, goes straight to LU in InteriorSolver.extend and
@@ -430,6 +432,24 @@ def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
     rhs = -K[I][:, B] @ np.ones(B.size)
     u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     assert _rel(u[I], u_ref) <= 1e-10
+
+
+def test_iteration_cap_falls_back_to_lu(bumpy9, monkeypatch):
+    # CG that has not converged after _CG_MAXIT iterations gives up, and
+    # the sparse LU answers
+    grid = bumpy9.grid
+    sys = assemble_stiffness(bumpy9)
+    B = grid.boundary_ids(FULL_BOUNDARY)
+    u0 = np.zeros(grid.node_count)
+    u0[B] = np.random.default_rng(3).normal(size=B.size)
+    ref, solver = u0.copy(), InteriorSolver(sys)
+    solver.extend(ref)
+    assert solver.iterations > 1
+    monkeypatch.setattr(dn_solver, "_CG_MAXIT", 1)
+    u, capped = u0.copy(), InteriorSolver(sys)
+    capped.extend(u)
+    assert capped.iterations is None and capped._lu is not None  # LU answered
+    assert _rel(u, ref) <= 1e-10
 
 
 def _t_only_metric() -> MetricSource:

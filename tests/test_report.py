@@ -5,7 +5,8 @@ Verifies:
   - canonical JSON is byte-stable and free of volatile fields
   - the config digest ignores key order
   - emitted artifacts: report.json, CSV per table, summary.md, and the
-    timings sidecar kept out of the canonical report
+    timings sidecar kept out of the canonical report; a write whose final
+    rename fails keeps the old file and leaves no temporary file
   - fuzzed: the JSON loader turns arbitrary bytes into an object or a
     config error, never anything else
 """
@@ -109,6 +110,19 @@ class TestEmission:
         atomic_write_text(p, "new")
         assert p.read_text() == "new"
         assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "f.txt"
+        atomic_write_text(p, "old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write_text(p, "new")
+        assert p.read_bytes() == b"old"
+        assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]  # no .tmp-* left
 
 
 class TestLoadJson:
