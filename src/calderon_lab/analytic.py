@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import GridMismatch, InfeasibleBounds
+
 Array = np.ndarray
 
 
@@ -52,7 +54,7 @@ class AnalyticScalar:
     def _lift(self, other) -> "AnalyticScalar":
         if isinstance(other, AnalyticScalar):
             if other.dim != self.dim:
-                raise ValueError("dimension mismatch in analytic expression")
+                raise GridMismatch("dimension mismatch in analytic expression")
             return other
         return constant(float(other), self.dim)
 
@@ -131,7 +133,7 @@ def bump_profile(lo: float, hi: float):
     """
     lo, hi = float(lo), float(hi)
     if not hi > lo:
-        raise ValueError("bump requires hi > lo")
+        raise InfeasibleBounds("bump requires hi > lo")
     half = 0.5 * (hi - lo)
     peak = np.exp(-1.0 / (half * half))
 

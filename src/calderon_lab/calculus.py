@@ -164,7 +164,7 @@ def divergence_form_jacobian(
     """
     values = _field_values(f, grid)
     if not 0 < i < grid.n or not 0 <= j < grid.n:
-        raise ValueError(f"slot ({i}, {j}) is not an angular flux slot of an n = {grid.n} grid")
+        raise GridMismatch(f"slot ({i}, {j}) is not an angular flux slot of an n = {grid.n} grid")
     L = grid.shape[i]
     nxt = sp.csr_matrix((np.ones(L), (np.arange(L), (np.arange(L) + 1) % L)), shape=(L, L))
     # nodes are numbered row-major, so an operator along axis i is a

@@ -63,6 +63,7 @@ from .grid_geometry import (
     sample_metric,
 )
 from .report import (
+    REPORT_FILES,
     REQUIRED,
     ExperimentReport,
     choice,
@@ -90,8 +91,12 @@ def _file(v) -> str:
 
 
 def _file_name(v) -> str:
+    """Converter for a file written into the run's output directory: a
+    bare name that no report file overwrites."""
     if os.path.basename(string(v)) != v or v in ("", ".", ".."):
         raise ValueError("must be a bare file name")
+    if v in REPORT_FILES:
+        raise ValueError(f"is a file the report writes, one of {REPORT_FILES}")
     return v
 
 
@@ -122,7 +127,7 @@ def _grid(build, *args) -> CylinderGrid:
     array exists."""
     try:
         grid = build(*args)
-    except (ValueError, DimensionTooSmall, GridMismatch) as e:
+    except (DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
     if grid.node_count > _MAX_NODES:
         raise ConfigInvalid(f"a grid of {grid.n} axes is over the cap of {_MAX_NODES} nodes")
@@ -172,7 +177,7 @@ def _diffeo(spec, n: int):
             phi = (bump_reparam if d.family == "bump" else cubic_reparam)(n, d.amplitude, d.delta)
         if d.shear is not None:
             phi = phi.compose(bump_shear(n, d.shear.axis, d.shear.amplitude, d.delta))
-    except (ValueError, NonOrientationPreserving) as e:
+    except (InfeasibleBounds, NonOrientationPreserving) as e:
         raise ConfigInvalid(f"invalid diffeo: {e}") from e
     return phi, d.family == "identity" and d.shear is None
 

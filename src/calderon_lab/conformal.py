@@ -118,33 +118,26 @@ def scale_metric_2d(g: MetricField, c: ConformalFactor) -> MetricField:
         return MetricField(g.grid, c.values[..., None, None] * g.mat)
 
 
-def _t_ends(q: np.ndarray, one_sided: bool) -> np.ndarray:
-    """The interior t-layers ``q`` with both t-boundary layers added: the
-    quadratic extrapolation from the three adjacent layers, or NaN."""
-    out = np.full((q.shape[0] + 2, *q.shape[1:]), np.nan)
-    out[1:-1] = q
-    if one_sided:
-        out[0] = 3.0 * out[1] - 3.0 * out[2] + out[3]
-        out[-1] = 3.0 * out[-2] - 3.0 * out[-3] + out[-4]
-    return out
-
-
 def conformal_potential(
     g: MetricField, c: ConformalFactor, one_sided: bool = False
 ) -> np.ndarray:
-    """The scaling-law potential q = c^{-(n-2)} Lap_g c^{n-2} as a node
-    table.
-
-    The stencil Laplacian exists on the interior t-layers only; this is
-    the one place that adds the two boundary layers to it: with
-    ``one_sided`` by quadratic extrapolation (exact when c is constant
-    near the ends), otherwise as NaN. If c^{n-2} is constant the result is
-    identically zero, boundary layers included.
+    """The scaling-law potential q = c^{-(n-2)} Lap_g c^{n-2} on the
+    interior t-layers, where the stencil Laplacian exists: shape
+    ``(num_t - 2, *num_ang)``, zero if c^{n-2} is constant. ``one_sided``
+    adds the two t-boundary layers by quadratic extrapolation from the
+    three adjacent ones (exact when c is constant near the ends), for a
+    full node table; that needs num_t >= 5, else GridMismatch.
     """
+    if one_sided and g.grid.num_t < 5:
+        raise GridMismatch(f"one-sided end layers need 3 interior t-layers, got num_t = {g.grid.num_t}")
     vals = c.power_nm2().values
     if np.ptp(vals) == 0.0:
-        return np.zeros(g.grid.shape)
-    return _t_ends(laplace_beltrami_pointwise(g, vals) / vals[1:-1], one_sided)
+        q = np.zeros((g.grid.num_t - 2, *g.grid.num_ang))
+    else:
+        q = laplace_beltrami_pointwise(g, vals) / vals[1:-1]
+    if one_sided:
+        q = np.concatenate([[3.0 * q[0] - 3.0 * q[1] + q[2]], q, [3.0 * q[-1] - 3.0 * q[-2] + q[-3]]])
+    return q
 
 
 def scaling_law_residual(g: MetricField, c: ConformalFactor, f: ScalarField) -> float:
@@ -161,7 +154,7 @@ def scaling_law_residual(g: MetricField, c: ConformalFactor, f: ScalarField) -> 
     g_scaled = scale_metric(g, c)
     lhs = -laplace_beltrami_pointwise(g_scaled, f.values)
     Pf = c.power_nm2().values * f.values
-    q = conformal_potential(g, c)[1:-1]
+    q = conformal_potential(g, c)
     rhs = (c.values ** (-(n + 2)))[1:-1] * (-laplace_beltrami_pointwise(g, Pf) + q * Pf[1:-1])
     return float(np.abs(lhs - rhs).max())
 

@@ -110,7 +110,7 @@ def _meta(obj) -> SimpleNamespace:
              N_ang=(list_of(integer), REQUIRED), T=(real, REQUIRED), rho=(real, REQUIRED),
              alpha=(real, REQUIRED), layout=(choice("row-major"), REQUIRED),
              dtype=(choice("float64-le"), REQUIRED))
-    m.grid = CylinderGrid(3, m.N_t, m.N_ang)  # a ValueError is the reader's to report
+    m.grid = CylinderGrid(3, m.N_t, m.N_ang)  # a GridMismatch is load_dataset's to report
     return m
 
 

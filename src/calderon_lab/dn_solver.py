@@ -65,7 +65,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    BoundaryLayerRequested,
     GridMismatch,
     InfeasibleBounds,
     NoConvergence,
@@ -334,17 +333,12 @@ def assemble_stiffness(
     if potential is not None:
         v_values = np.asarray(potential, dtype=float)
         if v_values.shape != grid.shape:
-            raise GridMismatch(f"potential shape {v_values.shape}, expected {grid.shape}")
-        # NaN t-end layers are what conformal_potential leaves without its
-        # one-sided fill; any other non-finite entry is refused by its node
-        stray = ~np.isfinite(v_values)
-        stray[[0, -1]] = np.isinf(v_values[[0, -1]])
-        if stray.any():
-            node = tuple(int(k) for k in np.argwhere(stray)[0])
+            raise GridMismatch(f"potential shape {v_values.shape}, expected {grid.shape}; "
+                               "conformal_potential gives the t-end layers with one_sided")
+        stray = np.argwhere(~np.isfinite(v_values))
+        if stray.size:
+            node = tuple(int(k) for k in stray[0])
             raise InfeasibleBounds(f"potential {v_values[node]} at node {node} is not finite")
-        if np.isnan(v_values).any():
-            raise BoundaryLayerRequested("potential is undefined on the t-boundary layers; "
-                                         "enable one-sided extension to use it there")
         v_nodes = v_values.reshape(size)
 
     # the unique metric components by node, packed for the SPD kernel; the
@@ -818,7 +812,7 @@ def boundary_mass_matrix(grid: CylinderGrid, gamma: str) -> sp.spmatrix:
     """Consistent Q1 mass matrix of one boundary layer (flat measure): the
     tensor product of periodic 1-D masses."""
     if gamma not in (GAMMA0, GAMMA1):
-        raise ValueError("boundary mass is defined per layer")
+        raise ShapeMismatch(f"boundary mass is defined per layer, not on {gamma!r}")
     M = sp.identity(1, format="csr")
     for num, h in zip(grid.num_ang, grid.h_ang):
         M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h)[1]), format="csr")

@@ -50,15 +50,6 @@ class NonPositiveDefinite(CalderonLabError):
 
 
 # ---------------------------------------------------------------------------
-# calculus errors
-
-
-class BoundaryLayerRequested(CalderonLabError):
-    """A stencil quantity was required on the t-boundary layers where the
-    interior stencil is undefined and no one-sided extension was enabled."""
-
-
-# ---------------------------------------------------------------------------
 # solver errors
 
 
@@ -82,8 +73,9 @@ class NoConvergence(CalderonLabError):
 
 class ShapeMismatch(CalderonLabError):
     """Two operators are not comparable (different boundary component or
-    incompatible cylinder), or an array does not fit the operator applied
-    to it."""
+    incompatible cylinder), a boundary component is unknown or not the one
+    layer an operation needs, or an array does not fit the operator
+    applied to it."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +115,15 @@ class MalformedContainer(CalderonLabError):
 
 
 class GridMismatch(CalderonLabError):
-    """Dataset arrays do not match the declared grid, or a dataset does not
-    match the grid an operation was asked to use."""
+    """Sizes that make no cylinder grid, or a table, field, dataset, slot or
+    dimension that does not fit the grid or cylinder it is used on."""
 
 
 class InfeasibleBounds(CalderonLabError):
     """A dataset, synthesis or assembly input is out of range: dataset
     metadata outside the paper's ranges, a synthesis mode that aliases on
-    the grid, an amplitude whose fit is not finite, or a potential with a
-    non-finite entry other than a NaN on the t-boundary layers."""
+    the grid, an amplitude whose fit is not finite, a potential with a
+    non-finite entry, or a profile support (lo, hi) with hi <= lo."""
 
 
 class TrivialU(CalderonLabError):

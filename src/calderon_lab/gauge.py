@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytic import bump_profile
 from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
-from .errors import GridMismatch, NonOrientationPreserving
+from .errors import GridMismatch, InfeasibleBounds, NonOrientationPreserving
 from .grid_geometry import MetricSource, cyl_grid, sample_metric
 
 DEFAULT_COLLAR = 0.1
@@ -36,7 +36,7 @@ def _cubic_profile(lo: float, hi: float):
     at lo and hi, peak 1 in the middle, piecewise-polynomial inside."""
     lo, hi = float(lo), float(hi)
     if not hi > lo:
-        raise ValueError("profile requires hi > lo")
+        raise InfeasibleBounds("profile requires hi > lo")
     width = hi - lo
 
     def _eval(t):

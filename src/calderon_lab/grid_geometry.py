@@ -32,6 +32,7 @@ from .errors import (
     GridMismatch,
     InfeasibleBounds,
     NonPositiveDefinite,
+    ShapeMismatch,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -65,13 +66,13 @@ class CylinderGrid:
         if self.n < 2:
             raise DimensionTooSmall(f"cylinder dimension must be >= 2, got {self.n}")
         if len(self.num_ang) != self.n - 1:
-            raise ValueError(
+            raise GridMismatch(
                 f"expected {self.n - 1} angular sizes, got {len(self.num_ang)}"
             )
         if self.num_t < 3:
-            raise ValueError(f"need at least 3 t-nodes, got {self.num_t}")
+            raise GridMismatch(f"need at least 3 t-nodes, got {self.num_t}")
         if any(m < 4 for m in self.num_ang):
-            raise ValueError(f"need at least 4 nodes per angular axis: {self.num_ang}")
+            raise GridMismatch(f"need at least 4 nodes per angular axis: {self.num_ang}")
 
     # -- basic geometry -------------------------------------------------
 
@@ -133,7 +134,7 @@ class CylinderGrid:
             return np.arange((self.num_t - 1) * P, self.num_t * P)
         if gamma == FULL_BOUNDARY:
             return np.concatenate([self.boundary_ids(GAMMA0), self.boundary_ids(GAMMA1)])
-        raise ValueError(f"unknown boundary component {gamma!r}")
+        raise ShapeMismatch(f"unknown boundary component {gamma!r}")
 
     def interior_ids(self) -> np.ndarray:
         P = self.layer_count

@@ -155,6 +155,10 @@ def string(v) -> str:
 
 # -- reports -----------------------------------------------------------------
 
+# the files emit_report writes besides one CSV per table: the canonical
+# report, the markdown summary and the timings sidecar
+REPORT_FILES = ("report.json", "summary.md", "timings.json")
+
 
 def atomic_write_text(path, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
@@ -180,17 +184,6 @@ class Verdict:
     comparison: str  # "<=" or ">="
 
 
-def check(name: str, value: float, threshold: float, comparison: str = "<=") -> Verdict:
-    value = float(value)
-    if comparison == "<=":
-        ok = value <= threshold
-    elif comparison == ">=":
-        ok = value >= threshold
-    else:
-        raise ValueError(f"unknown comparison {comparison!r}")
-    return Verdict(name, bool(ok), value, float(threshold), comparison)
-
-
 @dataclass(frozen=True)
 class Table:
     columns: tuple
@@ -214,7 +207,11 @@ class ExperimentReport:
         self.tables[name] = Table(tuple(columns), tuple(tuple(r) for r in rows))
 
     def add_verdict(self, name, value, threshold, comparison="<=") -> Verdict:
-        v = check(name, value, threshold, comparison)
+        """Record and return the verdict ``value <comparison> threshold``;
+        an unknown comparison raises KeyError."""
+        value, threshold = float(value), float(threshold)
+        passed = {"<=": value <= threshold, ">=": value >= threshold}[comparison]
+        v = Verdict(name, passed, value, threshold, comparison)
         self.verdicts.append(v)
         return v
 
@@ -262,11 +259,8 @@ class ExperimentReport:
 def emit_report(report: ExperimentReport, out_dir) -> dict:
     """Write report.json (canonical), one CSV per table, summary.md, and a
     volatile timings sidecar. Returns {artifact name: path}."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = {}
-    p = os.path.join(out_dir, "report.json")
-    atomic_write_text(p, report.to_json())
-    written["report.json"] = p
+    canonical, summary, timings = REPORT_FILES
+    texts = {canonical: report.to_json()}
     for name in sorted(report.tables):
         t = report.tables[name]
         buf = io.StringIO()
@@ -274,14 +268,13 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
         w.writerow(t.columns)
         for row in t.rows:
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
-        p = os.path.join(out_dir, f"{name}.csv")
-        atomic_write_text(p, buf.getvalue())
-        written[f"{name}.csv"] = p
-    p = os.path.join(out_dir, "summary.md")
-    atomic_write_text(p, report.to_markdown())
-    written["summary.md"] = p
+        texts[f"{name}.csv"] = buf.getvalue()
+    texts[summary] = report.to_markdown()
     if report.timings:
-        p = os.path.join(out_dir, "timings.json")
-        atomic_write_text(p, json.dumps(report.timings, sort_keys=True, indent=2) + "\n")
-        written["timings.json"] = p
+        texts[timings] = json.dumps(report.timings, sort_keys=True, indent=2) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    written = {}
+    for name, text in texts.items():
+        written[name] = p = os.path.join(out_dir, name)
+        atomic_write_text(p, text)
     return written

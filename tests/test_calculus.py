@@ -28,7 +28,7 @@ from calderon_lab.calculus import (
     laplace_beltrami_pointwise,
 )
 from calderon_lab.dn_solver import assemble_stiffness
-from calderon_lab.errors import BoundaryLayerRequested, GridMismatch
+from calderon_lab.errors import GridMismatch
 from calderon_lab.grid_geometry import CylinderGrid, cyl_grid, flat_metric, sample_metric
 from conftest import constant_metric
 
@@ -156,11 +156,11 @@ class TestDivergenceForm:
         assert np.isfinite(out).all()
 
     def test_require_full_layers_guard(self, grid9, flat9):
-        # assembly refuses a potential whose t-boundary layers are NaN, as
-        # conformal_potential leaves them without the one-sided fill
-        q = np.zeros(grid9.shape)
-        q[0] = q[-1] = np.nan
-        with pytest.raises(BoundaryLayerRequested, match="t-boundary layers"):
+        # assembly takes a potential on every t-layer: the interior layers
+        # conformal_potential returns without its one-sided fill are
+        # refused by their shape, with a pointer to the fill
+        q = np.zeros((grid9.num_t - 2, *grid9.num_ang))
+        with pytest.raises(GridMismatch, match="t-end layers with one_sided"):
             assemble_stiffness(flat9, potential=q)
 
 
@@ -185,5 +185,5 @@ class TestDivergenceFormJacobian:
                 assert err < 1e-13, f"slot ({i}, {j}): {err:.2e}"
 
     def test_t_direction_rejected(self, grid9):
-        with pytest.raises(ValueError):
+        with pytest.raises(GridMismatch, match="not an angular flux slot"):
             divergence_form_jacobian(np.ones(grid9.shape), grid9, 0, 1)

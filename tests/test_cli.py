@@ -5,6 +5,7 @@ computational failure, 2 on config errors. Reports land in --out.
 """
 
 import ast
+import collections
 import itertools
 import json
 import os
@@ -233,6 +234,12 @@ class TestConfigErrors:
                 '{"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d"}, "cut": 1'
                 + "0" * 400 + "}",
             ),
+            # a collar of 1/2 leaves the profile no room between its ends
+            ("dn-compare", {"n": 2, "sizes": [9, 17], "transform": {"kind": "diffeo", "diffeo": {"delta": 0.5}}}),
+            (
+                "dn-compare",
+                {"n": 2, "sizes": [9, 17], "transform": {"kind": "diffeo", "diffeo": {"family": "cubic", "delta": 0.5}}},
+            ),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -252,7 +259,7 @@ class TestConfigErrors:
             "misspelled-factor-seed", "misspelled-diffeo-family", "misspelled-shear-amplitude",
             "misspelled-synth-amplitude", "misspelled-synth-grid-num_t",
             "size-not-integral", "n-as-string", "seed-as-bool", "amplitude-as-string",
-            "integer-overflows-float",
+            "integer-overflows-float", "bump-collar-no-room", "cubic-collar-no-room",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
@@ -353,6 +360,16 @@ class TestConfigErrors:
         code, _ = _cli(tmp_path, "synth-dataset", cfg)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    # the report's own files overwrote the dataset, which then failed to
+    # load as a MalformedContainer
+    @pytest.mark.parametrize("output", ["report.json", "summary.md", "timings.json"])
+    def test_output_is_not_a_report_file(self, tmp_path, monkeypatch, capsys, output):
+        monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
+        code, out = _cli(tmp_path, "synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "output": output})
+        assert code == 2
+        assert "is a file the report writes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _must_not_run(*args, **kwargs):
@@ -630,6 +647,18 @@ def _readme_configs():
     return found
 
 
+def _readme_cases():
+    """The README configs as parameters, each with the id
+    ``<subcommand>-cfg<k>``, k its index among its subcommand's examples,
+    so a new example renames no other case."""
+    seen = collections.Counter()
+    cases = []
+    for command, cfg in _readme_configs():
+        cases.append(pytest.param(command, cfg, id=f"{command}-cfg{seen[command]}"))
+        seen[command] += 1
+    return cases
+
+
 def _readme_key_table(command):
     """The backticked names in the first column of the first table under
     the README heading that names ``command``."""
@@ -707,7 +736,7 @@ class TestReadmeConfigs:
                 taken |= set(ast.literal_eval(str(err.value).split("it takes ", 1)[1]))
         assert _NESTED[spec] == sorted(taken)
 
-    @pytest.mark.parametrize("command,cfg", _readme_configs())
+    @pytest.mark.parametrize("command,cfg", _readme_cases())
     def test_readme_config_is_accepted(self, tmp_path, monkeypatch, command, cfg):
         assert command is not None, f"JSON block {cfg} sits under no subcommand heading"
         if "dataset" in cfg:

@@ -180,22 +180,51 @@ class TestScaleMetric:
             scale_metric_2d(flat9, ConformalFactor.one(grid9, 3))
 
 
+def _trig_factor(grid):
+    return ConformalFactor.from_source(
+        grid, an.trig_sum(3, np.random.default_rng(0), terms=2, amplitude=0.3, offset=1.4), 3
+    )
+
+
 class TestConformalPotential:
     def test_constant_factor_exact_zero(self, grid9, bumpy9):
         c = ConformalFactor.from_source(grid9, an.constant(1.7, 3), 3)
         q = conformal_potential(bumpy9, c)
-        assert np.all(q == 0.0)
+        assert q.shape == (7, 8, 8) and np.all(q == 0.0)
+        q_filled = conformal_potential(bumpy9, c, one_sided=True)
+        assert q_filled.shape == grid9.shape and np.all(q_filled == 0.0)
 
     def test_boundary_layers(self, grid9, flat9):
+        # the stencil defines the interior t-layers only; the one-sided
+        # fill adds both end layers by quadratic extrapolation, so the
+        # third t-difference vanishes across each end
         c = ConformalFactor.from_source(
             grid9, an.constant(1.0, 3) + an.wave([1.0, 1.0, 0.0]) * an.constant(0.1, 3), 3
         )
         q = conformal_potential(flat9, c)
-        assert np.all(np.isnan(q[0])) and np.all(np.isnan(q[-1]))
-        assert np.isfinite(q[1:-1]).all()
+        assert q.shape == (7, 8, 8) and np.isfinite(q).all()
         q_filled = conformal_potential(flat9, c, one_sided=True)
-        assert np.isfinite(q_filled).all()
-        assert np.abs(q_filled[1:-1] - q[1:-1]).max() == 0.0
+        assert q_filled.shape == grid9.shape and np.isfinite(q_filled).all()
+        assert np.abs(q_filled[1:-1] - q).max() == 0.0
+        for ends in (q_filled[:4], q_filled[::-1][:4]):
+            third = ends[0] - 3.0 * ends[1] + 3.0 * ends[2] - ends[3]
+            assert np.abs(third).max() <= 1e-14 * np.abs(q).max()
+
+    # the fill extrapolates from three interior layers: at num_t = 3 it
+    # raised a bare IndexError, at num_t = 4 it read the other end's NaN
+    @pytest.mark.parametrize("num_t", [3, 4])
+    def test_one_sided_needs_three_interior_layers(self, num_t):
+        grid = CylinderGrid(3, num_t, (8, 8))
+        g = sample_metric(random_trig_metric(3, seed=1), grid)
+        assert conformal_potential(g, _trig_factor(grid)).shape == (num_t - 2, 8, 8)
+        with pytest.raises(GridMismatch, match="need 3 interior t-layers"):
+            conformal_potential(g, _trig_factor(grid), one_sided=True)
+
+    def test_one_sided_on_fewest_t_layers(self):
+        grid = CylinderGrid(3, 5, (8, 8))
+        g = sample_metric(random_trig_metric(3, seed=1), grid)
+        q = conformal_potential(g, _trig_factor(grid), one_sided=True)
+        assert q.shape == grid.shape and np.isfinite(q).all()
 
 
 class TestScalingLaw:

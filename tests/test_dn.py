@@ -84,7 +84,6 @@ from calderon_lab.dn_solver import (
     mode_gap,
 )
 from calderon_lab.errors import (
-    BoundaryLayerRequested,
     GridMismatch,
     InfeasibleBounds,
     NoConvergence,
@@ -251,29 +250,23 @@ def _assembly_case(name):
 
 class TestAssembly:
     # an infinite entry assembled a K with non-finite entries, which failed
-    # only in the mode matrix's LU ("Factor is exactly singular"), and an
-    # interior NaN was blamed on the t-boundary layers; the first entry
-    # that is not a NaN on an end layer is named
+    # only in the mode matrix's LU ("Factor is exactly singular"); every
+    # non-finite entry, on any t-layer, is refused by its first node
     @pytest.mark.parametrize(
         "bad,node",
         [({(4, 3, 3): np.inf}, (4, 3, 3)), ({(4, 3, 3): -np.inf}, (4, 3, 3)),
          ({(4, 3, 3): np.nan}, (4, 3, 3)), ({(0, 1, 2): np.inf}, (0, 1, 2)),
-         ({(0, 0, 0): np.nan, (8, 0, 0): np.nan, (6, 2, 5): np.inf}, (6, 2, 5))],
-        ids=["inf", "minus-inf", "interior-nan", "end-layer-inf", "end-nan-and-interior-inf"],
+         ({(0, 0, 0): np.nan, (8, 0, 0): np.nan, (6, 2, 5): np.inf}, (0, 0, 0)),
+         ({(0, 2, 1): np.nan}, (0, 2, 1)), ({(8, 2, 1): np.nan}, (8, 2, 1)),
+         ({(0, 2, 1): np.nan, (8, 2, 1): np.nan}, (0, 2, 1))],
+        ids=["inf", "minus-inf", "interior-nan", "end-layer-inf", "end-nan-and-interior-inf",
+             "first-layer-nan", "last-layer-nan", "both-end-layers-nan"],
     )
     def test_non_finite_potential_refused(self, flat9, bad, node):
         q = np.zeros(flat9.grid.shape)
         for k, v in bad.items():
             q[k] = v
         with pytest.raises(InfeasibleBounds, match=re.escape(f"at node {node} is not finite")):
-            assemble_stiffness(flat9, potential=q)
-
-    @pytest.mark.parametrize("layers", [[0], [-1], [0, -1]], ids=["first", "last", "both"])
-    def test_nan_end_layers_ask_for_one_sided_fill(self, flat9, layers):
-        # what conformal_potential leaves without its one-sided fill
-        q = np.zeros(flat9.grid.shape)
-        q[layers, 2, 1] = np.nan
-        with pytest.raises(BoundaryLayerRequested, match="t-boundary layers"):
             assemble_stiffness(flat9, potential=q)
 
     def test_flat_matches_kronecker(self):

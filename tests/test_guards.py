@@ -2,11 +2,12 @@
 
 Verifies, one row per guard, that the guard raises its error type with
 its message on the argument it exists to refuse: malformed grids, an
-unknown boundary name, a metric table or source of the wrong shape or
-dimension, fields, factors, systems, datasets and diffeomorphisms whose
-grids or dimensions differ, a collar that leaves a profile no room, a
-reparametrisation that moves the collars, and expressions of two
-dimensions combined.
+unknown boundary name, a boundary mass off one layer, a metric table or
+source of the wrong shape or dimension, fields, factors, systems,
+datasets and diffeomorphisms whose grids or dimensions differ, a collar
+that leaves a profile no room, a reparametrisation that moves the
+collars, a bump with no support, and expressions of two dimensions
+combined.
 """
 
 import re
@@ -24,10 +25,17 @@ from calderon_lab.conformal import (
     volume_expansion,
     weak_condition_residual,
 )
-from calderon_lab.dn_solver import assemble_stiffness
-from calderon_lab.errors import DimensionTooSmall, GridMismatch, NonOrientationPreserving
+from calderon_lab.dn_solver import assemble_stiffness, boundary_mass_matrix
+from calderon_lab.errors import (
+    DimensionTooSmall,
+    GridMismatch,
+    InfeasibleBounds,
+    NonOrientationPreserving,
+    ShapeMismatch,
+)
 from calderon_lab.gauge import CylinderDiffeo, cubic_reparam, identity_diffeo, pullback_metric
 from calderon_lab.grid_geometry import (
+    FULL_BOUNDARY,
     CylinderGrid,
     MetricField,
     MillerDataset,
@@ -61,9 +69,12 @@ def _off_collar_parts(t):
 _EPS = (-1.0, -0.75, -0.5, 0.25, 0.5, 0.75, 1.0)
 
 _GUARDS = {
-    "grid-angular-count": (lambda: CylinderGrid(3, 5, (4,)), ValueError, "expected 2 angular sizes"),
-    "grid-angular-below-4": (lambda: CylinderGrid(3, 5, (4, 3)), ValueError, "at least 4 nodes per angular"),
-    "boundary-name": (lambda: _G3.boundary_ids("edge"), ValueError, "unknown boundary component"),
+    "grid-angular-count": (lambda: CylinderGrid(3, 5, (4,)), GridMismatch, "expected 2 angular sizes"),
+    "grid-angular-below-4": (lambda: CylinderGrid(3, 5, (4, 3)), GridMismatch, "at least 4 nodes per angular"),
+    "grid-t-below-3": (lambda: CylinderGrid(3, 2, (4, 4)), GridMismatch, "at least 3 t-nodes"),
+    "boundary-name": (lambda: _G3.boundary_ids("edge"), ShapeMismatch, "unknown boundary component"),
+    "boundary-mass-full": (lambda: boundary_mass_matrix(_G3, FULL_BOUNDARY), ShapeMismatch,
+                           "defined per layer"),
     "metric-table-shape": (lambda: MetricField(_G3, np.broadcast_to(np.eye(2), _G3.shape + (2, 2))),
                            GridMismatch, "matrix table shape"),
     "sample-metric-dimension": (lambda: sample_metric(flat_metric(2), _G3), GridMismatch,
@@ -92,7 +103,8 @@ _GUARDS = {
     "volume-expansion-n2": (lambda: volume_expansion(_flat(_G2), _one(_G2), _EPS), DimensionTooSmall, "n = 3"),
     "volume-expansion-grid": (lambda: volume_expansion(_flat(_G3), _one(_G3_FINE), _EPS), GridMismatch,
                               "field and metric grids differ"),
-    "cubic-profile-no-room": (lambda: cubic_reparam(3, 0.05, delta=0.5), ValueError, "hi > lo"),
+    "cubic-profile-no-room": (lambda: cubic_reparam(3, 0.05, delta=0.5), InfeasibleBounds, "hi > lo"),
+    "bump-no-support": (lambda: an.bump(0.6, 0.4, 3, 0), InfeasibleBounds, "hi > lo"),
     "diffeo-n1": (lambda: CylinderDiffeo(1, identity_diffeo(2).parts), NonOrientationPreserving, "at least 2"),
     "diffeo-moves-collar": (lambda: CylinderDiffeo(2, _off_collar_parts), NonOrientationPreserving,
                             "identity on the collars"),
@@ -100,7 +112,8 @@ _GUARDS = {
                           "different cylinders"),
     "pullback-dimension": (lambda: pullback_metric(flat_metric(2), identity_diffeo(3)), GridMismatch,
                            "dimensions differ"),
-    "expression-dimension": (lambda: an.constant(1.0, 2) + an.constant(1.0, 3), ValueError, "dimension mismatch"),
+    "expression-dimension": (lambda: an.constant(1.0, 2) + an.constant(1.0, 3), GridMismatch,
+                             "dimension mismatch"),
 }
 
 

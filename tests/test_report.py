@@ -22,26 +22,31 @@ from calderon_lab.report import (
     ExperimentReport,
     Table,
     atomic_write_text,
-    check,
     emit_report,
     load_json,
 )
 
 
+def _verdict(*args):
+    return ExperimentReport("demo", {}).add_verdict(*args)
+
+
 class TestVerdict:
     def test_comparisons(self):
-        assert check("a", 1.0, 2.0, "<=").passed
-        assert not check("a", 3.0, 2.0, "<=").passed
-        assert check("b", 3.0, 2.0, ">=").passed
-        assert not check("b", 1.0, 2.0, ">=").passed
+        assert _verdict("a", 1.0, 2.0, "<=").passed
+        assert not _verdict("a", 3.0, 2.0, "<=").passed
+        assert _verdict("b", 3.0, 2.0, ">=").passed
+        assert not _verdict("b", 1.0, 2.0, ">=").passed
 
     def test_unknown_comparison(self):
-        with pytest.raises(ValueError):
-            check("a", 1.0, 2.0, "<")
+        r = ExperimentReport("demo", {})
+        with pytest.raises(KeyError, match="'<'"):
+            r.add_verdict("a", 1.0, 2.0, "<")
+        assert r.verdicts == []
 
     def test_boundary_counts_as_pass(self):
-        assert check("edge", 2.0, 2.0, "<=").passed
-        assert check("edge", 2.0, 2.0, ">=").passed
+        assert _verdict("edge", 2.0, 2.0, "<=").passed
+        assert _verdict("edge", 2.0, 2.0, ">=").passed
 
 
 def _sample_report():

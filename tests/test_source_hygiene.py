@@ -21,7 +21,10 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
     is surface too;
   - every error class of ``errors.py`` but the base ``CalderonLabError``
     is raised somewhere in the package, so a deleted guard leaves no
-    orphan error type.
+    orphan error type;
+  - no module raises ``ValueError`` or ``TypeError`` outside the schema
+    converters of ``report.py`` and ``cli.py``, whose refusals the schema
+    reader turns into ``ConfigInvalid``: every other refusal is typed.
 """
 
 import ast
@@ -315,3 +318,33 @@ def test_every_error_class_is_raised():
     classes = [n.name for n in _tree(PACKAGE / "errors.py").body if isinstance(n, ast.ClassDef)]
     orphans = [nm for nm in classes if nm != "CalderonLabError" and nm not in raised]
     assert not orphans, f"error classes the package never raises: {orphans}"
+
+
+# module -> its schema converters, the functions that may refuse a value
+# with ValueError or TypeError for report.read to turn into ConfigInvalid
+CONVERTERS = {
+    "report": {"number", "integer", "convert", "string"},
+    "cli": {"_file", "_file_name", "_mode_pair"},
+}
+
+
+def _untyped_raises(node, allowed: set, inside: bool = False) -> list:
+    """Lines that raise ValueError or TypeError outside the functions named
+    in ``allowed`` and the functions nested in them."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside or node.name in allowed
+    if isinstance(node, ast.Raise) and not inside:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+            return [node.lineno]
+    return [line for child in ast.iter_child_nodes(node) for line in _untyped_raises(child, allowed, inside)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_refusals_are_typed(path):
+    tree = _tree(path)
+    allowed = CONVERTERS.get(path.stem, set())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert allowed <= defined, f"{path.name} defines no converter {sorted(allowed - defined)}"
+    lines = _untyped_raises(tree, allowed)
+    assert not lines, f"{path.name} raises ValueError or TypeError outside a schema converter: lines {lines}"
