@@ -5,7 +5,6 @@ computational failure, 2 on config errors. Reports land in --out.
 """
 
 import ast
-import collections
 import itertools
 import json
 import os
@@ -647,18 +646,6 @@ def _readme_configs():
     return found
 
 
-def _readme_cases():
-    """The README configs as parameters, each with the id
-    ``<subcommand>-cfg<k>``, k its index among its subcommand's examples,
-    so a new example renames no other case."""
-    seen = collections.Counter()
-    cases = []
-    for command, cfg in _readme_configs():
-        cases.append(pytest.param(command, cfg, id=f"{command}-cfg{seen[command]}"))
-        seen[command] += 1
-    return cases
-
-
 def _readme_key_table(command):
     """The backticked names in the first column of the first table under
     the README heading that names ``command``."""
@@ -736,7 +723,7 @@ class TestReadmeConfigs:
                 taken |= set(ast.literal_eval(str(err.value).split("it takes ", 1)[1]))
         assert _NESTED[spec] == sorted(taken)
 
-    @pytest.mark.parametrize("command,cfg", _readme_cases())
+    @pytest.mark.parametrize("command,cfg", _readme_configs())
     def test_readme_config_is_accepted(self, tmp_path, monkeypatch, command, cfg):
         assert command is not None, f"JSON block {cfg} sits under no subcommand heading"
         if "dataset" in cfg:
