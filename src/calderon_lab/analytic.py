@@ -127,7 +127,8 @@ def wave(weights, phase: float = 0.0) -> AnalyticScalar:
 def bump_profile(lo: float, hi: float):
     """Value-and-derivative closure of the smooth bump on (lo, hi):
     ``f(t) = exp(-1/((t-lo)(hi-t)))``, normalised to peak 1, identically
-    zero outside with all derivatives vanishing at the endpoints.
+    zero outside with all derivatives vanishing at the endpoints. Its
+    normaliser must be a normal float, so the support is at least ~0.0751.
 
     Returns a callable mapping a float array t to ``(f(t), f'(t))``.
     """
@@ -135,7 +136,10 @@ def bump_profile(lo: float, hi: float):
     if not hi > lo:
         raise InfeasibleBounds("bump requires hi > lo")
     half = 0.5 * (hi - lo)
-    peak = np.exp(-1.0 / (half * half))
+    with np.errstate(under="ignore"):
+        peak = np.exp(-1.0 / (half * half))
+    if not peak >= np.finfo(float).tiny:
+        raise InfeasibleBounds(f"bump support ({lo}, {hi}) too narrow: normaliser {peak:.3g} not a normal float")
 
     def _eval(t):
         t = np.asarray(t, dtype=float)

@@ -264,7 +264,10 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
         # in [0, 1] and the trig factor in [1/2, 3/2], c > 0 for amplitude > -2/3
         if link.amplitude <= -2.0 / 3.0:
             raise ConfigInvalid(f"conformal-link amplitude {link.amplitude} must exceed -2/3")
-        prof = an.bump(link.collar, 1.0 - link.collar, n, 0)
+        try:
+            prof = an.bump(link.collar, 1.0 - link.collar, n, 0)
+        except InfeasibleBounds as e:
+            raise ConfigInvalid(f"invalid conformal-link collar: {e}") from e
         ang = an.trig_sum(n, np.random.default_rng(link.seed), terms=2, amplitude=0.5,
                           max_mode=1, offset=1.0)
         c_src = an.constant(1.0, n) + prof * ang * an.constant(link.amplitude, n)

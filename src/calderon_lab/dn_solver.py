@@ -77,6 +77,7 @@ from .grid_geometry import (
     GAMMA1,
     CylinderGrid,
     MetricField,
+    packed_order,
     spd_weight,
 )
 
@@ -204,7 +205,7 @@ def _element_tables(grid: CylinderGrid):
     order of ``np.triu_indices(2^n)``:
 
     - ``stiff[(k, q), p]``, for the unique metric components ``k = (i, j)``
-      with ``i <= j`` in the order of ``np.triu_indices(n)``, is
+      with ``i <= j`` in the order of :func:`packed_order`, is
       ``T[i, i, q]`` on the diagonal and ``T[i, j, q] + T[j, i, q]`` off
       it, with ``T[i, j, q, a, b] = w G[q, a, i] G[q, b, j]`` the products
       of physical shape gradients times the quadrature weight ``w``;
@@ -218,7 +219,7 @@ def _element_tables(grid: CylinderGrid):
     G = G / grid.spacings  # physical gradients, constant per uniform cell
     a, b = np.triu_indices(1 << n)
     T = w * np.einsum("qai,qbj->ijqab", G, G)[..., a, b]
-    stiff = np.concatenate([T[i, j] + T[j, i] if i < j else T[i, i] for i, j in zip(*np.triu_indices(n))])
+    stiff = np.concatenate([T[i, j] + T[j, i] if i < j else T[i, i] for i, j in zip(*packed_order(n)[:2])])
     mass = w * N[:, a] * N[:, b]
     mirror = np.empty((1 << n, 1 << n), dtype=np.intp)
     mirror[a, b] = mirror[b, a] = np.arange(a.size)
@@ -264,7 +265,8 @@ def _scatter(data: np.ndarray, slot: np.ndarray, unique: np.ndarray, mirror: np.
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
     """Assembled weak-form operator: Laplace part plus optional potential
-    mass part, on its grid. The two parts share one sparsity pattern.
+    mass part, on its grid. Both parts and ``matrix`` hold data arrays of
+    their own on the read-only CSR pattern of the grid's :func:`_grid_layout`.
     ``layers`` (n + 1, num_t - 1) holds, per t-cell, the means over its
     cells and Gauss points of the diagonal of ``W = sqrt(det g) g^{-1}``
     and of ``sqrt(det g) V`` (zero without a potential), for
@@ -320,8 +322,9 @@ def assemble_stiffness(
     whose cell count is not a multiple of 8 its own way, so there the bytes
     can change with the block size unless P is a multiple of 8. The
     cell-node table, the scatter pattern and the tables come from a
-    per-grid cache (equal grids share one entry) and are never handed out:
-    the system's matrices share one copy of the index arrays.
+    per-grid cache (equal grids share one entry). Every system's matrices
+    hold that entry's own read-only ``indices`` and ``indptr`` (a write
+    raises numpy's ``ValueError``); only their data arrays are their own.
     """
     grid = metric.grid
     n = grid.n
@@ -345,7 +348,7 @@ def assemble_stiffness(
     # gathers use np.take(mode="clip"), about 3 times faster than fancy
     # indexing here, and the ids are in range
     g_nodes = np.ascontiguousarray(metric.packed.reshape(-1, size))
-    iu, ju = np.triu_indices(n)
+    iu, ju, _ = packed_order(n)
     k_data = np.zeros(indices.size)
     m_data = None if v_nodes is None else np.zeros(indices.size)
     # per t-cell, the means of diag(W), then of sqrt(det g) V
@@ -361,8 +364,6 @@ def assemble_stiffness(
             mass_weight = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
             _scatter(m_data, block_slot, mass_weight.T @ mass_table, mirror)
             layers[n, j0:j1] = mass_weight.mean(axis=0).reshape(-1, P).mean(axis=1)
-    # one copy of the index arrays, shared by the system's matrices
-    indices, indptr = indices.copy(), indptr.copy()
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
     M = None if m_data is None else sp.csr_matrix((m_data, indices, indptr), shape=(size, size))
     return StiffnessSystem(

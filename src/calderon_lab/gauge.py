@@ -75,16 +75,17 @@ class CylinderDiffeo:
             raise NonOrientationPreserving(
                 f"expected theta of shape {t.shape + (self.n - 1,)}, got {np.shape(theta)}"
             )
-        if abs(s[0]) > 1e-14 or abs(s[-1] - 1.0) > 1e-14:
+        # each check is written to fail on NaN
+        if not (abs(s[0]) <= 1e-14 and abs(s[-1] - 1.0) <= 1e-14):
             raise NonOrientationPreserving("s must fix the endpoints 0 and 1")
-        if ds.min() <= 0.0:
+        if not ds.min() > 0.0:
             raise NonOrientationPreserving(
                 f"s' reaches {ds.min():.3e}; reparametrization folds over"
             )
         collar = (t <= self.delta) | (t >= 1.0 - self.delta)
-        if np.abs(s[collar] - t[collar]).max() > 1e-14:
+        if not np.abs(s[collar] - t[collar]).max() <= 1e-14:
             raise NonOrientationPreserving("s is not the identity on the collars")
-        if np.abs(theta[collar]).max() > 1e-14:
+        if not np.abs(theta[collar]).max() <= 1e-14:
             raise NonOrientationPreserving("a shear does not vanish on the collars")
 
     def apply(self, points: np.ndarray) -> np.ndarray:

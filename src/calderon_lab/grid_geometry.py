@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -224,14 +224,19 @@ def random_trig_metric(
     return MetricSource(n, func)
 
 
-def _packed_index(n: int) -> np.ndarray:
-    """Where entry ``(i, j)`` of a symmetric n x n matrix sits in the packed
-    component order of the SPD kernel, the order of ``np.triu_indices(n)``:
-    an (n, n) table, symmetric, so both triangles read the same entry."""
-    pos = np.empty((n, n), dtype=np.intp)
+@lru_cache(maxsize=8)
+def packed_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packed component order of :attr:`MetricField.packed` and the SPD
+    kernel, read-only and built once per dimension: the rows and columns
+    ``np.triu_indices(n)`` of the unique entries ``i <= j`` of a symmetric
+    n x n matrix, and the (n, n) table of where entry ``(i, j)`` sits,
+    symmetric, so both triangles read the same entry."""
     iu, ju = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
     pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
-    return pos
+    for arr in (iu, ju, pos):
+        arr.flags.writeable = False
+    return iu, ju, pos
 
 
 def _dot(pairs) -> np.ndarray:
@@ -250,7 +255,7 @@ def _cholesky(a: np.ndarray) -> tuple[dict, int]:
     for ``i >= j``, and the order n. Each entry past the first column is
     computed in the array of its dot product."""
     n = (math.isqrt(8 * len(a) + 1) - 1) // 2
-    pos = _packed_index(n)
+    pos = packed_order(n)[2]
     L = {}
     for j in range(n):
         for i in range(j, n):
@@ -276,7 +281,7 @@ def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sqrt(det a) a^{-1}`` and ``sqrt(det a)`` for a batch of symmetric
     positive definite n x n matrices given packed: ``a[k]`` is the array
     over the batch of the k-th entry ``(i, j)``, ``i <= j``, of
-    ``np.triu_indices(n)`` (:func:`_packed_index`). The weight comes back
+    :func:`packed_order`. The weight comes back
     packed the same way, so it is symmetric by construction.
 
     Unrolled Cholesky ``a = L L^T`` over the component arrays:
@@ -296,7 +301,7 @@ def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.negative(s, out=s)
             R[i, j] = np.divide(s, L[i, i], out=s)
     W = np.empty_like(a)
-    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+    for k, (i, j) in enumerate(zip(*packed_order(n)[:2])):
         np.multiply(root_det, _dot([(R[m, j], R[m, i]) for m in range(j, n)]), out=W[k])
     return W, root_det
 
@@ -356,9 +361,9 @@ class MetricField:
     @property
     def packed(self) -> np.ndarray:
         """The node table packed by component for the SPD kernel, shape
-        ``(n(n+1)/2, *grid.shape)`` in the order of ``np.triu_indices(n)``;
+        ``(n(n+1)/2, *grid.shape)`` in the order of :func:`packed_order`;
         built on each read, not kept."""
-        iu, ju = np.triu_indices(self.grid.n)
+        iu, ju, _ = packed_order(self.grid.n)
         return np.moveaxis(self.mat[..., iu, ju], -1, 0)
 
     @cached_property
@@ -372,7 +377,7 @@ class MetricField:
     @cached_property
     def weight(self) -> np.ndarray:
         """The divergence-form weight sqrt(det g) * g^{-1}."""
-        W = spd_weight(self.packed)[0][_packed_index(self.grid.n)]
+        W = spd_weight(self.packed)[0][packed_order(self.grid.n)[2]]
         return np.moveaxis(W, (0, 1), (-2, -1))
 
 

@@ -480,6 +480,27 @@ class TestConfigCheckedFirst:
         with pytest.raises(_Reached):
             run("dn-compare", cfg, tmp_path)
 
+    @pytest.mark.parametrize("transform", [{"kind": "conformal-link", "collar": 0.47},
+                                           {"kind": "diffeo", "diffeo": {"delta": 0.47}}],
+                             ids=["link-collar", "diffeo-delta"])
+    def test_narrow_bump_is_config_error(self, tmp_path, monkeypatch, capsys, transform):
+        # a bump on (0.47, 0.53) divided by a peak normaliser that underflows
+        # to 0: its NaN values ended as a computation failure (exit 1) that
+        # left the output directory behind
+        monkeypatch.setattr(cli, "sample_metric", _must_not_run)
+        code, out = _cli(tmp_path, "dn-compare", {"n": 3, "sizes": [9, 13], "transform": transform})
+        assert code == 2
+        assert "too narrow" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transform", [{"kind": "conformal-link", "collar": 0.462},
+                                           {"kind": "diffeo", "diffeo": {"delta": 0.462, "amplitude": 1e-3}}],
+                             ids=["link-collar", "diffeo-delta"])
+    def test_narrowest_bump_runs(self, tmp_path, monkeypatch, transform):
+        monkeypatch.setattr(cli, "sample_metric", _reached)
+        with pytest.raises(_Reached):
+            run("dn-compare", {"n": 3, "sizes": [9, 13], "transform": transform}, tmp_path)
+
     @pytest.mark.parametrize(
         "n,size", [(3, 100001), (3, 66), (4, 3_000_000)], ids=["huge", "one-past-65-rung", "past-int64"]
     )

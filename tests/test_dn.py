@@ -22,9 +22,11 @@ Verifies:
     on minimal, mixed-size and 33^3 grids
   - the per-grid layout cache builds one scatter pattern for equal grids,
     and one per grid (with one set of angular pencil eigenpairs) over a cycle
-    of six grids, is not reachable through a returned matrix, holds at most
-    6.5 MB at 33^3, and the assembled bytes do not depend on the BLAS
-    thread count
+    of six grids, holds at most 6.5 MB at 33^3, and the assembled bytes do
+    not depend on the BLAS thread count; every system's matrices share the
+    entry's read-only index arrays, which a caller cannot write, so a
+    later assembly keeps its bytes, and a second assembly at 33^3 holds no
+    more than its data arrays and 1 MB
   - the assembled bytes do not depend on the assembly block size (blocks
     of 7 cells against one block, n = 2, 3, 4, with and without a
     potential), nor do the bytes of the layer means (blocks of 2 to 1440
@@ -515,19 +517,38 @@ class TestGridLayoutCache:
         total = sum(a.nbytes for a in (*pattern, *tables, *vecs, *lams))
         assert total <= 6.5e6, f"{total / 1e6:.1f} MB"
 
-    def test_returned_matrix_does_not_share_the_layout(self, bumpy9):
+    def test_systems_share_the_read_only_layout(self, bumpy9):
+        # a caller cannot change a later assembly: the data arrays are the
+        # system's own, the index arrays the cache entry's, read-only
         q = np.random.default_rng(8).uniform(0.5, 1.5, bumpy9.grid.shape)
         first = assemble_stiffness(bumpy9, potential=q)
-        saved = [(M.data.copy(), M.indices.copy(), M.indptr.copy()) for M in (first.laplace, first.mass)]
+        (_, indices, indptr, _), _, _ = dn_solver._grid_layout(bumpy9.grid)
+        for M in (first.laplace, first.mass, first.matrix):
+            assert np.shares_memory(M.indices, indices) and np.shares_memory(M.indptr, indptr)
+            with pytest.raises(ValueError, match="read-only"):
+                M.indices[:] = M.indices[::-1]
+            with pytest.raises(ValueError, match="read-only"):
+                M.indptr[1:-1] = 0
+        saved = [M.data.copy() for M in (first.laplace, first.mass)]
         for M in (first.laplace, first.mass):
             M.data *= -3.0
-            M.indices[:] = M.indices[::-1]
-            M.indptr[1:-1] = 0
         again = assemble_stiffness(bumpy9, potential=q)
-        for M, (data, indices, indptr) in zip((again.laplace, again.mass), saved):
+        for M, data in zip((again.laplace, again.mass), saved):
             assert np.array_equal(M.data, data)
-            assert np.array_equal(M.indices, indices)
-            assert np.array_equal(M.indptr, indptr)
+
+    def test_second_assembly_holds_only_its_data_at_33(self):
+        grid = cyl_grid(3, 33)
+        metric = sample_metric(random_trig_metric(3, seed=6), grid)
+        q = np.random.default_rng(6).uniform(0.5, 1.5, grid.shape)
+        assemble_stiffness(metric, potential=q)  # the grid layout is cached from here on
+        tracemalloc.start()
+        try:
+            sys_ = assemble_stiffness(metric, potential=q)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        data = sys_.laplace.data.nbytes + sys_.mass.data.nbytes
+        assert held <= data + 1e6, f"{held / 1e6:.1f} MB held, {data / 1e6:.1f} MB of data"
 
     def test_bytes_independent_of_blas_threads(self):
         # the element matrices come from BLAS GEMMs, and report.json byte

@@ -6,8 +6,9 @@ unknown boundary name, a boundary mass off one layer, a metric table or
 source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
 that leaves a profile no room, a reparametrisation that moves the
-collars, a bump with no support, and expressions of two dimensions
-combined.
+collars, a bump with no support or one too narrow for its normaliser,
+a NaN slope or collar value of a diffeomorphism, and expressions of two
+dimensions combined.
 """
 
 import re
@@ -66,6 +67,20 @@ def _off_collar_parts(t):
     return t + 0.01 * np.sin(np.pi * t), 1.0 + 0.01 * np.pi * np.cos(np.pi * t), zeros, zeros
 
 
+def _nan_parts(slope: bool):
+    """The identity with a NaN in s' at t = 1/2 (``slope``) or in s at
+    t = 0.05, on the collar: each comparison with NaN is false, so a check
+    must be written to fail on it."""
+
+    def parts(t):
+        t = np.asarray(t, dtype=float)
+        s, ds, zeros = t.copy(), np.ones_like(t), np.zeros(t.shape + (1,))
+        (ds if slope else s)[np.isclose(t, 0.5 if slope else 0.05, atol=1e-4)] = np.nan
+        return s, ds, zeros, zeros
+
+    return parts
+
+
 _EPS = (-1.0, -0.75, -0.5, 0.25, 0.5, 0.75, 1.0)
 
 _GUARDS = {
@@ -105,6 +120,11 @@ _GUARDS = {
                               "field and metric grids differ"),
     "cubic-profile-no-room": (lambda: cubic_reparam(3, 0.05, delta=0.5), InfeasibleBounds, "hi > lo"),
     "bump-no-support": (lambda: an.bump(0.6, 0.4, 3, 0), InfeasibleBounds, "hi > lo"),
+    "bump-support-too-narrow": (lambda: an.bump(0.47, 0.53, 1, 0), InfeasibleBounds, "too narrow"),
+    "diffeo-nan-slope": (lambda: CylinderDiffeo(2, _nan_parts(slope=True)), NonOrientationPreserving,
+                         "folds over"),
+    "diffeo-nan-collar": (lambda: CylinderDiffeo(2, _nan_parts(slope=False)), NonOrientationPreserving,
+                          "identity on the collars"),
     "diffeo-n1": (lambda: CylinderDiffeo(1, identity_diffeo(2).parts), NonOrientationPreserving, "at least 2"),
     "diffeo-moves-collar": (lambda: CylinderDiffeo(2, _off_collar_parts), NonOrientationPreserving,
                             "identity on the collars"),
