@@ -53,7 +53,7 @@ from .errors import (
     ShapeMismatch,
     TrivialU,
 )
-from .gauge import bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pullback_metric
+from .gauge import DEFAULT_COLLAR, bump_reparam, bump_shear, cubic_reparam, identity_diffeo, pullback_metric
 from .grid_geometry import (
     BOUNDARY_NAMES,
     CylinderGrid,
@@ -106,7 +106,6 @@ _MAX_NODES = 65 * 64 * 64
 # a larger n is refused before a grid builds its n-entry size tuple
 _MAX_N = 9
 
-_GAMMA = (choice(*BOUNDARY_NAMES), "gamma1")
 _KIND = (string, REQUIRED)
 _SEED = (ranged(integer, 0), 0)  # numpy rejects negative seeds
 # dn-compare and rigidity-check assemble Q1 systems, whose memory grows with
@@ -143,17 +142,13 @@ def _modes_fit(grid: CylinderGrid, cut: float) -> None:
 
 
 def _metric(spec):
-    """A metric spec: ``None`` for the flat metric, else the random-trig keys."""
-    if spec in ("flat", {"kind": "flat"}):
-        return None
+    """A random-trig metric spec; the flat metric is the absent key."""
     return read(spec, "metric", kind=(choice("random-trig"), REQUIRED), seed=_SEED,
                 amplitude=(real, None), max_mode=_MAX_MODE)
 
 
 def _factor(spec):
-    """A conformal factor spec: ``None`` for c = 1, else the random factor keys."""
-    if spec == "one":
-        return None
+    """A random conformal factor spec; c = 1 is the absent key."""
     f = read(spec, "factor", seed=_SEED, amplitude=(real, 0.25), offset=(real, 1.3),
              terms=_TERMS, max_mode=_MAX_MODE)
     # the waves sum to at most |amplitude|, so this keeps the factor positive
@@ -164,10 +159,8 @@ def _factor(spec):
 
 def _diffeo(spec, n: int):
     """The diffeomorphism a diffeo spec names, and whether it is the identity."""
-    if spec == "identity":
-        return identity_diffeo(n), True
     d = read(spec, "diffeo", family=(choice("bump", "cubic", "identity"), "bump"),
-             amplitude=(real, 0.08), delta=(real, 0.1),
+             amplitude=(real, 0.08), delta=(ranged(real, 0.0, 0.5), DEFAULT_COLLAR),
              shear=(lambda v: read(v, "shear", axis=(integer, 1), amplitude=(real, 0.1)), None))
     # folding maps, shear axes outside 1..n-1 and empty collars are config errors
     try:
@@ -228,7 +221,8 @@ def _run_verify_identities(cfg: dict, out_dir) -> ExperimentReport:
 
 def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "dn-compare config", n=_N, sizes=(list_of(integer), (9, 17, 33)),
-             gamma=_GAMMA, cut=(ranged(real, 0.0), 2.0), metric=(_metric, None),
+             gamma=(choice(*BOUNDARY_NAMES), "gamma1"), cut=(ranged(real, 0.0), 2.0),
+             metric=(_metric, None),
              transform=(_as_is, REQUIRED))
     n, m = s.n, s.metric
     grids = [_grid(cyl_grid, n, size) for size in s.sizes]
@@ -314,8 +308,7 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
 def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     s = read(cfg, "counterexample-study config", dataset=(_file, REQUIRED),
              eps=(list_of(real), (0.0, 0.025, 0.05, 0.1)),
-             strides=(list_of(ranged(integer, 1)), (4, 2, 1)), gamma=_GAMMA,
-             cut=(ranged(real, 0.0), 2.0), nonisometry_eps=(ranged(real, 0.01, 0.5), 0.05))
+             strides=(list_of(ranged(integer, 1)), (4, 2, 1)), cut=(ranged(real, 0.0), 2.0))
     data = load_dataset(s.dataset)
     grid = _grid(lambda: data.grid)
     # a stride must divide the dataset grid, and the modes fit the coarsest
@@ -339,7 +332,7 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
                             f"(nonzero eps, stride) cells, got eps {quote(list(s.eps))} and "
                             f"strides {quote(list(s.strides))}")
 
-    res = dn_gap_study(data, s.eps, strides=s.strides, gamma=s.gamma, cut=s.cut)
+    res = dn_gap_study(data, s.eps, strides=s.strides, cut=s.cut)
     rep.add_table(
         "gap_study",
         ("eps", "stride", "gap", "harmonic_residual", "weak_residual"),
@@ -354,7 +347,7 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
         rep.add_verdict("fit_beta_eps2", res.fit["beta_eps2"], 0.0, ">=")
         rep.add_verdict("fit_r2", res.fit["r2"], 0.9, ">=")
         try:
-            iso = nonisometry_check(data, s.nonisometry_eps)
+            iso = nonisometry_check(data)
             rep.scalars["nonisometry"] = iso
             rep.add_verdict("nonisometry_p2_match", iso["rel_diff"], 1e-10)
             rep.add_verdict("nonisometry_p2_positive", iso["p2"], 0.0, ">=")
@@ -391,12 +384,12 @@ def _mode_pair(v) -> tuple[int, int]:
 def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     """Run :func:`synth_approx_miller` with only the keys the config sets,
     so the library defaults hold. Whatever the synthesis refuses as
-    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, a ridge
-    <= 0, an aliasing mode, an overflowing amplitude) is a config error."""
+    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, an aliasing
+    mode, an overflowing amplitude) is a config error."""
     s = read(cfg, "synth-dataset config",
              grid=(lambda v: read(v, "synth grid", num_t=(integer, REQUIRED), num_ang=(list_of(integer), REQUIRED)),
                    REQUIRED),
-             T=(real, None), amplitude=(real, None), ridge=(real, None), alpha=(real, None),
+             T=(real, None), amplitude=(real, None), alpha=(real, None),
              rho=(real, None), modes=(list_of(_mode_pair), None), output=(_file_name, "dataset.json"))
     grid = _grid(CylinderGrid, 3, s.grid.num_t, s.grid.num_ang)
     kwargs = {key: v for key, v in vars(s).items() if key not in ("grid", "output") and v is not None}

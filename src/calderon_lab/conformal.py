@@ -199,12 +199,10 @@ def _inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...i,...j->...", g.inv, a, b)
 
 
-def weak_condition_residual(
-    sys: StiffnessSystem, c: ConformalFactor, gamma: str = GAMMA1
-) -> float:
+def weak_condition_residual(sys: StiffnessSystem, c: ConformalFactor) -> float:
     """How far c^{n-2} is from the weak gauge condition relative to a
     stiffness matrix: the largest test row of K c^{n-2} at the interior and
-    gamma nodes, normalised by the operator's infinity norm times
+    GAMMA1 nodes, normalised by the operator's infinity norm times
     max |c^{n-2}|."""
     grid = sys.grid
     if c.grid.shape != grid.shape:
@@ -215,7 +213,7 @@ def weak_condition_residual(
     norm = float(np.abs(K).sum(axis=1).max()) * float(np.abs(P).max())
     norm = max(norm, 1e-300)
     i_res = float(r[grid.interior_ids()].max()) / norm
-    g_res = float(r[grid.boundary_ids(gamma)].max()) / norm
+    g_res = float(r[grid.boundary_ids(GAMMA1)].max()) / norm
     return max(i_res, g_res)
 
 

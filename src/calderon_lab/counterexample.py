@@ -330,12 +330,19 @@ def _coefficient_jacobian(u_vals: np.ndarray, grid: CylinderGrid, unknown: np.nd
     return sp.hstack([B[:, unk_flat] for B in blocks], format="csr"), unk_flat
 
 
+# the fit's ridge, relative to the mean squared column norm: the solve is
+# exact at any ridge (normal residuals <= 7e-15 for 1e-1..1e-8 at grid
+# (25,24,24)); 1e-2 keeps earlier datasets' fields to rounding, and below it
+# the clipped fit is no better and more unknowns sit on the box (up to 82%
+# at 1e-8)
+_RIDGE = 1e-2
+
+
 def synth_approx_miller(
     grid: CylinderGrid,
     T: float = 1.0,
     modes=((1, 0), (0, 1)),
     amplitude: float = 0.1,
-    ridge: float = 1e-2,
     alpha: float = 0.5,
     rho: float = 1.0 / 6.0,
 ):
@@ -345,36 +352,28 @@ def synth_approx_miller(
         u(t,x,y) = amplitude * exp(-1/(T-t)) * sum_m sin(m.(x,y))
 
     vanishes to all orders at t = T; the fields (a1, a2, a3) solve a
-    ridge-damped linear least-squares problem on the interior nodes with
-    t < T exactly, by one sparse LU per t-layer of its dual normal equations
-    (report: ``normal_residual``, ``pivot_ratio``; ``lsqr_iterations`` stays
-    0 for its readers). They are then clipped to the box |a| <= (1-alpha)/2 (which keeps the
+    ridge-damped (``_RIDGE``) linear least-squares problem on the interior
+    nodes with t < T exactly, by one sparse LU per t-layer of its dual
+    normal equations (report: ``normal_residual``, ``pivot_ratio``;
+    ``lsqr_iterations`` stays 0 for its readers). They are then clipped to the box |a| <= (1-alpha)/2 (which keeps the
     coefficient matrix eigenvalues inside [alpha, 2-alpha], a subset of
     [alpha, 1/alpha]) and rescaled by the best step of a short backtracking
     scan so the result never beats the unclipped optimum but never loses
     to the zero-coefficient baseline. A1 = A3 = 0 throughout: the residual
     floor of smooth-in-t fields is exactly what the report quantifies.
 
-    The solve is exact at any ridge (normal residuals <= 7e-15 for 1e-1..1e-8
-    at grid (25,24,24)); below the default 1e-2, which keeps earlier datasets'
-    fields to rounding, the clipped fit is no better and more unknowns sit on
-    the box (up to 82% at 1e-8).
-
     Returns (dataset, report dict). The zero dataset of ``grid`` and the
     metadata is built before any fitting, so a grid of other than 3 axes
     raises DimensionTooSmall and metadata out of :class:`MillerDataset`'s
-    ranges InfeasibleBounds. InfeasibleBounds also refuses a ``ridge`` that
-    is not finite and > 0 (at 0 each t-layer's dual block is singular: its
-    residual rows sum to zero); a mode component m on N angular nodes with
-    2|m| >= N, which aliases (on 8 nodes mode (4, 0) samples to zero);
-    a ``T`` not above the first interior t-node (no unknowns); and a
-    damping, baseline or fitted residual that is not finite (amplitude
-    1e160 overflows the Jacobian's squared column norms). NoConvergence if
-    a t-layer's LU fails or the normal-equation residual exceeds 1e-10.
+    ranges InfeasibleBounds. InfeasibleBounds also refuses a mode
+    component m on N angular nodes with 2|m| >= N, which aliases (on 8
+    nodes mode (4, 0) samples to zero); a ``T`` not above the first
+    interior t-node (no unknowns); and a damping, baseline or fitted
+    residual that is not finite (amplitude 1e160 overflows the Jacobian's
+    squared column norms). NoConvergence if a t-layer's LU fails or the
+    normal-equation residual exceeds 1e-10.
     """
     zero = MillerDataset.zero(grid, T=float(T), rho=float(rho), alpha=float(alpha))
-    if not 0.0 < ridge < np.inf:
-        raise InfeasibleBounds(f"ridge = {ridge} must be finite and positive")
     # the aliasing rule of fourier_modes, per component of each mode pair
     for m in modes:
         for k, num in zip(m, grid.num_ang):
@@ -401,7 +400,7 @@ def synth_approx_miller(
     with np.errstate(over="ignore", invalid="ignore"):
         baseline = _l2(b)
         colsq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
-        damp = float(np.sqrt(ridge * colsq.mean()))
+        damp = float(np.sqrt(_RIDGE * colsq.mean()))
     if not np.isfinite([damp, baseline]).all():
         raise InfeasibleBounds(f"amplitude {amplitude} overflows the fit: damp {damp}, baseline {baseline}")
     # x = G^T (G G^T + d^2 I)^{-1} b. The coefficient matrix's t-row is fixed,
@@ -498,11 +497,10 @@ def dn_gap_study(
     data: MillerDataset,
     eps_list,
     strides=(4, 2, 1),
-    gamma: str = GAMMA1,
     cut: float = 2.0,
 ) -> StudyResult:
-    """DN gap between the dataset metric and its conformal rescalings over
-    an (eps, refinement) table.
+    """DN gap on the measured end GAMMA1 between the dataset metric and its
+    conformal rescalings over an (eps, refinement) table.
 
     Per stride the dataset is restricted to every stride-th node, the
     metric assembled, and for each eps the low-mode DN pairing matrices of
@@ -518,27 +516,33 @@ def dn_gap_study(
         ds = data.coarsen(stride) if stride != 1 else data
         g = assemble_counterexample_metric_3d(ds)
         sys_g = assemble_stiffness(g)
-        B_g, _ = dn_mode_matrix(sys_g, gamma, cut)
+        B_g, _ = dn_mode_matrix(sys_g, GAMMA1, cut)
         u = ScalarField(ds.grid, ds.u)
         lap = laplace_beltrami_pointwise(g, u.values)
         wq = (g.grid.quad_weights * g.sqrt_det)[1:-1]
         r = float(np.sqrt(np.sum(wq * lap * lap)))
         for eps in eps_list:
             c = conformal_family(u, eps)
-            weak = weak_condition_residual(sys_g, c, gamma)
+            weak = weak_condition_residual(sys_g, c)
             sys_s = assemble_stiffness(scale_metric(g, c))
-            B_s, _ = dn_mode_matrix(sys_s, gamma, cut)
+            B_s, _ = dn_mode_matrix(sys_s, GAMMA1, cut)
             cells.append(StudyCell(float(eps), int(stride), mode_gap(B_g, B_s), r, weak))
     return StudyResult(tuple(cells), _gap_fit(cells))
 
 
-def nonisometry_check(data: MillerDataset, eps: float = 0.05) -> dict:
+# the widest volume sample moves c by this much where |u| peaks; the volume
+# defect is a degree-6 polynomial in eps, which seven samples fit exactly, so
+# its coefficients do not depend on the scale
+_NONISOMETRY_EPS = 0.05
+
+
+def nonisometry_check(data: MillerDataset) -> dict:
     """Volume obstruction to the rescaled family being isometric to g.
 
     Fits the volume defect polynomial of the family c_eps^4 g on the seven
-    samples ``(eps / max|u|) * (1, -1, 1/2, -1/2, 3/4, -3/4, 1/4)``, so
-    the widest moves c by +-eps where |u| peaks whatever u's amplitude, and
-    compares its quadratic coefficient with the direct quadrature of
+    samples ``(_NONISOMETRY_EPS / max|u|) * (1, -1, 1/2, -1/2, 3/4, -3/4,
+    1/4)``, so the widest moves c by +-0.05 where |u| peaks whatever u's
+    amplitude, and compares its quadratic coefficient with the direct quadrature of
     15 * int u^2 dVol_g; a strictly positive value rules out
     volume-preserving identifications of the family with the base metric.
     """
@@ -547,7 +551,7 @@ def nonisometry_check(data: MillerDataset, eps: float = 0.05) -> dict:
         raise TrivialU("u vanishes at every grid node; no obstruction derivable")
     g = assemble_counterexample_metric_3d(data)
     u = ScalarField(data.grid, data.u)
-    samples = eps / top * np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25])
+    samples = _NONISOMETRY_EPS / top * np.array([1.0, -1.0, 0.5, -0.5, 0.75, -0.75, 0.25])
     p = volume_expansion(g, u, samples)
     direct = 15.0 * integrate_volume(ScalarField(data.grid, data.u**2), g)
     rel = abs(p[2] - direct) / abs(direct)

@@ -123,7 +123,8 @@ class InfeasibleBounds(CalderonLabError):
     """A dataset, synthesis or assembly input is out of range: dataset
     metadata outside the paper's ranges, a synthesis mode that aliases on
     the grid, an amplitude whose fit is not finite, a potential with a
-    non-finite entry, or a profile support (lo, hi) with hi <= lo."""
+    non-finite entry, a profile support (lo, hi) with hi <= lo, or a
+    diffeomorphism collar width outside [0, 1/2)."""
 
 
 class TrivialU(CalderonLabError):

@@ -69,6 +69,9 @@ class CylinderDiffeo:
     def __post_init__(self):
         if self.n < 2:
             raise NonOrientationPreserving("cylinder dimension is at least 2")
+        # a negative collar is empty, one of 1/2 or more covers the cylinder
+        if not 0.0 <= self.delta < 0.5:
+            raise InfeasibleBounds(f"collar delta = {self.delta} must lie in [0, 0.5)")
         t = np.linspace(0.0, 1.0, _CHECK_SAMPLES)
         s, ds, theta, _ = self.parts(t)
         if np.shape(theta) != t.shape + (self.n - 1,):

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from calderon_lab import cli
 from calderon_lab.cli import main, run
-from calderon_lab.counterexample import save_dataset, synth_approx_miller
+from calderon_lab.counterexample import load_dataset, save_dataset, synth_approx_miller
 from calderon_lab.errors import ConfigInvalid
 from calderon_lab.grid_geometry import CylinderGrid, MillerDataset, cyl_grid
 from calderon_lab.report import emit_report, load_json
@@ -32,7 +33,7 @@ from conftest import base64_with_nan
 # the study's dataset, written once for the module by ``study_dataset``;
 # the parametrized configs below name it before it exists
 _STUDY_DATASET = os.path.join(tempfile.gettempdir(), f"calderon-lab-test-cli-{os.getpid()}", "ds.json")
-_STUDY_CFG = {"dataset": _STUDY_DATASET, "eps": [0.0, 0.05, 0.1], "strides": [2, 1], "gamma": "gamma1"}
+_STUDY_CFG = {"dataset": _STUDY_DATASET, "eps": [0.0, 0.05, 0.1], "strides": [2, 1]}
 
 
 def _write_study_dataset(path, amplitude=0.1):
@@ -168,10 +169,7 @@ class TestConfigErrors:
             # a negative mode cut would compare the constant mode alone
             ("dn-compare", {"n": 3, "sizes": [9, 13], "cut": -2, "transform": {"kind": "conformal-link"}}),
             ("counterexample-study", {**_STUDY_CFG, "cut": -2}),
-            # synthesis parameters: sqrt of a negative ridge gives a NaN damping
-            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": -1.0}),
-            # at ridge 0 LSQR ran to its iteration cap and exited 0
-            ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "ridge": 0.0}),
+            # synthesis parameters
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "alpha": 1.0}),
             ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1]]}),
             # the paper's range: T in (0, 1], rho in (0, 1)
@@ -239,6 +237,12 @@ class TestConfigErrors:
                 "dn-compare",
                 {"n": 2, "sizes": [9, 17], "transform": {"kind": "diffeo", "diffeo": {"family": "cubic", "delta": 0.5}}},
             ),
+            # a negative collar is empty: the collar check's max over no
+            # samples raised numpy's bare ValueError (exit 1, traceback)
+            (
+                "dn-compare",
+                {"n": 3, "sizes": [9, 17], "transform": {"kind": "diffeo", "diffeo": {"family": "identity", "delta": -0.1}}},
+            ),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -251,7 +255,7 @@ class TestConfigErrors:
             "negative-factor-seed", "negative-link-seed",
             "cut-aliases-coarsest-size", "cut-aliases-coarsest-stride",
             "negative-cut-dn-compare", "negative-cut-study",
-            "negative-ridge", "zero-ridge", "alpha-leaves-no-box", "one-index-mode",
+            "alpha-leaves-no-box", "one-index-mode",
             "T-beyond-cylinder", "T-not-positive", "rho-not-positive", "rho-at-one",
             "identity-at-n2", "misspelled-tuples",
             "misspelled-sizes", "misspelled-factor", "misspelled-metric-seed",
@@ -259,12 +263,14 @@ class TestConfigErrors:
             "misspelled-synth-amplitude", "misspelled-synth-grid-num_t",
             "size-not-integral", "n-as-string", "seed-as-bool", "amplitude-as-string",
             "integer-overflows-float", "bump-collar-no-room", "cubic-collar-no-room",
+            "negative-delta",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
-        code, _ = _cli(tmp_path, command, cfg)
+        code, out = _cli(tmp_path, command, cfg)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     # each of these ended in a traceback (a UnicodeDecodeError, a
     # RecursionError, the 4300-digit limit of int, a node count formatted
@@ -280,7 +286,7 @@ class TestConfigErrors:
             ("rigidity-check", b'{"n": ' + b"1" * 5000 + b"}"),
             ("rigidity-check", b'{"n": 20000, "size": 5}'),
             ("synth-dataset", b'{"grid": {"num_t": 9, "num_ang": [' + b"9" * 4000 + b", " + b"9" * 4000 + b"]}}"),
-            ("dn-compare", b'{"n": 3, "sizes": [9], "cut": 1e6, "transform": {"kind": "diffeo", "diffeo": "identity"}}'),
+            ("dn-compare", b'{"n": 3, "sizes": [9], "cut": 1e6, "transform": {"kind": "diffeo", "diffeo": {"family": "identity"}}}'),
             ("dn-compare", b'{"n": 2, "sizes": [9, 17], '
                            b'"transform": {"kind": "conformal-2d", "factor": {"terms": 1000}}}'),
             ("dn-compare", b'{"n": 2, "sizes": [9, 17], "transform": {"kind": "conformal-2d"}, '
@@ -385,22 +391,6 @@ def over_cap_dataset(tmp_path_factory):
 
 
 class TestConfigCheckedFirst:
-    # at 0 and 1e-16 the seven volume samples are not distinct: the study
-    # used to run in full and then exit 1 with InsufficientSamples; the
-    # scale lies in [0.01, 0.5), so a negative one is refused too
-    @pytest.mark.parametrize(
-        "key,value",
-        [("nonisometry_eps", "abc"), ("nonisometry_eps", 0), ("nonisometry_eps", 1e-16),
-         ("nonisometry_eps", -0.05)],
-        ids=["nonisometry_eps", "nonisometry_eps-zero", "nonisometry_eps-1e-16", "nonisometry_eps-negative"],
-    )
-    def test_study_keys(self, tmp_path, monkeypatch, capsys, key, value):
-        monkeypatch.setattr(cli, "load_dataset", _must_not_run)
-        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
-        code, _ = _cli(tmp_path, "counterexample-study", {**_STUDY_CFG, key: value})
-        assert code == 2
-        assert f"key {key!r}" in capsys.readouterr().err
-
     # the fit has two coefficients: on one or two cells it reported an R^2
     # of 1.0, passed both beta verdicts and exited 0
     @pytest.mark.parametrize(
@@ -422,14 +412,9 @@ class TestConfigCheckedFirst:
         with pytest.raises(_Reached):
             run("counterexample-study", {**_STUDY_CFG, "eps": eps, "strides": [1]}, tmp_path)
 
-    @pytest.mark.parametrize(
-        "key,value,match",
-        [("eps", [0.0, 1000.0], "out of range"), ("nonisometry_eps", 1000.0, r"must lie in \[0.01, 0.5\)")],
-        ids=["eps", "nonisometry_eps"],
-    )
+    @pytest.mark.parametrize("key,value,match", [("eps", [0.0, 1000.0], "out of range")], ids=["eps"])
     def test_study_eps_vetted_before_study(self, tmp_path, monkeypatch, key, value, match):
-        # 1 + eps*u drops below the family's floor of 1/2 on the synthesised
-        # u; nonisometry_eps is bounded by 1/2 when the config is read
+        # 1 + eps*u drops below the family's floor of 1/2 on the synthesised u
         monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
         with pytest.raises(ConfigInvalid, match=match):
             run("counterexample-study", {**_STUDY_CFG, key: value}, tmp_path)
@@ -508,7 +493,7 @@ class TestConfigCheckedFirst:
         # numpy ran out of memory on the huge grid (exit 1, traceback); its
         # n = 4 cousin wraps an int64 node count negative
         monkeypatch.setattr(cli, "sample_metric", _must_not_run)
-        cfg = {"n": n, "sizes": [9, size], "transform": {"kind": "diffeo", "diffeo": "identity"}}
+        cfg = {"n": n, "sizes": [9, size], "transform": {"kind": "diffeo", "diffeo": {"family": "identity"}}}
         code, out = _cli(tmp_path, "dn-compare", cfg)
         assert code == 2
         assert "over the cap" in capsys.readouterr().err
@@ -538,7 +523,7 @@ class TestConfigCheckedFirst:
         [
             ("verify-identities", "tuples", {"tuples": 1000}, 1001),
             ("dn-compare", "sizes", {"n": 2, "sizes": [9] * 64,
-                                     "transform": {"kind": "diffeo", "diffeo": "identity"}}, [9] * 65),
+                                     "transform": {"kind": "diffeo", "diffeo": {"family": "identity"}}}, [9] * 65),
             ("counterexample-study", "eps", {**_STUDY_CFG, "eps": [0.0] * 64}, [0.0] * 65),
             ("counterexample-study", "strides", {**_STUDY_CFG, "strides": [1] * 64}, [1] * 65),
             ("rigidity-check", "seeds", {"seeds": list(range(64))}, list(range(65))),
@@ -568,7 +553,7 @@ class TestConfigCheckedFirst:
     # the subcommands that assemble take n up to 4: rigidity-check at n = 7,
     # size 5 ran out of memory under a 3 GB limit (exit 1, traceback)
     @pytest.mark.parametrize("command,cfg", [
-        ("dn-compare", {"sizes": [9], "transform": {"kind": "diffeo", "diffeo": "identity"}}),
+        ("dn-compare", {"sizes": [9], "transform": {"kind": "diffeo", "diffeo": {"family": "identity"}}}),
         ("rigidity-check", {"size": 5, "seeds": [0]}),
     ], ids=["dn-compare", "rigidity-check"])
     def test_assembling_commands_take_n_up_to_4(self, tmp_path, monkeypatch, capsys, command, cfg):
@@ -636,12 +621,25 @@ class TestUnknownKeys:
             ("counterexample-study", "nonisometry_tol", 1e-10),
             ("rigidity-check", "tolerance", 1e-10),
         ]
-        + [(command, "out", "results") for command in sorted(cli._HANDLERS)],
+        + [(command, "out", "results") for command in sorted(cli._HANDLERS)]
+        # the study measures on GAMMA1 and fixes its volume-sample scale, and
+        # the synthesis fixes its ridge
+        + [("counterexample-study", "gamma", "gamma1"), ("counterexample-study", "nonisometry_eps", 0.05),
+           ("synth-dataset", "ridge", 1e-2)]
+        # one spelling per value: the flat metric and c = 1 are the absent
+        # key, the identity diffeo is the object of family "identity"
+        + [("dn-compare", "metric", "flat"),
+           pytest.param("dn-compare", "metric", {"kind": "flat"}, id="dn-compare-metric-kind-flat"),
+           pytest.param("dn-compare", "transform", {"kind": "conformal-2d", "factor": "one"},
+                        id="dn-compare-factor-one"),
+           pytest.param("dn-compare", "transform", {"kind": "diffeo", "diffeo": "identity"},
+                        id="dn-compare-diffeo-identity")],
     )
     def test_removed_key(self, tmp_path, capsys, command, key, value):
-        code, _ = _cli(tmp_path, command, {**_valid_configs(tmp_path)[command], key: value})
+        code, out = _cli(tmp_path, command, {**_valid_configs(tmp_path)[command], key: value})
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -892,7 +890,7 @@ class TestDnCompare:
                 "n": 2,
                 "sizes": [9],
                 "metric": {"kind": "random-trig", "seed": 3},
-                "transform": {"kind": "conformal-2d", "factor": "one"},
+                "transform": {"kind": "conformal-2d"},
             },
         )
         assert code == 0
@@ -927,7 +925,7 @@ class TestDnCompare:
                 "n": 2,
                 "sizes": [9],
                 "metric": {"kind": "random-trig", "seed": 2},
-                "transform": {"kind": "diffeo", "diffeo": "identity"},
+                "transform": {"kind": "diffeo", "diffeo": {"family": "identity"}},
             },
         )
         assert code == 0
@@ -1150,6 +1148,18 @@ class TestStudyAndRigidity:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_trivial_u_skips_the_nonisometry_block(self, tmp_path):
+        # max|u| = 1e-14 is the nontriviality floor: 1 + 0.1 u is not 1, so
+        # the gaps are nonzero and fitted, but u gives no volume obstruction
+        data = load_dataset(_STUDY_DATASET)
+        path = tmp_path / "trivial-u.json"
+        save_dataset(replace(data, u=data.u * (1e-14 / np.abs(data.u).max())), path)
+        report = run("counterexample-study", {**_STUDY_CFG, "dataset": str(path)}, tmp_path / "out")
+        assert max(row[2] for row in report.tables["gap_study"].rows) > 0.0
+        assert report.scalars["nonisometry"] == "trivial u, no obstruction derivable"
+        assert "fit_r2" in {v.name for v in report.verdicts}
+        assert not any(v.name.startswith("nonisometry") for v in report.verdicts)
+
     def test_indefinite_dataset_exits_1(self, tmp_path):
         # a1 = a3 = -3 keeps the block determinant at 4 but gives the
         # metric eigenvalue -2
@@ -1174,3 +1184,8 @@ class TestRunApi:
             "verify-identities", {"n": 3, "size": 9, "tuples": 2, "seed": 5}, tmp_path
         )
         assert report.passed and report.verdicts
+
+    def test_unknown_command_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigInvalid, match="unknown command 'verify'"):
+            run("verify", {}, tmp_path)
+        assert not any(tmp_path.iterdir())

@@ -7,8 +7,8 @@ source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
 that leaves a profile no room, a reparametrisation that moves the
 collars, a bump with no support or one too narrow for its normaliser,
-a NaN slope or collar value of a diffeomorphism, and expressions of two
-dimensions combined.
+a NaN slope or collar value of a diffeomorphism, a collar width outside
+[0, 1/2), and expressions of two dimensions combined.
 """
 
 import re
@@ -125,6 +125,7 @@ _GUARDS = {
                          "folds over"),
     "diffeo-nan-collar": (lambda: CylinderDiffeo(2, _nan_parts(slope=False)), NonOrientationPreserving,
                           "identity on the collars"),
+    "diffeo-negative-collar": (lambda: identity_diffeo(3, -0.1), InfeasibleBounds, "must lie in [0, 0.5)"),
     "diffeo-n1": (lambda: CylinderDiffeo(1, identity_diffeo(2).parts), NonOrientationPreserving, "at least 2"),
     "diffeo-moves-collar": (lambda: CylinderDiffeo(2, _off_collar_parts), NonOrientationPreserving,
                             "identity on the collars"),

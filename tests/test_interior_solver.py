@@ -40,7 +40,7 @@ Verifies:
   - an indefinite but nonsingular block (the flat block shifted past its
     first Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
     layered operator, goes straight to LU in InteriorSolver.extend and
-    still solves
+    still solves; an LU that fails is a SingularInteriorBlock
   - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match
     their block of the dense sparse-LU full-boundary Schur complement to
     3e-14 and the CG map of dn_apply to
@@ -85,7 +85,7 @@ from calderon_lab.dn_solver import (
     dn_mode_matrix,
     fourier_modes,
 )
-from calderon_lab.errors import NoConvergence
+from calderon_lab.errors import NoConvergence, SingularInteriorBlock
 from calderon_lab.grid_geometry import (
     FULL_BOUNDARY,
     GAMMA0,
@@ -433,6 +433,17 @@ def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
     rhs = -K[I][:, B] @ np.ones(B.size)
     u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
     assert _rel(u[I], u_ref) <= 1e-10
+
+
+def test_failed_lu_is_singular_interior_block(bumpy9, monkeypatch):
+    solver = InteriorSolver(assemble_stiffness(bumpy9))
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(dn_solver.spla, "splu", singular)
+    with pytest.raises(SingularInteriorBlock, match="exactly singular"):
+        solver._factor()
 
 
 def test_iteration_cap_falls_back_to_lu(bumpy9, monkeypatch):

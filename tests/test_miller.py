@@ -10,10 +10,11 @@ Verifies:
     error
   - fuzzed: a container with random byte edits loads or raises the
     container error, never anything else
-  - the Hoelder quotient matches a brute-force double loop and separates
-    a genuine order-1/2 profile from an over-declared order
+  - the Hoelder quotient matches a brute-force double loop, separates
+    a genuine order-1/2 profile from an over-declared order, and takes
+    stride 1 alone on fewer than five samples
   - property validation: vanishing, eigenvalue bounds, triviality,
-    and the forced-failure paths
+    the marginal Hoelder warning and the forced-failure paths
   - the fitted coefficient Jacobian reproduces the divergence stencil
     exactly
   - every route to a dataset (the constructor, ``zero``, the loader and
@@ -24,9 +25,10 @@ Verifies:
     its per-t-layer dual solve is exact: the fields match a tight scipy
     ``lsqr`` oracle to 1e-8, the normal-equation residual is at most
     1e-12, G G^T has no entry across t-layers (the split it rests on),
-    u = 0 gives zero fields and a zero residual, a ridge <= 0 is refused,
-    amplitudes 1e-120 and 1e120 fit the fields of amplitude 1, and the
-    fields are stable under rounding of the input
+    u = 0 gives zero fields and a zero residual, amplitudes 1e-120 and
+    1e120 fit the fields of amplitude 1, and the fields are stable under
+    rounding of the input; a failed t-layer LU or a normal-equation
+    residual above 1e-10 is NoConvergence
   - DN gap study: exact zeros for the zero dataset, cell bookkeeping
   - the volume obstruction, its trivial-field guard, and samples scaled
     by 1/max|u| so that a small u is fitted as well as a large one
@@ -40,6 +42,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from calderon_lab import counterexample
 from calderon_lab.calculus import divergence_form_apply
 from calderon_lab.counterexample import (
     dn_gap_study,
@@ -56,6 +59,7 @@ from calderon_lab.errors import (
     InfeasibleBounds,
     InsufficientSamples,
     MalformedContainer,
+    NoConvergence,
     TrivialU,
 )
 from calderon_lab.grid_geometry import CylinderGrid, MillerDataset, cyl_grid
@@ -242,6 +246,15 @@ class TestHolderQuotients:
         with pytest.raises(InsufficientSamples):
             holder_quotients(np.array([0.0]), np.array([1.0]), 0.5)
 
+    def test_fewer_than_five_samples_take_stride_1(self):
+        # no stride leaves the five samples a subsample needs: the whole
+        # series is the one subsample
+        t = np.array([0.0, 0.25, 0.5, 1.0])
+        A = np.array([0.0, 0.5, 0.25, 1.0])
+        q = holder_quotients(t, A, 0.5)
+        assert list(q) == [1]
+        assert q[1] == pytest.approx(0.75 / 0.5**0.5, rel=1e-15)  # the pair (1/2, 1)
+
 
 def _items(report) -> dict:
     return {i.name: i for i in report.items}
@@ -293,6 +306,17 @@ class TestValidation:
         report = validate_miller_properties(bad)
         item = _items(report)["holder_quotient"]
         assert item.status == "fail" and item.code == "HolderUnstable"
+
+    def test_holder_marginal_warns(self):
+        # the toy end profiles sqrt(1-t) and (1-t)^(1/3) are Hoelder of order
+        # 1/2 and 1/3; at a declared 0.9 the quotient grows 5.3 and 10.6
+        # times from stride 64 to stride 1, past the 4 of a pass and within
+        # the 32 of a failure
+        grid = CylinderGrid(3, 257, (4, 4))
+        report = validate_miller_properties(replace(_toy_dataset(grid), rho=0.9))
+        item = _items(report)["holder_quotient"]
+        assert item.status == "warn" and item.code == "HolderMarginal"
+        assert [h["growth"] for h in item.details["series"]] == pytest.approx([5.278, 10.556], abs=1e-3)
 
     def test_trivial_u_warns(self):
         report = validate_miller_properties(MillerDataset.zero(cyl_grid(3, 5)))
@@ -421,11 +445,29 @@ class TestSynthesis:
         with pytest.raises(InfeasibleBounds):
             synth_approx_miller(grid, alpha=1.0)
 
-    # at ridge 0 each t-layer's dual block is singular: its rows sum to zero
-    @pytest.mark.parametrize("ridge", [-1.0, 0.0, np.nan, np.inf])
-    def test_infeasible_ridge(self, ridge):
-        with pytest.raises(InfeasibleBounds):
-            synth_approx_miller(cyl_grid(3, 9), ridge=ridge)
+    def test_failed_layer_lu_is_no_convergence(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(counterexample.spla, "splu", singular)
+        with pytest.raises(NoConvergence):
+            synth_approx_miller(cyl_grid(3, 9))
+
+    def test_inexact_layer_solve_fails_the_normal_gate(self, monkeypatch):
+        # solves 1% off leave a normal-equation residual far above 1e-10
+        splu = spla.splu
+
+        class OffByOnePercent:
+            def __init__(self, A, **kwargs):
+                self._lu = splu(A, **kwargs)
+                self.U = self._lu.U
+
+            def solve(self, b):
+                return 1.01 * self._lu.solve(b)
+
+        monkeypatch.setattr(counterexample.spla, "splu", OffByOnePercent)
+        with pytest.raises(NoConvergence, match="exceeds tolerance 1.000e-10"):
+            synth_approx_miller(cyl_grid(3, 9))
 
     def test_extreme_amplitudes_fit_the_same_fields(self):
         # the fit is invariant under u -> c u in exact arithmetic; without
@@ -455,7 +497,7 @@ def _fit_problem(data):
 
 @pytest.fixture(scope="module", params=[((1, 0), (0, 1)), ((1, 1), (1, 0))], ids=["modes-10-01", "modes-11-10"])
 def synth_pair(request):
-    """Syntheses at the default ridge, with amplitude 0.1 and 0.1 * (1 + 1e-15)."""
+    """Syntheses with amplitude 0.1 and 0.1 * (1 + 1e-15)."""
     grid = CylinderGrid(3, 25, (24, 24))
     return [synth_approx_miller(grid, modes=request.param, amplitude=a) for a in (0.1, 0.1 * (1 + 1e-15))]
 
