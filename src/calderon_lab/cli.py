@@ -342,10 +342,11 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     zero_gaps = [c.gap for c in res.cells if c.eps == 0.0]
     if zero_gaps:
         rep.add_verdict("zero_eps_gap", max(zero_gaps), 1e-10)
-    if not res.fit.get("trivial"):
+    if not res.fit["trivial"]:
         rep.add_verdict("fit_beta_eps_r", res.fit["beta_eps_r"], 0.0, ">=")
         rep.add_verdict("fit_beta_eps2", res.fit["beta_eps2"], 0.0, ">=")
         rep.add_verdict("fit_r2", res.fit["r2"], 0.9, ">=")
+    if any(c.gap for c in res.cells):  # all gaps exactly 0 (eps all 0, a zero dataset): no family to check
         try:
             iso = nonisometry_check(data)
             rep.scalars["nonisometry"] = iso

@@ -471,8 +471,8 @@ class StudyResult:
     fit: dict
 
 
-def _gap_fit(cells) -> dict:
-    """Least-squares fit gap ~ b1*(eps*r) + b2*eps^2 with uncentered R^2."""
+def _gap_fit(cells, trivial_u: bool) -> dict:
+    """Least-squares fit gap ~ b1*(eps*r) + b2*eps^2 with uncentered R^2, trivial for a trivial u."""
     y = np.array([c.gap for c in cells])
     X = np.column_stack(
         [
@@ -480,7 +480,7 @@ def _gap_fit(cells) -> dict:
             [c.eps**2 for c in cells],
         ]
     )
-    if not y.any():  # every gap exactly 0, as for a zero dataset or all-zero eps
+    if trivial_u or not y.any():  # or every gap exactly 0, as for all-zero eps
         return {"beta_eps_r": 0.0, "beta_eps2": 0.0, "r2": 1.0, "trivial": True}
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     ss_res = float(np.sum((y - X @ beta) ** 2))
@@ -509,7 +509,8 @@ def dn_gap_study(
     gauge-condition residual of c_eps. The returned fit regresses
     gap ~ b1*(eps*r) + b2*eps^2 across all cells: when u is close to
     harmonic with flat traces, eps*r controls the first-order gap and the
-    quadratic term absorbs the family's own nonlinearity.
+    quadratic term absorbs the family's own nonlinearity. The fit is
+    trivial, its gaps rounding, when max|u| <= ``TRIVIAL_TOL`` (as in :func:`nonisometry_check`).
     """
     cells = []
     for stride in strides:
@@ -527,7 +528,7 @@ def dn_gap_study(
             sys_s = assemble_stiffness(scale_metric(g, c))
             B_s, _ = dn_mode_matrix(sys_s, GAMMA1, cut)
             cells.append(StudyCell(float(eps), int(stride), mode_gap(B_g, B_s), r, weak))
-    return StudyResult(tuple(cells), _gap_fit(cells))
+    return StudyResult(tuple(cells), _gap_fit(cells, float(np.abs(data.u).max()) <= TRIVIAL_TOL))
 
 
 # the widest volume sample moves c by this much where |u| peaks; the volume

@@ -86,7 +86,7 @@ _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _ENERGY_RTOL = 5e-7  # the same in InteriorSolver.energy, whose error is second order
 _CG_MAXIT = 200
-_DENSE_BYTES = 32 << 20  # bytes of the node array of one interior solve in dn_apply or dn_mode_matrix
+_DENSE_BYTES = 32 << 20  # caps the node array u of one interior solve; the solve holds about five of its size
 _BLOCK_CELLS = 4096  # cells per assembly block, in whole cell layers (2048 timed the same, 1024 and 8192 slower)
 
 
@@ -397,13 +397,6 @@ def _row_view(A: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
     return view
 
 
-def _along_axis(A: np.ndarray, Y: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the matrix ``A`` along one axis of ``Y`` with one matmul on a
-    (lead, N, rest) reshape."""
-    s = Y.shape
-    return (A @ Y.reshape(math.prod(s[:axis]), s[axis], -1)).reshape(s)
-
-
 class InteriorSolver:
     """Harmonic extension from the whole boundary of the system's grid
     into its interior t-layers, the slice ``free`` of node ids.
@@ -441,7 +434,10 @@ class InteriorSolver:
     ``kappa`` the ratio of those extremes. CG takes one where the operator
     is the block: ``W`` diagonal with a t-only ``w_tt`` and constant
     angular entries, and ``sqrt(det g) V`` constant.
-    ``iterations`` holds the count of the last solve.
+    ``iterations`` holds the count of the last solve, at which its last
+    column converged; a converged column stops moving. CG iterates in
+    ``u[free]`` and holds four arrays of that size besides: a 13-mode mode
+    matrix peaks 17.5 MB above its start at 33^3 and 139.6 MB at 65^3.
 
     ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead, because the
     energy is second order in the error (Arioli 2004; Strakos & Tichy
@@ -522,10 +518,8 @@ class InteriorSolver:
         U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
         b = self._rhs(U)
         scale = max(np.linalg.norm(b), 1e-300)
-        run = self._pcg(b, rtol) if self._lu is None and self._definite else None
-        if run is not None:
-            X, start = run
-            b[:] = X
+        start = self._pcg(b, rtol) if self._lu is None and self._definite else None
+        if start is not None:
             KU = self._K @ U
             r = KU[self.free]
             if rtol == _CG_RTOL:
@@ -545,62 +539,63 @@ class InteriorSolver:
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return KU.reshape(u.shape)
 
-    def _precondition(self, R: np.ndarray) -> np.ndarray:
-        """``V D^{-1} V^T R`` for the columns of ``R``: the inverse of the
-        layered operator."""
-        Y = R.reshape(*self._shape, R.shape[1])
-        for d, V in enumerate(self._vecs):
-            Y = _along_axis(V.T, Y, d)
-        Y /= self._diag[..., None]
-        for d, V in enumerate(self._vecs):
-            Y = _along_axis(V, Y, d)
-        return Y.reshape(R.shape)
+    def _precondition(self, R: np.ndarray, Z: np.ndarray | None = None, S: np.ndarray | None = None):
+        """``V D^{-1} V^T R`` for the columns of ``R``, the inverse of the
+        layered operator, into ``Z`` (returned): each factor product is one
+        matmul on (lead, N, rest) views, alternating between the C-contiguous
+        buffers ``S`` and ``Z``, fresh when not given."""
+        Z, S = (np.empty_like(R) if B is None else B for B in (Z, S))
+        shape, n = (*self._shape, R.shape[1]), len(self._vecs)
+        Y = R
+        for k in range(2 * n):  # an even count of products ends in Z
+            d, Y_next = k % n, (S, Z)[k % 2]
+            view = (math.prod(shape[:d]), shape[d], -1)
+            np.matmul(self._vecs[d].T if k < n else self._vecs[d], Y.reshape(view), out=Y_next.reshape(view))
+            Y = Y_next
+            if k == n - 1:
+                np.divide(Y.reshape(shape), self._diag[..., None], out=Y.reshape(shape))
+        return Z
 
-    def _pcg(self, B: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """Batched preconditioned CG, each column stopped when ``sqrt(r^T z)``
-        is at most ``rtol`` of its start; returns the solution and the
+    def _pcg(self, X: np.ndarray, rtol: float) -> np.ndarray | None:
+        """Batched preconditioned CG in place: ``X`` holds the right-hand
+        sides on entry and the solution on return, each column stopped when
+        ``sqrt(r^T z)`` is at most ``rtol`` of its start; returns the
         starting ``r^T z`` of each column, or None on breakdown or after
-        _CG_MAXIT iterations. The iterates ``X`` of the running columns
-        stay compact beside ``R`` and ``P``; a column is written to the
-        result when it converges and leaves the batch."""
-        out = np.empty_like(B)
-        X = np.zeros_like(B)
-        R = B.copy()
-        P_nodes = np.zeros((self.rows.shape[1], B.shape[1]))  # for ``rows``; fixed rows stay 0
+        _CG_MAXIT iterations. A converged column takes a zero step and a
+        zero beta, and its ``r^T z`` stays frozen. Besides ``X`` CG holds R,
+        the direction in node layout for ``rows`` (fixed rows 0), the product
+        scipy returns, reused for the step and for Z, and one preconditioner scratch."""
+        R = X.copy()
+        X[:] = 0.0
+        P_nodes = np.zeros((self.rows.shape[1], X.shape[1]))
         P = P_nodes[self.free]
-        P[:] = self._precondition(R)
+        S = np.empty_like(R)
+        self._precondition(R, P, S)
         start = rz = np.einsum("ij,ij->j", R, P)
         stop = rtol**2 * rz
-        active = np.arange(B.shape[1])
         it = 0
         while True:
-            keep = ~(rz <= stop)  # a NaN column stays and ends CG as a breakdown
-            if not keep.all():
-                out[:, active[~keep]] = X[:, ~keep]
-                active, X, R, P_nodes = active[keep], X[:, keep], R[:, keep], P_nodes[:, keep]
-                P = P_nodes[self.free]
-                rz, stop = rz[keep], stop[keep]
-            if active.size == 0:
+            running = ~(rz <= stop)  # a NaN column runs on and ends CG as a breakdown
+            if not running.any():
                 self.iterations = it
-                return out, start
+                return start
             if it == _CG_MAXIT:
                 return None
             it += 1
             Q = self.rows @ P_nodes
             pq = np.einsum("ij,ij->j", P, Q)
-            if not (pq > 0.0).all():
+            if not (pq[running] > 0.0).all():
                 return None
-            alpha = rz / pq
-            X += alpha * P
+            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=running)
             Q *= alpha
             R -= Q
-            del Q  # before _precondition allocates
-            Z = self._precondition(R)
+            X += np.multiply(alpha, P, out=Q)
+            Z = self._precondition(R, Q, S)
             rz_new = np.einsum("ij,ij->j", R, Z)
-            P *= rz_new / rz
+            P *= np.divide(rz_new, rz, out=np.zeros_like(rz), where=running)
             P += Z
-            del Z
-            rz = rz_new
+            del Q, Z  # before the next product allocates
+            rz = np.where(running, rz_new, rz)
 
     def _factor(self):
         """The sparse LU of ``K[free, free]``, cut and made on first use."""

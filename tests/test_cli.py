@@ -1150,15 +1150,19 @@ class TestStudyAndRigidity:
 
     def test_trivial_u_skips_the_nonisometry_block(self, tmp_path):
         # max|u| = 1e-14 is the nontriviality floor: 1 + 0.1 u is not 1, so
-        # the gaps are nonzero and fitted, but u gives no volume obstruction
+        # the gaps are nonzero, but they are rounding (beta_eps2 read
+        # -1.05e-13 when fitted) and u gives no volume obstruction
         data = load_dataset(_STUDY_DATASET)
         path = tmp_path / "trivial-u.json"
         save_dataset(replace(data, u=data.u * (1e-14 / np.abs(data.u).max())), path)
         report = run("counterexample-study", {**_STUDY_CFG, "dataset": str(path)}, tmp_path / "out")
         assert max(row[2] for row in report.tables["gap_study"].rows) > 0.0
+        assert report.scalars["fit"]["trivial"] is True
         assert report.scalars["nonisometry"] == "trivial u, no obstruction derivable"
-        assert "fit_r2" in {v.name for v in report.verdicts}
-        assert not any(v.name.startswith("nonisometry") for v in report.verdicts)
+        names = {v.name for v in report.verdicts}
+        assert "zero_eps_gap" in names
+        assert not any(name.startswith(("fit_", "nonisometry")) for name in names)
+        assert report.passed
 
     def test_indefinite_dataset_exits_1(self, tmp_path):
         # a1 = a3 = -3 keeps the block determinant at 4 but gives the
