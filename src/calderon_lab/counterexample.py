@@ -506,7 +506,9 @@ def dn_gap_study(
     metric assembled, and for each eps the low-mode DN pairing matrices of
     g and c_eps^4 g compared. Each cell also records the dataset's metric
     harmonic residual r (volume L2 of the Laplacian of u) and the weak
-    gauge-condition residual of c_eps. The returned fit regresses
+    gauge-condition residual of c_eps. One stiffness system is alive at a
+    time: g's goes once every weak residual is taken, and each scaled one
+    dies with its mode-matrix call. The returned fit regresses
     gap ~ b1*(eps*r) + b2*eps^2 across all cells: when u is close to
     harmonic with flat traces, eps*r controls the first-order gap and the
     quadratic term absorbs the family's own nonlinearity. The fit is
@@ -522,12 +524,11 @@ def dn_gap_study(
         lap = laplace_beltrami_pointwise(g, u.values)
         wq = (g.grid.quad_weights * g.sqrt_det)[1:-1]
         r = float(np.sqrt(np.sum(wq * lap * lap)))
-        for eps in eps_list:
-            c = conformal_family(u, eps)
-            weak = weak_condition_residual(sys_g, c)
-            sys_s = assemble_stiffness(scale_metric(g, c))
-            B_s, _ = dn_mode_matrix(sys_s, GAMMA1, cut)
-            cells.append(StudyCell(float(eps), int(stride), mode_gap(B_g, B_s), r, weak))
+        weak = [weak_condition_residual(sys_g, conformal_family(u, eps)) for eps in eps_list]
+        del sys_g
+        for eps, w in zip(eps_list, weak):
+            B_s, _ = dn_mode_matrix(assemble_stiffness(scale_metric(g, conformal_family(u, eps))), GAMMA1, cut)
+            cells.append(StudyCell(float(eps), int(stride), mode_gap(B_g, B_s), r, w))
     return StudyResult(tuple(cells), _gap_fit(cells, float(np.abs(data.u).max()) <= TRIVIAL_TOL))
 
 

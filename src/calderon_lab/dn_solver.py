@@ -48,7 +48,7 @@ preconditioned true residual at twice that stop and reruns as ``extend``
 when the check fails.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
-t-layers with one dense Cholesky per layer (:func:`_layer_stripped`) and
+t-layers with one in-place Cholesky per layer (:func:`_layer_stripped`) and
 goes through ``InteriorSolver`` only when a pivot fails or is below 1e-9.
 """
 
@@ -364,6 +364,8 @@ def assemble_stiffness(
             mass_weight = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
             _scatter(m_data, block_slot, mass_weight.T @ mass_table, mirror)
             layers[n, j0:j1] = mass_weight.mean(axis=0).reshape(-1, P).mean(axis=1)
+            del mass_weight
+        del cell_nodes, block_slot, W, root_det  # before the next block's are made
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
     M = None if m_data is None else sp.csr_matrix((m_data, indices, indptr), shape=(size, size))
     return StiffnessSystem(
@@ -637,29 +639,32 @@ def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
     previous layer's ``S_p``. The factors L make up the block Cholesky of
     the interior block; None when it fails, its pivot ratio
     ``min/max diag(L)^2`` is below ``_PIVOT_RATIO_FLOOR`` or S is not finite.
+    In place in three layer-sized buffers: LAPACK factors S (its transpose
+    is Fortran), trsm overwrites the coupling block by Y, T takes the next S
+    and swaps with it; a syrk ``Y^T Y`` keeps S bitwise symmetric, as K is.
     """
-    K, P, T = sys.matrix, sys.grid.layer_count, sys.grid.num_t
-    ids = list(range(1, T)) if gamma == GAMMA1 else list(range(T - 2, -1, -1))
+    K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
+    ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
     w = 3 ** (sys.grid.n - 1)  # a row's sorted entries fall w in each adjacent layer
 
-    def block(i: int, j: int) -> np.ndarray:
+    def block(i: int, j: int, out: np.ndarray) -> np.ndarray:
         lo, hi = K.indptr[i * P], K.indptr[(i + 1) * P]
         cols, vals = (a[lo:hi].reshape(P, -1, w)[:, j - max(i - 1, 0)] for a in (K.indices, K.data))
-        out = np.zeros((P, P))
+        out.fill(0.0)
         out[np.arange(P)[:, None], cols - j * P] = vals
         return out
 
-    S = block(ids[0], ids[0])
+    S, B, T = block(ids[0], ids[0], np.empty((P, P))), np.empty((P, P), order="F"), np.empty((P, P))
     pivots = []
     for p, k in zip(ids, ids[1:]):
-        try:
-            L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        L, info = scipy.linalg.lapack.dpotrf(S.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
             return None
         pivots.append(np.diag(L) ** 2)
-        Y = scipy.linalg.solve_triangular(L, block(p, k), lower=True, check_finite=False)
-        S = block(k, k) - Y.T @ Y
-        S = 0.5 * (S + S.T)
+        Y = scipy.linalg.blas.dtrsm(1.0, L, block(p, k, B), lower=1, overwrite_b=1)
+        np.matmul(Y.T, Y, out=T)
+        np.subtract(block(k, k, S), T, out=T)
+        S, T = T, S
     d = np.concatenate(pivots)
     if d.min() >= _PIVOT_RATIO_FLOOR * d.max() and np.isfinite(S).all():
         return S
@@ -693,16 +698,18 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     solver = InteriorSolver(sys)
     out = np.empty((G.size, V.shape[1]))
     chunk = max(1, _DENSE_BYTES // (8 * grid.node_count))
-    # One node array for all chunks: extend writes only its free rows, so
-    # the rows off G stay zero. A fresh array per chunk fragments the heap:
-    # a 576-column map (the fallback of dn_map_partial) run after a gap
-    # study peaked at 417 MB process RSS instead of 309 MB.
-    U = np.zeros((grid.node_count, min(V.shape[1], chunk)))
+    # One buffer, each chunk a C-contiguous node array on its head (scipy
+    # copies a strided one per product); extend writes only free rows, so
+    # rows off G stay zero but in a narrower last chunk. A fresh array per
+    # chunk fragments the heap: a 576-column map peaked at 417 MB RSS, not 309.
+    buf = np.zeros(grid.node_count * min(V.shape[1], chunk))
     for lo in range(0, V.shape[1], chunk):
         cols = V[:, lo : lo + chunk]
-        U_chunk = U[:, : cols.shape[1]]
-        U_chunk[G] = cols
-        out[:, lo : lo + chunk] = solver.extend(U_chunk)[G]
+        U = buf[: grid.node_count * cols.shape[1]].reshape(grid.node_count, -1)
+        if lo and cols.shape[1] < chunk:
+            U.fill(0.0)
+        U[G] = cols
+        out[:, lo : lo + chunk] = solver.extend(U)[G]
     return out
 
 

@@ -45,8 +45,13 @@ Verifies:
   - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match
     their block of the dense sparse-LU full-boundary Schur complement to
     3e-14 and the CG map of dn_apply to
-    1e-10; an indefinite interior block and the full boundary still take
-    the CG/LU route
+    1e-10, and have the bytes of a sweep through fresh blocks, scipy's
+    cholesky and solve_triangular and a symmetrising pass; at 17^3 the
+    sweep peaks at most 3.5 layer blocks above its start (5.07 through
+    fresh blocks); an indefinite interior block and the full boundary
+    still take the CG/LU route
+  - dn_apply hands extend C-contiguous chunks, 13 columns as 5/5/3, with
+    the bytes of strided column slices of one node array
   - the solver borrows K's free rows instead of copying the interior
     block: their product with a node array of zero fixed rows has the
     bytes of ``K[free, free] @ X``, the right-hand side of ``extend`` has
@@ -220,6 +225,24 @@ def _dense_lu_reference(sys, gamma):
 
 def _rel(a, b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _stripped_reference(sys, gamma):
+    """The layer-stripped DN map through a fresh block per layer, scipy's
+    cholesky and solve_triangular, and ``0.5 (S + S^T)`` after each layer."""
+    K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
+    ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
+
+    def block(i, j):
+        return K[i * P : (i + 1) * P, j * P : (j + 1) * P].toarray()
+
+    S = block(ids[0], ids[0])
+    for p, k in zip(ids, ids[1:]):
+        L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
+        Y = scipy.linalg.solve_triangular(L, block(p, k), lower=True, check_finite=False)
+        S = block(k, k) - Y.T @ Y
+        S = 0.5 * (S + S.T)
+    return S
 
 
 def _shifted_system(metric, lam1):
@@ -551,6 +574,7 @@ class TestLayerStripping:
     @staticmethod
     def _check(sys, gamma):
         lam = dn_map_partial(sys, gamma).matrix
+        assert lam.tobytes() == _stripped_reference(sys, gamma).tobytes()
         assert _rel(lam, _dense_lu_reference(sys, gamma)) <= 3e-14
         assert _rel(lam, dn_apply(sys, gamma, np.eye(lam.shape[0]))) <= 1e-10
 
@@ -571,6 +595,21 @@ class TestLayerStripping:
     @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
     def test_counterexample_metric(self, counterexample_metric, gamma):
         self._check(assemble_stiffness(counterexample_metric), gamma)
+
+    def test_three_layer_blocks_at_17(self):
+        # S, the coupling block and T; the sweep through fresh blocks peaked at 5.07
+        grid = cyl_grid(3, 17)
+        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=17), grid))
+        unit = 8 * grid.layer_count**2  # one layer block
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lam = dn_solver._layer_stripped(sys, GAMMA1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert lam is not None
+        assert peak <= 3.5 * unit, f"{peak / unit:.2f} layer blocks"
 
     def test_indefinite_block_falls_back(self, flat9, flat9_lambda1):
         sys = _shifted_system(flat9, flat9_lambda1)
@@ -640,6 +679,31 @@ class TestBorrowedRows:
         U[G] = V
         assert InteriorSolver(sys).extend(U).tobytes() == (K @ U).tobytes()
         assert dn_apply(sys, GAMMA1, V).tobytes() == (K[G] @ U).tobytes()
+
+    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    def test_dn_apply_chunks_contiguous(self, monkeypatch, gamma):
+        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=9), cyl_grid(3, 9)))
+        grid, G = sys.grid, sys.grid.boundary_ids(gamma)
+        V = np.random.default_rng(4).standard_normal((G.size, 13))
+        # the same chunks as strided column slices of one node array
+        solver, expected = InteriorSolver(sys), np.empty_like(V)
+        U = np.zeros((grid.node_count, 5))
+        for lo in range(0, 13, 5):
+            cols = V[:, lo : lo + 5]
+            U_chunk = U[:, : cols.shape[1]]
+            U_chunk[G] = cols
+            expected[:, lo : lo + 5] = solver.extend(U_chunk)[G]
+        widths, extend = [], InteriorSolver.extend
+
+        def recording(self, u):
+            assert u.flags.c_contiguous
+            widths.append(u.shape[1])
+            return extend(self, u)
+
+        monkeypatch.setattr(dn_solver, "_DENSE_BYTES", 5 * 8 * grid.node_count)
+        monkeypatch.setattr(InteriorSolver, "extend", recording)
+        assert dn_apply(sys, gamma, V).tobytes() == expected.tobytes()
+        assert widths == [5, 5, 3]
 
     def test_solver_allocates_under_1mb_at_33(self):
         grid = cyl_grid(3, 33)

@@ -29,12 +29,14 @@ Verifies:
     1e120 fit the fields of amplitude 1, and the fields are stable under
     rounding of the input; a failed t-layer LU or a normal-equation
     residual above 1e-10 is NoConvergence
-  - DN gap study: exact zeros for the zero dataset, cell bookkeeping
+  - DN gap study: exact zeros for the zero dataset, cell bookkeeping, and
+    no earlier stiffness system alive when it assembles the next
   - the volume obstruction, its trivial-field guard, and samples scaled
     by 1/max|u| so that a small u is fitted as well as a large one
 """
 
 import json
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -559,6 +561,19 @@ class TestGapStudy:
         assert by_eps[0.0].gap == 0.0
         assert by_eps[0.05].gap > 0.0
         assert by_eps[0.05].harmonic_residual > 0.0
+
+    def test_one_system_alive(self, monkeypatch):
+        live, alive_at_call, assemble = weakref.WeakSet(), [], counterexample.assemble_stiffness
+
+        def recording(*args, **kwargs):
+            alive_at_call.append(len(live))
+            sys = assemble(*args, **kwargs)
+            live.add(sys)
+            return sys
+
+        monkeypatch.setattr(counterexample, "assemble_stiffness", recording)
+        dn_gap_study(_toy_dataset(cyl_grid(3, 13)), eps_list=(0.0, 0.05), strides=(2, 1))
+        assert alive_at_call == [0] * 6
 
 
 class TestNonIsometry:
