@@ -199,22 +199,23 @@ def _inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...i,...j->...", g.inv, a, b)
 
 
-def weak_condition_residual(sys: StiffnessSystem, c: ConformalFactor) -> float:
-    """How far c^{n-2} is from the weak gauge condition relative to a
-    stiffness matrix: the largest test row of K c^{n-2} at the interior and
-    GAMMA1 nodes, normalised by the operator's infinity norm times
-    max |c^{n-2}|."""
+def weak_condition_residual(sys: StiffnessSystem, factors) -> list[float]:
+    """How far each factor's c^{n-2} is from the weak gauge condition
+    relative to a stiffness matrix: the largest test row of K c^{n-2} at
+    the interior and GAMMA1 nodes, normalised by the operator's infinity
+    norm, taken once for all factors, times max |c^{n-2}|."""
     grid = sys.grid
-    if c.grid.shape != grid.shape:
+    if any(c.grid.shape != grid.shape for c in factors):
         raise GridMismatch("factor and system grids differ")
     K = sys.matrix
-    P = c.power_nm2().values.ravel()
-    r = np.abs(K @ P)
-    norm = float(np.abs(K).sum(axis=1).max()) * float(np.abs(P).max())
-    norm = max(norm, 1e-300)
-    i_res = float(r[grid.interior_ids()].max()) / norm
-    g_res = float(r[grid.boundary_ids(GAMMA1)].max()) / norm
-    return max(i_res, g_res)
+    k_norm = float(np.abs(K).sum(axis=1).max())
+    out = []
+    for c in factors:
+        P = c.power_nm2().values.ravel()
+        r = np.abs(K @ P)
+        norm = max(k_norm * float(np.abs(P).max()), 1e-300)
+        out.append(max(float(r[grid.interior_ids()].max()) / norm, float(r[grid.boundary_ids(GAMMA1)].max()) / norm))
+    return out
 
 
 def _bjorck_pereyra(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -524,7 +524,7 @@ def dn_gap_study(
         lap = laplace_beltrami_pointwise(g, u.values)
         wq = (g.grid.quad_weights * g.sqrt_det)[1:-1]
         r = float(np.sqrt(np.sum(wq * lap * lap)))
-        weak = [weak_condition_residual(sys_g, conformal_family(u, eps)) for eps in eps_list]
+        weak = weak_condition_residual(sys_g, [conformal_family(u, eps) for eps in eps_list])
         del sys_g
         for eps, w in zip(eps_list, weak):
             B_s, _ = dn_mode_matrix(assemble_stiffness(scale_metric(g, conformal_family(u, eps))), GAMMA1, cut)

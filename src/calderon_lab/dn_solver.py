@@ -14,17 +14,17 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 Rayleigh quotients against the boundary mass matrix.
 
 Assembly (:func:`assemble_stiffness`) is one loop over blocks of whole
-cell layers, about 4,096 cells each, so its temporaries are block-sized,
-and one GEMM per block over the unique metric components and the unique
-element entries ``a <= b``. It is deterministic: each block mirrors its
-element matrices from their unique entries and scatters them, so every
-CSR slot sums in cell-major order; the matrices are bitwise symmetric and
-their bytes depend neither on the block size (but see the 4-D caveat
+cell layers in one arena per call, at most ``_BLOCK_BYTES`` (4,096 cells
+in 3-D), with one GEMM per block over the unique metric components and
+the unique element entries ``a <= b``, and the in-place SPD kernel. It is
+deterministic: a block adds its unique entries at their upper slots and
+their mirrors at the strict-lower ones, and each CSR slot takes entries
+of one half only, in cell-major order; the matrices are bitwise symmetric
+and their bytes depend neither on the block size (but see the 4-D caveat
 there) nor on the BLAS thread count. One per-grid cache
 (:func:`_grid_layout`) holds the CSR pattern, the element tables and the
 angular eigenpairs of the solver; the pattern is built without a sort,
-from the Q1 stencil's tensor form, and keeps three cell layers: the
-others shift.
+from the Q1 stencil's tensor form, and keeps three cell layers.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -33,19 +33,13 @@ but for its LU fallback. Its one step, the only way Dirichlet data reach
 a solve, replaces the interior entries of a nodal array ``U`` by the
 discrete harmonic extension of its boundary entries and returns
 ``K @ U``: its free rows are minus the residual, its rows on ``G`` the
-Neumann data (DN maps are ``extend(U)[G]``, ``U`` the traces on ``G`` and
-zero elsewhere), and ``U^T K U`` the Dirichlet energies of mode matrices
-(``energy``). Solves run batched conjugate gradients
-preconditioned by the exact inverse of a layered operator, the Q1 block of
-the t-cell means that assembly keeps (``StiffnessSystem.layers``), applied
-by fast diagonalisation; the flat metric is its special case. A sparse LU
-of the block is the fallback when that operator is indefinite or CG breaks
-down or stalls. ``extend`` stops CG at 1e-12 of the preconditioned
-residual and checks the true one at 1e-10 relative. ``energy`` stops at
-5e-7, near the square root of 1e-12: an energy is off only by the square
-of its extension's error, in the K-energy norm. It checks the
-preconditioned true residual at twice that stop and reruns as ``extend``
-when the check fails.
+Neumann data (DN maps are ``extend(U)[G]``), and ``U^T K U`` the
+Dirichlet energies of mode matrices (``energy``, stopped near the square
+root of ``extend``'s tolerance, as an energy is off only by the square of
+its extension's error). Solves run batched conjugate gradients in one
+arena per solve, preconditioned by the exact inverse of a layered
+operator from the t-cell means that assembly keeps
+(``StiffnessSystem.layers``), with a sparse LU of the block as fallback.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
 t-layers with one in-place Cholesky per layer (:func:`_layer_stripped`) and
@@ -87,7 +81,7 @@ _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _ENERGY_RTOL = 5e-7  # the same in InteriorSolver.energy, whose error is second order
 _CG_MAXIT = 200
 _DENSE_BYTES = 32 << 20  # caps the node array u of one interior solve; the solve holds about five of its size
-_BLOCK_CELLS = 4096  # cells per assembly block, in whole cell layers (2048 timed the same, 1024 and 8192 slower)
+_BLOCK_BYTES = 4096 * 1248  # bounds an assembly block's arena: 4,096 cells in 3-D (2048 timed the same)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +130,20 @@ def _spread(a: np.ndarray, d: int, n: int) -> np.ndarray:
 
 def _scatter_pattern(grid: CylinderGrid):
     """CSR pattern of the cell-major element scatter: the CSR slots of the
-    element entries of cell layers 0, 1 and num_t - 2 (3, P, 4^n), the
-    column indices and row pointers, and layer 0's cell-node table, the
-    node ids of each cell's 2^n corners (int32, (2^n, P)); P is the layer
+    element entries of cell layers 0, 1 and num_t - 2 in two tables, the
+    upper entries ``(a, b)``, ``a <= b``, in unique-entry order, and the
+    strict-lower ``(b, a)`` in their mirrors' order (3, P, U and 4^n - U);
+    the column indices and row pointers; and layer 0's cell-node table, the
+    node ids of each cell's 2^n corners (int32, (2^n, P)). P is the layer
     count, and :func:`_cell_layout` derives the other cell layers.
 
     Cells are indexed lexicographically like nodes; the t-axis has
     num_t - 1 cells, each angular axis wraps and has as many cells as nodes.
     Corner L of a cell offsets the cell's base node by the bits of L
-    (axis 0 = most significant bit), modulo the period on angular axes.
+    (axis 0 = most significant bit), modulo the period on angular axes. Two
+    nodes differ by one step on each axis where they differ, so their
+    corners' order is the same in every cell that holds both: each CSR
+    slot is in one table only.
 
     The Q1 pattern is the tensor product of 1-D three-point patterns, open
     in t and periodic in the angles, so it needs no sort: a row's length is
@@ -181,22 +180,23 @@ def _scatter_pattern(grid: CylinderGrid):
     # the row node of every (cell, row corner) of layer 0, for any column corner
     P = grid.layer_count
     nodes = np.ascontiguousarray(row.reshape(-1, 1 << n)[:P].T, dtype=np.int32)
-    return slot.reshape(3, P, -1), indices, indptr, nodes
+    a, b, slot = *np.triu_indices(1 << n), slot.reshape(3, P, 1 << n, 1 << n)
+    return slot[..., a, b], slot[..., b[a < b], a[a < b]], indices, indptr, nodes
 
 
-def _cell_layout(grid: CylinderGrid, slot: np.ndarray, nodes: np.ndarray, j0: int, j1: int):
-    """Cell-node table (2^n, (j1 - j0) P) and flat scatter slots of the
-    whole cell layers j0..j1 from the stored layers: layer j's nodes are
-    layer 0's plus j P, and as every interior row holds 3^n entries, for
-    1 <= j <= num_t - 3 its slots are layer 1's plus (j - 1) 3^n P."""
+def _cell_layout(grid: CylinderGrid, tables, nodes: np.ndarray, j0: int, out) -> None:
+    """Write the cell-node table (2^n, J P) and the flat slots of each slot
+    table of the whole cell layers j0..j0 + J into ``out``, in that order,
+    from the stored layers: layer j's nodes are layer 0's plus j P, and as
+    every interior row holds 3^n entries, for 1 <= j <= num_t - 3 its slots
+    are layer 1's plus (j - 1) 3^n P."""
     P, step = grid.layer_count, 3**grid.n * grid.layer_count
-    cell_nodes = np.empty((nodes.shape[0], j1 - j0, P), dtype=np.int32)
-    cell_slot = np.empty((j1 - j0, *slot.shape[1:]), dtype=slot.dtype)
-    for j in range(j0, j1):
+    layers = out[0].shape[1] // P
+    for j in range(j0, j0 + layers):
         k = 0 if j == 0 else 2 if j == grid.num_t - 2 else 1
-        np.add(nodes, j * P, out=cell_nodes[:, j - j0])
-        np.add(slot[k], (j - 1) * step if k == 1 else 0, out=cell_slot[j - j0])
-    return cell_nodes.reshape(nodes.shape[0], -1), cell_slot.ravel()
+        np.add(nodes, j * P, out=out[0].reshape(-1, layers, P)[:, j - j0])
+        for table, cell_slot in zip(tables, out[1:]):
+            np.add(table[k], (j - 1) * step if k == 1 else 0, out=cell_slot.reshape(layers, P, -1)[j - j0])
 
 
 def _element_tables(grid: CylinderGrid):
@@ -210,8 +210,8 @@ def _element_tables(grid: CylinderGrid):
       it, with ``T[i, j, q, a, b] = w G[q, a, i] G[q, b, j]`` the products
       of physical shape gradients times the quadrature weight ``w``;
     - ``mass[q, p] = w N[q, a] N[q, b]``;
-    - ``mirror``, the unique-entry index of every entry ``(a, b)`` of a
-      row-major element matrix, ``(a, b)`` and ``(b, a)`` alike.
+    - ``strict``, the unique-entry index of every strict upper entry
+      ``a < b``, whose mirror ``(b, a)`` the lower slot table holds.
     """
     n = grid.n
     N, G = _q1_tables(n)
@@ -221,9 +221,7 @@ def _element_tables(grid: CylinderGrid):
     T = w * np.einsum("qai,qbj->ijqab", G, G)[..., a, b]
     stiff = np.concatenate([T[i, j] + T[j, i] if i < j else T[i, i] for i, j in zip(*packed_order(n)[:2])])
     mass = w * N[:, a] * N[:, b]
-    mirror = np.empty((1 << n, 1 << n), dtype=np.intp)
-    mirror[a, b] = mirror[b, a] = np.arange(a.size)
-    return N, stiff, mass, mirror.ravel()
+    return N, stiff, mass, np.flatnonzero(a < b)
 
 
 def _q1_pencil(num: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +236,11 @@ def _q1_pencil(num: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 def _grid_layout(grid: CylinderGrid):
     """The per-grid tables of assembly and of :class:`InteriorSolver`,
     computed once per equal grid and shared read-only: the scatter pattern
-    (three cell layers of slots, one of cell nodes), the element tables,
-    and the fast-diagonalisation factors of the periodic angular axes, the
-    eigenvectors ``V_d`` and eigenvalues ``Lam_d`` of each 1-D Q1 pencil
-    ``K_d V_d = M_d V_d Lam_d``. A solver is built on a system just
-    assembled on its grid, so the cache holds its grid's entry."""
+    (three cell layers of upper and of lower slots, one of cell nodes), the
+    element tables, and the fast-diagonalisation factors of the periodic
+    angular axes, the eigenvectors ``V_d`` and eigenvalues ``Lam_d`` of each
+    1-D Q1 pencil ``K_d V_d = M_d V_d Lam_d``. A solver is built on a system
+    just assembled on its grid, so the cache holds its grid's entry."""
     pattern = _scatter_pattern(grid)
     tables = _element_tables(grid)
     eigs = [scipy.linalg.eigh(*_q1_pencil(m, h)) for m, h in zip(grid.num_ang, grid.h_ang)]
@@ -252,14 +250,13 @@ def _grid_layout(grid: CylinderGrid):
     return pattern, tables, (vecs, lams)
 
 
-def _scatter(data: np.ndarray, slot: np.ndarray, unique: np.ndarray, mirror: np.ndarray) -> None:
-    """Add a block's element matrices, given by their unique entries
-    ``(cells, p)``, to the CSR data at their slots. ``mirror`` writes each
-    matrix out whole, so it is bitwise symmetric. ``np.add.at`` adds in
-    input order, so block after block the slots sum in cell-major order
-    whatever the block size; it takes the int32 slots as they are
-    (``np.bincount`` would copy them to intp)."""
-    np.add.at(data, slot, np.take(unique, mirror, axis=1, mode="clip").ravel())
+def _arena_regions(n: int, index) -> tuple:
+    """(dtype, count per cell) of each region of an assembly block's arena:
+    the gather, then E; the metric, then W, then E's lower entries;
+    sqrt(det g) and the kernel's two scratch rows; the nodes; the slots."""
+    Q = 1 << n
+    U, F = Q * (Q + 1) // 2, max(n * (n + 1) // 2 * Q, Q * (Q + 1) // 2)
+    return (np.float64, F), (np.float64, F), (np.float64, 3 * Q), (np.int32, Q), (index, U), (index, Q * Q - U)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,36 +297,36 @@ def assemble_stiffness(
         a(u, v) = int g^{ij} d_i u d_j v sqrt(det g)
                   + int V u v sqrt(det g).
 
-    One loop runs over blocks of whole cell layers, as many as fit in
-    ``_BLOCK_CELLS`` cells and at least one, so a block holds at least the
-    P >= 4 cells of a layer and no GEMM has a single row. A block gathers
-    the ``n(n+1)/2`` unique metric components at its cells' corners,
-    interpolates them to the Gauss points (one matmul with the shape table
-    N), takes ``W = sqrt(det g) g^{-1}`` there from the SPD kernel
+    One loop runs over blocks of whole cell layers, as many as keep the
+    block's arena within ``_BLOCK_BYTES`` and at least one (4,096 cells in
+    3-D, fewer in 4-D, whole grids in 2-D), so no GEMM has a single row.
+    One ``np.empty`` per call holds every array of a block as a view (see
+    :func:`_arena_regions`). A block gathers the ``n(n+1)/2`` unique metric
+    components at its cells' corners, interpolates them to the Gauss points
+    (one matmul with the shape table N), turns them into
+    ``W = sqrt(det g) g^{-1}`` in place by the SPD kernel
     :func:`~calderon_lab.grid_geometry.spd_weight`, and gets the unique
-    entries ``a <= b`` of its element matrices by one GEMM,
-    ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]`` with ``k`` over
-    the components ``i <= j`` and the table of :func:`_element_tables`,
-    which folds ``T_ij + T_ji``. The block mirrors them into whole element
-    matrices and scatters them straight into the CSR data of K, and of the
-    mass matrix when there is a potential, whose entries come from
-    ``sqrt(det g) V`` at the block's Gauss points by one GEMM against
-    ``w N[q, a] N[q, b]``; it writes its t-cells' ``layers`` from those
-    Gauss points too. Block after block the scatter sums every slot
-    in cell-major order, so K and M are bitwise symmetric and their bytes
+    entries ``a <= b`` of its element matrices into the dead gather by one
+    GEMM, ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]``, with ``k``
+    over the components ``i <= j`` and the table of :func:`_element_tables`,
+    which folds ``T_ij + T_ji``. It adds E at the upper slots of the CSR
+    data of K, then E's strict upper entries at the lower ones, each by one
+    1-D ``np.add.at``, and so for the mass matrix with a potential, whose
+    entries come from ``sqrt(det g) V`` by one GEMM against
+    ``w N[q, a] N[q, b]``; the t-cells' ``layers`` come from the same Gauss
+    points. Each slot takes entries of one slot table only and sums them in
+    cell-major order, so K and M are bitwise symmetric and their bytes
     depend on neither the block size nor the BLAS thread count; but in 4-D
     the interpolation matmul rounds the last one to four columns of a block
     whose cell count is not a multiple of 8 its own way, so there the bytes
-    can change with the block size unless P is a multiple of 8. The
-    cell-node table, the scatter pattern and the tables come from a
-    per-grid cache (equal grids share one entry). Every system's matrices
-    hold that entry's own read-only ``indices`` and ``indptr`` (a write
-    raises numpy's ``ValueError``); only their data arrays are their own.
+    can change with the block size unless P is a multiple of 8. The tables come from a per-grid cache
+    (equal grids share one entry), whose read-only ``indices`` and
+    ``indptr`` every system's matrices hold (a write raises ``ValueError``).
     """
     grid = metric.grid
     n = grid.n
     size = grid.node_count
-    (slot, indices, indptr, nodes), (N, stiff, mass_table, mirror), _ = _grid_layout(grid)
+    (upper, lower, indices, indptr, nodes), (N, stiff, mass_table, strict), _ = _grid_layout(grid)
     P, num_cells_t = grid.layer_count, grid.num_t - 1
 
     v_nodes = None
@@ -348,24 +345,40 @@ def assemble_stiffness(
     # gathers use np.take(mode="clip"), about 3 times faster than fancy
     # indexing here, and the ids are in range
     g_nodes = np.ascontiguousarray(metric.packed.reshape(-1, size))
-    iu, ju, _ = packed_order(n)
+    _, _, pos = packed_order(n)
     k_data = np.zeros(indices.size)
     m_data = None if v_nodes is None else np.zeros(indices.size)
     # per t-cell, the means of diag(W), then of sqrt(det g) V
     layers = np.zeros((n + 1, num_cells_t))
-    per = max(1, _BLOCK_CELLS // P)  # whole cell layers per block
+    regions = _arena_regions(n, upper.dtype)
+    cell_bytes = sum(np.dtype(t).itemsize * m for t, m in regions)
+    per = max(1, _BLOCK_BYTES // (cell_bytes * P))  # whole cell layers per block
+    arena = np.empty(min(per, num_cells_t) * P * cell_bytes, dtype=np.uint8)
+    Q, U, k = N.shape[0], stiff.shape[1], g_nodes.shape[0]
     for j0 in range(0, num_cells_t, per):
         j1 = min(j0 + per, num_cells_t)
-        cell_nodes, block_slot = _cell_layout(grid, slot, nodes, j0, j1)
-        W, root_det = spd_weight(N @ np.take(g_nodes, cell_nodes, axis=1, mode="clip"))
-        _scatter(k_data, block_slot, W.reshape(-1, cell_nodes.shape[1]).T @ stiff, mirror)
-        layers[:n, j0:j1] = W[iu == ju].mean(axis=1).reshape(n, -1, P).mean(axis=2)
+        c = (j1 - j0) * P  # the block's regions follow one another from the arena's head
+        ends = np.cumsum([0] + [c * m * np.dtype(t).itemsize for t, m in regions])
+        X, Y, rows, cell_nodes, up, low = (arena[lo:hi].view(t) for (t, _), lo, hi in zip(regions, ends, ends[1:]))
+        cell_nodes, rows = cell_nodes.reshape(Q, c), rows.reshape(3, Q, c)
+        _cell_layout(grid, (upper, lower), nodes, j0, (cell_nodes, up, low))
+        G = np.take(g_nodes, cell_nodes, axis=1, mode="clip", out=X[: k * Q * c].reshape(k, Q, c))
+        W, root_det = spd_weight(np.matmul(N, G, out=Y[: k * Q * c].reshape(k, Q, c)), rows)
+        for d in range(n):
+            layers[d, j0:j1] = W[pos[d, d]].mean(axis=0).reshape(-1, P).mean(axis=1)
+        parts = [(k_data, W.reshape(-1, c).T, stiff)]
         if m_data is not None:
-            mass_weight = root_det * (N @ np.take(v_nodes, cell_nodes, mode="clip"))
-            _scatter(m_data, block_slot, mass_weight.T @ mass_table, mirror)
+            interp = np.matmul(N, np.take(v_nodes, cell_nodes, mode="clip", out=rows[1]), out=rows[2])
+            mass_weight = np.multiply(root_det, interp, out=rows[1])
             layers[n, j0:j1] = mass_weight.mean(axis=0).reshape(-1, P).mean(axis=1)
-            del mass_weight
-        del cell_nodes, block_slot, W, root_det  # before the next block's are made
+            parts.append((m_data, mass_weight.T, mass_table))
+        # E in the dead gather, then its strict upper entries, the lower
+        # ones' mirrors, in W's region; np.add.at adds in input order and
+        # takes the int32 slots as they are (np.bincount would copy them)
+        for data, weight, table in parts:
+            E = np.matmul(weight, table, out=X[: U * c].reshape(c, U))
+            np.add.at(data, up, E.ravel())
+            np.add.at(data, low, np.take(E, strict, axis=1, mode="clip", out=Y[: low.size].reshape(c, -1)).ravel())
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
     M = None if m_data is None else sp.csr_matrix((m_data, indices, indptr), shape=(size, size))
     return StiffnessSystem(
@@ -404,8 +417,7 @@ class InteriorSolver:
     into its interior t-layers, the slice ``free`` of node ids.
     ``extend(u)`` overwrites ``u[free]`` by the solution of
     ``K[free, free] x = -K[free, fixed] u[fixed]`` with ``fixed`` the
-    ``FULL_BOUNDARY`` ids (the Dirichlet data are the boundary entries of
-    a nodal array) and returns ``K @ u``, whose boundary rows are the
+    ``FULL_BOUNDARY`` ids and returns ``K @ u``, whose boundary rows are the
     Neumann data; ``energy(u)`` returns the Dirichlet energies ``u^T K u``.
     Both are the one step ``_extend``, which checks the solve by the free
     rows of that product, minus the residual. CG applies K through
@@ -421,46 +433,41 @@ class InteriorSolver:
     angular ``w_dd`` and ``alpha_d`` the ratio of their means over t, so
     the flat metric is its special case. Fast diagonalisation (Lynch, Rice
     & Thomas 1964) of the t-pencil ``(K_t[w_tt] + M_t[q], M_t[w_a])`` and
-    of the periodic angular pencils ``(K_d, M_d)`` gives its inverse
-    ``V D^{-1} V^T`` with ``V = V_t (x) V_1 (x) ...`` and
-    ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``, the angular factors read from
-    the grid's :func:`_grid_layout` entry; a non-positive entry of ``D``
-    sends the solver straight to the LU below. In ``extend`` a column
-    stops when its preconditioned residual ``sqrt(r^T z)`` is at most 1e-12
-    of its start, and the extension stands when ``||(K u)[free]||`` is at
-    most 1e-10 of ``||b||``, ``b`` the right-hand side.
-    With ``C`` the layered coefficients and ``W = sqrt(det g) g^{-1}``,
-    ``min eig(C^{-1} W) K_C <= K_g <= max eig(C^{-1} W) K_C`` over the
-    quadrature points, so a potential-free block needs at most
-    ``ceil(sqrt(kappa)/2 * ln(2 sqrt(kappa) / 1e-12))`` iterations with
-    ``kappa`` the ratio of those extremes. CG takes one where the operator
-    is the block: ``W`` diagonal with a t-only ``w_tt`` and constant
-    angular entries, and ``sqrt(det g) V`` constant.
-    ``iterations`` holds the count of the last solve, at which its last
-    column converged; a converged column stops moving. CG iterates in
-    ``u[free]`` and holds four arrays of that size besides: a 13-mode mode
-    matrix peaks 17.5 MB above its start at 33^3 and 139.6 MB at 65^3.
+    of the periodic angular pencils ``(K_d, M_d)`` (from the grid's
+    :func:`_grid_layout` entry) gives its inverse ``V D^{-1} V^T`` with
+    ``V = V_t (x) V_1 (x) ...`` and ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``;
+    a non-positive entry of ``D`` sends the solver straight to the LU
+    below. In ``extend`` a column stops when ``sqrt(r^T z)`` is at most
+    1e-12 of its start, and the extension stands when ``||(K u)[free]||``
+    is at most 1e-10 of ``||b||``, ``b`` the right-hand side. With ``C``
+    the layered coefficients, ``min eig(C^{-1} W) K_C <= K_g <=
+    max eig(C^{-1} W) K_C`` over the quadrature points, so a potential-free
+    block needs at most ``ceil(sqrt(kappa)/2 * ln(2 sqrt(kappa) / 1e-12))``
+    iterations, ``kappa`` the ratio of those extremes; one where ``W`` is
+    diagonal with a t-only ``w_tt`` and constant angular entries and
+    ``sqrt(det g) V`` is constant. ``iterations`` holds the count of the
+    last solve, at which its last column converged; a converged column
+    stops moving. CG iterates in ``u[free]``, and one arena per solve holds
+    R, the preconditioner scratch S (each of that size) and the direction
+    in node layout; the energy check reuses R and S. A 13-mode mode matrix
+    peaks 17.5 MB above its start at 33^3 and 139.6 MB at 65^3.
 
-    ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead, because the
-    energy is second order in the error (Arioli 2004; Strakos & Tichy
-    2005): with ``u*`` the exact extension and ``e = u - u*`` zero on the
-    boundary, ``(K u*)[free] = 0`` gives ``u^T K u = u*^T K u* + e^T K e``.
-    The excess is the K-energy of ``e``, positive semidefinite (the
-    Dirichlet principle), and within the preconditioned condition number
-    of ``r^T z``, so it is about ``kappa`` times the square of the stop
-    relative to the energy. The true residual ``r = -(K u)[free]`` must
-    pass the same test with 2x slack, ``r^T z <= (2 * 5e-7)^2`` of each
-    column's start; if it does not, or CG is not run or fails, the step
-    reruns as ``extend``.
+    ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead: with ``u*`` the
+    exact extension and ``e = u - u*`` zero on the boundary,
+    ``u^T K u = u*^T K u* + e^T K e``, so the energy is second order in the
+    error (Arioli 2004; Strakos & Tichy 2005), its excess positive
+    semidefinite (the Dirichlet principle) and about ``kappa`` times the
+    square of the stop. The true residual ``r = -(K u)[free]`` must pass
+    ``r^T z <= (2 * 5e-7)^2`` of each column's start; if it does not, or CG
+    is not run or fails, the step reruns as ``extend``.
 
     If CG breaks down (``p^T A p <= 0``, as it can on an indefinite
     ``-Lap_g + q`` block), has not converged after ``_CG_MAXIT`` iterations
-    or returns a solution that misses the 1e-10 check, this and every
-    later solve use a sparse LU of the block instead, ordered by MMD on
-    A^T + A, and checked at 1e-10 as well, or NoConvergence is raised; a
-    pivot ratio below 1e-9 there raises SingularInteriorBlock, and
-    ``iterations`` is None. Each solver serves one public call and is
-    never cached.
+    or misses the 1e-10 check, this and every later solve use a sparse LU
+    of the block, ordered by MMD on A^T + A and checked at 1e-10 as well,
+    or NoConvergence is raised; a pivot ratio below 1e-9 there raises
+    SingularInteriorBlock, and ``iterations`` is None. Each solver serves
+    one public call and is never cached.
     """
 
     def __init__(self, sys: StiffnessSystem):
@@ -520,16 +527,19 @@ class InteriorSolver:
         U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
         b = self._rhs(U)
         scale = max(np.linalg.norm(b), 1e-300)
-        start = self._pcg(b, rtol) if self._lu is None and self._definite else None
-        if start is not None:
-            KU = self._K @ U
-            r = KU[self.free]
-            if rtol == _CG_RTOL:
-                ok = np.linalg.norm(r) <= _SOLVE_RTOL * scale
-            else:
-                ok = (np.einsum("ij,ij->j", r, self._precondition(r)) <= (2.0 * rtol) ** 2 * start).all()
-            if ok:  # NaN fails
-                return KU.reshape(u.shape)
+        if self._lu is None and self._definite:  # CG's arena: R, S, then P in node layout
+            work = np.empty((2 * len(b) + len(U), b.shape[1]))
+            start = self._pcg(b, rtol, work)
+            if start is not None:
+                KU = self._K @ U
+                r = KU[self.free]
+                if rtol == _CG_RTOL:
+                    ok = np.linalg.norm(r) <= _SOLVE_RTOL * scale
+                else:  # in the dead R and S
+                    z = self._precondition(r, *np.split(work[: 2 * len(b)], 2))
+                    ok = (np.einsum("ij,ij->j", r, z) <= (2.0 * rtol) ** 2 * start).all()
+                if ok:  # NaN fails
+                    return KU.reshape(u.shape)
         if rtol != _CG_RTOL:
             return self._extend(u, _CG_RTOL)
         self.iterations = None
@@ -541,12 +551,11 @@ class InteriorSolver:
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return KU.reshape(u.shape)
 
-    def _precondition(self, R: np.ndarray, Z: np.ndarray | None = None, S: np.ndarray | None = None):
+    def _precondition(self, R: np.ndarray, Z: np.ndarray, S: np.ndarray):
         """``V D^{-1} V^T R`` for the columns of ``R``, the inverse of the
         layered operator, into ``Z`` (returned): each factor product is one
         matmul on (lead, N, rest) views, alternating between the C-contiguous
-        buffers ``S`` and ``Z``, fresh when not given."""
-        Z, S = (np.empty_like(R) if B is None else B for B in (Z, S))
+        buffers ``S`` and ``Z``."""
         shape, n = (*self._shape, R.shape[1]), len(self._vecs)
         Y = R
         for k in range(2 * n):  # an even count of products ends in Z
@@ -558,20 +567,21 @@ class InteriorSolver:
                 np.divide(Y.reshape(shape), self._diag[..., None], out=Y.reshape(shape))
         return Z
 
-    def _pcg(self, X: np.ndarray, rtol: float) -> np.ndarray | None:
+    def _pcg(self, X: np.ndarray, rtol: float, work: np.ndarray) -> np.ndarray | None:
         """Batched preconditioned CG in place: ``X`` holds the right-hand
         sides on entry and the solution on return, each column stopped when
         ``sqrt(r^T z)`` is at most ``rtol`` of its start; returns the
         starting ``r^T z`` of each column, or None on breakdown or after
         _CG_MAXIT iterations. A converged column takes a zero step and a
-        zero beta, and its ``r^T z`` stays frozen. Besides ``X`` CG holds R,
-        the direction in node layout for ``rows`` (fixed rows 0), the product
-        scipy returns, reused for the step and for Z, and one preconditioner scratch."""
-        R = X.copy()
+        zero beta, and its ``r^T z`` stays frozen. Besides ``X`` CG holds
+        the product scipy returns, reused for the step and for Z, and the
+        arena ``work``: R and one scratch S, of X's shape, and the direction
+        in node layout for ``rows`` (fixed rows 0)."""
+        R, S, P_nodes = np.split(work, [len(X), 2 * len(X)])
+        np.copyto(R, X)
         X[:] = 0.0
-        P_nodes = np.zeros((self.rows.shape[1], X.shape[1]))
+        P_nodes[: self.free.start] = P_nodes[self.free.stop :] = 0.0
         P = P_nodes[self.free]
-        S = np.empty_like(R)
         self._precondition(R, P, S)
         start = rz = np.einsum("ij,ij->j", R, P)
         stop = rtol**2 * rz
@@ -736,6 +746,19 @@ def _layer_phases(grid: CylinderGrid, modes) -> np.ndarray:
     return np.stack([sum(k * ax for k, ax in zip(m, mesh)).ravel() for m in modes], axis=1)
 
 
+def _check_modes(grid: CylinderGrid, modes) -> None:
+    """Refuse no modes, a mode of other than n - 1 components, and an
+    aliasing one, ``2 |m_d| >= N_d`` on an angular axis of ``N_d`` nodes."""
+    if not len(modes):
+        raise ShapeMismatch("no modes given")
+    for m in modes:
+        if len(m) != grid.n - 1:
+            raise ShapeMismatch(f"mode {tuple(m)} has {len(m)} components, expected {grid.n - 1}")
+        for k, N in zip(m, grid.num_ang):
+            if 2 * abs(k) >= N:
+                raise ShapeMismatch(f"mode {tuple(m)} aliases on angular axis with {N} nodes")
+
+
 def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
     """Sampled cos/sin mode vectors on one boundary layer.
 
@@ -747,13 +770,10 @@ def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
     exactly when floor(cut) >= 1 and 2 floor(cut) reaches the smallest
     angular node count; that is checked before any mode is listed.
     """
-    n_ang = grid.n - 1
-    k, N = math.floor(cut), min(grid.num_ang)
-    if k >= 1 and 2 * k >= N:
-        m = [0] * n_ang
-        m[grid.num_ang.index(N)] = k
-        raise ShapeMismatch(f"mode {tuple(m)} aliases on angular axis with {N} nodes")
-    modes = _canonical_modes(n_ang, cut)
+    m = [0] * (grid.n - 1)
+    m[grid.num_ang.index(min(grid.num_ang))] = max(math.floor(cut), 0)
+    _check_modes(grid, [tuple(m)])
+    modes = _canonical_modes(grid.n - 1, cut)
     cols = []
     labels = []
     for m, phase in zip(modes, _layer_phases(grid, modes).T):
@@ -830,7 +850,9 @@ def dn_mode_eigenvalues(
         mu_m = <Lam v_m, v_m> / <M v_m, v_m>,
 
     with M the boundary mass matrix. For the flat cylinder these converge
-    to the separated-variables eigenvalues."""
+    to the separated-variables eigenvalues. An empty mode list, a mode of
+    the wrong length and an aliasing one raise ShapeMismatch."""
+    _check_modes(sys.grid, modes)
     V = np.cos(_layer_phases(sys.grid, modes))
     lamV = dn_apply(sys, gamma, V)
     M = boundary_mass_matrix(sys.grid, gamma)

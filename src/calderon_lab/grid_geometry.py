@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -239,71 +239,77 @@ def packed_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, pos
 
 
-def _dot(pairs) -> np.ndarray:
-    """The sum of ``x * y`` over the pairs of arrays, left to right, in
-    one new array."""
+def _dot(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The sum of ``x * y`` over the pairs, left to right, into ``out``."""
     (x, y), *rest = pairs
-    s = x * y
+    np.multiply(x, y, out=out)
     for x, y in rest:
-        s += x * y
-    return s
+        np.add(out, np.multiply(x, y, out=tmp), out=out)
+    return out
 
 
-def _cholesky(a: np.ndarray) -> tuple[dict, int]:
-    """Lower Cholesky factor ``a = L L^T`` of a packed batch (see
-    :func:`spd_weight`), unrolled over the component arrays: ``L[i, j]``
-    for ``i >= j``, and the order n. Each entry past the first column is
-    computed in the array of its dot product."""
+def _cholesky(a: np.ndarray, root_det: np.ndarray, scratch: np.ndarray) -> list:
+    """Overwrite a packed batch (see :func:`spd_weight`) by its lower
+    Cholesky factor ``a = L L^T``, unrolled over the component arrays, and
+    put its diagonal product ``sqrt(det a)`` in ``root_det``; dot products
+    run in the two ``scratch`` rows. Returns the views ``c[i][j]`` of the
+    slot of entry ``(i, j)``, which holds ``L[max(i, j), min(i, j)]``."""
     n = (math.isqrt(8 * len(a) + 1) - 1) // 2
     pos = packed_order(n)[2]
-    L = {}
+    c = [[a[pos[i, j], ...] for j in range(n)] for i in range(n)]
     for j in range(n):
         for i in range(j, n):
-            if j == 0:
-                L[i, j] = np.sqrt(a[pos[i, j]]) if i == j else a[pos[i, j]] / L[j, j]
+            if j:
+                np.subtract(c[i][j], _dot([(c[i][k], c[j][k]) for k in range(j)], *scratch), out=c[i][j])
+            if i == j:
+                np.sqrt(c[j][j], out=c[j][j])
             else:
-                s = _dot([(L[i, k], L[j, k]) for k in range(j)])
-                np.subtract(a[pos[i, j]], s, out=s)
-                L[i, j] = np.sqrt(s, out=s) if i == j else np.divide(s, L[j, j], out=s)
-    return L, n
+                np.divide(c[i][j], c[j][j], out=c[i][j])
+    np.copyto(root_det, c[0][0])
+    for k in range(1, n):
+        np.multiply(root_det, c[k][k], out=root_det)
+    return c
 
 
 def spd_root_det(a: np.ndarray) -> np.ndarray:
     """``sqrt(det a)`` for a packed batch of symmetric positive definite
     matrices (see :func:`spd_weight`): the product of the Cholesky
-    diagonal, with no inverse formed. A pivot <= 0 makes it NaN or 0
-    there."""
-    L, n = _cholesky(a)
-    return reduce(np.multiply, [L[k, k] for k in range(n)])
+    diagonal, with no inverse formed. ``a`` is overwritten by the factor.
+    A pivot <= 0 makes it NaN or 0 there."""
+    root_det = np.empty(a.shape[1:], dtype=a.dtype)
+    _cholesky(a, root_det, np.empty((2, *a.shape[1:]), dtype=a.dtype))
+    return root_det
 
 
-def spd_weight(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spd_weight(a: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``sqrt(det a) a^{-1}`` and ``sqrt(det a)`` for a batch of symmetric
     positive definite n x n matrices given packed: ``a[k]`` is the array
     over the batch of the k-th entry ``(i, j)``, ``i <= j``, of
-    :func:`packed_order`. The weight comes back
-    packed the same way, so it is symmetric by construction.
+    :func:`packed_order`. The weight comes back packed the same way, so it
+    is symmetric by construction.
 
-    Unrolled Cholesky ``a = L L^T`` over the component arrays:
-    ``sqrt(det a)`` is the product of the diagonal of L, and
-    ``a^{-1} = R^T R`` with ``R = L^{-1}`` by forward substitution. The
-    weight has the shape and dtype (``longdouble`` too) of ``a``; each of
-    its components is written once, in place. A pivot <= 0 makes
-    ``sqrt(det a)`` NaN or 0 there.
+    In place, ``a`` comes back as the weight: unrolled Cholesky
+    ``a = L L^T`` (``sqrt(det a)`` is the product of the diagonal of L),
+    ``R = L^{-1}`` column by column by forward substitution, then
+    ``sqrt(det a) R^T R`` by increasing j, ``i = j`` last, each entry into
+    the last slot that reads it. ``work`` (3, *batch), fresh when not
+    given, takes ``sqrt(det a)`` and the two rows of dot products. The dtype
+    is ``a``'s (``longdouble`` too). A pivot <= 0 makes ``sqrt(det a)`` NaN
+    or 0 there.
     """
-    L, n = _cholesky(a)
-    root_det = reduce(np.multiply, [L[k, k] for k in range(n)])
-    R = {}
+    work = np.empty((3, *a.shape[1:]), dtype=a.dtype) if work is None else work
+    root_det, s = work[0], work[1:]
+    c = _cholesky(a, root_det, s)
+    n = len(c)
     for j in range(n):
-        R[j, j] = 1.0 / L[j, j]
+        np.divide(1.0, c[j][j], out=c[j][j])
         for i in range(j + 1, n):
-            s = _dot([(L[i, k], R[k, j]) for k in range(j, i)])
-            np.negative(s, out=s)
-            R[i, j] = np.divide(s, L[i, i], out=s)
-    W = np.empty_like(a)
-    for k, (i, j) in enumerate(zip(*packed_order(n)[:2])):
-        np.multiply(root_det, _dot([(R[m, j], R[m, i]) for m in range(j, n)]), out=W[k])
-    return W, root_det
+            np.negative(_dot([(c[i][k], c[k][j]) for k in range(j, i)], *s), out=s[0])
+            np.divide(s[0], c[i][i], out=c[i][j])
+    for j in range(n):
+        for i in range(j + 1):
+            np.multiply(root_det, _dot([(c[m][j], c[m][i]) for m in range(j, n)], *s), out=c[i][j])
+    return a, root_det
 
 
 @dataclass(frozen=True, eq=False)

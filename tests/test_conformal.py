@@ -17,7 +17,9 @@ Verifies:
     a peak of at most 6 MB on the (25, 24, 24) study grid; exactly seven
     distinct samples, fitted by a Vandermonde solve that recovers a known
     longdouble polynomial
-  - weak gauge condition residual and the full-boundary rigidity check
+  - weak gauge condition residual, whose one row-sum norm per system
+    keeps each factor's residual bit for bit, and the full-boundary
+    rigidity check
 """
 
 import tracemalloc
@@ -53,6 +55,7 @@ from calderon_lab.errors import (
 )
 from calderon_lab.grid_geometry import (
     GAMMA0,
+    GAMMA1,
     CylinderGrid,
     cyl_grid,
     flat_metric,
@@ -322,7 +325,7 @@ class TestVolumeExpansion:
 class TestWeakCondition:
     def test_identity_factor(self, grid9, bumpy9):
         sys = assemble_stiffness(bumpy9)
-        r = weak_condition_residual(sys, ConformalFactor.one(grid9, 3))
+        [r] = weak_condition_residual(sys, [ConformalFactor.one(grid9, 3)])
         assert r < 1e-13
 
     def test_manufactured_factor(self, grid9, bumpy9):
@@ -339,8 +342,24 @@ class TestWeakCondition:
         w[free] = spla.splu(K[free][:, free].tocsc()).solve(-K[free][:, D] @ w[D])
         assert w.min() > 0.5
         c = ConformalFactor(ScalarField(grid9, w.reshape(grid9.shape)), 3)
-        assert weak_condition_residual(sys, c) < 1e-11
+        assert weak_condition_residual(sys, [c])[0] < 1e-11
         assert np.abs(c.values[-1] - 1.0).max() > 1e-3
+
+    def test_shared_norm_keeps_each_residual(self, grid9, bumpy9):
+        # one row-sum norm for all factors, each residual with the bytes of
+        # its own per-factor computation
+        sys = assemble_stiffness(bumpy9)
+        K = sys.matrix
+        u = ScalarField(grid9, 0.3 * np.sin(grid9.points[..., 1]) * grid9.points[..., 0])
+        factors = [conformal_family(u, eps) for eps in (0.0, 0.05, -0.1, 0.2)]
+        expected = []
+        for c in factors:
+            P = c.power_nm2().values.ravel()
+            r = np.abs(K @ P)
+            norm = max(float(np.abs(K).sum(axis=1).max()) * float(np.abs(P).max()), 1e-300)
+            expected.append(max(float(r[grid9.interior_ids()].max()) / norm,
+                                float(r[grid9.boundary_ids(GAMMA1)].max()) / norm))
+        assert weak_condition_residual(sys, factors) == expected
 
 
 class TestGlobalRigidity:

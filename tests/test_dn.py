@@ -13,9 +13,14 @@ Verifies:
     np.linalg.det and np.linalg.inv, for random metrics in n = 2, 3, 4 and a
     synthesised counterexample metric; the SPD kernel
     grid_geometry.spd_weight matches det/inv on batches with condition
-    numbers up to 1e8, and in longdouble matches an exact cofactor reference
-  - the sort-free tensor-product scatter pattern, its slots and cell
-    nodes rebuilt for every cell from the three stored cell layers, equals
+    numbers up to 1e8, and in longdouble matches an exact cofactor
+    reference; the in-place spd_weight and spd_root_det keep, bit for bit,
+    the results of a test-local copy of the allocating kernel, NaN and 0
+    positions of non-positive pivots included, and hand back their input
+    as the weight
+  - the sort-free tensor-product scatter pattern, its upper and lower
+    slots and cell nodes rebuilt for every cell from the three stored cell
+    layers, equals
     in slots, column indices, row pointers and their dtypes the pattern
     found by sorting the element entries' keys, and its int32 cell-node
     table equals the one found by rolling the node-id grid, for n = 2, 3, 4
@@ -27,13 +32,15 @@ Verifies:
     entry's read-only index arrays, which a caller cannot write, so a
     later assembly keeps its bytes, and a second assembly at 33^3 holds no
     more than its data arrays and 1 MB
-  - the assembled bytes do not depend on the assembly block size (blocks
-    of 7 cells against one block, n = 2, 3, 4, with and without a
-    potential), nor do the bytes of the layer means (blocks of 2 to 1440
-    cells, most of them cutting t-layers), K and M are bitwise symmetric,
-    and an assembly holds at most 12 MB of temporaries above its result at
-    33^3 and 32 MB at 13^4 in four dimensions, with and without a
-    potential (a full-size element buffer took 21 to 53 MB)
+  - the assembled bytes do not depend on the assembly block's byte bound
+    (one layer, five layers and the default against one block, n = 2, 3,
+    4, with and without a potential), nor do the bytes of the layer means
+    (bounds of 2 to 1440 cells), K and M are bitwise symmetric and equal a
+    test-local mirrored np.add.at scatter of whole element matrices, the
+    default bound keeps 4,096 cells in 3-D, and an assembly holds at most
+    8.5 MB of temporaries above its result at 33^3, 6 MB at 7^4 and 12 MB
+    at 13^4, with and without a potential (per-block arrays took 9.9, 8.7
+    and 24.6 MB)
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and fails its residual gate
     on NaN data
@@ -102,6 +109,7 @@ from calderon_lab.grid_geometry import (
     flat_metric,
     random_trig_metric,
     sample_metric,
+    spd_root_det,
     spd_weight,
 )
 from conftest import constant_metric
@@ -131,6 +139,64 @@ def _exact_cofactor_weight(A):
             for j in range(3):
                 W[b, i, j] = rounded(cof[j][i]) / root[b]
     return W, root
+
+
+def _allocating_spd_weight(a):
+    """The SPD kernel as it was before it worked in place: each Cholesky
+    entry, each entry of ``R = L^{-1}`` and each dot product in a new
+    array, and ``sqrt(det a) R^T R`` in a new packed array."""
+
+    def dot(pairs):
+        (x, y), *rest = pairs
+        s = x * y
+        for x, y in rest:
+            s += x * y
+        return s
+
+    n = (int(np.sqrt(8 * len(a) + 1)) - 1) // 2
+    iu, ju = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    L = {}
+    for j in range(n):
+        for i in range(j, n):
+            if j == 0:
+                L[i, j] = np.sqrt(a[pos[i, j]]) if i == j else a[pos[i, j]] / L[j, j]
+            else:
+                s = dot([(L[i, k], L[j, k]) for k in range(j)])
+                np.subtract(a[pos[i, j]], s, out=s)
+                L[i, j] = np.sqrt(s, out=s) if i == j else np.divide(s, L[j, j], out=s)
+    root_det = L[0, 0] * L[1, 1]
+    for k in range(2, n):
+        root_det = root_det * L[k, k]
+    R = {}
+    for j in range(n):
+        R[j, j] = 1.0 / L[j, j]
+        for i in range(j + 1, n):
+            s = dot([(L[i, k], R[k, j]) for k in range(j, i)])
+            np.negative(s, out=s)
+            R[i, j] = np.divide(s, L[i, i], out=s)
+    W = np.empty_like(a)
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        np.multiply(root_det, dot([(R[m, j], R[m, i]) for m in range(j, n)]), out=W[k])
+    return W, root_det
+
+
+def _spd_batch(n, dtype):
+    """400 random SPD n x n matrices of condition numbers up to 1e8 and
+    scales 1e-3 to 1e3, and their packed components in ``dtype``."""
+    rng = np.random.default_rng(n)
+    batch = 400
+    Q, _ = np.linalg.qr(rng.standard_normal((batch, n, n)))
+    kappa = 10.0 ** rng.uniform(0.0, 8.0, batch)
+    kappa[:4] = (1.0, 1e4, 1e6, 1e8)
+    lam = np.exp(rng.uniform(0.0, 1.0, (batch, n)) * np.log(kappa)[:, None])
+    lam[:, 0], lam[:, -1] = 1.0, kappa
+    lam *= 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1))
+    A = np.einsum("bij,bj,bkj->bik", Q, lam, Q)
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    iu, ju = np.triu_indices(n)
+    return A, A.astype(dtype)[:, iu, ju].T.copy()
 
 
 # -- independent 1-D element matrices ---------------------------------------
@@ -385,18 +451,9 @@ class TestAssembly:
     )
     def test_spd_weight_matches_det_inv(self, n, dtype):
         eps = np.finfo(dtype).eps
-        rng = np.random.default_rng(n)
-        batch = 400
-        Q, _ = np.linalg.qr(rng.standard_normal((batch, n, n)))
-        kappa = 10.0 ** rng.uniform(0.0, 8.0, batch)
-        kappa[:4] = (1.0, 1e4, 1e6, 1e8)
-        lam = np.exp(rng.uniform(0.0, 1.0, (batch, n)) * np.log(kappa)[:, None])
-        lam[:, 0], lam[:, -1] = 1.0, kappa
-        lam *= 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1))
-        A = np.einsum("bij,bj,bkj->bik", Q, lam, Q)
-        A = 0.5 * (A + A.transpose(0, 2, 1))
+        A, packed = _spd_batch(n, dtype)
         iu, ju = np.triu_indices(n)
-        W_packed, root_det = spd_weight(A.astype(dtype)[:, iu, ju].T)
+        W_packed, root_det = spd_weight(packed)
         assert W_packed.dtype == dtype and root_det.dtype == dtype
         W = np.empty_like(A, dtype=dtype)
         W[:, iu, ju] = W[:, ju, iu] = W_packed.T
@@ -410,6 +467,36 @@ class TestAssembly:
         err_s = np.abs(root_det - root_ref) / root_ref
         assert (err_w <= bound).all(), f"weight off by {np.max(err_w / bound):.2f} of its bound"
         assert (err_s <= bound).all(), f"sqrt(det) off by {np.max(err_s / bound):.2f} of its bound"
+
+    @pytest.mark.parametrize(
+        "n, dtype, pivot",
+        [
+            pytest.param(2, np.float64, False, id="2"),
+            pytest.param(3, np.float64, False, id="3"),
+            pytest.param(4, np.float64, False, id="4"),
+            pytest.param(3, np.longdouble, False, id="3-longdouble"),
+            pytest.param(3, np.float64, True, id="3-non-positive-pivot"),
+        ],
+    )
+    def test_in_place_kernel_keeps_bytes(self, n, dtype, pivot):
+        # values and signs compared: longdouble's padding bytes are not set
+        def same(x, y):
+            return np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y))
+
+        _, packed = _spd_batch(n, dtype)
+        if pivot:  # the last pivot 0, the first or second one < 0, the first 0, a NaN entry
+            packed[:, :4] = np.array([[1, 0, 0, 1, 0, 0], [-1, 0, 0, 1, 0, 1], [1, 2, 0, 1, 0, 1],
+                                      [0, 0, 0, 1, 0, 1]]).T
+            packed[1, 4] = np.nan
+        with np.errstate(all="ignore"):
+            W_ref, root_ref = _allocating_spd_weight(packed)
+            a = packed.copy()
+            W, root_det = spd_weight(a)
+            root_only = spd_root_det(packed.copy())
+        assert W is a and W.dtype == root_det.dtype == dtype
+        assert same(W, W_ref) and same(root_det, root_ref) and same(root_only, root_ref)
+        if pivot:
+            assert root_det[0] == 0.0 and np.isnan(root_det[1:5]).all() and np.isnan(W[:, :5]).any(axis=0).all()
 
 
 def _rolled_cell_nodes(grid):
@@ -458,16 +545,23 @@ def _argsort_pattern(nodes, size):
     ids=lambda g: "x".join(map(str, g.shape)),
 )
 def test_tensor_pattern_matches_argsort(grid):
-    # the full tables, rebuilt from the three stored cell layers of slots
-    # and the one of cell nodes
-    slot, indices, indptr, layer0 = dn_solver._scatter_pattern(grid)
-    assert slot.shape[0] == 3 and layer0.shape == (1 << grid.n, grid.layer_count)
-    nodes, slot = dn_solver._cell_layout(grid, slot, layer0, 0, grid.num_t - 1)
+    # the full tables, rebuilt from the three stored cell layers of upper
+    # and lower slots and the one of cell nodes
+    upper, lower, indices, indptr, layer0 = dn_solver._scatter_pattern(grid)
+    Q, cells = 1 << grid.n, (grid.num_t - 1) * grid.layer_count
+    assert upper.shape[0] == lower.shape[0] == 3 and layer0.shape == (Q, grid.layer_count)
+    assert upper.shape[2] + lower.shape[2] == Q * Q
+    nodes = np.empty((Q, cells), dtype=np.int32)
+    up, low = np.empty(cells * upper.shape[2], upper.dtype), np.empty(cells * lower.shape[2], lower.dtype)
+    dn_solver._cell_layout(grid, (upper, lower), layer0, 0, (nodes, up, low))
+    a, b = np.triu_indices(Q)
+    slot = np.empty((cells, Q, Q), dtype=upper.dtype)
+    slot[:, a, b] = up.reshape(cells, -1)
+    slot[:, b[a < b], a[a < b]] = low.reshape(cells, -1)
     oracle_nodes = _rolled_cell_nodes(grid)
-    assert nodes.dtype == np.int32
     assert np.array_equal(nodes, oracle_nodes), "cell nodes"
     oracle = _argsort_pattern(oracle_nodes, grid.node_count)
-    for name, got, want in zip(("slot", "indices", "indptr"), (slot, indices, indptr), oracle):
+    for name, got, want in zip(("slot", "indices", "indptr"), (slot.ravel(), indices, indptr), oracle):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
@@ -522,7 +616,7 @@ class TestGridLayoutCache:
         # system's own, the index arrays the cache entry's, read-only
         q = np.random.default_rng(8).uniform(0.5, 1.5, bumpy9.grid.shape)
         first = assemble_stiffness(bumpy9, potential=q)
-        (_, indices, indptr, _), _, _ = dn_solver._grid_layout(bumpy9.grid)
+        (_, _, indices, indptr, _), _, _ = dn_solver._grid_layout(bumpy9.grid)
         for M in (first.laplace, first.mass, first.matrix):
             assert np.shares_memory(M.indices, indices) and np.shares_memory(M.indptr, indptr)
             with pytest.raises(ValueError, match="read-only"):
@@ -556,7 +650,7 @@ class TestGridLayoutCache:
         # grid 25 spans several whole-layer assembly blocks, the last one
         # partial: 24 layers of 576 cells in blocks of 7
         grid = cyl_grid(3, 25)
-        per = dn_solver._BLOCK_CELLS // grid.layer_count
+        per = dn_solver._BLOCK_BYTES // (_cell_bytes(grid) * grid.layer_count)
         assert per == 7 and (grid.num_t - 1) % per != 0
         src = Path(dn_solver.__file__).resolve().parents[1]
         script = (
@@ -589,6 +683,12 @@ def _bitwise_symmetric(K) -> bool:
     return np.array_equal(K.indices, KT.indices) and K.data.tobytes() == KT.data.tobytes()
 
 
+def _cell_bytes(grid) -> int:
+    """Bytes per cell of an assembly block's arena on ``grid``."""
+    index = dn_solver._grid_layout(grid)[0][0].dtype
+    return sum(np.dtype(t).itemsize * m for t, m in dn_solver._arena_regions(grid.n, index))
+
+
 def _assembly_temporaries(n: int, size: int) -> list[int]:
     """Bytes of temporaries above its result of one assembly on a cached
     grid layout, for the plain and then the potential system."""
@@ -612,10 +712,34 @@ def _assembly_temporaries(n: int, size: int) -> list[int]:
     return temps
 
 
+def _mirrored_assembly(metric, potential=None):
+    """K (and M) data the way a mirrored scatter made them: the whole grid
+    as one block through the allocating SPD kernel, each element matrix
+    written out whole from its unique entries and added at its slots by
+    one ``np.add.at`` in cell-major, row-major order."""
+    grid = metric.grid
+    Q, size = 1 << grid.n, grid.node_count
+    N, stiff, mass, _ = dn_solver._grid_layout(grid)[1]
+    nodes = _rolled_cell_nodes(grid)
+    slot, indices, _ = _argsort_pattern(nodes, size)
+    a, b = np.triu_indices(Q)
+    mirror = np.empty((Q, Q), dtype=np.intp)
+    mirror[a, b] = mirror[b, a] = np.arange(a.size)
+    W, root_det = _allocating_spd_weight(N @ metric.packed.reshape(-1, size)[:, nodes])
+    out = []
+    for weight, table in [(W.reshape(-1, nodes.shape[1]).T, stiff)] + (
+        [] if potential is None else [((root_det * (N @ potential.reshape(size)[nodes])).T, mass)]
+    ):
+        data = np.zeros(indices.size)
+        np.add.at(data, slot, (weight @ table)[:, mirror.ravel()].ravel())
+        out.append(data)
+    return out
+
+
 class TestBlockedAssembly:
-    # each grid is one block by default; _BLOCK_CELLS = 7 makes one layer a
-    # block, and five layers a block leave a partial last one (32, 8 and 6
-    # layers)
+    # against one block: a bound below one cell makes one layer a block,
+    # five layers a block leave a partial last one (32, 8 and 6 layers),
+    # and the default bound cuts 4-D 7 in blocks of 5 layers
     @pytest.mark.parametrize("with_potential", [False, True], ids=["plain", "potential"])
     @pytest.mark.parametrize(
         "grid", [cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(4, 7)], ids=["n2", "n3", "n4"]
@@ -623,11 +747,12 @@ class TestBlockedAssembly:
     def test_bytes_independent_of_block_size(self, monkeypatch, grid, with_potential):
         metric = sample_metric(random_trig_metric(grid.n, seed=20 + grid.n), grid)
         q = np.random.default_rng(grid.n).uniform(-1.0, 2.0, grid.shape) if with_potential else None
-        layers = grid.num_t - 1
-        assert layers * grid.layer_count <= dn_solver._BLOCK_CELLS and layers % 5 != 0
+        layers, per_layer, default = grid.num_t - 1, _cell_bytes(grid) * grid.layer_count, dn_solver._BLOCK_BYTES
+        assert layers % 5 != 0
+        monkeypatch.setattr(dn_solver, "_BLOCK_BYTES", layers * per_layer)
         one_block = assemble_stiffness(metric, potential=q)
-        for block in (7, 5 * grid.layer_count):
-            monkeypatch.setattr(dn_solver, "_BLOCK_CELLS", block)
+        for bound in (1, 5 * per_layer, default):
+            monkeypatch.setattr(dn_solver, "_BLOCK_BYTES", bound)
             blocked = assemble_stiffness(metric, potential=q)
             pairs = [(one_block.laplace, blocked.laplace)]
             if with_potential:
@@ -638,6 +763,21 @@ class TestBlockedAssembly:
                 assert _bitwise_symmetric(B)
             assert one_block.layers.tobytes() == blocked.layers.tobytes()
 
+    # the split scatter adds each slot's entries in the mirrored scatter's
+    # order, and the in-place kernel keeps the allocating one's bytes
+    @pytest.mark.parametrize("with_potential", [False, True], ids=["plain", "potential"])
+    @pytest.mark.parametrize(
+        "grid", [cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(4, 7)], ids=["n2", "n3", "n4"]
+    )
+    def test_split_scatter_matches_mirrored(self, grid, with_potential):
+        metric = sample_metric(random_trig_metric(grid.n, seed=30 + grid.n), grid)
+        q = np.random.default_rng(grid.n).uniform(-1.0, 2.0, grid.shape) if with_potential else None
+        sys_ = assemble_stiffness(metric, potential=q)
+        got = [sys_.laplace] + ([sys_.mass] if with_potential else [])
+        for M, data in zip(got, _mirrored_assembly(metric, q), strict=True):
+            assert M.data.tobytes() == data.tobytes()
+            assert _bitwise_symmetric(M)
+
     # 120 cells per t-layer: blocks of one, four and all twelve layers
     @pytest.mark.parametrize("block", [2, 7, 64, 500, 1440])
     def test_layer_means_independent_of_block_size(self, monkeypatch, block):
@@ -645,21 +785,29 @@ class TestBlockedAssembly:
         metric = sample_metric(random_trig_metric(3, seed=3), grid)
         q = np.random.default_rng(3).uniform(-1.0, 2.0, grid.shape)
         default = assemble_stiffness(metric, potential=q).layers
-        monkeypatch.setattr(dn_solver, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(dn_solver, "_BLOCK_BYTES", block * _cell_bytes(grid))
         layers = assemble_stiffness(metric, potential=q).layers
         assert layers.shape == (4, grid.num_t - 1)
         assert layers.tobytes() == default.tobytes()
 
-    # the full-size element buffer held 21.4 (plain) and 23.5 MB (potential)
-    # of temporaries at 33^3, and 48 to 53 MB at 13^4; block-by-block
-    # scatters hold 8 and 24 MB
+    def test_block_bound_in_bytes(self):
+        # 3-D blocks keep 4,096 cells; 4-D ones shrink, 2-D ones never do
+        assert [dn_solver._BLOCK_BYTES // _cell_bytes(cyl_grid(n, 9)) for n in (2, 3, 4)] == [13890, 4096, 1267]
+
+    # one arena per call, at most 5.1 MB: the parent's per-block arrays
+    # held 9.9 MB at 33^3, 8.7 MB at 7^4 and 24.6 MB at 13^4; the arena
+    # holds 7.0, 4.6 and 9.0 MB, with the packed metric
     def test_temporaries_at_33(self):
         temps = _assembly_temporaries(3, 33)
-        assert max(temps) <= 12e6, [f"{t / 1e6:.1f} MB" for t in temps]
+        assert max(temps) <= 8.5e6, [f"{t / 1e6:.1f} MB" for t in temps]
+
+    def test_temporaries_at_7_in_4d(self):
+        temps = _assembly_temporaries(4, 7)
+        assert max(temps) <= 6e6, [f"{t / 1e6:.1f} MB" for t in temps]
 
     def test_temporaries_at_13_in_4d(self):
         temps = _assembly_temporaries(4, 13)
-        assert max(temps) <= 32e6, [f"{t / 1e6:.1f} MB" for t in temps]
+        assert max(temps) <= 12e6, [f"{t / 1e6:.1f} MB" for t in temps]
 
 
 def _extend_boundary(metric, gamma0: float, gamma1):

@@ -2,7 +2,9 @@
 
 Verifies, one row per guard, that the guard raises its error type with
 its message on the argument it exists to refuse: malformed grids, an
-unknown boundary name, a boundary mass off one layer, a metric table or
+unknown boundary name, a boundary mass off one layer, mode eigenvalues
+asked of no modes, of a mode with too few or too many components or of
+one that aliases, a metric table or
 source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
 that leaves a profile no room, a reparametrisation that moves the
@@ -26,7 +28,7 @@ from calderon_lab.conformal import (
     volume_expansion,
     weak_condition_residual,
 )
-from calderon_lab.dn_solver import assemble_stiffness, boundary_mass_matrix
+from calderon_lab.dn_solver import assemble_stiffness, boundary_mass_matrix, dn_mode_eigenvalues
 from calderon_lab.errors import (
     DimensionTooSmall,
     GridMismatch,
@@ -37,6 +39,7 @@ from calderon_lab.errors import (
 from calderon_lab.gauge import CylinderDiffeo, cubic_reparam, identity_diffeo, pullback_metric
 from calderon_lab.grid_geometry import (
     FULL_BOUNDARY,
+    GAMMA1,
     CylinderGrid,
     MetricField,
     MillerDataset,
@@ -53,6 +56,10 @@ _G3, _G3_FINE, _G2 = cyl_grid(3, 5), cyl_grid(3, 9), cyl_grid(2, 5)
 
 def _flat(grid):
     return sample_metric(flat_metric(grid.n), grid)
+
+
+def _mode_eigenvalues(modes):
+    return dn_mode_eigenvalues(assemble_stiffness(_flat(_G3_FINE)), GAMMA1, modes)
 
 
 def _one(grid):
@@ -90,6 +97,13 @@ _GUARDS = {
     "boundary-name": (lambda: _G3.boundary_ids("edge"), ShapeMismatch, "unknown boundary component"),
     "boundary-mass-full": (lambda: boundary_mass_matrix(_G3, FULL_BOUNDARY), ShapeMismatch,
                            "defined per layer"),
+    "mode-eigenvalues-short-mode": (lambda: _mode_eigenvalues([(1,)]), ShapeMismatch,
+                                    "mode (1,) has 1 components, expected 2"),
+    "mode-eigenvalues-long-mode": (lambda: _mode_eigenvalues([(1, 0), (1, 0, 5)]), ShapeMismatch,
+                                   "mode (1, 0, 5) has 3 components"),
+    "mode-eigenvalues-aliasing": (lambda: _mode_eigenvalues([(9, 0)]), ShapeMismatch,
+                                  "mode (9, 0) aliases on angular axis with 8 nodes"),
+    "mode-eigenvalues-no-modes": (lambda: _mode_eigenvalues([]), ShapeMismatch, "no modes given"),
     "metric-table-shape": (lambda: MetricField(_G3, np.broadcast_to(np.eye(2), _G3.shape + (2, 2))),
                            GridMismatch, "matrix table shape"),
     "sample-metric-dimension": (lambda: sample_metric(flat_metric(2), _G3), GridMismatch,
@@ -113,7 +127,7 @@ _GUARDS = {
     "scaling-law-field-grid": (lambda: scaling_law_residual(_flat(_G3), ConformalFactor.one(_G3, 3), _one(_G3_FINE)),
                                GridMismatch, "field and metric grids differ"),
     "weak-condition-grid": (
-        lambda: weak_condition_residual(assemble_stiffness(_flat(_G3)), ConformalFactor.one(_G3_FINE, 3)),
+        lambda: weak_condition_residual(assemble_stiffness(_flat(_G3)), [ConformalFactor.one(_G3_FINE, 3)]),
         GridMismatch, "factor and system grids differ"),
     "volume-expansion-n2": (lambda: volume_expansion(_flat(_G2), _one(_G2), _EPS), DimensionTooSmall, "n = 3"),
     "volume-expansion-grid": (lambda: volume_expansion(_flat(_G3), _one(_G3_FINE), _EPS), GridMismatch,

@@ -370,8 +370,8 @@ class TestEnergy:
         # a loose solution scaled off by 1e-3 misses the true-residual check
         loose = InteriorSolver._pcg
 
-        def off(self, X, rtol):
-            start = loose(self, X, rtol)
+        def off(self, X, rtol, work):
+            start = loose(self, X, rtol, work)
             if rtol == dn_solver._ENERGY_RTOL:
                 X *= 1.0 + 1e-3
             return start
@@ -390,6 +390,11 @@ class TestEnergy:
         monkeypatch.setattr(InteriorSolver, "energy", lambda self, u: pytest.fail("energy ran"))
         B_chunks = dn_mode_matrix(sys, FULL_BOUNDARY)[0]
         assert _rel(B_chunks, B) <= 1e-12
+
+
+def _cg_arena(sys, X):
+    """The arena ``_extend`` hands ``_pcg`` for the right-hand sides X."""
+    return np.empty((2 * X.shape[0] + sys.grid.node_count, X.shape[1]))
 
 
 class TestStaggeredBatch:
@@ -424,12 +429,12 @@ class TestStaggeredBatch:
         sys, B = self._batch(bumpy9)
         solver = InteriorSolver(sys)
         X = B.copy()  # _pcg solves in place
-        solver._pcg(X, dn_solver._CG_RTOL)
+        solver._pcg(X, dn_solver._CG_RTOL, _cg_arena(sys, X))
         counts = []
         for j in range(B.shape[1]):
             single = InteriorSolver(sys)
             x = B[:, [j]]  # a copy
-            single._pcg(x, dn_solver._CG_RTOL)
+            single._pcg(x, dn_solver._CG_RTOL, _cg_arena(sys, x))
             counts.append(single.iterations)
             assert np.linalg.norm(X[:, j] - x[:, 0]) <= 1e-12 * np.linalg.norm(x), j
         assert counts[:4] == [1, 1, 2, 3] and counts[-1] == 0, counts
@@ -449,7 +454,7 @@ class TestStaggeredBatch:
 
 
 def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
-    monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B, rtol: pytest.fail("CG ran"))
+    monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B, rtol, work: pytest.fail("CG ran"))
     grid = flat9.grid
     sys = _shifted_system(flat9, flat9_lambda1)
     u = np.ones(grid.node_count)
@@ -520,7 +525,7 @@ class TestLayeredPreconditioner:
         sys = assemble_stiffness(sample_metric(random_trig_metric(n, seed=size), grid), potential=q)
         L = _layered_operator(sys)
         X = np.random.default_rng(1).standard_normal((L.shape[0], 3))
-        assert _rel(InteriorSolver(sys)._precondition(L @ X), X) <= 1e-12
+        assert _rel(InteriorSolver(sys)._precondition(L @ X, np.empty_like(X), np.empty_like(X)), X) <= 1e-12
 
     @pytest.mark.parametrize("n,size", [(2, 17), (3, 9), (3, 13), (4, 7)])
     def test_flat_factors_are_the_flat_pencils(self, n, size):

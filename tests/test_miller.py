@@ -29,8 +29,9 @@ Verifies:
     1e120 fit the fields of amplitude 1, and the fields are stable under
     rounding of the input; a failed t-layer LU or a normal-equation
     residual above 1e-10 is NoConvergence
-  - DN gap study: exact zeros for the zero dataset, cell bookkeeping, and
-    no earlier stiffness system alive when it assembles the next
+  - DN gap study: exact zeros for the zero dataset, cell bookkeeping, no
+    earlier stiffness system alive when it assembles the next, and one
+    |K| row-sum norm per stride
   - the volume obstruction, its trivial-field guard, and samples scaled
     by 1/max|u| so that a small u is fitted as well as a large one
 """
@@ -41,6 +42,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -574,6 +576,19 @@ class TestGapStudy:
         monkeypatch.setattr(counterexample, "assemble_stiffness", recording)
         dn_gap_study(_toy_dataset(cyl_grid(3, 13)), eps_list=(0.0, 0.05), strides=(2, 1))
         assert alive_at_call == [0] * 6
+
+    def test_one_row_sum_norm_per_stride(self, monkeypatch):
+        # |K| copies K's data and index arrays; the weak residuals of every
+        # eps share the one norm of their system
+        taken, absolute = [], sp.csr_matrix.__abs__
+
+        def counted(K):
+            taken.append(K.shape)
+            return absolute(K)
+
+        monkeypatch.setattr(sp.csr_matrix, "__abs__", counted)
+        result = dn_gap_study(_toy_dataset(cyl_grid(3, 13)), eps_list=(0.0, 0.05, 0.1), strides=(2, 1))
+        assert len(result.cells) == 6 and taken == [(7 * 36,) * 2, (13 * 144,) * 2]
 
 
 class TestNonIsometry:
