@@ -158,8 +158,10 @@ def bump_profile(lo: float, hi: float):
     return _eval
 
 
-def _along(profile, dim: int, axis: int) -> AnalyticScalar:
-    """The expression ``f(p[axis])`` from a ``t -> (f(t), f'(t))`` profile."""
+def bump(lo: float, hi: float, dim: int, axis: int = 0) -> AnalyticScalar:
+    """Smooth bump along one axis: positive on (lo, hi), identically zero
+    outside, all derivatives vanish at the endpoints. Normalised to peak 1."""
+    profile = bump_profile(lo, hi)
 
     def val(p):
         return profile(np.asarray(p[..., axis], dtype=float))[0]
@@ -170,33 +172,6 @@ def _along(profile, dim: int, axis: int) -> AnalyticScalar:
         return g
 
     return AnalyticScalar(dim, val, grad)
-
-
-def bump(lo: float, hi: float, dim: int, axis: int = 0) -> AnalyticScalar:
-    """Smooth bump along one axis: positive on (lo, hi), identically zero
-    outside, all derivatives vanish at the endpoints. Normalised to peak 1."""
-    return _along(bump_profile(lo, hi), dim, axis)
-
-
-def exp_flat(cutoff: float, dim: int, axis: int = 0) -> AnalyticScalar:
-    """``exp(-1/(cutoff - t))`` for t < cutoff, identically zero for
-    t >= cutoff. Smooth, vanishes at the cutoff to all orders."""
-    T = float(cutoff)
-
-    def _eval(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        dout = np.zeros_like(t)
-        inside = t < T
-        dt = T - t[inside]
-        with np.errstate(under="ignore"):
-            e = np.exp(-1.0 / dt)
-        out[inside] = e
-        # d/dt exp(-1/(T-t)) = -exp(-1/(T-t)) / (T-t)^2
-        dout[inside] = -e / (dt * dt)
-        return out, dout
-
-    return _along(_eval, dim, axis)
 
 
 def trig_sum(

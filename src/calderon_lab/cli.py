@@ -385,8 +385,10 @@ def _mode_pair(v) -> tuple[int, int]:
 def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     """Run :func:`synth_approx_miller` with only the keys the config sets,
     so the library defaults hold. Whatever the synthesis refuses as
-    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, an aliasing
-    mode, an overflowing amplitude) is a config error."""
+    InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, an
+    overflowing amplitude) or ShapeMismatch (a mode that
+    :func:`~calderon_lab.dn_solver.check_modes` refuses) is a config
+    error."""
     s = read(cfg, "synth-dataset config",
              grid=(lambda v: read(v, "synth grid", num_t=(integer, REQUIRED), num_ang=(list_of(integer), REQUIRED)),
                    REQUIRED),
@@ -396,7 +398,7 @@ def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     kwargs = {key: v for key, v in vars(s).items() if key not in ("grid", "output") and v is not None}
     try:
         data, synth_rep = synth_approx_miller(grid, **kwargs)
-    except InfeasibleBounds as e:
+    except (InfeasibleBounds, ShapeMismatch) as e:
         raise ConfigInvalid(f"invalid synthesis: {e}") from e
     rep = ExperimentReport("synth-dataset", cfg)
     os.makedirs(out_dir, exist_ok=True)

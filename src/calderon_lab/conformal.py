@@ -169,7 +169,8 @@ def algebraic_identity_check(
 
     All gradients are closed-form; products use the product rule, so the
     only error is floating point. Both sides equal c^{2n-4} <du,dw>_g
-    sqrt(det g) pointwise.
+    sqrt(det g) pointwise; each is read as the weight form ``a^T W b``,
+    W = sqrt(det g) g^{-1}, of its metric.
     """
     for name, f in (("factor", c), ("u", u), ("w", w)):
         if f.grid.shape != g.grid.shape:
@@ -179,9 +180,7 @@ def algebraic_identity_check(
     P = c.power_nm2()
     dP = gradient(P)
 
-    g_scaled = scale_metric(g, c)
-    inner_scaled = _inner(g_scaled, du, dw)
-    lhs = inner_scaled * g_scaled.sqrt_det
+    lhs = _inner(scale_metric(g, c), du, dw)
 
     uv, wv, Pv = u.values, w.values, P.values
     d_Pu = Pv[..., None] * du + uv[..., None] * dP
@@ -191,12 +190,13 @@ def algebraic_identity_check(
         + (Pv * wv)[..., None] * du
         + (Pv * uv)[..., None] * dw
     )
-    rhs = (_inner(g, d_Pu, d_Pw) - _inner(g, dP, d_Puw)) * g.sqrt_det
+    rhs = _inner(g, d_Pu, d_Pw) - _inner(g, dP, d_Puw)
     return float(np.abs(lhs - rhs).max())
 
 
 def _inner(g: MetricField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...i,...j->...", g.inv, a, b)
+    """``<a, b>_g dVol_g = a^T W b`` with W = sqrt(det g) g^{-1}, the weight."""
+    return np.einsum("...ij,...i,...j->...", g.weight, a, b)
 
 
 def weak_condition_residual(sys: StiffnessSystem, factors) -> list[float]:

@@ -27,11 +27,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import analytic as an
 from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume
 from .calculus import laplace_beltrami_pointwise
 from .conformal import conformal_family, scale_metric, volume_expansion, weak_condition_residual
-from .dn_solver import assemble_stiffness, dn_mode_matrix, mode_gap
+from .dn_solver import assemble_stiffness, check_modes, dn_mode_matrix, mode_gap
 from .errors import (
     ConfigInvalid,
     GridMismatch,
@@ -54,7 +53,6 @@ from .report import (
     integer,
     list_of,
     load_json,
-    quote,
     ranged,
     read,
     real,
@@ -365,36 +363,37 @@ def synth_approx_miller(
     Returns (dataset, report dict). The zero dataset of ``grid`` and the
     metadata is built before any fitting, so a grid of other than 3 axes
     raises DimensionTooSmall and metadata out of :class:`MillerDataset`'s
-    ranges InfeasibleBounds. InfeasibleBounds also refuses a mode
-    component m on N angular nodes with 2|m| >= N, which aliases (on 8
-    nodes mode (4, 0) samples to zero); a ``T`` not above the first
-    interior t-node (no unknowns); and a damping, baseline or fitted
+    ranges InfeasibleBounds. The modes go through
+    :func:`~calderon_lab.dn_solver.check_modes`, which raises ShapeMismatch
+    for no modes, a mode of other than two components, or a component that
+    is not a finite integer or that aliases (on 8 nodes mode (4, 0)
+    samples to zero). InfeasibleBounds also refuses a ``T`` not above the
+    first interior t-node (no unknowns), and a damping, baseline or fitted
     residual that is not finite (amplitude 1e160 overflows the Jacobian's
     squared column norms). NoConvergence if a t-layer's LU fails or the
     normal-equation residual exceeds 1e-10.
     """
     zero = MillerDataset.zero(grid, T=float(T), rho=float(rho), alpha=float(alpha))
-    # the aliasing rule of fourier_modes, per component of each mode pair
-    for m in modes:
-        for k, num in zip(m, grid.num_ang):
-            if k and 2 * abs(k) >= num:
-                raise InfeasibleBounds(f"synth mode {quote(m)} aliases on an angular axis with {num} nodes")
+    check_modes(grid, modes)
     t = grid.axes()[0]
     if not t[1] < T - 1e-12:
         raise InfeasibleBounds(f"T = {T} leaves no t-node to fit: the first interior node is t = {t[1]}")
     box = (1.0 - alpha) / 2.0
 
-    src = an.constant(0.0, 3)
+    x = grid.points
+    waves = np.zeros(grid.shape)
     for m in modes:
-        src = src + an.wave(np.array([0.0, float(m[0]), float(m[1])]))
-    u_src = an.exp_flat(T, 3, 0) * src * an.constant(float(amplitude), 3)
-    u = ScalarField.from_source(grid, u_src)
+        waves = waves + np.sin(x @ np.array([0.0, float(m[0]), float(m[1])]))
+    profile, inside = np.zeros(grid.shape), x[..., 0] < T
+    with np.errstate(under="ignore"):
+        profile[inside] = np.exp(-1.0 / (T - x[..., 0][inside]))
+    u = waves * profile * float(amplitude)
 
     unknown = np.zeros(grid.shape, dtype=bool)
     unknown[1:-1] = (t[1:-1] < T - 1e-12)[:, None, None]
 
-    b = -divergence_form_apply(zero.coefficient_matrix(), u.values, grid).ravel()
-    G, unk_flat = _coefficient_jacobian(u.values, grid, unknown)
+    b = -divergence_form_apply(zero.coefficient_matrix(), u, grid).ravel()
+    G, unk_flat = _coefficient_jacobian(u, grid, unknown)
 
     # an overflow gives inf or NaN, refused on the next line, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,7 +435,7 @@ def synth_approx_miller(
     fields = np.zeros((3, grid.node_count))
     fields[:, unk_flat] = a_vec.reshape(3, -1)
     fields = fields.reshape((3, *grid.shape))
-    data = replace(zero, a1=fields[0], a2=fields[1], a3=fields[2], u=u.values)
+    data = replace(zero, a1=fields[0], a2=fields[1], a3=fields[2], u=u)
     report = {
         "baseline_l2": baseline,
         "achieved_l2": achieved,
@@ -524,10 +523,11 @@ def dn_gap_study(
         lap = laplace_beltrami_pointwise(g, u.values)
         wq = (g.grid.quad_weights * g.sqrt_det)[1:-1]
         r = float(np.sqrt(np.sum(wq * lap * lap)))
-        weak = weak_condition_residual(sys_g, [conformal_family(u, eps) for eps in eps_list])
+        factors = [conformal_family(u, eps) for eps in eps_list]
+        weak = weak_condition_residual(sys_g, factors)
         del sys_g
-        for eps, w in zip(eps_list, weak):
-            B_s, _ = dn_mode_matrix(assemble_stiffness(scale_metric(g, conformal_family(u, eps))), GAMMA1, cut)
+        for eps, c, w in zip(eps_list, factors, weak):
+            B_s, _ = dn_mode_matrix(assemble_stiffness(scale_metric(g, c)), GAMMA1, cut)
             cells.append(StudyCell(float(eps), int(stride), mode_gap(B_g, B_s), r, w))
     return StudyResult(tuple(cells), _gap_fit(cells, float(np.abs(data.u).max()) <= TRIVIAL_TOL))
 

@@ -746,15 +746,21 @@ def _layer_phases(grid: CylinderGrid, modes) -> np.ndarray:
     return np.stack([sum(k * ax for k, ax in zip(m, mesh)).ravel() for m in modes], axis=1)
 
 
-def _check_modes(grid: CylinderGrid, modes) -> None:
-    """Refuse no modes, a mode of other than n - 1 components, and an
-    aliasing one, ``2 |m_d| >= N_d`` on an angular axis of ``N_d`` nodes."""
+def check_modes(grid: CylinderGrid, modes) -> None:
+    """The package's one rule for torus modes on ``grid``: at least one
+    mode, each of n - 1 components, each component a finite integer
+    (``1.0`` and numpy integers pass) with ``2 |m_d| < N_d`` on an angular
+    axis of ``N_d`` nodes. A fractional component is not periodic across
+    the angular seam, and a larger one aliases (on 8 nodes mode 4 samples
+    to zero). Any other mode set raises ShapeMismatch."""
     if not len(modes):
         raise ShapeMismatch("no modes given")
     for m in modes:
         if len(m) != grid.n - 1:
             raise ShapeMismatch(f"mode {tuple(m)} has {len(m)} components, expected {grid.n - 1}")
         for k, N in zip(m, grid.num_ang):
+            if not float(k).is_integer():
+                raise ShapeMismatch(f"mode {tuple(m)} has a component {k} that is not a finite integer")
             if 2 * abs(k) >= N:
                 raise ShapeMismatch(f"mode {tuple(m)} aliases on angular axis with {N} nodes")
 
@@ -768,11 +774,14 @@ def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:
     components in [-floor(cut), floor(cut)], and the axis-aligned mode
     (floor(cut), 0, ...) is one of them on every axis, so the cut aliases
     exactly when floor(cut) >= 1 and 2 floor(cut) reaches the smallest
-    angular node count; that is checked before any mode is listed.
+    angular node count; that, and a cut that is not finite, is refused
+    with ShapeMismatch before any mode is listed.
     """
+    if not math.isfinite(cut):
+        raise ShapeMismatch(f"mode cut {cut} is not finite")
     m = [0] * (grid.n - 1)
     m[grid.num_ang.index(min(grid.num_ang))] = max(math.floor(cut), 0)
-    _check_modes(grid, [tuple(m)])
+    check_modes(grid, [tuple(m)])
     modes = _canonical_modes(grid.n - 1, cut)
     cols = []
     labels = []
@@ -821,6 +830,10 @@ def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[
 
 
 def mode_gap(B1: np.ndarray, B2: np.ndarray) -> float:
+    """Relative Frobenius distance of two mode matrices; matrices of
+    different shapes raise ShapeMismatch."""
+    if np.shape(B1) != np.shape(B2):
+        raise ShapeMismatch(f"mode matrices of shapes {np.shape(B1)} and {np.shape(B2)} differ")
     denom = max(np.linalg.norm(B1), np.linalg.norm(B2))
     if denom == 0.0:
         return 0.0
@@ -850,9 +863,9 @@ def dn_mode_eigenvalues(
         mu_m = <Lam v_m, v_m> / <M v_m, v_m>,
 
     with M the boundary mass matrix. For the flat cylinder these converge
-    to the separated-variables eigenvalues. An empty mode list, a mode of
-    the wrong length and an aliasing one raise ShapeMismatch."""
-    _check_modes(sys.grid, modes)
+    to the separated-variables eigenvalues. A mode set that
+    :func:`check_modes` refuses raises ShapeMismatch."""
+    check_modes(sys.grid, modes)
     V = np.cos(_layer_phases(sys.grid, modes))
     lamV = dn_apply(sys, gamma, V)
     M = boundary_mass_matrix(sys.grid, gamma)

@@ -72,10 +72,11 @@ class NoConvergence(CalderonLabError):
 
 
 class ShapeMismatch(CalderonLabError):
-    """Two operators are not comparable (different boundary component or
-    incompatible cylinder), a boundary component is unknown or not the one
-    layer an operation needs, or an array does not fit the operator
-    applied to it."""
+    """Two operators or mode matrices are not comparable (different
+    boundary component, incompatible cylinder or different shapes), a
+    boundary component is unknown or not the one layer an operation needs,
+    an array does not fit the operator applied to it, or a torus mode set
+    or mode cut breaks the one mode rule (``dn_solver.check_modes``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +122,8 @@ class GridMismatch(CalderonLabError):
 
 class InfeasibleBounds(CalderonLabError):
     """A dataset, synthesis or assembly input is out of range: dataset
-    metadata outside the paper's ranges, a synthesis mode that aliases on
-    the grid, an amplitude whose fit is not finite, a potential with a
+    metadata outside the paper's ranges, an amplitude whose fit is not
+    finite, a synthesis ``T`` that leaves no t-node to fit, a potential with a
     non-finite entry, a profile support (lo, hi) with hi <= lo, or a
     diffeomorphism collar width outside [0, 1/2)."""
 

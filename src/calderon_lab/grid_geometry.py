@@ -320,11 +320,11 @@ class MetricField:
     element ``sqrt_det`` is the Cholesky diagonal product
     :func:`spd_root_det` of that packing, and the weight
     ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it is first
-    read; ``inv`` is ``weight / sqrt_det``.
+    read.
 
     Every table, sampled, rescaled, assembled from a dataset or given
     directly, passes this one check, so the invariants hold by
-    construction: ``mat``, ``weight`` and ``inv`` exactly symmetric, every
+    construction: ``mat`` and ``weight`` exactly symmetric, every
     Cholesky pivot positive, ``sqrt_det`` finite and > 0. A wrong shape
     raises ``GridMismatch``; a node beyond 1e-12 (relative) of symmetric
     raises ``Asymmetric``, and a table within it is symmetrised exactly.
@@ -375,10 +375,6 @@ class MetricField:
     @cached_property
     def sqrt_det(self) -> np.ndarray:
         return spd_root_det(self.packed)
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        return self.weight / self.sqrt_det[..., None, None]
 
     @cached_property
     def weight(self) -> np.ndarray:

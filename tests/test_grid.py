@@ -139,12 +139,7 @@ class TestMetricField:
         g = sample_metric(flat_metric(3), grid9)
         assert np.all(g.mat == np.eye(3))
         assert np.all(g.sqrt_det == 1.0)
-        assert np.all(g.inv == np.eye(3))
-
-    def test_weight_matrix(self, bumpy9):
-        w = bumpy9.weight
-        expect = bumpy9.sqrt_det[..., None, None] * bumpy9.inv
-        assert np.abs(w - expect).max() < 1e-14
+        assert np.all(g.weight == np.eye(3))
 
     @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
     def test_symmetry_guard(self, grid9, build):

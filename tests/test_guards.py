@@ -3,8 +3,10 @@
 Verifies, one row per guard, that the guard raises its error type with
 its message on the argument it exists to refuse: malformed grids, an
 unknown boundary name, a boundary mass off one layer, mode eigenvalues
-asked of no modes, of a mode with too few or too many components or of
-one that aliases, a metric table or
+asked of no modes, of a mode with too few or too many components, a
+fractional one or one that aliases, a synthesis mode with too few or too
+many components or a fractional one, mode matrices of different shapes,
+a mode cut that is not finite, a metric table or
 source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
 that leaves a profile no room, a reparametrisation that moves the
@@ -28,7 +30,14 @@ from calderon_lab.conformal import (
     volume_expansion,
     weak_condition_residual,
 )
-from calderon_lab.dn_solver import assemble_stiffness, boundary_mass_matrix, dn_mode_eigenvalues
+from calderon_lab.counterexample import synth_approx_miller
+from calderon_lab.dn_solver import (
+    assemble_stiffness,
+    boundary_mass_matrix,
+    dn_mode_eigenvalues,
+    fourier_modes,
+    mode_gap,
+)
 from calderon_lab.errors import (
     DimensionTooSmall,
     GridMismatch,
@@ -60,6 +69,10 @@ def _flat(grid):
 
 def _mode_eigenvalues(modes):
     return dn_mode_eigenvalues(assemble_stiffness(_flat(_G3_FINE)), GAMMA1, modes)
+
+
+def _synth_modes(modes):
+    return synth_approx_miller(CylinderGrid(3, 9, (8, 8)), modes=modes)
 
 
 def _one(grid):
@@ -104,6 +117,17 @@ _GUARDS = {
     "mode-eigenvalues-aliasing": (lambda: _mode_eigenvalues([(9, 0)]), ShapeMismatch,
                                   "mode (9, 0) aliases on angular axis with 8 nodes"),
     "mode-eigenvalues-no-modes": (lambda: _mode_eigenvalues([]), ShapeMismatch, "no modes given"),
+    "mode-eigenvalues-fractional": (lambda: _mode_eigenvalues([(1.5, 0)]), ShapeMismatch,
+                                    "mode (1.5, 0) has a component 1.5 that is not a finite integer"),
+    "synth-short-mode": (lambda: _synth_modes(((1,),)), ShapeMismatch, "mode (1,) has 1 components, expected 2"),
+    "synth-long-mode": (lambda: _synth_modes(((1, 2, 3),)), ShapeMismatch, "mode (1, 2, 3) has 3 components"),
+    "synth-fractional-mode": (lambda: _synth_modes(((1.5, 0),)), ShapeMismatch,
+                              "mode (1.5, 0) has a component 1.5 that is not a finite integer"),
+    "mode-gap-broadcast": (lambda: mode_gap(2 * np.eye(3), np.ones(3)), ShapeMismatch,
+                           "shapes (3, 3) and (3,) differ"),
+    "mode-gap-sizes": (lambda: mode_gap(np.eye(3), np.eye(2)), ShapeMismatch, "shapes (3, 3) and (2, 2) differ"),
+    "fourier-modes-nan-cut": (lambda: fourier_modes(_G3, float("nan")), ShapeMismatch, "mode cut nan is not finite"),
+    "fourier-modes-inf-cut": (lambda: fourier_modes(_G3, float("inf")), ShapeMismatch, "mode cut inf is not finite"),
     "metric-table-shape": (lambda: MetricField(_G3, np.broadcast_to(np.eye(2), _G3.shape + (2, 2))),
                            GridMismatch, "matrix table shape"),
     "sample-metric-dimension": (lambda: sample_metric(flat_metric(2), _G3), GridMismatch,

@@ -19,8 +19,8 @@ Verifies:
     exactly
   - every route to a dataset (the constructor, ``zero``, the loader and
     the synthesizer) refuses T, rho or alpha outside the paper's ranges;
-    the synthesizer refuses a mode that aliases on the grid and a grid of
-    other than 3 axes
+    the synthesizer refuses a mode that aliases on the grid (ShapeMismatch,
+    the one mode rule) and a grid of other than 3 axes
   - the synthesizer respects its box and never loses to the baseline;
     its per-t-layer dual solve is exact: the fields match a tight scipy
     ``lsqr`` oracle to 1e-8, the normal-equation residual is at most
@@ -30,8 +30,8 @@ Verifies:
     rounding of the input; a failed t-layer LU or a normal-equation
     residual above 1e-10 is NoConvergence
   - DN gap study: exact zeros for the zero dataset, cell bookkeeping, no
-    earlier stiffness system alive when it assembles the next, and one
-    |K| row-sum norm per stride
+    earlier stiffness system alive when it assembles the next, one
+    |K| row-sum norm per stride and one conformal factor per (eps, stride)
   - the volume obstruction, its trivial-field guard, and samples scaled
     by 1/max|u| so that a small u is fitted as well as a large one
 """
@@ -64,6 +64,7 @@ from calderon_lab.errors import (
     InsufficientSamples,
     MalformedContainer,
     NoConvergence,
+    ShapeMismatch,
     TrivialU,
 )
 from calderon_lab.grid_geometry import CylinderGrid, MillerDataset, cyl_grid
@@ -413,7 +414,7 @@ class TestDatasetRanges:
     # on 8 angular nodes mode 4 samples to zero and mode 5 to mode -3
     @pytest.mark.parametrize("modes", [((4, 0),), ((5, 0),), ((1, 0), (0, -4))], ids=["4-0", "5-0", "0-minus-4"])
     def test_aliasing_synth_mode_refused(self, modes):
-        with pytest.raises(InfeasibleBounds, match="aliases"):
+        with pytest.raises(ShapeMismatch, match="aliases"):
             synth_approx_miller(CylinderGrid(3, 9, (8, 8)), modes=modes)
 
     def test_synth_needs_three_axes(self):
@@ -589,6 +590,18 @@ class TestGapStudy:
         monkeypatch.setattr(sp.csr_matrix, "__abs__", counted)
         result = dn_gap_study(_toy_dataset(cyl_grid(3, 13)), eps_list=(0.0, 0.05, 0.1), strides=(2, 1))
         assert len(result.cells) == 6 and taken == [(7 * 36,) * 2, (13 * 144,) * 2]
+
+    def test_one_factor_per_eps_and_stride(self, monkeypatch):
+        # the weak residual and the scaled metric read the same factor
+        built, family = [], counterexample.conformal_family
+
+        def counted(u, eps):
+            built.append((u.grid.shape, eps))
+            return family(u, eps)
+
+        monkeypatch.setattr(counterexample, "conformal_family", counted)
+        dn_gap_study(_toy_dataset(cyl_grid(3, 13)), eps_list=(0.0, 0.05), strides=(2, 1))
+        assert built == [((7, 6, 6), 0.0), ((7, 6, 6), 0.05), ((13, 12, 12), 0.0), ((13, 12, 12), 0.05)]
 
 
 class TestNonIsometry:
