@@ -225,6 +225,10 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
              metric=(_metric, None),
              transform=(_as_is, REQUIRED))
     n, m = s.n, s.metric
+    # each perturbation entry is at most |amplitude|, so the eigenvalues stay
+    # within 1 +- n |amplitude|: this keeps the metric positive definite
+    if m is not None and m.amplitude is not None and abs(m.amplitude) >= 1.0 / n:
+        raise ConfigInvalid(f"metric |amplitude| {abs(m.amplitude)} must be below 1/n = {1.0 / n:.4g}")
     grids = [_grid(cyl_grid, n, size) for size in s.sizes]
     src = flat_metric(n) if m is None else random_trig_metric(
         n, seed=m.seed, amplitude=m.amplitude, max_mode=m.max_mode)
@@ -401,7 +405,6 @@ def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     except (InfeasibleBounds, ShapeMismatch) as e:
         raise ConfigInvalid(f"invalid synthesis: {e}") from e
     rep = ExperimentReport("synth-dataset", cfg)
-    os.makedirs(out_dir, exist_ok=True)
     save_dataset(data, os.path.join(out_dir, s.output))
     rep.scalars["synth"] = synth_rep
     rep.scalars["output"] = s.output

@@ -344,7 +344,7 @@ def assemble_stiffness(
     # the unique metric components by node, packed for the SPD kernel; the
     # gathers use np.take(mode="clip"), about 3 times faster than fancy
     # indexing here, and the ids are in range
-    g_nodes = np.ascontiguousarray(metric.packed.reshape(-1, size))
+    g_nodes = metric.packed.reshape(-1, size)
     _, _, pos = packed_order(n)
     k_data = np.zeros(indices.size)
     m_data = None if v_nodes is None else np.zeros(indices.size)
@@ -649,20 +649,16 @@ def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
     previous layer's ``S_p``. The factors L make up the block Cholesky of
     the interior block; None when it fails, its pivot ratio
     ``min/max diag(L)^2`` is below ``_PIVOT_RATIO_FLOOR`` or S is not finite.
-    In place in three layer-sized buffers: LAPACK factors S (its transpose
-    is Fortran), trsm overwrites the coupling block by Y, T takes the next S
-    and swaps with it; a syrk ``Y^T Y`` keeps S bitwise symmetric, as K is.
+    In place in three layer-sized buffers, each block cut from K's CSR by
+    scipy into one: LAPACK factors S (its transpose is Fortran), trsm
+    overwrites the coupling block by Y, T takes the next S and swaps with
+    it; a syrk ``Y^T Y`` keeps S bitwise symmetric, as K is.
     """
     K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
     ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
-    w = 3 ** (sys.grid.n - 1)  # a row's sorted entries fall w in each adjacent layer
 
     def block(i: int, j: int, out: np.ndarray) -> np.ndarray:
-        lo, hi = K.indptr[i * P], K.indptr[(i + 1) * P]
-        cols, vals = (a[lo:hi].reshape(P, -1, w)[:, j - max(i - 1, 0)] for a in (K.indices, K.data))
-        out.fill(0.0)
-        out[np.arange(P)[:, None], cols - j * P] = vals
-        return out
+        return K[i * P : (i + 1) * P, j * P : (j + 1) * P].toarray(out=out)
 
     S, B, T = block(ids[0], ids[0], np.empty((P, P))), np.empty((P, P), order="F"), np.empty((P, P))
     pivots = []
@@ -698,7 +694,7 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     ``gamma`` of ``K @ u`` that ``InteriorSolver.extend`` returns, the
     Neumann data of the extensions ``u``. Columns go through one interior
     solver in chunks of at most ``_DENSE_BYTES`` of node array (at least
-    one column), so a solve's memory is bounded.
+    one column, each a fresh node array), so a solve's memory is bounded.
     """
     grid = sys.grid
     G = grid.boundary_ids(gamma)
@@ -708,16 +704,9 @@ def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray
     solver = InteriorSolver(sys)
     out = np.empty((G.size, V.shape[1]))
     chunk = max(1, _DENSE_BYTES // (8 * grid.node_count))
-    # One buffer, each chunk a C-contiguous node array on its head (scipy
-    # copies a strided one per product); extend writes only free rows, so
-    # rows off G stay zero but in a narrower last chunk. A fresh array per
-    # chunk fragments the heap: a 576-column map peaked at 417 MB RSS, not 309.
-    buf = np.zeros(grid.node_count * min(V.shape[1], chunk))
     for lo in range(0, V.shape[1], chunk):
         cols = V[:, lo : lo + chunk]
-        U = buf[: grid.node_count * cols.shape[1]].reshape(grid.node_count, -1)
-        if lo and cols.shape[1] < chunk:
-            U.fill(0.0)
+        U = np.zeros((grid.node_count, cols.shape[1]))
         U[G] = cols
         out[:, lo : lo + chunk] = solver.extend(U)[G]
     return out
@@ -844,11 +833,9 @@ def mode_gap(B1: np.ndarray, B2: np.ndarray) -> float:
 # boundary mass and mode eigenvalues
 
 
-def boundary_mass_matrix(grid: CylinderGrid, gamma: str) -> sp.spmatrix:
+def boundary_mass_matrix(grid: CylinderGrid) -> sp.spmatrix:
     """Consistent Q1 mass matrix of one boundary layer (flat measure): the
-    tensor product of periodic 1-D masses."""
-    if gamma not in (GAMMA0, GAMMA1):
-        raise ShapeMismatch(f"boundary mass is defined per layer, not on {gamma!r}")
+    tensor product of periodic 1-D masses; Gamma0 and Gamma1 share it."""
     M = sp.identity(1, format="csr")
     for num, h in zip(grid.num_ang, grid.h_ang):
         M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h)[1]), format="csr")
@@ -864,11 +851,11 @@ def dn_mode_eigenvalues(
 
     with M the boundary mass matrix. For the flat cylinder these converge
     to the separated-variables eigenvalues. A mode set that
-    :func:`check_modes` refuses raises ShapeMismatch."""
+    :func:`check_modes` refuses and ``FULL_BOUNDARY`` raise ShapeMismatch."""
     check_modes(sys.grid, modes)
     V = np.cos(_layer_phases(sys.grid, modes))
     lamV = dn_apply(sys, gamma, V)
-    M = boundary_mass_matrix(sys.grid, gamma)
+    M = boundary_mass_matrix(sys.grid)
     num = np.einsum("ik,ik->k", V, lamV)
     den = np.einsum("ik,ik->k", V, M @ V)
     return num / den

@@ -161,16 +161,23 @@ REPORT_FILES = ("report.json", "summary.md", "timings.json")
 
 
 def atomic_write_text(path, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    """Write ``text`` to ``path`` through a temporary file beside it, made
+    with its missing parent directories, and ``os.replace``. A write that
+    fails raises ConfigInvalid and leaves an existing file as it was."""
+    d = os.path.dirname(os.path.abspath(path))
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: {e.strerror or e}") from e
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,6 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
     texts[summary] = report.to_markdown()
     if report.timings:
         texts[timings] = json.dumps(report.timings, sort_keys=True, indent=2) + "\n"
-    os.makedirs(out_dir, exist_ok=True)
     written = {}
     for name, text in texts.items():
         written[name] = p = os.path.join(out_dir, name)

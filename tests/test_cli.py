@@ -243,6 +243,14 @@ class TestConfigErrors:
                 "dn-compare",
                 {"n": 3, "sizes": [9, 17], "transform": {"kind": "diffeo", "diffeo": {"family": "identity", "delta": -0.1}}},
             ),
+            # |amplitude| >= 1/n does not keep the random-trig metric
+            # positive definite: at n = 3, 0.9 and -0.9 sampled it and
+            # exited 1 with NonPositiveDefinite
+            *(
+                ("dn-compare", {"n": n, "sizes": [9, 17], "metric": {"kind": "random-trig", "amplitude": a},
+                                "transform": {"kind": "diffeo"}})
+                for n, a in ((3, 0.9), (3, -0.9), (2, 0.5))
+            ),
         ],
         ids=[
             "non-numeric-n", "size-too-small", "null-n", "dimension-too-small",
@@ -263,7 +271,8 @@ class TestConfigErrors:
             "misspelled-synth-amplitude", "misspelled-synth-grid-num_t",
             "size-not-integral", "n-as-string", "seed-as-bool", "amplitude-as-string",
             "integer-overflows-float", "bump-collar-no-room", "cubic-collar-no-room",
-            "negative-delta",
+            "negative-delta", "metric-amplitude-0.9-n3", "metric-amplitude-minus-0.9-n3",
+            "metric-amplitude-0.5-n2",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, command, cfg):
@@ -321,6 +330,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error: rigidity-check config" in err
         assert len(err.encode()) < 1024
+
+    # an output file that is a directory ended in an IsADirectoryError
+    # traceback with exit 1
+    @pytest.mark.parametrize(
+        "command,cfg,name",
+        [("rigidity-check", {"n": 3, "size": 9, "seeds": [0]}, "report.json"),
+         ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}}, "dataset.json")],
+        ids=["report", "dataset"],
+    )
+    def test_unwritable_output_file_is_config_error(self, tmp_path, command, cfg, name):
+        cfg_path = _write(tmp_path, "cfg.json", cfg)
+        (tmp_path / "out" / name).mkdir(parents=True)
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "calderon_lab.cli", command, "--config", cfg_path, "--out", "out"],
+            cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 2
+        assert f"config error: cannot write {os.path.join('out', name)!r}" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "rc.json", {"bogus": 1})

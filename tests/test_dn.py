@@ -1043,7 +1043,7 @@ class TestSpectrum:
 class TestBoundaryMass:
     def test_row_sums_are_layer_weights(self, grid9):
         # the flat layer measure of a node on the 8 x 8 torus is (2 pi / 8)^2
-        M = boundary_mass_matrix(grid9, GAMMA1)
+        M = boundary_mass_matrix(grid9)
         sums = np.asarray(M.sum(axis=1)).ravel()
         assert np.abs(sums - (2.0 * np.pi / 8) ** 2).max() < 1e-12
 

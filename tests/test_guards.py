@@ -33,7 +33,6 @@ from calderon_lab.conformal import (
 from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
     assemble_stiffness,
-    boundary_mass_matrix,
     dn_mode_eigenvalues,
     fourier_modes,
     mode_gap,
@@ -108,8 +107,9 @@ _GUARDS = {
     "grid-angular-below-4": (lambda: CylinderGrid(3, 5, (4, 3)), GridMismatch, "at least 4 nodes per angular"),
     "grid-t-below-3": (lambda: CylinderGrid(3, 2, (4, 4)), GridMismatch, "at least 3 t-nodes"),
     "boundary-name": (lambda: _G3.boundary_ids("edge"), ShapeMismatch, "unknown boundary component"),
-    "boundary-mass-full": (lambda: boundary_mass_matrix(_G3, FULL_BOUNDARY), ShapeMismatch,
-                           "defined per layer"),
+    "mode-eigenvalues-full-boundary": (
+        lambda: dn_mode_eigenvalues(assemble_stiffness(_flat(_G3_FINE)), FULL_BOUNDARY, [(1, 0)]),
+        ShapeMismatch, "expected 128 rows on full"),
     "mode-eigenvalues-short-mode": (lambda: _mode_eigenvalues([(1,)]), ShapeMismatch,
                                     "mode (1,) has 1 components, expected 2"),
     "mode-eigenvalues-long-mode": (lambda: _mode_eigenvalues([(1, 0), (1, 0, 5)]), ShapeMismatch,

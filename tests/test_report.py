@@ -124,7 +124,7 @@ class TestEmission:
             raise OSError("replace failed")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="replace failed"):
+        with pytest.raises(ConfigInvalid, match="replace failed"):
             atomic_write_text(p, "new")
         assert p.read_bytes() == b"old"
         assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]  # no .tmp-* left
