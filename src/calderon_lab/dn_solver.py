@@ -28,18 +28,20 @@ from the Q1 stencil's tensor form, and keeps three cell layers.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
-one contiguous id range, so it borrows K's free rows and copies no block
-but for its LU fallback. Its one step, the only way Dirichlet data reach
-a solve, replaces the interior entries of a nodal array ``U`` by the
-discrete harmonic extension of its boundary entries and returns
-``K @ U``: its free rows are minus the residual, its rows on ``G`` the
-Neumann data (DN maps are ``extend(U)[G]``), and ``U^T K U`` the
-Dirichlet energies of mode matrices (``energy``, stopped near the square
-root of ``extend``'s tolerance, as an energy is off only by the square of
-its extension's error). Solves run batched conjugate gradients in one
-arena per solve, preconditioned by the exact inverse of a layered
-operator from the t-cell means that assembly keeps
-(``StiffnessSystem.layers``), with a sparse LU of the block as fallback.
+one contiguous id range, so it borrows K's free rows and copies no
+block. Its one step, the only way Dirichlet data reach a solve, replaces
+the interior entries of a nodal array ``U`` by the discrete harmonic
+extension of its boundary entries and returns ``K @ U``: its free rows
+are minus the residual, its rows on ``G`` the Neumann data (DN maps are
+``extend(U)[G]``), and ``U^T K U`` the Dirichlet energies of mode
+matrices (``energy``, stopped near the square root of ``extend``'s
+tolerance, as an energy is off only by the square of its extension's
+error). Solves run batched conjugate gradients in one arena per solve,
+preconditioned by the exact inverse of a layered operator from the
+t-cell means that assembly keeps (``StiffnessSystem.layers``). CG is the
+only interior solver: a solve returns a checked result or raises
+SingularInteriorBlock (a breakdown, which proves the block is not
+positive definite) or NoConvergence.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
 t-layers with one in-place Cholesky per layer (:func:`_layer_stripped`) and
@@ -56,7 +58,6 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     GridMismatch,
@@ -435,9 +436,11 @@ class InteriorSolver:
     & Thomas 1964) of the t-pencil ``(K_t[w_tt] + M_t[q], M_t[w_a])`` and
     of the periodic angular pencils ``(K_d, M_d)`` (from the grid's
     :func:`_grid_layout` entry) gives its inverse ``V D^{-1} V^T`` with
-    ``V = V_t (x) V_1 (x) ...`` and ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``;
-    a non-positive entry of ``D`` sends the solver straight to the LU
-    below. In ``extend`` a column stops when ``sqrt(r^T z)`` is at most
+    ``V = V_t (x) V_1 (x) ...`` and ``D = Lam_t (+) alpha_1 Lam_1 (+) ...``.
+    A preconditioner is not a bound, and an indefinite one proves nothing
+    about the block, so where ``D`` has a non-positive entry it is built
+    once more with ``q`` floored at 0, positive definite because ``w_tt``
+    and ``w_a`` are positive. In ``extend`` a column stops when ``sqrt(r^T z)`` is at most
     1e-12 of its start, and the extension stands when ``||(K u)[free]||``
     is at most 1e-10 of ``||b||``, ``b`` the right-hand side. With ``C``
     the layered coefficients, ``min eig(C^{-1} W) K_C <= K_g <=
@@ -458,16 +461,14 @@ class InteriorSolver:
     error (Arioli 2004; Strakos & Tichy 2005), its excess positive
     semidefinite (the Dirichlet principle) and about ``kappa`` times the
     square of the stop. The true residual ``r = -(K u)[free]`` must pass
-    ``r^T z <= (2 * 5e-7)^2`` of each column's start; if it does not, or CG
-    is not run or fails, the step reruns as ``extend``.
+    ``r^T z <= (2 * 5e-7)^2`` of each column's start; if it does not, the
+    step reruns as ``extend``.
 
-    If CG breaks down (``p^T A p <= 0``, as it can on an indefinite
-    ``-Lap_g + q`` block), has not converged after ``_CG_MAXIT`` iterations
-    or misses the 1e-10 check, this and every later solve use a sparse LU
-    of the block, ordered by MMD on A^T + A and checked at 1e-10 as well,
-    or NoConvergence is raised; a pivot ratio below 1e-9 there raises
-    SingularInteriorBlock, and ``iterations`` is None. Each solver serves
-    one public call and is never cached.
+    A solve ends in a result that passed its check, in
+    SingularInteriorBlock when CG breaks down (``p^T A p <= 0``, which
+    proves the block not positive definite; Hestenes & Stiefel 1952), or in
+    NoConvergence (NaN data, ``_CG_MAXIT`` iterations or a missed 1e-10
+    check). Each solver serves one public call and is never cached.
     """
 
     def __init__(self, sys: StiffnessSystem):
@@ -479,21 +480,22 @@ class InteriorSolver:
         # the free layers with fixed neighbours, the first and the last
         self._coupled = [(slice(j * P, (j + 1) * P), _row_view(self.rows, j * P, (j + 1) * P))
                          for j in sorted({0, m - 1})]
-        self.iterations: int | None = None
-        self._lu = None
+        self.iterations = 0
         self._shape = (m, *grid.num_ang)
         vecs, lams = _grid_layout(grid)[2]
         w_tt, w_dd, q = sys.layers[0], sys.layers[1:-1], sys.layers[-1]
         w_a = w_dd.mean(axis=0)
-        # the transposes of the symmetric t-matrices are Fortran-ordered, so
-        # LAPACK works on them in place
-        lam_t, V_t, info = scipy.linalg.lapack.dsygvd(
-            _t_matrix(w_tt, q, grid.h_t).T, _t_matrix(0.0 * w_a, w_a, grid.h_t).T, overwrite_a=1, overwrite_b=1
-        )
         alpha = w_dd.sum(axis=1) / w_a.sum()  # the ratios of the means over t
+        # the second pass floors q at 0; the transposes of the symmetric
+        # t-matrices are Fortran-ordered, so LAPACK works on them in place
+        for q in (q, np.maximum(q, 0.0)):
+            lam_t, V_t, info = scipy.linalg.lapack.dsygvd(
+                _t_matrix(w_tt, q, grid.h_t).T, _t_matrix(0.0 * w_a, w_a, grid.h_t).T, overwrite_a=1, overwrite_b=1
+            )
+            self._diag = reduce(np.add.outer, [lam_t, *(a * lam for a, lam in zip(alpha, lams))])
+            if info == 0 and (self._diag > 0.0).all():
+                break
         self._vecs = (V_t, *vecs)
-        self._diag = reduce(np.add.outer, [lam_t, *(a * lam for a, lam in zip(alpha, lams))])
-        self._definite = info == 0 and bool((self._diag > 0.0).all())
 
     def _rhs(self, u: np.ndarray) -> np.ndarray:
         """Write ``-K[free, fixed] @ u[fixed]`` into ``u[free]`` and return
@@ -527,26 +529,16 @@ class InteriorSolver:
         U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
         b = self._rhs(U)
         scale = max(np.linalg.norm(b), 1e-300)
-        if self._lu is None and self._definite:  # CG's arena: R, S, then P in node layout
-            work = np.empty((2 * len(b) + len(U), b.shape[1]))
-            start = self._pcg(b, rtol, work)
-            if start is not None:
-                KU = self._K @ U
-                r = KU[self.free]
-                if rtol == _CG_RTOL:
-                    ok = np.linalg.norm(r) <= _SOLVE_RTOL * scale
-                else:  # in the dead R and S
-                    z = self._precondition(r, *np.split(work[: 2 * len(b)], 2))
-                    ok = (np.einsum("ij,ij->j", r, z) <= (2.0 * rtol) ** 2 * start).all()
-                if ok:  # NaN fails
-                    return KU.reshape(u.shape)
-        if rtol != _CG_RTOL:
-            return self._extend(u, _CG_RTOL)
-        self.iterations = None
-        b = self._rhs(U)
-        b[:] = self._factor().solve(b)
+        work = np.empty((2 * len(b) + len(U), b.shape[1]))  # CG's arena: R, S, then P in node layout
+        start = self._pcg(b, rtol, work)
         KU = self._K @ U
-        res = np.linalg.norm(KU[self.free])
+        r = KU[self.free]
+        if rtol != _CG_RTOL:  # in the dead R and S
+            z = self._precondition(r, *np.split(work[: 2 * len(b)], 2))
+            if (np.einsum("ij,ij->j", r, z) <= (2.0 * rtol) ** 2 * start).all():
+                return KU.reshape(u.shape)
+            return self._extend(u, _CG_RTOL)
+        res = np.linalg.norm(r)
         if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return KU.reshape(u.shape)
@@ -567,13 +559,13 @@ class InteriorSolver:
                 np.divide(Y.reshape(shape), self._diag[..., None], out=Y.reshape(shape))
         return Z
 
-    def _pcg(self, X: np.ndarray, rtol: float, work: np.ndarray) -> np.ndarray | None:
+    def _pcg(self, X: np.ndarray, rtol: float, work: np.ndarray) -> np.ndarray:
         """Batched preconditioned CG in place: ``X`` holds the right-hand
         sides on entry and the solution on return, each column stopped when
         ``sqrt(r^T z)`` is at most ``rtol`` of its start; returns the
-        starting ``r^T z`` of each column, or None on breakdown or after
-        _CG_MAXIT iterations. A converged column takes a zero step and a
-        zero beta, and its ``r^T z`` stays frozen. Besides ``X`` CG holds
+        starting ``r^T z`` of each column, or raises as the class says. A
+        converged column takes a zero step and a zero beta, and its ``r^T
+        z`` stays frozen. Besides ``X`` CG holds
         the product scipy returns, reused for the step and for Z, and the
         arena ``work``: R and one scratch S, of X's shape, and the direction
         in node layout for ``rows`` (fixed rows 0)."""
@@ -587,17 +579,20 @@ class InteriorSolver:
         stop = rtol**2 * rz
         it = 0
         while True:
-            running = ~(rz <= stop)  # a NaN column runs on and ends CG as a breakdown
+            running = ~(rz <= stop)  # a NaN column runs on into the finiteness check
             if not running.any():
                 self.iterations = it
                 return start
             if it == _CG_MAXIT:
-                return None
+                raise NoConvergence(float(np.sqrt(rz[running] / start[running]).max()), rtol)
             it += 1
             Q = self.rows @ P_nodes
             pq = np.einsum("ij,ij->j", P, Q)
-            if not (pq[running] > 0.0).all():
-                return None
+            least = pq[running].min()  # NaN when any is
+            if not np.isfinite(least):
+                raise NoConvergence(math.nan, rtol)
+            if least <= 0.0:
+                raise SingularInteriorBlock(f"CG breakdown at iteration {it}: p^T A p = {least:.3e}")
             alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=running)
             Q *= alpha
             R -= Q
@@ -608,21 +603,6 @@ class InteriorSolver:
             P += Z
             del Q, Z  # before the next product allocates
             rz = np.where(running, rz_new, rz)
-
-    def _factor(self):
-        """The sparse LU of ``K[free, free]``, cut and made on first use."""
-        if self._lu is None:
-            try:
-                lu = spla.splu(self.rows[:, self.free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SingularInteriorBlock(str(exc)) from exc
-            d = np.abs(lu.U.diagonal())
-            dmax = float(d.max()) if d.size else 0.0
-            if dmax == 0.0 or float(d.min()) < _PIVOT_RATIO_FLOOR * dmax:
-                ratio = float(d.min()) / dmax if dmax else 0.0
-                raise SingularInteriorBlock(f"pivot ratio {ratio:.3e}")
-            self._lu = lu
-        return self._lu
 
 
 # ---------------------------------------------------------------------------

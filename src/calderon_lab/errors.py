@@ -54,10 +54,13 @@ class NonPositiveDefinite(CalderonLabError):
 
 
 class SingularInteriorBlock(CalderonLabError):
-    """The interior stiffness block is singular or numerically near-singular."""
+    """The interior stiffness block is not positive definite: conjugate
+    gradients broke down (``p^T A p <= 0``), which cannot happen on a
+    positive definite block, and the detail names the iteration and the
+    value."""
 
     def __init__(self, detail: str):
-        super().__init__(f"interior block singular: {detail}")
+        super().__init__(f"interior block not positive definite: {detail}")
 
 
 class NoConvergence(CalderonLabError):

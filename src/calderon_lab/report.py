@@ -160,24 +160,38 @@ def string(v) -> str:
 REPORT_FILES = ("report.json", "summary.md", "timings.json")
 
 
+def _write_files(d, texts: dict) -> None:
+    """Write each ``path: text`` of ``texts``, every path in the directory
+    ``d``, made with its missing parents: each text goes to a temporary file
+    in ``d`` first, and then each into place by ``os.replace``. A path that
+    exists and is not a regular file is refused before the first rename.
+    Any failure raises ConfigInvalid and removes the temporaries."""
+    tmps, path = [], d
+    try:
+        os.makedirs(d, exist_ok=True)
+        for path, text in texts.items():
+            fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+        for path in texts:
+            if os.path.lexists(path) and not os.path.isfile(path):
+                raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: it exists and is not a regular file")
+        for tmp, path in zip(tmps, texts):
+            os.replace(tmp, path)
+    except OSError as e:
+        raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: {e.strerror or e}") from e
+    finally:
+        for tmp in tmps:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file beside it, made
     with its missing parent directories, and ``os.replace``. A write that
     fails raises ConfigInvalid and leaves an existing file as it was."""
-    d = os.path.dirname(os.path.abspath(path))
-    try:
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as e:
-        raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: {e.strerror or e}") from e
+    _write_files(os.path.dirname(os.path.abspath(path)), {path: text})
 
 
 @dataclass(frozen=True)
@@ -265,7 +279,10 @@ class ExperimentReport:
 
 def emit_report(report: ExperimentReport, out_dir) -> dict:
     """Write report.json (canonical), one CSV per table, summary.md, and a
-    volatile timings sidecar. Returns {artifact name: path}."""
+    volatile timings sidecar, all through temporary files first, so a
+    target that is not a regular file refuses the whole set with
+    ConfigInvalid and leaves ``out_dir`` as it was. Returns {artifact name:
+    path}."""
     canonical, summary, timings = REPORT_FILES
     texts = {canonical: report.to_json()}
     for name in sorted(report.tables):
@@ -279,8 +296,6 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
     texts[summary] = report.to_markdown()
     if report.timings:
         texts[timings] = json.dumps(report.timings, sort_keys=True, indent=2) + "\n"
-    written = {}
-    for name, text in texts.items():
-        written[name] = p = os.path.join(out_dir, name)
-        atomic_write_text(p, text)
+    written = {name: os.path.join(out_dir, name) for name in texts}
+    _write_files(out_dir, {written[name]: text for name, text in texts.items()})
     return written

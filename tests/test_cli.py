@@ -351,6 +351,22 @@ class TestConfigErrors:
         assert f"config error: cannot write {os.path.join('out', name)!r}" in done.stderr
         assert "Traceback" not in done.stderr
 
+    # report.json and deviation_from_one.csv were written, and then the
+    # directory summary.md refused, which left a half-written run
+    def test_refused_report_leaves_out_dir_as_it_was(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "rc.json", {"n": 3, "size": 9, "seeds": [0]})
+        out = tmp_path / "out"
+        (out / "summary.md").mkdir(parents=True)
+        (out / "report.json").write_text("an earlier run")
+
+        def tree():
+            return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+        before = tree()
+        assert main(["rigidity-check", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "it exists and is not a regular file" in capsys.readouterr().err
+        assert tree() == before
+
     def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "rc.json", {"bogus": 1})
         (tmp_path / "there").mkdir()
@@ -983,6 +999,28 @@ class TestDnCompare:
         doc = load_json(out / "report.json")
         assert doc["scalars"]["gaps"] == [0.0, 0.0]
         assert [(v["name"], v["value"]) for v in doc["verdicts"]] == [("gap_at_floor", 0.0)]
+
+
+    # an indefinite interior block: the sparse LU fallback solved it and the
+    # run passed; CG's breakdown now proves it indefinite (smallest
+    # eigenvalue -3.2 at size 9)
+    def test_indefinite_link_block_is_computation_error(self, tmp_path, capsys):
+        cfg = {"n": 3, "sizes": [9, 17], "metric": {"kind": "random-trig", "seed": 0},
+               "transform": {"kind": "conformal-link", "amplitude": 50}}
+        code, out = _cli(tmp_path, "dn-compare", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "computation failed: SingularInteriorBlock: interior block not positive definite: CG breakdown" in err
+        assert not (out / "report.json").exists()
+
+    # a potential at the first Dirichlet eigenvalue makes the block singular
+    def test_shifted_potential_block_is_computation_error(self, tmp_path, capsys, monkeypatch, flat9_lambda1):
+        monkeypatch.setattr(cli, "conformal_potential",
+                            lambda g, c, one_sided: np.full(g.grid.shape, -flat9_lambda1))
+        cfg = {"n": 3, "sizes": [9, 17], "transform": {"kind": "conformal-link"}}
+        code, _ = _cli(tmp_path, "dn-compare", cfg)
+        assert code == 1
+        assert "computation failed: NoConvergence: solve residual" in capsys.readouterr().err
 
 
 class TestDatasetCommands:

@@ -33,23 +33,29 @@ Verifies:
     on the energy route
   - a batch whose columns converge at 0, 1, 2, 3 and the full count of
     iterations in CG, each column then stopped in place, matches
-    column-by-column runs to 1e-12 relative and
-    reports the slowest column's count; a NaN boundary entry in a node
-    array sent to extend ends CG, then the LU fallback, in NoConvergence;
-    CG capped at one iteration gives up, and the LU answers within 1e-10
-    of the default solve
-  - an indefinite but nonsingular block (the flat block shifted past its
-    first Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
-    layered operator, goes straight to LU in InteriorSolver.extend and
-    still solves; an LU that fails is a SingularInteriorBlock
+    column-by-column runs to 1e-12 relative and reports the slowest
+    column's count
+  - a solve ends in a checked result, SingularInteriorBlock or
+    NoConvergence: a NaN boundary entry in a node array sent to extend,
+    and CG capped at one iteration, end in NoConvergence; an indefinite
+    but nonsingular block (the flat block shifted past its first
+    Dirichlet eigenvalue, from a dense eigensolve) has an indefinite
+    layered operator, which the solver rebuilds with the potential
+    floored at 0, here the flat one, and CG breaks down on the block in
+    SingularInteriorBlock, naming the iteration and p^T A p; a positive
+    definite link block whose layered operator is indefinite
+    (conformal-link at amplitude 30, size 9) and a wide-box Miller
+    dataset (rough parts over [1e-4, 1e4], 17^3) solve by CG within 50
+    and 30 iterations and match the sparse LU to 1e-10
   - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match
     their block of the dense sparse-LU full-boundary Schur complement to
     3e-14 and the CG map of dn_apply to
     1e-10, and have the bytes of a sweep through fresh blocks, scipy's
     cholesky and solve_triangular and a symmetrising pass; at 17^3 the
     sweep peaks at most 3.5 layer blocks above its start (5.07 through
-    fresh blocks); an indefinite interior block and the full boundary
-    still take the CG/LU route
+    fresh blocks); an indefinite interior block falls back to CG, which
+    breaks down in SingularInteriorBlock, and the full boundary stays on
+    CG
   - dn_apply hands extend C-contiguous chunks, 13 columns as 5/5/3, with
     the bytes of strided column slices of one node array
   - the solver borrows K's free rows instead of copying the interior
@@ -101,6 +107,7 @@ from calderon_lab.grid_geometry import (
     GAMMA1,
     CylinderGrid,
     MetricSource,
+    MillerDataset,
     assemble_counterexample_metric_3d,
     cyl_grid,
     flat_metric,
@@ -254,17 +261,19 @@ def _shifted_system(metric, lam1):
     return assemble_stiffness(metric, potential=shift, potential_id="shift")
 
 
-def _collar_flat_factor(grid):
-    """Criterion 3's factor of seed 10: 1 with zero normal derivative on
-    collars at both ends."""
-    ang = an.trig_sum(3, np.random.default_rng(10), terms=2, amplitude=0.5, max_mode=1, offset=1.0)
-    src = an.constant(1.0, 3) + an.bump(0.15, 0.85, 3, 0) * ang * an.constant(0.3, 3)
+def _collar_flat_factor(grid, seed=10, amplitude=0.3):
+    """Criterion 3's factor (seed 10, amplitude 0.3), or dn-compare's
+    conformal-link one of another seed and amplitude: 1 with zero normal
+    derivative on collars at both ends."""
+    ang = an.trig_sum(3, np.random.default_rng(seed), terms=2, amplitude=0.5, max_mode=1, offset=1.0)
+    src = an.constant(1.0, 3) + an.bump(0.15, 0.85, 3, 0) * ang * an.constant(amplitude, 3)
     return ConformalFactor.from_source(grid, src, 3)
 
 
-def _link_system(metric):
-    """Criterion-3 link system -Lap_g + q, q from a collar-flat factor."""
-    q = conformal_potential(metric, _collar_flat_factor(metric.grid), one_sided=True)
+def _link_system(metric, seed=10, amplitude=0.3):
+    """Link system -Lap_g + q, q from a collar-flat factor (criterion 3's
+    by default)."""
+    q = conformal_potential(metric, _collar_flat_factor(metric.grid, seed, amplitude), one_sided=True)
     return assemble_stiffness(metric, potential=q, potential_id="link")
 
 
@@ -329,7 +338,7 @@ class TestCrossCheck:
         q = np.random.default_rng(size).uniform(0.5, 1.5, grid.shape) if potential else None
         sys = assemble_stiffness(g, potential=q)
         B_ref, its = _lu_reference(sys, gamma)
-        assert its is not None
+        assert isinstance(its, int)  # CG answered
         if not potential:
             assert its <= _iteration_bound(g), its
         assert _rel(dn_mode_matrix(sys, gamma)[0], B_ref) <= 1e-12
@@ -339,13 +348,43 @@ class TestCrossCheck:
         g = sample_metric(random_trig_metric(3, seed=0, max_mode=1), cyl_grid(3, size))
         sys = _link_system(g)
         B_ref, its = _lu_reference(sys)
-        assert its is not None
+        assert isinstance(its, int)  # CG answered
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
 
     def test_counterexample_metric(self, counterexample_metric):
         sys = assemble_stiffness(counterexample_metric)
         B_ref, its = _lu_reference(sys)
-        assert its is not None and its <= _iteration_bound(counterexample_metric), its
+        assert its <= _iteration_bound(counterexample_metric), its
+        assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
+
+    def test_definite_block_with_indefinite_layered_operator(self):
+        # dn-compare's conformal-link at amplitude 30 on random-trig seed 0:
+        # the block's smallest eigenvalue is 0.49, and the layered operator
+        # is indefinite (D reaches -78.6); floored, CG takes 40 iterations,
+        # and 21 on the energy route
+        g = sample_metric(random_trig_metric(3, seed=0), cyl_grid(3, 9))
+        sys = _link_system(g, seed=0, amplitude=30.0)
+        I = sys.grid.interior_ids()
+        assert np.linalg.eigvalsh(sys.matrix[I][:, I].toarray())[0] > 0.0
+        assert np.linalg.eigvalsh(_layered_operator(sys))[0] < 0.0
+        B_ref, its = _lu_reference(sys)
+        assert its <= 50, its
+        B, _, _, solver = _energy_solver(sys)
+        assert solver.iterations <= 25, solver.iterations
+        assert _rel(B, B_ref) <= 1e-10
+
+    def test_wide_box_dataset(self):
+        # the rough parts 1 + A1, 1 + A3 log-uniform over [1e-4, 1e4] per
+        # t-node, declared in the box alpha = 1e-4: 20 iterations
+        grid = cyl_grid(3, 17)
+        A1, A3 = 10.0 ** np.random.default_rng(0).uniform(-4.0, 4.0, (2, grid.num_t)) - 1.0
+        zero = np.zeros(grid.shape)
+        data = MillerDataset(grid, zero, zero, zero, A1, A3, zero, alpha=1e-4)
+        spread = np.concatenate([A1, A3]) + 1.0
+        assert spread.min() < 1e-3 and spread.max() > 1e3
+        sys = assemble_stiffness(assemble_counterexample_metric_3d(data))
+        B_ref, its = _lu_reference(sys)
+        assert its <= 30, its
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
 
 
@@ -359,7 +398,7 @@ class TestEnergy:
         sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=13), grid), potential=q)
         B_ref, _ = _lu_reference(sys)
         B, U, V, solver = _energy_solver(sys)
-        assert solver.iterations is not None and solver.iterations <= 4, solver.iterations
+        assert solver.iterations <= 4, solver.iterations
         excess = B - B_ref
         assert np.linalg.eigvalsh(0.5 * (excess + excess.T)).min() >= -1e-12 * np.abs(B).max()
         linear = V.T @ (sys.matrix[grid.boundary_ids(GAMMA1)] @ U) - B_ref
@@ -440,64 +479,44 @@ class TestStaggeredBatch:
         assert counts[:4] == [1, 1, 2, 3] and counts[-1] == 0, counts
         assert solver.iterations == max(counts)
 
-    def test_nan_column_ends_in_lu_and_no_convergence(self, bumpy9):
+    def test_nan_column_is_no_convergence(self, bumpy9):
         grid = bumpy9.grid
         sys = assemble_stiffness(bumpy9)
         G = grid.boundary_ids(FULL_BOUNDARY)
         U = np.zeros((grid.node_count, 7))
         U[G] = np.random.default_rng(5).standard_normal((G.size, 7))
         U[G[3], 2] = np.nan
-        solver = InteriorSolver(sys)
-        with pytest.raises(NoConvergence):
-            solver.extend(U)
-        assert solver.iterations is None  # CG gave up and LU answered
+        with pytest.raises(NoConvergence, match="residual nan"):
+            InteriorSolver(sys).extend(U)
 
 
-def test_indefinite_block_falls_back_to_lu(flat9, flat9_lambda1, monkeypatch):
-    monkeypatch.setattr(InteriorSolver, "_pcg", lambda self, B, rtol, work: pytest.fail("CG ran"))
+def test_indefinite_block_breaks_down(flat9, flat9_lambda1):
+    # the flat block shifted past its first Dirichlet eigenvalue; its
+    # layered operator, the block itself, is floored to the flat one
     grid = flat9.grid
     sys = _shifted_system(flat9, flat9_lambda1)
-    u = np.ones(grid.node_count)
-    solver = InteriorSolver(sys)
-    assert not (solver._diag > 0.0).all()  # the layered operator is indefinite too
-    solver.extend(u)
-    assert solver.iterations is None  # LU answered
-
-    K = sys.matrix
     I = grid.interior_ids()
-    B = grid.boundary_ids(FULL_BOUNDARY)
-    rhs = -K[I][:, B] @ np.ones(B.size)
-    u_ref = spla.splu(K[I][:, I].tocsc()).solve(rhs)
-    assert _rel(u[I], u_ref) <= 1e-10
+    assert np.linalg.eigvalsh(sys.matrix[I][:, I].toarray())[0] < 0.0
+    solver = InteriorSolver(sys)
+    assert solver._diag.tobytes() == InteriorSolver(assemble_stiffness(flat9))._diag.tobytes()
+    with pytest.raises(SingularInteriorBlock, match=r"CG breakdown at iteration \d+: p\^T A p = -"):
+        solver.extend(np.ones(grid.node_count))
 
 
-def test_failed_lu_is_singular_interior_block(bumpy9, monkeypatch):
-    solver = InteriorSolver(assemble_stiffness(bumpy9))
-
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(dn_solver.spla, "splu", singular)
-    with pytest.raises(SingularInteriorBlock, match="exactly singular"):
-        solver._factor()
-
-
-def test_iteration_cap_falls_back_to_lu(bumpy9, monkeypatch):
-    # CG that has not converged after _CG_MAXIT iterations gives up, and
-    # the sparse LU answers
+def test_iteration_cap_is_no_convergence(bumpy9, monkeypatch):
+    # CG with a column still running after _CG_MAXIT iterations gives up
     grid = bumpy9.grid
     sys = assemble_stiffness(bumpy9)
     B = grid.boundary_ids(FULL_BOUNDARY)
-    u0 = np.zeros(grid.node_count)
-    u0[B] = np.random.default_rng(3).normal(size=B.size)
-    ref, solver = u0.copy(), InteriorSolver(sys)
-    solver.extend(ref)
+    u = np.zeros(grid.node_count)
+    u[B] = np.random.default_rng(3).normal(size=B.size)
+    solver = InteriorSolver(sys)
+    solver.extend(u.copy())
     assert solver.iterations > 1
     monkeypatch.setattr(dn_solver, "_CG_MAXIT", 1)
-    u, capped = u0.copy(), InteriorSolver(sys)
-    capped.extend(u)
-    assert capped.iterations is None and capped._lu is not None  # LU answered
-    assert _rel(u, ref) <= 1e-10
+    with pytest.raises(NoConvergence) as err:
+        InteriorSolver(sys).extend(u)
+    assert err.value.tolerance == dn_solver._CG_RTOL and err.value.residual > dn_solver._CG_RTOL
 
 
 def _t_only_metric() -> MetricSource:
@@ -566,9 +585,9 @@ class TestLayeredPreconditioner:
         c4g = assemble_stiffness(scale_metric(g, _collar_flat_factor(grid)))
         systems = (c4g, _link_system(g))
         its = [_lu_reference(sys)[1] for sys in systems]
-        assert all(it is not None and it <= 12 for it in its), its
+        assert all(it <= 12 for it in its), its
         its = [_energy_solver(sys)[3].iterations for sys in systems]
-        assert all(it is not None and it <= 6 for it in its), its
+        assert all(it <= 6 for it in its), its
 
 
 class TestLayerStripping:
@@ -619,8 +638,8 @@ class TestLayerStripping:
     def test_indefinite_block_falls_back(self, flat9, flat9_lambda1):
         sys = _shifted_system(flat9, flat9_lambda1)
         assert dn_solver._layer_stripped(sys, GAMMA1) is None
-        lam = dn_map_partial(sys, GAMMA1).matrix
-        assert _rel(lam, _dense_lu_reference(sys, GAMMA1)) <= 1e-10
+        with pytest.raises(SingularInteriorBlock, match="CG breakdown"):
+            dn_map_partial(sys, GAMMA1)
 
     def test_full_boundary_stays_on_cg(self, bumpy9):
         sys = assemble_stiffness(bumpy9)

@@ -6,13 +6,15 @@ Verifies:
   - the config digest ignores key order
   - emitted artifacts: report.json, CSV per table, summary.md, and the
     timings sidecar kept out of the canonical report; a write whose final
-    rename fails keeps the old file and leaves no temporary file
+    rename fails keeps the old file and leaves no temporary file, and a
+    report whose second file cannot be written leaves no file at all
   - fuzzed: the JSON loader turns arbitrary bytes into an object or a
     config error, never anything else
 """
 
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,22 @@ class TestEmission:
         a = (tmp_path / "one" / "report.json").read_bytes()
         b = (tmp_path / "two" / "report.json").read_bytes()
         assert a == b
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the second file cannot be written: report.json, written first,
+        # was already in place
+        made, calls = tempfile.mkstemp, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return made(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", second_fails)
+        with pytest.raises(ConfigInvalid, match="disk full"):
+            emit_report(_sample_report(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_atomic_overwrite(self, tmp_path):
         p = tmp_path / "f.txt"

@@ -15,6 +15,9 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
   - no module reads ``det`` or ``inv`` of ``numpy.linalg`` or
     ``scipy.linalg``, under any import alias: SPD metric tables have one
     factorisation, ``grid_geometry.spd_weight``;
+  - no module but ``counterexample`` imports or reads
+    ``scipy.sparse.linalg``, under any import form: interior blocks have
+    one solver, ``dn_solver.InteriorSolver``'s CG;
   - every parameter with a default, on a module-level function or a class
     method, is passed by some call in the package, the benchmark or
     ``tests/test_acceptance.py``: a default that only unit tests override
@@ -204,6 +207,28 @@ def _qualified_reads(tree: ast.Module) -> list:
 def test_no_second_spd_route(path):
     found = [f"{nm} (line {line})" for nm, line in _qualified_reads(_tree(path)) if nm in SECOND_SPD_ROUTES]
     assert not found, f"{path.name} factors matrices outside grid_geometry.spd_weight: {found}"
+
+
+# module -> why it may use scipy.sparse.linalg: every interior solve is
+# InteriorSolver's CG, and a second interior solver gets no exemption
+SPARSE_SOLVER_MODULES = {
+    "counterexample": "the synthesis solves its per-layer normal equations, not an interior block",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_one_interior_solver(path):
+    tree = _tree(path)
+    imported = [(f"{n.module}.{a.name}" if isinstance(n, ast.ImportFrom) else a.name, n.lineno)
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Import) or isinstance(n, ast.ImportFrom) and n.level == 0
+                for a in n.names]
+    found = sorted({f"{nm} (line {line})" for nm, line in imported + _qualified_reads(tree)
+                    if f"{nm}.".startswith("scipy.sparse.linalg.")})
+    if path.stem in SPARSE_SOLVER_MODULES:
+        assert found, f"{path.name} no longer uses scipy.sparse.linalg: drop its exemption"
+    else:
+        assert not found, f"{path.name} uses scipy.sparse.linalg besides InteriorSolver's CG: {found}"
 
 
 # parameter -> why its default may stay unset by every caller
