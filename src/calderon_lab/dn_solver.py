@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -262,27 +262,26 @@ def _arena_regions(n: int, index) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
-    """Assembled weak-form operator: Laplace part plus optional potential
-    mass part, on its grid. Both parts and ``matrix`` hold data arrays of
-    their own on the read-only CSR pattern of the grid's :func:`_grid_layout`.
-    ``layers`` (n + 1, num_t - 1) holds, per t-cell, the means over its
-    cells and Gauss points of the diagonal of ``W = sqrt(det g) g^{-1}``
-    and of ``sqrt(det g) V`` (zero without a potential), for
-    :class:`InteriorSolver`. ``potential_id`` is a caller's label for the
+    """Assembled weak-form operator on its grid: ``matrix``, the Laplace part
+    plus the potential's mass part ``mass`` if any, each a data array of its
+    own on the read-only CSR pattern of the grid's :func:`_grid_layout`.
+    ``laplace`` is built on each read as ``matrix - mass`` (``matrix`` when
+    there is no potential). ``layers`` (n + 1, num_t - 1) holds, per t-cell,
+    the means over its cells and Gauss points of the diagonal of ``W =
+    sqrt(det g) g^{-1}`` and of ``sqrt(det g) V`` (zero without a potential),
+    for :class:`InteriorSolver`. ``potential_id`` is a caller's label for the
     potential; nothing in the package reads it."""
 
     grid: CylinderGrid
-    laplace: sp.csr_matrix
+    matrix: sp.csr_matrix
     layers: np.ndarray
     mass: sp.csr_matrix | None = None
     potential_id: str | None = None
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        if self.mass is None:
-            return self.laplace
-        K = self.laplace
-        return sp.csr_matrix((K.data + self.mass.data, K.indices, K.indptr), shape=K.shape)
+    @property
+    def laplace(self) -> sp.csr_matrix:
+        A, M = self.matrix, self.mass
+        return A if M is None else sp.csr_matrix((A.data - M.data, A.indices, A.indptr), shape=A.shape)
 
 
 def assemble_stiffness(
@@ -380,6 +379,8 @@ def assemble_stiffness(
             E = np.matmul(weight, table, out=X[: U * c].reshape(c, U))
             np.add.at(data, up, E.ravel())
             np.add.at(data, low, np.take(E, strict, axis=1, mode="clip", out=Y[: low.size].reshape(c, -1)).ravel())
+    if m_data is not None:  # K + M, the one operator a solve reads, in K's array
+        np.add(k_data, m_data, out=k_data)
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
     M = None if m_data is None else sp.csr_matrix((m_data, indices, indptr), shape=(size, size))
     return StiffnessSystem(

@@ -6,10 +6,10 @@ node. Nodes are ordered lexicographically (t-major, C order), so the two
 boundary layers are the first and last contiguous blocks of node ids.
 
 Metrics live either as closed-form sources (evaluate anywhere) or as node
-tables whose sqrt(det g) (:func:`spd_root_det`) and weight
-sqrt(det g) g^{-1} (:func:`spd_weight`) are cached from one unrolled
-Cholesky over packed symmetric components, the package's one factorisation
-of SPD tables, which also validates them. The divergence-form
+tables whose sqrt(det g) (:func:`spd_root_det`, cached) and weight
+sqrt(det g) g^{-1} (:func:`spd_weight`, built on each read) come from one
+unrolled Cholesky over packed symmetric components, the package's one
+factorisation of SPD tables, which also validates them. The divergence-form
 coefficient family with a one-dimensional Hoelder-rough part is assembled
 into 3-D and n-D metrics here; the defining algebraic property is that the
 metric's weight matrix sqrt(det g) * g^{-1} reproduces the coefficient
@@ -317,10 +317,9 @@ class MetricField:
     """Metric sampled on a grid, checked when it is built. ``packed`` is the
     one packing of the node table into the component order of the SPD
     kernel, which assembly and the volume expansion read too. The volume
-    element ``sqrt_det`` is the Cholesky diagonal product
-    :func:`spd_root_det` of that packing, and the weight
-    ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` when it is first
-    read.
+    element ``sqrt_det``, the Cholesky diagonal product
+    :func:`spd_root_det` of that packing, is the one table kept; the weight
+    ``sqrt(det g) g^{-1}`` comes from :func:`spd_weight` on each read.
 
     Every table, sampled, rescaled, assembled from a dataset or given
     directly, passes this one check, so the invariants hold by
@@ -376,9 +375,9 @@ class MetricField:
     def sqrt_det(self) -> np.ndarray:
         return spd_root_det(self.packed)
 
-    @cached_property
+    @property
     def weight(self) -> np.ndarray:
-        """The divergence-form weight sqrt(det g) * g^{-1}."""
+        """The divergence-form weight sqrt(det g) * g^{-1}, built on each read."""
         W = spd_weight(self.packed)[0][packed_order(self.grid.n)[2]]
         return np.moveaxis(W, (0, 1), (-2, -1))
 

@@ -161,12 +161,12 @@ REPORT_FILES = ("report.json", "summary.md", "timings.json")
 
 
 def _write_files(d, texts: dict) -> None:
-    """Write each ``path: text`` of ``texts``, every path in the directory
-    ``d``, made with its missing parents: each text goes to a temporary file
-    in ``d`` first, and then each into place by ``os.replace``. A path that
-    exists and is not a regular file is refused before the first rename.
-    Any failure raises ConfigInvalid and removes the temporaries."""
-    tmps, path = [], d
+    """Write each ``path: text`` of ``texts``, all in the directory ``d``,
+    made with its missing parents, through temporary files in ``d``. A path
+    that exists and is not a regular file is refused; the others move aside,
+    beside their texts' temporaries, and each text into place by ``os.replace``.
+    Any failure raises ConfigInvalid and undoes the renames: the old files stay."""
+    tmps, moves, k, path = [], [], 0, d
     try:
         os.makedirs(d, exist_ok=True)
         for path, text in texts.items():
@@ -177,14 +177,19 @@ def _write_files(d, texts: dict) -> None:
         for path in texts:
             if os.path.lexists(path) and not os.path.isfile(path):
                 raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: it exists and is not a regular file")
-        for tmp, path in zip(tmps, texts):
-            os.replace(tmp, path)
+        moves = [(p, t + ".old") for t, p in zip(tmps, texts) if os.path.lexists(p)] + list(zip(tmps, texts))
+        for k, (src, path) in enumerate(moves):
+            os.replace(src, path)
     except OSError as e:
+        for src, dst in reversed(moves[:k]):
+            os.replace(dst, src)
         raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: {e.strerror or e}") from e
+    else:  # the old files go only once every text is in place
+        tmps += [tmp + ".old" for tmp in tmps]
     finally:
-        for tmp in tmps:
-            if os.path.lexists(tmp):
-                os.unlink(tmp)
+        for name in tmps:
+            if os.path.lexists(name):
+                os.unlink(name)
 
 
 def atomic_write_text(path, text: str) -> None:

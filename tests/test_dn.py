@@ -622,11 +622,11 @@ class TestGridLayoutCache:
                 M.indices[:] = M.indices[::-1]
             with pytest.raises(ValueError, match="read-only"):
                 M.indptr[1:-1] = 0
-        saved = [M.data.copy() for M in (first.laplace, first.mass)]
-        for M in (first.laplace, first.mass):
+        saved = [M.data.copy() for M in (first.matrix, first.mass)]
+        for M in (first.matrix, first.mass):
             M.data *= -3.0
         again = assemble_stiffness(bumpy9, potential=q)
-        for M, data in zip((again.laplace, again.mass), saved):
+        for M, data in zip((again.matrix, again.mass), saved):
             assert np.array_equal(M.data, data)
 
     def test_second_assembly_holds_only_its_data_at_33(self):
@@ -637,10 +637,12 @@ class TestGridLayoutCache:
         tracemalloc.start()
         try:
             sys_ = assemble_stiffness(metric, potential=q)
+            solver = InteriorSolver(sys_)  # reads matrix: K + M, kept, not a third array
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        data = sys_.laplace.data.nbytes + sys_.mass.data.nbytes
+        assert np.shares_memory(solver.rows.data, sys_.matrix.data)
+        data = sys_.matrix.data.nbytes + sys_.mass.data.nbytes
         assert held <= data + 1e6, f"{held / 1e6:.1f} MB held, {data / 1e6:.1f} MB of data"
 
     def test_bytes_independent_of_blas_threads(self):
@@ -659,7 +661,7 @@ class TestGridLayoutCache:
             "grid = cyl_grid(3, 25)\n"
             "q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)\n"
             "s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)\n"
-            "print(hashlib.sha256(s.laplace.data.tobytes()).hexdigest(),"
+            "print(hashlib.sha256(s.matrix.data.tobytes()).hexdigest(),"
             " hashlib.sha256(s.mass.data.tobytes()).hexdigest())\n"
         )
         digests = []
@@ -672,7 +674,7 @@ class TestGridLayoutCache:
         assert digests[0] == digests[1]
         q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)
         s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)
-        here = [hashlib.sha256(M.data.tobytes()).hexdigest() for M in (s.laplace, s.mass)]
+        here = [hashlib.sha256(M.data.tobytes()).hexdigest() for M in (s.matrix, s.mass)]
         assert digests[0] == here
 
 
@@ -702,7 +704,7 @@ def _assembly_temporaries(n: int, size: int) -> list[int]:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        K = sys_.laplace
+        K = sys_.matrix
         result = sum(a.nbytes for a in (K.data, K.indices, K.indptr))
         if q is not None:
             result += sys_.mass.data.nbytes
@@ -753,7 +755,7 @@ class TestBlockedAssembly:
         for bound in (1, 5 * per_layer, default):
             monkeypatch.setattr(dn_solver, "_BLOCK_BYTES", bound)
             blocked = assemble_stiffness(metric, potential=q)
-            pairs = [(one_block.laplace, blocked.laplace)]
+            pairs = [(one_block.matrix, blocked.matrix)]
             if with_potential:
                 pairs.append((one_block.mass, blocked.mass))
             for A, B in pairs:
@@ -772,8 +774,12 @@ class TestBlockedAssembly:
         metric = sample_metric(random_trig_metric(grid.n, seed=30 + grid.n), grid)
         q = np.random.default_rng(grid.n).uniform(-1.0, 2.0, grid.shape) if with_potential else None
         sys_ = assemble_stiffness(metric, potential=q)
-        got = [sys_.laplace] + ([sys_.mass] if with_potential else [])
-        for M, data in zip(got, _mirrored_assembly(metric, q), strict=True):
+        ref = _mirrored_assembly(metric, q)
+        # with a potential the system keeps K + M and M, not K
+        assert (sys_.laplace is sys_.matrix) is (q is None)
+        if with_potential:
+            ref = [np.add(*ref), ref[1]]
+        for M, data in zip([sys_.matrix] + ([sys_.mass] if with_potential else []), ref, strict=True):
             assert M.data.tobytes() == data.tobytes()
             assert _bitwise_symmetric(M)
 

@@ -10,7 +10,8 @@ Verifies:
     the NonPositiveDefinite payload names eigvalsh's node and eigenvalue
     for an indefinite node with a positive diagonal and for a singular
     node, and its message names the check that failed; no floating-point
-    warning on the way; the cached sqrt(det g)
+    warning on the way; the cached sqrt(det g), and the weight, which is
+    not kept
   - the coefficient-dataset metric reproduces its weight matrix exactly,
     and a dataset metric with a degenerate determinant or an indefinite
     block is refused by both assemblers
@@ -19,6 +20,7 @@ Verifies:
 """
 
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,6 +238,20 @@ class TestMetricField:
             evs = np.linalg.eigvalsh(g.mat)
             assert evs.min() > 0, f"seed {seed}: min eigenvalue {evs.min()}"
             assert np.abs(g.mat - g.mat.swapaxes(-1, -2)).max() == 0.0
+
+    def test_weight_is_not_kept_at_33(self):
+        # built on each read, like packed: a dropped weight frees its 2.4 MB
+        # table, and a second read gives the same bytes; sqrt_det stays kept
+        g = sample_metric(random_trig_metric(3, seed=1), cyl_grid(3, 33))
+        tracemalloc.start()
+        try:
+            g.weight
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1e5, f"{held / 1e6:.2f} MB held"
+        assert g.weight.tobytes() == g.weight.tobytes()
+        assert g.sqrt_det is g.sqrt_det
 
 
 

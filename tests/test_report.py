@@ -6,12 +6,14 @@ Verifies:
   - the config digest ignores key order
   - emitted artifacts: report.json, CSV per table, summary.md, and the
     timings sidecar kept out of the canonical report; a write whose final
-    rename fails keeps the old file and leaves no temporary file, and a
-    report whose second file cannot be written leaves no file at all
+    rename fails keeps the old file and leaves no temporary file, a
+    report whose second file cannot be written leaves no file at all, and
+    a failed rename of any file of a report undoes the ones before it
   - fuzzed: the JSON loader turns arbitrary bytes into an object or a
     config error, never anything else
 """
 
+import errno
 import json
 import os
 import tempfile
@@ -146,6 +148,35 @@ class TestEmission:
             atomic_write_text(p, "new")
         assert p.read_bytes() == b"old"
         assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]  # no .tmp-* left
+
+    # an earlier report without the timings sidecar is in place; the rename
+    # of each new file into place fails in turn, after the earlier ones
+    # went through
+    @pytest.mark.parametrize("fails_at", range(4))
+    def test_failed_rename_leaves_the_old_files(self, tmp_path, monkeypatch, fails_at):
+        old = ExperimentReport("demo", {"alpha": 0})
+        old.add_table("gaps", ("size", "gap"), [(9, 0.5)])
+        emit_report(old, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["gaps.csv", "report.json", "summary.md"]
+        new = _sample_report()
+        new.timings["total"] = 0.5
+        real, placed = os.replace, []
+
+        def replace(src, dst):
+            # into place: from a text's temporary to a target
+            if os.path.basename(src).startswith(".tmp-") and not os.fspath(src).endswith(".old") \
+                    and not os.path.basename(dst).startswith(".tmp-"):
+                placed.append(dst)
+                if len(placed) == fails_at + 1:
+                    raise OSError(errno.EIO, "injected failure")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(ConfigInvalid, match="injected failure"):
+            emit_report(new, tmp_path)
+        assert len(placed) == fails_at + 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no .tmp-* left
 
 
 class TestLoadJson:
