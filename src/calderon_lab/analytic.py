@@ -84,8 +84,6 @@ class AnalyticScalar:
         # Chain rule; domain restrictions (positivity for fractional powers)
         # are the caller's responsibility.
         e = float(exponent)
-        if e == 1.0:
-            return self
 
         def grad(p):
             return e * (self.val(p) ** (e - 1.0))[..., None] * self.grad(p)

@@ -54,15 +54,13 @@ def _centered_diff(values: np.ndarray, grid: CylinderGrid, axis: int) -> np.ndar
     """Second-order first derivative along one axis.
 
     Periodic wrap on angular axes. On the t-axis, centered differences in
-    the interior and one-sided three-point stencils at the endpoints (exact
-    on linear functions).
+    the interior and zeros in the two end rows, which no output reads: a
+    t-derivative enters only angular fluxes, whose end t-layers are dropped.
     """
     h = grid.spacings[axis]
     if axis == 0:
-        out = np.empty_like(values)
+        out = np.zeros_like(values)
         out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
         return out
     return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
 

@@ -131,10 +131,7 @@ def conformal_potential(
     if one_sided and g.grid.num_t < 5:
         raise GridMismatch(f"one-sided end layers need 3 interior t-layers, got num_t = {g.grid.num_t}")
     vals = c.power_nm2().values
-    if np.ptp(vals) == 0.0:
-        q = np.zeros((g.grid.num_t - 2, *g.grid.num_ang))
-    else:
-        q = laplace_beltrami_pointwise(g, vals) / vals[1:-1]
+    q = laplace_beltrami_pointwise(g, vals) / vals[1:-1]
     if one_sided:
         q = np.concatenate([[3.0 * q[0] - 3.0 * q[1] + q[2]], q, [3.0 * q[-1] - 3.0 * q[-2] + q[-3]]])
     return q

@@ -186,13 +186,9 @@ def holder_quotients(t: np.ndarray, A: np.ndarray, rho: float) -> dict:
     A = np.asarray(A, dtype=float).ravel()
     if t.shape != A.shape or t.size < 2:
         raise InsufficientSamples("need matching t and A samples, at least two")
-    strides = []
-    s = 1
-    while (t.size - 1) // s + 1 >= 5:
-        strides.append(s)
-        s *= 2
-    if not strides:
-        strides = [1]
+    strides = [1]
+    while (t.size - 1) // (2 * strides[-1]) + 1 >= 5:
+        strides.append(2 * strides[-1])
     out = {}
     for s in strides:
         idx = np.arange(t.size - 1, -1, -s)[::-1]
@@ -242,10 +238,7 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
 
     late = t >= data.T - 1e-12
     # the t-mask indexes the first axis of the fields and the t-only series
-    maxima = {
-        nm: float(np.abs(getattr(data, nm)[late]).max()) if late.any() else 0.0
-        for nm in _ARRAY_NAMES
-    }
+    maxima = {nm: float(np.abs(getattr(data, nm)[late]).max()) for nm in _ARRAY_NAMES}
     worst = max(maxima.values())
     items.append(
         ValidationItem(
@@ -515,7 +508,7 @@ def dn_gap_study(
     """
     cells = []
     for stride in strides:
-        ds = data.coarsen(stride) if stride != 1 else data
+        ds = data.coarsen(stride)
         g = assemble_counterexample_metric_3d(ds)
         sys_g = assemble_stiffness(g)
         B_g, _ = dn_mode_matrix(sys_g, GAMMA1, cut)

@@ -12,12 +12,15 @@ Verifies:
   - the sparse Jacobian of the stencil with respect to one angular weight
     slot reproduces the stencil with only that slot set, on prime axis
     lengths and at n = 3 and 4
+  - no output reads the end rows of a t-derivative: with those rows NaN,
+    the stencil and every angular Jacobian slot keep their bytes at n = 2,
+    3 and 4
 """
 
 import numpy as np
 import pytest
 
-from calderon_lab import analytic as an
+from calderon_lab import analytic as an, calculus
 from calderon_lab.calculus import (
     ScalarField,
     divergence_form_apply,
@@ -28,7 +31,7 @@ from calderon_lab.calculus import (
 )
 from calderon_lab.dn_solver import assemble_stiffness
 from calderon_lab.errors import GridMismatch
-from calderon_lab.grid_geometry import CylinderGrid, cyl_grid, flat_metric, sample_metric
+from calderon_lab.grid_geometry import CylinderGrid, cyl_grid, flat_metric, random_trig_metric, sample_metric
 from conftest import constant_metric
 
 # Hand quadrature for the frozen integral below: the flat volume of
@@ -181,6 +184,32 @@ class TestDivergenceFormJacobian:
                 J = divergence_form_jacobian(f, grid, i, j)
                 err = np.abs(J @ w.ravel() - direct).max()
                 assert err < 1e-13, f"slot ({i}, {j}): {err:.2e}"
+
+    @pytest.mark.parametrize("n,size", [(2, 9), (3, 9), (4, 7)])
+    def test_t_end_rows_never_read(self, monkeypatch, n, size):
+        # a t-derivative enters only angular fluxes, whose end t-layers the
+        # stencil and the Jacobian drop: NaN end rows change no byte
+        grid = cyl_grid(n, size)
+        W = sample_metric(random_trig_metric(n, seed=n), grid).weight
+        f = np.random.default_rng(n).normal(size=grid.shape)
+
+        def outputs():
+            jacobians = [divergence_form_jacobian(f, grid, i, j) for i in range(1, n) for j in range(n)]
+            return [divergence_form_apply(W, f, grid).tobytes()] + [
+                (J.shape, J.data.tobytes(), J.indices.tobytes(), J.indptr.tobytes()) for J in jacobians
+            ]
+
+        plain = outputs()
+        centered_diff = calculus._centered_diff
+
+        def nan_ends(values, grid, axis):
+            out = centered_diff(values, grid, axis)
+            if axis == 0:
+                out[[0, -1]] = np.nan
+            return out
+
+        monkeypatch.setattr(calculus, "_centered_diff", nan_ends)
+        assert outputs() == plain
 
     def test_t_direction_rejected(self, grid9):
         with pytest.raises(GridMismatch, match="not an angular flux slot"):

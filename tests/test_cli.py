@@ -1248,6 +1248,18 @@ class TestStudyAndRigidity:
         )
         assert code == 0
 
+    def test_run_keeps_files_it_did_not_write(self, tmp_path):
+        # an output directory may hold other runs' files: a run deletes
+        # none, and its report.json names the tables that are its own
+        out = tmp_path / "out"
+        dn = _write(tmp_path, "dn.json", {"n": 2, "sizes": [9], "transform": {"kind": "conformal-2d"}})
+        assert main(["dn-compare", "--config", dn, "--out", str(out)]) == 0
+        gaps = (out / "gaps.csv").read_bytes()
+        rigidity = _write(tmp_path, "rigidity.json", {"n": 3, "size": 9, "seeds": [0]})
+        assert main(["rigidity-check", "--config", rigidity, "--out", str(out)]) == 0
+        assert (out / "gaps.csv").read_bytes() == gaps
+        assert "gaps" not in load_json(out / "report.json")["tables"]
+
 
 class TestRunApi:
     def test_run_returns_report(self, tmp_path):

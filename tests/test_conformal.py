@@ -7,7 +7,9 @@ Verifies:
   - fourth-power (n >= 3) and first-power (n = 2) metric scalings; a
     factor with a NaN, inf or non-positive value is refused
   - the volume law sqrt(det(c^4 g)) = c^{2n} sqrt(det g) at n = 3 and 4
-  - the scaling-law potential: exact-zero shortcut and boundary fill
+  - at n = 3, c^{n-2} is c, values and closed-form gradient bit for bit
+  - the scaling-law potential: +0.0 at every node for a constant factor,
+    plain and one-sided at n = 3 and 4, and boundary fill
   - the scaling-law residual vanishes for c = 1 and shrinks under
     refinement otherwise
   - a factor whose scaled volume element overflows is refused by the
@@ -30,7 +32,7 @@ import scipy.sparse.linalg as spla
 from math import comb
 
 from calderon_lab import analytic as an, conformal
-from calderon_lab.calculus import ScalarField, integrate_volume
+from calderon_lab.calculus import ScalarField, gradient, integrate_volume
 from calderon_lab.conformal import (
     ConformalFactor,
     algebraic_identity_check,
@@ -188,13 +190,27 @@ def _trig_factor(grid):
     )
 
 
+class TestFactorPower:
+    def test_power_nm2_at_n3_is_the_factor(self, grid9):
+        c = _trig_factor(grid9)
+        p = c.power_nm2()
+        assert p.values.tobytes() == c.values.tobytes()
+        assert gradient(p).tobytes() == gradient(c.field).tobytes()
+
+
 class TestConformalPotential:
     def test_constant_factor_exact_zero(self, grid9, bumpy9):
-        c = ConformalFactor.from_source(grid9, an.constant(1.7, 3), 3)
-        q = conformal_potential(bumpy9, c)
-        assert q.shape == (7, 8, 8) and np.all(q == 0.0)
-        q_filled = conformal_potential(bumpy9, c, one_sided=True)
-        assert q_filled.shape == grid9.shape and np.all(q_filled == 0.0)
+        # every stencil difference of a constant is +0.0, and so is every
+        # flux, since W_ii > 0: the potential is +0.0, never -0.0
+        cases = [(grid9, bumpy9)]
+        for grid in (cyl_grid(3, 7), cyl_grid(4, 7)):
+            cases.append((grid, sample_metric(random_trig_metric(grid.n, seed=3), grid)))
+        for grid, g in cases:
+            c = ConformalFactor.from_source(grid, an.constant(1.7, grid.n), grid.n)
+            q = conformal_potential(g, c)
+            assert q.shape == (grid.num_t - 2, *grid.num_ang) and q.tobytes() == np.zeros_like(q).tobytes()
+            q_filled = conformal_potential(g, c, one_sided=True)
+            assert q_filled.shape == grid.shape and q_filled.tobytes() == np.zeros_like(q_filled).tobytes()
 
     def test_boundary_layers(self, grid9, flat9):
         # the stencil defines the interior t-layers only; the one-sided
