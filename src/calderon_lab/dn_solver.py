@@ -14,17 +14,15 @@ on the rest of the boundary. Applied to a nodal trace it returns the dual
 Rayleigh quotients against the boundary mass matrix.
 
 Assembly (:func:`assemble_stiffness`) is one loop over blocks of whole
-cell layers in one arena per call, at most ``_BLOCK_BYTES`` (4,096 cells
-in 3-D), with one GEMM per block over the unique metric components and
-the unique element entries ``a <= b``, and the in-place SPD kernel. It is
-deterministic: a block adds its unique entries at their upper slots and
-their mirrors at the strict-lower ones, and each CSR slot takes entries
-of one half only, in cell-major order; the matrices are bitwise symmetric
-and their bytes depend neither on the block size (but see the 4-D caveat
-there) nor on the BLAS thread count. One per-grid cache
-(:func:`_grid_layout`) holds the CSR pattern, the element tables and the
-angular eigenpairs of the solver; the pattern is built without a sort,
-from the Q1 stencil's tensor form, and keeps three cell layers.
+cell layers in one float64 arena per call, with one GEMM per block over
+the unique metric components and the unique element entries ``a <= b``,
+and the in-place SPD kernel. It is deterministic: each CSR slot takes
+entries of one half only, in cell-major order, so the matrices are
+bitwise symmetric and their bytes depend neither on the block size (but
+see the 4-D caveat there) nor on the BLAS thread count. One per-grid
+cache (:func:`_grid_layout`) holds the CSR pattern, the element tables
+and the angular eigenpairs of the solver; the pattern is built without a
+sort, from the Q1 stencil's tensor form, and keeps three cell layers.
 
 Every interior solve but one goes through :class:`InteriorSolver`, whose
 seam fixes the whole boundary: the free nodes are the interior t-layers,
@@ -52,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -82,7 +81,7 @@ _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _ENERGY_RTOL = 5e-7  # the same in InteriorSolver.energy, whose error is second order
 _CG_MAXIT = 200
 _DENSE_BYTES = 32 << 20  # caps the node array u of one interior solve; the solve holds about five of its size
-_BLOCK_BYTES = 4096 * 1248  # bounds an assembly block's arena: 4,096 cells in 3-D (2048 timed the same)
+_BLOCK_BYTES = 1267 * 2944  # bounds an assembly block's arena: 1,267 cells in 4-D, 3,885 in 3-D
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def _scatter_pattern(grid: CylinderGrid):
     strict-lower ``(b, a)`` in their mirrors' order (3, P, U and 4^n - U);
     the column indices and row pointers; and layer 0's cell-node table, the
     node ids of each cell's 2^n corners (int32, (2^n, P)). P is the layer
-    count, and :func:`_cell_layout` derives the other cell layers.
+    count; assembly shifts them to the other cell layers.
 
     Cells are indexed lexicographically like nodes; the t-axis has
     num_t - 1 cells, each angular axis wraps and has as many cells as nodes.
@@ -179,25 +178,10 @@ def _scatter_pattern(grid: CylinderGrid):
         slot = slot * _spread(m[node][:, :, None].astype(index), d, n) + _spread(rank.astype(index), d, n)
     slot += indptr[row]
     # the row node of every (cell, row corner) of layer 0, for any column corner
-    P = grid.layer_count
-    nodes = np.ascontiguousarray(row.reshape(-1, 1 << n)[:P].T, dtype=np.int32)
-    a, b, slot = *np.triu_indices(1 << n), slot.reshape(3, P, 1 << n, 1 << n)
-    return slot[..., a, b], slot[..., b[a < b], a[a < b]], indices, indptr, nodes
-
-
-def _cell_layout(grid: CylinderGrid, tables, nodes: np.ndarray, j0: int, out) -> None:
-    """Write the cell-node table (2^n, J P) and the flat slots of each slot
-    table of the whole cell layers j0..j0 + J into ``out``, in that order,
-    from the stored layers: layer j's nodes are layer 0's plus j P, and as
-    every interior row holds 3^n entries, for 1 <= j <= num_t - 3 its slots
-    are layer 1's plus (j - 1) 3^n P."""
-    P, step = grid.layer_count, 3**grid.n * grid.layer_count
-    layers = out[0].shape[1] // P
-    for j in range(j0, j0 + layers):
-        k = 0 if j == 0 else 2 if j == grid.num_t - 2 else 1
-        np.add(nodes, j * P, out=out[0].reshape(-1, layers, P)[:, j - j0])
-        for table, cell_slot in zip(tables, out[1:]):
-            np.add(table[k], (j - 1) * step if k == 1 else 0, out=cell_slot.reshape(layers, P, -1)[j - j0])
+    Q, P = 1 << n, grid.layer_count
+    nodes = np.ascontiguousarray(row.reshape(-1, Q)[:P].T, dtype=np.int32)
+    a, b, slot = *np.triu_indices(Q), slot.reshape(3, P, Q * Q)
+    return slot.take(a * Q + b, axis=2), slot.take(b[a < b] * Q + a[a < b], axis=2), indices, indptr, nodes
 
 
 def _element_tables(grid: CylinderGrid):
@@ -251,13 +235,12 @@ def _grid_layout(grid: CylinderGrid):
     return pattern, tables, (vecs, lams)
 
 
-def _arena_regions(n: int, index) -> tuple:
-    """(dtype, count per cell) of each region of an assembly block's arena:
-    the gather, then E; the metric, then W, then E's lower entries;
-    sqrt(det g) and the kernel's two scratch rows; the nodes; the slots."""
+def _cell_floats(n: int) -> int:
+    """float64 entries per cell of an assembly block's arena: the gather,
+    then E; the metric, then W, then E's lower entries; sqrt(det g) and the
+    kernel's two scratch rows."""
     Q = 1 << n
-    U, F = Q * (Q + 1) // 2, max(n * (n + 1) // 2 * Q, Q * (Q + 1) // 2)
-    return (np.float64, F), (np.float64, F), (np.float64, 3 * Q), (np.int32, Q), (index, U), (index, Q * Q - U)
+    return 2 * max(n * (n + 1) // 2 * Q, Q * (Q + 1) // 2) + 3 * Q
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,34 +281,36 @@ def assemble_stiffness(
                   + int V u v sqrt(det g).
 
     One loop runs over blocks of whole cell layers, as many as keep the
-    block's arena within ``_BLOCK_BYTES`` and at least one (4,096 cells in
-    3-D, fewer in 4-D, whole grids in 2-D), so no GEMM has a single row.
-    One ``np.empty`` per call holds every array of a block as a view (see
-    :func:`_arena_regions`). A block gathers the ``n(n+1)/2`` unique metric
-    components at its cells' corners, interpolates them to the Gauss points
-    (one matmul with the shape table N), turns them into
-    ``W = sqrt(det g) g^{-1}`` in place by the SPD kernel
-    :func:`~calderon_lab.grid_geometry.spd_weight`, and gets the unique
-    entries ``a <= b`` of its element matrices into the dead gather by one
-    GEMM, ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]``, with ``k``
-    over the components ``i <= j`` and the table of :func:`_element_tables`,
-    which folds ``T_ij + T_ji``. It adds E at the upper slots of the CSR
-    data of K, then E's strict upper entries at the lower ones, each by one
-    1-D ``np.add.at``, and so for the mass matrix with a potential, whose
-    entries come from ``sqrt(det g) V`` by one GEMM against
-    ``w N[q, a] N[q, b]``; the t-cells' ``layers`` come from the same Gauss
-    points. Each slot takes entries of one slot table only and sums them in
-    cell-major order, so K and M are bitwise symmetric and their bytes
-    depend on neither the block size nor the BLAS thread count; but in 4-D
-    the interpolation matmul rounds the last one to four columns of a block
-    whose cell count is not a multiple of 8 its own way, so there the bytes
-    can change with the block size unless P is a multiple of 8. The tables come from a per-grid cache
-    (equal grids share one entry), whose read-only ``indices`` and
-    ``indptr`` every system's matrices hold (a write raises ``ValueError``).
+    block's arena within ``_BLOCK_BYTES`` and at least one (1,267 cells in
+    4-D, 3,885 in 3-D, whole grids in 2-D), so no GEMM has a single row. One
+    float64 ``np.empty`` per call holds every float array of a block as a view
+    (:func:`_cell_floats`); its cell nodes are layer 0's plus ``j P`` for its
+    layers ``j``. A block gathers the ``n(n+1)/2`` unique metric components at
+    its cells' corners, interpolates them to the Gauss points (one matmul with
+    the shape table N), turns them into ``W = sqrt(det g) g^{-1}`` in place by
+    the SPD kernel :func:`~calderon_lab.grid_geometry.spd_weight`, and gets
+    the unique entries ``a <= b`` of its element matrices into the dead gather
+    by one GEMM, ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]``, with
+    ``k`` over the components ``i <= j`` and the table of
+    :func:`_element_tables`, which folds ``T_ij + T_ji``. Each cell layer adds
+    its rows of E at the upper slots of K's data and those of E's strict upper
+    entries at the lower ones by 1-D ``np.add.at``, an interior layer j
+    through layer 1's slots on the view ``data[(j - 1) 3^n P:]`` (every
+    interior row holds 3^n entries), layers 0 and num_t - 2 through their own.
+    So for the mass matrix with a potential, by one GEMM of ``sqrt(det g) V``
+    against ``w N[q, a] N[q, b]``; the t-cells' ``layers`` come from the same
+    Gauss points. Each slot takes entries of one slot table only and sums them
+    in cell-major order, so K and M are bitwise symmetric and their bytes
+    depend on neither the block size nor the BLAS thread count; but in 4-D the
+    interpolation matmul rounds the last one to four columns of a block whose
+    cell count is not a multiple of 8 its own way, so there the bytes can
+    change with the block size unless P is a multiple of 8. The tables come
+    from a per-grid cache (equal grids share one entry), whose read-only
+    ``indices`` and ``indptr`` every system's matrices hold (a write raises
+    ``ValueError``).
     """
     grid = metric.grid
-    n = grid.n
-    size = grid.node_count
+    n, size = grid.n, grid.node_count
     (upper, lower, indices, indptr, nodes), (N, stiff, mass_table, strict), _ = _grid_layout(grid)
     P, num_cells_t = grid.layer_count, grid.num_t - 1
 
@@ -350,18 +335,16 @@ def assemble_stiffness(
     m_data = None if v_nodes is None else np.zeros(indices.size)
     # per t-cell, the means of diag(W), then of sqrt(det g) V
     layers = np.zeros((n + 1, num_cells_t))
-    regions = _arena_regions(n, upper.dtype)
-    cell_bytes = sum(np.dtype(t).itemsize * m for t, m in regions)
-    per = max(1, _BLOCK_BYTES // (cell_bytes * P))  # whole cell layers per block
-    arena = np.empty(min(per, num_cells_t) * P * cell_bytes, dtype=np.uint8)
-    Q, U, k = N.shape[0], stiff.shape[1], g_nodes.shape[0]
+    Q, U, k, cell = N.shape[0], stiff.shape[1], g_nodes.shape[0], _cell_floats(n)
+    per = max(1, _BLOCK_BYTES // (8 * cell * P))  # whole cell layers per block
+    arena = np.empty(min(per, num_cells_t) * P * cell)
+    shifts = [(0, 0)] + [(1, (j - 1) * 3**n * P) for j in range(1, num_cells_t - 1)] + [(2, 0)]
     for j0 in range(0, num_cells_t, per):
         j1 = min(j0 + per, num_cells_t)
         c = (j1 - j0) * P  # the block's regions follow one another from the arena's head
-        ends = np.cumsum([0] + [c * m * np.dtype(t).itemsize for t, m in regions])
-        X, Y, rows, cell_nodes, up, low = (arena[lo:hi].view(t) for (t, _), lo, hi in zip(regions, ends, ends[1:]))
-        cell_nodes, rows = cell_nodes.reshape(Q, c), rows.reshape(3, Q, c)
-        _cell_layout(grid, (upper, lower), nodes, j0, (cell_nodes, up, low))
+        X, Y = arena[: c * (cell - 3 * Q)].reshape(2, -1)
+        rows = arena[c * (cell - 3 * Q) : c * cell].reshape(3, Q, c)
+        cell_nodes = (nodes[:, None] + P * np.arange(j0, j1, dtype=np.int32)[:, None]).reshape(Q, c)
         G = np.take(g_nodes, cell_nodes, axis=1, mode="clip", out=X[: k * Q * c].reshape(k, Q, c))
         W, root_det = spd_weight(np.matmul(N, G, out=Y[: k * Q * c].reshape(k, Q, c)), rows)
         for d in range(n):
@@ -377,8 +360,10 @@ def assemble_stiffness(
         # takes the int32 slots as they are (np.bincount would copy them)
         for data, weight, table in parts:
             E = np.matmul(weight, table, out=X[: U * c].reshape(c, U))
-            np.add.at(data, up, E.ravel())
-            np.add.at(data, low, np.take(E, strict, axis=1, mode="clip", out=Y[: low.size].reshape(c, -1)).ravel())
+            E_low = np.take(E, strict, axis=1, mode="clip", out=Y[: c * strict.size].reshape(c, -1))
+            for (kind, shift), e, e_low in zip(shifts[j0:j1], E.reshape(j1 - j0, -1), E_low.reshape(j1 - j0, -1)):
+                np.add.at(data[shift:], upper[kind].ravel(), e)
+                np.add.at(data[shift:], lower[kind].ravel(), e_low)
     if m_data is not None:  # K + M, the one operator a solve reads, in K's array
         np.add(k_data, m_data, out=k_data)
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
@@ -729,7 +714,7 @@ def check_modes(grid: CylinderGrid, modes) -> None:
         if len(m) != grid.n - 1:
             raise ShapeMismatch(f"mode {tuple(m)} has {len(m)} components, expected {grid.n - 1}")
         for k, N in zip(m, grid.num_ang):
-            if not float(k).is_integer():
+            if not (isinstance(k, numbers.Integral) or float(k).is_integer()):
                 raise ShapeMismatch(f"mode {tuple(m)} has a component {k} that is not a finite integer")
             if 2 * abs(k) >= N:
                 raise ShapeMismatch(f"mode {tuple(m)} aliases on angular axis with {N} nodes")

@@ -351,6 +351,21 @@ class TestConfigErrors:
         assert f"config error: cannot write {os.path.join('out', name)!r}" in done.stderr
         assert "Traceback" not in done.stderr
 
+    # a mode component past float range ended in an OverflowError traceback
+    # with exit 1; it aliases on any grid
+    def test_401_digit_mode_is_config_error(self, tmp_path):
+        cfg_path = _write(tmp_path, "synth.json", '{"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1'
+                          + "0" * 400 + ', 0]]}')
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "calderon_lab.cli", "synth-dataset", "--config", cfg_path, "--out", "out"],
+            cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "config error: invalid synthesis: mode (1" in done.stderr and "aliases" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
     # report.json and deviation_from_one.csv were written, and then the
     # directory summary.md refused, which left a half-written run
     def test_refused_report_leaves_out_dir_as_it_was(self, tmp_path, capsys):

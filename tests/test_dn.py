@@ -37,7 +37,7 @@ Verifies:
     4, with and without a potential), nor do the bytes of the layer means
     (bounds of 2 to 1440 cells), K and M are bitwise symmetric and equal a
     test-local mirrored np.add.at scatter of whole element matrices, the
-    default bound keeps 4,096 cells in 3-D, and an assembly holds at most
+    default bound keeps 1,267 cells in 4-D, and an assembly holds at most
     8.5 MB of temporaries above its result at 33^3, 6 MB at 7^4 and 12 MB
     at 13^4, with and without a potential (per-block arrays took 9.9, 8.7
     and 24.6 MB)
@@ -545,18 +545,20 @@ def _argsort_pattern(nodes, size):
 )
 def test_tensor_pattern_matches_argsort(grid):
     # the full tables, rebuilt from the three stored cell layers of upper
-    # and lower slots and the one of cell nodes
+    # and lower slots and the one of cell nodes by the shift rule: layer j's
+    # nodes are layer 0's plus j P, and an interior layer's slots are layer
+    # 1's plus (j - 1) 3^n P, as every interior row holds 3^n entries
     upper, lower, indices, indptr, layer0 = dn_solver._scatter_pattern(grid)
-    Q, cells = 1 << grid.n, (grid.num_t - 1) * grid.layer_count
-    assert upper.shape[0] == lower.shape[0] == 3 and layer0.shape == (Q, grid.layer_count)
+    Q, P, num_cells_t = 1 << grid.n, grid.layer_count, grid.num_t - 1
+    assert upper.shape[0] == lower.shape[0] == 3 and layer0.shape == (Q, P)
     assert upper.shape[2] + lower.shape[2] == Q * Q
-    nodes = np.empty((Q, cells), dtype=np.int32)
-    up, low = np.empty(cells * upper.shape[2], upper.dtype), np.empty(cells * lower.shape[2], lower.dtype)
-    dn_solver._cell_layout(grid, (upper, lower), layer0, 0, (nodes, up, low))
+    nodes = np.concatenate([layer0 + j * P for j in range(num_cells_t)], axis=1)
+    kinds = [0] + [1] * (num_cells_t - 2) + [2]
+    shifts = [0] + [(j - 1) * 3**grid.n * P for j in range(1, num_cells_t - 1)] + [0]
     a, b = np.triu_indices(Q)
-    slot = np.empty((cells, Q, Q), dtype=upper.dtype)
-    slot[:, a, b] = up.reshape(cells, -1)
-    slot[:, b[a < b], a[a < b]] = low.reshape(cells, -1)
+    slot = np.empty((num_cells_t, P, Q, Q), dtype=upper.dtype)
+    slot[..., a, b] = np.stack([upper[k] + shift for k, shift in zip(kinds, shifts)])
+    slot[..., b[a < b], a[a < b]] = np.stack([lower[k] + shift for k, shift in zip(kinds, shifts)])
     oracle_nodes = _rolled_cell_nodes(grid)
     assert np.array_equal(nodes, oracle_nodes), "cell nodes"
     oracle = _argsort_pattern(oracle_nodes, grid.node_count)
@@ -648,17 +650,17 @@ class TestGridLayoutCache:
     def test_bytes_independent_of_blas_threads(self):
         # the element matrices come from BLAS GEMMs, and report.json byte
         # identity across thread counts rests on their being reproducible;
-        # grid 25 spans several whole-layer assembly blocks, the last one
-        # partial: 24 layers of 576 cells in blocks of 7
-        grid = cyl_grid(3, 25)
+        # grid 33 spans several whole-layer assembly blocks, the last one
+        # partial: 32 layers of 1,024 cells in blocks of 3
+        grid = cyl_grid(3, 33)
         per = dn_solver._BLOCK_BYTES // (_cell_bytes(grid) * grid.layer_count)
-        assert per == 7 and (grid.num_t - 1) % per != 0
+        assert per == 3 and (grid.num_t - 1) % per != 0
         src = Path(dn_solver.__file__).resolve().parents[1]
         script = (
             "import hashlib, numpy as np\n"
             "from calderon_lab.dn_solver import assemble_stiffness\n"
             "from calderon_lab.grid_geometry import cyl_grid, random_trig_metric, sample_metric\n"
-            "grid = cyl_grid(3, 25)\n"
+            "grid = cyl_grid(3, 33)\n"
             "q = np.random.default_rng(2).uniform(-1.0, 1.0, grid.shape)\n"
             "s = assemble_stiffness(sample_metric(random_trig_metric(3, seed=4), grid), potential=q)\n"
             "print(hashlib.sha256(s.matrix.data.tobytes()).hexdigest(),"
@@ -685,9 +687,8 @@ def _bitwise_symmetric(K) -> bool:
 
 
 def _cell_bytes(grid) -> int:
-    """Bytes per cell of an assembly block's arena on ``grid``."""
-    index = dn_solver._grid_layout(grid)[0][0].dtype
-    return sum(np.dtype(t).itemsize * m for t, m in dn_solver._arena_regions(grid.n, index))
+    """Bytes per cell of an assembly block's arena on ``grid``, all float64."""
+    return 8 * dn_solver._cell_floats(grid.n)
 
 
 def _assembly_temporaries(n: int, size: int) -> list[int]:
@@ -765,10 +766,16 @@ class TestBlockedAssembly:
             assert one_block.layers.tobytes() == blocked.layers.tobytes()
 
     # the split scatter adds each slot's entries in the mirrored scatter's
-    # order, and the in-place kernel keeps the allocating one's bytes
+    # order, and the in-place kernel keeps the allocating one's bytes; on
+    # num_t 3 one block holds the first and the last cell layer and no
+    # interior one, on num_t 4 only one interior layer, at shift 0, and
+    # the 4-D (9, 5, 5, 5) layer has an odd cell count
     @pytest.mark.parametrize("with_potential", [False, True], ids=["plain", "potential"])
     @pytest.mark.parametrize(
-        "grid", [cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(4, 7)], ids=["n2", "n3", "n4"]
+        "grid",
+        [cyl_grid(2, 33), cyl_grid(3, 9), cyl_grid(4, 7), CylinderGrid(3, 3, (4, 4)), CylinderGrid(2, 4, (5,)),
+         CylinderGrid(4, 9, (5, 5, 5))],
+        ids=["n2", "n3", "n4", "3x4x4", "4x5", "9x5x5x5"],
     )
     def test_split_scatter_matches_mirrored(self, grid, with_potential):
         metric = sample_metric(random_trig_metric(grid.n, seed=30 + grid.n), grid)
@@ -796,12 +803,12 @@ class TestBlockedAssembly:
         assert layers.tobytes() == default.tobytes()
 
     def test_block_bound_in_bytes(self):
-        # 3-D blocks keep 4,096 cells; 4-D ones shrink, 2-D ones never do
-        assert [dn_solver._BLOCK_BYTES // _cell_bytes(cyl_grid(n, 9)) for n in (2, 3, 4)] == [13890, 4096, 1267]
+        # 4-D blocks keep 1,267 cells, whose bytes move with the block size
+        assert [dn_solver._BLOCK_BYTES // _cell_bytes(cyl_grid(n, 9)) for n in (2, 3, 4)] == [12951, 3885, 1267]
 
-    # one arena per call, at most 5.1 MB: the parent's per-block arrays
-    # held 9.9 MB at 33^3, 8.7 MB at 7^4 and 24.6 MB at 13^4; the arena
-    # holds 7.0, 4.6 and 9.0 MB, with the packed metric
+    # one float64 arena per call, at most 3.7 MB: per-block arrays held
+    # 9.9 MB at 33^3, 8.7 MB at 7^4 and 24.6 MB at 13^4; the arena, the
+    # blocks' cell nodes and the packed metric hold 4.9, 3.5 and 7.2 MB
     def test_temporaries_at_33(self):
         temps = _assembly_temporaries(3, 33)
         assert max(temps) <= 8.5e6, [f"{t / 1e6:.1f} MB" for t in temps]

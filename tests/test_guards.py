@@ -5,7 +5,7 @@ its message on the argument it exists to refuse: malformed grids, an
 unknown boundary name, a boundary mass off one layer, mode eigenvalues
 asked of no modes, of a mode with too few or too many components, a
 fractional one or one that aliases, a synthesis mode with too few or too
-many components or a fractional one, mode matrices of different shapes,
+many components, a fractional one or a 401-digit one, mode matrices of different shapes,
 a mode cut that is not finite, a metric table or
 source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
@@ -123,6 +123,9 @@ _GUARDS = {
     "synth-long-mode": (lambda: _synth_modes(((1, 2, 3),)), ShapeMismatch, "mode (1, 2, 3) has 3 components"),
     "synth-fractional-mode": (lambda: _synth_modes(((1.5, 0),)), ShapeMismatch,
                               "mode (1.5, 0) has a component 1.5 that is not a finite integer"),
+    # a 401-digit integer is past float range: float(k) raised OverflowError
+    "synth-401-digit-mode": (lambda: _synth_modes(((10**400, 0),)), ShapeMismatch,
+                             "aliases on angular axis with 8 nodes"),
     "mode-gap-broadcast": (lambda: mode_gap(2 * np.eye(3), np.ones(3)), ShapeMismatch,
                            "shapes (3, 3) and (3,) differ"),
     "mode-gap-sizes": (lambda: mode_gap(np.eye(3), np.eye(2)), ShapeMismatch, "shapes (3, 3) and (2, 2) differ"),
