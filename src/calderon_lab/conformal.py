@@ -240,6 +240,7 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
     against the base volume element before summation. The whole pipeline
     runs in extended precision; in double the Vandermonde conditioning
     leaves the coefficients dependent on the sample set at the 1e-8 level.
+    ``c^4`` is two in-place squarings: ``** 4`` on longdouble calls ``powl``, 375 ns a node.
     """
     if g.grid.n != 3:
         raise DimensionTooSmall("the volume expansion argument is n = 3")
@@ -257,9 +258,9 @@ def volume_expansion(g: MetricField, u: ScalarField, eps_list) -> np.ndarray:
     V = np.empty(7, dtype=np.longdouble)
     for k, e in enumerate(eps):
         conformal_family(u, float(e))  # range validation only
-        c4 = (1 + e * uu) ** 4
-        diff = spd_root_det(c4 * mat) - base
-        V[k] = np.sum(diff * w)
+        c4 = 1 + e * uu
+        np.square(np.square(c4, out=c4), out=c4)
+        V[k] = np.sum((spd_root_det(c4 * mat) - base) * w)
     s = np.abs(eps).max()
     q = _bjorck_pereyra(eps / s, V)
     return np.asarray(q / s ** np.arange(7), dtype=float)

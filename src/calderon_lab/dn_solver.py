@@ -42,8 +42,8 @@ SingularInteriorBlock (a breakdown, which proves the block is not
 positive definite) or NoConvergence.
 
 The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
-t-layers with one in-place Cholesky per layer (:func:`_layer_stripped`) and
-goes through ``InteriorSolver`` only when a pivot fails or is below 1e-9.
+t-layers by a Cholesky, a GEMM-built inverse and a CSR product per layer
+(:func:`_layer_stripped`), and falls back to ``InteriorSolver`` on a bad pivot.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .grid_geometry import (
     packed_order,
     spd_weight,
 )
+from .report import quote
 
 _PIVOT_RATIO_FLOOR = 1e-9
 _SOLVE_RTOL = 1e-10
@@ -607,6 +608,20 @@ class DNMatrix:
     matrix: np.ndarray
 
 
+def _lower_inverse(L: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangular ``L`` (any layout) by ``L^{-1}`` and its strict upper
+    triangle by 0: trtri up to 96 rows, else ``-D^{-1} (C A^{-1})`` by two GEMMs into ``work``."""
+    n, h = len(L), len(L) // 2
+    if n <= 96:
+        L[...] = np.tril(scipy.linalg.lapack.dtrtri(L, lower=1)[0])
+        return L
+    A, C, D = _lower_inverse(L[:h, :h], work), L[h:, :h], _lower_inverse(L[h:, h:], work)
+    X, Z = work.reshape(-1)[: 2 * C.size].reshape(2, *C.shape)
+    np.negative(np.matmul(D, np.matmul(C, A, out=X), out=Z), out=C)
+    L[:h, h:] = 0.0
+    return L
+
+
 def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
     """Dense DN map on ``GAMMA0`` or ``GAMMA1`` by the discrete Riccati
     recursion over t-layers (invariant embedding, Henry & Ramos 2016). K is
@@ -615,28 +630,27 @@ def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
     previous layer's ``S_p``. The factors L make up the block Cholesky of
     the interior block; None when it fails, its pivot ratio
     ``min/max diag(L)^2`` is below ``_PIVOT_RATIO_FLOOR`` or S is not finite.
-    In place in three layer-sized buffers, each block cut from K's CSR by
-    scipy into one: LAPACK factors S (its transpose is Fortran), trsm
-    overwrites the coupling block by Y, T takes the next S and swaps with
-    it; a syrk ``Y^T Y`` keeps S bitwise symmetric, as K is.
+    In three layer-sized buffers: LAPACK factors S in place (into ``L^T``: its
+    transpose is Fortran), :func:`_lower_inverse` turns it into ``L^{-T}`` (T is
+    scratch), ``Y^T = K_kp L^{-T}`` is one CSR product, and a syrk ``Y^T Y`` keeps
+    S bitwise symmetric, as K is; T takes the next S and swaps with it.
     """
     K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
     ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
 
-    def block(i: int, j: int, out: np.ndarray) -> np.ndarray:
-        return K[i * P : (i + 1) * P, j * P : (j + 1) * P].toarray(out=out)
+    def block(i: int, j: int) -> sp.csr_matrix:
+        return K[i * P : (i + 1) * P, j * P : (j + 1) * P]
 
-    S, B, T = block(ids[0], ids[0], np.empty((P, P))), np.empty((P, P), order="F"), np.empty((P, P))
+    S, T = block(ids[0], ids[0]).toarray(), np.empty((P, P))
     pivots = []
     for p, k in zip(ids, ids[1:]):
         L, info = scipy.linalg.lapack.dpotrf(S.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             return None
         pivots.append(np.diag(L) ** 2)
-        Y = scipy.linalg.blas.dtrsm(1.0, L, block(p, k, B), lower=1, overwrite_b=1)
-        np.matmul(Y.T, Y, out=T)
-        np.subtract(block(k, k, S), T, out=T)
-        S, T = T, S
+        Yt = block(k, p) @ _lower_inverse(L, T).T
+        np.subtract(block(k, k).toarray(out=S), np.matmul(Yt, Yt.T, out=T), out=T)
+        S, T, Yt = T, S, None  # Yt goes before the next layer's product: three buffers
     d = np.concatenate(pivots)
     if d.min() >= _PIVOT_RATIO_FLOOR * d.max() and np.isfinite(S).all():
         return S
@@ -712,12 +726,12 @@ def check_modes(grid: CylinderGrid, modes) -> None:
         raise ShapeMismatch("no modes given")
     for m in modes:
         if len(m) != grid.n - 1:
-            raise ShapeMismatch(f"mode {tuple(m)} has {len(m)} components, expected {grid.n - 1}")
+            raise ShapeMismatch(f"mode {quote(tuple(m))} has {len(m)} components, expected {grid.n - 1}")
         for k, N in zip(m, grid.num_ang):
             if not (isinstance(k, numbers.Integral) or float(k).is_integer()):
-                raise ShapeMismatch(f"mode {tuple(m)} has a component {k} that is not a finite integer")
+                raise ShapeMismatch(f"mode {quote(tuple(m))} has a component {quote(k)} that is not a finite integer")
             if 2 * abs(k) >= N:
-                raise ShapeMismatch(f"mode {tuple(m)} aliases on angular axis with {N} nodes")
+                raise ShapeMismatch(f"mode {quote(tuple(m))} aliases on angular axis with {N} nodes")
 
 
 def fourier_modes(grid: CylinderGrid, cut: float) -> tuple[np.ndarray, list]:

@@ -366,6 +366,21 @@ class TestConfigErrors:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "out").exists()
 
+    # the mode rule quoted a mode whole: a 4,000-digit component gave a
+    # 4,083-byte stderr line
+    def test_4000_digit_mode_quoted_cut_short(self, tmp_path):
+        cfg_path = _write(tmp_path, "synth.json", '{"grid": {"num_t": 9, "num_ang": [8, 8]}, "modes": [[1'
+                          + "0" * 3999 + ', 0]]}')
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "calderon_lab.cli", "synth-dataset", "--config", cfg_path, "--out", "out"],
+            cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: invalid synthesis: mode (1") and "aliases" in done.stderr
+        assert len(done.stderr.encode()) < 1024, len(done.stderr)
+        assert "Traceback" not in done.stderr
+
     # report.json and deviation_from_one.csv were written, and then the
     # directory summary.md refused, which left a half-written run
     def test_refused_report_leaves_out_dir_as_it_was(self, tmp_path, capsys):

@@ -16,7 +16,8 @@ Verifies:
     MetricField check, naming the node
   - measured volume-defect coefficients: binomial oracle for constant u,
     quadratic term against direct quadrature, sample-set invariance, and
-    a peak of at most 6 MB on the (25, 24, 24) study grid; exactly seven
+    a peak of at most 6 MB on the (25, 24, 24) study grid; c^4 squared
+    twice in longdouble, within 4 ulps of powl; exactly seven
     distinct samples, fitted by a Vandermonde solve that recovers a known
     longdouble polynomial
   - weak gauge condition residual, whose one row-sum norm per system
@@ -63,6 +64,7 @@ from calderon_lab.grid_geometry import (
     flat_metric,
     random_trig_metric,
     sample_metric,
+    spd_root_det,
 )
 
 
@@ -314,6 +316,25 @@ class TestVolumeExpansion:
         finally:
             tracemalloc.stop()
         assert peak <= 6e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_samples_squared_twice_in_longdouble(self, grid9, bumpy9, monkeypatch):
+        # c^4 is squared twice: ``** 4`` on longdouble calls powl per node,
+        # and the two agree to 4 longdouble ulps on [0.5, 1.5]
+        x = np.linspace(0.5, 1.5, 10_001, dtype=np.longdouble)
+        fourth = np.power(x, 4)
+        assert (np.abs(np.square(np.square(x)) - fourth) <= 4 * np.spacing(fourth)).all()
+        # every sample reaches spd_root_det in longdouble as those squares,
+        # and powl differs on this field, so neither can come back unseen;
+        # spd_root_det factors its argument in place, so the spy keeps a copy
+        u = ScalarField.from_source(grid9, an.trig_sum(3, np.random.default_rng(8), terms=3))
+        seen = []
+        monkeypatch.setattr(conformal, "spd_root_det", lambda a: seen.append(a.copy()) or spd_root_det(a))
+        volume_expansion(bumpy9, u, self.EPS)
+        uu = u.values.astype(np.longdouble)
+        c = [1 + e * uu for e in np.asarray(self.EPS).astype(np.longdouble)]
+        assert [a.dtype for a in seen] == [np.longdouble] * 8
+        assert all(np.array_equal(a, np.square(np.square(ci)) * bumpy9.packed) for a, ci in zip(seen[1:], c))
+        assert any((np.power(ci, 4) * bumpy9.packed != a).any() for a, ci in zip(seen[1:], c))
 
     def test_needs_seven_distinct(self, grid9, bumpy9):
         u = ScalarField.constant(grid9, 0.1)

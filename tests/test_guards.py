@@ -6,6 +6,7 @@ unknown boundary name, a boundary mass off one layer, mode eigenvalues
 asked of no modes, of a mode with too few or too many components, a
 fractional one or one that aliases, a synthesis mode with too few or too
 many components, a fractional one or a 401-digit one, mode matrices of different shapes,
+a synthesis mode of 4,000 digits or 5,000 components quoted cut short,
 a mode cut that is not finite, a metric table or
 source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
@@ -183,3 +184,12 @@ _GUARDS = {
 def test_guard_raises_typed_error(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+# the mode rule quoted a mode whole: a 4,000-digit component gave a
+# 4,048-character message, 5,000 components one of 15,037
+@pytest.mark.parametrize("mode", [(10**3999, 0), tuple(range(5000))], ids=["4000-digit-component", "5000-components"])
+def test_mode_quoted_cut_short(mode):
+    with pytest.raises(ShapeMismatch, match=r"^mode \((1|0, 1)") as info:
+        _synth_modes((mode,))
+    assert len(str(info.value)) < 120, str(info.value)

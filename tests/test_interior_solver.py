@@ -51,9 +51,12 @@ Verifies:
     their block of the dense sparse-LU full-boundary Schur complement to
     3e-14 and the CG map of dn_apply to
     1e-10, and have the bytes of a sweep through fresh blocks, scipy's
-    cholesky and solve_triangular and a symmetrising pass; at 17^3 the
-    sweep peaks at most 3.5 layer blocks above its start (5.07 through
-    fresh blocks); an indefinite interior block falls back to CG, which
+    cholesky, a blockwise inverse of fresh arrays, the sparse product
+    ``K_kp L^{-T}`` and a symmetrising pass; the in-place inverse matches
+    solve_triangular at 1, 95, 96, 97, 193 and 576 rows in C and F order
+    with an exactly zero strict upper triangle; at 17^3 the sweep peaks
+    at most 3.5 layer blocks above its start (5.07 through fresh
+    blocks); an indefinite interior block falls back to CG, which
     breaks down in SingularInteriorBlock, and the full boundary stays on
     CG
   - dn_apply hands extend C-contiguous chunks, 13 columns as 5/5/3, with
@@ -234,20 +237,32 @@ def _rel(a, b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def _inverse_reference(L):
+    """``L^{-1}`` of a lower triangular ``L`` as dn_solver builds it: trtri
+    up to 96 rows, else the two diagonal blocks' inverses and
+    ``-D^{-1} (C A^{-1})`` below them, each block a fresh array."""
+    n, h = len(L), len(L) // 2
+    if n <= 96:
+        return np.tril(scipy.linalg.lapack.dtrtri(L, lower=1)[0])
+    A, D = _inverse_reference(L[:h, :h]), _inverse_reference(L[h:, h:])
+    return np.block([[A, np.zeros((h, n - h))], [-(D @ (L[h:, :h] @ A)), D]])
+
+
 def _stripped_reference(sys, gamma):
     """The layer-stripped DN map through a fresh block per layer, scipy's
-    cholesky and solve_triangular, and ``0.5 (S + S^T)`` after each layer."""
+    cholesky, :func:`_inverse_reference`, the sparse product
+    ``Y^T = K_kp L^{-T}`` and ``0.5 (S + S^T)`` after each layer."""
     K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
     ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
 
     def block(i, j):
-        return K[i * P : (i + 1) * P, j * P : (j + 1) * P].toarray()
+        return K[i * P : (i + 1) * P, j * P : (j + 1) * P]
 
-    S = block(ids[0], ids[0])
+    S = block(ids[0], ids[0]).toarray()
     for p, k in zip(ids, ids[1:]):
         L = scipy.linalg.cholesky(S, lower=True, check_finite=False)
-        Y = scipy.linalg.solve_triangular(L, block(p, k), lower=True, check_finite=False)
-        S = block(k, k) - Y.T @ Y
+        Yt = block(k, p) @ _inverse_reference(L).T
+        S = block(k, k).toarray() - Yt @ Yt.T
         S = 0.5 * (S + S.T)
     return S
 
@@ -620,8 +635,23 @@ class TestLayerStripping:
     def test_counterexample_metric(self, counterexample_metric, gamma):
         self._check(assemble_stiffness(counterexample_metric), gamma)
 
+    # trtri alone up to 96 rows, one to three levels of 2 x 2 blocks above
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 95, 96, 97, 193, 576])
+    def test_lower_inverse(self, n, order):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        L = scipy.linalg.cholesky(A @ A.T / n + np.eye(n), lower=True)
+        L += np.triu(rng.standard_normal((n, n)), 1)  # as dpotrf leaves it: the upper triangle is not read
+        L = np.asarray(L, order=order)
+        ref = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
+        inv = dn_solver._lower_inverse(L, np.full((n, n), np.nan))
+        assert inv is L
+        assert not np.triu(inv, 1).any()
+        assert np.abs(inv - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_three_layer_blocks_at_17(self):
-        # S, the coupling block and T; the sweep through fresh blocks peaked at 5.07
+        # S, T and the coupling product Y^T; the sweep through fresh blocks peaked at 5.07
         grid = cyl_grid(3, 17)
         sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=17), grid))
         unit = 8 * grid.layer_count**2  # one layer block
