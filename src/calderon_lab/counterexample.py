@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .calculus import ScalarField, divergence_form_apply, divergence_form_jacobian, integrate_volume
 from .calculus import laplace_beltrami_pointwise
 from .conformal import conformal_family, scale_metric, volume_expansion, weak_condition_residual
-from .dn_solver import assemble_stiffness, check_modes, dn_mode_matrix, mode_gap
+from .dn_solver import assemble_stiffness, check_modes, dn_mode_matrix, l2_norm, mode_gap
 from .errors import (
     ConfigInvalid,
     GridMismatch,
@@ -307,10 +307,6 @@ def validate_miller_properties(data: MillerDataset) -> ValidationReport:
 # -- approximate dataset synthesis -------------------------------------------
 
 
-def _l2(x: np.ndarray) -> float:
-    """Euclidean norm by pairwise sum: no threaded BLAS ddot, no thread-count dependence."""
-    return float(np.sqrt(np.add.reduce(x * x)))
-
 def _coefficient_jacobian(u_vals: np.ndarray, grid: CylinderGrid, unknown: np.ndarray):
     """Sparse Jacobian of the interior divergence-form residual w.r.t. the
     stacked unknown fields (a1, a2, a3) at unknown nodes."""
@@ -390,7 +386,7 @@ def synth_approx_miller(
 
     # an overflow gives inf or NaN, refused on the next line, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        baseline = _l2(b)
+        baseline = l2_norm(b)
         colsq = np.asarray(G.multiply(G).sum(axis=0)).ravel()
         damp = float(np.sqrt(_RIDGE * colsq.mean()))
     if not np.isfinite([damp, baseline]).all():
@@ -412,13 +408,13 @@ def synth_approx_miller(
             y[rows] = lu.solve(bs[rows])
             pivots.append(np.abs(lu.U.diagonal()))
     x = Gs.T @ y
-    normal, scale = _l2(Gs.T @ (bs - Gs @ x) - d2 * x), _l2(Gs.T @ bs)
+    normal, scale = l2_norm(Gs.T @ (bs - Gs @ x) - d2 * x), l2_norm(Gs.T @ bs)
     normal = normal / scale if scale else normal
     if not normal <= 1e-10:
         raise NoConvergence(normal, 1e-10)
     a_vec = np.clip(x, -box, box)
     taus = (1.0, 0.75, 0.5, 0.25, 0.0)
-    residuals = [_l2(G @ (tau * a_vec) - b) for tau in taus]
+    residuals = [l2_norm(G @ (tau * a_vec) - b) for tau in taus]
     k = int(np.argmin(residuals))
     tau, achieved = taus[k], residuals[k]
     if not np.isfinite(achieved):

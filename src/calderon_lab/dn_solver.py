@@ -36,14 +36,13 @@ matrices (``energy``, stopped near the square root of ``extend``'s
 tolerance, as an energy is off only by the square of its extension's
 error). Solves run batched conjugate gradients in one arena per solve,
 preconditioned by the exact inverse of a layered operator from the
-t-cell means that assembly keeps (``StiffnessSystem.layers``). CG is the
-only interior solver: a solve returns a checked result or raises
-SingularInteriorBlock (a breakdown, which proves the block is not
-positive definite) or NoConvergence.
+t-cell means that assembly keeps (``StiffnessSystem.layers``). A solve
+returns a checked result or raises SingularInteriorBlock (a breakdown,
+which proves the block is not positive definite) or NoConvergence.
 
-The exception is ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``: it strips
-t-layers by a Cholesky, a GEMM-built inverse and a CSR product per layer
-(:func:`_layer_stripped`), and falls back to ``InteriorSolver`` on a bad pivot.
+The exception is the dense map ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``:
+it strips t-layers by a Cholesky, a GEMM-built inverse and a CSR product
+per layer, and never runs CG. Every norm is :func:`l2_norm`.
 """
 
 from __future__ import annotations
@@ -378,6 +377,11 @@ def assemble_stiffness(
 # interior solves
 
 
+def l2_norm(x: np.ndarray) -> float:
+    """The package's one norm, of all entries of ``x``: a pairwise sum, which no BLAS thread count changes."""
+    return float(np.sqrt(np.add.reduce(np.ravel(x * x))))
+
+
 def _t_matrix(stiff: np.ndarray, mass: np.ndarray, h: float) -> np.ndarray:
     """The interior-node block, m x m with m = num_t - 2, of the 1-D Q1
     matrix ``sum_c stiff[c] K_c + mass[c] M_c`` over the t-cells ``c``,
@@ -515,7 +519,7 @@ class InteriorSolver:
         above, and return ``K @ u``."""
         U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
         b = self._rhs(U)
-        scale = max(np.linalg.norm(b), 1e-300)
+        scale = max(l2_norm(b), 1e-300)
         work = np.empty((2 * len(b) + len(U), b.shape[1]))  # CG's arena: R, S, then P in node layout
         start = self._pcg(b, rtol, work)
         KU = self._K @ U
@@ -525,7 +529,7 @@ class InteriorSolver:
             if (np.einsum("ij,ij->j", r, z) <= (2.0 * rtol) ** 2 * start).all():
                 return KU.reshape(u.shape)
             return self._extend(u, _CG_RTOL)
-        res = np.linalg.norm(r)
+        res = l2_norm(r)
         if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return KU.reshape(u.shape)
@@ -598,12 +602,8 @@ class InteriorSolver:
 
 @dataclass(frozen=True, eq=False)
 class DNMatrix:
-    """Dense partial DN map on one boundary component.
-
-    Rows/columns follow ascending node id on the component (for the full
-    boundary: gamma0 block then gamma1 block). The matrix maps nodal
-    Dirichlet values to quadrature-weighted Neumann data.
-    """
+    """Dense partial DN map on ``GAMMA0`` or ``GAMMA1``, rows and columns in
+    ascending node id: nodal Dirichlet values to quadrature-weighted Neumann data."""
 
     matrix: np.ndarray
 
@@ -622,19 +622,23 @@ def _lower_inverse(L: np.ndarray, work: np.ndarray) -> np.ndarray:
     return L
 
 
-def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
-    """Dense DN map on ``GAMMA0`` or ``GAMMA1`` by the discrete Riccati
+def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
+    """Dense DN map on ``GAMMA0`` or ``GAMMA1`` (any other part raises
+    ShapeMismatch), Dirichlet-zero on the other end, by the discrete Riccati
     recursion over t-layers (invariant embedding, Henry & Ramos 2016). K is
     block tridiagonal in layers; walking away from the Dirichlet-zero end,
     ``S_k = K_kk - Y^T Y`` with ``Y = L^{-1} K_pk`` and ``L L^T`` the
-    previous layer's ``S_p``. The factors L make up the block Cholesky of
-    the interior block; None when it fails, its pivot ratio
-    ``min/max diag(L)^2`` is below ``_PIVOT_RATIO_FLOOR`` or S is not finite.
-    In three layer-sized buffers: LAPACK factors S in place (into ``L^T``: its
-    transpose is Fortran), :func:`_lower_inverse` turns it into ``L^{-T}`` (T is
-    scratch), ``Y^T = K_kp L^{-T}`` is one CSR product, and a syrk ``Y^T Y`` keeps
-    S bitwise symmetric, as K is; T takes the next S and swaps with it.
+    previous layer's ``S_p``. The factors L make up the block Cholesky of the
+    interior block: where one fails, or their pivot ratio ``min/max diag(L)^2``
+    is below ``_PIVOT_RATIO_FLOOR``, SingularInteriorBlock names the t-layer;
+    a map that is not finite raises NoConvergence. In three layer-sized
+    buffers: LAPACK factors S in place (into ``L^T``: its transpose is
+    Fortran), :func:`_lower_inverse` turns it into ``L^{-T}`` (T is scratch),
+    ``Y^T = K_kp L^{-T}`` is one CSR product, and a syrk ``Y^T Y`` keeps S
+    bitwise symmetric, as K is; T takes the next S and swaps with it.
     """
+    if gamma not in (GAMMA0, GAMMA1):
+        raise ShapeMismatch(f"dense DN maps are taken on {GAMMA0} or {GAMMA1}, not {quote(gamma)}")
     K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
     ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
 
@@ -646,25 +650,18 @@ def _layer_stripped(sys: StiffnessSystem, gamma: str) -> np.ndarray | None:
     for p, k in zip(ids, ids[1:]):
         L, info = scipy.linalg.lapack.dpotrf(S.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
-            return None
+            raise SingularInteriorBlock(f"block Cholesky fails at t-layer {p}, leading minor {info}")
         pivots.append(np.diag(L) ** 2)
         Yt = block(k, p) @ _lower_inverse(L, T).T
         np.subtract(block(k, k).toarray(out=S), np.matmul(Yt, Yt.T, out=T), out=T)
         S, T, Yt = T, S, None  # Yt goes before the next layer's product: three buffers
+    if not np.isfinite(S).all():
+        raise NoConvergence(math.nan, _SOLVE_RTOL)
     d = np.concatenate(pivots)
-    if d.min() >= _PIVOT_RATIO_FLOOR * d.max() and np.isfinite(S).all():
-        return S
-    return None
-
-
-def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
-    """Dense DN map on ``gamma``; Dirichlet-zero is imposed on the rest of
-    the boundary. ``dn_apply`` on the identity serves the full boundary and
-    the interior blocks that :func:`_layer_stripped` rejects."""
-    lam = _layer_stripped(sys, gamma) if gamma in (GAMMA0, GAMMA1) else None
-    if lam is None:
-        lam = dn_apply(sys, gamma, np.eye(sys.grid.boundary_ids(gamma).size))
-    return DNMatrix(lam)
+    if not d.min() >= _PIVOT_RATIO_FLOOR * d.max():
+        raise SingularInteriorBlock(f"block Cholesky pivot ratio {d.min() / d.max():.3e} below "
+                                    f"{_PIVOT_RATIO_FLOOR:.0e} at t-layer {ids[int(d.argmin()) // P]}")
+    return DNMatrix(S)
 
 
 def dn_apply(sys: StiffnessSystem, gamma: str, traces: np.ndarray) -> np.ndarray:
@@ -781,9 +778,8 @@ def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[
     solve (:meth:`InteriorSolver.energy`) for all mode vectors. Its error
     is second order in the solve's and, up to rounding, positive
     semidefinite (the Dirichlet principle). Mode vectors whose node array
-    would pass ``_DENSE_BYTES``
-    (more than 15 at size 65) go through the chunks of ``dn_apply``
-    instead, as ``V^T Lam V``.
+    would pass ``_DENSE_BYTES`` (more than 15 at size 65) go through the
+    chunks of ``dn_apply`` instead, as ``V^T Lam V``.
 
     Because the DN matrix returns quadrature-weighted Neumann data, B
     approximates the continuum pairing and is comparable across grid
@@ -803,10 +799,8 @@ def mode_gap(B1: np.ndarray, B2: np.ndarray) -> float:
     different shapes raise ShapeMismatch."""
     if np.shape(B1) != np.shape(B2):
         raise ShapeMismatch(f"mode matrices of shapes {np.shape(B1)} and {np.shape(B2)} differ")
-    denom = max(np.linalg.norm(B1), np.linalg.norm(B2))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(B1 - B2) / denom)
+    denom = max(l2_norm(B1), l2_norm(B2))
+    return l2_norm(B1 - B2) / denom if denom != 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ class NonPositiveDefinite(CalderonLabError):
 
 class SingularInteriorBlock(CalderonLabError):
     """The interior stiffness block is not positive definite: conjugate
-    gradients broke down (``p^T A p <= 0``), which cannot happen on a
-    positive definite block, and the detail names the iteration and the
-    value."""
+    gradients broke down (``p^T A p <= 0``, the detail names the iteration
+    and the value), or the dense map's block Cholesky failed or its pivot
+    ratio fell below the floor (the detail names the t-layer)."""
 
     def __init__(self, detail: str):
         super().__init__(f"interior block not positive definite: {detail}")

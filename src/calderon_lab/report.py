@@ -66,8 +66,17 @@ def load_json(path) -> dict:
 REQUIRED = object()
 
 # quotes a JSON value in a message, cut to a few items, levels and
-# characters, so that a huge or deeply nested value cannot flood it
-quote = reprlib.Repr().repr
+# characters, so that a huge or deeply nested value cannot flood it; an int
+# whose repr raises ValueError (past sys.get_int_max_str_digits) by its bits
+class _Quote(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+quote = _Quote().repr
 
 
 def read(obj, where: str, **schema) -> SimpleNamespace:

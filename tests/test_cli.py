@@ -794,6 +794,26 @@ def _replaced(cfg, path, edit):
     return {**cfg, path[0]: _replaced(cfg[path[0]], path[1:], edit)}
 
 
+def _outputs_at_blas_threads(tmp_path, command, cfg, names) -> list:
+    """Run ``command`` on ``cfg`` in two fresh processes side by side, on 1
+    and on 2 BLAS threads, and return the bytes of the files ``names`` each
+    wrote to its ``out`` directory."""
+    src = Path(cli.__file__).resolve().parents[1]
+    runs = {}
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        (run_dir / "cfg.json").write_text(json.dumps(cfg))
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        runs[run_dir] = subprocess.Popen(
+            [sys.executable, "-m", "calderon_lab.cli", command, "--config", "cfg.json", "--out", "out"],
+            cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for proc in runs.values():
+        assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
+    return [[(run_dir / "out" / name).read_bytes() for name in names] for run_dir in runs]
+
+
 class TestReadmeConfigs:
     def test_every_subcommand_has_an_example(self):
         assert {command for command, _ in _readme_configs()} == set(cli._HANDLERS)
@@ -849,6 +869,27 @@ class TestReadmeConfigs:
                 assert main([command, "--config", f"cfg{k}.json", "--out", f"out{k}"]) == 0, (command, cfg)
             reports.append([Path(f"out{k}/report.json").read_bytes() for k in range(len(configs))])
         assert reports[0] == reports[1]
+
+    def test_ci_script_runs_the_readme_configs(self):
+        # the CI script writes each README config by an echo line, so a
+        # README edit could leave CI running a stale one
+        written, run = {}, []
+        for line in (_README.parent / "ci" / "readme_configs.sh").read_text().splitlines():
+            echo = re.fullmatch(r"\s*echo '(.*)' > (\S+)", line)
+            call = re.fullmatch(r"\s*calderon-lab (\S+) --config (\S+) --out \S+", line)
+            if echo:
+                written[echo[2]] = json.loads(echo[1])
+            elif call:
+                run.append((call[1], written[call[2]]))
+        assert run == _readme_configs()
+
+    def test_link_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # mode_gap's norms were BLAS ddots, whose sums may depend on the
+        # thread count
+        cfg = next(cfg for command, cfg in _readme_configs()
+                   if command == "dn-compare" and cfg["transform"]["kind"] == "conformal-link")
+        written = _outputs_at_blas_threads(tmp_path, "dn-compare", cfg, ("report.json",))
+        assert written[0] == written[1]
 
 
 class _Reached(Exception):
@@ -1089,21 +1130,7 @@ class TestDatasetCommands:
         # LSQR and np.linalg.norm summed by a threaded ddot: at 1 and 2
         # threads the bytes differed (lsqr_iterations 794 against 796)
         cfg = {"grid": {"num_t": 25, "num_ang": [24, 24]}, "modes": [[1, 1], [1, 0]]}
-        src = Path(cli.__file__).resolve().parents[1]
-        runs = {}
-        for threads in ("1", "2"):  # side by side
-            run_dir = tmp_path / f"threads-{threads}"
-            run_dir.mkdir()
-            (run_dir / "synth.json").write_text(json.dumps(cfg))
-            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-            runs[run_dir] = subprocess.Popen(
-                [sys.executable, "-m", "calderon_lab.cli", "synth-dataset", "--config", "synth.json", "--out", "out"],
-                cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        for proc in runs.values():
-            assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
-        written = [[(run_dir / "out" / name).read_bytes() for name in ("report.json", "dataset.json")]
-                   for run_dir in runs]
+        written = _outputs_at_blas_threads(tmp_path, "synth-dataset", cfg, ("report.json", "dataset.json"))
         assert written[0] == written[1]
 
     # the Jacobian's squared column norms overflowed: NaN in five lines of

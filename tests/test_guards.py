@@ -7,6 +7,8 @@ asked of no modes, of a mode with too few or too many components, a
 fractional one or one that aliases, a synthesis mode with too few or too
 many components, a fractional one or a 401-digit one, mode matrices of different shapes,
 a synthesis mode of 4,000 digits or 5,000 components quoted cut short,
+a 5,000-digit mode past the interpreter's int-to-string limit quoted by
+its bit length,
 a mode cut that is not finite, a metric table or
 source of the wrong shape or dimension, fields, factors, systems,
 datasets and diffeomorphisms whose grids or dimensions differ, a collar
@@ -34,6 +36,7 @@ from calderon_lab.conformal import (
 from calderon_lab.counterexample import synth_approx_miller
 from calderon_lab.dn_solver import (
     assemble_stiffness,
+    check_modes,
     dn_mode_eigenvalues,
     fourier_modes,
     mode_gap,
@@ -193,3 +196,11 @@ def test_mode_quoted_cut_short(mode):
     with pytest.raises(ShapeMismatch, match=r"^mode \((1|0, 1)") as info:
         _synth_modes((mode,))
     assert len(str(info.value)) < 120, str(info.value)
+
+
+# builtins.repr of an int past 4,300 digits raises ValueError, which
+# escaped the mode rule untyped
+def test_mode_past_int_string_limit_refused():
+    with pytest.raises(ShapeMismatch, match=r"^mode \(<int of 16610 bits>, 0\) aliases") as info:
+        check_modes(_G3_FINE, [(10**5000, 0)])
+    assert len(str(info.value)) < 200, str(info.value)

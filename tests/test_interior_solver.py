@@ -56,9 +56,10 @@ Verifies:
     solve_triangular at 1, 95, 96, 97, 193 and 576 rows in C and F order
     with an exactly zero strict upper triangle; at 17^3 the sweep peaks
     at most 3.5 layer blocks above its start (5.07 through fresh
-    blocks); an indefinite interior block falls back to CG, which
-    breaks down in SingularInteriorBlock, and the full boundary stays on
-    CG
+    blocks); the dense map runs no CG: on an indefinite interior block it
+    raises SingularInteriorBlock from a failed layer Cholesky at either
+    end, on an infinite stiffness entry NoConvergence, and it refuses the
+    full boundary with ShapeMismatch, whose map dn_apply's CG gives
   - dn_apply hands extend C-contiguous chunks, 13 columns as 5/5/3, with
     the bytes of strided column slices of one node array
   - the solver borrows K's free rows instead of copying the interior
@@ -103,7 +104,7 @@ from calderon_lab.dn_solver import (
     dn_mode_matrix,
     fourier_modes,
 )
-from calderon_lab.errors import NoConvergence, SingularInteriorBlock
+from calderon_lab.errors import NoConvergence, ShapeMismatch, SingularInteriorBlock
 from calderon_lab.grid_geometry import (
     FULL_BOUNDARY,
     GAMMA0,
@@ -658,22 +659,35 @@ class TestLayerStripping:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            lam = dn_solver._layer_stripped(sys, GAMMA1)
+            lam = dn_map_partial(sys, GAMMA1).matrix
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert lam is not None
+        assert lam.shape == (grid.layer_count, grid.layer_count)
         assert peak <= 3.5 * unit, f"{peak / unit:.2f} layer blocks"
 
-    def test_indefinite_block_falls_back(self, flat9, flat9_lambda1):
+    # an indefinite block has no block Cholesky, so the sweep fails at some
+    # layer from either end; InteriorSolver is stubbed to prove no CG runs
+    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    def test_indefinite_block_refused(self, flat9, flat9_lambda1, gamma, monkeypatch):
         sys = _shifted_system(flat9, flat9_lambda1)
-        assert dn_solver._layer_stripped(sys, GAMMA1) is None
-        with pytest.raises(SingularInteriorBlock, match="CG breakdown"):
-            dn_map_partial(sys, GAMMA1)
+        monkeypatch.setattr(InteriorSolver, "__init__", lambda *args: pytest.fail("the dense map ran CG"))
+        with pytest.raises(SingularInteriorBlock, match=r"block Cholesky fails at t-layer \d+, leading minor \d+"):
+            dn_map_partial(sys, gamma)
+
+    def test_not_finite_map_refused(self, bumpy9, monkeypatch):
+        sys = assemble_stiffness(bumpy9)
+        K = sys.matrix.copy()
+        K.data[K.indptr[-1] - 1] = np.inf  # the last diagonal entry, on the layer the sweep ends at
+        monkeypatch.setattr(InteriorSolver, "__init__", lambda *args: pytest.fail("the dense map ran CG"))
+        with pytest.raises(NoConvergence):
+            dn_map_partial(dn_solver.StiffnessSystem(sys.grid, K, sys.layers), GAMMA1)
 
     def test_full_boundary_stays_on_cg(self, bumpy9):
         sys = assemble_stiffness(bumpy9)
-        lam = dn_map_partial(sys, FULL_BOUNDARY).matrix
+        with pytest.raises(ShapeMismatch, match="dense DN maps are taken on gamma0 or gamma1, not 'full'"):
+            dn_map_partial(sys, FULL_BOUNDARY)
+        lam = dn_apply(sys, FULL_BOUNDARY, np.eye(2 * sys.grid.layer_count))
         assert _rel(lam, _dense_lu_reference(sys, FULL_BOUNDARY)) <= 1e-10
 
 

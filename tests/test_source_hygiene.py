@@ -15,6 +15,9 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
   - no module reads ``det`` or ``inv`` of ``numpy.linalg`` or
     ``scipy.linalg``, under any import alias: SPD metric tables have one
     factorisation, ``grid_geometry.spd_weight``;
+  - no module reads ``norm`` of ``numpy.linalg`` or ``scipy.linalg``,
+    under any import alias: a BLAS ``ddot`` norm depends on the thread
+    count, and the package's one norm is ``dn_solver.l2_norm``;
   - no module but ``counterexample`` imports or reads
     ``scipy.sparse.linalg``, under any import form: interior blocks have
     one solver, ``dn_solver.InteriorSolver``'s CG;
@@ -207,6 +210,28 @@ def _qualified_reads(tree: ast.Module) -> list:
 def test_no_second_spd_route(path):
     found = [f"{nm} (line {line})" for nm, line in _qualified_reads(_tree(path)) if nm in SECOND_SPD_ROUTES]
     assert not found, f"{path.name} factors matrices outside grid_geometry.spd_weight: {found}"
+
+
+SECOND_NORMS = {"numpy.linalg.norm", "scipy.linalg.norm"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_one_norm(path):
+    found = [f"{nm} (line {line})" for nm, line in _qualified_reads(_tree(path)) if nm in SECOND_NORMS]
+    assert not found, f"{path.name} takes a norm outside dn_solver.l2_norm: {found}"
+
+
+def test_norm_check_import_forms():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "import scipy.linalg\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import norm as nrm\n"
+        "np.linalg.norm(x); la.norm(x); scipy.linalg.norm(x); linalg.norm(x); nrm(x); np.sqrt(x)\n"
+    )
+    found = [nm for nm, _ in _qualified_reads(tree) if nm in SECOND_NORMS]
+    assert found.count("numpy.linalg.norm") == 4 and found.count("scipy.linalg.norm") == 1, found
 
 
 # module -> why it may use scipy.sparse.linalg: every interior solve is
