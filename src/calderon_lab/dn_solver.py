@@ -51,7 +51,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -243,23 +243,76 @@ def _cell_floats(n: int) -> int:
     return 2 * max(n * (n + 1) // 2 * Q, Q * (Q + 1) // 2) + 3 * Q
 
 
+def _blocks(grid: CylinderGrid) -> list[tuple[int, int]]:
+    """Assembly's blocks, the cell layers ``j0 <= j < j1`` of each: as many
+    whole layers as keep a block's arena within ``_BLOCK_BYTES``, at least
+    one."""
+    per = max(1, _BLOCK_BYTES // (8 * _cell_floats(grid.n) * grid.layer_count))
+    return [(j0, min(j0 + per, grid.num_t - 1)) for j0 in range(0, grid.num_t - 1, per)]
+
+
+def _scatter(data: np.ndarray, weight: np.ndarray, table: np.ndarray, grid: CylinderGrid, j0: int,
+             X: np.ndarray, Y: np.ndarray) -> None:
+    """Add into the CSR ``data`` the element matrices of the block of cell
+    layers from ``j0`` whose Gauss-point weights are ``weight`` (one column
+    per cell): their unique entries ``E = weight^T table`` by one GEMM into
+    the flat scratch ``X``, then E's strict upper entries, the lower ones'
+    mirrors, into ``Y``, which ``weight`` may share. Each cell layer adds its
+    rows of E at the upper slots and those of the strict upper entries at the
+    lower ones by 1-D ``np.add.at``, which adds in input order and takes the
+    int32 slots as they are (``np.bincount`` would copy them): an interior
+    layer j through layer 1's slots on the view ``data[(j - 1) 3^n P:]``
+    (every interior row holds 3^n entries), layers 0 and num_t - 2 through
+    their own."""
+    (upper, lower, *_), (*_, strict), _ = _grid_layout(grid)
+    n, P, c = grid.n, grid.layer_count, weight.shape[1]
+    E = np.matmul(weight.T, table, out=X[: c * table.shape[1]].reshape(c, -1))
+    E_low = np.take(E, strict, axis=1, mode="clip", out=Y[: c * strict.size].reshape(c, -1))
+    for j, e, e_low in zip(itertools.count(j0), E.reshape(c // P, -1), E_low.reshape(c // P, -1)):
+        kind, shift = (0, 0) if j == 0 else (2, 0) if j == grid.num_t - 2 else (1, (j - 1) * 3**n * P)
+        np.add.at(data[shift:], upper[kind].ravel(), e)
+        np.add.at(data[shift:], lower[kind].ravel(), e_low)
+
+
 @dataclass(frozen=True, eq=False)
 class StiffnessSystem:
     """Assembled weak-form operator on its grid: ``matrix``, the Laplace part
-    plus the potential's mass part ``mass`` if any, each a data array of its
-    own on the read-only CSR pattern of the grid's :func:`_grid_layout`.
-    ``laplace`` is built on each read as ``matrix - mass`` (``matrix`` when
-    there is no potential). ``layers`` (n + 1, num_t - 1) holds, per t-cell,
-    the means over its cells and Gauss points of the diagonal of ``W =
-    sqrt(det g) g^{-1}`` and of ``sqrt(det g) V`` (zero without a potential),
-    for :class:`InteriorSolver`. ``potential_id`` is a caller's label for the
-    potential; nothing in the package reads it."""
+    plus, with a potential, its mass part M, a data array on the read-only
+    CSR pattern of the grid's :func:`_grid_layout`. ``layers`` (n + 1,
+    num_t - 1) holds, per t-cell, the means over its cells and Gauss points
+    of the diagonal of ``W = sqrt(det g) g^{-1}`` and of ``sqrt(det g) V``
+    (zero without a potential), for :class:`InteriorSolver`.
+
+    A potential system keeps ``mass_weights`` (2^n, cells), the Gauss-point
+    weights ``sqrt(det g) V`` of its cells in cell order, instead of M,
+    which no solve reads. It is the one array that spans all cells'
+    Gauss-point weights (assembly keeps W's per block): it holds one weight
+    per Gauss point, 2^n a cell, where M holds 3^n entries a row, so it
+    replaces a matrix more than three times its size in 3-D (16.8 MB
+    against 57 MB at 65^3). ``mass`` rebuilds M from it on its first read,
+    over assembly's blocks and by its :func:`_scatter`, so with assembly's
+    bytes, and keeps it (None without a potential); ``laplace`` is built on
+    each read as ``matrix - mass`` (``matrix`` without a potential). Only
+    tests and the benchmark's traced count read them. ``potential_id`` is a
+    caller's label for the potential; nothing in the package reads it."""
 
     grid: CylinderGrid
     matrix: sp.csr_matrix
     layers: np.ndarray
-    mass: sp.csr_matrix | None = None
+    mass_weights: np.ndarray | None = None
     potential_id: str | None = None
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix | None:
+        if self.mass_weights is None:
+            return None
+        A, P, table = self.matrix, self.grid.layer_count, _grid_layout(self.grid)[1][2]
+        blocks = _blocks(self.grid)
+        data = np.zeros(A.data.size)
+        X, Y = np.empty((2, (blocks[0][1] - blocks[0][0]) * P * table.shape[1]))
+        for j0, j1 in blocks:
+            _scatter(data, self.mass_weights[:, j0 * P : j1 * P], table, self.grid, j0, X, Y)
+        return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
 
     @property
     def laplace(self) -> sp.csr_matrix:
@@ -280,38 +333,37 @@ def assemble_stiffness(
         a(u, v) = int g^{ij} d_i u d_j v sqrt(det g)
                   + int V u v sqrt(det g).
 
-    One loop runs over blocks of whole cell layers, as many as keep the
-    block's arena within ``_BLOCK_BYTES`` and at least one (1,267 cells in
-    4-D, 3,885 in 3-D, whole grids in 2-D), so no GEMM has a single row. One
-    float64 ``np.empty`` per call holds every float array of a block as a view
-    (:func:`_cell_floats`); its cell nodes are layer 0's plus ``j P`` for its
-    layers ``j``. A block gathers the ``n(n+1)/2`` unique metric components at
-    its cells' corners, interpolates them to the Gauss points (one matmul with
+    One loop runs over the blocks of :func:`_blocks`, whole cell layers, as
+    many as keep the block's arena within ``_BLOCK_BYTES`` and at least one
+    (1,267 cells in 4-D, 3,885 in 3-D, whole grids in 2-D), so no GEMM has a
+    single row. One float64 ``np.empty`` per call holds every float array of
+    a block as a view (:func:`_cell_floats`). A block packs the ``n(n+1)/2``
+    unique metric components of its own node layers ``j0..j1`` only,
+    gathers them at its cells' corners, layer 0's cell nodes plus ``j P`` for
+    its ``j``-th layer, interpolates them to the Gauss points (one matmul with
     the shape table N), turns them into ``W = sqrt(det g) g^{-1}`` in place by
-    the SPD kernel :func:`~calderon_lab.grid_geometry.spd_weight`, and gets
-    the unique entries ``a <= b`` of its element matrices into the dead gather
-    by one GEMM, ``E[c, p] = sum_{k, q} W[k, q, c] stiff[(k, q), p]``, with
-    ``k`` over the components ``i <= j`` and the table of
-    :func:`_element_tables`, which folds ``T_ij + T_ji``. Each cell layer adds
-    its rows of E at the upper slots of K's data and those of E's strict upper
-    entries at the lower ones by 1-D ``np.add.at``, an interior layer j
-    through layer 1's slots on the view ``data[(j - 1) 3^n P:]`` (every
-    interior row holds 3^n entries), layers 0 and num_t - 2 through their own.
-    So for the mass matrix with a potential, by one GEMM of ``sqrt(det g) V``
-    against ``w N[q, a] N[q, b]``; the t-cells' ``layers`` come from the same
-    Gauss points. Each slot takes entries of one slot table only and sums them
-    in cell-major order, so K and M are bitwise symmetric and their bytes
-    depend on neither the block size nor the BLAS thread count; but in 4-D the
-    interpolation matmul rounds the last one to four columns of a block whose
-    cell count is not a multiple of 8 its own way, so there the bytes can
-    change with the block size unless P is a multiple of 8. The tables come
-    from a per-grid cache (equal grids share one entry), whose read-only
-    ``indices`` and ``indptr`` every system's matrices hold (a write raises
-    ``ValueError``).
+    the SPD kernel :func:`~calderon_lab.grid_geometry.spd_weight`, and
+    :func:`_scatter` adds its element matrices into K's data: the unique
+    entries ``a <= b`` into the dead gather by one GEMM, ``E[c, p] = sum_{k,
+    q} W[k, q, c] stiff[(k, q), p]``, with ``k`` over the components ``i <=
+    j`` and the table of :func:`_element_tables`, which folds ``T_ij +
+    T_ji``. So for the mass matrix M with a potential, from the Gauss-point
+    weights ``sqrt(det g) V`` against ``w N[q, a] N[q, b]``, which each block
+    writes into the system's ``mass_weights`` table; M's data, once added
+    into K's array (``matrix`` is K + M), is dropped. The
+    t-cells' ``layers`` come from the same Gauss points. Each slot takes
+    entries of one slot table only and sums them in cell-major order, so K
+    and M are bitwise symmetric and their bytes depend on neither the block
+    size nor the BLAS thread count; but in 4-D the interpolation matmul
+    rounds the last one to four columns of a block whose cell count is not a
+    multiple of 8 its own way, so there the bytes can change with the block
+    size unless P is a multiple of 8. The tables come from a per-grid cache
+    (equal grids share one entry), whose read-only ``indices`` and
+    ``indptr`` every system's matrices hold (a write raises ``ValueError``).
     """
     grid = metric.grid
     n, size = grid.n, grid.node_count
-    (upper, lower, indices, indptr, nodes), (N, stiff, mass_table, strict), _ = _grid_layout(grid)
+    (_, _, indices, indptr, nodes), (N, stiff, mass_table, _), _ = _grid_layout(grid)
     P, num_cells_t = grid.layer_count, grid.num_t - 1
 
     v_nodes = None
@@ -326,50 +378,38 @@ def assemble_stiffness(
             raise InfeasibleBounds(f"potential {v_values[node]} at node {node} is not finite")
         v_nodes = v_values.reshape(size)
 
-    # the unique metric components by node, packed for the SPD kernel; the
-    # gathers use np.take(mode="clip"), about 3 times faster than fancy
+    # the gathers use np.take(mode="clip"), about 3 times faster than fancy
     # indexing here, and the ids are in range
-    g_nodes = metric.packed.reshape(-1, size)
-    _, _, pos = packed_order(n)
+    iu, ju, pos = packed_order(n)
     k_data = np.zeros(indices.size)
     m_data = None if v_nodes is None else np.zeros(indices.size)
+    mass_weights = None if v_nodes is None else np.empty((1 << n, num_cells_t * P))
     # per t-cell, the means of diag(W), then of sqrt(det g) V
     layers = np.zeros((n + 1, num_cells_t))
-    Q, U, k, cell = N.shape[0], stiff.shape[1], g_nodes.shape[0], _cell_floats(n)
-    per = max(1, _BLOCK_BYTES // (8 * cell * P))  # whole cell layers per block
-    arena = np.empty(min(per, num_cells_t) * P * cell)
-    shifts = [(0, 0)] + [(1, (j - 1) * 3**n * P) for j in range(1, num_cells_t - 1)] + [(2, 0)]
-    for j0 in range(0, num_cells_t, per):
-        j1 = min(j0 + per, num_cells_t)
+    Q, k, cell, blocks = N.shape[0], iu.size, _cell_floats(n), _blocks(grid)
+    arena = np.empty((blocks[0][1] - blocks[0][0]) * P * cell)
+    for j0, j1 in blocks:
         c = (j1 - j0) * P  # the block's regions follow one another from the arena's head
         X, Y = arena[: c * (cell - 3 * Q)].reshape(2, -1)
         rows = arena[c * (cell - 3 * Q) : c * cell].reshape(3, Q, c)
-        cell_nodes = (nodes[:, None] + P * np.arange(j0, j1, dtype=np.int32)[:, None]).reshape(Q, c)
+        # no whole packed metric: the block's node layers, packed for the SPD kernel
+        cell_nodes = (nodes[:, None] + P * np.arange(j1 - j0, dtype=np.int32)[:, None]).reshape(Q, c)
+        g_nodes = np.moveaxis(metric.mat[j0 : j1 + 1][..., iu, ju], -1, 0).reshape(k, -1)
         G = np.take(g_nodes, cell_nodes, axis=1, mode="clip", out=X[: k * Q * c].reshape(k, Q, c))
         W, root_det = spd_weight(np.matmul(N, G, out=Y[: k * Q * c].reshape(k, Q, c)), rows)
         for d in range(n):
             layers[d, j0:j1] = W[pos[d, d]].mean(axis=0).reshape(-1, P).mean(axis=1)
-        parts = [(k_data, W.reshape(-1, c).T, stiff)]
+        _scatter(k_data, W.reshape(-1, c), stiff, grid, j0, X, Y)
         if m_data is not None:
-            interp = np.matmul(N, np.take(v_nodes, cell_nodes, mode="clip", out=rows[1]), out=rows[2])
-            mass_weight = np.multiply(root_det, interp, out=rows[1])
+            interp = np.matmul(N, np.take(v_nodes[j0 * P :], cell_nodes, mode="clip", out=rows[1]), out=rows[2])
+            mass_weight = np.multiply(root_det, interp, out=mass_weights[:, j0 * P : j1 * P])
             layers[n, j0:j1] = mass_weight.mean(axis=0).reshape(-1, P).mean(axis=1)
-            parts.append((m_data, mass_weight.T, mass_table))
-        # E in the dead gather, then its strict upper entries, the lower
-        # ones' mirrors, in W's region; np.add.at adds in input order and
-        # takes the int32 slots as they are (np.bincount would copy them)
-        for data, weight, table in parts:
-            E = np.matmul(weight, table, out=X[: U * c].reshape(c, U))
-            E_low = np.take(E, strict, axis=1, mode="clip", out=Y[: c * strict.size].reshape(c, -1))
-            for (kind, shift), e, e_low in zip(shifts[j0:j1], E.reshape(j1 - j0, -1), E_low.reshape(j1 - j0, -1)):
-                np.add.at(data[shift:], upper[kind].ravel(), e)
-                np.add.at(data[shift:], lower[kind].ravel(), e_low)
+            _scatter(m_data, mass_weight, mass_table, grid, j0, X, Y)
     if m_data is not None:  # K + M, the one operator a solve reads, in K's array
         np.add(k_data, m_data, out=k_data)
     K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
-    M = None if m_data is None else sp.csr_matrix((m_data, indices, indptr), shape=(size, size))
     return StiffnessSystem(
-        grid, K, layers, mass=M, potential_id=potential_id if potential is not None else None
+        grid, K, layers, mass_weights=mass_weights, potential_id=potential_id if potential is not None else None
     )
 
 
@@ -444,7 +484,9 @@ class InteriorSolver:
     stops moving. CG iterates in ``u[free]``, and one arena per solve holds
     R, the preconditioner scratch S (each of that size) and the direction
     in node layout; the energy check reuses R and S. A 13-mode mode matrix
-    peaks 17.5 MB above its start at 33^3 and 139.6 MB at 65^3.
+    peaks 17.5 MB above its start at 33^3 and 139.6 MB at 65^3; in a fresh
+    process that samples and assembles the 65^3 system with a potential, at
+    310 MiB ``VmHWM`` (348.5 MiB while the system kept M).
 
     ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead: with ``u*`` the
     exact extension and ``e = u - u*`` zero on the boundary,

@@ -40,7 +40,9 @@ Verifies:
     default bound keeps 1,267 cells in 4-D, and an assembly holds at most
     8.5 MB of temporaries above its result at 33^3, 6 MB at 7^4 and 12 MB
     at 13^4, with and without a potential (per-block arrays took 9.9, 8.7
-    and 24.6 MB)
+    and 24.6 MB; M's data, dropped by the call, counts as its result)
+  - a 33^3 potential system holds at most 1.35 times K's data and no M
+    until mass or laplace is read, and keeps the M that read rebuilt
   - InteriorSolver.extend of full-boundary Dirichlet data reproduces
     fields the element space contains exactly and ends in NoConvergence
     on NaN data
@@ -646,8 +648,28 @@ class TestGridLayoutCache:
         finally:
             tracemalloc.stop()
         assert np.shares_memory(solver.rows.data, sys_.matrix.data)
-        data = sys_.matrix.data.nbytes + sys_.mass.data.nbytes
+        data = sys_.matrix.data.nbytes + sys_.mass_weights.nbytes
         assert held <= data + 1e6, f"{held / 1e6:.1f} MB held, {data / 1e6:.1f} MB of data"
+
+    def test_potential_system_holds_no_mass_matrix_at_33(self):
+        # K + M and the Gauss-point mass weights, 30% of M's size: 9.25 MB
+        # held for 7.15 MB of K's data, where keeping M held 14.31 MB; M is
+        # rebuilt on the first read of mass or laplace
+        grid = cyl_grid(3, 33)
+        metric = sample_metric(random_trig_metric(3, seed=0), grid)
+        q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
+        assemble_stiffness(metric, potential=q)  # the grid layout is cached from here on
+        tracemalloc.start()
+        try:
+            sys_ = assemble_stiffness(metric, potential=q)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert "mass" not in vars(sys_)
+        assert held <= 1.35 * sys_.matrix.data.nbytes, f"{held / 1e6:.2f} MB held"
+        assert sys_.mass_weights.shape == (8, (grid.num_t - 1) * grid.layer_count)
+        sys_.laplace  # the first read rebuilds M, and the system keeps it
+        assert vars(sys_)["mass"] is sys_.mass
 
     def test_bytes_independent_of_blas_threads(self):
         # the element matrices come from BLAS GEMMs, and report.json byte
@@ -695,7 +717,11 @@ def _cell_bytes(grid) -> int:
 
 def _assembly_temporaries(n: int, size: int) -> list[int]:
     """Bytes of temporaries above its result of one assembly on a cached
-    grid layout, for the plain and then the potential system."""
+    grid layout, for the plain and then the potential system. A potential
+    system's result is K's data and its ``mass_weights`` table; M's data is
+    the call's own transient, added into K's array and dropped, so its bytes
+    (read from ``mass`` after tracemalloc stops) do not count as a
+    temporary."""
     grid = cyl_grid(n, size)
     metric = sample_metric(random_trig_metric(n, seed=6), grid)
     temps = []
@@ -710,9 +736,9 @@ def _assembly_temporaries(n: int, size: int) -> list[int]:
         K = sys_.matrix
         result = sum(a.nbytes for a in (K.data, K.indices, K.indptr))
         if q is not None:
-            result += sys_.mass.data.nbytes
+            result += sys_.mass_weights.nbytes
         assert held <= result + 1e6
-        temps.append(peak - held)
+        temps.append(peak - held - (0 if q is None else sys_.mass.data.nbytes))
     return temps
 
 
@@ -755,6 +781,7 @@ class TestBlockedAssembly:
         assert layers % 5 != 0
         monkeypatch.setattr(dn_solver, "_BLOCK_BYTES", layers * per_layer)
         one_block = assemble_stiffness(metric, potential=q)
+        one_block.mass  # M is rebuilt on the first read, here over one block too
         for bound in (1, 5 * per_layer, default):
             monkeypatch.setattr(dn_solver, "_BLOCK_BYTES", bound)
             blocked = assemble_stiffness(metric, potential=q)
@@ -810,7 +837,8 @@ class TestBlockedAssembly:
 
     # one float64 arena per call, at most 3.7 MB: per-block arrays held
     # 9.9 MB at 33^3, 8.7 MB at 7^4 and 24.6 MB at 13^4; the arena, the
-    # blocks' cell nodes and the packed metric hold 4.9, 3.5 and 7.2 MB
+    # blocks' cell nodes and the whole packed metric held 4.9, 3.5 and
+    # 7.2 MB, and with the metric packed per block 3.4, 3.5 and 5.8 MB
     def test_temporaries_at_33(self):
         temps = _assembly_temporaries(3, 33)
         assert max(temps) <= 8.5e6, [f"{t / 1e6:.1f} MB" for t in temps]

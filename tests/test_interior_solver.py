@@ -71,8 +71,10 @@ Verifies:
     a potential; at 33^3 a solver
     allocates at most 1 MB (the copied blocks took 10.8 MB), and at 65^3 a
     fresh process that samples, assembles with a potential and builds a
-    solver peaks at most at 305 MB max RSS (543 MB with the copies, 318 MB
-    when each system copied the grid's CSR pattern); one 13-mode mode
+    solver peaks at most at 270 MiB VmHWM (543 MB with the copies, 318 MB
+    when each system copied the grid's CSR pattern), one that computes a
+    13-mode GAMMA1 mode matrix instead at most at 330 MiB (348.5 MiB while
+    the system kept its mass matrix); one 13-mode mode
     matrix on a random-trig 17^3 system, plain and with a potential, peaks
     at most 6 interior-block arrays above its start (7.64 when converged
     CG columns left the batch)
@@ -809,27 +811,43 @@ class TestBorrowedRows:
         assert peak <= 6 * unit, f"{peak / unit:.2f} interior-block arrays"
 
 
-def test_setup_peak_rss_at_65():
-    """Memory probe for a byte cap: a 65^3 random-trig metric, assembled
-    with a potential, and one solver, in a fresh process (543 MB max RSS
-    when the solver copied K's interior block and coupling, 318 MB when it
-    borrowed K's rows but the system copied the grid's CSR pattern, 293 MB
-    when the system shared it, 289 MiB before and 253 MiB since the system
-    keeps K + M and M but not K). The child reports its own ``VmHWM``: its
-    ``ru_maxrss`` starts from the high-water mark of the process that
-    forked it, here the test run's."""
+def _peak_rss_at_65(last: str) -> float:
+    """``VmHWM`` in MiB of a fresh process, BLAS pinned to one thread, that
+    samples the 65^3 random-trig seed-0 metric, assembles ``sys`` with the
+    potential ``q ~ U[0.5, 1.5]`` (seed 0) and runs the statement ``last``.
+    The child reports its own ``VmHWM``: its ``ru_maxrss`` starts from the
+    high-water mark of the process that forked it, here the test run's."""
     script = (
         "import re, numpy as np\n"
         "from pathlib import Path\n"
-        "from calderon_lab.dn_solver import InteriorSolver, assemble_stiffness\n"
-        "from calderon_lab.grid_geometry import cyl_grid, random_trig_metric, sample_metric\n"
+        "from calderon_lab.dn_solver import InteriorSolver, assemble_stiffness, dn_mode_matrix\n"
+        "from calderon_lab.grid_geometry import GAMMA1, cyl_grid, random_trig_metric, sample_metric\n"
         "grid = cyl_grid(3, 65)\n"
         "q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)\n"
-        "InteriorSolver(assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q))\n"
+        "sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q)\n"
+        f"{last}\n"
         "print(int(re.search(r'VmHWM:\\s*(\\d+) kB', Path('/proc/self/status').read_text()).group(1)) / 1024)\n"
     )
     src = Path(dn_solver.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
-    assert float(out.stdout) <= 270.0, f"{float(out.stdout):.0f} MiB peak RSS"
+    return float(out.stdout)
+
+
+def test_setup_peak_rss_at_65():
+    """Memory probe for a byte cap: sampling, assembly with a potential and
+    one solver (543 MB max RSS when the solver copied K's interior block and
+    coupling, 318 MB when it borrowed K's rows but the system copied the
+    grid's CSR pattern, 293 MB when the system shared it, 289 MiB before
+    and 253 MiB since the system keeps K + M and M but not K, 256 MiB since
+    it keeps the Gauss-point mass weights and not M)."""
+    peak = _peak_rss_at_65("InteriorSolver(sys)")
+    assert peak <= 270.0, f"{peak:.0f} MiB peak RSS"
+
+
+def test_mode_matrix_peak_rss_at_65():
+    """A 13-mode ``GAMMA1`` mode matrix of that system: 348.5 MiB while the
+    system kept M, 310 MiB with the Gauss-point mass weights in its place."""
+    peak = _peak_rss_at_65("dn_mode_matrix(sys, GAMMA1)")
+    assert peak <= 330.0, f"{peak:.0f} MiB peak RSS"

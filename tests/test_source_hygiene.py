@@ -30,7 +30,11 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
     orphan error type;
   - no module raises ``ValueError`` or ``TypeError`` outside the schema
     converters of ``report.py`` and ``cli.py``, whose refusals the schema
-    reader turns into ``ConfigInvalid``: every other refusal is typed.
+    reader turns into ``ConfigInvalid``: every other refusal is typed;
+  - no module reads the attribute ``mass`` or ``laplace``, directly or
+    through ``getattr``, outside ``StiffnessSystem``'s own properties: a read
+    rebuilds a potential system's mass matrix, which no solve needs, so
+    only tests and the benchmark's traced count read them.
 """
 
 import ast
@@ -398,3 +402,44 @@ def test_refusals_are_typed(path):
     assert allowed <= defined, f"{path.name} defines no converter {sorted(allowed - defined)}"
     lines = _untyped_raises(tree, allowed)
     assert not lines, f"{path.name} raises ValueError or TypeError outside a schema converter: lines {lines}"
+
+
+# attributes whose read rebuilds a potential system's mass matrix
+REBUILT = {"mass", "laplace"}
+
+
+def _rebuilt_reads(tree: ast.Module) -> list:
+    """Lines that read an attribute in ``REBUILT``, as ``x.mass`` or
+    ``getattr(x, "mass")``, outside the methods of that name of the class
+    ``StiffnessSystem``."""
+    own = {id(node)
+           for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "StiffnessSystem"
+           for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in REBUILT
+           for node in ast.walk(fn)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in own and (
+            isinstance(node, ast.Attribute) and node.attr in REBUILT and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) and node.args[1].value in REBUILT
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_rebuilt_reads(path):
+    lines = _rebuilt_reads(_tree(path))
+    assert not lines, f"{path.name} reads mass or laplace, which rebuild the mass matrix: lines {lines}"
+
+
+def test_rebuilt_read_check_forms():
+    tree = ast.parse(
+        "class StiffnessSystem:\n"
+        "    @property\n"
+        "    def laplace(self): return self.matrix - self.mass\n"
+        "    def solve(self): return self.laplace\n"
+        "def f(sys): return getattr(sys, 'mass'), sys.mass_weights, getattr(sys, 'layers')\n"
+        "def g(sys): sys.mass = None\n"
+    )
+    assert sorted(_rebuilt_reads(tree)) == [4, 5]
