@@ -3,9 +3,10 @@
 # script (not python -m) three times, each run in a fresh directory: the
 # pipeline synth-dataset -> validate-dataset -> counterexample-study
 # included. The third run is pinned to one BLAS thread. All three runs'
-# report.json files must be byte-identical across processes and thread
-# counts; the script prints the first run's sha256 of each and exits
-# non-zero on the first failed command or differing report.
+# report.json files and synthesised dataset (results/ds.json) must be
+# byte-identical across processes and thread counts; the script prints
+# the first run's sha256 of each and exits non-zero on the first failed
+# command or differing file.
 #
 #     sh ci/readme_configs.sh
 set -eu
@@ -44,3 +45,6 @@ for f in identities conformal2d diffeo link . validate study rigidity; do
   cmp "$1/results/$f/report.json" "$3/results/$f/report.json"
   (cd "$1/results" && sha256sum "$f/report.json")
 done
+cmp "$1/results/ds.json" "$2/results/ds.json"
+cmp "$1/results/ds.json" "$3/results/ds.json"
+(cd "$1/results" && sha256sum ds.json)

@@ -34,10 +34,10 @@ from .conformal import (
     scaling_law_residual,
 )
 from .counterexample import (
+    dataset_json,
     dn_gap_study,
     load_dataset,
     nonisometry_check,
-    save_dataset,
     synth_approx_miller,
     validate_miller_properties,
 )
@@ -66,6 +66,7 @@ from .report import (
     REPORT_FILES,
     REQUIRED,
     ExperimentReport,
+    check_out_dir,
     choice,
     emit_report,
     integer,
@@ -188,7 +189,7 @@ def _order_fit(sizes, gaps):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _run_verify_identities(cfg: dict, out_dir) -> ExperimentReport:
+def _run_verify_identities(cfg: dict) -> ExperimentReport:
     # the fourth-power identity needs n >= 3; each tuple samples a metric
     # and checks it, so their count is bounded like the config lists'
     s = read(cfg, "verify-identities config", n=(ranged(integer, 3, _MAX_N + 1), 3), size=(integer, 9),
@@ -219,7 +220,7 @@ def _run_verify_identities(cfg: dict, out_dir) -> ExperimentReport:
     return rep
 
 
-def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
+def _run_dn_compare(cfg: dict) -> ExperimentReport:
     s = read(cfg, "dn-compare config", n=_N, sizes=(list_of(integer), (9, 17, 33)),
              gamma=(choice(*BOUNDARY_NAMES), "gamma1"), cut=(ranged(real, 0.0), 2.0),
              metric=(_metric, None),
@@ -309,7 +310,7 @@ def _run_dn_compare(cfg: dict, out_dir) -> ExperimentReport:
     return rep
 
 
-def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
+def _run_counterexample_study(cfg: dict) -> ExperimentReport:
     s = read(cfg, "counterexample-study config", dataset=(_file, REQUIRED),
              eps=(list_of(real), (0.0, 0.025, 0.05, 0.1)),
              strides=(list_of(ranged(integer, 1)), (4, 2, 1)), cut=(ranged(real, 0.0), 2.0))
@@ -361,7 +362,7 @@ def _run_counterexample_study(cfg: dict, out_dir) -> ExperimentReport:
     return rep
 
 
-def _run_validate_dataset(cfg: dict, out_dir) -> ExperimentReport:
+def _run_validate_dataset(cfg: dict) -> ExperimentReport:
     s = read(cfg, "validate-dataset config", dataset=(_file, REQUIRED))
     # a malformed container is a computation failure, a grid over the cap a
     # config error
@@ -386,7 +387,7 @@ def _mode_pair(v) -> tuple[int, int]:
     return integer(v[0]), integer(v[1])
 
 
-def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
+def _run_synth_dataset(cfg: dict) -> ExperimentReport:
     """Run :func:`synth_approx_miller` with only the keys the config sets,
     so the library defaults hold. Whatever the synthesis refuses as
     InfeasibleBounds (``T``, ``rho`` or ``alpha`` out of range, an
@@ -405,7 +406,7 @@ def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     except (InfeasibleBounds, ShapeMismatch) as e:
         raise ConfigInvalid(f"invalid synthesis: {e}") from e
     rep = ExperimentReport("synth-dataset", cfg)
-    save_dataset(data, os.path.join(out_dir, s.output))
+    rep.files[s.output] = dataset_json(data)
     rep.scalars["synth"] = synth_rep
     rep.scalars["output"] = s.output
     rep.add_verdict("residual_not_worse_than_baseline",
@@ -413,7 +414,7 @@ def _run_synth_dataset(cfg: dict, out_dir) -> ExperimentReport:
     return rep
 
 
-def _run_rigidity_check(cfg: dict, out_dir) -> ExperimentReport:
+def _run_rigidity_check(cfg: dict) -> ExperimentReport:
     s = read(cfg, "rigidity-check config", n=_N, size=(integer, 9),
              seeds=(list_of(ranged(integer, 0)), tuple(range(5))))
     rep = ExperimentReport("rigidity-check", cfg)
@@ -442,14 +443,14 @@ _HANDLERS = {
 
 def run(command: str, cfg: dict, out_dir, threads: int = 1) -> ExperimentReport:
     """Dispatch one subcommand on an already-parsed config; its wall time
-    goes to ``timings["total"]``. Every subcommand runs serially, so
-    ``threads`` is ignored. It stays only because the benchmark harness
-    (``perfbench/workloads.py``) still passes a count; ROADMAP item 2
-    removes it together with ``perfbench/run.py``'s ``pool_threads()``."""
+    goes to ``timings["total"]``. It writes nothing: ``report.emit_report``
+    writes a run's files, a synthesised dataset among them. ``out_dir`` and
+    ``threads`` are unused and stay only because ``perfbench/workloads.py``
+    passes both; ROADMAP item 2a removes them."""
     if command not in _HANDLERS:
         raise ConfigInvalid(f"unknown command {command!r}")
     t0 = time.perf_counter()
-    rep = _HANDLERS[command](cfg, out_dir)
+    rep = _HANDLERS[command](cfg)
     rep.timings["total"] = time.perf_counter() - t0
     return rep
 
@@ -467,29 +468,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    made = []  # directories created here, deepest first
     try:
         cfg = load_json(args.config)
         out_dir = args.out or os.path.join("reports", args.command)
-        # made before the run, so an unusable path is refused before any
-        # computation
-        try:
-            path = os.path.abspath(out_dir)
-            while not os.path.lexists(path):
-                made.append(path)
-                path = os.path.dirname(path)
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as e:
-            raise ConfigInvalid(f"cannot create output directory {out_dir!r}: {e}") from e
+        check_out_dir(out_dir)  # before any computation; emit_report makes it
         report = run(args.command, cfg, out_dir)
         emit_report(report, out_dir)
     except ConfigInvalid as e:
-        # a refused run leaves no directory behind; rmdir spares a non-empty one
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:
-                pass
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except CalderonLabError as e:

@@ -48,7 +48,6 @@ from .grid_geometry import (
 )
 from .report import (
     REQUIRED,
-    atomic_write_text,
     choice,
     integer,
     list_of,
@@ -77,9 +76,9 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def save_dataset(data: MillerDataset, path) -> None:
-    """Write the dataset as a single JSON container: the format marker,
-    version 1, the metadata and one entry per array. Arrays are base64 raw
+def dataset_json(data: MillerDataset) -> str:
+    """The dataset as a single JSON container: the format marker, version
+    1, the metadata and one entry per array. Arrays are base64 raw
     little-endian float64, which round-trips bit-exactly and is the one
     encoding :func:`load_dataset` reads.
     """
@@ -98,7 +97,7 @@ def save_dataset(data: MillerDataset, path) -> None:
         },
         "arrays": {nm: _encode_array(getattr(data, nm)) for nm in _ARRAY_NAMES},
     }
-    atomic_write_text(path, json.dumps(doc))
+    return json.dumps(doc)
 
 
 def _meta(obj) -> SimpleNamespace:

@@ -21,6 +21,7 @@ can be diffed against a stored report directly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -169,23 +170,40 @@ def string(v) -> str:
 REPORT_FILES = ("report.json", "summary.md", "timings.json")
 
 
+def check_out_dir(d) -> list:
+    """The directories missing on the way to the output directory ``d``,
+    deepest first. It only reads, and raises ConfigInvalid if the nearest
+    existing path (``d`` itself when it exists) is not a writable directory."""
+    missing, path = [], os.path.abspath(d)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigInvalid(f"cannot write into {os.fspath(d)!r}: {path!r} is not a writable directory")
+    return missing
+
+
 def _write_files(d, texts: dict) -> None:
     """Write each ``path: text`` of ``texts``, all in the directory ``d``,
-    made with its missing parents, through temporary files in ``d``. A path
-    that exists and is not a regular file is refused; the others move aside,
-    beside their texts' temporaries, and each text into place by ``os.replace``.
-    Any failure raises ConfigInvalid and undoes the renames: the old files stay."""
+    through temporary files in ``d`` with the mode ``open(path, "w")``
+    gives. A path that exists and is not a regular file is refused; the
+    others move aside, beside their texts' temporaries, and each text into
+    place by ``os.replace``. Any failure raises ConfigInvalid, undoes the
+    renames and removes the directories made for ``d``: the old files stay."""
+    for path in texts:
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: it exists and is not a regular file")
+    made = check_out_dir(d)
+    os.umask(umask := os.umask(0))  # reads the umask
     tmps, moves, k, path = [], [], 0, d
     try:
         os.makedirs(d, exist_ok=True)
         for path, text in texts.items():
             fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
             tmps.append(tmp)
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w") as f:
                 f.write(text)
-        for path in texts:
-            if os.path.lexists(path) and not os.path.isfile(path):
-                raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: it exists and is not a regular file")
         moves = [(p, t + ".old") for t, p in zip(tmps, texts) if os.path.lexists(p)] + list(zip(tmps, texts))
         for k, (src, path) in enumerate(moves):
             os.replace(src, path)
@@ -195,17 +213,14 @@ def _write_files(d, texts: dict) -> None:
         raise ConfigInvalid(f"cannot write {os.fspath(path)!r}: {e.strerror or e}") from e
     else:  # the old files go only once every text is in place
         tmps += [tmp + ".old" for tmp in tmps]
+        made = []
     finally:
         for name in tmps:
             if os.path.lexists(name):
                 os.unlink(name)
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it, made
-    with its missing parent directories, and ``os.replace``. A write that
-    fails raises ConfigInvalid and leaves an existing file as it was."""
-    _write_files(os.path.dirname(os.path.abspath(path)), {path: text})
+        for name in made:  # rmdir spares a directory that is not empty
+            with contextlib.suppress(OSError):
+                os.rmdir(name)
 
 
 @dataclass(frozen=True)
@@ -233,6 +248,7 @@ class ExperimentReport:
     tables: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    files: dict = field(default_factory=dict)  # name -> text, written beside the report
 
     @property
     def passed(self) -> bool:
@@ -256,7 +272,7 @@ class ExperimentReport:
 
     def as_dict(self) -> dict:
         d = asdict(self)
-        del d["timings"]  # volatile: it goes to the sidecar
+        del d["timings"], d["files"]  # the volatile sidecar's, and written beside the report
         return {**d, "config_digest": self.config_digest(), "passed": self.passed}
 
     def to_json(self) -> str:
@@ -292,11 +308,11 @@ class ExperimentReport:
 
 
 def emit_report(report: ExperimentReport, out_dir) -> dict:
-    """Write report.json (canonical), one CSV per table, summary.md, and a
-    volatile timings sidecar, all through temporary files first, so a
-    target that is not a regular file refuses the whole set with
-    ConfigInvalid and leaves ``out_dir`` as it was. Returns {artifact name:
-    path}."""
+    """Write report.json (canonical), one CSV per table, summary.md, a
+    volatile timings sidecar and ``report.files``, all through temporary
+    files first in one batch, so a target that is not a regular file
+    refuses the whole set with ConfigInvalid and leaves ``out_dir`` as it
+    was. Returns {artifact name: path} of the report's own files."""
     canonical, summary, timings = REPORT_FILES
     texts = {canonical: report.to_json()}
     for name in sorted(report.tables):
@@ -310,6 +326,5 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
     texts[summary] = report.to_markdown()
     if report.timings:
         texts[timings] = json.dumps(report.timings, sort_keys=True, indent=2) + "\n"
-    written = {name: os.path.join(out_dir, name) for name in texts}
-    _write_files(out_dir, {written[name]: text for name, text in texts.items()})
-    return written
+    _write_files(out_dir, {os.path.join(out_dir, name): text for name, text in {**report.files, **texts}.items()})
+    return {name: os.path.join(out_dir, name) for name in texts}

@@ -5,6 +5,7 @@ computational failure, 2 on config errors. Reports land in --out.
 """
 
 import ast
+import inspect
 import itertools
 import json
 import os
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from calderon_lab import cli
 from calderon_lab.cli import main, run
-from calderon_lab.counterexample import load_dataset, save_dataset, synth_approx_miller
+from calderon_lab.counterexample import dataset_json, load_dataset, synth_approx_miller
 from calderon_lab.errors import ConfigInvalid
 from calderon_lab.grid_geometry import CylinderGrid, MillerDataset, cyl_grid
 from calderon_lab.report import emit_report, load_json
@@ -40,7 +41,7 @@ def _write_study_dataset(path, amplitude=0.1):
     """The README's synthesised dataset, 13 x 12 x 12 with modes (1, 0) and
     (0, 1), at ``amplitude``."""
     data, _ = synth_approx_miller(CylinderGrid(3, 13, (12, 12)), modes=((1, 0), (0, 1)), amplitude=amplitude)
-    save_dataset(data, path)
+    Path(path).write_text(dataset_json(data))
     return str(path)
 
 
@@ -68,6 +69,11 @@ def _cli(tmp_path, command, cfg):
     if (out / "report.json").exists():
         load_json(out / "report.json")
     return code, out
+
+
+def _tree(out):
+    """Every path below ``out``: a file's bytes, None for a directory."""
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
 
 
 class TestConfigErrors:
@@ -388,14 +394,23 @@ class TestConfigErrors:
         out = tmp_path / "out"
         (out / "summary.md").mkdir(parents=True)
         (out / "report.json").write_text("an earlier run")
-
-        def tree():
-            return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
-
-        before = tree()
+        before = _tree(out)
         assert main(["rigidity-check", "--config", cfg_path, "--out", str(out)]) == 2
         assert "it exists and is not a regular file" in capsys.readouterr().err
-        assert tree() == before
+        assert _tree(out) == before
+
+    # dataset.json was replaced before the directory summary.md refused
+    # the report, which left a half-written run
+    def test_refused_synth_leaves_the_old_dataset(self, tmp_path, capsys):
+        cfg_path = _write(tmp_path, "synth.json", {"grid": {"num_t": 9, "num_ang": [8, 8]}})
+        out = tmp_path / "out"
+        (out / "summary.md").mkdir(parents=True)
+        (out / "dataset.json").write_text("an earlier dataset")
+        (out / "report.json").write_text("an earlier run")
+        before = _tree(out)
+        assert main(["synth-dataset", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "it exists and is not a regular file" in capsys.readouterr().err
+        assert _tree(out) == before
 
     def test_refused_run_leaves_no_directory(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, "rc.json", {"bogus": 1})
@@ -428,11 +443,14 @@ class TestConfigErrors:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below-file"])
-    def test_out_is_not_a_directory(self, tmp_path, capsys, out):
+    def test_out_is_not_a_directory(self, tmp_path, monkeypatch, capsys, out):
+        _stub_computation(monkeypatch, _must_not_run)
         cfg_path = _write(tmp_path, "vi.json", {"tuples": 1, "size": 5})
         (tmp_path / "taken").write_text("")
+        before = sorted(tmp_path.rglob("*"))
         assert main(["verify-identities", "--config", cfg_path, "--out", str(tmp_path / out)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("output", [3, "sub/dir/x.json"], ids=["not-a-string", "not-a-bare-name"])
     def test_output_not_a_file_name(self, tmp_path, capsys, output):
@@ -461,7 +479,7 @@ def over_cap_dataset(tmp_path_factory):
     """A zero dataset on 69 x 68 x 68 nodes, 319,056 against the cap of
     266,240."""
     path = tmp_path_factory.mktemp("over-cap") / "ds.json"
-    save_dataset(MillerDataset.zero(CylinderGrid(3, 69, (68, 68))), path)
+    path.write_text(dataset_json(MillerDataset.zero(CylinderGrid(3, 69, (68, 68)))))
     return str(path)
 
 
@@ -1126,6 +1144,19 @@ class TestDatasetCommands:
         doc = json.loads((out2 / "report.json").read_text())
         assert doc["passed"] is True
 
+    # under umask 0o022 every file came out -rw------- from mkstemp
+    def test_files_honour_the_umask(self, tmp_path):
+        cfg_path = _write(tmp_path, "synth.json", {"grid": {"num_t": 9, "num_ang": [8, 8]}})
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(["synth-dataset", "--config", cfg_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert set(modes) == {"dataset.json", "report.json", "summary.md", "timings.json"}
+        assert set(modes.values()) == {0o644}, modes
+
     def test_synth_bytes_independent_of_blas_threads(self, tmp_path):
         # LSQR and np.linalg.norm summed by a threaded ddot: at 1 and 2
         # threads the bytes differed (lsqr_iterations 794 against 796)
@@ -1149,7 +1180,7 @@ class TestDatasetCommands:
         stuck = np.ones(grid.shape)  # violates vanishing at t = T
         bad = MillerDataset(grid, bad.a1, bad.a2, bad.a3, bad.A1, bad.A3, stuck)
         path = tmp_path / "bad-ds.json"
-        save_dataset(bad, path)
+        path.write_text(dataset_json(bad))
         code, _ = _cli(tmp_path, "validate-dataset", {"dataset": str(path)})
         assert code == 1
 
@@ -1159,7 +1190,7 @@ class TestDatasetCommands:
         # traceback), and a NaN in a1 (it broke the eigenvalue check with
         # a traceback) or inside u (it passed validation)
         path = tmp_path / "ds.json"
-        save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
+        path.write_text(dataset_json(MillerDataset.zero(cyl_grid(3, 5))))
         good = json.loads(path.read_text())
         cfg_path = _write(tmp_path, "validate.json", {"dataset": str(path)})
         src = Path(__file__).resolve().parents[1] / "src"
@@ -1193,7 +1224,7 @@ class TestDatasetCommands:
     )
     def test_unreadable_container_exits_1(self, tmp_path, capsys, edit):
         path = tmp_path / "ds.json"
-        save_dataset(MillerDataset.zero(cyl_grid(3, 5)), path)
+        path.write_text(dataset_json(MillerDataset.zero(cyl_grid(3, 5))))
         text = path.read_bytes()
         path.write_bytes(edit(text))
         assert path.read_bytes() != text
@@ -1218,7 +1249,7 @@ class TestDatasetCommands:
         data = MillerDataset.zero(cyl_grid(3, 9))
         data.A1[3] = 0.01
         path = tmp_path / "ds.json"
-        save_dataset(data, path)
+        path.write_text(dataset_json(data))
         code, out = _cli(tmp_path, "validate-dataset", {"dataset": str(path)})
         assert code == 1
         items = {i["name"]: i for i in load_json(out / "report.json")["scalars"]["validation"]["items"]}
@@ -1278,7 +1309,7 @@ class TestStudyAndRigidity:
         # -1.05e-13 when fitted) and u gives no volume obstruction
         data = load_dataset(_STUDY_DATASET)
         path = tmp_path / "trivial-u.json"
-        save_dataset(replace(data, u=data.u * (1e-14 / np.abs(data.u).max())), path)
+        path.write_text(dataset_json(replace(data, u=data.u * (1e-14 / np.abs(data.u).max()))))
         report = run("counterexample-study", {**_STUDY_CFG, "dataset": str(path)}, tmp_path / "out")
         assert max(row[2] for row in report.tables["gap_study"].rows) > 0.0
         assert report.scalars["fit"]["trivial"] is True
@@ -1295,7 +1326,7 @@ class TestStudyAndRigidity:
         z = MillerDataset.zero(grid)
         bad = MillerDataset(grid, z.a1 - 3.0, z.a2, z.a3 - 3.0, z.A1, z.A3, z.u)
         path = tmp_path / "indefinite.json"
-        save_dataset(bad, path)
+        path.write_text(dataset_json(bad))
         code, _ = _cli(tmp_path, "counterexample-study", {"dataset": str(path), "strides": [1]})
         assert code == 1
 
@@ -1319,6 +1350,24 @@ class TestStudyAndRigidity:
 
 
 class TestRunApi:
+    # synth-dataset wrote its dataset into out_dir before the report existed
+    @pytest.mark.parametrize("command,cfg", [
+        ("verify-identities", {"tuples": 1, "size": 5}),
+        ("dn-compare", {"n": 2, "sizes": [9], "transform": {"kind": "conformal-2d"}}),
+        ("counterexample-study", {"dataset": _STUDY_DATASET, "eps": [0.0], "strides": [2]}),
+        ("validate-dataset", {"dataset": _STUDY_DATASET}),
+        ("synth-dataset", {"grid": {"num_t": 9, "num_ang": [8, 8]}}),
+        ("rigidity-check", {"size": 5, "seeds": [0]}),
+    ])
+    def test_run_writes_nothing(self, tmp_path, command, cfg):
+        report = run(command, cfg, tmp_path)
+        assert report.passed
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_handlers_take_the_config_only(self, command):
+        assert list(inspect.signature(cli._HANDLERS[command]).parameters) == ["cfg"]
+
     def test_run_returns_report(self, tmp_path):
         report = run(
             "verify-identities", {"n": 3, "size": 9, "tuples": 2, "seed": 5}, tmp_path

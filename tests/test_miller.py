@@ -49,11 +49,11 @@ from hypothesis import given, settings, strategies as st
 from calderon_lab import counterexample
 from calderon_lab.calculus import divergence_form_apply
 from calderon_lab.counterexample import (
+    dataset_json,
     dn_gap_study,
     holder_quotients,
     load_dataset,
     nonisometry_check,
-    save_dataset,
     synth_approx_miller,
     validate_miller_properties,
     _coefficient_jacobian,
@@ -89,7 +89,7 @@ class TestContainer:
         grid = cyl_grid(3, 5)
         data = _toy_dataset(grid)
         path = tmp_path / f"ds-{encoding}.json"
-        save_dataset(data, path)
+        path.write_text(dataset_json(data))
         assert {a["encoding"] for a in json.loads(path.read_text())["arrays"].values()} == {encoding}
         back = load_dataset(path)
         for nm in ("a1", "a2", "a3", "A1", "A3", "u"):
@@ -100,7 +100,7 @@ class TestContainer:
     def test_writer_encoding_is_base64(self, tmp_path):
         data = _toy_dataset(cyl_grid(3, 5))
         path = tmp_path / "ds.json"
-        save_dataset(data, path)
+        path.write_text(dataset_json(data))
         doc = json.loads(path.read_text())
         assert {a["encoding"] for a in doc["arrays"].values()} == {"base64"}
         assert doc["meta"]["layout"] == "row-major"
@@ -117,7 +117,7 @@ class TestContainer:
     def test_missing_array_rejected(self, tmp_path):
         data = _toy_dataset(cyl_grid(3, 5))
         path = tmp_path / "ds.json"
-        save_dataset(data, path)
+        path.write_text(dataset_json(data))
         doc = json.loads(path.read_text())
         del doc["arrays"]["a2"]
         path.write_text(json.dumps(doc))
@@ -141,7 +141,7 @@ class TestContainer:
     )
     def test_bad_metadata_rejected(self, tmp_path, key, value):
         path = tmp_path / "ds.json"
-        save_dataset(_toy_dataset(cyl_grid(3, 5)), path)
+        path.write_text(dataset_json(_toy_dataset(cyl_grid(3, 5))))
         doc = json.loads(path.read_text())
         doc["meta"][key] = value
         path.write_text(json.dumps(doc))
@@ -155,7 +155,7 @@ class TestContainer:
     def test_non_finite_array_rejected(self, tmp_path, name, node, encoding):
         data = _toy_dataset(cyl_grid(3, 5))
         path = tmp_path / "ds.json"
-        save_dataset(data, path)
+        path.write_text(dataset_json(data))
         doc = json.loads(path.read_text())
         assert doc["arrays"][name]["encoding"] == encoding
         doc["arrays"][name] = base64_with_nan(doc["arrays"][name], node)
@@ -181,7 +181,7 @@ class TestContainer:
     )
     def test_unknown_keys_and_versions_rejected(self, tmp_path, edit):
         path = tmp_path / "ds.json"
-        save_dataset(_toy_dataset(cyl_grid(3, 5)), path)
+        path.write_text(dataset_json(_toy_dataset(cyl_grid(3, 5))))
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -209,7 +209,7 @@ def _toy_container(tmp_path_factory) -> bytearray:
     """The bytes of the toy dataset's container, written once per test run."""
     path = tmp_path_factory.getbasetemp() / "toy-container.json"
     if not path.exists():
-        save_dataset(_toy_dataset(cyl_grid(3, 5)), path)
+        path.write_text(dataset_json(_toy_dataset(cyl_grid(3, 5))))
     return bytearray(path.read_bytes())
 
 
@@ -372,7 +372,7 @@ def _load_with_meta(tmp_path, grid, **meta) -> MillerDataset:
     """Load a saved zero dataset on ``grid`` whose container metadata was
     edited to ``meta``."""
     path = tmp_path / "ds.json"
-    save_dataset(MillerDataset.zero(grid), path)
+    path.write_text(dataset_json(MillerDataset.zero(grid)))
     doc = json.loads(path.read_text())
     doc["meta"].update(meta)
     path.write_text(json.dumps(doc))

@@ -9,6 +9,10 @@ Verifies:
     rename fails keeps the old file and leaves no temporary file, a
     report whose second file cannot be written leaves no file at all, and
     a failed rename of any file of a report undoes the ones before it
+  - a report's other files (a synthesised dataset) join its batch but
+    not its canonical JSON, a failed batch removes the directories it
+    made, and the output-directory check refuses an unusable path
+    without creating anything
   - fuzzed: the JSON loader turns arbitrary bytes into an object or a
     config error, never anything else
 """
@@ -25,7 +29,8 @@ from calderon_lab.errors import ConfigInvalid
 from calderon_lab.report import (
     ExperimentReport,
     Table,
-    atomic_write_text,
+    _write_files,
+    check_out_dir,
     emit_report,
     load_json,
 )
@@ -129,23 +134,50 @@ class TestEmission:
             emit_report(_sample_report(), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_files_join_the_batch(self, tmp_path):
+        r = _sample_report()
+        r.files["data.json"] = "{}"
+        written = emit_report(r, tmp_path)
+        assert "data.json" not in written and "files" not in r.as_dict()
+        assert (tmp_path / "data.json").read_text() == "{}"
+        assert r.to_json() == _sample_report().to_json()
+
+    # the batch made out_dir and its parent, then failed: both go again
+    def test_failed_batch_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(ConfigInvalid, match="replace failed"):
+            emit_report(_sample_report(), tmp_path / "new" / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "below-file"])
+    def test_out_dir_checked_without_a_write(self, tmp_path, out):
+        (tmp_path / "taken").write_text("")
+        with pytest.raises(ConfigInvalid, match="is not a writable directory"):
+            check_out_dir(tmp_path / out)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert check_out_dir(tmp_path / "new" / "out") == [str(tmp_path / "new" / "out"), str(tmp_path / "new")]
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_atomic_overwrite(self, tmp_path):
         p = tmp_path / "f.txt"
-        atomic_write_text(p, "old")
-        atomic_write_text(p, "new")
+        _write_files(tmp_path, {p: "old"})
+        _write_files(tmp_path, {p: "new"})
         assert p.read_text() == "new"
         assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
         p = tmp_path / "f.txt"
-        atomic_write_text(p, "old")
+        _write_files(tmp_path, {p: "old"})
 
         def fail(src, dst):
             raise OSError("replace failed")
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(ConfigInvalid, match="replace failed"):
-            atomic_write_text(p, "new")
+            _write_files(tmp_path, {p: "new"})
         assert p.read_bytes() == b"old"
         assert [q.name for q in tmp_path.iterdir()] == ["f.txt"]  # no .tmp-* left
 

@@ -34,7 +34,13 @@ Verifies, for every module of ``calderon_lab``, ``__init__.py`` included:
   - no module reads the attribute ``mass`` or ``laplace``, directly or
     through ``getattr``, outside ``StiffnessSystem``'s own properties: a read
     rebuilds a potential system's mass matrix, which no solve needs, so
-    only tests and the benchmark's traced count read them.
+    only tests and the benchmark's traced count read them;
+  - no module but ``report`` makes a directory or writes a file: no
+    ``os.makedirs``, ``os.mkdir``, ``os.replace`` or ``os.rename`` under
+    any import form, no ``tempfile``, no ``open`` in a write, append or
+    create mode and no ``write_text`` or ``write_bytes``. A run's files
+    are its report's, and ``report.emit_report`` writes them in one
+    atomic batch.
 """
 
 import ast
@@ -443,3 +449,52 @@ def test_rebuilt_read_check_forms():
         "def g(sys): sys.mass = None\n"
     )
     assert sorted(_rebuilt_reads(tree)) == [4, 5]
+
+
+# qualified reads that make a directory or put a file in place
+WRITERS = {"os.makedirs", "os.mkdir", "os.replace", "os.rename"}
+
+
+def _writes(tree: ast.Module) -> list:
+    """Lines that make a directory or write a file: a read of ``WRITERS``
+    or of ``tempfile``, an import of ``tempfile``, an ``open`` call whose
+    mode is not a constant without ``w``, ``a``, ``x`` or ``+``, and a
+    ``write_text`` or ``write_bytes`` attribute."""
+    lines = [line for nm, line in _qualified_reads(tree) if nm in WRITERS or f"{nm}.".startswith("tempfile.")]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                f"{getattr(node, 'module', None) or a.name}.".startswith("tempfile.") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_one_writer(path):
+    lines = _writes(_tree(path))
+    if path.stem == "report":
+        assert lines, "report.py no longer writes files: move the one writer's exemption"
+    else:
+        assert not lines, f"{path.name} writes files or makes directories outside report: lines {lines}"
+
+
+def test_write_check_forms():
+    tree = ast.parse(
+        "import os\n"
+        "import tempfile as tf\n"
+        "from os import replace as mv\n"
+        "from dataclasses import replace\n"
+        "os.makedirs(d); os.mkdir(d); os.rename(a, b)\n"
+        "mv(a, b)\n"
+        "tf.mkstemp()\n"
+        "open(p, 'w'); open(p, mode='ab'); open(p, 'x'); open(p, 'r+'); open(p, m)\n"
+        "p.write_text(t); p.write_bytes(b)\n"
+        "open(p); open(p, 'rb'); open(p, mode='r'); replace(x, y=1); os.path.join(a, b)\n"
+    )
+    assert _writes(tree) == [2, 5, 6, 7, 8, 9]
