@@ -34,9 +34,9 @@ are minus the residual, its rows on ``G`` the Neumann data (DN maps are
 ``extend(U)[G]``), and ``U^T K U`` the Dirichlet energies of mode
 matrices (``energy``, stopped near the square root of ``extend``'s
 tolerance, as an energy is off only by the square of its extension's
-error). Solves run batched conjugate gradients in one arena per solve,
-preconditioned by the exact inverse of a layered operator from the
-t-cell means that assembly keeps (``StiffnessSystem.layers``). A solve
+error). Solves run batched conjugate gradients, preconditioned by the
+exact inverse of a layered operator from the t-cell means that assembly
+keeps (``StiffnessSystem.layers``) through a layer-bounded scratch. A solve
 returns a checked result or raises SingularInteriorBlock (a breakdown,
 which proves the block is not positive definite) or NoConvergence.
 
@@ -80,7 +80,8 @@ _SOLVE_RTOL = 1e-10
 _CG_RTOL = 1e-12  # per column, on sqrt(r^T z) relative to its start
 _ENERGY_RTOL = 5e-7  # the same in InteriorSolver.energy, whose error is second order
 _CG_MAXIT = 200
-_DENSE_BYTES = 32 << 20  # caps the node array u of one interior solve; the solve holds about five of its size
+_DENSE_BYTES = 32 << 20  # caps the node array u of one interior solve; the solve holds about four of its size
+_PRECOND_BYTES = 512 << 10  # bounds the preconditioner's scratch: 4 t-layers a block at 33^3 with 13 columns
 _BLOCK_BYTES = 1267 * 2944  # bounds an assembly block's arena: 1,267 cells in 4-D, 3,885 in 3-D
 
 
@@ -481,12 +482,12 @@ class InteriorSolver:
     diagonal with a t-only ``w_tt`` and constant angular entries and
     ``sqrt(det g) V`` is constant. ``iterations`` holds the count of the
     last solve, at which its last column converged; a converged column
-    stops moving. CG iterates in ``u[free]``, and one arena per solve holds
-    R, the preconditioner scratch S (each of that size) and the direction
-    in node layout; the energy check reuses R and S. A 13-mode mode matrix
-    peaks 17.5 MB above its start at 33^3 and 139.6 MB at 65^3; in a fresh
-    process that samples and assembles the 65^3 system with a potential, at
-    310 MiB ``VmHWM`` (348.5 MiB while the system kept M).
+    stops moving. CG iterates in ``u[free]`` beside R, the direction in node
+    layout (dropped before ``K @ u``) and scipy's product; the energy check
+    preconditions into the dead R. A 13-mode mode matrix peaks 14.6 MB
+    above its start at 33^3 and 113.1 MB at 65^3; in a fresh process that
+    samples and assembles the 65^3 system with a potential, at 284 MiB
+    ``VmHWM`` (310 MiB with a preconditioner scratch of R's size).
 
     ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead: with ``u*`` the
     exact extension and ``e = u - u*`` zero on the boundary,
@@ -562,52 +563,75 @@ class InteriorSolver:
         U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
         b = self._rhs(U)
         scale = max(l2_norm(b), 1e-300)
-        work = np.empty((2 * len(b) + len(U), b.shape[1]))  # CG's arena: R, S, then P in node layout
-        start = self._pcg(b, rtol, work)
+        R = np.empty_like(b)  # CG's residual, then the energy check's z
+        start = self._pcg(b, rtol, R)
         KU = self._K @ U
         r = KU[self.free]
-        if rtol != _CG_RTOL:  # in the dead R and S
-            z = self._precondition(r, *np.split(work[: 2 * len(b)], 2))
+        if rtol != _CG_RTOL:
+            z = self._precondition(r, R)
             if (np.einsum("ij,ij->j", r, z) <= (2.0 * rtol) ** 2 * start).all():
                 return KU.reshape(u.shape)
+            del R, KU, r, z  # before the strict rerun allocates its own
             return self._extend(u, _CG_RTOL)
         res = l2_norm(r)
         if not (res <= _SOLVE_RTOL * scale):  # NaN fails too
             raise NoConvergence(res / scale, _SOLVE_RTOL)
         return KU.reshape(u.shape)
 
-    def _precondition(self, R: np.ndarray, Z: np.ndarray, S: np.ndarray):
+    def _precondition(self, R: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """``V D^{-1} V^T R`` for the columns of ``R``, the inverse of the
-        layered operator, into ``Z`` (returned): each factor product is one
-        matmul on (lead, N, rest) views, alternating between the C-contiguous
-        buffers ``S`` and ``Z``."""
-        shape, n = (*self._shape, R.shape[1]), len(self._vecs)
-        Y = R
-        for k in range(2 * n):  # an even count of products ends in Z
-            d, Y_next = k % n, (S, Z)[k % 2]
-            view = (math.prod(shape[:d]), shape[d], -1)
-            np.matmul(self._vecs[d].T if k < n else self._vecs[d], Y.reshape(view), out=Y_next.reshape(view))
-            Y = Y_next
-            if k == n - 1:
-                np.divide(Y.reshape(shape), self._diag[..., None], out=Y.reshape(shape))
+        layered operator, into ``Z`` (returned), one matmul on (lead, N, rest)
+        views per factor through one scratch S of at most ``_PRECOND_BYTES``
+        or one t-layer: alternating between S and Z if the interior fits S,
+        else per block of whole t-layers, the second t-axis product in place
+        in chunks of 64k columns; either cut keeps each matrix's shape and bytes."""
+        shape, n, vecs = (*self._shape, R.shape[1]), len(self._vecs), self._vecs
+        m, layer = shape[0], R.size // shape[0]
+        per = max(1, _PRECOND_BYTES // (8 * layer))
+        if per >= m:
+            S, Y = np.empty_like(R), R
+            for k in range(2 * n):  # an even count of products ends in Z
+                d, Y_next = k % n, (S, Z)[k % 2]
+                view = (math.prod(shape[:d]), shape[d], -1)
+                np.matmul(vecs[d].T if k < n else vecs[d], Y.reshape(view), out=Y_next.reshape(view))
+                Y = Y_next
+                if k == n - 1:
+                    np.divide(Y.reshape(shape), self._diag[..., None], out=Y.reshape(shape))
+            return Z
+        S = np.empty(max(per * layer, 64 * m))
+        Zt, width = np.matmul(vecs[0].T, R.reshape(m, -1), out=Z.reshape(m, -1)), len(S) // m // 64 * 64
+        for forward in (True, False):
+            if not forward:  # the second t-axis product, in place
+                for lo in range(0, Zt.shape[1], width):
+                    chunk = Zt[:, lo : lo + width]
+                    chunk[...] = np.matmul(vecs[0], chunk, out=S[: chunk.size].reshape(chunk.shape))
+            for j0 in range(0, m, per):
+                Y = Z_b = Z.reshape(shape)[j0 : j0 + per]
+                S_b = S[: Z_b.size].reshape(Z_b.shape)
+                for d in range(1, n):
+                    view, Y_next = (math.prod(Z_b.shape[:d]), shape[d], -1), S_b if Y is Z_b else Z_b
+                    np.matmul(vecs[d].T if forward else vecs[d], Y.reshape(view), out=Y_next.reshape(view))
+                    Y = Y_next
+                if forward:
+                    np.divide(Y, self._diag[j0 : j0 + per, ..., None], out=Z_b)
+                elif Y is not Z_b:
+                    np.copyto(Z_b, Y)
         return Z
 
-    def _pcg(self, X: np.ndarray, rtol: float, work: np.ndarray) -> np.ndarray:
+    def _pcg(self, X: np.ndarray, rtol: float, R: np.ndarray) -> np.ndarray:
         """Batched preconditioned CG in place: ``X`` holds the right-hand
         sides on entry and the solution on return, each column stopped when
         ``sqrt(r^T z)`` is at most ``rtol`` of its start; returns the
         starting ``r^T z`` of each column, or raises as the class says. A
         converged column takes a zero step and a zero beta, and its ``r^T
-        z`` stays frozen. Besides ``X`` CG holds
-        the product scipy returns, reused for the step and for Z, and the
-        arena ``work``: R and one scratch S, of X's shape, and the direction
-        in node layout for ``rows`` (fixed rows 0)."""
-        R, S, P_nodes = np.split(work, [len(X), 2 * len(X)])
+        z`` stays frozen. Besides ``X`` CG holds the caller's R, of X's shape,
+        the direction in node layout for ``rows`` (fixed rows 0), dropped on
+        return, and scipy's product, reused for the step and for Z."""
         np.copyto(R, X)
         X[:] = 0.0
-        P_nodes[: self.free.start] = P_nodes[self.free.stop :] = 0.0
+        P_nodes = np.zeros((self._K.shape[0], X.shape[1]))
         P = P_nodes[self.free]
-        self._precondition(R, P, S)
+        self._precondition(R, P)
         start = rz = np.einsum("ij,ij->j", R, P)
         stop = rtol**2 * rz
         it = 0
@@ -630,7 +654,7 @@ class InteriorSolver:
             Q *= alpha
             R -= Q
             X += np.multiply(alpha, P, out=Q)
-            Z = self._precondition(R, Q, S)
+            Z = self._precondition(R, Q)
             rz_new = np.einsum("ij,ij->j", R, Z)
             P *= np.divide(rz_new, rz, out=np.zeros_like(rz), where=running)
             P += Z

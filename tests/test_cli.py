@@ -909,6 +909,14 @@ class TestReadmeConfigs:
         written = _outputs_at_blas_threads(tmp_path, "dn-compare", cfg, ("report.json",))
         assert written[0] == written[1]
 
+    def test_study_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # every mode matrix of the study is a CG solve whose preconditioner
+        # runs batched GEMMs, and the gap fit sums their gaps
+        cfg = next(cfg for command, cfg in _readme_configs() if command == "counterexample-study")
+        written = _outputs_at_blas_threads(tmp_path, "counterexample-study", {**cfg, "dataset": _STUDY_DATASET},
+                                           ("report.json",))
+        assert written[0] == written[1]
+
 
 class _Reached(Exception):
     """Raised by the stubbed computation: the config got past the reader."""

@@ -30,7 +30,10 @@ Verifies:
     metric whose angular entries share one t-profile; and the
     criterion-3 c^4 g and link systems at size 17 take at most 12
     iterations (the flat preconditioner took 14 and 15), and at most 6
-    on the energy route
+    on the energy route; with its scratch bound at one byte (blocks of
+    one t-layer, chunks of 64 columns) it has the bytes of its one-block
+    sequence on 2-D, 3-D and 4-D grids with 13, 5 and 1 columns, and it
+    only reads its input
   - a batch whose columns converge at 0, 1, 2, 3 and the full count of
     iterations in CG, each column then stopped in place, matches
     column-by-column runs to 1e-12 relative and reports the slowest
@@ -73,11 +76,14 @@ Verifies:
     fresh process that samples, assembles with a potential and builds a
     solver peaks at most at 270 MiB VmHWM (543 MB with the copies, 318 MB
     when each system copied the grid's CSR pattern), one that computes a
-    13-mode GAMMA1 mode matrix instead at most at 330 MiB (348.5 MiB while
-    the system kept its mass matrix); one 13-mode mode
+    13-mode GAMMA1 mode matrix instead at most at 300 MiB (348.5 MiB while
+    the system kept its mass matrix, 310 MiB with a preconditioner scratch
+    of the interior block's size); one 13-mode mode
     matrix on a random-trig 17^3 system, plain and with a potential, peaks
     at most 6 interior-block arrays above its start (7.64 when converged
-    CG columns left the batch)
+    CG columns left the batch), and at 33^3 at most 15.5 MB (17.7 MB),
+    also when the energy check misses and the strict rerun answers (34.6
+    MB while the rerun kept the first attempt's arrays)
 """
 
 import hashlib
@@ -406,6 +412,20 @@ class TestCrossCheck:
         assert _rel(dn_mode_matrix(sys, GAMMA1)[0], B_ref) <= 1e-10
 
 
+def _miss_energy_check(monkeypatch):
+    """Scale every energy-route CG solution off by 1e-3, so that it misses
+    the true-residual check and the strict rerun answers."""
+    loose = InteriorSolver._pcg
+
+    def off(self, X, rtol, R):
+        start = loose(self, X, rtol, R)
+        if rtol == dn_solver._ENERGY_RTOL:
+            X *= 1.0 + 1e-3
+        return start
+
+    monkeypatch.setattr(InteriorSolver, "_pcg", off)
+
+
 class TestEnergy:
     def test_dirichlet_principle_ordering(self, monkeypatch):
         # at a 1e-3 stop CG takes 3 iterations instead of 9; the energy
@@ -424,16 +444,7 @@ class TestEnergy:
         assert np.abs(excess).max() <= 1e-2 * np.abs(linear).max()
 
     def test_missed_check_falls_back_to_extend(self, bumpy9, monkeypatch):
-        # a loose solution scaled off by 1e-3 misses the true-residual check
-        loose = InteriorSolver._pcg
-
-        def off(self, X, rtol, work):
-            start = loose(self, X, rtol, work)
-            if rtol == dn_solver._ENERGY_RTOL:
-                X *= 1.0 + 1e-3
-            return start
-
-        monkeypatch.setattr(InteriorSolver, "_pcg", off)
+        _miss_energy_check(monkeypatch)
         sys = assemble_stiffness(bumpy9)
         B_ref, its = _lu_reference(sys)
         B, _, _, solver = _energy_solver(sys)
@@ -447,11 +458,6 @@ class TestEnergy:
         monkeypatch.setattr(InteriorSolver, "energy", lambda self, u: pytest.fail("energy ran"))
         B_chunks = dn_mode_matrix(sys, FULL_BOUNDARY)[0]
         assert _rel(B_chunks, B) <= 1e-12
-
-
-def _cg_arena(sys, X):
-    """The arena ``_extend`` hands ``_pcg`` for the right-hand sides X."""
-    return np.empty((2 * X.shape[0] + sys.grid.node_count, X.shape[1]))
 
 
 class TestStaggeredBatch:
@@ -486,12 +492,12 @@ class TestStaggeredBatch:
         sys, B = self._batch(bumpy9)
         solver = InteriorSolver(sys)
         X = B.copy()  # _pcg solves in place
-        solver._pcg(X, dn_solver._CG_RTOL, _cg_arena(sys, X))
+        solver._pcg(X, dn_solver._CG_RTOL, np.empty_like(X))  # R, as _extend hands it
         counts = []
         for j in range(B.shape[1]):
             single = InteriorSolver(sys)
             x = B[:, [j]]  # a copy
-            single._pcg(x, dn_solver._CG_RTOL, _cg_arena(sys, x))
+            single._pcg(x, dn_solver._CG_RTOL, np.empty_like(x))
             counts.append(single.iterations)
             assert np.linalg.norm(X[:, j] - x[:, 0]) <= 1e-12 * np.linalg.norm(x), j
         assert counts[:4] == [1, 1, 2, 3] and counts[-1] == 0, counts
@@ -562,7 +568,24 @@ class TestLayeredPreconditioner:
         sys = assemble_stiffness(sample_metric(random_trig_metric(n, seed=size), grid), potential=q)
         L = _layered_operator(sys)
         X = np.random.default_rng(1).standard_normal((L.shape[0], 3))
-        assert _rel(InteriorSolver(sys)._precondition(L @ X, np.empty_like(X), np.empty_like(X)), X) <= 1e-12
+        assert _rel(InteriorSolver(sys)._precondition(L @ X, np.empty_like(X)), X) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [cyl_grid(2, 33), cyl_grid(3, 17), CylinderGrid(3, 9, (5, 5)),
+                                      CylinderGrid(3, 13, (12, 10)), cyl_grid(4, 7)],
+                             ids=lambda g: "x".join(map(str, g.shape)))
+    def test_blocks_keep_the_bytes(self, grid, monkeypatch):
+        # each grid's interior fits one scratch at the default bound; at one
+        # byte every block is one t-layer and every chunk 64 columns
+        q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
+        solver = InteriorSolver(assemble_stiffness(sample_metric(random_trig_metric(grid.n, seed=0), grid), potential=q))
+        for cols in (13, 5, 1):
+            R = np.random.default_rng(cols).standard_normal(((grid.num_t - 2) * grid.layer_count, cols))
+            whole = solver._precondition(R, np.empty_like(R)).tobytes()
+            monkeypatch.setattr(dn_solver, "_PRECOND_BYTES", 1)
+            R_bytes = R.tobytes()
+            assert solver._precondition(R, np.empty_like(R)).tobytes() == whole, cols
+            assert R.tobytes() == R_bytes  # only read
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("n,size", [(2, 17), (3, 9), (3, 13), (4, 7)])
     def test_flat_factors_are_the_flat_pencils(self, n, size):
@@ -775,14 +798,11 @@ class TestBorrowedRows:
         assert dn_apply(sys, gamma, V).tobytes() == expected.tobytes()
         assert widths == [5, 5, 3]
 
-    def test_solver_allocates_under_1mb_at_33(self):
-        grid = cyl_grid(3, 33)
-        q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
-        sys = assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q)
-        K = sys.matrix
+    def test_solver_allocates_under_1mb_at_33(self, sys33):
+        K = sys33.matrix
         tracemalloc.start()
         try:
-            solver = InteriorSolver(sys)
+            solver = InteriorSolver(sys33)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -801,14 +821,43 @@ class TestBorrowedRows:
         B = dn_mode_matrix(sys, GAMMA1)[0]  # the grid's caches and sys.matrix are built from here on
         assert B.shape == (13, 13)
         unit = (grid.num_t - 2) * grid.layer_count * 13 * 8  # one interior-block array
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            dn_mode_matrix(sys, GAMMA1)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: dn_mode_matrix(sys, GAMMA1))
         assert peak <= 6 * unit, f"{peak / unit:.2f} interior-block arrays"
+
+    def test_mode_matrix_peak_at_33(self, sys33):
+        # R, the node-layout direction and scipy's product beside the
+        # caller's u, and a 416 KiB preconditioner scratch: 14.6 MB measured
+        # (17.7 MB with a scratch of R's size)
+        dn_mode_matrix(sys33, GAMMA1)  # the grid's caches and sys.matrix are built from here on
+        peak = _traced_peak(lambda: dn_mode_matrix(sys33, GAMMA1))
+        assert peak <= 15.5e6, f"{peak / 1e6:.2f} MB"
+
+    def test_strict_rerun_holds_no_first_attempt(self, sys33, monkeypatch):
+        # the rerun kept the first attempt's arrays: 34.6 MB against 17.7
+        dn_mode_matrix(sys33, GAMMA1)
+        normal = _traced_peak(lambda: dn_mode_matrix(sys33, GAMMA1))
+        _miss_energy_check(monkeypatch)
+        fallback = _traced_peak(lambda: dn_mode_matrix(sys33, GAMMA1))
+        assert fallback <= normal + 1e6, f"{fallback / 1e6:.2f} MB against {normal / 1e6:.2f} MB"
+
+
+@pytest.fixture(scope="module")
+def sys33():
+    """The random-trig seed-0 system at 33^3 with a potential q ~ U[0.5, 1.5]."""
+    grid = cyl_grid(3, 33)
+    q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
+    return assemble_stiffness(sample_metric(random_trig_metric(3, seed=0), grid), potential=q)
+
+
+def _traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak above its start, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def _peak_rss_at_65(last: str) -> float:
@@ -848,6 +897,7 @@ def test_setup_peak_rss_at_65():
 
 def test_mode_matrix_peak_rss_at_65():
     """A 13-mode ``GAMMA1`` mode matrix of that system: 348.5 MiB while the
-    system kept M, 310 MiB with the Gauss-point mass weights in its place."""
+    system kept M, 310 MiB with the Gauss-point mass weights in its place,
+    284 MiB since the preconditioner's scratch is one t-layer."""
     peak = _peak_rss_at_65("dn_mode_matrix(sys, GAMMA1)")
-    assert peak <= 330.0, f"{peak:.0f} MiB peak RSS"
+    assert peak <= 300.0, f"{peak:.0f} MiB peak RSS"
