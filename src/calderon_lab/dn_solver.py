@@ -563,7 +563,7 @@ class InteriorSolver:
         U = u.reshape(u.shape[0], -1)  # a view, of 1-D u too
         b = self._rhs(U)
         scale = max(l2_norm(b), 1e-300)
-        R = np.empty_like(b)  # CG's residual, then the energy check's z
+        R = np.empty(b.shape)  # CG's residual, then the energy check's z
         start = self._pcg(b, rtol, R)
         KU = self._K @ U
         r = KU[self.free]
@@ -582,22 +582,13 @@ class InteriorSolver:
         """``V D^{-1} V^T R`` for the columns of ``R``, the inverse of the
         layered operator, into ``Z`` (returned), one matmul on (lead, N, rest)
         views per factor through one scratch S of at most ``_PRECOND_BYTES``
-        or one t-layer: alternating between S and Z if the interior fits S,
-        else per block of whole t-layers, the second t-axis product in place
-        in chunks of 64k columns; either cut keeps each matrix's shape and bytes."""
+        or one t-layer: the first t-axis product from R into Z, the angular
+        products and the divide per block of whole t-layers, the second t-axis
+        product in place in chunks of 64k columns; either cut keeps each
+        matrix's shape and bytes."""
         shape, n, vecs = (*self._shape, R.shape[1]), len(self._vecs), self._vecs
         m, layer = shape[0], R.size // shape[0]
-        per = max(1, _PRECOND_BYTES // (8 * layer))
-        if per >= m:
-            S, Y = np.empty_like(R), R
-            for k in range(2 * n):  # an even count of products ends in Z
-                d, Y_next = k % n, (S, Z)[k % 2]
-                view = (math.prod(shape[:d]), shape[d], -1)
-                np.matmul(vecs[d].T if k < n else vecs[d], Y.reshape(view), out=Y_next.reshape(view))
-                Y = Y_next
-                if k == n - 1:
-                    np.divide(Y.reshape(shape), self._diag[..., None], out=Y.reshape(shape))
-            return Z
+        per = min(m, max(1, _PRECOND_BYTES // (8 * layer)))
         S = np.empty(max(per * layer, 64 * m))
         Zt, width = np.matmul(vecs[0].T, R.reshape(m, -1), out=Z.reshape(m, -1)), len(S) // m // 64 * 64
         for forward in (True, False):

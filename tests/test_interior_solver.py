@@ -88,6 +88,7 @@ Verifies:
 
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -451,6 +452,21 @@ class TestEnergy:
         assert solver.iterations == its  # the strict solve answered
         assert _rel(B, B_ref) <= 1e-12
 
+    def test_fortran_ordered_nodes(self, bumpy9, monkeypatch):
+        # u[free] of a Fortran-ordered u is not C-contiguous; R must be, as
+        # the energy check preconditions into it through reshaped views
+        sys = assemble_stiffness(bumpy9)
+        B, U, _, _ = _energy_solver(sys)
+        pcg, layouts = InteriorSolver._pcg, []
+
+        def spy(self, X, rtol, R):
+            layouts.append(R.flags.c_contiguous)
+            return pcg(self, X, rtol, R)
+
+        monkeypatch.setattr(InteriorSolver, "_pcg", spy)
+        assert _rel(InteriorSolver(sys).energy(np.asfortranarray(U)), B) <= 1e-12
+        assert layouts == [True]  # and the check passed at once
+
     def test_many_columns_take_dn_apply_chunks(self, bumpy9, monkeypatch):
         sys = assemble_stiffness(bumpy9)
         B = dn_mode_matrix(sys, FULL_BOUNDARY)[0]  # 26 columns, one node array
@@ -560,6 +576,19 @@ def _t_only_metric() -> MetricSource:
     return MetricSource(3, func)
 
 
+def _uncut_inverse(solver, R):
+    """``V D^{-1} V^T R`` by one matmul per factor over the whole interior,
+    in the order of ``_precondition``, which must give its bytes."""
+    shape, vecs = (*solver._shape, R.shape[1]), solver._vecs
+    Y = R
+    for k, d in enumerate([*range(len(vecs))] * 2):
+        view = (math.prod(shape[:d]), shape[d], -1)
+        Y = np.matmul(vecs[d].T if k < len(vecs) else vecs[d], Y.reshape(view)).reshape(shape)
+        if k == len(vecs) - 1:
+            Y = Y / solver._diag[..., None]
+    return Y.reshape(R.shape)
+
+
 class TestLayeredPreconditioner:
     @pytest.mark.parametrize("n,size", [(2, 17), (3, 9), (4, 7)])
     def test_inverts_the_layered_operator(self, n, size):
@@ -571,21 +600,23 @@ class TestLayeredPreconditioner:
         assert _rel(InteriorSolver(sys)._precondition(L @ X, np.empty_like(X)), X) <= 1e-12
 
     @pytest.mark.parametrize("grid", [cyl_grid(2, 33), cyl_grid(3, 17), CylinderGrid(3, 9, (5, 5)),
-                                      CylinderGrid(3, 13, (12, 10)), cyl_grid(4, 7)],
+                                      CylinderGrid(3, 13, (12, 10)), cyl_grid(4, 7), cyl_grid(3, 33)],
                              ids=lambda g: "x".join(map(str, g.shape)))
     def test_blocks_keep_the_bytes(self, grid, monkeypatch):
-        # each grid's interior fits one scratch at the default bound; at one
-        # byte every block is one t-layer and every chunk 64 columns
+        # a 1-byte bound makes every block one t-layer and every chunk 64
+        # columns; six 3-D 17 layers of 13 columns make blocks of 6 + 6 + 3
+        # layers and chunks of 1,280 + 1,280 + 768 columns; the default
+        # makes 4 layers a block at 33^3 (7 blocks and a partial one)
         q = np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
         solver = InteriorSolver(assemble_stiffness(sample_metric(random_trig_metric(grid.n, seed=0), grid), potential=q))
+        bounds = (1, 6 * 8 * 16**2 * 13, dn_solver._PRECOND_BYTES)
         for cols in (13, 5, 1):
             R = np.random.default_rng(cols).standard_normal(((grid.num_t - 2) * grid.layer_count, cols))
-            whole = solver._precondition(R, np.empty_like(R)).tobytes()
-            monkeypatch.setattr(dn_solver, "_PRECOND_BYTES", 1)
-            R_bytes = R.tobytes()
-            assert solver._precondition(R, np.empty_like(R)).tobytes() == whole, cols
+            R_bytes, whole = R.tobytes(), _uncut_inverse(solver, R).tobytes()
+            for bound in bounds:
+                monkeypatch.setattr(dn_solver, "_PRECOND_BYTES", bound)
+                assert solver._precondition(R, np.empty_like(R)).tobytes() == whole, (cols, bound)
             assert R.tobytes() == R_bytes  # only read
-            monkeypatch.undo()
 
     @pytest.mark.parametrize("n,size", [(2, 17), (3, 9), (3, 13), (4, 7)])
     def test_flat_factors_are_the_flat_pencils(self, n, size):
