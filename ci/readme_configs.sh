@@ -29,6 +29,8 @@ for k in 1 2 3; do
     calderon-lab dn-compare --config diffeo.json --out results/diffeo/
     echo '{"n": 3, "sizes": [9, 17], "metric": {"kind": "random-trig", "seed": 2}, "transform": {"kind": "conformal-link"}}' > link.json
     calderon-lab dn-compare --config link.json --out results/link/
+    echo '{"n": 4, "sizes": [7, 9], "transform": {"kind": "conformal-link"}}' > link4d.json
+    calderon-lab dn-compare --config link4d.json --out results/link4d/
     echo '{"grid": {"num_t": 13, "num_ang": [12, 12]}, "modes": [[1, 0], [0, 1]], "amplitude": 0.1, "output": "ds.json"}' > synth.json
     echo '{"dataset": "results/ds.json"}' > validate.json
     echo '{"dataset": "results/ds.json", "eps": [0.0, 0.05, 0.1], "strides": [2, 1]}' > study.json
@@ -40,7 +42,7 @@ for k in 1 2 3; do
   )
 done
 set -- $runs
-for f in identities conformal2d diffeo link . validate study rigidity; do
+for f in identities conformal2d diffeo link link4d . validate study rigidity; do
   cmp "$1/results/$f/report.json" "$2/results/$f/report.json"
   cmp "$1/results/$f/report.json" "$3/results/$f/report.json"
   (cd "$1/results" && sha256sum "$f/report.json")

@@ -40,7 +40,7 @@ keeps (``StiffnessSystem.layers``) through a layer-bounded scratch. A solve
 returns a checked result or raises SingularInteriorBlock (a breakdown,
 which proves the block is not positive definite) or NoConvergence.
 
-The exception is the dense map ``dn_map_partial`` on ``GAMMA0``/``GAMMA1``:
+The exception is the dense map ``dn_map_partial`` on ``GAMMA1``:
 it strips t-layers by a Cholesky, a GEMM-built inverse and a CSR product
 per layer, and never runs CG. Every norm is :func:`l2_norm`.
 """
@@ -289,13 +289,13 @@ class StiffnessSystem:
     which no solve reads. It is the one array that spans all cells'
     Gauss-point weights (assembly keeps W's per block): it holds one weight
     per Gauss point, 2^n a cell, where M holds 3^n entries a row, so it
-    replaces a matrix more than three times its size in 3-D (16.8 MB
-    against 57 MB at 65^3). ``mass`` rebuilds M from it on its first read,
-    over assembly's blocks and by its :func:`_scatter`, so with assembly's
-    bytes, and keeps it (None without a potential); ``laplace`` is built on
-    each read as ``matrix - mass`` (``matrix`` without a potential). Only
-    tests and the benchmark's traced count read them. ``potential_id`` is a
-    caller's label for the potential; nothing in the package reads it."""
+    replaces a matrix more than three times its size in 3-D. ``mass``
+    rebuilds M from it on its first read, over assembly's blocks and by its
+    :func:`_scatter`, so with assembly's bytes, and keeps it (None without a
+    potential); ``laplace`` is built on each read as ``matrix - mass``
+    (``matrix`` without a potential). Only tests and the benchmark's traced
+    count read them. ``potential_id`` is a caller's label for the potential;
+    nothing in the package reads it."""
 
     grid: CylinderGrid
     matrix: sp.csr_matrix
@@ -487,7 +487,7 @@ class InteriorSolver:
     preconditions into the dead R. A 13-mode mode matrix peaks 14.6 MB
     above its start at 33^3 and 113.1 MB at 65^3; in a fresh process that
     samples and assembles the 65^3 system with a potential, at 284 MiB
-    ``VmHWM`` (310 MiB with a preconditioner scratch of R's size).
+    ``VmHWM``.
 
     ``energy`` stops at ``_ENERGY_RTOL`` (5e-7) instead: with ``u*`` the
     exact extension and ``e = u - u*`` zero on the boundary,
@@ -554,8 +554,9 @@ class InteriorSolver:
     def energy(self, u: np.ndarray) -> np.ndarray:
         """Extend the boundary columns of ``u`` (nodes first) as ``extend``
         does, with CG stopped at ``_ENERGY_RTOL``, and return the Dirichlet
-        energies ``u^T K u``."""
-        return u.T @ self._extend(u, _ENERGY_RTOL)
+        energies ``u^T K u``, summed by einsum's fixed-order loops: a BLAS
+        GEMM's sums may depend on its thread count."""
+        return np.einsum("ij,ik->jk", u, self._extend(u, _ENERGY_RTOL))
 
     def _extend(self, u: np.ndarray, rtol: float) -> np.ndarray:
         """Solve ``K[free, free] x = _rhs(u)`` into ``u[free]``, checked as
@@ -580,33 +581,31 @@ class InteriorSolver:
 
     def _precondition(self, R: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """``V D^{-1} V^T R`` for the columns of ``R``, the inverse of the
-        layered operator, into ``Z`` (returned), one matmul on (lead, N, rest)
-        views per factor through one scratch S of at most ``_PRECOND_BYTES``
-        or one t-layer: the first t-axis product from R into Z, the angular
-        products and the divide per block of whole t-layers, the second t-axis
-        product in place in chunks of 64k columns; either cut keeps each
-        matrix's shape and bytes."""
-        shape, n, vecs = (*self._shape, R.shape[1]), len(self._vecs), self._vecs
+        layered operator, into ``Z`` (returned) as the sandwich ``V_t (V_a
+        D^{-1} V_a^T) V_t^T``, one matmul on (lead, N, rest) views per factor
+        through one scratch S of at most ``_PRECOND_BYTES`` or one t-layer:
+        ``V_t^T`` from R into Z; per block of whole t-layers the angular
+        products, the divide in place and the angular products back, an even
+        count between Z and S; ``V_t`` in place in chunks of 64k columns.
+        Either cut keeps each matrix's shape and bytes."""
+        shape, vecs = (*self._shape, R.shape[1]), self._vecs
         m, layer = shape[0], R.size // shape[0]
         per = min(m, max(1, _PRECOND_BYTES // (8 * layer)))
         S = np.empty(max(per * layer, 64 * m))
         Zt, width = np.matmul(vecs[0].T, R.reshape(m, -1), out=Z.reshape(m, -1)), len(S) // m // 64 * 64
-        for forward in (True, False):
-            if not forward:  # the second t-axis product, in place
-                for lo in range(0, Zt.shape[1], width):
-                    chunk = Zt[:, lo : lo + width]
-                    chunk[...] = np.matmul(vecs[0], chunk, out=S[: chunk.size].reshape(chunk.shape))
-            for j0 in range(0, m, per):
-                Y = Z_b = Z.reshape(shape)[j0 : j0 + per]
-                S_b = S[: Z_b.size].reshape(Z_b.shape)
-                for d in range(1, n):
-                    view, Y_next = (math.prod(Z_b.shape[:d]), shape[d], -1), S_b if Y is Z_b else Z_b
-                    np.matmul(vecs[d].T if forward else vecs[d], Y.reshape(view), out=Y_next.reshape(view))
-                    Y = Y_next
-                if forward:
-                    np.divide(Y, self._diag[j0 : j0 + per, ..., None], out=Z_b)
-                elif Y is not Z_b:
-                    np.copyto(Z_b, Y)
+        axes = range(1, len(vecs))
+        for j0 in range(0, m, per):
+            Y = Z_b = Z.reshape(shape)[j0 : j0 + per]
+            S_b = S[: Z_b.size].reshape(Z_b.shape)
+            for k, d in enumerate([*axes, *axes]):
+                if k == len(axes):
+                    np.divide(Y, self._diag[j0 : j0 + per, ..., None], out=Y)
+                view, Y_next = (math.prod(Z_b.shape[:d]), shape[d], -1), S_b if Y is Z_b else Z_b
+                np.matmul(vecs[d].T if k < len(axes) else vecs[d], Y.reshape(view), out=Y_next.reshape(view))
+                Y = Y_next
+        for lo in range(0, Zt.shape[1], width):
+            chunk = Zt[:, lo : lo + width]
+            chunk[...] = np.matmul(vecs[0], chunk, out=S[: chunk.size].reshape(chunk.shape))
         return Z
 
     def _pcg(self, X: np.ndarray, rtol: float, R: np.ndarray) -> np.ndarray:
@@ -659,8 +658,8 @@ class InteriorSolver:
 
 @dataclass(frozen=True, eq=False)
 class DNMatrix:
-    """Dense partial DN map on ``GAMMA0`` or ``GAMMA1``, rows and columns in
-    ascending node id: nodal Dirichlet values to quadrature-weighted Neumann data."""
+    """Dense partial DN map on ``GAMMA1``, rows and columns in ascending node
+    id: nodal Dirichlet values to quadrature-weighted Neumann data."""
 
     matrix: np.ndarray
 
@@ -680,10 +679,10 @@ def _lower_inverse(L: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
-    """Dense DN map on ``GAMMA0`` or ``GAMMA1`` (any other part raises
-    ShapeMismatch), Dirichlet-zero on the other end, by the discrete Riccati
-    recursion over t-layers (invariant embedding, Henry & Ramos 2016). K is
-    block tridiagonal in layers; walking away from the Dirichlet-zero end,
+    """Dense DN map on ``GAMMA1`` (any other part raises ShapeMismatch),
+    Dirichlet-zero on ``GAMMA0``, by the discrete Riccati recursion over
+    t-layers (invariant embedding, Henry & Ramos 2016). K is block
+    tridiagonal in layers; walking from the Dirichlet-zero end,
     ``S_k = K_kk - Y^T Y`` with ``Y = L^{-1} K_pk`` and ``L L^T`` the
     previous layer's ``S_p``. The factors L make up the block Cholesky of the
     interior block: where one fails, or their pivot ratio ``min/max diag(L)^2``
@@ -694,10 +693,10 @@ def dn_map_partial(sys: StiffnessSystem, gamma: str) -> DNMatrix:
     ``Y^T = K_kp L^{-T}`` is one CSR product, and a syrk ``Y^T Y`` keeps S
     bitwise symmetric, as K is; T takes the next S and swaps with it.
     """
-    if gamma not in (GAMMA0, GAMMA1):
-        raise ShapeMismatch(f"dense DN maps are taken on {GAMMA0} or {GAMMA1}, not {quote(gamma)}")
-    K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
-    ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
+    if gamma != GAMMA1:
+        raise ShapeMismatch(f"dense DN maps are taken on {GAMMA1}, not {quote(gamma)}")
+    K, P = sys.matrix, sys.grid.layer_count
+    ids = range(1, sys.grid.num_t)
 
     def block(i: int, j: int) -> sp.csr_matrix:
         return K[i * P : (i + 1) * P, j * P : (j + 1) * P]
@@ -836,7 +835,7 @@ def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[
     is second order in the solve's and, up to rounding, positive
     semidefinite (the Dirichlet principle). Mode vectors whose node array
     would pass ``_DENSE_BYTES`` (more than 15 at size 65) go through the
-    chunks of ``dn_apply`` instead, as ``V^T Lam V``.
+    chunks of ``dn_apply`` instead, as ``V^T Lam V``, paired as ``energy`` pairs.
 
     Because the DN matrix returns quadrature-weighted Neumann data, B
     approximates the continuum pairing and is comparable across grid
@@ -845,7 +844,7 @@ def dn_mode_matrix(sys: StiffnessSystem, gamma: str, cut: float = 2.0) -> tuple[
     grid = sys.grid
     V, labels = _mode_basis(grid, gamma, cut)
     if 8 * grid.node_count * V.shape[1] > _DENSE_BYTES:
-        return V.T @ dn_apply(sys, gamma, V), labels
+        return np.einsum("ij,ik->jk", V, dn_apply(sys, gamma, V)), labels
     U = np.zeros((grid.node_count, V.shape[1]))
     U[grid.boundary_ids(gamma)] = V
     return InteriorSolver(sys).energy(U), labels

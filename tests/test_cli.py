@@ -909,6 +909,13 @@ class TestReadmeConfigs:
         written = _outputs_at_blas_threads(tmp_path, "dn-compare", cfg, ("report.json",))
         assert written[0] == written[1]
 
+    def test_4d_link_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # a mode matrix's pairing u^T K u, as a BLAS GEMM, summed in an
+        # order that depended on the thread count in 4-D
+        cfg = next(cfg for command, cfg in _readme_configs() if command == "dn-compare" and cfg["n"] == 4)
+        written = _outputs_at_blas_threads(tmp_path, "dn-compare", cfg, ("report.json",))
+        assert written[0] == written[1]
+
     def test_study_report_bytes_independent_of_blas_threads(self, tmp_path):
         # every mode matrix of the study is a CG solve whose preconditioner
         # runs batched GEMMs, and the gap fit sums their gaps

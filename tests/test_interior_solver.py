@@ -50,9 +50,9 @@ Verifies:
     (conformal-link at amplitude 30, size 9) and a wide-box Miller
     dataset (rough parts over [1e-4, 1e4], 17^3) solve by CG within 50
     and 30 iterations and match the sparse LU to 1e-10
-  - dense partial DN maps on GAMMA0 and GAMMA1 (layer stripping) match
-    their block of the dense sparse-LU full-boundary Schur complement to
-    3e-14 and the CG map of dn_apply to
+  - dense partial DN maps on GAMMA1 (layer stripping) match the dense
+    sparse-LU Schur complement on GAMMA1 to 3e-14 and the CG map of
+    dn_apply to
     1e-10, and have the bytes of a sweep through fresh blocks, scipy's
     cholesky, a blockwise inverse of fresh arrays, the sparse product
     ``K_kp L^{-T}`` and a symmetrising pass; the in-place inverse matches
@@ -60,9 +60,9 @@ Verifies:
     with an exactly zero strict upper triangle; at 17^3 the sweep peaks
     at most 3.5 layer blocks above its start (5.07 through fresh
     blocks); the dense map runs no CG: on an indefinite interior block it
-    raises SingularInteriorBlock from a failed layer Cholesky at either
-    end, on an infinite stiffness entry NoConvergence, and it refuses the
-    full boundary with ShapeMismatch, whose map dn_apply's CG gives
+    raises SingularInteriorBlock from a failed layer Cholesky, on an
+    infinite stiffness entry NoConvergence, and it refuses GAMMA0 and the
+    full boundary with ShapeMismatch; dn_apply's CG gives the latter's map
   - dn_apply hands extend C-contiguous chunks, 13 columns as 5/5/3, with
     the bytes of strided column slices of one node array
   - the solver borrows K's free rows instead of copying the interior
@@ -134,8 +134,8 @@ SIZES = (9, 13, 17)
 # The references of a system, shared by its tests and freed at module
 # teardown: the iteration bound of its metric, keyed by the metric's bytes,
 # and, keyed by the bytes of K, one splu factor of the interior block for
-# every boundary part, with the dense full-boundary Schur complement once a
-# test asks for it. Only the last three systems' factors are kept (the flat
+# every boundary part, with the dense Schur complement on each boundary part
+# a test asks for. Only the last three systems' factors are kept (the flat
 # tests cycle through three sizes): keeping all of them took the test
 # process to a 466 MiB peak, three to 330 MiB.
 _REFERENCES = {}
@@ -227,20 +227,17 @@ def _energy_solver(sys, gamma=GAMMA1):
 
 
 def _dense_lu_reference(sys, gamma):
-    """Dense Schur complement K_GG - K_GI K_II^{-1} K_IG on ``gamma``: its
-    block of the full-boundary one, made once per system with the cached
-    splu of the interior block."""
-    grid = sys.grid
+    """Dense Schur complement K_GG - K_GI K_II^{-1} K_IG on ``gamma``, made
+    once per system and boundary part with the cached splu of the interior
+    block, which solves only the columns on ``gamma``."""
     ref = _reference(sys)
-    if "schur" not in ref:
+    if ("schur", gamma) not in ref:
         K = sys.matrix
-        I = grid.interior_ids()
-        F = grid.boundary_ids(FULL_BOUNDARY)
-        ref["schur"] = K[F][:, F].toarray() - K[F][:, I] @ ref["lu"].solve(K[I][:, F].toarray())
-        ref["schur"].setflags(write=False)  # tests share it
-    # the full boundary lists GAMMA0's layer, then GAMMA1's
-    at = {GAMMA0: slice(0, grid.layer_count), GAMMA1: slice(grid.layer_count, None)}.get(gamma, slice(None))
-    return ref["schur"][at, at]
+        I = sys.grid.interior_ids()
+        G = sys.grid.boundary_ids(gamma)
+        schur = ref["schur", gamma] = K[G][:, G].toarray() - K[G][:, I] @ ref["lu"].solve(K[I][:, G].toarray())
+        schur.setflags(write=False)  # tests share it
+    return ref["schur", gamma]
 
 
 def _rel(a, b) -> float:
@@ -258,12 +255,12 @@ def _inverse_reference(L):
     return np.block([[A, np.zeros((h, n - h))], [-(D @ (L[h:, :h] @ A)), D]])
 
 
-def _stripped_reference(sys, gamma):
-    """The layer-stripped DN map through a fresh block per layer, scipy's
-    cholesky, :func:`_inverse_reference`, the sparse product
+def _stripped_reference(sys):
+    """The layer-stripped DN map on GAMMA1 through a fresh block per layer,
+    scipy's cholesky, :func:`_inverse_reference`, the sparse product
     ``Y^T = K_kp L^{-T}`` and ``0.5 (S + S^T)`` after each layer."""
-    K, P, num_t = sys.matrix, sys.grid.layer_count, sys.grid.num_t
-    ids = list(range(1, num_t)) if gamma == GAMMA1 else list(range(num_t - 2, -1, -1))
+    K, P = sys.matrix, sys.grid.layer_count
+    ids = list(range(1, sys.grid.num_t))
 
     def block(i, j):
         return K[i * P : (i + 1) * P, j * P : (j + 1) * P]
@@ -578,10 +575,11 @@ def _t_only_metric() -> MetricSource:
 
 def _uncut_inverse(solver, R):
     """``V D^{-1} V^T R`` by one matmul per factor over the whole interior,
-    in the order of ``_precondition``, which must give its bytes."""
+    in the sandwich order of ``_precondition`` (t, the angles, the divide,
+    the angles, t), which must give its bytes."""
     shape, vecs = (*solver._shape, R.shape[1]), solver._vecs
     Y = R
-    for k, d in enumerate([*range(len(vecs))] * 2):
+    for k, d in enumerate([*range(len(vecs)), *range(1, len(vecs)), 0]):
         view = (math.prod(shape[:d]), shape[d], -1)
         Y = np.matmul(vecs[d].T if k < len(vecs) else vecs[d], Y.reshape(view)).reshape(shape)
         if k == len(vecs) - 1:
@@ -663,34 +661,35 @@ class TestLayeredPreconditioner:
 
 
 class TestLayerStripping:
-    """The dense map on one end against the splu Schur complement at 3e-14,
+    """The dense map on GAMMA1 against the splu Schur complement at 3e-14,
     a bound the CG route (1e-13 to 6e-13 here) does not meet, and against
-    that route at 1e-10."""
+    that route at 1e-10. The one-valued ``gamma`` parameters keep the
+    boundary part in the case ids."""
 
     @staticmethod
-    def _check(sys, gamma):
-        lam = dn_map_partial(sys, gamma).matrix
-        assert lam.tobytes() == _stripped_reference(sys, gamma).tobytes()
-        assert _rel(lam, _dense_lu_reference(sys, gamma)) <= 3e-14
-        assert _rel(lam, dn_apply(sys, gamma, np.eye(lam.shape[0]))) <= 1e-10
+    def _check(sys):
+        lam = dn_map_partial(sys, GAMMA1).matrix
+        assert lam.tobytes() == _stripped_reference(sys).tobytes()
+        assert _rel(lam, _dense_lu_reference(sys, GAMMA1)) <= 3e-14
+        assert _rel(lam, dn_apply(sys, GAMMA1, np.eye(lam.shape[0]))) <= 1e-10
 
-    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    @pytest.mark.parametrize("gamma", [GAMMA1])
     @pytest.mark.parametrize(
         "n,size", [(3, s) for s in SIZES] + [(4, 9)]
     )
     def test_random_trig(self, n, size, gamma):
         g = sample_metric(random_trig_metric(n, seed=size), cyl_grid(n, size))
-        self._check(assemble_stiffness(g), gamma)
+        self._check(assemble_stiffness(g))
 
-    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    @pytest.mark.parametrize("gamma", [GAMMA1])
     @pytest.mark.parametrize("size", SIZES)
     def test_link_system_with_potential(self, size, gamma):
         g = sample_metric(random_trig_metric(3, seed=0, max_mode=1), cyl_grid(3, size))
-        self._check(_link_system(g), gamma)
+        self._check(_link_system(g))
 
-    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    @pytest.mark.parametrize("gamma", [GAMMA1])
     def test_counterexample_metric(self, counterexample_metric, gamma):
-        self._check(assemble_stiffness(counterexample_metric), gamma)
+        self._check(assemble_stiffness(counterexample_metric))
 
     # trtri alone up to 96 rows, one to three levels of 2 x 2 blocks above
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -723,8 +722,8 @@ class TestLayerStripping:
         assert peak <= 3.5 * unit, f"{peak / unit:.2f} layer blocks"
 
     # an indefinite block has no block Cholesky, so the sweep fails at some
-    # layer from either end; InteriorSolver is stubbed to prove no CG runs
-    @pytest.mark.parametrize("gamma", [GAMMA0, GAMMA1])
+    # layer; InteriorSolver is stubbed to prove no CG runs
+    @pytest.mark.parametrize("gamma", [GAMMA1])
     def test_indefinite_block_refused(self, flat9, flat9_lambda1, gamma, monkeypatch):
         sys = _shifted_system(flat9, flat9_lambda1)
         monkeypatch.setattr(InteriorSolver, "__init__", lambda *args: pytest.fail("the dense map ran CG"))
@@ -741,8 +740,9 @@ class TestLayerStripping:
 
     def test_full_boundary_stays_on_cg(self, bumpy9):
         sys = assemble_stiffness(bumpy9)
-        with pytest.raises(ShapeMismatch, match="dense DN maps are taken on gamma0 or gamma1, not 'full'"):
-            dn_map_partial(sys, FULL_BOUNDARY)
+        for gamma in (GAMMA0, FULL_BOUNDARY):
+            with pytest.raises(ShapeMismatch, match=f"dense DN maps are taken on gamma1, not '{gamma}'"):
+                dn_map_partial(sys, gamma)
         lam = dn_apply(sys, FULL_BOUNDARY, np.eye(2 * sys.grid.layer_count))
         assert _rel(lam, _dense_lu_reference(sys, FULL_BOUNDARY)) <= 1e-10
 
