@@ -103,6 +103,8 @@ def _file_name(v) -> str:
 
 # the 65 x 64 x 64 rung of the 3-D ladder, the largest grid a run is sized for
 _MAX_NODES = 65 * 64 * 64
+# a solve's dense 1-D factors and a dataset's Hölder quotients grow as an axis's length squared
+_MAX_AXIS = 1025
 # the smallest grid of n axes, 3 x 4 x ... x 4, is over the cap from n = 10;
 # a larger n is refused before a grid builds its n-entry size tuple
 _MAX_N = 9
@@ -122,15 +124,17 @@ _MAX_MODE = (ranged(integer, 0, 65), 1)
 def _grid(build, *args) -> CylinderGrid:
     """``build(*args)`` for a grid builder, a coarsening or a dataset's
     grid; an invalid size, dimension or stride in the config is a config
-    error, and so is a grid of more than ``_MAX_NODES`` nodes. A grid
-    allocates nothing until it is sampled, so the cap is checked before any
-    array exists."""
+    error, and so is a grid over ``_MAX_NODES`` nodes or ``_MAX_AXIS`` on
+    an axis. A grid allocates nothing until it is sampled, so the caps are
+    checked before any array exists."""
     try:
         grid = build(*args)
     except (DimensionTooSmall, GridMismatch) as e:
         raise ConfigInvalid(f"invalid grid: {e}") from e
     if grid.node_count > _MAX_NODES:
         raise ConfigInvalid(f"a grid of {grid.n} axes is over the cap of {_MAX_NODES} nodes")
+    if max(grid.shape) > _MAX_AXIS:
+        raise ConfigInvalid(f"a grid of shape {grid.shape} is over the cap of {_MAX_AXIS} nodes an axis")
     return grid
 
 

@@ -210,12 +210,19 @@ def _element_tables(grid: CylinderGrid):
     return N, stiff, mass, np.flatnonzero(a < b)
 
 
-def _q1_pencil(num: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 1-D Q1 stiffness and mass matrices of a periodic axis of
-    ``num`` nodes of spacing ``h``: the circulants ``(2I - S - S^T) / h``
-    and ``(4I + S + S^T) h / 6``, ``S`` the cyclic shift."""
-    S = np.roll(np.eye(num), 1, axis=1)
-    return (2.0 * np.eye(num) - S - S.T) / h, (4.0 * np.eye(num) + S + S.T) * (h / 6.0)
+def _q1_axis(stiff: np.ndarray, mass: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+    """The dense 1-D Q1 matrix ``sum_c stiff[c] K_c + mass[c] M_c`` over the
+    cells c of an axis of spacing ``h``, cell c on nodes c and c + 1 (an
+    open axis has a node more, a periodic one wraps its last cell to node
+    0): a node's diagonal sums its two cells' coefficients, an edge's entry
+    is ``mass h/6 - stiff/h``."""
+    num = stiff.size + (not periodic)
+    i = np.arange(stiff.size)
+    j = (i + 1) % num
+    s, m = (np.bincount(j, a, num) + np.bincount(i, a, num) for a in (stiff, mass))  # previous + own cell
+    A = np.diag(s / h + m * (h / 3.0))
+    A[i, j] = A[j, i] = mass * (h / 6.0) - stiff / h
+    return A
 
 
 @lru_cache(maxsize=8)
@@ -229,7 +236,8 @@ def _grid_layout(grid: CylinderGrid):
     just assembled on its grid, so the cache holds its grid's entry."""
     pattern = _scatter_pattern(grid)
     tables = _element_tables(grid)
-    eigs = [scipy.linalg.eigh(*_q1_pencil(m, h)) for m, h in zip(grid.num_ang, grid.h_ang)]
+    eigs = [scipy.linalg.eigh(_q1_axis(np.ones(m), np.zeros(m), h, True), _q1_axis(np.zeros(m), np.ones(m), h, True))
+            for m, h in zip(grid.num_ang, grid.h_ang)]
     vecs, lams = tuple(V for _, V in eigs), tuple(lam for lam, _ in eigs)
     for arr in (*pattern, *tables, *vecs, *lams):
         arr.flags.writeable = False
@@ -238,8 +246,8 @@ def _grid_layout(grid: CylinderGrid):
 
 def _cell_floats(n: int) -> int:
     """float64 entries per cell of an assembly block's arena: the gather,
-    then E; the metric, then W, then E's lower entries; sqrt(det g) and the
-    kernel's two scratch rows."""
+    then E; the metric, then W, then M's entries with a potential, then E's
+    lower entries; sqrt(det g) and the kernel's two scratch rows."""
     Q = 1 << n
     return 2 * max(n * (n + 1) // 2 * Q, Q * (Q + 1) // 2) + 3 * Q
 
@@ -252,22 +260,25 @@ def _blocks(grid: CylinderGrid) -> list[tuple[int, int]]:
     return [(j0, min(j0 + per, grid.num_t - 1)) for j0 in range(0, grid.num_t - 1, per)]
 
 
-def _scatter(data: np.ndarray, weight: np.ndarray, table: np.ndarray, grid: CylinderGrid, j0: int,
+def _scatter(data: np.ndarray, terms: list[tuple[np.ndarray, np.ndarray]], grid: CylinderGrid, j0: int,
              X: np.ndarray, Y: np.ndarray) -> None:
     """Add into the CSR ``data`` the element matrices of the block of cell
-    layers from ``j0`` whose Gauss-point weights are ``weight`` (one column
-    per cell): their unique entries ``E = weight^T table`` by one GEMM into
-    the flat scratch ``X``, then E's strict upper entries, the lower ones'
-    mirrors, into ``Y``, which ``weight`` may share. Each cell layer adds its
-    rows of E at the upper slots and those of the strict upper entries at the
-    lower ones by 1-D ``np.add.at``, which adds in input order and takes the
-    int32 slots as they are (``np.bincount`` would copy them): an interior
-    layer j through layer 1's slots on the view ``data[(j - 1) 3^n P:]``
-    (every interior row holds 3^n entries), layers 0 and num_t - 2 through
-    their own."""
+    layers from ``j0``, summed per cell over the ``(weight, table)`` terms,
+    a weight column per cell: their unique entries ``E = sum weight^T
+    table``, the first GEMM into the flat scratch ``X``, the others into
+    ``Y`` (only the first weight may share it) and added into E; then E's
+    strict upper entries, the lower ones' mirrors, into ``Y``. Each cell
+    layer adds its rows of both at the upper and the lower slots by 1-D
+    ``np.add.at``, which adds in input order and takes the int32 slots as
+    they are (``np.bincount`` would copy them): an interior layer j through
+    layer 1's slots on the view ``data[(j - 1) 3^n P:]`` (every interior row
+    holds 3^n entries), layers 0 and num_t - 2 through their own."""
     (upper, lower, *_), (*_, strict), _ = _grid_layout(grid)
-    n, P, c = grid.n, grid.layer_count, weight.shape[1]
-    E = np.matmul(weight.T, table, out=X[: c * table.shape[1]].reshape(c, -1))
+    (weight, table), *rest = terms
+    n, P, c, U = grid.n, grid.layer_count, weight.shape[1], table.shape[1]
+    E = np.matmul(weight.T, table, out=X[: c * U].reshape(c, U))
+    for weight, table in rest:
+        E += np.matmul(weight.T, table, out=Y[: c * U].reshape(c, U))
     E_low = np.take(E, strict, axis=1, mode="clip", out=Y[: c * strict.size].reshape(c, -1))
     for j, e, e_low in zip(itertools.count(j0), E.reshape(c // P, -1), E_low.reshape(c // P, -1)):
         kind, shift = (0, 0) if j == 0 else (2, 0) if j == grid.num_t - 2 else (1, (j - 1) * 3**n * P)
@@ -287,15 +298,14 @@ class StiffnessSystem:
     A potential system keeps ``mass_weights`` (2^n, cells), the Gauss-point
     weights ``sqrt(det g) V`` of its cells in cell order, instead of M,
     which no solve reads. It is the one array that spans all cells'
-    Gauss-point weights (assembly keeps W's per block): it holds one weight
-    per Gauss point, 2^n a cell, where M holds 3^n entries a row, so it
-    replaces a matrix more than three times its size in 3-D. ``mass``
-    rebuilds M from it on its first read, over assembly's blocks and by its
-    :func:`_scatter`, so with assembly's bytes, and keeps it (None without a
-    potential); ``laplace`` is built on each read as ``matrix - mass``
-    (``matrix`` without a potential). Only tests and the benchmark's traced
-    count read them. ``potential_id`` is a caller's label for the potential;
-    nothing in the package reads it."""
+    Gauss-point weights (assembly keeps W's per block), 2^n a cell where M
+    holds 3^n entries a row, more than three times as many in 3-D. ``mass``
+    rebuilds M alone from it on its first read, over assembly's blocks by
+    :func:`_scatter` with the one mass term, and keeps it (None without a
+    potential); ``laplace``, ``matrix - mass`` built on each read, is K only
+    to rounding for a potential system. Only tests and the benchmark's
+    traced count read them. ``potential_id`` is a caller's label for the
+    potential; nothing in the package reads it."""
 
     grid: CylinderGrid
     matrix: sp.csr_matrix
@@ -312,7 +322,7 @@ class StiffnessSystem:
         data = np.zeros(A.data.size)
         X, Y = np.empty((2, (blocks[0][1] - blocks[0][0]) * P * table.shape[1]))
         for j0, j1 in blocks:
-            _scatter(data, self.mass_weights[:, j0 * P : j1 * P], table, self.grid, j0, X, Y)
+            _scatter(data, [(self.mass_weights[:, j0 * P : j1 * P], table)], self.grid, j0, X, Y)
         return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
 
     @property
@@ -326,8 +336,8 @@ def assemble_stiffness(
     potential: np.ndarray | None = None,
     potential_id: str | None = None,
 ) -> StiffnessSystem:
-    """Assemble the Q1 stiffness matrix for the metric Laplacian, plus the
-    weighted mass matrix when a potential is given.
+    """Assemble the Q1 stiffness matrix K for the metric Laplacian, plus the
+    weighted mass matrix M when a potential is given, into one matrix.
 
     The bilinear form is
 
@@ -344,24 +354,24 @@ def assemble_stiffness(
     its ``j``-th layer, interpolates them to the Gauss points (one matmul with
     the shape table N), turns them into ``W = sqrt(det g) g^{-1}`` in place by
     the SPD kernel :func:`~calderon_lab.grid_geometry.spd_weight`, and
-    :func:`_scatter` adds its element matrices into K's data: the unique
-    entries ``a <= b`` into the dead gather by one GEMM, ``E[c, p] = sum_{k,
-    q} W[k, q, c] stiff[(k, q), p]``, with ``k`` over the components ``i <=
-    j`` and the table of :func:`_element_tables`, which folds ``T_ij +
-    T_ji``. So for the mass matrix M with a potential, from the Gauss-point
-    weights ``sqrt(det g) V`` against ``w N[q, a] N[q, b]``, which each block
-    writes into the system's ``mass_weights`` table; M's data, once added
-    into K's array (``matrix`` is K + M), is dropped. The
-    t-cells' ``layers`` come from the same Gauss points. Each slot takes
-    entries of one slot table only and sums them in cell-major order, so K
-    and M are bitwise symmetric and their bytes depend on neither the block
-    size nor the BLAS thread count; but in 4-D the interpolation matmul
-    rounds the last one to four columns of a block whose cell count is not a
-    multiple of 8 its own way, so there the bytes can change with the block
-    size unless P is a multiple of 8. The tables come from a per-grid cache
-    (equal grids share one entry), whose read-only ``indices`` and
-    ``indptr`` every system's matrices hold (a write raises ``ValueError``).
-    """
+    :func:`_scatter` adds its element matrices into the one data array: the
+    unique entries ``a <= b`` into the dead gather by one GEMM, ``E[c, p] =
+    sum_{k, q} W[k, q, c] stiff[(k, q), p]``, with ``k`` over the components
+    ``i <= j`` and the table of :func:`_element_tables`, which folds ``T_ij
+    + T_ji``; with a potential, plus the Gauss-point weights ``sqrt(det g)
+    V``, which the block writes into the system's ``mass_weights``, against
+    ``w N[q, a] N[q, b]`` by one more GEMM into the dead W, so each cell's K
+    and M entries are summed before they reach a slot. The t-cells'
+    ``layers`` come from the same Gauss points. Each slot takes entries of
+    one slot table only and sums them in cell-major order, so ``matrix``
+    (and M rebuilt alone) is bitwise symmetric and its bytes depend on
+    neither the block size nor the BLAS thread count; but in 4-D the
+    interpolation matmul rounds the last one to four columns of a block
+    whose cell count is not a multiple of 8 its own way, so there the bytes
+    can change with the block size unless P is a multiple of 8. The tables
+    come from a per-grid cache (equal grids share one entry), whose
+    read-only ``indices`` and ``indptr`` every system's matrices hold (a
+    write raises ``ValueError``)."""
     grid = metric.grid
     n, size = grid.n, grid.node_count
     (_, _, indices, indptr, nodes), (N, stiff, mass_table, _), _ = _grid_layout(grid)
@@ -382,8 +392,7 @@ def assemble_stiffness(
     # the gathers use np.take(mode="clip"), about 3 times faster than fancy
     # indexing here, and the ids are in range
     iu, ju, pos = packed_order(n)
-    k_data = np.zeros(indices.size)
-    m_data = None if v_nodes is None else np.zeros(indices.size)
+    data = np.zeros(indices.size)
     mass_weights = None if v_nodes is None else np.empty((1 << n, num_cells_t * P))
     # per t-cell, the means of diag(W), then of sqrt(det g) V
     layers = np.zeros((n + 1, num_cells_t))
@@ -400,15 +409,14 @@ def assemble_stiffness(
         W, root_det = spd_weight(np.matmul(N, G, out=Y[: k * Q * c].reshape(k, Q, c)), rows)
         for d in range(n):
             layers[d, j0:j1] = W[pos[d, d]].mean(axis=0).reshape(-1, P).mean(axis=1)
-        _scatter(k_data, W.reshape(-1, c), stiff, grid, j0, X, Y)
-        if m_data is not None:
+        terms = [(W.reshape(-1, c), stiff)]
+        if v_nodes is not None:
             interp = np.matmul(N, np.take(v_nodes[j0 * P :], cell_nodes, mode="clip", out=rows[1]), out=rows[2])
             mass_weight = np.multiply(root_det, interp, out=mass_weights[:, j0 * P : j1 * P])
             layers[n, j0:j1] = mass_weight.mean(axis=0).reshape(-1, P).mean(axis=1)
-            _scatter(m_data, mass_weight, mass_table, grid, j0, X, Y)
-    if m_data is not None:  # K + M, the one operator a solve reads, in K's array
-        np.add(k_data, m_data, out=k_data)
-    K = sp.csr_matrix((k_data, indices, indptr), shape=(size, size))
+            terms.append((mass_weight, mass_table))
+        _scatter(data, terms, grid, j0, X, Y)
+    K = sp.csr_matrix((data, indices, indptr), shape=(size, size))
     return StiffnessSystem(
         grid, K, layers, mass_weights=mass_weights, potential_id=potential_id if potential is not None else None
     )
@@ -421,17 +429,6 @@ def assemble_stiffness(
 def l2_norm(x: np.ndarray) -> float:
     """The package's one norm, of all entries of ``x``: a pairwise sum, which no BLAS thread count changes."""
     return float(np.sqrt(np.add.reduce(np.ravel(x * x))))
-
-
-def _t_matrix(stiff: np.ndarray, mass: np.ndarray, h: float) -> np.ndarray:
-    """The interior-node block, m x m with m = num_t - 2, of the 1-D Q1
-    matrix ``sum_c stiff[c] K_c + mass[c] M_c`` over the t-cells ``c``,
-    with ``K_c`` and ``M_c`` the cell's stiffness and mass matrices."""
-    m = stiff.size - 1
-    A = np.zeros((m, m))
-    A.flat[:: m + 1] = (stiff[:-1] + stiff[1:]) / h + (mass[:-1] + mass[1:]) * (h / 3.0)
-    A.flat[1 :: m + 1] = A.flat[m :: m + 1] = mass[1:-1] * (h / 6.0) - stiff[1:-1] / h
-    return A
 
 
 def _row_view(A: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
@@ -520,12 +517,10 @@ class InteriorSolver:
         w_tt, w_dd, q = sys.layers[0], sys.layers[1:-1], sys.layers[-1]
         w_a = w_dd.mean(axis=0)
         alpha = w_dd.sum(axis=1) / w_a.sum()  # the ratios of the means over t
-        # the second pass floors q at 0; the transposes of the symmetric
-        # t-matrices are Fortran-ordered, so LAPACK works on them in place
-        for q in (q, np.maximum(q, 0.0)):
-            lam_t, V_t, info = scipy.linalg.lapack.dsygvd(
-                _t_matrix(w_tt, q, grid.h_t).T, _t_matrix(0.0 * w_a, w_a, grid.h_t).T, overwrite_a=1, overwrite_b=1
-            )
+        for q in (q, np.maximum(q, 0.0)):  # the second pass floors q at 0
+            # the t-pencil: the interior blocks of the open t-axis matrices
+            A, B = (_q1_axis(s, c, grid.h_t, False)[1:-1, 1:-1] for s, c in ((w_tt, q), (np.zeros_like(w_a), w_a)))
+            lam_t, V_t, info = scipy.linalg.lapack.dsygvd(A, B)
             self._diag = reduce(np.add.outer, [lam_t, *(a * lam for a, lam in zip(alpha, lams))])
             if info == 0 and (self._diag > 0.0).all():
                 break
@@ -868,7 +863,7 @@ def boundary_mass_matrix(grid: CylinderGrid) -> sp.spmatrix:
     tensor product of periodic 1-D masses; Gamma0 and Gamma1 share it."""
     M = sp.identity(1, format="csr")
     for num, h in zip(grid.num_ang, grid.h_ang):
-        M = sp.kron(M, sp.csr_matrix(_q1_pencil(num, h)[1]), format="csr")
+        M = sp.kron(M, sp.csr_matrix(_q1_axis(np.zeros(num), np.ones(num), h, True)), format="csr")
     return M
 
 

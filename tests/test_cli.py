@@ -469,6 +469,33 @@ class TestConfigErrors:
         assert "is a file the report writes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_long_axis_synth_refused(self, tmp_path, monkeypatch, capsys):
+        # 1,026 x 4 x 4 is under the node cap, but one long axis sizes the
+        # dense 1-D factors and the Hölder quotients by its square
+        monkeypatch.setattr(cli, "synth_approx_miller", _must_not_run)
+        code, out = _cli(tmp_path, "synth-dataset", {"grid": {"num_t": 1026, "num_ang": [4, 4]}})
+        assert code == 2
+        assert "over the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg", [("validate-dataset", {}), ("counterexample-study", {"strides": [1]})],
+        ids=["validate-dataset", "counterexample-study"],
+    )
+    def test_long_axis_dataset_refused(self, tmp_path, monkeypatch, capsys, command, cfg):
+        monkeypatch.setattr(cli, "validate_miller_properties", _must_not_run)
+        monkeypatch.setattr(cli, "dn_gap_study", _must_not_run)
+        path = tmp_path / "long.json"
+        path.write_text(dataset_json(MillerDataset.zero(CylinderGrid(3, 3, (4, 1026)))))
+        code, out = _cli(tmp_path, command, {**cfg, "dataset": str(path)})
+        assert code == 2
+        assert "over the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_longest_axis_fits_the_cap(self):
+        assert max(cli._grid(CylinderGrid, 3, 3, (4, cli._MAX_AXIS)).shape) == cli._MAX_AXIS == 1025
+        assert cli._grid(CylinderGrid, 3, cli._MAX_AXIS, (4, 4)).num_t == cli._MAX_AXIS
+
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("computation started before the config was checked")

@@ -718,10 +718,7 @@ def _cell_bytes(grid) -> int:
 def _assembly_temporaries(n: int, size: int) -> list[int]:
     """Bytes of temporaries above its result of one assembly on a cached
     grid layout, for the plain and then the potential system. A potential
-    system's result is K's data and its ``mass_weights`` table; M's data is
-    the call's own transient, added into K's array and dropped, so its bytes
-    (read from ``mass`` after tracemalloc stops) do not count as a
-    temporary."""
+    system's result is K + M's data and its ``mass_weights`` table."""
     grid = cyl_grid(n, size)
     metric = sample_metric(random_trig_metric(n, seed=6), grid)
     temps = []
@@ -738,13 +735,14 @@ def _assembly_temporaries(n: int, size: int) -> list[int]:
         if q is not None:
             result += sys_.mass_weights.nbytes
         assert held <= result + 1e6
-        temps.append(peak - held - (0 if q is None else sys_.mass.data.nbytes))
+        temps.append(peak - held)
     return temps
 
 
 def _mirrored_assembly(metric, potential=None):
-    """K (and M) data the way a mirrored scatter made them: the whole grid
-    as one block through the allocating SPD kernel, each element matrix
+    """K's data, or with a potential K + M's and M's, the way a mirrored
+    scatter made them: the whole grid as one block through the allocating
+    SPD kernel, each element matrix (K's and M's entries summed per cell)
     written out whole from its unique entries and added at its slots by
     one ``np.add.at`` in cell-major, row-major order."""
     grid = metric.grid
@@ -756,12 +754,14 @@ def _mirrored_assembly(metric, potential=None):
     mirror = np.empty((Q, Q), dtype=np.intp)
     mirror[a, b] = mirror[b, a] = np.arange(a.size)
     W, root_det = _allocating_spd_weight(N @ metric.packed.reshape(-1, size)[:, nodes])
+    entries = [W.reshape(-1, nodes.shape[1]).T @ stiff]
+    if potential is not None:
+        entries.append((root_det * (N @ potential.reshape(size)[nodes])).T @ mass)
+        entries[0] = entries[0] + entries[1]
     out = []
-    for weight, table in [(W.reshape(-1, nodes.shape[1]).T, stiff)] + (
-        [] if potential is None else [((root_det * (N @ potential.reshape(size)[nodes])).T, mass)]
-    ):
+    for E in entries:
         data = np.zeros(indices.size)
-        np.add.at(data, slot, (weight @ table)[:, mirror.ravel()].ravel())
+        np.add.at(data, slot, E[:, mirror.ravel()].ravel())
         out.append(data)
     return out
 
@@ -813,8 +813,6 @@ class TestBlockedAssembly:
         ref = _mirrored_assembly(metric, q)
         # with a potential the system keeps K + M and M, not K
         assert (sys_.laplace is sys_.matrix) is (q is None)
-        if with_potential:
-            ref = [np.add(*ref), ref[1]]
         for M, data in zip([sys_.matrix] + ([sys_.mass] if with_potential else []), ref, strict=True):
             assert M.data.tobytes() == data.tobytes()
             assert _bitwise_symmetric(M)
@@ -838,18 +836,20 @@ class TestBlockedAssembly:
     # one float64 arena per call, at most 3.7 MB: per-block arrays held
     # 9.9 MB at 33^3, 8.7 MB at 7^4 and 24.6 MB at 13^4; the arena, the
     # blocks' cell nodes and the whole packed metric held 4.9, 3.5 and
-    # 7.2 MB, and with the metric packed per block 3.4, 3.5 and 5.8 MB
+    # 7.2 MB, and with the metric packed per block 3.4, 3.5 and 5.8 MB; M's
+    # data, scattered apart and added into K's, held 7.2, 0.9 and 13.8 MB
+    # more with a potential, which now adds no temporary
     def test_temporaries_at_33(self):
         temps = _assembly_temporaries(3, 33)
-        assert max(temps) <= 8.5e6, [f"{t / 1e6:.1f} MB" for t in temps]
+        assert max(temps) <= 4e6 and temps[1] <= temps[0] + 0.5e6, [f"{t / 1e6:.1f} MB" for t in temps]
 
     def test_temporaries_at_7_in_4d(self):
         temps = _assembly_temporaries(4, 7)
-        assert max(temps) <= 6e6, [f"{t / 1e6:.1f} MB" for t in temps]
+        assert max(temps) <= 4e6 and temps[1] <= temps[0] + 0.5e6, [f"{t / 1e6:.1f} MB" for t in temps]
 
     def test_temporaries_at_13_in_4d(self):
         temps = _assembly_temporaries(4, 13)
-        assert max(temps) <= 12e6, [f"{t / 1e6:.1f} MB" for t in temps]
+        assert max(temps) <= 6.5e6 and temps[1] <= temps[0] + 0.5e6, [f"{t / 1e6:.1f} MB" for t in temps]
 
 
 def _extend_boundary(metric, gamma0: float, gamma1):
@@ -1108,5 +1108,27 @@ class TestBoundaryMass:
                 ids = np.array([c, (c + 1) % num])
                 K[ids[:, None], ids] += k_elem
                 M[ids[:, None], ids] += m_elem
-            got = dn_solver._q1_pencil(num, h)
+            got = [dn_solver._q1_axis(s, m, h, True) for s, m in ((np.ones(num), np.zeros(num)),
+                                                                (np.zeros(num), np.ones(num)))]
             assert [a.tobytes() for a in got] == [K.tobytes(), M.tobytes()], h
+
+    @pytest.mark.parametrize("cells", [2, 3, 8, 32, 64])
+    def test_open_axis_matches_element_assembly(self, cells):
+        # random per-cell coefficients on an open axis: the interior block
+        # keeps the bytes of the former interior-only t-matrix formula, and
+        # the whole matrix is the element-by-element sum to rounding
+        rng = np.random.default_rng(cells)
+        stiff, mass = rng.uniform(0.1, 10.0, cells), rng.uniform(-1.0, 2.0, cells)
+        h = 1.0 / cells
+        m = cells - 1
+        T = np.zeros((m, m))
+        T.flat[:: m + 1] = (stiff[:-1] + stiff[1:]) / h + (mass[:-1] + mass[1:]) * (h / 3.0)
+        T.flat[1 :: m + 1] = T.flat[m :: m + 1] = mass[1:-1] * (h / 6.0) - stiff[1:-1] / h
+        A = np.zeros((cells + 1, cells + 1))
+        k_elem = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+        m_elem = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+        for c in range(cells):
+            A[c : c + 2, c : c + 2] += stiff[c] * k_elem + mass[c] * m_elem
+        got = dn_solver._q1_axis(stiff, mass, h, False)
+        assert got[1:-1, 1:-1].tobytes() == T.tobytes()
+        assert np.abs(got - A).max() <= 1e-15 * np.abs(A).max()

@@ -299,6 +299,12 @@ def _link_system(metric, seed=10, amplitude=0.3):
     return assemble_stiffness(metric, potential=q, potential_id="link")
 
 
+def _flat_pencil(num, h):
+    """The periodic 1-D Q1 stiffness and mass matrices of unit coefficients."""
+    ones, zeros = np.ones(num), np.zeros(num)
+    return dn_solver._q1_axis(ones, zeros, h, True), dn_solver._q1_axis(zeros, ones, h, True)
+
+
 def _layered_operator(sys):
     """The layered operator on the interior nodes, dense: Kronecker
     products of 1-D Q1 matrices, the t-ones summed here cell by cell from
@@ -319,7 +325,7 @@ def _layered_operator(sys):
             A[c : c + 2, c : c + 2] += stiff[c] * cell_K + mass[c] * cell_M
         return A[1:-1, 1:-1]
 
-    ang = [dn_solver._q1_pencil(m, ha) for m, ha in zip(grid.num_ang, grid.h_ang)]
+    ang = [_flat_pencil(m, ha) for m, ha in zip(grid.num_ang, grid.h_ang)]
     L = reduce(np.kron, [t_matrix(w_tt, q)] + [M for _, M in ang])
     for d, w in enumerate(w_dd):
         factors = [K if e == d else M for e, (K, M) in enumerate(ang)]
@@ -623,7 +629,7 @@ class TestLayeredPreconditioner:
         m = grid.num_t - 2  # the interior block of the open t-pencil
         K_t = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.h_t
         M_t = (4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)) * grid.h_t / 6.0
-        pencils = [(K_t, M_t)] + [dn_solver._q1_pencil(num, h) for num, h in zip(grid.num_ang, grid.h_ang)]
+        pencils = [(K_t, M_t)] + [_flat_pencil(num, h) for num, h in zip(grid.num_ang, grid.h_ang)]
         eigs = [scipy.linalg.eigh(K, M) for K, M in pencils]
         for (_, V), V_solver in zip(eigs, solver._vecs):
             # an eigenvector's sign is free: fix it by the first row
